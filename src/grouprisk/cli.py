@@ -9,18 +9,22 @@ JSON files and log skipped points as one JSON object per line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
 
 from .bounds import consistency_check, evaluate_bounds
-from .estimators import accumulate_gram, fit_cmni, fit_gd, fit_ridge, interpolation_residual
+from .estimators import GramStats, fit_cmni, fit_gd, fit_ridge, interpolation_residual
 from .harness import PRESET_NAMES, SweepSpec, emit, preset, run_sweep
-from .model import ModelConfig, load_dataset, sample_dataset, save_dataset
+from .model import ModelConfig, e1_mean, load_dataset, noise_stats, sample_dataset, save_dataset
 from .primitives import (
+    Decomposition,
     check_aux_inequalities,
     compute_primitives,
+    det_and_adj,
     risk_identity_check,
     verify_primitive_bounds,
     wishart_coverage,
@@ -28,12 +32,6 @@ from .primitives import (
 from .risk import build_report
 
 __all__ = ["main", "config_from_args", "primitive_set_max_gap"]
-
-
-def _e1(scale: float, length: int) -> np.ndarray:
-    v = np.zeros(length)
-    v[0] = scale
-    return v
 
 
 def config_from_args(args) -> ModelConfig:
@@ -60,8 +58,8 @@ def config_from_args(args) -> ModelConfig:
     return ModelConfig(
         d_core=d_core,
         d_spur=d - d_core,
-        mu_core=_e1(float(np.sqrt(mu_core_sq)), d_core),
-        mu_spur=_e1(float(np.sqrt(mu_spur_sq)), d - d_core),
+        mu_core=e1_mean(float(np.sqrt(mu_core_sq)), d_core),
+        mu_spur=e1_mean(float(np.sqrt(mu_spur_sq)), d - d_core),
         n_plus=n_plus,
         n_minus=n_minus,
         pi_plus=args.pi_plus,
@@ -133,20 +131,20 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _stats_and_labels(source, cfg, block_cols):
+    noise = noise_stats(source, block_cols)
+    return GramStats.from_noise(cfg, noise), noise.labels
+
+
 def _cmd_fit(args) -> int:
     if args.data:
-        ds = load_dataset(args.data)
-        cfg = ds.config
+        source = load_dataset(args.data)
+        cfg = source.config
         if args.tau is not None:
             cfg = cfg.with_updates(tau=args.tau)
-        stats = accumulate_gram(ds, block_cols=args.block_cols)
-        labels = (ds.y, ds.a, ds.b)
     else:
-        cfg = config_from_args(args)
-        stats = accumulate_gram(cfg, block_cols=args.block_cols)
-        from .model import sample_labels
-
-        labels = sample_labels(cfg)
+        source = cfg = config_from_args(args)
+    stats, labels = _stats_and_labels(source, cfg, args.block_cols)
     sol = _fit_solution(args, cfg, stats, labels)
     doc = sol.to_dict()
     doc["interpolation_residual"] = interpolation_residual(sol, stats, cfg.deltas, labels)
@@ -156,10 +154,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_risk(args) -> int:
     cfg = config_from_args(args)
-    stats = accumulate_gram(cfg, block_cols=args.block_cols)
-    from .model import sample_labels
-
-    labels = sample_labels(cfg)
+    stats, labels = _stats_and_labels(cfg, cfg, args.block_cols)
     sol = _fit_solution(args, cfg, stats, labels)
     report = build_report(sol, cfg, mc_draws=args.mc_draws)
     _emit_json(report.to_dict(), args.out)
@@ -183,21 +178,17 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_verify_primitives(args) -> int:
     cfg = config_from_args(args)
-    ds = sample_dataset(cfg, block_cols=args.block_cols)
-    direct = compute_primitives(ds, mode="direct")
-    recursive = compute_primitives(ds, mode="recursive")
+    noise = noise_stats(cfg, args.block_cols)
+    dec = Decomposition.from_noise(cfg, noise)
+    direct = compute_primitives(dec, delta=cfg.deltas, mode="direct")
+    recursive = compute_primitives(dec, delta=cfg.deltas, mode="recursive")
     mode_gap = primitive_set_max_gap(direct, recursive)
 
-    stats = accumulate_gram(ds, block_cols=args.block_cols)
-    labels = (ds.y, ds.a, ds.b)
-    sol = fit_ridge(stats, cfg.deltas, labels, cfg.tau)
+    sol = fit_ridge(GramStats.from_noise(cfg, noise), cfg.deltas, noise.labels, cfg.tau)
     identity_gaps = {
         str(b): risk_identity_check(direct, sol, cfg, b) for b in (+1, -1)
     }
 
-    from .primitives import build_decomposition, det_and_adj
-
-    dec = build_decomposition(ds)
     m0_inv = np.linalg.inv(dec.gram_0 + dec.tau * np.eye(dec.n))
     adj_gap = 0.0
     for k, (L, R) in enumerate(((dec.L_1, dec.R_1), (dec.L_2, dec.R_2)), start=1):
@@ -247,29 +238,20 @@ def _cmd_sweep(args) -> int:
     else:
         with open(args.spec) as fh:
             spec = SweepSpec.from_dict(json.load(fh))
+        updates = {}
         if args.seed is not None:
-            spec = SweepSpec(
-                base=spec.base.with_updates(seed=args.seed),
-                axis=spec.axis,
-                methods=spec.methods,
-                trials=spec.trials,
-                outputs=spec.outputs,
-                out_path=spec.out_path,
-                name=spec.name,
-            )
+            updates["base"] = spec.base.with_updates(seed=args.seed)
         if args.trials is not None:
-            spec = SweepSpec(
-                base=spec.base,
-                axis=spec.axis,
-                methods=spec.methods,
-                trials=args.trials,
-                outputs=spec.outputs,
-                out_path=spec.out_path,
-                name=spec.name,
-            )
+            updates["trials"] = args.trials
+        spec = dataclasses.replace(spec, **updates)
     rows, skips = run_sweep(spec, block_cols=args.block_cols)
     for skip in skips:
-        print(json.dumps(skip, sort_keys=True), file=sys.stderr)
+        # strict JSON: a non-finite axis value is logged as null
+        strict = {
+            k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in skip.items()
+        }
+        print(json.dumps(strict, sort_keys=True, allow_nan=False), file=sys.stderr)
     if not rows:
         print("sweep produced no rows", file=sys.stderr)
         return 1

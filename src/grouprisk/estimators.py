@@ -7,7 +7,8 @@ The estimator
 is represented by its dual coefficients c = (G + tau I)^{-1} Delta^{-1} y
 with G = X X', so no d-dimensional object is ever materialized.  Everything
 downstream needs only G, X mu_b, and the noise projections d_1 = Q mu_bar_s,
-d_2 = Q mu_bar_c, all of which stream over column blocks of X.
+d_2 = Q mu_bar_c.  All of them are assembled in O(n^2) from the `NoiseStats`
+that `model.noise_stats` streams once from a config or a dataset.
 
 tau = 0 is the cost-sensitive minimum-norm interpolator, whose defining
 constraint is Delta_{b_i} <w, x_i> = y_i.  Gradient descent on the adjusted
@@ -23,14 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .model import (
-    Dataset,
-    ModelConfig,
-    embed_means,
-    group_mean,
-    noise_blocks,
-    sample_labels,
-)
+from .model import Dataset, ModelConfig, NoiseStats, noise_stats, sample_labels
 
 __all__ = [
     "GramStats",
@@ -59,6 +53,36 @@ class GramStats:
     x_mu_minus: np.ndarray
     d_1: np.ndarray
     d_2: np.ndarray
+
+    @classmethod
+    def from_noise(cls, config: ModelConfig, noise: NoiseStats) -> "GramStats":
+        """Assemble the statistics for `config`'s means in O(n^2).
+
+        With X = y mu_bar_c' + a mu_bar_s' + Q and orthogonal embedded means,
+        G = Q Q' + |mu_c|^2 y y' + y d_2' + d_2 y' + |mu_s|^2 a a' + a d_1' + d_1 a'.
+        """
+        mc = float(np.linalg.norm(config.mu_core))
+        ms = float(np.linalg.norm(config.mu_spur))
+        y, a = noise.y, noise.a
+        d_1 = ms * noise.q_spur
+        d_2 = mc * noise.q_core
+        gram = (
+            noise.gram_0
+            + mc * mc * np.outer(y, y)
+            + np.outer(y, d_2)
+            + np.outer(d_2, y)
+            + ms * ms * np.outer(a, a)
+            + np.outer(a, d_1)
+            + np.outer(d_1, a)
+        )
+        gram = 0.5 * (gram + gram.T)
+        return cls(
+            gram=gram,
+            x_mu_plus=x_mu_from_parts(config, y, a, d_1, d_2, +1),
+            x_mu_minus=x_mu_from_parts(config, y, a, d_1, d_2, -1),
+            d_1=d_1,
+            d_2=d_2,
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,72 +113,16 @@ class DualSolution:
         }
 
 
-def _column_blocks(source, block_cols: int):
-    """Yield (X_block, Q_block) column blocks plus shared (y, a, config).
-
-    source may be a materialized Dataset or a bare ModelConfig; the config
-    path streams noise blocks and never holds X or Q in full.
-    """
-    if isinstance(source, Dataset):
-        cfg = source.config
-        y, a = source.y, source.a
-
-        def blocks():
-            for j0 in range(0, cfg.d, block_cols):
-                j1 = min(j0 + block_cols, cfg.d)
-                yield source.X[:, j0:j1], source.Q[:, j0:j1], j0, j1
-
-        return y, a, cfg, blocks
-    if isinstance(source, ModelConfig):
-        cfg = source
-        y, a, _ = sample_labels(cfg)
-        mu_bar_c, mu_bar_s = embed_means(cfg)
-
-        def blocks():
-            for j0, qblk in noise_blocks(cfg, block_cols):
-                j1 = j0 + qblk.shape[1]
-                xblk = (
-                    np.outer(y, mu_bar_c[j0:j1])
-                    + np.outer(a, mu_bar_s[j0:j1])
-                    + qblk
-                )
-                yield xblk, qblk, j0, j1
-
-        return y, a, cfg, blocks
-    raise TypeError(f"expected Dataset or ModelConfig, got {type(source).__name__}")
-
-
 def accumulate_gram(source, block_cols: int = 4096) -> GramStats:
-    """Accumulate G = X X', X mu_b, and d_k = Q mu_bar_k over column blocks.
+    """G = X X', X mu_b, and d_k = Q mu_bar_k of a Dataset or a ModelConfig.
 
-    Works from a materialized Dataset or directly from a ModelConfig, in
-    which case X is streamed and never fully held.  Results agree across
-    block sizes to ~1e-10 relative (summation order differs).
+    The noise is streamed once by `noise_stats`; from a config, X and Q are
+    never held in full.  Results agree across block sizes to ~1e-10
+    relative (summation order differs).
     """
-    if block_cols < 1:
-        raise ValueError("block_cols must be positive")
-    y, a, cfg, blocks = _column_blocks(source, block_cols)
-    n = cfg.n
-    mu_bar_c, mu_bar_s = embed_means(cfg)
-    mu_plus = group_mean(cfg, +1)
-    mu_minus = group_mean(cfg, -1)
-    gram = np.zeros((n, n))
-    x_mu_plus = np.zeros(n)
-    x_mu_minus = np.zeros(n)
-    d_1 = np.zeros(n)
-    d_2 = np.zeros(n)
-    for xblk, qblk, j0, j1 in blocks():
-        if xblk.shape[0] != n:
-            raise ValueError("row-count mismatch in column block")
-        gram += xblk @ xblk.T
-        x_mu_plus += xblk @ mu_plus[j0:j1]
-        x_mu_minus += xblk @ mu_minus[j0:j1]
-        d_1 += qblk @ mu_bar_s[j0:j1]
-        d_2 += qblk @ mu_bar_c[j0:j1]
-    gram = 0.5 * (gram + gram.T)  # exact symmetry for the SPD solver
-    return GramStats(
-        gram=gram, x_mu_plus=x_mu_plus, x_mu_minus=x_mu_minus, d_1=d_1, d_2=d_2
-    )
+    noise = noise_stats(source, block_cols)
+    config = source.config if isinstance(source, Dataset) else source
+    return GramStats.from_noise(config, noise)
 
 
 def x_mu_from_parts(

@@ -15,11 +15,12 @@ Axes:
 
 Trial i reseeds the config with seed XOR i.  Along delta_minus and
 r_plus_sq the noise matrix and labels do not depend on the axis value, so
-each trial streams the noise once into (Q Q', Q u_c, Q u_s) and assembles
-every Gram matrix from those parts in O(n^2); n_coupled rebuilds per
-value.  Rows are aggregated in trial order and CSV output is
-byte-deterministic for a fixed seed; the JSON format carries run metadata
-including a timestamp, so only its `rows` payload is stable.
+each trial streams the noise once with `model.noise_stats` into
+(Q Q', Q u_c, Q u_s) and assembles every Gram matrix and decomposition
+from it in O(n^2); n_coupled re-streams per value.  Rows are aggregated
+in trial order and CSV output is byte-deterministic for a fixed seed; the
+JSON format carries run metadata including a timestamp, so only its
+`rows` payload is stable.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .bounds import bound_exponent
-from .estimators import GramStats, fit_cmni, fit_ridge, x_mu_from_parts
-from .model import ModelConfig, embed_means, noise_blocks, sample_labels, substream_seed
-from .primitives import compute_primitives, decomposition_from_parts, verify_primitive_bounds
+from .estimators import GramStats, fit_cmni, fit_ridge
+from .model import ModelConfig, NoiseStats, e1_mean, noise_stats, substream_seed
+from .primitives import Decomposition, compute_primitives, verify_primitive_bounds
 from .risk import group_risk, worst_and_average
 
 __all__ = [
@@ -206,12 +207,6 @@ class SweepRow:
         return out
 
 
-def _e1_mean(scale: float, length: int) -> np.ndarray:
-    v = np.zeros(length)
-    v[0] = scale
-    return v
-
-
 def derive_config(base: ModelConfig, axis_name: str, value) -> ModelConfig:
     """Materialize the config at one axis value (see module docstring)."""
     if axis_name == "delta_minus":
@@ -222,8 +217,8 @@ def derive_config(base: ModelConfig, axis_name: str, value) -> ModelConfig:
             raise ValueError("r_plus_sq must be positive")
         scale = np.sqrt(np.sqrt(r_sq) / 2.0)
         return base.with_updates(
-            mu_core=_e1_mean(scale, base.d_core),
-            mu_spur=_e1_mean(scale, base.d_spur),
+            mu_core=e1_mean(scale, base.d_core),
+            mu_spur=e1_mean(scale, base.d_spur),
         )
     if axis_name == "n_coupled":
         n = int(value)
@@ -239,8 +234,8 @@ def derive_config(base: ModelConfig, axis_name: str, value) -> ModelConfig:
         return base.with_updates(
             d_core=d_core,
             d_spur=d - d_core,
-            mu_core=_e1_mean(scale, d_core),
-            mu_spur=_e1_mean(scale, d - d_core),
+            mu_core=e1_mean(scale, d_core),
+            mu_spur=e1_mean(scale, d - d_core),
             n_plus=n_plus,
             n_minus=n_minus,
             delta_plus=n_plus / n,
@@ -270,68 +265,6 @@ def resolve_tau(tau_spec, config: ModelConfig) -> float:
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     return tau
-
-
-@dataclass(eq=False)
-class _TrialParts:
-    """Noise-level sufficient statistics of one (seed, shape) draw."""
-
-    y: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    gram_0: np.ndarray
-    q_core: np.ndarray  # Q times the unit core direction (0 if mean is 0)
-    q_spur: np.ndarray
-
-
-def _unit_direction(vec: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(vec)
-    return vec / norm if norm > 0 else np.zeros_like(vec)
-
-
-def noise_parts(config: ModelConfig, block_cols: int = 4096) -> _TrialParts:
-    """Stream the noise once into (labels, Q Q', Q u_core, Q u_spur)."""
-    y, a, b = sample_labels(config)
-    mu_bar_c, mu_bar_s = embed_means(config)
-    u_c = _unit_direction(mu_bar_c)
-    u_s = _unit_direction(mu_bar_s)
-    n = config.n
-    gram_0 = np.zeros((n, n))
-    q_core = np.zeros(n)
-    q_spur = np.zeros(n)
-    for j0, blk in noise_blocks(config, block_cols):
-        j1 = j0 + blk.shape[1]
-        gram_0 += blk @ blk.T
-        q_core += blk @ u_c[j0:j1]
-        q_spur += blk @ u_s[j0:j1]
-    gram_0 = 0.5 * (gram_0 + gram_0.T)
-    return _TrialParts(y=y, a=a, b=b, gram_0=gram_0, q_core=q_core, q_spur=q_spur)
-
-
-def stats_from_parts(config: ModelConfig, parts: _TrialParts) -> GramStats:
-    """Assemble GramStats for `config`'s means from cached noise parts."""
-    mc = float(np.linalg.norm(config.mu_core))
-    ms = float(np.linalg.norm(config.mu_spur))
-    y, a = parts.y, parts.a
-    d_1 = ms * parts.q_spur
-    d_2 = mc * parts.q_core
-    gram = (
-        parts.gram_0
-        + mc * mc * np.outer(y, y)
-        + np.outer(y, d_2)
-        + np.outer(d_2, y)
-        + ms * ms * np.outer(a, a)
-        + np.outer(a, d_1)
-        + np.outer(d_1, a)
-    )
-    gram = 0.5 * (gram + gram.T)
-    return GramStats(
-        gram=gram,
-        x_mu_plus=x_mu_from_parts(config, y, a, d_1, d_2, +1),
-        x_mu_minus=x_mu_from_parts(config, y, a, d_1, d_2, -1),
-        d_1=d_1,
-        d_2=d_2,
-    )
 
 
 def _stat_pair(values) -> tuple[float, float]:
@@ -377,20 +310,19 @@ def run_sweep(spec: SweepSpec, block_cols: int = 4096):
     # results[(idx, mi)] -> list of per-trial output dicts
     results: dict[tuple[int, int], list[dict]] = {}
     for trial in range(spec.trials):
-        parts_cache: _TrialParts | None = None
+        noise_cache: NoiseStats | None = None
         for idx, (value, cfg) in enumerate(derived):
             if cfg is None:
                 continue
             tcfg = cfg.with_updates(seed=substream_seed(spec.base.seed, trial))
             try:
-                if cacheable and parts_cache is not None:
-                    parts = parts_cache
+                if cacheable and noise_cache is not None:
+                    noise = noise_cache
                 else:
-                    parts = noise_parts(tcfg, block_cols)
+                    noise = noise_stats(tcfg, block_cols)
                     if cacheable:
-                        parts_cache = parts
-                stats = stats_from_parts(tcfg, parts)
-                labels = (parts.y, parts.a, parts.b)
+                        noise_cache = noise
+                stats = GramStats.from_noise(tcfg, noise)
             except Exception as exc:
                 skips.append(
                     {
@@ -406,14 +338,13 @@ def run_sweep(spec: SweepSpec, block_cols: int = 4096):
                 try:
                     tau = resolve_tau(tau_spec, tcfg)
                     if mname == "cmni":
-                        sol = fit_cmni(stats, tcfg.deltas, labels)
+                        sol = fit_cmni(stats, tcfg.deltas, noise.labels)
                     else:
-                        sol = fit_ridge(stats, tcfg.deltas, labels, tau)
+                        sol = fit_ridge(stats, tcfg.deltas, noise.labels, tau)
                     entry = _trial_outputs(
                         tcfg,
                         sol,
-                        stats,
-                        parts,
+                        noise,
                         exponents_e.get(idx),
                         want_tight,
                         want_prims,
@@ -456,7 +387,7 @@ def run_sweep(spec: SweepSpec, block_cols: int = 4096):
     return rows, skips
 
 
-def _trial_outputs(cfg, sol, stats, parts, e_pair, want_tight, want_prims, tau):
+def _trial_outputs(cfg, sol, noise, e_pair, want_tight, want_prims, tau):
     plus = group_risk(sol, cfg, +1)
     minus = group_risk(sol, cfg, -1)
     worst, average = worst_and_average((plus, minus), config=cfg)
@@ -478,15 +409,7 @@ def _trial_outputs(cfg, sol, stats, parts, e_pair, want_tight, want_prims, tau):
                 minus.exponent / e_pair[1] if e_pair[1] > 0 else None
             )
     if want_prims:
-        dec = decomposition_from_parts(
-            cfg,
-            parts.y,
-            parts.a,
-            parts.gram_0,
-            float(np.linalg.norm(cfg.mu_spur)) * parts.q_spur,
-            float(np.linalg.norm(cfg.mu_core)) * parts.q_core,
-            tau=tau,
-        )
+        dec = Decomposition.from_noise(cfg, noise, tau)
         prims = compute_primitives(dec, delta=cfg.deltas, mode="recursive")
         report = verify_primitive_bounds(prims, cfg)
         entry["primitive_pass_frac"] = sum(r.passed for r in report.rows) / len(
@@ -549,8 +472,8 @@ def _fig_base(seed: int, delta_plus: float, delta_minus: float, r_plus: float = 
     return ModelConfig(
         d_core=d_core,
         d_spur=d - d_core,
-        mu_core=_e1_mean(scale, d_core),
-        mu_spur=_e1_mean(scale, d - d_core),
+        mu_core=e1_mean(scale, d_core),
+        mu_spur=e1_mean(scale, d - d_core),
         n_plus=190,
         n_minus=10,
         delta_plus=delta_plus,
@@ -579,8 +502,8 @@ def preset(name: str, seed: int = 0, trials: int = 10) -> SweepSpec:
         base = ModelConfig(
             d_core=2500,
             d_spur=2500,
-            mu_core=_e1_mean(np.sqrt(5000.0**0.6 / 8.0), 2500),
-            mu_spur=_e1_mean(np.sqrt(5000.0**0.6 / 8.0), 2500),
+            mu_core=e1_mean(np.sqrt(5000.0**0.6 / 8.0), 2500),
+            mu_spur=e1_mean(np.sqrt(5000.0**0.6 / 8.0), 2500),
             n_plus=48,
             n_minus=2,
             delta_plus=0.96,

@@ -17,6 +17,12 @@ Normals come from the inverse-CDF transform at exactly one 64-bit word per
 value, and column j of the noise matrix consumes words [j*n, (j+1)*n) of
 its stream.  Any column blocking therefore reproduces the one-shot matrix
 bit for bit; `noise_blocks` is the single noise source.
+
+Every downstream quantity depends on the noise only through the labels
+and the triple (Q Q', Q u_c, Q u_s), with u_c and u_s the unit core and
+spurious directions.  `noise_stats` streams a noise source once into that
+`NoiseStats` triple; the Gram statistics of the estimators and the staged
+decomposition of the primitives are O(n^2) views of it.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ __all__ = [
     "signal_strengths",
     "sample_labels",
     "noise_blocks",
+    "NoiseStats",
+    "noise_stats",
     "sample_dataset",
     "check_assumptions",
     "save_dataset",
@@ -63,11 +71,16 @@ def substream_seed(seed: int, trial: int) -> int:
     return (int(seed) ^ int(trial)) & _MASK64
 
 
+def _philox(seed: int, stream: int) -> np.random.Philox:
+    # an explicit uint64 key: a plain list above 2^63 is cast through a
+    # float and collapses distinct seeds onto one key
+    key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
+    return np.random.Philox(key=key)
+
+
 def philox_generator(seed: int, stream: int) -> np.random.Generator:
     """Generator on the independent Philox stream keyed by (seed, stream)."""
-    return np.random.Generator(
-        np.random.Philox(key=[int(seed) & _MASK64, int(stream) & _MASK64])
-    )
+    return np.random.Generator(_philox(seed, stream))
 
 
 def _uniforms_at(seed: int, stream: int, offset: int, count: int) -> np.ndarray:
@@ -77,7 +90,7 @@ def _uniforms_at(seed: int, stream: int, offset: int, count: int) -> np.ndarray:
     blocks and discard offset % 4 draws to land inside a block.  The result
     is bit-identical to slicing one long draw.
     """
-    bg = np.random.Philox(key=[int(seed) & _MASK64, int(stream) & _MASK64])
+    bg = _philox(seed, stream)
     q, r = divmod(int(offset), 4)
     if q:
         bg.advance(q)
@@ -292,6 +305,13 @@ class Dataset:
             raise ValueError("X does not reconstruct from labels, means, and Q")
 
 
+def e1_mean(scale: float, length: int) -> np.ndarray:
+    """Mean vector of the given length with `scale` in coordinate 0, zeros elsewhere."""
+    v = np.zeros(length)
+    v[0] = scale
+    return v
+
+
 def embed_means(config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Embed the block means into R^d: mu_bar_c = [mu_c; 0], mu_bar_s = [0; mu_s]."""
     d = config.d
@@ -336,7 +356,8 @@ def noise_blocks(config: ModelConfig, block_cols: int = 4096):
     """Yield (j0, block) column blocks of the n x d noise matrix Q.
 
     Column j is ndtri applied to words [j*n, (j+1)*n) of the noise stream,
-    so assembly is bit-identical for every block_cols choice.
+    so assembly is bit-identical for every block_cols choice.  Each block
+    is the transposed view of the (m, n) draw, not a contiguous copy.
     """
     if block_cols < 1:
         raise ValueError("block_cols must be positive")
@@ -344,7 +365,68 @@ def noise_blocks(config: ModelConfig, block_cols: int = 4096):
     for j0 in range(0, d, block_cols):
         m = min(block_cols, d - j0)
         u = _uniforms_at(config.seed, STREAM_NOISE, j0 * n, m * n)
-        yield j0, np.ascontiguousarray(_standard_normals(u).reshape(m, n).T)
+        yield j0, _standard_normals(u).reshape(m, n).T
+
+
+@dataclass(frozen=True, eq=False)
+class NoiseStats:
+    """Sufficient statistics of one noise draw.
+
+    y, a, b are the labels; gram_0 is Q Q'; q_core and q_spur are Q u_c and
+    Q u_s for the unit core and spurious directions (zero when that mean
+    is zero).  None of them depends on the mean norms, the weights or tau,
+    so one draw serves every config that shares its seed, shape and mean
+    directions.
+    """
+
+    y: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    gram_0: np.ndarray
+    q_core: np.ndarray
+    q_spur: np.ndarray
+
+    @property
+    def labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return (self.y, self.a, self.b)
+
+
+def noise_stats(source, block_cols: int = 4096) -> NoiseStats:
+    """Stream a noise source once into its `NoiseStats`.
+
+    source is a ModelConfig, whose labels are drawn and whose noise comes
+    from `noise_blocks` without ever being held in full, or a Dataset,
+    whose labels and retained Q are read in column views of the same
+    width.  Both routes see the same Q bit for bit.
+    """
+    if block_cols < 1:
+        raise ValueError("block_cols must be positive")
+    if isinstance(source, Dataset):
+        config, Q = source.config, source.Q
+        if Q is None or Q.shape != (config.n, config.d):
+            raise ValueError("dataset must retain its n x d noise matrix Q")
+        labels = (source.y, source.a, source.b)
+        blocks = ((j0, Q[:, j0 : j0 + block_cols]) for j0 in range(0, config.d, block_cols))
+    elif isinstance(source, ModelConfig):
+        config = source
+        labels = sample_labels(config)
+        blocks = noise_blocks(config, block_cols)
+    else:
+        raise TypeError(f"expected Dataset or ModelConfig, got {type(source).__name__}")
+    u_c, u_s = embed_means(config)
+    u_c /= np.linalg.norm(u_c) or 1.0
+    u_s /= np.linalg.norm(u_s) or 1.0
+    n = config.n
+    gram_0 = np.zeros((n, n))
+    q_core = np.zeros(n)
+    q_spur = np.zeros(n)
+    for j0, blk in blocks:
+        j1 = j0 + blk.shape[1]
+        gram_0 += blk @ blk.T
+        q_core += blk @ u_c[j0:j1]
+        q_spur += blk @ u_s[j0:j1]
+    gram_0 = 0.5 * (gram_0 + gram_0.T)  # exact symmetry for the SPD solvers
+    return NoiseStats(*labels, gram_0=gram_0, q_core=q_core, q_spur=q_spur)
 
 
 def sample_dataset(config: ModelConfig, block_cols: int = 4096) -> Dataset:

@@ -2,10 +2,10 @@
 
 Peel the two mean directions off the design matrix:
 
-    X_0 = Q,    X_1 = v_1 mu_bar_1' + X_0,    X_2 = v_2 mu_bar_2' + X_1,
+    X_0 = Q,    X_1 = v_1 mu_bar_s' + X_0,    X_2 = v_2 mu_bar_c' + X_1,
 
-with v_1 = a, v_2 = y, mu_bar_1 = mu_bar_s, mu_bar_2 = mu_bar_c.  Each
-stage updates the Gram matrix by rank 3:
+with v_1 = a and v_2 = y, and write mu_bar_k for the mean of direction k
+(mu_bar_s, then mu_bar_c).  Each stage updates the Gram matrix by rank 3:
 
     G_k = G_{k-1} + L_k R_k,
     L_k = [m_k v_k, d_k, v_k],   R_k = [m_k v_k'; v_k'; d_k'],
@@ -35,11 +35,14 @@ quadratic form p = x' M_k^{-1} y updates through the bilinear map
 which is how the recursive mode advances all primitives without touching
 M_1 or M_2.  The direct mode forms each stage inverse densely instead;
 the two routes share nothing past order 0 and must agree.
+
+Q enters only through G_0 = Q Q' and d_k = m_k Q u_k, so a `Decomposition`
+is an O(n^2) view of the `NoiseStats` that `model.noise_stats` streams.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -47,7 +50,8 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from .model import (
     Dataset,
     ModelConfig,
-    embed_means,
+    NoiseStats,
+    noise_stats,
     philox_generator,
     substream_seed,
     STREAM_WISHART,
@@ -60,7 +64,6 @@ __all__ = [
     "BandReport",
     "AuxInequalityReport",
     "build_decomposition",
-    "decomposition_from_parts",
     "woodbury_invert",
     "det_and_adj",
     "f_a",
@@ -80,12 +83,13 @@ _V1, _V2, _D1, _D2, _U, _W1, _W2 = range(7)
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Stagewise rank-3 structure of one design matrix."""
+    """Stagewise rank-3 structure of one design matrix.
+
+    mu_norms holds (m_1, m_2) = (|mu_bar_s|, |mu_bar_c|).
+    """
 
     v_1: np.ndarray
     v_2: np.ndarray
-    mu_bar_1: np.ndarray
-    mu_bar_2: np.ndarray
     d_1: np.ndarray
     d_2: np.ndarray
     tau: float
@@ -94,18 +98,41 @@ class Decomposition:
     R_1: np.ndarray
     L_2: np.ndarray
     R_2: np.ndarray
+    mu_norms: tuple[float, float]
+
+    def __post_init__(self):
+        if self.tau < 0.0:
+            raise ValueError("tau must be nonnegative")
+        object.__setattr__(self, "tau", float(self.tau))
+
+    @classmethod
+    def from_noise(
+        cls, config: ModelConfig, noise: NoiseStats, tau: float | None = None
+    ) -> "Decomposition":
+        """Assemble the stages for `config`'s means in O(n^2); tau defaults to config.tau."""
+        m_1 = float(np.linalg.norm(config.mu_spur))
+        m_2 = float(np.linalg.norm(config.mu_core))
+        d_1 = m_1 * noise.q_spur
+        d_2 = m_2 * noise.q_core
+        L_1, R_1 = _update_factors(m_1, noise.a, d_1)
+        L_2, R_2 = _update_factors(m_2, noise.y, d_2)
+        return cls(
+            v_1=noise.a,
+            v_2=noise.y,
+            d_1=d_1,
+            d_2=d_2,
+            tau=config.tau if tau is None else tau,
+            gram_0=noise.gram_0,
+            L_1=L_1,
+            R_1=R_1,
+            L_2=L_2,
+            R_2=R_2,
+            mu_norms=(m_1, m_2),
+        )
 
     @property
     def n(self) -> int:
         return self.v_1.shape[0]
-
-    @property
-    def mu_norms(self) -> tuple[float, float]:
-        """(m_1, m_2) = (|mu_bar_1|, |mu_bar_2|)."""
-        return (
-            float(np.linalg.norm(self.mu_bar_1)),
-            float(np.linalg.norm(self.mu_bar_2)),
-        )
 
     def stage_gram(self, k: int) -> np.ndarray:
         """G_k for k in {0, 1, 2}: gram_0 plus the first k rank-3 updates."""
@@ -127,70 +154,7 @@ def _update_factors(m: float, v: np.ndarray, d: np.ndarray):
 
 def build_decomposition(dataset: Dataset, tau: float | None = None) -> Decomposition:
     """Decompose a materialized dataset; requires the retained noise Q."""
-    if dataset.Q is None:
-        raise ValueError("dataset must retain its noise matrix Q")
-    cfg = dataset.config
-    mu_bar_c, mu_bar_s = embed_means(cfg)
-    d_1 = dataset.Q @ mu_bar_s
-    d_2 = dataset.Q @ mu_bar_c
-    gram_0 = dataset.Q @ dataset.Q.T
-    gram_0 = 0.5 * (gram_0 + gram_0.T)
-    return _assemble(
-        v_1=dataset.a,
-        v_2=dataset.y,
-        mu_bar_1=mu_bar_s,
-        mu_bar_2=mu_bar_c,
-        d_1=d_1,
-        d_2=d_2,
-        gram_0=gram_0,
-        tau=cfg.tau if tau is None else float(tau),
-    )
-
-
-def decomposition_from_parts(
-    config: ModelConfig,
-    y: np.ndarray,
-    a: np.ndarray,
-    gram_0: np.ndarray,
-    d_1: np.ndarray,
-    d_2: np.ndarray,
-    tau: float | None = None,
-) -> Decomposition:
-    """Same structure assembled from precomputed pieces (no Q needed)."""
-    mu_bar_c, mu_bar_s = embed_means(config)
-    return _assemble(
-        v_1=np.asarray(a, dtype=np.float64),
-        v_2=np.asarray(y, dtype=np.float64),
-        mu_bar_1=mu_bar_s,
-        mu_bar_2=mu_bar_c,
-        d_1=np.asarray(d_1, dtype=np.float64),
-        d_2=np.asarray(d_2, dtype=np.float64),
-        gram_0=np.asarray(gram_0, dtype=np.float64),
-        tau=config.tau if tau is None else float(tau),
-    )
-
-
-def _assemble(v_1, v_2, mu_bar_1, mu_bar_2, d_1, d_2, gram_0, tau) -> Decomposition:
-    if tau < 0.0:
-        raise ValueError("tau must be nonnegative")
-    m_1 = float(np.linalg.norm(mu_bar_1))
-    m_2 = float(np.linalg.norm(mu_bar_2))
-    L_1, R_1 = _update_factors(m_1, v_1, d_1)
-    L_2, R_2 = _update_factors(m_2, v_2, d_2)
-    return Decomposition(
-        v_1=v_1,
-        v_2=v_2,
-        mu_bar_1=mu_bar_1,
-        mu_bar_2=mu_bar_2,
-        d_1=d_1,
-        d_2=d_2,
-        tau=float(tau),
-        gram_0=gram_0,
-        L_1=L_1,
-        R_1=R_1,
-        L_2=L_2,
-        R_2=R_2,
-    )
+    return Decomposition.from_noise(dataset.config, noise_stats(dataset), tau)
 
 
 def _det3(a: np.ndarray) -> float:
@@ -436,7 +400,7 @@ def compute_primitives(
             delta = source.config.deltas
         dec = build_decomposition(source, tau=tau)
     elif isinstance(source, Decomposition):
-        dec = source if tau is None else _retagged(source, tau)
+        dec = source if tau is None else replace(source, tau=tau)
         if delta is None:
             delta = (1.0, 1.0)
     else:
@@ -515,25 +479,6 @@ def compute_primitives(
     return _distill(p_orders, o_vals, det_a, dec, delta, u, "recursive")
 
 
-def _retagged(dec: Decomposition, tau: float) -> Decomposition:
-    if tau < 0.0:
-        raise ValueError("tau must be nonnegative")
-    return Decomposition(
-        v_1=dec.v_1,
-        v_2=dec.v_2,
-        mu_bar_1=dec.mu_bar_1,
-        mu_bar_2=dec.mu_bar_2,
-        d_1=dec.d_1,
-        d_2=dec.d_2,
-        tau=float(tau),
-        gram_0=dec.gram_0,
-        L_1=dec.L_1,
-        R_1=dec.R_1,
-        L_2=dec.L_2,
-        R_2=dec.R_2,
-    )
-
-
 def risk_identity_check(prims: PrimitiveSet, sol, config: ModelConfig, b: int) -> float:
     """Relative gap between the margin exponent and its primitive form.
 
@@ -565,8 +510,10 @@ def risk_identity_check(prims: PrimitiveSet, sol, config: ModelConfig, b: int) -
 def wishart_interval(d: int, n: int, t: float) -> tuple[float, float]:
     """Two-sided band for 1/(u' A^{-1} u), A ~ Wishart(d, I_n).
 
-    With d' = d - n + 1 the band is [d' - sqrt(2 t d'), d' + sqrt(2 t d') + 2 t],
-    each tail having probability at most e^{-t}.  Requires d' > 2 max(t, 1).
+    1/(u' A^{-1} u) is chi-square with d' = d - n + 1 degrees of freedom, and
+    the Laurent-Massart bounds (Ann. Statist. 2000, Lemma 1) give the band
+    [d' - 2 sqrt(t d'), d' + 2 sqrt(t d') + 2 t] with each tail having
+    probability at most e^{-t}.  Requires d' > 2 max(t, 1).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -575,7 +522,7 @@ def wishart_interval(d: int, n: int, t: float) -> tuple[float, float]:
         raise ValueError(
             f"need d - n + 1 > 2 max(t, 1): got d' = {d_prime}, t = {t}"
         )
-    half = np.sqrt(2.0 * t * d_prime)
+    half = 2.0 * np.sqrt(t * d_prime)
     return float(d_prime - half), float(d_prime + half + 2.0 * t)
 
 

@@ -243,6 +243,41 @@ class TestSweepCommand:
         assert skip["stage"] == "config"
         assert skip["value"] == 0.99
 
+    def test_sweep_skip_lines_are_strict_json(self, tmp_path, capsys):
+        spec_path = self.spec_file(tmp_path)
+        with open(spec_path) as fh:
+            doc = json.load(fh)
+        doc["axis"]["values"] = [0.5, float("nan")]
+        with open(spec_path, "w") as fh:
+            json.dump(doc, fh)
+        out = str(tmp_path / "rows.csv")
+        code, _, err = run(["sweep", "--spec", spec_path, "--out", out], capsys)
+        assert code == 0
+        skip_lines = [ln for ln in err.splitlines() if ln.startswith("{")]
+        assert len(skip_lines) == 1
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        skip = json.loads(skip_lines[0], parse_constant=reject)
+        assert skip["stage"] == "config"
+        assert skip["value"] is None
+
+    def test_sweep_spec_overrides_seed_and_trials(self, tmp_path, capsys):
+        spec_path = self.spec_file(tmp_path)
+        out = str(tmp_path / "rows.json")
+        code, _, _ = run(
+            ["sweep", "--spec", spec_path, "--seed", "5", "--trials", "3",
+             "--format", "json", "--out", out],
+            capsys,
+        )
+        assert code == 0
+        with open(out) as fh:
+            doc = json.load(fh)
+        assert doc["meta"]["seed"] == 5
+        assert doc["meta"]["trials"] == 3
+        assert all(row["trials"] == 3 for row in doc["rows"])
+
     def test_sweep_all_points_invalid_is_failure(self, tmp_path, capsys):
         spec_path = self.spec_file(tmp_path)
         doc = json.loads(open(spec_path).read())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from grouprisk.bounds import bound_exponent
-from grouprisk.estimators import accumulate_gram, fit_cmni, fit_ridge
+from grouprisk.estimators import GramStats, accumulate_gram, fit_cmni, fit_ridge
 from grouprisk.harness import (
     CSV_COLUMNS,
     PRESET_NAMES,
@@ -16,13 +16,11 @@ from grouprisk.harness import (
     SweepSpec,
     derive_config,
     emit,
-    noise_parts,
     preset,
     resolve_tau,
     run_sweep,
-    stats_from_parts,
 )
-from grouprisk.model import ModelConfig, sample_dataset, substream_seed
+from grouprisk.model import ModelConfig, group_mean, noise_stats, sample_dataset, substream_seed
 from grouprisk.risk import group_risk
 
 
@@ -153,25 +151,30 @@ class TestResolveTau:
             resolve_tau("d/0", cfg)
 
 
-class TestNoiseParts:
-    def test_stats_from_parts_match_direct_accumulation(self):
+class TestNoiseStats:
+    def test_gram_stats_from_noise_match_dense_products(self):
         cfg = base_config(seed=23)
-        parts = noise_parts(cfg)
-        via_parts = stats_from_parts(cfg, parts)
-        direct = accumulate_gram(cfg)
-        np.testing.assert_allclose(via_parts.gram, direct.gram, rtol=1e-10)
-        np.testing.assert_allclose(via_parts.x_mu_plus, direct.x_mu_plus, rtol=1e-10)
-        np.testing.assert_allclose(via_parts.d_1, direct.d_1, rtol=1e-10, atol=1e-12)
+        via_noise = GramStats.from_noise(cfg, noise_stats(cfg))
+        ds = sample_dataset(cfg)
+        np.testing.assert_allclose(via_noise.gram, ds.X @ ds.X.T, rtol=1e-10)
+        np.testing.assert_allclose(
+            via_noise.x_mu_plus, ds.X @ group_mean(cfg, +1), rtol=1e-10
+        )
+        np.testing.assert_allclose(
+            via_noise.d_1, ds.Q[:, cfg.d_core :] @ cfg.mu_spur, rtol=1e-10, atol=1e-12
+        )
 
-    def test_parts_reusable_across_mean_rescalings(self):
-        # the cached gram_0 and projections are mean-independent
+    def test_noise_stats_reusable_across_mean_rescalings(self):
+        # the streamed gram_0 and unit projections are mean-independent
         cfg = base_config(seed=23)
-        parts = noise_parts(cfg)
+        noise = noise_stats(cfg)
         scaled = derive_config(cfg, "r_plus_sq", 400.0)
-        via_parts = stats_from_parts(scaled, parts)
-        direct = accumulate_gram(scaled)
-        np.testing.assert_allclose(via_parts.gram, direct.gram, rtol=1e-10)
-        np.testing.assert_allclose(via_parts.x_mu_minus, direct.x_mu_minus, rtol=1e-9)
+        via_noise = GramStats.from_noise(scaled, noise)
+        ds = sample_dataset(scaled)
+        np.testing.assert_allclose(via_noise.gram, ds.X @ ds.X.T, rtol=1e-10)
+        np.testing.assert_allclose(
+            via_noise.x_mu_minus, ds.X @ group_mean(scaled, -1), rtol=1e-9
+        )
 
 
 class TestRunSweep:

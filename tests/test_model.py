@@ -237,6 +237,13 @@ class TestSubstreams:
         b = philox_generator(0, 2).random(8)
         assert not np.array_equal(a, b)
 
+    def test_seeds_above_two_to_the_63_stay_distinct(self):
+        draws = [philox_generator(s, STREAM_NOISE).random(4)
+                 for s in (2**64 - 1, 2**64 - 2, 2**63 + 5, 2**63 + 6, 0)]
+        for i in range(len(draws)):
+            for j in range(i):
+                assert not np.array_equal(draws[i], draws[j])
+
 
 class TestAssumptions:
     def test_report_fields_and_all_pass(self):

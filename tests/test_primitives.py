@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 
 from grouprisk.estimators import accumulate_gram, fit_cmni, fit_ridge
-from grouprisk.model import ModelConfig, embed_means, sample_dataset
+from grouprisk.model import ModelConfig, embed_means, noise_stats, sample_dataset
 from grouprisk.primitives import (
     Decomposition,
     build_decomposition,
     check_aux_inequalities,
     compute_primitives,
-    decomposition_from_parts,
     det_and_adj,
     f_a,
     risk_identity_check,
@@ -129,15 +128,24 @@ class TestDecomposition:
         dec = build_decomposition(ds)
         np.testing.assert_allclose(dec.stage_gram(0), ds.Q @ ds.Q.T, rtol=1e-12)
 
-    def test_from_parts_matches_dataset_route(self):
+    def test_config_route_matches_dense_noise(self):
         cfg = make_config(seed=5)
         ds = sample_dataset(cfg)
-        a = build_decomposition(ds)
-        b = decomposition_from_parts(
-            cfg, ds.y, ds.a, ds.Q @ ds.Q.T, a.d_1, a.d_2
-        )
-        np.testing.assert_allclose(b.L_2, a.L_2, rtol=1e-12)
-        np.testing.assert_allclose(b.gram_0, a.gram_0, rtol=1e-12)
+        dec = Decomposition.from_noise(cfg, noise_stats(cfg))
+        mu_bar_c, mu_bar_s = embed_means(cfg)
+        np.testing.assert_allclose(dec.gram_0, ds.Q @ ds.Q.T, rtol=1e-12)
+        np.testing.assert_allclose(dec.d_1, ds.Q @ mu_bar_s, rtol=1e-12)
+        np.testing.assert_allclose(dec.d_2, ds.Q @ mu_bar_c, rtol=1e-12)
+        np.testing.assert_array_equal(dec.v_1, ds.a)
+        np.testing.assert_array_equal(dec.v_2, ds.y)
+        assert dec.mu_norms == pytest.approx((6.0, 12.0), rel=1e-15)
+
+    def test_rejects_negative_tau(self):
+        dec = build_decomposition(sample_dataset(make_config()))
+        with pytest.raises(ValueError):
+            compute_primitives(dec, tau=-1.0)
+        with pytest.raises(ValueError):
+            Decomposition.from_noise(make_config(), noise_stats(make_config()), tau=-1.0)
 
     def test_tau_defaults_to_config(self):
         cfg = make_config(tau=7.0)
@@ -169,8 +177,6 @@ class TestWoodburyInversion:
         rank_deficient = Decomposition(
             v_1=np.zeros(dec.n),
             v_2=dec.v_2,
-            mu_bar_1=dec.mu_bar_1,
-            mu_bar_2=dec.mu_bar_2,
             d_1=np.zeros(dec.n),
             d_2=dec.d_2,
             tau=dec.tau,
@@ -179,6 +185,7 @@ class TestWoodburyInversion:
             R_1=np.zeros_like(dec.R_1),
             L_2=dec.L_2,
             R_2=dec.R_2,
+            mu_norms=dec.mu_norms,
         )
         with pytest.raises(np.linalg.LinAlgError):
             woodbury_invert(rank_deficient)
@@ -346,8 +353,22 @@ class TestNoiseMeanProjections:
 class TestWishart:
     def test_interval_frozen_values(self):
         low, high = wishart_interval(1000, 10, 4.6)
-        np.testing.assert_allclose(low, 895.515969921667, rtol=1e-12)
-        np.testing.assert_allclose(high, 1095.684030078333, rtol=1e-12)
+        np.testing.assert_allclose(low, 855.9651896731809, rtol=1e-12)
+        np.testing.assert_allclose(high, 1135.2348103268191, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "d, n, t",
+        [(1000, 10, 4.6), (1000, 10, 3.0), (1000, 10, 1.0), (300, 8, 2.0),
+         (120, 20, 10.0), (5000, 50, 6.9)],
+    )
+    def test_interval_tails_within_promise(self, d, n, t):
+        # 1/(u'A^{-1}u) ~ chi2(d - n + 1): both exact tails must be <= e^{-t}
+        from scipy.stats import chi2
+
+        low, high = wishart_interval(d, n, t)
+        dof = d - n + 1
+        assert chi2.cdf(low, dof) <= np.exp(-t)
+        assert chi2.sf(high, dof) <= np.exp(-t)
 
     def test_interval_degenerate_t(self):
         low, high = wishart_interval(1000, 10, 0.0)

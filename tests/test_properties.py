@@ -1,0 +1,81 @@
+"""Property tests of the single sufficient-statistics path.
+
+Over small random valid configs and random block widths: the streamed
+`NoiseStats` does not depend on the block width, the config and dataset
+routes agree, and the two primitive modes built on the resulting
+`Decomposition` meet the CLI's mode-equivalence gate.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grouprisk.cli import primitive_set_max_gap
+from grouprisk.model import ModelConfig, noise_stats, sample_dataset
+from grouprisk.primitives import Decomposition, compute_primitives
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def configs(draw, min_d_over_n=1):
+    n_minus = draw(st.integers(1, 4))
+    n_plus = draw(st.integers(n_minus, 12))
+    n = n_plus + n_minus
+    d = draw(st.integers(max(2, min_d_over_n * n), min_d_over_n * n + 150))
+    d_core = draw(st.integers(1, d - 1))
+    core_sq = draw(st.floats(0.0, 1.0)) * d
+    spur_sq = draw(st.floats(0.0, 1.0)) * core_sq
+    dense = draw(st.booleans())
+
+    def mean(norm_sq, length):
+        v = np.ones(length) if dense else np.eye(1, length).ravel()
+        return np.sqrt(norm_sq) * v / np.linalg.norm(v)
+
+    return ModelConfig(
+        d_core=d_core,
+        d_spur=d - d_core,
+        mu_core=mean(core_sq, d_core),
+        mu_spur=mean(spur_sq, d - d_core),
+        n_plus=n_plus,
+        n_minus=n_minus,
+        pi_plus=draw(st.floats(0.1, 0.9)),
+        delta_plus=1.0,
+        delta_minus=draw(st.floats(1.0 / n, 1.0)),
+        tau=draw(st.sampled_from([0.0, 1.0, float(d)])),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+def assert_same_stats(got, ref, rtol=1e-12):
+    for name in ("y", "a", "b"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+    for name in ("gram_0", "q_core", "q_spur"):
+        x, y = getattr(got, name), getattr(ref, name)
+        assert np.linalg.norm(x - y) <= rtol * np.linalg.norm(y), name
+
+
+@PROPERTY
+@given(cfg=configs(), data=st.data())
+def test_noise_stats_agree_across_block_widths(cfg, data):
+    block_cols = data.draw(st.integers(1, cfg.d + 3))
+    assert_same_stats(noise_stats(cfg, block_cols), noise_stats(cfg, cfg.d))
+
+
+@PROPERTY
+@given(cfg=configs(), data=st.data())
+def test_config_and_dataset_routes_agree(cfg, data):
+    ds = sample_dataset(cfg, block_cols=data.draw(st.integers(1, cfg.d)))
+    from_ds = noise_stats(ds, data.draw(st.integers(1, cfg.d + 3)))
+    assert_same_stats(noise_stats(cfg, data.draw(st.integers(1, cfg.d + 3))), from_ds)
+    # the dataset route is anchored to the dense Q Q'
+    np.testing.assert_allclose(from_ds.gram_0, ds.Q @ ds.Q.T, rtol=1e-12, atol=1e-12 * cfg.d)
+
+
+@PROPERTY
+@given(cfg=configs(min_d_over_n=2), data=st.data())
+def test_direct_and_recursive_primitives_meet_mode_gate(cfg, data):
+    dec = Decomposition.from_noise(cfg, noise_stats(cfg, data.draw(st.integers(1, cfg.d))))
+    direct = compute_primitives(dec, delta=cfg.deltas, mode="direct")
+    recursive = compute_primitives(dec, delta=cfg.deltas, mode="recursive")
+    assert primitive_set_max_gap(direct, recursive) <= 1e-8
