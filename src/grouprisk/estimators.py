@@ -24,7 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .model import Dataset, ModelConfig, NoiseStats, noise_stats, sample_labels
+from .model import (
+    Dataset,
+    ModelConfig,
+    NoiseStats,
+    _freeze_arrays,
+    noise_stats,
+    sample_labels,
+)
 
 __all__ = [
     "GramStats",
@@ -46,6 +53,8 @@ class GramStats:
 
     gram is G = X X'; x_mu_plus and x_mu_minus are X mu_{+1} and X mu_{-1};
     d_1 = Q mu_bar_s and d_2 = Q mu_bar_c are the noise-mean projections.
+    The arrays are read-only: the Cholesky factor of G + tau I is memoized
+    per tau on the instance, so every fit that shares G and tau reuses it.
     """
 
     gram: np.ndarray
@@ -53,6 +62,10 @@ class GramStats:
     x_mu_minus: np.ndarray
     d_1: np.ndarray
     d_2: np.ndarray
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        _freeze_arrays(self)
 
     @classmethod
     def from_noise(cls, config: ModelConfig, noise: NoiseStats) -> "GramStats":
@@ -83,6 +96,26 @@ class GramStats:
             d_1=d_1,
             d_2=d_2,
         )
+
+    def _factor(self, tau: float):
+        """(G + tau I, its Cholesky factor), factored once per tau.
+
+        Raises LinAlgError with a condition estimate if the factorization
+        fails.
+        """
+        hit = self._factors.get(tau)
+        if hit is None:
+            gram = self.gram
+            mat = gram if tau == 0.0 else gram + tau * np.eye(gram.shape[0])
+            try:
+                factor = cho_factor(mat, lower=True, check_finite=False)
+            except LinAlgError as exc:
+                cond = np.linalg.cond(mat)
+                raise LinAlgError(
+                    f"Gram system numerically singular (cond ~ {cond:.3e}): {exc}"
+                ) from exc
+            hit = self._factors[tau] = (mat, factor)
+        return hit
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,20 +185,9 @@ def _adjusted_targets(delta, y, b):
     return y / dvec, dvec
 
 
-def _solve_spd(gram: np.ndarray, tau: float, z: np.ndarray):
-    """Solve (G + tau I) c = z by Cholesky with one refinement pass.
-
-    Raises LinAlgError with a condition estimate if the factorization
-    fails.
-    """
-    mat = gram if tau == 0.0 else gram + tau * np.eye(gram.shape[0])
-    try:
-        factor = cho_factor(mat, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        cond = np.linalg.cond(mat)
-        raise LinAlgError(
-            f"Gram system numerically singular (cond ~ {cond:.3e}): {exc}"
-        ) from exc
+def _solve_spd(stats: GramStats, tau: float, z: np.ndarray):
+    """Solve (G + tau I) c = z through the memoized factor, refined once."""
+    mat, factor = stats._factor(tau)
     c = cho_solve(factor, z, check_finite=False)
     tol = _SOLVE_RTOL * np.linalg.norm(z)
     res = np.linalg.norm(z - mat @ c)
@@ -193,7 +215,7 @@ def fit_cmni(stats: GramStats, delta, labels) -> DualSolution:
     """Cost-sensitive minimum-norm interpolator: c = G^{-1} Delta^{-1} y."""
     y, b = _unpack_labels(labels)
     z, _ = _adjusted_targets(delta, y, b)
-    c, res = _solve_spd(stats.gram, 0.0, z)
+    c, res = _solve_spd(stats, 0.0, z)
     return _finish(c, stats, 0.0, "cmni", {"solver_residual": float(res)})
 
 
@@ -202,11 +224,11 @@ def fit_ridge(stats: GramStats, delta, labels, tau: float) -> DualSolution:
 
     tau = 0 runs the identical solve as fit_cmni and reproduces it exactly.
     """
-    if tau < 0.0:
-        raise ValueError("tau must be nonnegative")
+    if not (np.isfinite(tau) and tau >= 0.0):
+        raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
     y, b = _unpack_labels(labels)
     z, _ = _adjusted_targets(delta, y, b)
-    c, res = _solve_spd(stats.gram, float(tau), z)
+    c, res = _solve_spd(stats, float(tau), z)
     return _finish(c, stats, tau, "ridge", {"solver_residual": float(res)})
 
 
@@ -224,8 +246,10 @@ def fit_gd(
 
     Tracked in dual coordinates: c <- c + (2 step / n)(z - G c) with
     z = Delta^{-1} y.  Stable for step < n / lambda_max(G); the default is
-    0.9 of that limit.  Stops early once |G c - z|_inf <= tol |z|_inf.
-    Raises RuntimeError if the loss increases 10 consecutive iterations.
+    0.9 of that limit.  Stops early once |G c - z|_inf <= tol |z|_inf;
+    info["converged"] says whether that tolerance was met, so a run cut
+    off at `iters` reads False.  Raises RuntimeError if the loss increases
+    10 consecutive iterations.
 
     dataset may be a Dataset or a ModelConfig; precomputed stats/labels can
     be passed to skip re-accumulation.
@@ -270,7 +294,12 @@ def fit_gd(
         prev_loss = loss
         c = c + rate * resid
     final_res = float(np.max(np.abs(z - gram @ c)))
-    info = {"iters": it, "step": float(step), "residual_inf": final_res}
+    info = {
+        "iters": it,
+        "step": float(step),
+        "residual_inf": final_res,
+        "converged": bool(final_res <= target),
+    }
     return _finish(c, stats, 0.0, "gd", info)
 
 

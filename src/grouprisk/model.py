@@ -100,8 +100,12 @@ def _uniforms_at(seed: int, stream: int, offset: int, count: int) -> np.ndarray:
     return gen.random(count)
 
 
-def _standard_normals(u: np.ndarray) -> np.ndarray:
-    return ndtri(np.maximum(u, _U_FLOOR))
+def _freeze_arrays(obj) -> None:
+    """Mark every ndarray field of a dataclass instance read-only."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,10 +143,19 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("d_core", "d_spur", "n_plus", "n_minus", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not isinstance(
+                value, (int, np.integer)
+            ):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         mu_core = np.atleast_1d(np.asarray(self.mu_core, dtype=np.float64)).copy()
         mu_spur = np.atleast_1d(np.asarray(self.mu_spur, dtype=np.float64)).copy()
-        mu_core.setflags(write=False)
-        mu_spur.setflags(write=False)
+        for name, mu in (("mu_core", mu_core), ("mu_spur", mu_spur)):
+            if not np.all(np.isfinite(mu)):
+                raise ValueError(f"{name} must be finite")
+            mu.setflags(write=False)
         object.__setattr__(self, "mu_core", mu_core)
         object.__setattr__(self, "mu_spur", mu_spur)
         if self.d_core < 1 or self.d_spur < 1:
@@ -170,9 +183,9 @@ class ModelConfig:
             raise ValueError(
                 "adjustment weights must satisfy 1/n <= delta_minus <= delta_plus <= 1"
             )
-        if self.tau < 0.0:
-            raise ValueError("tau must be nonnegative")
-        if not 0 <= int(self.seed) < 2 ** 64:
+        if not (np.isfinite(self.tau) and self.tau >= 0.0):
+            raise ValueError(f"tau must be finite and nonnegative, got {self.tau!r}")
+        if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
     @property
@@ -357,7 +370,8 @@ def noise_blocks(config: ModelConfig, block_cols: int = 4096):
 
     Column j is ndtri applied to words [j*n, (j+1)*n) of the noise stream,
     so assembly is bit-identical for every block_cols choice.  Each block
-    is the transposed view of the (m, n) draw, not a contiguous copy.
+    is the transposed view of the (m, n) draw, transformed in place in the
+    buffer the uniforms were drawn into, so a block costs one allocation.
     """
     if block_cols < 1:
         raise ValueError("block_cols must be positive")
@@ -365,7 +379,8 @@ def noise_blocks(config: ModelConfig, block_cols: int = 4096):
     for j0 in range(0, d, block_cols):
         m = min(block_cols, d - j0)
         u = _uniforms_at(config.seed, STREAM_NOISE, j0 * n, m * n)
-        yield j0, _standard_normals(u).reshape(m, n).T
+        np.maximum(u, _U_FLOOR, out=u)
+        yield j0, ndtri(u, out=u).reshape(m, n).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,7 +391,8 @@ class NoiseStats:
     Q u_s for the unit core and spurious directions (zero when that mean
     is zero).  None of them depends on the mean norms, the weights or tau,
     so one draw serves every config that shares its seed, shape and mean
-    directions.
+    directions.  The arrays are read-only, because the views built on them
+    are shared across configs.
     """
 
     y: np.ndarray
@@ -385,6 +401,9 @@ class NoiseStats:
     gram_0: np.ndarray
     q_core: np.ndarray
     q_spur: np.ndarray
+
+    def __post_init__(self):
+        _freeze_arrays(self)
 
     @property
     def labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -405,7 +424,8 @@ def noise_stats(source, block_cols: int = 4096) -> NoiseStats:
         config, Q = source.config, source.Q
         if Q is None or Q.shape != (config.n, config.d):
             raise ValueError("dataset must retain its n x d noise matrix Q")
-        labels = (source.y, source.a, source.b)
+        # copied: NoiseStats freezes its arrays, the dataset keeps its own
+        labels = (source.y.copy(), source.a.copy(), source.b.copy())
         blocks = ((j0, Q[:, j0 : j0 + block_cols]) for j0 in range(0, config.d, block_cols))
     elif isinstance(source, ModelConfig):
         config = source

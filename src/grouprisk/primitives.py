@@ -43,6 +43,7 @@ is an O(n^2) view of the `NoiseStats` that `model.noise_stats` streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -51,6 +52,7 @@ from .model import (
     Dataset,
     ModelConfig,
     NoiseStats,
+    _freeze_arrays,
     noise_stats,
     philox_generator,
     substream_seed,
@@ -85,7 +87,9 @@ _V1, _V2, _D1, _D2, _U, _W1, _W2 = range(7)
 class Decomposition:
     """Stagewise rank-3 structure of one design matrix.
 
-    mu_norms holds (m_1, m_2) = (|mu_bar_s|, |mu_bar_c|).
+    mu_norms holds (m_1, m_2) = (|mu_bar_s|, |mu_bar_c|).  The arrays are
+    read-only and the Woodbury stage inverses are memoized on the instance;
+    `dataclasses.replace(dec, tau=...)` gives a fresh instance with none.
     """
 
     v_1: np.ndarray
@@ -101,9 +105,10 @@ class Decomposition:
     mu_norms: tuple[float, float]
 
     def __post_init__(self):
-        if self.tau < 0.0:
-            raise ValueError("tau must be nonnegative")
+        if not (np.isfinite(self.tau) and self.tau >= 0.0):
+            raise ValueError(f"tau must be finite and nonnegative, got {self.tau!r}")
         object.__setattr__(self, "tau", float(self.tau))
+        _freeze_arrays(self)
 
     @classmethod
     def from_noise(
@@ -144,6 +149,10 @@ class Decomposition:
         if k >= 2:
             g = g + self.L_2 @ self.R_2
         return g
+
+    @cached_property
+    def _stage_inverses(self):
+        return _woodbury_stages(self)
 
 
 def _update_factors(m: float, v: np.ndarray, d: np.ndarray):
@@ -192,6 +201,10 @@ def _dense_inverse(mat: np.ndarray) -> np.ndarray:
 def woodbury_invert(dec: Decomposition):
     """(M_0^{-1}, M_1^{-1}, M_2^{-1}) by recursive rank-3 updates.
 
+    The result is memoized on `dec`: the first call computes it and later
+    calls return the same read-only arrays.  Only delta-free inputs enter,
+    so every weight and method that shares a Decomposition shares them.
+
     M_0^{-1} is a dense inverse of gram_0 + tau I; each later stage applies
     the Woodbury identity with the 3x3 capacitance A_k solved through its
     explicit adjugate and determinant.  |det(A_k)| below DET_SINGULAR_TOL
@@ -202,6 +215,10 @@ def woodbury_invert(dec: Decomposition):
     not a rounding accident.  Past (c) the determinant grows with the
     signal energy (about 10 at |mu_c|^2 n / d = 9).
     """
+    return dec._stage_inverses
+
+
+def _woodbury_stages(dec: Decomposition):
     n = dec.n
     m0_inv = _dense_inverse(dec.gram_0 + dec.tau * np.eye(n))
     inverses = [m0_inv]
@@ -215,6 +232,8 @@ def woodbury_invert(dec: Decomposition):
             raise LinAlgError(f"rank-3 update singular: det(A_k) = {det:.3e}")
         nxt = prev - left @ (_adj3(a_k) / det) @ right
         inverses.append(0.5 * (nxt + nxt.T))
+    for inv in inverses:
+        inv.setflags(write=False)
     return tuple(inverses)
 
 

@@ -192,6 +192,8 @@ def monte_carlo_risk(sol, config: ModelConfig, b: int, m: int, seed=None):
     """
     if b not in (1, -1):
         raise ValueError("b must be +1 or -1")
+    if isinstance(m, (bool, np.bool_)) or not isinstance(m, (int, np.integer)):
+        raise ValueError(f"m must be an integer, got {m!r}")
     if m < 1:
         raise ValueError("m must be at least 1")
     if not sol.w_norm_sq > 0.0:

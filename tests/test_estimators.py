@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from grouprisk import estimators
 from grouprisk.estimators import (
     GramStats,
     accumulate_gram,
@@ -12,7 +13,7 @@ from grouprisk.estimators import (
     interpolation_residual,
     x_mu_from_parts,
 )
-from grouprisk.model import ModelConfig, sample_dataset
+from grouprisk.model import ModelConfig, sample_dataset, sample_labels
 
 
 def e1(scale, length):
@@ -192,6 +193,16 @@ class TestGradientDescent:
         ds = sample_dataset(cfg)
         gd = fit_gd(ds, cfg.deltas, iters=3, tol=0.0)
         assert gd.info["iters"] == 3
+        assert gd.info["converged"] is False
+
+    def test_reports_convergence_when_tolerance_met(self):
+        cfg = make_config(seed=6)
+        ds = sample_dataset(cfg)
+        gd = fit_gd(ds, cfg.deltas, tol=1e-8)
+        assert gd.info["converged"] is True
+        assert gd.info["iters"] < 100_000
+        z_inf = np.max(np.abs(ds.y / cfg.delta_of(ds.b)))
+        assert gd.info["residual_inf"] <= 1e-8 * z_inf
 
     def test_adjusted_weights_change_solution(self):
         cfg = make_config(seed=6, delta_plus=1.0, delta_minus=0.2)
@@ -238,3 +249,55 @@ class TestSolutionContainer:
         )
         with pytest.raises(np.linalg.LinAlgError):
             fit_cmni(stats, (1.0, 1.0), labels)
+
+
+class TestFactorMemo:
+    def count_factors(self, monkeypatch):
+        calls = []
+        real = estimators.cho_factor
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "cho_factor", counting)
+        return calls
+
+    def test_one_factor_per_tau_and_fits_match_fresh_stats(self, monkeypatch):
+        cfg = make_config(seed=8)
+        ds = sample_dataset(cfg)
+        labels = (ds.y, ds.a, ds.b)
+        shared = accumulate_gram(ds)
+        calls = self.count_factors(monkeypatch)
+        fits = [
+            fit_cmni(shared, (1.0, 0.5), labels),
+            fit_cmni(shared, (1.0, 0.1), labels),
+            fit_ridge(shared, (1.0, 0.5), labels, 0.0),
+            fit_ridge(shared, (1.0, 0.5), labels, 40.0),
+            fit_ridge(shared, (1.0, 0.1), labels, 40.0),
+        ]
+        assert len(calls) == 2  # tau = 0 and tau = 40
+        fresh = [
+            fit_cmni(accumulate_gram(ds), (1.0, 0.5), labels),
+            fit_cmni(accumulate_gram(ds), (1.0, 0.1), labels),
+            fit_ridge(accumulate_gram(ds), (1.0, 0.5), labels, 0.0),
+            fit_ridge(accumulate_gram(ds), (1.0, 0.5), labels, 40.0),
+            fit_ridge(accumulate_gram(ds), (1.0, 0.1), labels, 40.0),
+        ]
+        for got, ref in zip(fits, fresh):
+            np.testing.assert_array_equal(got.c, ref.c)
+            assert got.info == ref.info
+
+    @pytest.mark.parametrize("tau", [-1.0, float("nan"), float("inf")])
+    def test_ridge_rejects_bad_tau(self, tau):
+        cfg = make_config()
+        stats = accumulate_gram(cfg)
+        with pytest.raises(ValueError, match="tau"):
+            fit_ridge(stats, cfg.deltas, sample_labels(cfg), tau)
+        assert not stats._factors
+
+    def test_arrays_are_read_only(self):
+        stats = accumulate_gram(make_config())
+        for name in ("gram", "x_mu_plus", "x_mu_minus", "d_1", "d_2"):
+            with pytest.raises(ValueError):
+                getattr(stats, name)[0] = 1.0

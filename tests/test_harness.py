@@ -263,6 +263,73 @@ class TestRunSweep:
         assert rows[0].tightness_plus_mean is None
 
 
+class TestTrialReuse:
+    """Along delta_minus each trial factors once per tau and reuses it."""
+
+    methods = (("cmni", None), ("ridge", 0.0), ("ridge", "d/10"))
+    values = (0.5, 0.25, 0.1)
+
+    def spec(self, values=None):
+        return tiny_spec(
+            axis=SweepAxis("delta_minus", values or self.values),
+            methods=self.methods,
+            trials=2,
+            outputs=("risk", "bounds", "tightness", "primitives"),
+        )
+
+    def test_rows_match_one_value_sweeps_bitwise(self):
+        rows, skips = run_sweep(self.spec())
+        assert not skips
+        assert len(rows) == len(self.values) * len(self.methods)
+        for row in rows:
+            fresh_rows, _ = run_sweep(self.spec(values=(row.axis_value,)))
+            (fresh,) = [
+                r for r in fresh_rows if (r.method, r.tau) == (row.method, row.tau)
+            ]
+            got, ref = row.to_csv_values(), fresh.to_csv_values()
+            # run_id names the axis index, the only field that differs
+            assert got[0].replace(f"[{self.values.index(row.axis_value)}]", "[0]") == ref[0]
+            assert got[1:] == ref[1:]
+
+    def count_factors(self, monkeypatch):
+        from grouprisk import estimators, primitives
+
+        calls = {"gram": 0, "stage_0": 0}
+        for module, key in ((estimators, "gram"), (primitives, "stage_0")):
+            real = module.cho_factor
+
+            def counting(*args, _real=real, _key=key, **kwargs):
+                calls[_key] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "cho_factor", counting)
+        return calls
+
+    def test_one_factorization_per_distinct_tau_per_trial(self, monkeypatch):
+        spec = self.spec()
+        taus = {resolve_tau(t, spec.base) for _, t in self.methods}
+        assert len(taus) == 2
+        calls = self.count_factors(monkeypatch)
+        rows, skips = run_sweep(spec)
+        assert len(rows) == 9 and not skips
+        # one Gram factor and one M_0 inverse per distinct tau and trial,
+        # not one per point and method
+        per_run = spec.trials * len(taus)
+        assert calls == {"gram": per_run, "stage_0": per_run}
+
+    def test_other_axes_rebuild_per_point(self, monkeypatch):
+        spec = tiny_spec(
+            axis=SweepAxis("r_plus_sq", (50.0, 100.0)),
+            methods=self.methods,
+            trials=1,
+            outputs=("risk", "primitives"),
+        )
+        calls = self.count_factors(monkeypatch)
+        rows, _ = run_sweep(spec)
+        assert len(rows) == 6
+        assert calls == {"gram": 4, "stage_0": 4}
+
+
 class TestEmit:
     def make_rows(self):
         return run_sweep(tiny_spec())[0]

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from grouprisk.model import (
     STREAM_NOISE,
@@ -16,6 +17,7 @@ from grouprisk.model import (
     group_mean,
     load_dataset,
     noise_blocks,
+    noise_stats,
     philox_generator,
     sample_dataset,
     sample_labels,
@@ -113,6 +115,45 @@ class TestModelConfig:
         assert back.deltas == (0.9, 0.25)
         np.testing.assert_array_equal(back.mu_core, cfg.mu_core)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tau", float("nan")),
+            ("tau", float("inf")),
+            ("n_plus", 16.5),
+            ("n_plus", 16.0),
+            ("n_minus", True),
+            ("d_core", np.bool_(True)),
+            ("d_spur", "200"),
+            ("seed", 1.7),
+            ("seed", False),
+        ],
+    )
+    def test_rejects_non_finite_and_non_integer_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: value})
+
+    @pytest.mark.parametrize("field", ["mu_core", "mu_spur"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_means(self, field, bad):
+        mu = e1(7.0, 200)
+        mu[5] = bad
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: mu})
+
+    def test_numpy_integers_normalized_to_int(self):
+        cfg = small_config(
+            d_core=np.int32(200),
+            n_plus=np.int64(16),
+            n_minus=np.uint8(4),
+            seed=np.uint64(2**64 - 1),
+        )
+        for name in ("d_core", "n_plus", "n_minus", "seed"):
+            assert type(getattr(cfg, name)) is int, name
+        back = ModelConfig.from_json(cfg.to_json())
+        assert back.seed == 2**64 - 1
+        assert back.to_dict() == cfg.to_dict()
+
     def test_from_dict_rejects_unknown_fields(self):
         payload = json.loads(small_config().to_json())
         payload["bogus"] = 1
@@ -172,6 +213,24 @@ class TestSampling:
             for j0, blk in noise_blocks(cfg, block_cols=cols):
                 ragged[:, j0 : j0 + blk.shape[1]] = blk
             np.testing.assert_array_equal(ragged, full)
+
+    def test_noise_blocks_match_floored_inverse_cdf_bitwise(self):
+        # the in-place transform reproduces ndtri(max(u, 2^-53)) on fresh words
+        cfg = small_config()
+        n = cfg.n
+        for j0, blk in noise_blocks(cfg, block_cols=7):
+            m = blk.shape[1]
+            u = _uniforms_at(cfg.seed, STREAM_NOISE, j0 * n, m * n)
+            ref = ndtri(np.maximum(u, 2.0**-53)).reshape(m, n).T
+            np.testing.assert_array_equal(blk, ref)
+
+    def test_noise_stats_read_only_and_dataset_labels_untouched(self):
+        ds = sample_dataset(small_config())
+        noise = noise_stats(ds)
+        for name in ("y", "a", "b", "gram_0", "q_core", "q_spur"):
+            with pytest.raises(ValueError):
+                getattr(noise, name)[0] = 0.0
+        ds.y[0] = ds.y[0]  # the dataset keeps its own writable labels
 
     def test_noise_words_match_raw_stream(self):
         # column j consumes words [j*n, (j+1)*n) of the noise stream

@@ -5,6 +5,8 @@ inverted stage matrices with plain numpy, independently of the library's
 solve and update paths.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,12 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             Decomposition.from_noise(make_config(), noise_stats(make_config()), tau=-1.0)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tau(self, tau):
+        dec = build_decomposition(sample_dataset(make_config()))
+        with pytest.raises(ValueError, match="tau"):
+            replace(dec, tau=tau)
+
     def test_tau_defaults_to_config(self):
         cfg = make_config(tau=7.0)
         dec = build_decomposition(sample_dataset(cfg))
@@ -189,6 +197,40 @@ class TestWoodburyInversion:
         )
         with pytest.raises(np.linalg.LinAlgError):
             woodbury_invert(rank_deficient)
+
+
+class TestInverseMemo:
+    def test_memoized_per_instance(self):
+        dec = Decomposition.from_noise(make_config(seed=5), noise_stats(make_config(seed=5)))
+        first = woodbury_invert(dec)
+        again = woodbury_invert(dec)
+        assert all(a is b for a, b in zip(first, again))
+
+    def test_replace_recomputes_for_new_tau(self):
+        ds = sample_dataset(make_config(seed=2))
+        dec = build_decomposition(ds, tau=0.0)
+        woodbury_invert(dec)
+        other = replace(dec, tau=7.0)
+        _, dense = dense_oracle(ds, 7.0)
+        for ours, ref in zip(woodbury_invert(other), dense):
+            rel = np.linalg.norm(ours - ref) / np.linalg.norm(ref)
+            assert rel <= 1e-10
+
+    def test_arrays_and_inverses_read_only(self):
+        dec = build_decomposition(sample_dataset(make_config(seed=2)), tau=1.0)
+        for name in ("v_1", "v_2", "d_1", "d_2", "gram_0", "L_1", "R_1", "L_2", "R_2"):
+            with pytest.raises(ValueError):
+                getattr(dec, name)[0] = 0.0
+        for inv in woodbury_invert(dec):
+            with pytest.raises(ValueError):
+                inv[0, 0] = 0.0
+
+    def test_direct_mode_never_touches_memo(self):
+        dec = build_decomposition(sample_dataset(make_config(seed=2)), tau=1.0)
+        compute_primitives(dec, mode="direct")
+        assert "_stage_inverses" not in vars(dec)
+        compute_primitives(dec, mode="recursive")
+        assert "_stage_inverses" in vars(dec)
 
 
 class TestAdjugateSolve:

@@ -3,14 +3,18 @@
 Over small random valid configs and random block widths: the streamed
 `NoiseStats` does not depend on the block width, the config and dataset
 routes agree, and the two primitive modes built on the resulting
-`Decomposition` meet the CLI's mode-equivalence gate.
+`Decomposition` meet the CLI's mode-equivalence gate.  Configs and sweep
+specs survive a JSON round trip unchanged, numpy integers included.
 """
+
+import json
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouprisk.cli import primitive_set_max_gap
+from grouprisk.harness import AXIS_NAMES, OUTPUT_NAMES, SweepAxis, SweepSpec
 from grouprisk.model import ModelConfig, noise_stats, sample_dataset
 from grouprisk.primitives import Decomposition, compute_primitives
 
@@ -79,3 +83,50 @@ def test_direct_and_recursive_primitives_meet_mode_gate(cfg, data):
     direct = compute_primitives(dec, delta=cfg.deltas, mode="direct")
     recursive = compute_primitives(dec, delta=cfg.deltas, mode="recursive")
     assert primitive_set_max_gap(direct, recursive) <= 1e-8
+
+
+@PROPERTY
+@given(cfg=configs(), numpy_ints=st.booleans())
+def test_config_json_roundtrip(cfg, numpy_ints):
+    if numpy_ints:
+        cfg = cfg.with_updates(
+            d_core=np.int64(cfg.d_core),
+            n_minus=np.int32(cfg.n_minus),
+            seed=np.uint64(cfg.seed),
+        )
+    text = cfg.to_json()
+    back = ModelConfig.from_json(text)
+    assert back.to_dict() == cfg.to_dict()
+    assert back.to_json() == text
+
+
+@st.composite
+def specs(draw):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    tau = st.one_of(st.none(), st.floats(0.0, 1e9), st.sampled_from(["d", "d/10"]))
+    methods = st.lists(
+        st.one_of(st.just(("cmni", None)), st.tuples(st.just("ridge"), tau)),
+        min_size=1,
+        max_size=4,
+    )
+    return SweepSpec(
+        base=draw(configs()),
+        axis=SweepAxis(
+            draw(st.sampled_from(AXIS_NAMES)),
+            tuple(draw(st.lists(finite, min_size=1, max_size=5))),
+        ),
+        methods=tuple(draw(methods)),
+        trials=draw(st.integers(1, 50)),
+        outputs=tuple(draw(st.lists(st.sampled_from(OUTPUT_NAMES), unique=True))),
+        out_path=draw(st.one_of(st.none(), st.text(max_size=12))),
+        name=draw(st.text(max_size=12)),
+    )
+
+
+@PROPERTY
+@given(spec=specs())
+def test_spec_json_roundtrip(spec):
+    text = json.dumps(spec.to_dict())
+    back = SweepSpec.from_dict(json.loads(text))
+    assert back.to_dict() == spec.to_dict()
+    assert json.dumps(back.to_dict()) == text

@@ -170,6 +170,20 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_risk(sol, cfg, +1, m=0)
 
+    @pytest.mark.parametrize("m", [1.5, 100.0, True, np.bool_(True), "100"])
+    def test_rejects_non_integer_draw_count(self, m):
+        cfg = make_config()
+        sol = fitted(cfg)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            monte_carlo_risk(sol, cfg, +1, m=m)
+
+    def test_accepts_numpy_integer_draw_count(self):
+        cfg = make_config(mu_core=e1(3.0, 200), mu_spur=e1(1.0, 200))
+        sol = fitted(cfg)
+        assert monte_carlo_risk(sol, cfg, +1, m=np.int64(5_000), seed=9) == (
+            monte_carlo_risk(sol, cfg, +1, m=5_000, seed=9)
+        )
+
 
 class TestRiskReport:
     def test_build_report_consistency(self):
