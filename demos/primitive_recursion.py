@@ -15,7 +15,6 @@ import numpy as np
 from grouprisk import (
     ModelConfig,
     accumulate_gram,
-    build_decomposition,
     compute_primitives,
     fit_cmni,
     risk_identity_check,
@@ -58,15 +57,15 @@ def main():
         seed=SEED,
     )
     ds = sample_dataset(cfg)
-    dec = build_decomposition(ds)
-    print(f"d = {cfg.d}, n = {cfg.n}, mean norms m_1 = {dec.mu_norms[0]:.3f}, "
-          f"m_2 = {dec.mu_norms[1]:.3f}")
+    stats = accumulate_gram(ds)
+    print(f"d = {cfg.d}, n = {cfg.n}, mean norms m_1 = {stats.mu_norms[0]:.3f}, "
+          f"m_2 = {stats.mu_norms[1]:.3f}")
 
     # route one: Woodbury stage inverses against direct dense inversion
-    inverses = woodbury_invert(dec)
+    inverses = woodbury_invert(stats, cfg.tau)
     print("\nstage inverses, Woodbury vs dense:")
     for k, m_inv in enumerate(inverses):
-        dense = np.linalg.inv(dec.stage_gram(k) + cfg.tau * np.eye(cfg.n))
+        dense = np.linalg.inv(stats.stage_gram(k) + cfg.tau * np.eye(cfg.n))
         gap = np.max(np.abs(m_inv - dense)) / np.max(np.abs(dense))
         print(f"  k = {k}: max relative gap = {gap:.2e}")
 
@@ -79,15 +78,13 @@ def main():
     print("\ncapacitance determinants and the adjugate identity:")
     for k in (1, 2):
         det, adj = det_and_adj(direct, k)
-        L = dec.L_1 if k == 1 else dec.L_2
-        R = dec.R_1 if k == 1 else dec.R_2
+        L, R = stats.update_factors(k)
         a_k = np.eye(3) + R @ inverses[k - 1] @ L
         resid = np.max(np.abs(a_k @ adj - det * np.eye(3)))
         print(f"  k = {k}: det(A_{k}) = {det:8.4f}, "
               f"|A adj - det I| = {resid:.2e}")
 
     # the fitted margin exponent equals its order-2 primitive expression
-    stats = accumulate_gram(ds)
     sol = fit_cmni(stats, cfg.deltas, (ds.y, ds.a, ds.b))
     print("\nrisk identity, fitted exponent vs primitive form:")
     for b in (+1, -1):

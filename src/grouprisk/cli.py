@@ -21,7 +21,6 @@ from .estimators import GramStats, fit_cmni, fit_gd, fit_ridge, interpolation_re
 from .harness import PRESET_NAMES, SweepSpec, emit, preset, run_sweep
 from .model import ModelConfig, e1_mean, load_dataset, noise_stats, sample_dataset, save_dataset
 from .primitives import (
-    Decomposition,
     check_aux_inequalities,
     compute_primitives,
     det_and_adj,
@@ -111,12 +110,11 @@ def primitive_set_max_gap(a, b) -> float:
 
 
 def _cmd_sample(args) -> int:
-    cfg = config_from_args(args)
-    ds = sample_dataset(cfg, block_cols=args.block_cols)
     if not args.out:
         print("sample: --out PATH is required", file=sys.stderr)
         return 2
-    save_dataset(ds, args.out)
+    cfg = config_from_args(args)
+    save_dataset(sample_dataset(cfg, block_cols=args.block_cols), args.out)
     _emit_json(
         {
             "path": args.out,
@@ -179,22 +177,22 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify_primitives(args) -> int:
     cfg = config_from_args(args)
     noise = noise_stats(cfg, args.block_cols)
-    dec = Decomposition.from_noise(cfg, noise)
-    direct = compute_primitives(dec, delta=cfg.deltas, mode="direct")
-    recursive = compute_primitives(dec, delta=cfg.deltas, mode="recursive")
+    stats = GramStats.from_noise(cfg, noise)
+    direct = compute_primitives(stats, tau=cfg.tau, delta=cfg.deltas, mode="direct")
+    recursive = compute_primitives(stats, tau=cfg.tau, delta=cfg.deltas, mode="recursive")
     mode_gap = primitive_set_max_gap(direct, recursive)
 
-    sol = fit_ridge(GramStats.from_noise(cfg, noise), cfg.deltas, noise.labels, cfg.tau)
+    sol = fit_ridge(stats, cfg.deltas, noise.labels, cfg.tau)
     identity_gaps = {
         str(b): risk_identity_check(direct, sol, cfg, b) for b in (+1, -1)
     }
 
-    m0_inv = np.linalg.inv(dec.gram_0 + dec.tau * np.eye(dec.n))
+    # the closed-form adjugate against the dense capacitance I + R M_{k-1}^{-1} L
     adj_gap = 0.0
-    for k, (L, R) in enumerate(((dec.L_1, dec.R_1), (dec.L_2, dec.R_2)), start=1):
-        if k == 2:
-            m0_inv = np.linalg.inv(dec.stage_gram(1) + dec.tau * np.eye(dec.n))
-        a_k = np.eye(3) + R @ m0_inv @ L
+    for k in (1, 2):
+        prev_inv = np.linalg.inv(stats.stage_gram(k - 1) + cfg.tau * np.eye(cfg.n))
+        L, R = stats.update_factors(k)
+        a_k = np.eye(3) + R @ prev_inv @ L
         det, adj = det_and_adj(direct, k)
         residual = a_k @ adj - det * np.eye(3)
         adj_gap = max(adj_gap, float(np.abs(residual).max()))

@@ -7,8 +7,10 @@ The estimator
 is represented by its dual coefficients c = (G + tau I)^{-1} Delta^{-1} y
 with G = X X', so no d-dimensional object is ever materialized.  Everything
 downstream needs only G, X mu_b, and the noise projections d_1 = Q mu_bar_s,
-d_2 = Q mu_bar_c.  All of them are assembled in O(n^2) from the `NoiseStats`
-that `model.noise_stats` streams once from a config or a dataset.
+d_2 = Q mu_bar_c.  `GramStats` holds them as one tau-free O(n^2) view of the
+`NoiseStats` that `model.noise_stats` streams once from a config or a
+dataset; the fitters here and the primitives in `primitives` share it, and
+with it the per-tau factors memoized on it.
 
 tau = 0 is the cost-sensitive minimum-norm interpolator, whose defining
 constraint is Delta_{b_i} <w, x_i> = y_i.  Gradient descent on the adjusted
@@ -20,6 +22,7 @@ iteration c <- c + (2 step / n)(Delta^{-1} y - G c).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -37,7 +40,6 @@ __all__ = [
     "GramStats",
     "DualSolution",
     "accumulate_gram",
-    "x_mu_from_parts",
     "fit_cmni",
     "fit_ridge",
     "fit_gd",
@@ -49,73 +51,110 @@ _SOLVE_RTOL = 1e-10  # target residual, relative to |Delta^{-1} y|
 
 @dataclass(frozen=True, eq=False)
 class GramStats:
-    """Sufficient statistics of one design matrix.
+    """The Gram structure of one design matrix under one pair of mean norms.
 
-    gram is G = X X'; x_mu_plus and x_mu_minus are X mu_{+1} and X mu_{-1};
-    d_1 = Q mu_bar_s and d_2 = Q mu_bar_c are the noise-mean projections.
-    The arrays are read-only: the Cholesky factor of G + tau I is memoized
-    per tau on the instance, so every fit that shares G and tau reuses it.
+    With v_1 = a, v_2 = y, (m_1, m_2) = mu_norms = (|mu_bar_s|, |mu_bar_c|)
+    and the noise-mean projections d_1 = Q mu_bar_s, d_2 = Q mu_bar_c, the
+    Gram matrix G = X X' is built stage by stage from G_0 = gram_0 = Q Q':
+
+        G_k = G_{k-1} + L_k R_k,
+        L_k = [m_k v_k, d_k, v_k],   R_k = [m_k v_k'; v_k'; d_k'].
+
+    `gram` (the symmetrized G_2), `x_mu_plus` and `x_mu_minus` (X mu_{+1}
+    and X mu_{-1}) are derived on first use.  Every array is read-only.
+    The instance holds no tau: what depends on it (the Cholesky factor of
+    G + tau I, the Woodbury stage inverses) is memoized per tau through
+    `per_tau`, so every weight, fit and primitive call that shares the
+    instance and tau shares them.
     """
 
-    gram: np.ndarray
-    x_mu_plus: np.ndarray
-    x_mu_minus: np.ndarray
+    y: np.ndarray
+    a: np.ndarray
+    gram_0: np.ndarray
     d_1: np.ndarray
     d_2: np.ndarray
-    _factors: dict = field(default_factory=dict, init=False, repr=False)
+    mu_norms: tuple[float, float]
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         _freeze_arrays(self)
 
     @classmethod
     def from_noise(cls, config: ModelConfig, noise: NoiseStats) -> "GramStats":
-        """Assemble the statistics for `config`'s means in O(n^2).
-
-        With X = y mu_bar_c' + a mu_bar_s' + Q and orthogonal embedded means,
-        G = Q Q' + |mu_c|^2 y y' + y d_2' + d_2 y' + |mu_s|^2 a a' + a d_1' + d_1 a'.
-        """
-        mc = float(np.linalg.norm(config.mu_core))
-        ms = float(np.linalg.norm(config.mu_spur))
-        y, a = noise.y, noise.a
-        d_1 = ms * noise.q_spur
-        d_2 = mc * noise.q_core
-        gram = (
-            noise.gram_0
-            + mc * mc * np.outer(y, y)
-            + np.outer(y, d_2)
-            + np.outer(d_2, y)
-            + ms * ms * np.outer(a, a)
-            + np.outer(a, d_1)
-            + np.outer(d_1, a)
-        )
-        gram = 0.5 * (gram + gram.T)
+        """The view of `noise` under `config`'s means, in O(n)."""
+        m_1 = float(np.linalg.norm(config.mu_spur))
+        m_2 = float(np.linalg.norm(config.mu_core))
         return cls(
-            gram=gram,
-            x_mu_plus=x_mu_from_parts(config, y, a, d_1, d_2, +1),
-            x_mu_minus=x_mu_from_parts(config, y, a, d_1, d_2, -1),
-            d_1=d_1,
-            d_2=d_2,
+            y=noise.y,
+            a=noise.a,
+            gram_0=noise.gram_0,
+            d_1=m_1 * noise.q_spur,
+            d_2=m_2 * noise.q_core,
+            mu_norms=(m_1, m_2),
         )
 
-    def _factor(self, tau: float):
-        """(G + tau I, its Cholesky factor), factored once per tau.
+    @property
+    def n(self) -> int:
+        return self.y.shape[0]
 
-        Raises LinAlgError with a condition estimate if the factorization
-        fails.
+    def update_factors(self, k: int):
+        """(L_k, R_k) of stage k in {1, 2}."""
+        if k not in (1, 2):
+            raise ValueError("stage k must be 1 or 2")
+        m = self.mu_norms[k - 1]
+        v, d = (self.a, self.d_1) if k == 1 else (self.y, self.d_2)
+        return np.column_stack([m * v, d, v]), np.vstack([m * v, v, d])
+
+    def stage_gram(self, k: int) -> np.ndarray:
+        """G_k for k in {0, 1, 2}: gram_0 plus the first k rank-3 updates."""
+        if k not in (0, 1, 2):
+            raise ValueError("stage k must be 0, 1, or 2")
+        g = self.gram_0
+        for j in range(1, k + 1):
+            L, R = self.update_factors(j)
+            g = g + L @ R
+        return g
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        g = self.stage_gram(2)
+        return _read_only(0.5 * (g + g.T))
+
+    @cached_property
+    def x_mu_plus(self) -> np.ndarray:
+        return self._x_mu(+1)
+
+    @cached_property
+    def x_mu_minus(self) -> np.ndarray:
+        return self._x_mu(-1)
+
+    def _x_mu(self, b: int) -> np.ndarray:
+        """X mu_b = m_2^2 y + b m_1^2 a + d_2 + b d_1."""
+        m_1, m_2 = self.mu_norms
+        return _read_only(m_2 * m_2 * self.y + b * m_1 * m_1 * self.a + self.d_2 + b * self.d_1)
+
+    def per_tau(self, build, tau: float):
+        """build(self, tau), computed once per (build, tau) on this instance.
+
+        tau must be finite and nonnegative; a failed build caches nothing.
         """
-        hit = self._factors.get(tau)
+        key = (build, _check_tau(tau))
+        hit = self._memo.get(key)
         if hit is None:
-            gram = self.gram
-            mat = gram if tau == 0.0 else gram + tau * np.eye(gram.shape[0])
-            try:
-                factor = cho_factor(mat, lower=True, check_finite=False)
-            except LinAlgError as exc:
-                cond = np.linalg.cond(mat)
-                raise LinAlgError(
-                    f"Gram system numerically singular (cond ~ {cond:.3e}): {exc}"
-                ) from exc
-            hit = self._factors[tau] = (mat, factor)
+            hit = self._memo[key] = build(self, key[1])
         return hit
+
+
+def _check_tau(tau) -> float:
+    """tau as a float; raises ValueError unless it is finite and nonnegative."""
+    if not (np.isfinite(tau) and tau >= 0.0):
+        raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
+    return float(tau)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,22 +197,6 @@ def accumulate_gram(source, block_cols: int = 4096) -> GramStats:
     return GramStats.from_noise(config, noise)
 
 
-def x_mu_from_parts(
-    config: ModelConfig,
-    y: np.ndarray,
-    a: np.ndarray,
-    d_1: np.ndarray,
-    d_2: np.ndarray,
-    b: int,
-) -> np.ndarray:
-    """Assemble X mu_b = |mu_bar_c|^2 y + b |mu_bar_s|^2 a + d_2 + b d_1."""
-    if b not in (1, -1):
-        raise ValueError("b must be +1 or -1")
-    nc2 = float(config.mu_core @ config.mu_core)
-    ns2 = float(config.mu_spur @ config.mu_spur)
-    return nc2 * y + b * ns2 * a + d_2 + b * d_1
-
-
 def _unpack_labels(labels):
     y, a, b = labels
     return np.asarray(y, dtype=np.float64), np.asarray(b, dtype=np.float64)
@@ -185,9 +208,27 @@ def _adjusted_targets(delta, y, b):
     return y / dvec, dvec
 
 
+def _gram_factor(stats: GramStats, tau: float):
+    """(G + tau I, its Cholesky factor).
+
+    Raises LinAlgError with a condition estimate if the factorization
+    fails.
+    """
+    gram = stats.gram
+    mat = gram if tau == 0.0 else gram + tau * np.eye(gram.shape[0])
+    try:
+        factor = cho_factor(mat, lower=True, check_finite=False)
+    except LinAlgError as exc:
+        cond = np.linalg.cond(mat)
+        raise LinAlgError(
+            f"Gram system numerically singular (cond ~ {cond:.3e}): {exc}"
+        ) from exc
+    return mat, factor
+
+
 def _solve_spd(stats: GramStats, tau: float, z: np.ndarray):
     """Solve (G + tau I) c = z through the memoized factor, refined once."""
-    mat, factor = stats._factor(tau)
+    mat, factor = stats.per_tau(_gram_factor, tau)
     c = cho_solve(factor, z, check_finite=False)
     tol = _SOLVE_RTOL * np.linalg.norm(z)
     res = np.linalg.norm(z - mat @ c)
@@ -224,11 +265,10 @@ def fit_ridge(stats: GramStats, delta, labels, tau: float) -> DualSolution:
 
     tau = 0 runs the identical solve as fit_cmni and reproduces it exactly.
     """
-    if not (np.isfinite(tau) and tau >= 0.0):
-        raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
+    tau = _check_tau(tau)
     y, b = _unpack_labels(labels)
     z, _ = _adjusted_targets(delta, y, b)
-    c, res = _solve_spd(stats, float(tau), z)
+    c, res = _solve_spd(stats, tau, z)
     return _finish(c, stats, tau, "ridge", {"solver_residual": float(res)})
 
 

@@ -16,13 +16,12 @@ Axes:
 Trial i reseeds the config with seed XOR i.  Along delta_minus and
 r_plus_sq the noise matrix and labels do not depend on the axis value, so
 each trial streams the noise once with `model.noise_stats` into
-(Q Q', Q u_c, Q u_s) and assembles every Gram matrix and decomposition
-from it in O(n^2); n_coupled re-streams per value.  Along delta_minus the
-means do not change either, so each trial also builds one `GramStats`,
-whose Cholesky factor of G + tau I is memoized per tau, and one
-`Decomposition` per tau, whose Woodbury stage inverses are memoized; every
-point and method of the trial reuses them, and the weights enter only
-through the targets and probe vectors.  Rows are aggregated
+(Q Q', Q u_c, Q u_s) and builds every `GramStats` view from it in O(n^2);
+n_coupled re-streams per value.  Along delta_minus the means do not change
+either, so each trial builds one `GramStats`, on which the Cholesky factor
+of G + tau I and the Woodbury stage inverses are memoized per tau; every
+point, method and primitive call of the trial reuses them, and the weights
+enter only through the targets and probe vectors.  Rows are aggregated
 in trial order and CSV output is byte-deterministic for a fixed seed; the
 JSON format carries run metadata including a timestamp, so only its
 `rows` payload is stable.
@@ -39,9 +38,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .bounds import bound_exponent
-from .estimators import GramStats, fit_cmni, fit_ridge
+from .estimators import GramStats, _check_tau, fit_cmni, fit_ridge
 from .model import ModelConfig, NoiseStats, e1_mean, noise_stats, substream_seed
-from .primitives import Decomposition, compute_primitives, verify_primitive_bounds
+from .primitives import compute_primitives, verify_primitive_bounds
 from .risk import group_risk, worst_and_average
 
 __all__ = [
@@ -127,6 +126,7 @@ class SweepSpec:
                 raise ValueError(f"unknown method {mname!r}")
             if mname == "cmni" and tau not in (None, 0, 0.0):
                 raise ValueError("cmni takes no tau")
+            resolve_tau(tau, self.base)
             methods.append((mname, tau))
         object.__setattr__(self, "methods", tuple(methods))
         outputs = tuple(self.outputs)
@@ -250,7 +250,11 @@ def derive_config(base: ModelConfig, axis_name: str, value) -> ModelConfig:
 
 
 def resolve_tau(tau_spec, config: ModelConfig) -> float:
-    """Resolve a tau entry: a number, None (0), 'd', or 'd/<number>'."""
+    """Resolve a tau entry: a number, None (0), 'd', or 'd/<number>'.
+
+    The result must be finite and nonnegative and a divisor finite and
+    positive; anything else raises ValueError.
+    """
     if tau_spec is None:
         return 0.0
     if isinstance(tau_spec, str):
@@ -262,14 +266,14 @@ def resolve_tau(tau_spec, config: ModelConfig) -> float:
                 divisor = float(text[2:])
             except ValueError:
                 divisor = 0.0
-            if divisor <= 0:
-                raise ValueError(f"cannot resolve tau spec {tau_spec!r}")
-            return config.d / divisor
+            if np.isfinite(divisor) and divisor > 0 and np.isfinite(config.d / divisor):
+                return config.d / divisor
         raise ValueError(f"cannot resolve tau spec {tau_spec!r}")
-    tau = float(tau_spec)
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    return tau
+    try:
+        tau = float(tau_spec)
+    except TypeError:
+        raise ValueError(f"cannot resolve tau spec {tau_spec!r}") from None
+    return _check_tau(tau)
 
 
 def _stat_pair(values) -> tuple[float, float]:
@@ -318,13 +322,12 @@ def run_sweep(spec: SweepSpec, block_cols: int = 4096):
     for trial in range(spec.trials):
         noise: NoiseStats | None = None
         stats: GramStats | None = None
-        decs: dict[float, Decomposition] = {}
         for idx, (value, cfg) in enumerate(derived):
             if cfg is None:
                 continue
             tcfg = cfg.with_updates(seed=substream_seed(spec.base.seed, trial))
             if not means_fixed:
-                stats, decs = None, {}
+                stats = None
             try:
                 if noise is None or not cacheable:
                     noise = noise_stats(tcfg, block_cols)
@@ -348,17 +351,12 @@ def run_sweep(spec: SweepSpec, block_cols: int = 4096):
                         sol = fit_cmni(stats, tcfg.deltas, noise.labels)
                     else:
                         sol = fit_ridge(stats, tcfg.deltas, noise.labels, tau)
-                    dec = None
-                    if want_prims:
-                        dec = decs.get(tau)
-                        if dec is None:
-                            dec = decs[tau] = Decomposition.from_noise(tcfg, noise, tau)
                     entry = _trial_outputs(
                         tcfg,
                         sol,
                         exponents_e.get(idx),
                         want_tight,
-                        dec,
+                        stats if want_prims else None,
                     )
                 except Exception as exc:
                     skips.append(
@@ -397,7 +395,7 @@ def run_sweep(spec: SweepSpec, block_cols: int = 4096):
     return rows, skips
 
 
-def _trial_outputs(cfg, sol, e_pair, want_tight, dec):
+def _trial_outputs(cfg, sol, e_pair, want_tight, prims_stats):
     plus = group_risk(sol, cfg, +1)
     minus = group_risk(sol, cfg, -1)
     worst, average = worst_and_average((plus, minus), config=cfg)
@@ -418,8 +416,10 @@ def _trial_outputs(cfg, sol, e_pair, want_tight, dec):
             entry["tightness_minus"] = (
                 minus.exponent / e_pair[1] if e_pair[1] > 0 else None
             )
-    if dec is not None:
-        prims = compute_primitives(dec, delta=cfg.deltas, mode="recursive")
+    if prims_stats is not None:
+        prims = compute_primitives(
+            prims_stats, tau=sol.tau, delta=cfg.deltas, mode="recursive"
+        )
         report = verify_primitive_bounds(prims, cfg)
         entry["primitive_pass_frac"] = sum(r.passed for r in report.rows) / len(
             report.rows

@@ -36,36 +36,35 @@ which is how the recursive mode advances all primitives without touching
 M_1 or M_2.  The direct mode forms each stage inverse densely instead;
 the two routes share nothing past order 0 and must agree.
 
-Q enters only through G_0 = Q Q' and d_k = m_k Q u_k, so a `Decomposition`
-is an O(n^2) view of the `NoiseStats` that `model.noise_stats` streams.
+Q enters only through G_0 = Q Q' and d_k = m_k Q u_k, so the stages are
+read off `estimators.GramStats`, the one tau-free O(n^2) view of the
+`NoiseStats` that `model.noise_stats` streams; the fitters use the same
+instance.  tau is an argument of `woodbury_invert` and
+`compute_primitives`, and the Woodbury stage inverses are memoized per tau
+on the instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from .estimators import GramStats, _check_tau, accumulate_gram
 from .model import (
     Dataset,
     ModelConfig,
-    NoiseStats,
-    _freeze_arrays,
-    noise_stats,
     philox_generator,
     substream_seed,
     STREAM_WISHART,
 )
 
 __all__ = [
-    "Decomposition",
     "PrimitiveSet",
     "BandRow",
     "BandReport",
     "AuxInequalityReport",
-    "build_decomposition",
     "woodbury_invert",
     "det_and_adj",
     "f_a",
@@ -83,112 +82,6 @@ DET_SINGULAR_TOL = 1e-12
 _V1, _V2, _D1, _D2, _U, _W1, _W2 = range(7)
 
 
-@dataclass(frozen=True, eq=False)
-class Decomposition:
-    """Stagewise rank-3 structure of one design matrix.
-
-    mu_norms holds (m_1, m_2) = (|mu_bar_s|, |mu_bar_c|).  The arrays are
-    read-only and the Woodbury stage inverses are memoized on the instance;
-    `dataclasses.replace(dec, tau=...)` gives a fresh instance with none.
-    """
-
-    v_1: np.ndarray
-    v_2: np.ndarray
-    d_1: np.ndarray
-    d_2: np.ndarray
-    tau: float
-    gram_0: np.ndarray
-    L_1: np.ndarray
-    R_1: np.ndarray
-    L_2: np.ndarray
-    R_2: np.ndarray
-    mu_norms: tuple[float, float]
-
-    def __post_init__(self):
-        if not (np.isfinite(self.tau) and self.tau >= 0.0):
-            raise ValueError(f"tau must be finite and nonnegative, got {self.tau!r}")
-        object.__setattr__(self, "tau", float(self.tau))
-        _freeze_arrays(self)
-
-    @classmethod
-    def from_noise(
-        cls, config: ModelConfig, noise: NoiseStats, tau: float | None = None
-    ) -> "Decomposition":
-        """Assemble the stages for `config`'s means in O(n^2); tau defaults to config.tau."""
-        m_1 = float(np.linalg.norm(config.mu_spur))
-        m_2 = float(np.linalg.norm(config.mu_core))
-        d_1 = m_1 * noise.q_spur
-        d_2 = m_2 * noise.q_core
-        L_1, R_1 = _update_factors(m_1, noise.a, d_1)
-        L_2, R_2 = _update_factors(m_2, noise.y, d_2)
-        return cls(
-            v_1=noise.a,
-            v_2=noise.y,
-            d_1=d_1,
-            d_2=d_2,
-            tau=config.tau if tau is None else tau,
-            gram_0=noise.gram_0,
-            L_1=L_1,
-            R_1=R_1,
-            L_2=L_2,
-            R_2=R_2,
-            mu_norms=(m_1, m_2),
-        )
-
-    @property
-    def n(self) -> int:
-        return self.v_1.shape[0]
-
-    def stage_gram(self, k: int) -> np.ndarray:
-        """G_k for k in {0, 1, 2}: gram_0 plus the first k rank-3 updates."""
-        if k not in (0, 1, 2):
-            raise ValueError("stage k must be 0, 1, or 2")
-        g = self.gram_0
-        if k >= 1:
-            g = g + self.L_1 @ self.R_1
-        if k >= 2:
-            g = g + self.L_2 @ self.R_2
-        return g
-
-    @cached_property
-    def _stage_inverses(self):
-        return _woodbury_stages(self)
-
-
-def _update_factors(m: float, v: np.ndarray, d: np.ndarray):
-    L = np.column_stack([m * v, d, v])
-    R = np.vstack([m * v, v, d])
-    return L, R
-
-
-def build_decomposition(dataset: Dataset, tau: float | None = None) -> Decomposition:
-    """Decompose a materialized dataset; requires the retained noise Q."""
-    return Decomposition.from_noise(dataset.config, noise_stats(dataset), tau)
-
-
-def _det3(a: np.ndarray) -> float:
-    return float(
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-    )
-
-
-def _adj3(a: np.ndarray) -> np.ndarray:
-    """Adjugate of a 3x3 matrix: transpose of the cofactor matrix."""
-    out = np.empty((3, 3))
-    out[0, 0] = a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
-    out[1, 0] = -(a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-    out[2, 0] = a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]
-    out[0, 1] = -(a[0, 1] * a[2, 2] - a[0, 2] * a[2, 1])
-    out[1, 1] = a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
-    out[2, 1] = -(a[0, 0] * a[2, 1] - a[0, 1] * a[2, 0])
-    out[0, 2] = a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]
-    out[1, 2] = -(a[0, 0] * a[1, 2] - a[0, 2] * a[1, 0])
-    out[2, 2] = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    return out
-
-
 def _dense_inverse(mat: np.ndarray) -> np.ndarray:
     try:
         factor = cho_factor(mat, lower=True, check_finite=False)
@@ -198,16 +91,17 @@ def _dense_inverse(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (inv + inv.T)
 
 
-def woodbury_invert(dec: Decomposition):
+def woodbury_invert(stats: GramStats, tau: float = 0.0):
     """(M_0^{-1}, M_1^{-1}, M_2^{-1}) by recursive rank-3 updates.
 
-    The result is memoized on `dec`: the first call computes it and later
-    calls return the same read-only arrays.  Only delta-free inputs enter,
-    so every weight and method that shares a Decomposition shares them.
+    The result is memoized per tau on `stats`: the first call computes it
+    and later calls return the same read-only arrays.  Only delta-free
+    inputs enter, so every weight and method that shares the instance and
+    tau shares them.
 
     M_0^{-1} is a dense inverse of gram_0 + tau I; each later stage applies
     the Woodbury identity with the 3x3 capacitance A_k solved through its
-    explicit adjugate and determinant.  |det(A_k)| below DET_SINGULAR_TOL
+    closed-form adjugate and determinant.  |det(A_k)| below DET_SINGULAR_TOL
     raises.  det(A_k) concentrates near 1 + |mu_bar_k|^2 n / (d + tau); for
     the label direction, det(A_2) ~ 1 + |mu_c|^2 n / (d + tau).  Under
     inequality (c) of `model.check_assumptions`, d >= C R_plus n, that
@@ -215,22 +109,21 @@ def woodbury_invert(dec: Decomposition):
     not a rounding accident.  Past (c) the determinant grows with the
     signal energy (about 10 at |mu_c|^2 n / d = 9).
     """
-    return dec._stage_inverses
+    return stats.per_tau(_woodbury_stages, tau)
 
 
-def _woodbury_stages(dec: Decomposition):
-    n = dec.n
-    m0_inv = _dense_inverse(dec.gram_0 + dec.tau * np.eye(n))
-    inverses = [m0_inv]
-    for L, R in ((dec.L_1, dec.R_1), (dec.L_2, dec.R_2)):
+def _woodbury_stages(stats: GramStats, tau: float):
+    inverses = [_dense_inverse(stats.gram_0 + tau * np.eye(stats.n))]
+    for k in (1, 2):
+        L, R = stats.update_factors(k)
         prev = inverses[-1]
-        left = prev @ L          # n x 3
+        left = prev @ L          # n x 3: [m P v, P d, P v]
         right = R @ prev         # 3 x n
-        a_k = np.eye(3) + R @ left
-        det = _det3(a_k)
-        if abs(det) < DET_SINGULAR_TOL:
-            raise LinAlgError(f"rank-3 update singular: det(A_k) = {det:.3e}")
-        nxt = prev - left @ (_adj3(a_k) / det) @ right
+        # R = [m v'; v'; d'], so (s, t, h) = (v'Pv, d'Pd, d'Pv)
+        s, t, h = R[1] @ left[:, 2], R[2] @ left[:, 1], R[2] @ left[:, 2]
+        m = stats.mu_norms[k - 1]
+        det = _checked_det(k, m * m, s, t, h)
+        nxt = prev - left @ (_adj_a(m, s, t, h) / det) @ right
         inverses.append(0.5 * (nxt + nxt.T))
     for inv in inverses:
         inv.setflags(write=False)
@@ -254,17 +147,31 @@ def _self_primitives(prims: "PrimitiveSet", k: int):
 def det_and_adj(prims: "PrimitiveSet", k: int):
     """Closed-form det(A_k) and adj(A_k) from order-(k-1) primitives."""
     m_sq, s, t, h = _self_primitives(prims, k)
-    det = s * (m_sq - t) + (1.0 + h) ** 2
-    m = prims.mu_norms[k - 1]
+    return float(_det_a(m_sq, s, t, h)), _adj_a(prims.mu_norms[k - 1], s, t, h)
+
+
+def _det_a(m_sq, s, t, h):
+    return s * (m_sq - t) + (1.0 + h) ** 2
+
+
+def _checked_det(k, m_sq, s, t, h):
+    det = _det_a(m_sq, s, t, h)
+    if abs(det) < DET_SINGULAR_TOL:
+        raise LinAlgError(f"rank-3 update singular: det(A_{k}) = {det:.3e}")
+    return det
+
+
+def _adj_a(m, s, t, h) -> np.ndarray:
+    """adj(A_k) for A_k = I_3 + [[m^2 s, m h, m s], [m s, h, s], [m h, t, h]]."""
+    m_sq = m * m
     st_h = s * t - h - h * h
-    adj = np.array(
+    return np.array(
         [
             [(1.0 + h) ** 2 - s * t, m * st_h, -m * s],
             [-m * s, 1.0 + h + m_sq * s, -s],
             [m * st_h, m_sq * h * h - t * (1.0 + m_sq * s), 1.0 + h + m_sq * s],
         ]
     )
-    return float(det), adj
 
 
 def f_a(prims: "PrimitiveSet", k: int, x_a: float, x_b: float, x_c: float, x_d: float) -> float:
@@ -273,14 +180,12 @@ def f_a(prims: "PrimitiveSet", k: int, x_a: float, x_b: float, x_c: float, x_d: 
     Equals (m_k^2 - t) x_a x_c + (1 + h)(x_a x_d + x_b x_c) - s x_b x_d
     with (s, t, h) the direction-k self primitives at order k-1.
     """
-    m_sq, s, t, h = _self_primitives(prims, k)
-    return _f_a_closed(m_sq, s, t, h, x_a, x_b, x_c, x_d)
+    return float(_f_a(*_self_primitives(prims, k), x_a, x_b, x_c, x_d))
 
 
-def _f_a_closed(m_sq, s, t, h, x_a, x_b, x_c, x_d) -> float:
-    return float(
-        (m_sq - t) * x_a * x_c + (1.0 + h) * (x_a * x_d + x_b * x_c) - s * x_b * x_d
-    )
+def _f_a(m_sq, s, t, h, x_a, x_b, x_c, x_d):
+    """f_A elementwise; symmetric under (x_a, x_b) <-> (x_c, x_d) bit for bit."""
+    return (m_sq - t) * (x_a * x_c) + (1.0 + h) * (x_a * x_d + x_b * x_c) - s * (x_b * x_d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,17 +248,24 @@ class PrimitiveSet:
         }
 
 
-def _pack(dec: Decomposition, delta, u: np.ndarray):
+def _pack(stats: GramStats, delta, u: np.ndarray):
     """The 7 probe vectors, columns in slot order v1 v2 d1 d2 u w1 w2."""
     delta_plus, delta_minus = delta
-    b = dec.v_2 * dec.v_1  # b = y * a
+    b = stats.y * stats.a
     dvec = np.where(b > 0, float(delta_plus), float(delta_minus))
-    w_1 = dec.v_1 / dvec
-    w_2 = dec.v_2 / dvec
-    return np.column_stack([dec.v_1, dec.v_2, dec.d_1, dec.d_2, u, w_1, w_2])
+    w_1 = stats.a / dvec
+    w_2 = stats.y / dvec
+    return np.column_stack([stats.a, stats.y, stats.d_1, stats.d_2, u, w_1, w_2])
 
 
-def _distill(p_orders, o_vals, det_a, dec, delta, u, mode) -> PrimitiveSet:
+def _table_self_primitives(p: np.ndarray, stats: GramStats, k: int):
+    """(m_sq, s, t, h) of direction k read off the 7x7 table of order k-1."""
+    v_slot, d_slot = (_V1, _D1) if k == 1 else (_V2, _D2)
+    m = stats.mu_norms[k - 1]
+    return m * m, p[v_slot, v_slot], p[d_slot, d_slot], p[d_slot, v_slot]
+
+
+def _distill(p_orders, o_vals, det_a, stats, tau, delta, u, mode) -> PrimitiveSet:
     """Split the per-order 7x7 tables into the named primitive arrays."""
     s = np.empty((2, 2, 3))
     t = np.empty((2, 2, 3))
@@ -391,8 +303,8 @@ def _distill(p_orders, o_vals, det_a, dec, delta, u, mode) -> PrimitiveSet:
         h_i_jd=h_i_jd,
         o=o_vals,
         det_a=det_a,
-        mu_norms=dec.mu_norms,
-        tau=dec.tau,
+        mu_norms=stats.mu_norms,
+        tau=tau,
         delta=(float(delta[0]), float(delta[1])),
         u=u,
         mode=mode,
@@ -408,29 +320,34 @@ def compute_primitives(
 ) -> PrimitiveSet:
     """All primitives at orders 0..2, by dense stages or by recursion.
 
-    source is a Dataset or a prebuilt Decomposition.  delta defaults to
-    the config weights when a Dataset is given and to (1, 1) otherwise;
-    u defaults to e_1 and must be unit norm.
+    source is a Dataset or a prebuilt GramStats.  tau and delta default to
+    the config's tau and weights when a Dataset is given and to 0 and
+    (1, 1) otherwise; u defaults to e_1 and must be unit norm.
 
-    direct mode forms each M_k^{-1} densely and evaluates quadratic
-    forms; recursive mode evaluates order 0 once, then advances every
-    scalar through f_A / det(A_k), taking M_1^{-1} and M_2^{-1} from
-    woodbury_invert only for the o primitive (which needs a matrix-vector
-    product by its definition).
+    direct mode forms each G_k and M_k^{-1} densely and evaluates quadratic
+    forms, o included as c' G_k c; it never reads or fills the memo of
+    `woodbury_invert`.  recursive mode evaluates order 0 once, then
+    advances every scalar through f_A / det(A_k), taking M_1^{-1} and
+    M_2^{-1} from woodbury_invert only for the o primitive, which it reads
+    as o = s_id_jd - tau |M_k^{-1} w_i|^2 (G_k = M_k - tau I), so it
+    never forms G_1 or G_2.
     """
     if isinstance(source, Dataset):
         if delta is None:
             delta = source.config.deltas
-        dec = build_decomposition(source, tau=tau)
-    elif isinstance(source, Decomposition):
-        dec = source if tau is None else replace(source, tau=tau)
+        if tau is None:
+            tau = source.config.tau
+        stats = accumulate_gram(source)
+    elif isinstance(source, GramStats):
+        stats = source
         if delta is None:
             delta = (1.0, 1.0)
     else:
-        raise TypeError(f"expected Dataset or Decomposition, got {type(source).__name__}")
+        raise TypeError(f"expected Dataset or GramStats, got {type(source).__name__}")
+    tau = _check_tau(0.0 if tau is None else tau)
     if mode not in ("direct", "recursive"):
         raise ValueError("mode must be 'direct' or 'recursive'")
-    n = dec.n
+    n = stats.n
     if u is None:
         u = np.zeros(n)
         u[0] = 1.0
@@ -441,65 +358,42 @@ def compute_primitives(
     if not (delta[0] > 0.0 and delta[1] > 0.0):
         raise ValueError("delta weights must be positive")
 
-    probes = _pack(dec, delta, u)
+    probes = _pack(stats, delta, u)
     w_cols = probes[:, [_W1, _W2]]
-    grams = [dec.stage_gram(k) for k in range(3)]
+    o_vals = np.empty((2, 3))
+    det_a = np.empty(2)
 
     if mode == "direct":
         p_orders = []
-        o_vals = np.empty((2, 3))
         for k in range(3):
-            m_inv = _dense_inverse(grams[k] + dec.tau * np.eye(n))
-            sol = m_inv @ probes
-            p = probes.T @ sol
+            gram = stats.stage_gram(k)
+            m_inv = _dense_inverse(gram + tau * np.eye(n))
+            p = probes.T @ (m_inv @ probes)
             p_orders.append(0.5 * (p + p.T))
             c = m_inv @ w_cols
             for i in range(2):
-                o_vals[i, k] = c[:, i] @ grams[k] @ c[:, i]
-        det_a = np.empty(2)
+                o_vals[i, k] = c[:, i] @ gram @ c[:, i]
         for k in (1, 2):
-            i = k - 1
-            p_prev = p_orders[k - 1]
-            v_slot, d_slot = (_V1, _D1) if k == 1 else (_V2, _D2)
-            m = dec.mu_norms[i]
-            det_a[i] = (
-                p_prev[v_slot, v_slot] * (m * m - p_prev[d_slot, d_slot])
-                + (1.0 + p_prev[d_slot, v_slot]) ** 2
-            )
-        return _distill(p_orders, o_vals, det_a, dec, delta, u, "direct")
+            det_a[k - 1] = _det_a(*_table_self_primitives(p_orders[k - 1], stats, k))
+        return _distill(p_orders, o_vals, det_a, stats, tau, delta, u, "direct")
 
     # recursive mode
-    m0_inv, m1_inv, m2_inv = woodbury_invert(dec)
-    p0 = probes.T @ (m0_inv @ probes)
-    p0 = 0.5 * (p0 + p0.T)
-    p_orders = [p0]
-    det_a = np.empty(2)
+    inverses = woodbury_invert(stats, tau)
+    p0 = probes.T @ (inverses[0] @ probes)
+    p_orders = [0.5 * (p0 + p0.T)]
     for k in (1, 2):
         p = p_orders[-1]
-        v_slot, d_slot = (_V1, _D1) if k == 1 else (_V2, _D2)
-        m = dec.mu_norms[k - 1]
-        m_sq = m * m
-        s_kk = p[v_slot, v_slot]
-        t_kk = p[d_slot, d_slot]
-        h_kk = p[d_slot, v_slot]
-        det = s_kk * (m_sq - t_kk) + (1.0 + h_kk) ** 2
-        if abs(det) < DET_SINGULAR_TOL:
-            raise LinAlgError(f"rank-3 update singular: det(A_{k}) = {det:.3e}")
-        det_a[k - 1] = det
-        pa = p[:, v_slot]
-        pb = p[:, d_slot]
-        update = (
-            (m_sq - t_kk) * np.outer(pa, pa)
-            + (1.0 + h_kk) * (np.outer(pa, pb) + np.outer(pb, pa))
-            - s_kk * np.outer(pb, pb)
-        )
+        m_sq, s, t, h = _table_self_primitives(p, stats, k)
+        det_a[k - 1] = det = _checked_det(k, m_sq, s, t, h)
+        pa = p[:, _V1 if k == 1 else _V2]
+        pb = p[:, _D1 if k == 1 else _D2]
+        update = _f_a(m_sq, s, t, h, pa[:, None], pb[:, None], pa, pb)
         p_orders.append(p - update / det)
-    o_vals = np.empty((2, 3))
-    for k, m_inv in enumerate((m0_inv, m1_inv, m2_inv)):
+    for k, m_inv in enumerate(inverses):
         c = m_inv @ w_cols
-        for i in range(2):
-            o_vals[i, k] = c[:, i] @ grams[k] @ c[:, i]
-    return _distill(p_orders, o_vals, det_a, dec, delta, u, "recursive")
+        s_wd = np.diagonal(p_orders[k])[[_W1, _W2]]
+        o_vals[:, k] = s_wd - tau * np.einsum("ij,ij->j", c, c)
+    return _distill(p_orders, o_vals, det_a, stats, tau, delta, u, "recursive")
 
 
 def risk_identity_check(prims: PrimitiveSet, sol, config: ModelConfig, b: int) -> float:

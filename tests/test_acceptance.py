@@ -13,12 +13,10 @@ import pytest
 
 from grouprisk.bounds import bound_exponent, consistency_check
 from grouprisk.cli import primitive_set_max_gap
-from grouprisk.estimators import accumulate_gram, fit_cmni, fit_gd, fit_ridge, interpolation_residual
+from grouprisk.estimators import GramStats, accumulate_gram, fit_cmni, fit_gd, fit_ridge, interpolation_residual
 from grouprisk.harness import SweepAxis, SweepSpec, derive_config, preset, run_sweep
 from grouprisk.model import ModelConfig, check_assumptions, noise_stats, sample_dataset
 from grouprisk.primitives import (
-    Decomposition,
-    build_decomposition,
     check_aux_inequalities,
     compute_primitives,
     risk_identity_check,
@@ -99,10 +97,9 @@ def band_regime_ensemble():
             seed=seed,
         )
         premises.append(check_assumptions(cfg, c_const=2.0))
-        noise = noise_stats(cfg)
+        stats = GramStats.from_noise(cfg, noise_stats(cfg))
         for tau in taus:
-            dec = Decomposition.from_noise(cfg, noise, tau=tau)
-            prims = compute_primitives(dec, delta=cfg.deltas, mode="recursive")
+            prims = compute_primitives(stats, tau=tau, delta=cfg.deltas, mode="recursive")
             data[tau].append((verify_primitive_bounds(prims, cfg), prims.det_a.copy()))
     elapsed = time.time() - start
     _band_cache.update(data=data, elapsed=elapsed, premises=premises)
@@ -117,8 +114,7 @@ class TestRecursionMachinery:
             for tau in TAUS:
                 for seed in range(N_SEEDS):
                     ds = sample_dataset(grid_config(n, d, seed))
-                    dec = build_decomposition(ds, tau=tau)
-                    recursive = woodbury_invert(dec)[2]
+                    recursive = woodbury_invert(accumulate_gram(ds), tau)[2]
                     dense = np.linalg.inv(ds.X @ ds.X.T + tau * np.eye(n))
                     rel = np.linalg.norm(recursive - dense) / np.linalg.norm(dense)
                     worst = max(worst, rel)

@@ -58,6 +58,17 @@ class TestSampleAndFit:
         assert code == 2
         assert "--out" in err
 
+    def test_sample_rejects_missing_out_before_sampling(self, monkeypatch, capsys):
+        from grouprisk import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("sample_dataset called without --out")
+
+        monkeypatch.setattr(cli, "sample_dataset", never)
+        code, _, err = run(["sample", "-n", "200", "-d", "200000"], capsys)
+        assert code == 2
+        assert "--out" in err
+
     def test_fit_from_saved_dataset(self, tmp_path, capsys):
         out = str(tmp_path / "ds.bin")
         assert run(["sample", "-n", "20", "-d", "400", "--out", out], capsys)[0] == 0
@@ -277,6 +288,22 @@ class TestSweepCommand:
         assert doc["meta"]["seed"] == 5
         assert doc["meta"]["trials"] == 3
         assert all(row["trials"] == 3 for row in doc["rows"])
+
+    @pytest.mark.parametrize(
+        "tau", [float("nan"), float("inf"), "d/nan", "d/inf", "half", [1.0]]
+    )
+    def test_sweep_bad_tau_spec_is_usage_error(self, tau, tmp_path, capsys):
+        spec_path = self.spec_file(tmp_path)
+        with open(spec_path) as fh:
+            doc = json.load(fh)
+        doc["methods"] = [{"method": "ridge", "tau": tau}]
+        with open(spec_path, "w") as fh:
+            json.dump(doc, fh)
+        out = tmp_path / "rows.csv"
+        code, _, err = run(["sweep", "--spec", spec_path, "--out", str(out)], capsys)
+        assert code == 2
+        assert "tau" in err
+        assert not out.exists()
 
     def test_sweep_all_points_invalid_is_failure(self, tmp_path, capsys):
         spec_path = self.spec_file(tmp_path)

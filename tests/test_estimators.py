@@ -11,9 +11,8 @@ from grouprisk.estimators import (
     fit_gd,
     fit_ridge,
     interpolation_residual,
-    x_mu_from_parts,
 )
-from grouprisk.model import ModelConfig, sample_dataset, sample_labels
+from grouprisk.model import ModelConfig, embed_means, group_mean, sample_dataset, sample_labels
 
 
 def e1(scale, length):
@@ -36,14 +35,16 @@ def make_config(**overrides):
     return ModelConfig(**base)
 
 
-def stats_from_rows(X, mu_plus, mu_minus):
-    """Reference GramStats built densely, for hand-sized instances."""
+def stats_from_rows(X):
+    """GramStats of hand-sized zero-mean rows X: G = X X', X mu_b = 0."""
+    n = X.shape[0]
     return GramStats(
-        gram=X @ X.T,
-        x_mu_plus=X @ mu_plus,
-        x_mu_minus=X @ mu_minus,
-        d_1=np.zeros(X.shape[0]),
-        d_2=np.zeros(X.shape[0]),
+        y=np.ones(n),
+        a=np.ones(n),
+        gram_0=X @ X.T,
+        d_1=np.zeros(n),
+        d_2=np.zeros(n),
+        mu_norms=(0.0, 0.0),
     )
 
 
@@ -52,8 +53,6 @@ class TestAccumulateGram:
         ds = sample_dataset(make_config())
         stats = accumulate_gram(ds)
         np.testing.assert_allclose(stats.gram, ds.X @ ds.X.T, rtol=1e-12)
-        from grouprisk.model import embed_means, group_mean
-
         np.testing.assert_allclose(
             stats.x_mu_plus, ds.X @ group_mean(ds.config, +1), rtol=1e-12
         )
@@ -79,14 +78,19 @@ class TestAccumulateGram:
         np.testing.assert_array_equal(stats.gram, stats.gram.T)
 
     def test_x_mu_decomposition_identity(self):
-        # X mu_b = |mu_c|^2 y + b |mu_s|^2 a + d_2 + b d_1
+        # X mu_b = |mu_c|^2 y + b |mu_s|^2 a + d_2 + b d_1, against dense X mu_b
         cfg = make_config(seed=5)
         ds = sample_dataset(cfg)
         stats = accumulate_gram(ds)
+        mu_bar_c, mu_bar_s = embed_means(cfg)
+        d_1, d_2 = ds.Q @ mu_bar_s, ds.Q @ mu_bar_c
+        nc2 = float(cfg.mu_core @ cfg.mu_core)
+        ns2 = float(cfg.mu_spur @ cfg.mu_spur)
         for b in (+1, -1):
-            via_parts = x_mu_from_parts(cfg, ds.y, ds.a, stats.d_1, stats.d_2, b)
+            via_parts = nc2 * ds.y + b * ns2 * ds.a + d_2 + b * d_1
             direct = stats.x_mu_plus if b == 1 else stats.x_mu_minus
             np.testing.assert_allclose(via_parts, direct, rtol=1e-10)
+            np.testing.assert_allclose(ds.X @ group_mean(cfg, b), direct, rtol=1e-10)
 
 
 class TestClosedFormSolutions:
@@ -94,7 +98,7 @@ class TestClosedFormSolutions:
         # one sample x = (3, 4), y = +1, delta = 1/2:
         # G = 25, c = 2/25, w = X^T c = (0.24, 0.32)
         X = np.array([[3.0, 4.0]])
-        stats = stats_from_rows(X, np.zeros(2), np.zeros(2))
+        stats = stats_from_rows(X)
         labels = (np.array([1.0]), np.array([1.0]), np.array([1.0]))
         sol = fit_cmni(stats, (0.5, 0.5), labels)
         np.testing.assert_allclose(sol.c, [0.08])
@@ -104,7 +108,7 @@ class TestClosedFormSolutions:
 
     def test_two_orthogonal_points(self):
         X = np.array([[2.0, 0.0], [0.0, 1.0]])
-        stats = stats_from_rows(X, np.zeros(2), np.zeros(2))
+        stats = stats_from_rows(X)
         labels = (
             np.array([1.0, -1.0]),
             np.array([1.0, 1.0]),
@@ -116,7 +120,7 @@ class TestClosedFormSolutions:
     def test_ridge_closed_form_single_point(self):
         # c = z / (|x|^2 + tau) with z = 2
         X = np.array([[3.0, 4.0]])
-        stats = stats_from_rows(X, np.zeros(2), np.zeros(2))
+        stats = stats_from_rows(X)
         labels = (np.array([1.0]), np.array([1.0]), np.array([1.0]))
         sol = fit_ridge(stats, (0.5, 0.5), labels, tau=25.0)
         np.testing.assert_allclose(sol.c, [2.0 / 50.0])
@@ -241,7 +245,7 @@ class TestSolutionContainer:
     def test_singular_gram_reports_conditioning(self):
         # duplicate rows make G (tau = 0) exactly singular
         X = np.array([[1.0, 0.0], [1.0, 0.0]])
-        stats = stats_from_rows(X, np.zeros(2), np.zeros(2))
+        stats = stats_from_rows(X)
         labels = (
             np.array([1.0, -1.0]),
             np.array([1.0, 1.0]),
@@ -294,7 +298,7 @@ class TestFactorMemo:
         stats = accumulate_gram(cfg)
         with pytest.raises(ValueError, match="tau"):
             fit_ridge(stats, cfg.deltas, sample_labels(cfg), tau)
-        assert not stats._factors
+        assert not stats._memo
 
     def test_arrays_are_read_only(self):
         stats = accumulate_gram(make_config())

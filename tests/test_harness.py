@@ -150,6 +150,20 @@ class TestResolveTau:
         with pytest.raises(ValueError):
             resolve_tau("d/0", cfg)
 
+    @pytest.mark.parametrize(
+        "spec", [float("nan"), float("inf"), "d/nan", "d/inf", "half", "d/1e-320", [1.0]]
+    )
+    def test_rejects_non_finite_and_non_numeric(self, spec):
+        with pytest.raises(ValueError, match="tau"):
+            resolve_tau(spec, base_config())
+
+    @pytest.mark.parametrize(
+        "spec", [float("nan"), float("inf"), "d/nan", "d/inf", "half", [1.0]]
+    )
+    def test_sweep_spec_rejects_bad_ridge_tau(self, spec):
+        with pytest.raises(ValueError, match="tau"):
+            tiny_spec(methods=(("cmni", None), ("ridge", spec)))
+
 
 class TestNoiseStats:
     def test_gram_stats_from_noise_match_dense_products(self):

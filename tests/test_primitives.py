@@ -1,20 +1,17 @@
-"""Tests for the staged decomposition, recursive inversion, and primitives.
+"""Tests for the staged Gram structure, recursive inversion, and primitives.
 
 The dense oracle here recomputes every quadratic form from explicitly
 inverted stage matrices with plain numpy, independently of the library's
 solve and update paths.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from grouprisk.estimators import accumulate_gram, fit_cmni, fit_ridge
+from grouprisk import primitives
+from grouprisk.estimators import GramStats, accumulate_gram, fit_cmni, fit_ridge
 from grouprisk.model import ModelConfig, check_assumptions, embed_means, noise_stats, sample_dataset
 from grouprisk.primitives import (
-    Decomposition,
-    build_decomposition,
     check_aux_inequalities,
     compute_primitives,
     det_and_adj,
@@ -91,84 +88,88 @@ def dense_oracle(ds, tau, u=None):
     return out, invs
 
 
-def explicit_update_matrix(dec, k, prev_inv):
-    norm = dec.mu_norms[k - 1]
-    if k == 1:
-        left, right = dec.L_1, dec.R_1
-    else:
-        left, right = dec.L_2, dec.R_2
+def explicit_update_matrix(stats, k, prev_inv):
+    norm = stats.mu_norms[k - 1]
+    left, right = stats.update_factors(k)
     a_mat = np.eye(3) + right @ prev_inv @ left
     assert np.allclose(left[:, 0], norm * left[:, 2])
     return a_mat
 
 
 class TestDecomposition:
+    """The stagewise decomposition G = Q Q' + L_1 R_1 + L_2 R_2 of a GramStats."""
+
     def test_factor_shapes_and_content(self):
         ds = sample_dataset(make_config())
-        dec = build_decomposition(ds)
-        assert dec.L_1.shape == (20, 3)
-        assert dec.R_2.shape == (3, 20)
-        m1, m2 = dec.mu_norms
+        stats = accumulate_gram(ds)
+        L_1, R_1 = stats.update_factors(1)
+        _, R_2 = stats.update_factors(2)
+        assert L_1.shape == (20, 3)
+        assert R_2.shape == (3, 20)
+        m1, m2 = stats.mu_norms
         np.testing.assert_allclose(m1, 6.0)
         np.testing.assert_allclose(m2, 12.0)
-        np.testing.assert_array_equal(dec.v_1, ds.a)
-        np.testing.assert_array_equal(dec.v_2, ds.y)
-        np.testing.assert_allclose(dec.L_1[:, 0], 6.0 * ds.a)
-        np.testing.assert_array_equal(dec.R_1[2], dec.d_1)
+        np.testing.assert_array_equal(stats.a, ds.a)
+        np.testing.assert_array_equal(stats.y, ds.y)
+        np.testing.assert_allclose(L_1[:, 0], 6.0 * ds.a)
+        np.testing.assert_array_equal(R_1[2], stats.d_1)
 
     def test_staged_gram_reconstruction(self):
         # gram_0 + L_1 R_1 + L_2 R_2 must rebuild X X' to high accuracy
         ds = sample_dataset(make_config(seed=9))
-        dec = build_decomposition(ds)
-        g2 = dec.stage_gram(2)
+        stats = accumulate_gram(ds)
+        g2 = stats.stage_gram(2)
         dense = ds.X @ ds.X.T
         rel = np.linalg.norm(g2 - dense) / np.linalg.norm(dense)
         assert rel <= 1e-10
 
     def test_stage_zero_is_noise_gram(self):
         ds = sample_dataset(make_config())
-        dec = build_decomposition(ds)
-        np.testing.assert_allclose(dec.stage_gram(0), ds.Q @ ds.Q.T, rtol=1e-12)
+        stats = accumulate_gram(ds)
+        np.testing.assert_allclose(stats.stage_gram(0), ds.Q @ ds.Q.T, rtol=1e-12)
 
     def test_config_route_matches_dense_noise(self):
         cfg = make_config(seed=5)
         ds = sample_dataset(cfg)
-        dec = Decomposition.from_noise(cfg, noise_stats(cfg))
+        stats = GramStats.from_noise(cfg, noise_stats(cfg))
         mu_bar_c, mu_bar_s = embed_means(cfg)
-        np.testing.assert_allclose(dec.gram_0, ds.Q @ ds.Q.T, rtol=1e-12)
-        np.testing.assert_allclose(dec.d_1, ds.Q @ mu_bar_s, rtol=1e-12)
-        np.testing.assert_allclose(dec.d_2, ds.Q @ mu_bar_c, rtol=1e-12)
-        np.testing.assert_array_equal(dec.v_1, ds.a)
-        np.testing.assert_array_equal(dec.v_2, ds.y)
-        assert dec.mu_norms == pytest.approx((6.0, 12.0), rel=1e-15)
+        np.testing.assert_allclose(stats.gram_0, ds.Q @ ds.Q.T, rtol=1e-12)
+        np.testing.assert_allclose(stats.d_1, ds.Q @ mu_bar_s, rtol=1e-12)
+        np.testing.assert_allclose(stats.d_2, ds.Q @ mu_bar_c, rtol=1e-12)
+        np.testing.assert_array_equal(stats.a, ds.a)
+        np.testing.assert_array_equal(stats.y, ds.y)
+        assert stats.mu_norms == pytest.approx((6.0, 12.0), rel=1e-15)
 
     def test_rejects_negative_tau(self):
-        dec = build_decomposition(sample_dataset(make_config()))
+        stats = accumulate_gram(sample_dataset(make_config()))
         with pytest.raises(ValueError):
-            compute_primitives(dec, tau=-1.0)
+            compute_primitives(stats, tau=-1.0)
         with pytest.raises(ValueError):
-            Decomposition.from_noise(make_config(), noise_stats(make_config()), tau=-1.0)
+            woodbury_invert(stats, tau=-1.0)
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
     def test_rejects_non_finite_tau(self, tau):
-        dec = build_decomposition(sample_dataset(make_config()))
+        stats = accumulate_gram(sample_dataset(make_config()))
+        for mode in ("direct", "recursive"):
+            with pytest.raises(ValueError, match="tau"):
+                compute_primitives(stats, tau=tau, mode=mode)
         with pytest.raises(ValueError, match="tau"):
-            replace(dec, tau=tau)
+            woodbury_invert(stats, tau=tau)
 
     def test_tau_defaults_to_config(self):
         cfg = make_config(tau=7.0)
-        dec = build_decomposition(sample_dataset(cfg))
-        assert dec.tau == 7.0
-        dec0 = build_decomposition(sample_dataset(cfg), tau=0.0)
-        assert dec0.tau == 0.0
+        ds = sample_dataset(cfg)
+        assert compute_primitives(ds).tau == 7.0
+        assert compute_primitives(ds, tau=0.0).tau == 0.0
+        # a GramStats carries no tau: it defaults to 0
+        assert compute_primitives(accumulate_gram(ds)).tau == 0.0
 
 
 class TestWoodburyInversion:
     @pytest.mark.parametrize("tau", [0.0, 1.0, 100.0])
     def test_matches_dense_inverse_all_stages(self, tau):
         ds = sample_dataset(make_config(seed=2))
-        dec = build_decomposition(ds, tau=tau)
-        inv0, inv1, inv2 = woodbury_invert(dec)
+        inv0, inv1, inv2 = woodbury_invert(accumulate_gram(ds), tau)
         _, dense = dense_oracle(ds, tau)
         for ours, ref in zip((inv0, inv1, inv2), dense):
             rel = np.linalg.norm(ours - ref) / np.linalg.norm(ref)
@@ -176,24 +177,19 @@ class TestWoodburyInversion:
 
     def test_inverse_is_symmetric(self):
         ds = sample_dataset(make_config(seed=4))
-        for m in woodbury_invert(build_decomposition(ds, tau=3.0)):
+        for m in woodbury_invert(accumulate_gram(ds), tau=3.0):
             np.testing.assert_array_equal(m, m.T)
 
     def test_singular_update_raises(self):
         ds = sample_dataset(make_config(seed=2))
-        dec = build_decomposition(ds)
-        rank_deficient = Decomposition(
-            v_1=np.zeros(dec.n),
-            v_2=dec.v_2,
-            d_1=np.zeros(dec.n),
-            d_2=dec.d_2,
-            tau=dec.tau,
-            gram_0=np.zeros((dec.n, dec.n)),
-            L_1=np.zeros_like(dec.L_1),
-            R_1=np.zeros_like(dec.R_1),
-            L_2=dec.L_2,
-            R_2=dec.R_2,
-            mu_norms=dec.mu_norms,
+        stats = accumulate_gram(ds)
+        rank_deficient = GramStats(
+            y=stats.y,
+            a=np.zeros(stats.n),
+            gram_0=np.zeros((stats.n, stats.n)),
+            d_1=np.zeros(stats.n),
+            d_2=stats.d_2,
+            mu_norms=stats.mu_norms,
         )
         with pytest.raises(np.linalg.LinAlgError):
             woodbury_invert(rank_deficient)
@@ -201,47 +197,46 @@ class TestWoodburyInversion:
 
 class TestInverseMemo:
     def test_memoized_per_instance(self):
-        dec = Decomposition.from_noise(make_config(seed=5), noise_stats(make_config(seed=5)))
-        first = woodbury_invert(dec)
-        again = woodbury_invert(dec)
+        stats = GramStats.from_noise(make_config(seed=5), noise_stats(make_config(seed=5)))
+        first = woodbury_invert(stats)
+        again = woodbury_invert(stats)
         assert all(a is b for a, b in zip(first, again))
 
-    def test_replace_recomputes_for_new_tau(self):
+    def test_each_tau_gets_its_own_inverses(self):
         ds = sample_dataset(make_config(seed=2))
-        dec = build_decomposition(ds, tau=0.0)
-        woodbury_invert(dec)
-        other = replace(dec, tau=7.0)
+        stats = accumulate_gram(ds)
+        woodbury_invert(stats, tau=0.0)
         _, dense = dense_oracle(ds, 7.0)
-        for ours, ref in zip(woodbury_invert(other), dense):
+        for ours, ref in zip(woodbury_invert(stats, tau=7.0), dense):
             rel = np.linalg.norm(ours - ref) / np.linalg.norm(ref)
             assert rel <= 1e-10
 
     def test_arrays_and_inverses_read_only(self):
-        dec = build_decomposition(sample_dataset(make_config(seed=2)), tau=1.0)
-        for name in ("v_1", "v_2", "d_1", "d_2", "gram_0", "L_1", "R_1", "L_2", "R_2"):
+        stats = accumulate_gram(sample_dataset(make_config(seed=2)))
+        for name in ("y", "a", "d_1", "d_2", "gram_0", "gram", "x_mu_plus", "x_mu_minus"):
             with pytest.raises(ValueError):
-                getattr(dec, name)[0] = 0.0
-        for inv in woodbury_invert(dec):
+                getattr(stats, name)[0] = 0.0
+        for inv in woodbury_invert(stats, tau=1.0):
             with pytest.raises(ValueError):
                 inv[0, 0] = 0.0
 
     def test_direct_mode_never_touches_memo(self):
-        dec = build_decomposition(sample_dataset(make_config(seed=2)), tau=1.0)
-        compute_primitives(dec, mode="direct")
-        assert "_stage_inverses" not in vars(dec)
-        compute_primitives(dec, mode="recursive")
-        assert "_stage_inverses" in vars(dec)
+        stats = accumulate_gram(sample_dataset(make_config(seed=2)))
+        compute_primitives(stats, tau=1.0, mode="direct")
+        assert not stats._memo
+        compute_primitives(stats, tau=1.0, mode="recursive")
+        assert list(stats._memo) == [(primitives._woodbury_stages, 1.0)]
 
 
 class TestAdjugateSolve:
     def test_det_and_adj_match_explicit_matrix(self):
         ds = sample_dataset(make_config(seed=6))
+        stats = accumulate_gram(ds)
         for tau in (0.0, 5.0):
-            dec = build_decomposition(ds, tau=tau)
             prims = compute_primitives(ds, tau=tau, mode="direct")
             _, dense = dense_oracle(ds, tau)
             for k in (1, 2):
-                a_mat = explicit_update_matrix(dec, k, dense[k - 1])
+                a_mat = explicit_update_matrix(stats, k, dense[k - 1])
                 det, adj = det_and_adj(prims, k)
                 np.testing.assert_allclose(det, np.linalg.det(a_mat), rtol=1e-9)
                 np.testing.assert_allclose(adj, det * np.linalg.inv(a_mat), rtol=1e-8)
@@ -251,12 +246,11 @@ class TestAdjugateSolve:
     def test_f_a_matches_bilinear_adjugate_product(self):
         # f_a IS the row-adjugate-column product; the recursion divides by det
         ds = sample_dataset(make_config(seed=8))
-        dec = build_decomposition(ds, tau=2.0)
         prims = compute_primitives(ds, tau=2.0, mode="direct")
         rng = np.random.default_rng(0)
         for k in (1, 2):
             _, adj = det_and_adj(prims, k)
-            m = dec.mu_norms[k - 1]
+            m = prims.mu_norms[k - 1]
             for _ in range(5):
                 xa, xb, xc, xd = rng.standard_normal(4)
                 expected = np.array([m * xa, xb, xa]) @ adj @ np.array([m * xc, xc, xd])
@@ -387,9 +381,9 @@ class TestNoiseMeanProjections:
         root_n = np.sqrt(n)
         for seed in range(100):
             ds = sample_dataset(cfg.with_updates(seed=seed))
-            dec = build_decomposition(ds)
-            assert np.linalg.norm(dec.d_1) <= 3.0 * root_n * 5.0
-            assert np.linalg.norm(dec.d_2) <= 3.0 * root_n * 10.0
+            stats = accumulate_gram(ds)
+            assert np.linalg.norm(stats.d_1) <= 3.0 * root_n * 5.0
+            assert np.linalg.norm(stats.d_2) <= 3.0 * root_n * 10.0
 
 
 class TestWishart:
@@ -477,10 +471,9 @@ class TestBands:
         n, d = cfg.n, cfg.d
         for seed in range(20):
             cfg_s = cfg.with_updates(seed=seed)
-            noise = noise_stats(cfg_s)
+            stats = GramStats.from_noise(cfg_s, noise_stats(cfg_s))
             for tau in (0.0, float(d)):
-                dec = Decomposition.from_noise(cfg_s, noise, tau=tau)
-                det_2 = compute_primitives(dec, mode="recursive").det_a[1]
+                det_2 = compute_primitives(stats, tau=tau, mode="recursive").det_a[1]
                 np.testing.assert_allclose(det_2, 1.0 + core_sq * n / (d + tau), rtol=0.05)
 
     def test_zero_rate_rows_require_exact_zero(self):

@@ -3,7 +3,7 @@
 Over small random valid configs and random block widths: the streamed
 `NoiseStats` does not depend on the block width, the config and dataset
 routes agree, and the two primitive modes built on the resulting
-`Decomposition` meet the CLI's mode-equivalence gate.  Configs and sweep
+`GramStats` meet the CLI's mode-equivalence gate.  Configs and sweep
 specs survive a JSON round trip unchanged, numpy integers included.
 """
 
@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouprisk.cli import primitive_set_max_gap
+from grouprisk.estimators import GramStats
 from grouprisk.harness import AXIS_NAMES, OUTPUT_NAMES, SweepAxis, SweepSpec
 from grouprisk.model import ModelConfig, noise_stats, sample_dataset
-from grouprisk.primitives import Decomposition, compute_primitives
+from grouprisk.primitives import compute_primitives
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -79,9 +80,9 @@ def test_config_and_dataset_routes_agree(cfg, data):
 @PROPERTY
 @given(cfg=configs(min_d_over_n=2), data=st.data())
 def test_direct_and_recursive_primitives_meet_mode_gate(cfg, data):
-    dec = Decomposition.from_noise(cfg, noise_stats(cfg, data.draw(st.integers(1, cfg.d))))
-    direct = compute_primitives(dec, delta=cfg.deltas, mode="direct")
-    recursive = compute_primitives(dec, delta=cfg.deltas, mode="recursive")
+    stats = GramStats.from_noise(cfg, noise_stats(cfg, data.draw(st.integers(1, cfg.d))))
+    direct = compute_primitives(stats, tau=cfg.tau, delta=cfg.deltas, mode="direct")
+    recursive = compute_primitives(stats, tau=cfg.tau, delta=cfg.deltas, mode="recursive")
     assert primitive_set_max_gap(direct, recursive) <= 1e-8
 
 
