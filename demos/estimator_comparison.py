@@ -54,7 +54,7 @@ def main():
         resid = interpolation_residual(r, stats, cfg.deltas, labels)
         print(f"  tau = {tau:8.1f}: |w|^2 = {r.w_norm_sq:.4f}, residual = {resid:.2e}")
 
-    gd = fit_gd(ds, cfg.deltas, stats=stats, labels=labels)
+    gd = fit_gd(stats, cfg.deltas, labels)
     gap = np.linalg.norm(gd.c - sol.c) / np.linalg.norm(sol.c)
     print("\ngradient descent from zero:")
     print(f"  converged in {gd.info['iters']} iterations (step {gd.info['step']:.4g})")

@@ -21,6 +21,7 @@ from .estimators import GramStats, fit_cmni, fit_gd, fit_ridge, interpolation_re
 from .harness import PRESET_NAMES, SweepSpec, emit, preset, run_sweep
 from .model import ModelConfig, e1_mean, load_dataset, noise_stats, sample_dataset, save_dataset
 from .primitives import (
+    PRIMITIVE_NAMES,
     check_aux_inequalities,
     compute_primitives,
     det_and_adj,
@@ -83,20 +84,13 @@ def _fit_solution(args, cfg, stats, labels):
         return fit_cmni(stats, cfg.deltas, labels)
     if args.method == "ridge":
         return fit_ridge(stats, cfg.deltas, labels, cfg.tau)
-    return fit_gd(
-        cfg,
-        cfg.deltas,
-        step=args.step,
-        iters=args.iters,
-        stats=stats,
-        labels=labels,
-    )
+    return fit_gd(stats, cfg.deltas, labels, step=args.step, iters=args.iters)
 
 
 def primitive_set_max_gap(a, b) -> float:
     """Largest relative discrepancy between two PrimitiveSets."""
     gap = 0.0
-    for name in ("s", "t", "h", "s_uu", "s_ui", "h_iu", "s_id_j", "s_id_jd", "h_i_jd", "o", "det_a"):
+    for name in PRIMITIVE_NAMES:
         x = getattr(a, name).ravel()
         y = getattr(b, name).ravel()
         scale = np.maximum(np.abs(x), np.abs(y))

@@ -33,7 +33,6 @@ from .model import (
     NoiseStats,
     _freeze_arrays,
     noise_stats,
-    sample_labels,
 )
 
 __all__ = [
@@ -166,7 +165,6 @@ class DualSolution:
     """
 
     c: np.ndarray
-    gram: np.ndarray
     tau: float
     method: str
     w_norm_sq: float
@@ -243,7 +241,6 @@ def _finish(c, stats, tau, method, info=None) -> DualSolution:
     w_dot_mu = (float(c @ stats.x_mu_plus), float(c @ stats.x_mu_minus))
     return DualSolution(
         c=c,
-        gram=stats.gram,
         tau=float(tau),
         method=method,
         w_norm_sq=w_norm_sq,
@@ -273,13 +270,12 @@ def fit_ridge(stats: GramStats, delta, labels, tau: float) -> DualSolution:
 
 
 def fit_gd(
-    dataset,
+    stats: GramStats,
     delta,
+    labels,
     step: float | None = None,
     iters: int = 100_000,
     *,
-    stats: GramStats | None = None,
-    labels=None,
     tol: float = 1e-10,
 ) -> DualSolution:
     """Full-batch gradient descent on the adjusted squared loss, from zero.
@@ -290,19 +286,9 @@ def fit_gd(
     info["converged"] says whether that tolerance was met, so a run cut
     off at `iters` reads False.  Raises RuntimeError if the loss increases
     10 consecutive iterations.
-
-    dataset may be a Dataset or a ModelConfig; precomputed stats/labels can
-    be passed to skip re-accumulation.
     """
     if iters < 1:
         raise ValueError("iters must be at least 1")
-    if labels is None:
-        if isinstance(dataset, Dataset):
-            labels = (dataset.y, dataset.a, dataset.b)
-        else:
-            labels = sample_labels(dataset)
-    if stats is None:
-        stats = accumulate_gram(dataset)
     y, b = _unpack_labels(labels)
     z, _ = _adjusted_targets(delta, y, b)
     gram = stats.gram

@@ -22,9 +22,11 @@ either, so each trial builds one `GramStats`, on which the Cholesky factor
 of G + tau I and the Woodbury stage inverses are memoized per tau; every
 point, method and primitive call of the trial reuses them, and the weights
 enter only through the targets and probe vectors.  Rows are aggregated
-in trial order and CSV output is byte-deterministic for a fixed seed; the
-JSON format carries run metadata including a timestamp, so only its
-`rows` payload is stable.
+in trial order: every per-trial output becomes a `<name>_mean` and
+`<name>_std` pair of `SweepRow` fields (the primitive pass fraction only a
+mean), and the `SweepRow` fields, in order, are the CSV columns.  CSV
+output is byte-deterministic for a fixed seed; the JSON format carries run
+metadata including a timestamp, so only its `rows` payload is stable.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -60,36 +62,6 @@ AXIS_NAMES = ("delta_minus", "r_plus_sq", "n_coupled")
 _CACHED_AXES = ("delta_minus", "r_plus_sq")
 OUTPUT_NAMES = ("risk", "bounds", "primitives", "tightness")
 PRESET_NAMES = ("fig1_left", "fig1_right", "fig2_left", "fig2_right")
-
-CSV_COLUMNS = [
-    "run_id",
-    "axis_value",
-    "method",
-    "tau",
-    "trials",
-    "risk_plus_mean",
-    "risk_plus_std",
-    "risk_minus_mean",
-    "risk_minus_std",
-    "worst_mean",
-    "worst_std",
-    "average_mean",
-    "average_std",
-    "exponent_plus_mean",
-    "exponent_plus_std",
-    "exponent_minus_mean",
-    "exponent_minus_std",
-    "e_plus_mean",
-    "e_plus_std",
-    "e_minus_mean",
-    "e_minus_std",
-    "tightness_plus_mean",
-    "tightness_plus_std",
-    "tightness_minus_mean",
-    "tightness_minus_std",
-    "primitive_pass_frac",
-]
-
 
 @dataclass(frozen=True)
 class SweepAxis:
@@ -212,6 +184,9 @@ class SweepRow:
         return out
 
 
+CSV_COLUMNS = [f.name for f in fields(SweepRow)]
+
+
 def derive_config(base: ModelConfig, axis_name: str, value) -> ModelConfig:
     """Materialize the config at one axis value (see module docstring)."""
     if axis_name == "delta_minus":
@@ -253,10 +228,12 @@ def resolve_tau(tau_spec, config: ModelConfig) -> float:
     """Resolve a tau entry: a number, None (0), 'd', or 'd/<number>'.
 
     The result must be finite and nonnegative and a divisor finite and
-    positive; anything else raises ValueError.
+    positive; anything else, a bool included, raises ValueError.
     """
     if tau_spec is None:
         return 0.0
+    if isinstance(tau_spec, (bool, np.bool_)):
+        raise ValueError(f"cannot resolve tau spec {tau_spec!r}")
     if isinstance(tau_spec, str):
         text = tau_spec.strip()
         if text == "d":
@@ -292,18 +269,15 @@ def run_sweep(spec: SweepSpec, block_cols: int = 4096):
     """
     derived: list[tuple[float, ModelConfig | None]] = []
     skips: list[dict] = []
+
+    def skip(stage, reason, **where):
+        skips.append({"axis": spec.axis.name, **where, "stage": stage, "reason": reason})
+
     for value in spec.axis.values:
         try:
             derived.append((value, derive_config(spec.base, spec.axis.name, value)))
         except (ValueError, TypeError) as exc:
-            skips.append(
-                {
-                    "axis": spec.axis.name,
-                    "value": value,
-                    "stage": "config",
-                    "reason": str(exc),
-                }
-            )
+            skip("config", str(exc), value=value)
             derived.append((value, None))
 
     cacheable = spec.axis.name in _CACHED_AXES
@@ -334,15 +308,7 @@ def run_sweep(spec: SweepSpec, block_cols: int = 4096):
                 if stats is None:
                     stats = GramStats.from_noise(tcfg, noise)
             except Exception as exc:
-                skips.append(
-                    {
-                        "axis": spec.axis.name,
-                        "value": value,
-                        "trial": trial,
-                        "stage": "sample",
-                        "reason": str(exc),
-                    }
-                )
+                skip("sample", str(exc), value=value, trial=trial)
                 continue
             for mi, (mname, tau_spec) in enumerate(spec.methods):
                 try:
@@ -359,16 +325,7 @@ def run_sweep(spec: SweepSpec, block_cols: int = 4096):
                         stats if want_prims else None,
                     )
                 except Exception as exc:
-                    skips.append(
-                        {
-                            "axis": spec.axis.name,
-                            "value": value,
-                            "trial": trial,
-                            "method": mname,
-                            "stage": "fit",
-                            "reason": str(exc),
-                        }
-                    )
+                    skip("fit", str(exc), value=value, trial=trial, method=mname)
                     continue
                 results.setdefault((idx, mi), []).append(entry)
 
@@ -379,15 +336,7 @@ def run_sweep(spec: SweepSpec, block_cols: int = 4096):
         for mi, (mname, tau_spec) in enumerate(spec.methods):
             data = results.get((idx, mi), [])
             if not data:
-                skips.append(
-                    {
-                        "axis": spec.axis.name,
-                        "value": value,
-                        "method": mname,
-                        "stage": "aggregate",
-                        "reason": "no successful trials",
-                    }
-                )
+                skip("aggregate", "no successful trials", value=value, method=mname)
                 continue
             rows.append(
                 _aggregate_row(spec, idx, value, cfg, mname, tau_spec, data)
@@ -428,49 +377,26 @@ def _trial_outputs(cfg, sol, e_pair, want_tight, prims_stats):
 
 
 def _aggregate_row(spec, idx, value, cfg, mname, tau_spec, data) -> SweepRow:
+    """Mean and std of every per-trial output; None tightness values are dropped."""
     tau = resolve_tau(tau_spec, cfg)
     run_id = f"{spec.name}:{spec.axis.name}[{idx}]:{mname}:tau={tau:g}"
-    fields = {}
-    for key in ("risk_plus", "risk_minus", "worst", "average", "exponent_plus", "exponent_minus"):
-        mean, std = _stat_pair([e[key] for e in data])
-        fields[f"{key}_mean"] = mean
-        fields[f"{key}_std"] = std
-    extra = {}
-    if "e_plus" in data[0]:
-        for key in ("e_plus", "e_minus"):
-            mean, std = _stat_pair([e[key] for e in data])
-            extra[f"{key}_mean"] = mean
-            extra[f"{key}_std"] = std
-    if "tightness_plus" in data[0]:
-        for key in ("tightness_plus", "tightness_minus"):
-            vals = [e[key] for e in data if e[key] is not None]
-            if vals:
-                mean, std = _stat_pair(vals)
-                extra[f"{key}_mean"] = mean
-                extra[f"{key}_std"] = std
-    if "primitive_pass_frac" in data[0]:
-        extra["primitive_pass_frac"], _ = _stat_pair(
-            [e["primitive_pass_frac"] for e in data]
-        )
+    summary = {}
+    for key in data[0]:
+        vals = [e[key] for e in data if e[key] is not None]
+        if not vals:
+            continue
+        mean, std = _stat_pair(vals)
+        if key == "primitive_pass_frac":
+            summary[key] = mean
+        else:
+            summary[f"{key}_mean"], summary[f"{key}_std"] = mean, std
     return SweepRow(
         run_id=run_id,
         axis_value=float(value),
         method=mname,
         tau=float(tau),
         trials=len(data),
-        risk_plus_mean=fields["risk_plus_mean"],
-        risk_plus_std=fields["risk_plus_std"],
-        risk_minus_mean=fields["risk_minus_mean"],
-        risk_minus_std=fields["risk_minus_std"],
-        worst_mean=fields["worst_mean"],
-        worst_std=fields["worst_std"],
-        average_mean=fields["average_mean"],
-        average_std=fields["average_std"],
-        exponent_plus_mean=fields["exponent_plus_mean"],
-        exponent_plus_std=fields["exponent_plus_std"],
-        exponent_minus_mean=fields["exponent_minus_mean"],
-        exponent_minus_std=fields["exponent_minus_std"],
-        **extra,
+        **summary,
     )
 
 

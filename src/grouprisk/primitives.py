@@ -36,6 +36,12 @@ which is how the recursive mode advances all primitives without touching
 M_1 or M_2.  The direct mode forms each stage inverse densely instead;
 the two routes share nothing past order 0 and must agree.
 
+Every primitive is such a form over the same seven probe vectors
+(v_1, v_2, d_1, d_2, u, D^{-1} v_1, D^{-1} v_2), so both routes produce
+one 7x7 table per order.  `PrimitiveSet` stores the three tables as one
+read-only array, and each named primitive (s, t, h, ...) is a view of a
+block of it, declared once in `_LAYOUT`.
+
 Q enters only through G_0 = Q Q' and d_k = m_k Q u_k, so the stages are
 read off `estimators.GramStats`, the one tau-free O(n^2) view of the
 `NoiseStats` that `model.noise_stats` streams; the fitters use the same
@@ -62,6 +68,7 @@ from .model import (
 
 __all__ = [
     "PrimitiveSet",
+    "PRIMITIVE_NAMES",
     "BandRow",
     "BandReport",
     "AuxInequalityReport",
@@ -130,23 +137,9 @@ def _woodbury_stages(stats: GramStats, tau: float):
     return tuple(inverses)
 
 
-def _self_primitives(prims: "PrimitiveSet", k: int):
-    """(m_sq, s, t, h) of direction k at order k-1, for A_k closed forms."""
-    if k not in (1, 2):
-        raise ValueError("stage k must be 1 or 2")
-    i = k - 1
-    m = prims.mu_norms[i]
-    return (
-        m * m,
-        float(prims.s[i, i, k - 1]),
-        float(prims.t[i, i, k - 1]),
-        float(prims.h[i, i, k - 1]),
-    )
-
-
 def det_and_adj(prims: "PrimitiveSet", k: int):
     """Closed-form det(A_k) and adj(A_k) from order-(k-1) primitives."""
-    m_sq, s, t, h = _self_primitives(prims, k)
+    m_sq, s, t, h = _table_self_primitives(prims.tables[..., k - 1], prims.mu_norms, k)
     return float(_det_a(m_sq, s, t, h)), _adj_a(prims.mu_norms[k - 1], s, t, h)
 
 
@@ -180,7 +173,8 @@ def f_a(prims: "PrimitiveSet", k: int, x_a: float, x_b: float, x_c: float, x_d: 
     Equals (m_k^2 - t) x_a x_c + (1 + h)(x_a x_d + x_b x_c) - s x_b x_d
     with (s, t, h) the direction-k self primitives at order k-1.
     """
-    return float(_f_a(*_self_primitives(prims, k), x_a, x_b, x_c, x_d))
+    self_prims = _table_self_primitives(prims.tables[..., k - 1], prims.mu_norms, k)
+    return float(_f_a(*self_prims, x_a, x_b, x_c, x_d))
 
 
 def _f_a(m_sq, s, t, h, x_a, x_b, x_c, x_d):
@@ -188,37 +182,40 @@ def _f_a(m_sq, s, t, h, x_a, x_b, x_c, x_d):
     return (m_sq - t) * (x_a * x_c) + (1.0 + h) * (x_a * x_d + x_b * x_c) - s * (x_b * x_d)
 
 
+# Where each named primitive sits in the 7x7 probe tables: (rows, cols) as
+# slot slices, an integer slot dropping that axis.  With i, j the 0-based
+# directions and k the order, e.g. s[i, j, k] = v_{i+1}' M_k^{-1} v_{j+1}.
+_V, _D, _W = slice(_V1, _V2 + 1), slice(_D1, _D2 + 1), slice(_W1, _W2 + 1)
+_LAYOUT = {
+    "s": (_V, _V),          # v_i' M^{-1} v_j
+    "t": (_D, _D),          # d_i' M^{-1} d_j
+    "h": (_D, _V),          # d_i' M^{-1} v_j
+    "s_uu": (_U, _U),       # u' M^{-1} u
+    "s_ui": (_U, _V),       # u' M^{-1} v_i
+    "h_iu": (_D, _U),       # d_i' M^{-1} u
+    "s_id_j": (_W, _V),     # (D^{-1} v_i)' M^{-1} v_j
+    "s_id_jd": (_W, _W),    # (D^{-1} v_i)' M^{-1} (D^{-1} v_j)
+    "h_i_jd": (_D, _W),     # d_i' M^{-1} (D^{-1} v_j)
+}
+PRIMITIVE_NAMES = (*_LAYOUT, "o", "det_a")
+
+
 @dataclass(frozen=True, eq=False)
 class PrimitiveSet:
     """All quadratic-form primitives at orders k = 0, 1, 2.
 
-    Index convention (i, j are 0-based for directions 1, 2; k is the
-    order):
+    tables[:, :, k] holds x' M_k^{-1} y for every pair of the seven probe
+    vectors, in slot order v_1 v_2 d_1 d_2 u w_1 w_2 (w_i = D^{-1} v_i,
+    with D the diagonal adjustment matrix, D_jj = Delta_{b_j}).  It is the
+    one stored form and is read-only; each name in `_LAYOUT` is a view of
+    it, indexed [i, j, k] (or [i, k], [k] where a probe is u), with i, j
+    the 0-based directions 1, 2 and k the order.  Besides the tables:
 
-        s[i, j, k]       = v_{i+1}' M_k^{-1} v_{j+1}
-        t[i, j, k]       = d_{i+1}' M_k^{-1} d_{j+1}
-        h[i, j, k]       = d_{i+1}' M_k^{-1} v_{j+1}
-        s_uu[k]          = u' M_k^{-1} u
-        s_ui[i, k]       = u' M_k^{-1} v_{i+1}
-        h_iu[i, k]       = d_{i+1}' M_k^{-1} u
-        s_id_j[i, j, k]  = (D^{-1} v_{i+1})' M_k^{-1} v_{j+1}
-        s_id_jd[i, j, k] = (D^{-1} v_{i+1})' M_k^{-1} (D^{-1} v_{j+1})
-        h_i_jd[i, j, k]  = d_{i+1}' M_k^{-1} (D^{-1} v_{j+1})
-        o[i, k]          = (D^{-1} v_{i+1})' M_k^{-1} G_k M_k^{-1} (D^{-1} v_{i+1})
-
-    where D is the diagonal adjustment matrix with D_jj = Delta_{b_j}.
-    det_a[k-1] holds det(A_k) for k in {1, 2}.
+        o[i, k]    = w_{i+1}' M_k^{-1} G_k M_k^{-1} w_{i+1}
+        det_a[k-1] = det(A_k) for k in {1, 2}.
     """
 
-    s: np.ndarray
-    t: np.ndarray
-    h: np.ndarray
-    s_uu: np.ndarray
-    s_ui: np.ndarray
-    h_iu: np.ndarray
-    s_id_j: np.ndarray
-    s_id_jd: np.ndarray
-    h_i_jd: np.ndarray
+    tables: np.ndarray
     o: np.ndarray
     det_a: np.ndarray
     mu_norms: tuple[float, float]
@@ -227,25 +224,10 @@ class PrimitiveSet:
     u: np.ndarray
     mode: str
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "tau": self.tau,
-            "delta_plus": self.delta[0],
-            "delta_minus": self.delta[1],
-            "mu_norms": list(self.mu_norms),
-            "s": self.s.tolist(),
-            "t": self.t.tolist(),
-            "h": self.h.tolist(),
-            "s_uu": self.s_uu.tolist(),
-            "s_ui": self.s_ui.tolist(),
-            "h_iu": self.h_iu.tolist(),
-            "s_id_j": self.s_id_j.tolist(),
-            "s_id_jd": self.s_id_jd.tolist(),
-            "h_i_jd": self.h_i_jd.tolist(),
-            "o": self.o.tolist(),
-            "det_a": self.det_a.tolist(),
-        }
+    def __post_init__(self):
+        self.tables.setflags(write=False)
+        for name, (rows, cols) in _LAYOUT.items():
+            object.__setattr__(self, name, self.tables[rows, cols])
 
 
 def _pack(stats: GramStats, delta, u: np.ndarray):
@@ -258,57 +240,13 @@ def _pack(stats: GramStats, delta, u: np.ndarray):
     return np.column_stack([stats.a, stats.y, stats.d_1, stats.d_2, u, w_1, w_2])
 
 
-def _table_self_primitives(p: np.ndarray, stats: GramStats, k: int):
+def _table_self_primitives(p: np.ndarray, mu_norms, k: int):
     """(m_sq, s, t, h) of direction k read off the 7x7 table of order k-1."""
+    if k not in (1, 2):
+        raise ValueError("stage k must be 1 or 2")
     v_slot, d_slot = (_V1, _D1) if k == 1 else (_V2, _D2)
-    m = stats.mu_norms[k - 1]
+    m = mu_norms[k - 1]
     return m * m, p[v_slot, v_slot], p[d_slot, d_slot], p[d_slot, v_slot]
-
-
-def _distill(p_orders, o_vals, det_a, stats, tau, delta, u, mode) -> PrimitiveSet:
-    """Split the per-order 7x7 tables into the named primitive arrays."""
-    s = np.empty((2, 2, 3))
-    t = np.empty((2, 2, 3))
-    h = np.empty((2, 2, 3))
-    s_uu = np.empty(3)
-    s_ui = np.empty((2, 3))
-    h_iu = np.empty((2, 3))
-    s_id_j = np.empty((2, 2, 3))
-    s_id_jd = np.empty((2, 2, 3))
-    h_i_jd = np.empty((2, 2, 3))
-    v_slots = (_V1, _V2)
-    d_slots = (_D1, _D2)
-    w_slots = (_W1, _W2)
-    for k, p in enumerate(p_orders):
-        s_uu[k] = p[_U, _U]
-        for i in range(2):
-            s_ui[i, k] = p[_U, v_slots[i]]
-            h_iu[i, k] = p[d_slots[i], _U]
-            for j in range(2):
-                s[i, j, k] = p[v_slots[i], v_slots[j]]
-                t[i, j, k] = p[d_slots[i], d_slots[j]]
-                h[i, j, k] = p[d_slots[i], v_slots[j]]
-                s_id_j[i, j, k] = p[w_slots[i], v_slots[j]]
-                s_id_jd[i, j, k] = p[w_slots[i], w_slots[j]]
-                h_i_jd[i, j, k] = p[d_slots[i], w_slots[j]]
-    return PrimitiveSet(
-        s=s,
-        t=t,
-        h=h,
-        s_uu=s_uu,
-        s_ui=s_ui,
-        h_iu=h_iu,
-        s_id_j=s_id_j,
-        s_id_jd=s_id_jd,
-        h_i_jd=h_i_jd,
-        o=o_vals,
-        det_a=det_a,
-        mu_norms=stats.mu_norms,
-        tau=tau,
-        delta=(float(delta[0]), float(delta[1])),
-        u=u,
-        mode=mode,
-    )
 
 
 def compute_primitives(
@@ -374,26 +312,33 @@ def compute_primitives(
             for i in range(2):
                 o_vals[i, k] = c[:, i] @ gram @ c[:, i]
         for k in (1, 2):
-            det_a[k - 1] = _det_a(*_table_self_primitives(p_orders[k - 1], stats, k))
-        return _distill(p_orders, o_vals, det_a, stats, tau, delta, u, "direct")
-
-    # recursive mode
-    inverses = woodbury_invert(stats, tau)
-    p0 = probes.T @ (inverses[0] @ probes)
-    p_orders = [0.5 * (p0 + p0.T)]
-    for k in (1, 2):
-        p = p_orders[-1]
-        m_sq, s, t, h = _table_self_primitives(p, stats, k)
-        det_a[k - 1] = det = _checked_det(k, m_sq, s, t, h)
-        pa = p[:, _V1 if k == 1 else _V2]
-        pb = p[:, _D1 if k == 1 else _D2]
-        update = _f_a(m_sq, s, t, h, pa[:, None], pb[:, None], pa, pb)
-        p_orders.append(p - update / det)
-    for k, m_inv in enumerate(inverses):
-        c = m_inv @ w_cols
-        s_wd = np.diagonal(p_orders[k])[[_W1, _W2]]
-        o_vals[:, k] = s_wd - tau * np.einsum("ij,ij->j", c, c)
-    return _distill(p_orders, o_vals, det_a, stats, tau, delta, u, "recursive")
+            det_a[k - 1] = _det_a(*_table_self_primitives(p_orders[k - 1], stats.mu_norms, k))
+    else:
+        inverses = woodbury_invert(stats, tau)
+        p0 = probes.T @ (inverses[0] @ probes)
+        p_orders = [0.5 * (p0 + p0.T)]
+        for k in (1, 2):
+            p = p_orders[-1]
+            m_sq, s, t, h = _table_self_primitives(p, stats.mu_norms, k)
+            det_a[k - 1] = det = _checked_det(k, m_sq, s, t, h)
+            pa = p[:, _V1 if k == 1 else _V2]
+            pb = p[:, _D1 if k == 1 else _D2]
+            update = _f_a(m_sq, s, t, h, pa[:, None], pb[:, None], pa, pb)
+            p_orders.append(p - update / det)
+        for k, m_inv in enumerate(inverses):
+            c = m_inv @ w_cols
+            s_wd = np.diagonal(p_orders[k])[[_W1, _W2]]
+            o_vals[:, k] = s_wd - tau * np.einsum("ij,ij->j", c, c)
+    return PrimitiveSet(
+        tables=np.stack(p_orders, axis=-1),
+        o=o_vals,
+        det_a=det_a,
+        mu_norms=stats.mu_norms,
+        tau=tau,
+        delta=(float(delta[0]), float(delta[1])),
+        u=u,
+        mode=mode,
+    )
 
 
 def risk_identity_check(prims: PrimitiveSet, sol, config: ModelConfig, b: int) -> float:
@@ -535,7 +480,6 @@ class BandReport:
 def verify_primitive_bounds(
     prims: PrimitiveSet,
     config: ModelConfig,
-    delta=None,
     band: tuple[float, float] = (0.5, 2.0),
     cross_band: tuple[float, float] = (-2.0, 2.0),
 ) -> BandReport:
@@ -550,10 +494,10 @@ def verify_primitive_bounds(
     `model.check_assumptions` regime: at order 2 the label-direction
     diagonals (s_22, s_2d_2, s_2d_2d, o_2d) scale by 1/det(A_2), which
     stays order 1 only while inequality (c) holds (see `woodbury_invert`).
+    The rates use `prims.delta`, the weights the primitives were computed
+    at.
     """
-    if delta is None:
-        delta = prims.delta
-    delta_plus, delta_minus = float(delta[0]), float(delta[1])
+    delta_plus, delta_minus = prims.delta
     n, d = config.n, config.d
     tau = prims.tau
     dt = d + tau

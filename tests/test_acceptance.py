@@ -204,7 +204,7 @@ class TestEstimatorContracts:
         stats = accumulate_gram(ds)
         labels = (ds.y, ds.a, ds.b)
         direct = fit_cmni(stats, cfg.deltas, labels)
-        gd = fit_gd(ds, cfg.deltas, iters=100_000, stats=stats, labels=labels)
+        gd = fit_gd(stats, cfg.deltas, labels, iters=100_000)
         rel = float(np.linalg.norm(gd.c - direct.c) / np.linalg.norm(direct.c))
         elapsed = time.time() - start
         ok = rel <= 1e-4 and gd.info["iters"] <= 100_000 and elapsed < 60.0

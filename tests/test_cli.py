@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 
 from grouprisk.cli import main, primitive_set_max_gap
 from grouprisk.harness import CSV_COLUMNS
-from grouprisk.model import ModelConfig, sample_dataset
-from grouprisk.primitives import compute_primitives
+from grouprisk.model import ModelConfig, e1_mean, sample_dataset
+from grouprisk.primitives import _LAYOUT, PRIMITIVE_NAMES, compute_primitives
 
 
 def run(argv, capsys):
@@ -305,6 +306,19 @@ class TestSweepCommand:
         assert "tau" in err
         assert not out.exists()
 
+    def test_sweep_bool_tau_spec_is_usage_error(self, tmp_path, capsys):
+        spec_path = self.spec_file(tmp_path)
+        with open(spec_path) as fh:
+            doc = json.load(fh)
+        doc["methods"] = [{"method": "ridge", "tau": True}]
+        with open(spec_path, "w") as fh:
+            json.dump(doc, fh)
+        out = tmp_path / "rows.csv"
+        code, _, err = run(["sweep", "--spec", spec_path, "--out", str(out)], capsys)
+        assert code == 2
+        assert "tau" in err
+        assert not out.exists()
+
     def test_sweep_all_points_invalid_is_failure(self, tmp_path, capsys):
         spec_path = self.spec_file(tmp_path)
         doc = json.loads(open(spec_path).read())
@@ -350,3 +364,24 @@ class TestGapHelper:
         ds = sample_dataset(cfg)
         prims = compute_primitives(ds, mode="direct")
         assert primitive_set_max_gap(prims, prims) == 0.0
+
+    @pytest.mark.parametrize("name", PRIMITIVE_NAMES)
+    def test_every_primitive_is_compared(self, name):
+        cfg = ModelConfig(
+            d_core=200,
+            d_spur=200,
+            mu_core=e1_mean(10.0, 200),
+            mu_spur=e1_mean(5.0, 200),
+            n_plus=16,
+            n_minus=4,
+            seed=1,
+        )
+        prims = compute_primitives(sample_dataset(cfg), mode="direct")
+        if name in _LAYOUT:
+            tables = prims.tables.copy()
+            tables[_LAYOUT[name]] += 1e-6
+            other = dataclasses.replace(prims, tables=tables)
+        else:
+            other = dataclasses.replace(prims, **{name: getattr(prims, name) + 1e-6})
+        assert primitive_set_max_gap(prims, other) > 0.0
+        assert primitive_set_max_gap(other, prims) > 0.0

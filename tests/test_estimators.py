@@ -187,7 +187,7 @@ class TestGradientDescent:
         stats = accumulate_gram(ds)
         labels = (ds.y, ds.a, ds.b)
         direct = fit_cmni(stats, cfg.deltas, labels)
-        gd = fit_gd(ds, cfg.deltas, stats=stats, labels=labels)
+        gd = fit_gd(stats, cfg.deltas, labels)
         rel = np.linalg.norm(gd.c - direct.c) / np.linalg.norm(direct.c)
         assert rel <= 1e-4
         assert gd.info["iters"] <= 100_000
@@ -195,14 +195,14 @@ class TestGradientDescent:
     def test_respects_iteration_cap(self):
         cfg = make_config(seed=6)
         ds = sample_dataset(cfg)
-        gd = fit_gd(ds, cfg.deltas, iters=3, tol=0.0)
+        gd = fit_gd(accumulate_gram(ds), cfg.deltas, (ds.y, ds.a, ds.b), iters=3, tol=0.0)
         assert gd.info["iters"] == 3
         assert gd.info["converged"] is False
 
     def test_reports_convergence_when_tolerance_met(self):
         cfg = make_config(seed=6)
         ds = sample_dataset(cfg)
-        gd = fit_gd(ds, cfg.deltas, tol=1e-8)
+        gd = fit_gd(accumulate_gram(ds), cfg.deltas, (ds.y, ds.a, ds.b), tol=1e-8)
         assert gd.info["converged"] is True
         assert gd.info["iters"] < 100_000
         z_inf = np.max(np.abs(ds.y / cfg.delta_of(ds.b)))
@@ -223,12 +223,13 @@ class TestGradientDescent:
         stats = accumulate_gram(ds)
         lam_max = float(np.linalg.eigvalsh(stats.gram)[-1])
         with pytest.raises(RuntimeError):
-            fit_gd(ds, cfg.deltas, step=2.5 * cfg.n / lam_max, iters=5000)
+            fit_gd(stats, cfg.deltas, (ds.y, ds.a, ds.b), step=2.5 * cfg.n / lam_max, iters=5000)
 
     def test_rejects_bad_iters(self):
         cfg = make_config()
+        ds = sample_dataset(cfg)
         with pytest.raises(ValueError):
-            fit_gd(sample_dataset(cfg), cfg.deltas, iters=0)
+            fit_gd(accumulate_gram(ds), cfg.deltas, (ds.y, ds.a, ds.b), iters=0)
 
 
 class TestSolutionContainer:

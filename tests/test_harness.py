@@ -164,6 +164,18 @@ class TestResolveTau:
         with pytest.raises(ValueError, match="tau"):
             tiny_spec(methods=(("cmni", None), ("ridge", spec)))
 
+    @pytest.mark.parametrize(
+        "spec", [True, False, np.bool_(True), np.bool_(False)], ids=["True", "False", "np_True", "np_False"]
+    )
+    def test_rejects_bool(self, spec):
+        with pytest.raises(ValueError, match="tau"):
+            resolve_tau(spec, base_config())
+
+    @pytest.mark.parametrize("entry", [("ridge", True), ("cmni", False)])
+    def test_sweep_spec_rejects_bool_tau(self, entry):
+        with pytest.raises(ValueError, match="tau"):
+            tiny_spec(methods=(entry,))
+
 
 class TestNoiseStats:
     def test_gram_stats_from_noise_match_dense_products(self):
@@ -245,6 +257,30 @@ class TestRunSweep:
         assert rows[0].e_plus_mean is None
         assert rows[0].tightness_plus_mean is None
         assert rows[0].primitive_pass_frac is None
+
+    def test_rows_are_trial_means_and_stds(self):
+        # trial i of a sweep is trial 0 of a one-trial sweep at seed XOR i
+        outputs = ("risk", "bounds", "tightness", "primitives")
+        rows, _ = run_sweep(tiny_spec(trials=3, outputs=outputs))
+        seed = base_config().seed
+        singles = [
+            run_sweep(
+                tiny_spec(base=base_config(seed=substream_seed(seed, i)), trials=1, outputs=outputs)
+            )[0]
+            for i in range(3)
+        ]
+        for r, row in enumerate(rows):
+            assert row.trials == 3
+            for col in CSV_COLUMNS[5:]:
+                if col.endswith("_std"):
+                    per_trial = [getattr(single[r], col[: -len("_std")] + "_mean") for single in singles]
+                    expected = np.std(per_trial, ddof=1)
+                else:
+                    per_trial = [getattr(single[r], col) for single in singles]
+                    expected = np.mean(per_trial)
+                np.testing.assert_allclose(
+                    getattr(row, col), expected, rtol=1e-12, atol=1e-15, err_msg=col
+                )
 
     def test_single_trial_has_zero_std(self):
         spec = tiny_spec(trials=1)
@@ -357,6 +393,21 @@ class TestEmit:
         assert parsed[0] == CSV_COLUMNS
         assert len(parsed) == 1 + len(rows)
         assert all(len(line) == len(CSV_COLUMNS) for line in parsed)
+
+    def test_csv_header_is_pinned(self, tmp_path):
+        path = str(tmp_path / "out.csv")
+        emit(self.make_rows(), path, fmt="csv")
+        with open(path) as fh:
+            header = fh.readline()
+        assert header == (
+            "run_id,axis_value,method,tau,trials,"
+            "risk_plus_mean,risk_plus_std,risk_minus_mean,risk_minus_std,"
+            "worst_mean,worst_std,average_mean,average_std,"
+            "exponent_plus_mean,exponent_plus_std,exponent_minus_mean,exponent_minus_std,"
+            "e_plus_mean,e_plus_std,e_minus_mean,e_minus_std,"
+            "tightness_plus_mean,tightness_plus_std,tightness_minus_mean,tightness_minus_std,"
+            "primitive_pass_frac\n"
+        )
 
     def test_csv_bytes_deterministic(self, tmp_path):
         rows = self.make_rows()

@@ -329,6 +329,18 @@ class TestPrimitiveValues:
         with pytest.raises(ValueError):
             compute_primitives(ds, mode="magic")
 
+    @pytest.mark.parametrize("mode", ["direct", "recursive"])
+    def test_named_primitives_are_read_only_table_views(self, mode):
+        prims = compute_primitives(sample_dataset(make_config(seed=4)), mode=mode)
+        assert prims.tables.shape == (7, 7, 3)
+        assert not prims.tables.flags.writeable
+        for name in [n for n in primitives.PRIMITIVE_NAMES if n not in ("o", "det_a")]:
+            view = getattr(prims, name)
+            assert np.shares_memory(view, prims.tables), name
+            assert not view.flags.writeable, name
+            with pytest.raises(ValueError):
+                view.flat[0] = 0.0
+
 
 class TestRiskIdentity:
     @pytest.mark.parametrize("tau", [0.0, 5.0])
