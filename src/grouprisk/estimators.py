@@ -10,7 +10,9 @@ downstream needs only G, X mu_b, and the noise projections d_1 = Q mu_bar_s,
 d_2 = Q mu_bar_c.  `GramStats` holds them as one tau-free O(n^2) view of the
 `NoiseStats` that `model.noise_stats` streams once from a config or a
 dataset; the fitters here and the primitives in `primitives` share it, and
-with it the per-tau factors memoized on it.
+with it the per-tau factors memoized on it.  A sweep reads its fits off the
+primitives (`primitives.fit_moments`); the fitters here are the per-point
+reference and serve the CLI.
 
 tau = 0 is the cost-sensitive minimum-norm interpolator, whose defining
 constraint is Delta_{b_i} <w, x_i> = y_i.  Gradient descent on the adjusted
@@ -61,10 +63,12 @@ class GramStats:
 
     `gram` (the symmetrized G_2), `x_mu_plus` and `x_mu_minus` (X mu_{+1}
     and X mu_{-1}) are derived on first use.  Every array is read-only.
-    The instance holds no tau: what depends on it (the Cholesky factor of
-    G + tau I, the Woodbury stage inverses) is memoized per tau through
-    `per_tau`, so every weight, fit and primitive call that shares the
-    instance and tau shares them.
+    The instance holds no tau: what depends on it is memoized per tau
+    through `per_tau`, so every weight, fit and primitive call that shares
+    the instance and tau shares it.  The builds are the Cholesky factor of
+    G + tau I (`fit_cmni`, `fit_ridge`), the order-0 solve of recursive
+    primitives (the factor of gram_0 + tau I and two 7x7 tables) and the
+    Woodbury stage inverses (`primitives.woodbury_invert`).
     """
 
     y: np.ndarray

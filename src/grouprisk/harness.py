@@ -17,16 +17,23 @@ Trial i reseeds the config with seed XOR i.  Along delta_minus and
 r_plus_sq the noise matrix and labels do not depend on the axis value, so
 each trial streams the noise once with `model.noise_stats` into
 (Q Q', Q u_c, Q u_s) and builds every `GramStats` view from it in O(n^2);
-n_coupled re-streams per value.  Along delta_minus the means do not change
-either, so each trial builds one `GramStats`, on which the Cholesky factor
-of G + tau I and the Woodbury stage inverses are memoized per tau; every
-point, method and primitive call of the trial reuses them, and the weights
-enter only through the targets and probe vectors.  Rows are aggregated
-in trial order: every per-trial output becomes a `<name>_mean` and
-`<name>_std` pair of `SweepRow` fields (the primitive pass fraction only a
-mean), and the `SweepRow` fields, in order, are the CSV columns.  CSV
-output is byte-deterministic for a fixed seed; the JSON format carries run
-metadata including a timestamp, so only its `rows` payload is stable.
+n_coupled re-streams per value.  Every point and method is one recursive
+`compute_primitives` call at its tau and weights, and the risks come from
+its order-2 table: the risk identity (`primitives.fit_moments`) gives
+|w_hat|^2 and w_hat' mu_b of the fit, so no fitter runs in a sweep.  The
+order-0 solve that call needs (one Cholesky of gram_0 + tau I and two 7x7
+tables) is memoized per tau on the `GramStats`.  Along delta_minus the
+means do not change either, so each trial builds one `GramStats`: a
+(trial, tau) costs one factorization, and every point and primitive call
+after it 7x7 arithmetic.  `fit_cmni` and `fit_ridge` remain the per-point
+reference.
+
+Rows are aggregated in trial order: every per-trial output becomes a
+`<name>_mean` and `<name>_std` pair of `SweepRow` fields (the primitive
+pass fraction only a mean), and the `SweepRow` fields, in order, are the
+CSV columns.  CSV output is byte-deterministic for a fixed seed; the JSON
+format carries run metadata including a timestamp, so only its `rows`
+payload is stable.
 """
 
 from __future__ import annotations
@@ -40,9 +47,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .bounds import bound_exponent
-from .estimators import GramStats, _check_tau, fit_cmni, fit_ridge
+from .estimators import GramStats, _check_tau
 from .model import ModelConfig, NoiseStats, e1_mean, noise_stats, substream_seed
-from .primitives import compute_primitives, verify_primitive_bounds
+from .primitives import compute_primitives, fit_moments, verify_primitive_bounds
 from .risk import group_risk, worst_and_average
 
 __all__ = [
@@ -89,8 +96,13 @@ class SweepSpec:
     name: str = "sweep"
 
     def __post_init__(self):
+        if isinstance(self.trials, (bool, np.bool_)) or not isinstance(
+            self.trials, (int, np.integer)
+        ):
+            raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        object.__setattr__(self, "trials", int(self.trials))
         methods = []
         for entry in self.methods:
             mname, tau = entry
@@ -130,7 +142,7 @@ class SweepSpec:
             base=ModelConfig.from_dict(data["base"]),
             axis=SweepAxis(data["axis"]["name"], tuple(data["axis"]["values"])),
             methods=methods,
-            trials=int(data.get("trials", 1)),
+            trials=data.get("trials", 1),
             outputs=tuple(data.get("outputs", ("risk", "bounds"))),
             out_path=data.get("out_path"),
             name=data.get("name", "sweep"),
@@ -312,17 +324,14 @@ def run_sweep(spec: SweepSpec, block_cols: int = 4096):
                 continue
             for mi, (mname, tau_spec) in enumerate(spec.methods):
                 try:
-                    tau = resolve_tau(tau_spec, tcfg)
-                    if mname == "cmni":
-                        sol = fit_cmni(stats, tcfg.deltas, noise.labels)
-                    else:
-                        sol = fit_ridge(stats, tcfg.deltas, noise.labels, tau)
+                    prims = compute_primitives(
+                        stats,
+                        tau=resolve_tau(tau_spec, tcfg),
+                        delta=tcfg.deltas,
+                        mode="recursive",
+                    )
                     entry = _trial_outputs(
-                        tcfg,
-                        sol,
-                        exponents_e.get(idx),
-                        want_tight,
-                        stats if want_prims else None,
+                        tcfg, prims, exponents_e.get(idx), want_tight, want_prims
                     )
                 except Exception as exc:
                     skip("fit", str(exc), value=value, trial=trial, method=mname)
@@ -344,9 +353,10 @@ def run_sweep(spec: SweepSpec, block_cols: int = 4096):
     return rows, skips
 
 
-def _trial_outputs(cfg, sol, e_pair, want_tight, prims_stats):
-    plus = group_risk(sol, cfg, +1)
-    minus = group_risk(sol, cfg, -1)
+def _trial_outputs(cfg, prims, e_pair, want_tight, want_prims):
+    moments = fit_moments(prims)
+    plus = group_risk(moments, cfg, +1)
+    minus = group_risk(moments, cfg, -1)
     worst, average = worst_and_average((plus, minus), config=cfg)
     entry = {
         "risk_plus": plus.risk,
@@ -365,10 +375,7 @@ def _trial_outputs(cfg, sol, e_pair, want_tight, prims_stats):
             entry["tightness_minus"] = (
                 minus.exponent / e_pair[1] if e_pair[1] > 0 else None
             )
-    if prims_stats is not None:
-        prims = compute_primitives(
-            prims_stats, tau=sol.tau, delta=cfg.deltas, mode="recursive"
-        )
+    if want_prims:
         report = verify_primitive_bounds(prims, cfg)
         entry["primitive_pass_frac"] = sum(r.passed for r in report.rows) / len(
             report.rows

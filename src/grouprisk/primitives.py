@@ -34,7 +34,7 @@ quadratic form p = x' M_k^{-1} y updates through the bilinear map
 
 which is how the recursive mode advances all primitives without touching
 M_1 or M_2.  The direct mode forms each stage inverse densely instead;
-the two routes share nothing past order 0 and must agree.
+the two routes share no solve and must agree.
 
 Every primitive is such a form over the same seven probe vectors
 (v_1, v_2, d_1, d_2, u, D^{-1} v_1, D^{-1} v_2), so both routes produce
@@ -42,17 +42,26 @@ one 7x7 table per order.  `PrimitiveSet` stores the three tables as one
 read-only array, and each named primitive (s, t, h, ...) is a view of a
 block of it, declared once in `_LAYOUT`.
 
+The weights enter only through w_i = D^{-1} v_i, which are fixed linear
+combinations of y_+ and y_- (y masked to each group), so every probe is
+B C(delta) for the delta-free basis B = [a, y, d_1, d_2, u, y_+, y_-] and
+a 7x7 change of basis C.  The recursive mode therefore needs, per tau,
+only the order-0 solve: one Cholesky factor of M_0 and the 7x7 tables
+B' M_0^{-1} B and B' M_0^{-2} B.  Through the risk identity
+(`fit_moments`) the order-2 table also yields |w_hat|^2 and w_hat' mu_b of
+the fit itself, which is where a sweep's risks come from.
+
 Q enters only through G_0 = Q Q' and d_k = m_k Q u_k, so the stages are
 read off `estimators.GramStats`, the one tau-free O(n^2) view of the
-`NoiseStats` that `model.noise_stats` streams; the fitters use the same
-instance.  tau is an argument of `woodbury_invert` and
-`compute_primitives`, and the Woodbury stage inverses are memoized per tau
-on the instance.
+`NoiseStats` that `model.noise_stats` streams.  tau is an argument of
+`woodbury_invert` and `compute_primitives`; the order-0 solve and the
+Woodbury stage inverses are each memoized per tau on the instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -76,6 +85,8 @@ __all__ = [
     "det_and_adj",
     "f_a",
     "compute_primitives",
+    "FitMoments",
+    "fit_moments",
     "risk_identity_check",
     "wishart_interval",
     "wishart_coverage",
@@ -89,22 +100,83 @@ DET_SINGULAR_TOL = 1e-12
 _V1, _V2, _D1, _D2, _U, _W1, _W2 = range(7)
 
 
-def _dense_inverse(mat: np.ndarray) -> np.ndarray:
+def _cholesky(mat: np.ndarray):
     try:
-        factor = cho_factor(mat, lower=True, check_finite=False)
+        return cho_factor(mat, lower=True, check_finite=False)
     except LinAlgError as exc:
         raise LinAlgError(f"stage matrix not positive definite: {exc}") from exc
-    inv = cho_solve(factor, np.eye(mat.shape[0]), check_finite=False)
-    return 0.5 * (inv + inv.T)
+
+
+def _symmetric(p: np.ndarray) -> np.ndarray:
+    return 0.5 * (p + p.T)
+
+
+def _dense_inverse(mat: np.ndarray) -> np.ndarray:
+    return _symmetric(cho_solve(_cholesky(mat), np.eye(mat.shape[0]), check_finite=False))
+
+
+class _Order0(NamedTuple):
+    """The order-0 solve of one tau: the Cholesky factor of M_0 and the
+    7x7 tables B' M_0^{-1} B and B' M_0^{-2} B over the delta-free basis
+    B = [a, y, d_1, d_2, e_1, y_+, y_-] (y_pm is y masked to group pm)."""
+
+    factor: tuple
+    e_1: np.ndarray
+    table: np.ndarray
+    squared: np.ndarray
+
+
+def _basis(stats: GramStats, u: np.ndarray) -> np.ndarray:
+    """B with u in the u slot; the probes are B @ _change_of_basis(delta)."""
+    plus = stats.y * stats.a > 0
+    y_plus = np.where(plus, stats.y, 0.0)
+    y_minus = np.where(plus, 0.0, stats.y)
+    return np.column_stack([stats.a, stats.y, stats.d_1, stats.d_2, u, y_plus, y_minus])
+
+
+def _order0_solve(stats: GramStats, tau: float) -> _Order0:
+    factor = _cholesky(stats.gram_0 + tau * np.eye(stats.n))
+    e_1 = _probe_u(None, stats.n)
+    basis = _basis(stats, e_1)
+    solved = cho_solve(factor, basis, check_finite=False)
+    table, squared = _symmetric(basis.T @ solved), _symmetric(solved.T @ solved)
+    for arr in (e_1, table, squared):
+        arr.setflags(write=False)
+    return _Order0(factor, e_1, table, squared)
+
+
+def _order0_tables(stats: GramStats, tau: float, u: np.ndarray | None):
+    """(u, B' M_0^{-1} B, B' M_0^{-2} B) from the memoized order-0 solve.
+
+    u None takes e_1 and the memoized tables as they are; any other u is
+    solved on the memoized factor and only its row and column are replaced.
+    """
+    order0 = stats.per_tau(_order0_solve, tau)
+    if u is None:
+        return order0.e_1, order0.table, order0.squared
+    basis = _basis(stats, u)
+    once = cho_solve(order0.factor, u, check_finite=False)
+    twice = cho_solve(order0.factor, once, check_finite=False)
+    table, squared = order0.table.copy(), order0.squared.copy()
+    table[_U, :] = table[:, _U] = basis.T @ once
+    squared[_U, :] = squared[:, _U] = basis.T @ twice
+    return u, table, squared
+
+
+def _change_of_basis(delta) -> np.ndarray:
+    """C with probes = B C: w_1 = y_+/delta_+ - y_-/delta_-, w_2 = y_+/delta_+ + y_-/delta_-."""
+    inv_plus, inv_minus = 1.0 / float(delta[0]), 1.0 / float(delta[1])
+    change = np.eye(7)
+    change[_W1:, _W1:] = [[inv_plus, inv_plus], [-inv_minus, inv_minus]]
+    return change
 
 
 def woodbury_invert(stats: GramStats, tau: float = 0.0):
     """(M_0^{-1}, M_1^{-1}, M_2^{-1}) by recursive rank-3 updates.
 
     The result is memoized per tau on `stats`: the first call computes it
-    and later calls return the same read-only arrays.  Only delta-free
-    inputs enter, so every weight and method that shares the instance and
-    tau shares them.
+    and later calls return the same read-only arrays.  It is a dense
+    reference for the stage inverses; neither primitive mode calls it.
 
     M_0^{-1} is a dense inverse of gram_0 + tau I; each later stage applies
     the Woodbury identity with the 3x3 capacitance A_k solved through its
@@ -131,7 +203,7 @@ def _woodbury_stages(stats: GramStats, tau: float):
         m = stats.mu_norms[k - 1]
         det = _checked_det(k, m * m, s, t, h)
         nxt = prev - left @ (_adj_a(m, s, t, h) / det) @ right
-        inverses.append(0.5 * (nxt + nxt.T))
+        inverses.append(_symmetric(nxt))
     for inv in inverses:
         inv.setflags(write=False)
     return tuple(inverses)
@@ -249,6 +321,20 @@ def _table_self_primitives(p: np.ndarray, mu_norms, k: int):
     return m * m, p[v_slot, v_slot], p[d_slot, d_slot], p[d_slot, v_slot]
 
 
+def _probe_u(u, n: int) -> np.ndarray:
+    """The probe u: e_1 for None, else u as float64, which must be a finite
+    unit n-vector (ValueError otherwise)."""
+    if u is None:
+        u = np.zeros(n)
+        u[0] = 1.0
+        return u
+    u = np.asarray(u, dtype=np.float64)
+    # negated so that a NaN norm fails too; an inf entry makes the norm inf
+    if u.shape != (n,) or not abs(np.linalg.norm(u) - 1.0) <= 1e-12:
+        raise ValueError("u must be a finite unit n-vector")
+    return u
+
+
 def compute_primitives(
     source,
     tau: float | None = None,
@@ -260,15 +346,21 @@ def compute_primitives(
 
     source is a Dataset or a prebuilt GramStats.  tau and delta default to
     the config's tau and weights when a Dataset is given and to 0 and
-    (1, 1) otherwise; u defaults to e_1 and must be unit norm.
+    (1, 1) otherwise; u defaults to e_1 and must be a finite unit vector.
 
     direct mode forms each G_k and M_k^{-1} densely and evaluates quadratic
-    forms, o included as c' G_k c; it never reads or fills the memo of
-    `woodbury_invert`.  recursive mode evaluates order 0 once, then
-    advances every scalar through f_A / det(A_k), taking M_1^{-1} and
-    M_2^{-1} from woodbury_invert only for the o primitive, which it reads
-    as o = s_id_jd - tau |M_k^{-1} w_i|^2 (G_k = M_k - tau I), so it
-    never forms G_1 or G_2.
+    forms, o included as c' G_k c; it never reads or fills the memo on
+    `stats`.  recursive mode is 7x7 algebra on the order-0 solve memoized
+    per tau on `stats` (one Cholesky of M_0 = gram_0 + tau I and the tables
+    T_0 = B' M_0^{-1} B, S_0 = B' M_0^{-2} B over the delta-free basis B
+    of `_basis`).  The probes are B C(delta), so order 0 is C' T_0 C and
+    C' S_0 C; each stage advances the table by f_A / det(A_k) and the
+    squared table by the stage map E_k = I - J_k adj(A_k) K_k' P / det(A_k)
+    as E_k' S E_k, where L_k = X J_k and R_k' = X K_k for the probe matrix
+    X and P is the order-(k-1) table (M_k^{-1} X = M_{k-1}^{-1} X E_k).  o is read as
+    o = s_id_jd - tau diag(squared table), since G_k = M_k - tau I.  A
+    warm call with the default u touches no n-sized array; a caller's u is
+    solved on the memoized factor and never enters the memo.
     """
     if isinstance(source, Dataset):
         if delta is None:
@@ -286,49 +378,49 @@ def compute_primitives(
     if mode not in ("direct", "recursive"):
         raise ValueError("mode must be 'direct' or 'recursive'")
     n = stats.n
-    if u is None:
-        u = np.zeros(n)
-        u[0] = 1.0
-    else:
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != (n,) or abs(np.linalg.norm(u) - 1.0) > 1e-12:
-            raise ValueError("u must be a unit n-vector")
+    if u is not None:
+        u = _probe_u(u, n)
     if not (delta[0] > 0.0 and delta[1] > 0.0):
         raise ValueError("delta weights must be positive")
 
-    probes = _pack(stats, delta, u)
-    w_cols = probes[:, [_W1, _W2]]
     o_vals = np.empty((2, 3))
     det_a = np.empty(2)
-
     if mode == "direct":
+        u = _probe_u(u, n)
+        probes = _pack(stats, delta, u)
+        w_cols = probes[:, [_W1, _W2]]
         p_orders = []
         for k in range(3):
             gram = stats.stage_gram(k)
             m_inv = _dense_inverse(gram + tau * np.eye(n))
-            p = probes.T @ (m_inv @ probes)
-            p_orders.append(0.5 * (p + p.T))
+            p_orders.append(_symmetric(probes.T @ (m_inv @ probes)))
             c = m_inv @ w_cols
             for i in range(2):
                 o_vals[i, k] = c[:, i] @ gram @ c[:, i]
         for k in (1, 2):
             det_a[k - 1] = _det_a(*_table_self_primitives(p_orders[k - 1], stats.mu_norms, k))
     else:
-        inverses = woodbury_invert(stats, tau)
-        p0 = probes.T @ (inverses[0] @ probes)
-        p_orders = [0.5 * (p0 + p0.T)]
+        u, table, squared = _order0_tables(stats, tau, u)
+        change = _change_of_basis(delta)
+        p_orders = [_symmetric(change.T @ table @ change)]
+        squares = [_symmetric(change.T @ squared @ change)]
         for k in (1, 2):
             p = p_orders[-1]
             m_sq, s, t, h = _table_self_primitives(p, stats.mu_norms, k)
             det_a[k - 1] = det = _checked_det(k, m_sq, s, t, h)
-            pa = p[:, _V1 if k == 1 else _V2]
-            pb = p[:, _D1 if k == 1 else _D2]
+            v_slot, d_slot = (_V1, _D1) if k == 1 else (_V2, _D2)
+            pa, pb = p[:, v_slot], p[:, d_slot]
             update = _f_a(m_sq, s, t, h, pa[:, None], pb[:, None], pa, pb)
             p_orders.append(p - update / det)
-        for k, m_inv in enumerate(inverses):
-            c = m_inv @ w_cols
-            s_wd = np.diagonal(p_orders[k])[[_W1, _W2]]
-            o_vals[:, k] = s_wd - tau * np.einsum("ij,ij->j", c, c)
+            # E_k = I - J_k A_k^{-1} R_k M_{k-1}^{-1} X, with J_k = [m e_v, e_d, e_v]
+            m = stats.mu_norms[k - 1]
+            gain = _adj_a(m, s, t, h) @ np.stack([m * pa, pa, pb]) / det
+            stage = np.eye(7)
+            stage[v_slot] -= m * gain[0] + gain[2]
+            stage[d_slot] -= gain[1]
+            squares.append(_symmetric(stage.T @ squares[-1] @ stage))
+        for k in range(3):
+            o_vals[:, k] = np.diagonal(p_orders[k])[_W1:] - tau * np.diagonal(squares[k])[_W1:]
     return PrimitiveSet(
         tables=np.stack(p_orders, axis=-1),
         o=o_vals,
@@ -341,29 +433,48 @@ def compute_primitives(
     )
 
 
+class FitMoments(NamedTuple):
+    """|w_hat|^2 and (w_hat' mu_{+1}, w_hat' mu_{-1}) of one fit, as
+    `group_risk` reads them off a DualSolution."""
+
+    w_norm_sq: float
+    w_dot_mu: tuple[float, float]
+
+
+def fit_moments(prims: PrimitiveSet) -> FitMoments:
+    """The moments of the fit at prims.tau and prims.delta, by the risk identity.
+
+    The fit is c = M_2^{-1} D^{-1} y, so with every primitive at order 2
+
+        |w_hat|^2   = o_{2D,2D},
+        w_hat' mu_b = m_2^2 s_{2D,2} + b m_1^2 s_{2D,1} + h_{2,2D} + b h_{1,2D}.
+    """
+    m_1, m_2 = prims.mu_norms
+
+    def dot(b):
+        return (
+            m_2 * m_2 * prims.s_id_j[1, 1, 2]
+            + b * m_1 * m_1 * prims.s_id_j[1, 0, 2]
+            + prims.h_i_jd[1, 1, 2]
+            + b * prims.h_i_jd[0, 1, 2]
+        )
+
+    return FitMoments(float(prims.o[1, 2]), (float(dot(+1)), float(dot(-1))))
+
+
 def risk_identity_check(prims: PrimitiveSet, sol, config: ModelConfig, b: int) -> float:
     """Relative gap between the margin exponent and its primitive form.
 
-    The fitted exponent (w_hat' mu_b)^2 / (2 w_hat' w_hat) must equal
-
-        (m_2^2 s_{2D,2} + b m_1^2 s_{2D,1} + h_{2,2D} + b h_{1,2D})^2
-        / (2 o_{2D,2D})
-
-    with every primitive taken at order 2.
+    The exponent (w_hat' mu_b)^2 / (2 |w_hat|^2) of the fitted `sol` must
+    equal the same ratio of the order-2 primitive moments of `fit_moments`.
     """
     from .risk import group_risk
 
     if b not in (1, -1):
         raise ValueError("b must be +1 or -1")
-    m_1, m_2 = prims.mu_norms
-    num = (
-        m_2 * m_2 * prims.s_id_j[1, 1, 2]
-        + b * m_1 * m_1 * prims.s_id_j[1, 0, 2]
-        + prims.h_i_jd[1, 1, 2]
-        + b * prims.h_i_jd[0, 1, 2]
-    )
-    denom = prims.o[1, 2]
-    primitive_side = num * num / (2.0 * denom)
+    moments = fit_moments(prims)
+    num = moments.w_dot_mu[0 if b == 1 else 1]
+    primitive_side = num * num / (2.0 * moments.w_norm_sq)
     fitted_side = group_risk(sol, config, b).exponent
     scale = max(abs(primitive_side), abs(fitted_side), 1e-300)
     return float(abs(primitive_side - fitted_side) / scale)
@@ -406,13 +517,7 @@ def wishart_coverage(
     if draws < 1:
         raise ValueError("draws must be at least 1")
     low, high = wishart_interval(d, n, t)
-    if u is None:
-        u = np.zeros(n)
-        u[0] = 1.0
-    else:
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != (n,) or abs(np.linalg.norm(u) - 1.0) > 1e-12:
-            raise ValueError("u must be a unit n-vector")
+    u = _probe_u(u, n)
     inside = 0
     for trial in range(draws):
         rng = philox_generator(substream_seed(seed, trial), STREAM_WISHART)

@@ -140,7 +140,11 @@ def q_upper_two_term(x):
 
 
 def group_risk(sol, config: ModelConfig, b: int) -> GroupRiskEntry:
-    """Exact risk of group b: Q(w_hat' mu_b / |w_hat|) from dual statistics."""
+    """Exact risk of group b: Q(w_hat' mu_b / |w_hat|) from dual statistics.
+
+    sol is anything carrying w_norm_sq and w_dot_mu: a DualSolution, or the
+    `primitives.FitMoments` a sweep reads off its primitives.
+    """
     if b not in (1, -1):
         raise ValueError("b must be +1 or -1")
     if not sol.w_norm_sq > 0.0:

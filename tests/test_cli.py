@@ -319,6 +319,20 @@ class TestSweepCommand:
         assert "tau" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("trials", [2.7, True])
+    def test_sweep_non_integer_trials_spec_is_usage_error(self, tmp_path, capsys, trials):
+        spec_path = self.spec_file(tmp_path)
+        with open(spec_path) as fh:
+            doc = json.load(fh)
+        doc["trials"] = trials
+        with open(spec_path, "w") as fh:
+            json.dump(doc, fh)
+        out = tmp_path / "rows.csv"
+        code, _, err = run(["sweep", "--spec", spec_path, "--out", str(out)], capsys)
+        assert code == 2
+        assert "trials" in err
+        assert not out.exists()
+
     def test_sweep_all_points_invalid_is_failure(self, tmp_path, capsys):
         spec_path = self.spec_file(tmp_path)
         doc = json.loads(open(spec_path).read())

@@ -72,6 +72,22 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             tiny_spec(trials=0)
 
+    @pytest.mark.parametrize("trials", [True, np.bool_(True), 1.5, 2.0, "2", None])
+    def test_spec_rejects_non_integer_trials(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            tiny_spec(trials=trials)
+
+    def test_spec_accepts_numpy_integer_trials(self):
+        spec = tiny_spec(trials=np.int64(3))
+        assert spec.trials == 3 and type(spec.trials) is int
+
+    @pytest.mark.parametrize("trials", [2.7, True])
+    def test_from_dict_does_not_coerce_trials(self, trials):
+        doc = tiny_spec().to_dict()
+        doc["trials"] = trials
+        with pytest.raises(ValueError, match="trials"):
+            SweepSpec.from_dict(doc)
+
     def test_spec_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             tiny_spec(methods=(("lasso", None),))
@@ -243,6 +259,31 @@ class TestRunSweep:
         )
         assert rows[0].tau == cfg.d / 10.0
 
+    def test_exponents_match_per_point_fits(self):
+        methods = (("cmni", None), ("ridge", 0.0), ("ridge", "d/10"), ("ridge", "d"))
+        values = (0.95, 0.5, 0.1, 0.03)
+        spec = tiny_spec(
+            axis=SweepAxis("delta_minus", values), methods=methods, trials=1,
+            outputs=("risk",),
+        )
+        rows, skips = run_sweep(spec)
+        assert not skips and len(rows) == len(values) * len(methods)
+        cfg0 = spec.base.with_updates(seed=substream_seed(spec.base.seed, 0))
+        noise = noise_stats(cfg0)
+        for row in rows:
+            cfg = cfg0.with_updates(delta_minus=row.axis_value)
+            stats = GramStats.from_noise(cfg, noise)
+            if row.method == "cmni":
+                sol = fit_cmni(stats, cfg.deltas, noise.labels)
+            else:
+                sol = fit_ridge(stats, cfg.deltas, noise.labels, row.tau)
+            for b, tag in ((+1, "plus"), (-1, "minus")):
+                ref = group_risk(sol, cfg, b)
+                got = getattr(row, f"exponent_{tag}_mean")
+                assert abs(got - ref.exponent) <= 1e-10 * abs(ref.exponent), row.run_id
+                got = getattr(row, f"risk_{tag}_mean")
+                assert abs(got - ref.risk) <= 1e-10 * abs(ref.risk), row.run_id
+
     def test_bound_outputs_match_bound_exponent(self):
         spec = tiny_spec(trials=2)
         rows, _ = run_sweep(spec)
@@ -342,14 +383,15 @@ class TestTrialReuse:
             assert got[1:] == ref[1:]
 
     def count_factors(self, monkeypatch):
+        """Every Cholesky factorization in the fitters and the primitives."""
         from grouprisk import estimators, primitives
 
-        calls = {"gram": 0, "stage_0": 0}
-        for module, key in ((estimators, "gram"), (primitives, "stage_0")):
+        calls = []
+        for module in (estimators, primitives):
             real = module.cho_factor
 
-            def counting(*args, _real=real, _key=key, **kwargs):
-                calls[_key] += 1
+            def counting(*args, _real=real, **kwargs):
+                calls.append(1)
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(module, "cho_factor", counting)
@@ -362,10 +404,9 @@ class TestTrialReuse:
         calls = self.count_factors(monkeypatch)
         rows, skips = run_sweep(spec)
         assert len(rows) == 9 and not skips
-        # one Gram factor and one M_0 inverse per distinct tau and trial,
-        # not one per point and method
-        per_run = spec.trials * len(taus)
-        assert calls == {"gram": per_run, "stage_0": per_run}
+        # one order-0 factor per distinct tau and trial, shared by the fit
+        # and the primitives of every point and method
+        assert len(calls) == spec.trials * len(taus)
 
     def test_other_axes_rebuild_per_point(self, monkeypatch):
         spec = tiny_spec(
@@ -377,7 +418,7 @@ class TestTrialReuse:
         calls = self.count_factors(monkeypatch)
         rows, _ = run_sweep(spec)
         assert len(rows) == 6
-        assert calls == {"gram": 4, "stage_0": 4}
+        assert len(calls) == 4
 
 
 class TestEmit:

@@ -16,6 +16,7 @@ from grouprisk.primitives import (
     compute_primitives,
     det_and_adj,
     f_a,
+    fit_moments,
     risk_identity_check,
     verify_primitive_bounds,
     wishart_coverage,
@@ -225,7 +226,70 @@ class TestInverseMemo:
         compute_primitives(stats, tau=1.0, mode="direct")
         assert not stats._memo
         compute_primitives(stats, tau=1.0, mode="recursive")
-        assert list(stats._memo) == [(primitives._woodbury_stages, 1.0)]
+        assert list(stats._memo) == [(primitives._order0_solve, 1.0)]
+
+
+class TestOrder0Solve:
+    """Recursive mode is 7x7 algebra on one memoized order-0 solve per tau."""
+
+    def forbid_factor_and_solve(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("n-sized solve on a warm memo")
+
+        monkeypatch.setattr(primitives, "cho_factor", fail)
+        monkeypatch.setattr(primitives, "cho_solve", fail)
+
+    def test_warm_call_makes_no_factor_or_solve(self, monkeypatch):
+        ds = sample_dataset(make_config(seed=2))
+        stats = accumulate_gram(ds)
+        compute_primitives(stats, tau=3.0, delta=(1.0, 1.0), mode="recursive")
+        self.forbid_factor_and_solve(monkeypatch)
+        prims = compute_primitives(stats, tau=3.0, delta=(0.9, 0.2), mode="recursive")
+        ref, _ = dense_oracle(sample_dataset(make_config(seed=2, delta_plus=0.9, delta_minus=0.2)), 3.0)
+        for name in ("s_id_j", "s_id_jd", "h_i_jd", "o"):
+            np.testing.assert_allclose(getattr(prims, name), ref[name], rtol=1e-9, atol=1e-13)
+
+    def test_caller_u_is_solved_on_the_memoized_factor(self, monkeypatch):
+        ds = sample_dataset(make_config(seed=2))
+        stats = accumulate_gram(ds)
+        default = compute_primitives(stats, tau=1.0, mode="recursive")
+        memo = dict(stats._memo)
+        calls = []
+        real = primitives.cho_factor
+        monkeypatch.setattr(primitives, "cho_factor", lambda *a, **k: calls.append(1) or real(*a, **k))
+        u = np.full(20, 1.0 / np.sqrt(20.0))
+        prims = compute_primitives(stats, tau=1.0, u=u, mode="recursive")
+        assert not calls
+        ref, _ = dense_oracle(ds, 1.0, u=u)
+        for name in ("s_uu", "s_ui", "h_iu"):
+            np.testing.assert_allclose(getattr(prims, name), ref[name], rtol=1e-9, atol=1e-13)
+        # the caller's u never enters the memo: the default probe is unchanged
+        assert stats._memo.keys() == memo.keys()
+        again = compute_primitives(stats, tau=1.0, mode="recursive")
+        np.testing.assert_array_equal(again.tables, default.tables)
+        np.testing.assert_array_equal(again.u, e1(1.0, 20))
+
+    def test_memo_arrays_are_read_only(self):
+        stats = accumulate_gram(sample_dataset(make_config(seed=2)))
+        prims = compute_primitives(stats, tau=1.0, mode="recursive")
+        (order0,) = stats._memo.values()
+        for arr in (order0.e_1, order0.table, order0.squared, prims.u):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("tau", [0.0, 5.0, 400.0])
+    @pytest.mark.parametrize("deltas", [(1.0, 1.0), (0.95, 0.05), (0.3, 0.7)])
+    def test_fit_moments_match_the_fitters(self, tau, deltas):
+        ds = sample_dataset(make_config(seed=10))
+        stats = accumulate_gram(ds)
+        labels = (ds.y, ds.a, ds.b)
+        if tau == 0.0:
+            sol = fit_cmni(stats, deltas, labels)
+        else:
+            sol = fit_ridge(stats, deltas, labels, tau)
+        moments = fit_moments(compute_primitives(stats, tau=tau, delta=deltas, mode="recursive"))
+        np.testing.assert_allclose(moments.w_norm_sq, sol.w_norm_sq, rtol=1e-10)
+        np.testing.assert_allclose(moments.w_dot_mu, sol.w_dot_mu, rtol=1e-10)
 
 
 class TestAdjugateSolve:
@@ -323,6 +387,16 @@ class TestPrimitiveValues:
         ds = sample_dataset(make_config())
         with pytest.raises(ValueError):
             compute_primitives(ds, u=np.ones(20))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("mode", ["direct", "recursive"])
+    def test_rejects_non_finite_vector(self, bad, mode):
+        stats = accumulate_gram(sample_dataset(make_config()))
+        u = e1(1.0, 20)
+        u[3] = bad
+        with pytest.raises(ValueError, match="finite unit"):
+            compute_primitives(stats, u=u, mode=mode)
+        assert not stats._memo
 
     def test_rejects_unknown_mode(self):
         ds = sample_dataset(make_config())
@@ -433,6 +507,13 @@ class TestWishart:
         assert a["inside"] <= 100
         assert 0.0 <= a["fraction"] <= 1.0
         assert a["threshold"] < a["coverage_target"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_coverage_rejects_non_finite_vector(self, bad):
+        u = e1(1.0, 8)
+        u[2] = bad
+        with pytest.raises(ValueError, match="finite unit"):
+            wishart_coverage(d=300, n=8, t=2.0, draws=10, u=u)
 
     def test_coverage_passes_at_reference_point(self):
         rep = wishart_coverage(d=1000, n=10, t=4.6, draws=200, seed=0)

@@ -3,14 +3,15 @@
 Over small random valid configs and random block widths: the streamed
 `NoiseStats` does not depend on the block width, the config and dataset
 routes agree, and the two primitive modes built on the resulting
-`GramStats` meet the CLI's mode-equivalence gate.  Configs and sweep
+`GramStats` meet the CLI's mode-equivalence gate and agree to 1e-10 over
+weights, ridge levels and probe vectors.  Configs and sweep
 specs survive a JSON round trip unchanged, numpy integers included.
 """
 
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grouprisk.cli import primitive_set_max_gap
@@ -84,6 +85,25 @@ def test_direct_and_recursive_primitives_meet_mode_gate(cfg, data):
     direct = compute_primitives(stats, tau=cfg.tau, delta=cfg.deltas, mode="direct")
     recursive = compute_primitives(stats, tau=cfg.tau, delta=cfg.deltas, mode="recursive")
     assert primitive_set_max_gap(direct, recursive) <= 1e-8
+
+
+@PROPERTY
+@given(cfg=configs(min_d_over_n=2), data=st.data())
+def test_recursive_matches_direct_over_weights_taus_and_probes(cfg, data):
+    # the recursive route's 7x7 change of basis and caller-u solve, held to
+    # the dense stage inverses of direct mode
+    n = cfg.n
+    delta = (1.0, data.draw(st.floats(1.0 / n, 1.0)))
+    tau = data.draw(st.sampled_from([0.0, cfg.d / 10, float(cfg.d)]))
+    u = None
+    if data.draw(st.booleans()):
+        raw = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        assume(np.linalg.norm(raw) > 1e-3)
+        u = raw / np.linalg.norm(raw)
+    stats = GramStats.from_noise(cfg, noise_stats(cfg))
+    direct = compute_primitives(stats, tau=tau, delta=delta, u=u, mode="direct")
+    recursive = compute_primitives(stats, tau=tau, delta=delta, u=u, mode="recursive")
+    assert primitive_set_max_gap(direct, recursive) <= 1e-10
 
 
 @PROPERTY
