@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from numpy.linalg import LinAlgError
 
 from .model import (
     Dataset,
@@ -65,7 +65,7 @@ class GramStats:
     and X mu_{-1}) are derived on first use.  Every array is read-only.
     The instance holds no tau: what depends on it is memoized per tau
     through `per_tau`, so every weight, fit and primitive call that shares
-    the instance and tau shares it.  The builds are the Cholesky factor of
+    the instance and tau shares it.  The builds are the inverse Cholesky factor of
     G + tau I (`fit_cmni`, `fit_ridge`), the order-0 solve of recursive
     primitives (the factor of gram_0 + tau I and two 7x7 tables) and the
     Woodbury stage inverses (`primitives.woodbury_invert`).
@@ -210,32 +210,44 @@ def _adjusted_targets(delta, y, b):
     return y / dvec, dvec
 
 
-def _gram_factor(stats: GramStats, tau: float):
-    """(G + tau I, its Cholesky factor).
+def _spd_factor(mat: np.ndarray, what: str) -> np.ndarray:
+    """The inverse Cholesky factor R = L^{-1} of the SPD `mat`: mat^{-1} = R'R.
 
-    Raises LinAlgError with a condition estimate if the factorization
-    fails.
+    Both steps run in numpy, on the BLAS pool that `model.noise_stats`
+    has just used for its GEMMs.  scipy's factor and triangular solves run
+    on scipy's own bundled pool, and each switch between the two pools
+    waits on the other's still-spinning threads (milliseconds per call on
+    two cores, at every n).  Raises LinAlgError, led by `what` and
+    carrying a condition estimate, if `mat` is not positive definite.
     """
-    gram = stats.gram
-    mat = gram if tau == 0.0 else gram + tau * np.eye(gram.shape[0])
     try:
-        factor = cho_factor(mat, lower=True, check_finite=False)
+        lower = np.linalg.cholesky(mat)
     except LinAlgError as exc:
         cond = np.linalg.cond(mat)
-        raise LinAlgError(
-            f"Gram system numerically singular (cond ~ {cond:.3e}): {exc}"
-        ) from exc
-    return mat, factor
+        raise LinAlgError(f"{what} (cond ~ {cond:.3e}): {exc}") from exc
+    return np.linalg.inv(lower)
 
 
-def _solve_spd(stats: GramStats, tau: float, z: np.ndarray):
+def _spd_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """mat^{-1} rhs = R'(R rhs) for the R of `_spd_factor`."""
+    return factor.T @ (factor @ rhs)
+
+
+def _gram_factor(stats: GramStats, tau: float):
+    """(G + tau I, its Cholesky factor), the per-tau build of the fitters."""
+    gram = stats.gram
+    mat = gram if tau == 0.0 else gram + tau * np.eye(gram.shape[0])
+    return mat, _spd_factor(mat, "Gram system numerically singular")
+
+
+def _solve_gram(stats: GramStats, tau: float, z: np.ndarray):
     """Solve (G + tau I) c = z through the memoized factor, refined once."""
     mat, factor = stats.per_tau(_gram_factor, tau)
-    c = cho_solve(factor, z, check_finite=False)
+    c = _spd_solve(factor, z)
     tol = _SOLVE_RTOL * np.linalg.norm(z)
     res = np.linalg.norm(z - mat @ c)
     if res > 0.5 * tol:
-        c = c + cho_solve(factor, z - mat @ c, check_finite=False)
+        c = c + _spd_solve(factor, z - mat @ c)
         res = np.linalg.norm(z - mat @ c)
     return c, res
 
@@ -257,7 +269,7 @@ def fit_cmni(stats: GramStats, delta, labels) -> DualSolution:
     """Cost-sensitive minimum-norm interpolator: c = G^{-1} Delta^{-1} y."""
     y, b = _unpack_labels(labels)
     z, _ = _adjusted_targets(delta, y, b)
-    c, res = _solve_spd(stats, 0.0, z)
+    c, res = _solve_gram(stats, 0.0, z)
     return _finish(c, stats, 0.0, "cmni", {"solver_residual": float(res)})
 
 
@@ -269,7 +281,7 @@ def fit_ridge(stats: GramStats, delta, labels, tau: float) -> DualSolution:
     tau = _check_tau(tau)
     y, b = _unpack_labels(labels)
     z, _ = _adjusted_targets(delta, y, b)
-    c, res = _solve_spd(stats, tau, z)
+    c, res = _solve_gram(stats, tau, z)
     return _finish(c, stats, tau, "ridge", {"solver_residual": float(res)})
 
 

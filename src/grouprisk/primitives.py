@@ -64,15 +64,18 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dtrtrs
 
-from .estimators import GramStats, _check_tau, accumulate_gram
+from .estimators import GramStats, _check_tau, _spd_factor, _spd_solve, accumulate_gram
 from .model import (
     Dataset,
     ModelConfig,
+    bartlett_factor,
     philox_generator,
     substream_seed,
     STREAM_WISHART,
+    _rekey,
 )
 
 __all__ = [
@@ -100,27 +103,24 @@ DET_SINGULAR_TOL = 1e-12
 _V1, _V2, _D1, _D2, _U, _W1, _W2 = range(7)
 
 
-def _cholesky(mat: np.ndarray):
-    try:
-        return cho_factor(mat, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise LinAlgError(f"stage matrix not positive definite: {exc}") from exc
-
-
 def _symmetric(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
+def _stage_factor(mat: np.ndarray) -> np.ndarray:
+    return _spd_factor(mat, "stage matrix not positive definite")
+
+
 def _dense_inverse(mat: np.ndarray) -> np.ndarray:
-    return _symmetric(cho_solve(_cholesky(mat), np.eye(mat.shape[0]), check_finite=False))
+    return _symmetric(_spd_solve(_stage_factor(mat), np.eye(mat.shape[0])))
 
 
 class _Order0(NamedTuple):
-    """The order-0 solve of one tau: the Cholesky factor of M_0 and the
+    """The order-0 solve of one tau: the inverse Cholesky factor of M_0 and the
     7x7 tables B' M_0^{-1} B and B' M_0^{-2} B over the delta-free basis
     B = [a, y, d_1, d_2, e_1, y_+, y_-] (y_pm is y masked to group pm)."""
 
-    factor: tuple
+    factor: np.ndarray
     e_1: np.ndarray
     table: np.ndarray
     squared: np.ndarray
@@ -135,12 +135,12 @@ def _basis(stats: GramStats, u: np.ndarray) -> np.ndarray:
 
 
 def _order0_solve(stats: GramStats, tau: float) -> _Order0:
-    factor = _cholesky(stats.gram_0 + tau * np.eye(stats.n))
+    factor = _stage_factor(stats.gram_0 + tau * np.eye(stats.n))
     e_1 = _probe_u(None, stats.n)
     basis = _basis(stats, e_1)
-    solved = cho_solve(factor, basis, check_finite=False)
+    solved = _spd_solve(factor, basis)
     table, squared = _symmetric(basis.T @ solved), _symmetric(solved.T @ solved)
-    for arr in (e_1, table, squared):
+    for arr in (factor, e_1, table, squared):
         arr.setflags(write=False)
     return _Order0(factor, e_1, table, squared)
 
@@ -155,8 +155,8 @@ def _order0_tables(stats: GramStats, tau: float, u: np.ndarray | None):
     if u is None:
         return order0.e_1, order0.table, order0.squared
     basis = _basis(stats, u)
-    once = cho_solve(order0.factor, u, check_finite=False)
-    twice = cho_solve(order0.factor, once, check_finite=False)
+    once = _spd_solve(order0.factor, u)
+    twice = _spd_solve(order0.factor, once)
     table, squared = order0.table.copy(), order0.squared.copy()
     table[_U, :] = table[:, _U] = basis.T @ once
     squared[_U, :] = squared[:, _U] = basis.T @ twice
@@ -480,16 +480,27 @@ def risk_identity_check(prims: PrimitiveSet, sol, config: ModelConfig, b: int) -
     return float(abs(primitive_side - fitted_side) / scale)
 
 
+def _check_wishart_args(d, n, t) -> None:
+    """ValueError unless d and n are integers with n >= 1 and t is finite and nonnegative."""
+    for name, value in (("d", d), ("n", n)):
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+
+
 def wishart_interval(d: int, n: int, t: float) -> tuple[float, float]:
     """Two-sided band for 1/(u' A^{-1} u), A ~ Wishart(d, I_n).
 
     1/(u' A^{-1} u) is chi-square with d' = d - n + 1 degrees of freedom, and
     the Laurent-Massart bounds (Ann. Statist. 2000, Lemma 1) give the band
     [d' - 2 sqrt(t d'), d' + 2 sqrt(t d') + 2 t] with each tail having
-    probability at most e^{-t}.  Requires d' > 2 max(t, 1).
+    probability at most e^{-t}.  Requires integers d and n >= 1, a finite
+    t >= 0 and d' > 2 max(t, 1); anything else raises ValueError.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _check_wishart_args(d, n, t)
     d_prime = d - n + 1
     if not d_prime > 2.0 * max(t, 1.0):
         raise ValueError(
@@ -497,6 +508,21 @@ def wishart_interval(d: int, n: int, t: float) -> tuple[float, float]:
         )
     half = 2.0 * np.sqrt(t * d_prime)
     return float(d_prime - half), float(d_prime + half + 2.0 * t)
+
+
+def _wishart_draws(d: int, n: int, u: np.ndarray, seed: int, draws: int):
+    """Yield 1/(u' A^{-1} u) for draws 0..draws-1 of A = L L' ~ Wishart(d, I_n).
+
+    Draw i is `bartlett_factor` on its own (seed XOR i, STREAM_WISHART)
+    substream, so it does not depend on `draws`; u' A^{-1} u = |L^{-1} u|^2
+    takes one triangular solve (LAPACK trtrs, without `solve_triangular`'s
+    per-call checks: L's diagonal is positive).
+    """
+    rng = philox_generator(seed, STREAM_WISHART)
+    for trial in range(draws):
+        _rekey(rng, substream_seed(seed, trial), STREAM_WISHART)
+        half, _ = dtrtrs(bartlett_factor(n, d, rng), u, lower=1)
+        yield 1.0 / float(half @ half)
 
 
 def wishart_coverage(
@@ -509,25 +535,18 @@ def wishart_coverage(
 ) -> dict:
     """Empirical coverage of the band over fresh Wishart draws.
 
-    Each draw forms A = Q Q' with Q an n x d standard normal matrix and
-    checks whether 1/(u' A^{-1} u) lands inside the interval.  Returns the
-    count, fraction, and the binomial three-sigma acceptance threshold
-    for coverage 1 - 2 e^{-t}.
+    Each draw is a Bartlett factor L with L L' ~ Wishart(d, I_n)
+    (`model.bartlett_factor`, O(n^2) values in place of an n x d normal
+    matrix) on its own substream, so draw i is the same for every
+    `draws`, and checks whether 1/(u' A^{-1} u) = 1/|L^{-1} u|^2 lands
+    inside the interval.  Returns the count, fraction, and the binomial
+    three-sigma acceptance threshold for coverage 1 - 2 e^{-t}.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
     low, high = wishart_interval(d, n, t)
     u = _probe_u(u, n)
-    inside = 0
-    for trial in range(draws):
-        rng = philox_generator(substream_seed(seed, trial), STREAM_WISHART)
-        q = rng.standard_normal((n, d))
-        gram = q @ q.T
-        factor = cho_factor(gram, lower=True, check_finite=False)
-        quad = float(u @ cho_solve(factor, u, check_finite=False))
-        value = 1.0 / quad
-        if low <= value <= high:
-            inside += 1
+    inside = sum(low <= value <= high for value in _wishart_draws(d, n, u, seed, draws))
     coverage_target = 1.0 - 2.0 * np.exp(-t)
     sigma = np.sqrt(coverage_target * (1.0 - coverage_target) / draws)
     return {

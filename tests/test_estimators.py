@@ -259,13 +259,13 @@ class TestSolutionContainer:
 class TestFactorMemo:
     def count_factors(self, monkeypatch):
         calls = []
-        real = estimators.cho_factor
+        real = estimators._spd_factor
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(estimators, "cho_factor", counting)
+        monkeypatch.setattr(estimators, "_spd_factor", counting)
         return calls
 
     def test_one_factor_per_tau_and_fits_match_fresh_stats(self, monkeypatch):

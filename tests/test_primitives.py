@@ -10,7 +10,17 @@ import pytest
 
 from grouprisk import primitives
 from grouprisk.estimators import GramStats, accumulate_gram, fit_cmni, fit_ridge
-from grouprisk.model import ModelConfig, check_assumptions, embed_means, noise_stats, sample_dataset
+from grouprisk.model import (
+    STREAM_WISHART,
+    ModelConfig,
+    bartlett_factor,
+    check_assumptions,
+    embed_means,
+    noise_stats,
+    philox_generator,
+    sample_dataset,
+    substream_seed,
+)
 from grouprisk.primitives import (
     check_aux_inequalities,
     compute_primitives,
@@ -236,8 +246,8 @@ class TestOrder0Solve:
         def fail(*args, **kwargs):
             raise AssertionError("n-sized solve on a warm memo")
 
-        monkeypatch.setattr(primitives, "cho_factor", fail)
-        monkeypatch.setattr(primitives, "cho_solve", fail)
+        monkeypatch.setattr(primitives, "_spd_factor", fail)
+        monkeypatch.setattr(primitives, "_spd_solve", fail)
 
     def test_warm_call_makes_no_factor_or_solve(self, monkeypatch):
         ds = sample_dataset(make_config(seed=2))
@@ -255,8 +265,8 @@ class TestOrder0Solve:
         default = compute_primitives(stats, tau=1.0, mode="recursive")
         memo = dict(stats._memo)
         calls = []
-        real = primitives.cho_factor
-        monkeypatch.setattr(primitives, "cho_factor", lambda *a, **k: calls.append(1) or real(*a, **k))
+        real = primitives._spd_factor
+        monkeypatch.setattr(primitives, "_spd_factor", lambda *a, **k: calls.append(1) or real(*a, **k))
         u = np.full(20, 1.0 / np.sqrt(20.0))
         prims = compute_primitives(stats, tau=1.0, u=u, mode="recursive")
         assert not calls
@@ -518,6 +528,57 @@ class TestWishart:
     def test_coverage_passes_at_reference_point(self):
         rep = wishart_coverage(d=1000, n=10, t=4.6, draws=200, seed=0)
         assert rep["fraction"] >= rep["threshold"]
+
+    @pytest.mark.parametrize(
+        "d, n, t, match",
+        [(1000, 0, 4.6, "at least 1"), (1000, -3, 4.6, "at least 1"),
+         (1000, 2.5, 4.6, "integer"), (1000, True, 4.6, "integer"),
+         (1000.0, 10, 4.6, "integer"), (1000, 10, np.nan, "finite"),
+         (1000, 10, np.inf, "finite"), (1000, 10, -1.0, "nonnegative")],
+    )
+    def test_rejects_bad_input_at_the_boundary(self, d, n, t, match):
+        with pytest.raises(ValueError, match=match):
+            wishart_interval(d, n, t)
+        with pytest.raises(ValueError, match=match):
+            wishart_coverage(d=d, n=n, t=t, draws=10)
+
+    @staticmethod
+    def dense_draw(d, n, u, seed, trial):
+        """The dense reference: A = Q Q' for an n x d standard normal Q."""
+        q = philox_generator(substream_seed(seed, trial), STREAM_WISHART).standard_normal((n, d))
+        return 1.0 / float(u @ np.linalg.solve(q @ q.T, u))
+
+    @pytest.mark.parametrize("route", ["bartlett", "dense"])
+    @pytest.mark.parametrize("probe", ["e1", "dense"])
+    def test_inverse_quadratic_form_is_chi2(self, route, probe):
+        # 1/(u'A^{-1}u) ~ chi2(d - n + 1) for A ~ Wishart_n(d, I) (Muirhead 1982,
+        # Thm 3.2.12), on the coverage draws and on the dense Q Q' reference
+        from scipy.stats import chi2, kstest
+
+        d, n = 30, 5
+        u = e1(1.0, n) if probe == "e1" else np.full(n, 1.0 / np.sqrt(n))
+        if route == "bartlett":
+            values = list(primitives._wishart_draws(d, n, u, 3, 500))
+        else:
+            values = [self.dense_draw(d, n, u, 3, trial) for trial in range(500)]
+        assert kstest(values, chi2(d - n + 1).cdf).pvalue > 0.01
+
+    def test_draw_i_is_its_substreams_bartlett_factor(self):
+        d, n, u = 40, 6, np.full(6, 1.0 / np.sqrt(6.0))
+        values = list(primitives._wishart_draws(d, n, u, 4, 6))
+        for trial, value in enumerate(values):
+            rng = philox_generator(substream_seed(4, trial), STREAM_WISHART)
+            factor = bartlett_factor(n, d, rng)
+            ref = 1.0 / float(u @ np.linalg.solve(factor @ factor.T, u))
+            np.testing.assert_allclose(value, ref, rtol=1e-12)
+
+    def test_draw_i_does_not_depend_on_draws(self):
+        d, n, t, u = 40, 6, 1.0, e1(1.0, 6)
+        low, high = wishart_interval(d, n, t)
+        values = list(primitives._wishart_draws(d, n, u, 4, 6))
+        assert list(primitives._wishart_draws(d, n, u, 4, 3)) == values[:3]
+        counts = [wishart_coverage(d=d, n=n, t=t, draws=k, seed=4)["inside"] for k in range(1, 7)]
+        assert np.diff([0] + counts).tolist() == [int(low <= v <= high) for v in values]
 
 
 class TestBands:
