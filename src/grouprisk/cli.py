@@ -19,15 +19,7 @@ import numpy as np
 from .bounds import consistency_check, evaluate_bounds
 from .estimators import GramStats, fit_cmni, fit_gd, fit_ridge, interpolation_residual
 from .harness import PRESET_NAMES, SweepSpec, emit, preset, run_sweep
-from .model import (
-    SAMPLERS,
-    ModelConfig,
-    e1_mean,
-    load_dataset,
-    noise_stats,
-    sample_dataset,
-    save_dataset,
-)
+from .model import ModelConfig, e1_mean, load_dataset, noise_stats, sample_dataset, save_dataset
 from .primitives import (
     PRIMITIVE_NAMES,
     check_aux_inequalities,
@@ -235,8 +227,6 @@ def _cmd_sweep(args) -> int:
             seed=args.seed if args.seed is not None else 0,
             trials=args.trials if args.trials is not None else 10,
         )
-        if args.sampler is not None:
-            spec = dataclasses.replace(spec, sampler=args.sampler)
     else:
         with open(args.spec) as fh:
             spec = SweepSpec.from_dict(json.load(fh))
@@ -245,8 +235,6 @@ def _cmd_sweep(args) -> int:
             updates["base"] = spec.base.with_updates(seed=args.seed)
         if args.trials is not None:
             updates["trials"] = args.trials
-        if args.sampler is not None:
-            updates["sampler"] = args.sampler
         spec = dataclasses.replace(spec, **updates)
     rows, skips = run_sweep(spec, block_cols=args.block_cols)
     for skip in skips:
@@ -266,7 +254,7 @@ def _cmd_sweep(args) -> int:
         "axis": spec.axis.name,
         "trials": spec.trials,
     }
-    emit(rows, out, fmt=args.format, meta=meta, sampler=spec.sampler)
+    emit(rows, out, fmt=args.format, meta=meta)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -350,12 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--spec", help="SweepSpec JSON file")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument(
-        "--sampler",
-        choices=SAMPLERS,
-        default=None,
-        help="noise sampler: stream (default, bit-exact) or bartlett (same law, cost independent of d)",
-    )
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .model import (
     Dataset,
@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 _SOLVE_RTOL = 1e-10  # target residual, relative to |Delta^{-1} y|
+# SPD systems up to this size are solved through the inverse Cholesky
+# factor in numpy, larger ones by scipy's Cholesky (see `_spd_factor`)
+_SPD_INVERSE_MAX_N = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +68,7 @@ class GramStats:
     and X mu_{-1}) are derived on first use.  Every array is read-only.
     The instance holds no tau: what depends on it is memoized per tau
     through `per_tau`, so every weight, fit and primitive call that shares
-    the instance and tau shares it.  The builds are the inverse Cholesky factor of
+    the instance and tau shares it.  The builds are the factor of
     G + tau I (`fit_cmni`, `fit_ridge`), the order-0 solve of recursive
     primitives (the factor of gram_0 + tau I and two 7x7 tables) and the
     Woodbury stage inverses (`primitives.woodbury_invert`).
@@ -210,31 +213,38 @@ def _adjusted_targets(delta, y, b):
     return y / dvec, dvec
 
 
-def _spd_factor(mat: np.ndarray, what: str) -> np.ndarray:
-    """The inverse Cholesky factor R = L^{-1} of the SPD `mat`: mat^{-1} = R'R.
+def _spd_factor(mat: np.ndarray, what: str):
+    """The factor of the SPD `mat` that `_spd_solve` takes.
 
-    Both steps run in numpy, on the BLAS pool that `model.noise_stats`
-    has just used for its GEMMs.  scipy's factor and triangular solves run
-    on scipy's own bundled pool, and each switch between the two pools
-    waits on the other's still-spinning threads (milliseconds per call on
-    two cores, at every n).  Raises LinAlgError, led by `what` and
-    carrying a condition estimate, if `mat` is not positive definite.
+    Up to `_SPD_INVERSE_MAX_N` rows it is R = L^{-1} for the Cholesky
+    factor L of `mat` (mat = L L'), and a solve is R'(R rhs): all in
+    numpy, on the BLAS pool that `model.noise_stats` has just used for its
+    GEMMs.  scipy's LAPACK runs on scipy's own pool and waits on numpy's
+    still-spinning threads, which at small n costs more than the
+    inverse's extra flops.  Above the cut the O(n^3) work dominates, and
+    the factor is scipy's `cho_factor`: the explicit inverse costs about
+    8x its flops, and numpy's Cholesky runs slower than scipy's there.
+    Raises LinAlgError, led by `what` and carrying a condition estimate,
+    if `mat` is not positive definite.
     """
     try:
-        lower = np.linalg.cholesky(mat)
+        if mat.shape[0] > _SPD_INVERSE_MAX_N:
+            return cho_factor(mat, lower=True, check_finite=False)
+        return np.linalg.inv(np.linalg.cholesky(mat))
     except LinAlgError as exc:
         cond = np.linalg.cond(mat)
         raise LinAlgError(f"{what} (cond ~ {cond:.3e}): {exc}") from exc
-    return np.linalg.inv(lower)
 
 
-def _spd_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """mat^{-1} rhs = R'(R rhs) for the R of `_spd_factor`."""
+def _spd_solve(factor, rhs: np.ndarray) -> np.ndarray:
+    """mat^{-1} rhs for the `_spd_factor` of mat."""
+    if isinstance(factor, tuple):  # cho_factor's (L, lower)
+        return cho_solve(factor, rhs, check_finite=False)
     return factor.T @ (factor @ rhs)
 
 
 def _gram_factor(stats: GramStats, tau: float):
-    """(G + tau I, its Cholesky factor), the per-tau build of the fitters."""
+    """(G + tau I, its `_spd_factor`), the per-tau build of the fitters."""
     gram = stats.gram
     mat = gram if tau == 0.0 else gram + tau * np.eye(gram.shape[0])
     return mat, _spd_factor(mat, "Gram system numerically singular")

@@ -15,15 +15,11 @@ Axes:
 
 Trial i reseeds the config with seed XOR i.  Along delta_minus and
 r_plus_sq the noise matrix and labels do not depend on the axis value, so
-each trial draws the noise once with `model.noise_stats` into
+each trial streams the noise once with `model.noise_stats` into
 (Q Q', Q u_c, Q u_s) and builds every `GramStats` view from it in O(n^2);
-n_coupled re-draws per value.  `SweepSpec.sampler` picks how
-`noise_stats` draws: "stream" (the default, the bit-exact reference,
-O(n^2 d)) or "bartlett" (the same law in O(n^2) values and O(n^3) time,
-independent of d; see `model.bartlett_factor`).
-
-Every point and method is one recursive `compute_primitives` call at its
-tau and weights, and the risks come from its order-2 table: the risk identity (`primitives.fit_moments`) gives
+n_coupled re-streams per value.  Every point and method is one recursive
+`compute_primitives` call at its tau and weights, and the risks come from
+its order-2 table: the risk identity (`primitives.fit_moments`) gives
 |w_hat|^2 and w_hat' mu_b of the fit, so no fitter runs in a sweep.  The
 order-0 solve that call needs (one Cholesky of gram_0 + tau I and two 7x7
 tables) is memoized per tau on the `GramStats`.  Along delta_minus the
@@ -52,14 +48,7 @@ import numpy as np
 
 from .bounds import bound_exponent
 from .estimators import GramStats, _check_tau
-from .model import (
-    ModelConfig,
-    NoiseStats,
-    _check_sampler,
-    e1_mean,
-    noise_stats,
-    substream_seed,
-)
+from .model import ModelConfig, NoiseStats, e1_mean, noise_stats, substream_seed
 from .primitives import compute_primitives, fit_moments, verify_primitive_bounds
 from .risk import group_risk, worst_and_average
 
@@ -96,8 +85,7 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: base config, axis, methods, trial count, outputs, and
-    the `noise_stats` sampler of every trial (one of `model.SAMPLERS`)."""
+    """One sweep: base config, axis, methods, trial count, outputs."""
 
     base: ModelConfig
     axis: SweepAxis
@@ -106,10 +94,8 @@ class SweepSpec:
     outputs: tuple = ("risk", "bounds")
     out_path: str | None = None
     name: str = "sweep"
-    sampler: str = "stream"
 
     def __post_init__(self):
-        _check_sampler(self.sampler)
         if isinstance(self.trials, (bool, np.bool_)) or not isinstance(
             self.trials, (int, np.integer)
         ):
@@ -145,7 +131,6 @@ class SweepSpec:
             "trials": self.trials,
             "outputs": list(self.outputs),
             "out_path": self.out_path,
-            "sampler": self.sampler,
         }
 
     @classmethod
@@ -161,7 +146,6 @@ class SweepSpec:
             outputs=tuple(data.get("outputs", ("risk", "bounds"))),
             out_path=data.get("out_path"),
             name=data.get("name", "sweep"),
-            sampler=data.get("sampler", "stream"),
         )
 
 
@@ -332,7 +316,7 @@ def run_sweep(spec: SweepSpec, block_cols: int = 4096):
                 stats = None
             try:
                 if noise is None or not cacheable:
-                    noise = noise_stats(tcfg, block_cols, spec.sampler)
+                    noise = noise_stats(tcfg, block_cols)
                 if stats is None:
                     stats = GramStats.from_noise(tcfg, noise)
             except Exception as exc:
@@ -498,15 +482,8 @@ def preset(name: str, seed: int = 0, trials: int = 10) -> SweepSpec:
     raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 
 
-def emit(
-    rows, path: str, fmt: str = "csv", meta: dict | None = None, sampler: str = "stream"
-) -> None:
-    """Write sweep rows to path as CSV (fixed header) or JSON.
-
-    The JSON document names the noise sampler the rows were drawn with;
-    the CSV header is fixed and carries no metadata.
-    """
-    _check_sampler(sampler)
+def emit(rows, path: str, fmt: str = "csv", meta: dict | None = None) -> None:
+    """Write sweep rows to path as CSV (fixed header) or JSON."""
     if not rows:
         raise ValueError("refusing to emit an empty table")
     if fmt == "csv":
@@ -524,7 +501,6 @@ def emit(
         doc = {
             "version": f"grouprisk-{__version__}",
             "generator": "philox",
-            "sampler": sampler,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
         if meta:

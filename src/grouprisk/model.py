@@ -24,13 +24,8 @@ spurious directions.  `noise_stats` streams a noise source once into that
 `NoiseStats` triple; the Gram statistics of the estimators and the staged
 decomposition of the primitives are O(n^2) views of it.
 
-The triple also has an exact law that needs no n x d draw.  u_c and u_s
-are orthogonal, so with k the number of nonzero means, Q Q' is a
-Wishart_n(d - k, I) matrix from the other d - k directions plus g g' for
-each nonzero mean's g = Q u ~ N(0, I_n), all independent.
-`bartlett_factor` draws that Wishart part in O(n^2) values, and
-`noise_stats(config, sampler="bartlett")` uses it on its own stream; the
-streamed sampler stays the default and the bit-exact reference.
+`bartlett_factor` draws a Wishart_n(dof, I) matrix L L' by the Bartlett
+decomposition: O(n^2) values where Q Q' takes n * dof.
 """
 
 from __future__ import annotations
@@ -53,7 +48,6 @@ __all__ = [
     "noise_blocks",
     "NoiseStats",
     "noise_stats",
-    "SAMPLERS",
     "bartlett_factor",
     "sample_dataset",
     "check_assumptions",
@@ -69,10 +63,6 @@ STREAM_LABELS = 1
 STREAM_NOISE = 2
 STREAM_MC = 3
 STREAM_WISHART = 4
-STREAM_BARTLETT = 5
-
-# noise_stats samplers: "stream" is the default and the bit-exact reference
-SAMPLERS = ("stream", "bartlett")
 
 _MASK64 = (1 << 64) - 1
 # Generator.random maps one uint64 word w to (w >> 11) * 2^-53, so 0.0 has
@@ -97,26 +87,6 @@ def philox_generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(_philox(seed, stream))
 
 
-def _rekey(gen: np.random.Generator, seed: int, stream: int) -> None:
-    """Reset gen, a `philox_generator`, to the start of stream (seed, stream).
-
-    Its draws are then bit for bit those of philox_generator(seed, stream),
-    without constructing a bit generator (about 20 us each), for loops
-    that take one short substream per iteration.
-    """
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 def _uniforms_at(seed: int, stream: int, offset: int, count: int) -> np.ndarray:
     """`count` uniforms starting at word `offset` of stream (seed, stream).
 
@@ -132,12 +102,6 @@ def _uniforms_at(seed: int, stream: int, offset: int, count: int) -> np.ndarray:
     if r:
         gen.random(r)
     return gen.random(count)
-
-
-def _check_sampler(sampler) -> None:
-    """ValueError unless sampler is one of `SAMPLERS`."""
-    if sampler not in SAMPLERS:
-        raise ValueError(f"unknown sampler {sampler!r}; choose from {SAMPLERS}")
 
 
 def _freeze_arrays(obj) -> None:
@@ -450,28 +414,16 @@ class NoiseStats:
         return (self.y, self.a, self.b)
 
 
-def noise_stats(source, block_cols: int = 4096, sampler: str = "stream") -> NoiseStats:
-    """One noise draw's `NoiseStats`, streamed or drawn by its exact law.
+def noise_stats(source, block_cols: int = 4096) -> NoiseStats:
+    """Stream a noise source once into its `NoiseStats`.
 
-    With sampler "stream" (the default), source is a ModelConfig, whose
-    labels are drawn and whose noise comes from `noise_blocks` without
-    ever being held in full, or a Dataset, whose labels and retained Q are
-    read in column views of the same width.  Both routes see the same Q
-    bit for bit.
-
-    With sampler "bartlett", source must be a ModelConfig; see
-    `_bartlett_stats`.  Its draws have the streamed statistics' law but
-    are not the same numbers.
+    source is a ModelConfig, whose labels are drawn and whose noise comes
+    from `noise_blocks` without ever being held in full, or a Dataset,
+    whose labels and retained Q are read in column views of the same
+    width.  Both routes see the same Q bit for bit.
     """
-    _check_sampler(sampler)
     if block_cols < 1:
         raise ValueError("block_cols must be positive")
-    if sampler == "bartlett":
-        if not isinstance(source, ModelConfig):
-            raise TypeError(
-                f"sampler 'bartlett' draws from a ModelConfig, got {type(source).__name__}"
-            )
-        return _bartlett_stats(source, block_cols)
     if isinstance(source, Dataset):
         config, Q = source.config, source.Q
         if Q is None or Q.shape != (config.n, config.d):
@@ -516,30 +468,6 @@ def bartlett_factor(n: int, dof: int, rng: np.random.Generator) -> np.ndarray:
     factor.flat[:: n + 1] = np.sqrt(rng.chisquare(dof - np.arange(n)))
     factor[np.tri(n, k=-1, dtype=bool)] = rng.standard_normal(n * (n - 1) // 2)
     return factor
-
-
-def _bartlett_stats(config: ModelConfig, block_cols: int) -> NoiseStats:
-    """`NoiseStats` with the streamed law, drawn in O(n^2) values.
-
-    With k the number of nonzero means, gram_0 = L L' + g_c g_c' + g_s g_s'
-    for L = `bartlett_factor(n, d - k, rng)` and q_core = g_c, q_spur = g_s,
-    each N(0, I_n) for a nonzero mean and zero otherwise.  The labels are
-    `sample_labels`'; rng is the (seed, STREAM_BARTLETT) stream, which
-    yields L, then g_c if mu_core is nonzero, then g_s if mu_spur is.
-    When d - k < n there is no such L, and the statistics are streamed.
-    """
-    n = config.n
-    nonzero = [bool(np.any(mu)) for mu in (config.mu_core, config.mu_spur)]
-    dof = config.d - sum(nonzero)
-    if dof < n:
-        return noise_stats(config, block_cols)
-    labels = sample_labels(config)
-    rng = philox_generator(config.seed, STREAM_BARTLETT)
-    factor = bartlett_factor(n, dof, rng)
-    q_core, q_spur = (rng.standard_normal(n) if on else np.zeros(n) for on in nonzero)
-    gram_0 = factor @ factor.T + np.outer(q_core, q_core) + np.outer(q_spur, q_spur)
-    gram_0 = 0.5 * (gram_0 + gram_0.T)
-    return NoiseStats(*labels, gram_0=gram_0, q_core=q_core, q_spur=q_spur)
 
 
 def sample_dataset(config: ModelConfig, block_cols: int = 4096) -> Dataset:

@@ -75,7 +75,6 @@ from .model import (
     philox_generator,
     substream_seed,
     STREAM_WISHART,
-    _rekey,
 )
 
 __all__ = [
@@ -107,7 +106,7 @@ def _symmetric(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
-def _stage_factor(mat: np.ndarray) -> np.ndarray:
+def _stage_factor(mat: np.ndarray):
     return _spd_factor(mat, "stage matrix not positive definite")
 
 
@@ -116,11 +115,11 @@ def _dense_inverse(mat: np.ndarray) -> np.ndarray:
 
 
 class _Order0(NamedTuple):
-    """The order-0 solve of one tau: the inverse Cholesky factor of M_0 and the
+    """The order-0 solve of one tau: the `_spd_factor` of M_0 and the
     7x7 tables B' M_0^{-1} B and B' M_0^{-2} B over the delta-free basis
     B = [a, y, d_1, d_2, e_1, y_+, y_-] (y_pm is y masked to group pm)."""
 
-    factor: np.ndarray
+    factor: np.ndarray | tuple
     e_1: np.ndarray
     table: np.ndarray
     squared: np.ndarray
@@ -140,7 +139,7 @@ def _order0_solve(stats: GramStats, tau: float) -> _Order0:
     basis = _basis(stats, e_1)
     solved = _spd_solve(factor, basis)
     table, squared = _symmetric(basis.T @ solved), _symmetric(solved.T @ solved)
-    for arr in (factor, e_1, table, squared):
+    for arr in (e_1, table, squared):
         arr.setflags(write=False)
     return _Order0(factor, e_1, table, squared)
 
@@ -518,9 +517,8 @@ def _wishart_draws(d: int, n: int, u: np.ndarray, seed: int, draws: int):
     takes one triangular solve (LAPACK trtrs, without `solve_triangular`'s
     per-call checks: L's diagonal is positive).
     """
-    rng = philox_generator(seed, STREAM_WISHART)
     for trial in range(draws):
-        _rekey(rng, substream_seed(seed, trial), STREAM_WISHART)
+        rng = philox_generator(substream_seed(seed, trial), STREAM_WISHART)
         half, _ = dtrtrs(bartlett_factor(n, d, rng), u, lower=1)
         yield 1.0 / float(half @ half)
 

@@ -368,45 +368,7 @@ class TestSweepCommand:
         assert code == 0
         doc = json.load(open(out))
         assert doc["meta"]["axis"] == "delta_minus"
-        assert doc["sampler"] == "stream"
         assert len(doc["rows"]) == 2
-
-    def test_sweep_sampler_from_flag_or_spec_file(self, tmp_path, capsys):
-        spec_path = self.spec_file(tmp_path)
-        docs = {}
-        for tag, argv in (
-            ("stream", []),
-            ("flag", ["--sampler", "bartlett"]),
-        ):
-            out = str(tmp_path / f"{tag}.json")
-            code, _, err = run(
-                ["sweep", "--spec", spec_path, "--format", "json", "--out", out, *argv], capsys
-            )
-            assert code == 0 and not err
-            docs[tag] = json.load(open(out))
-        doc = json.loads(open(spec_path).read())
-        doc["sampler"] = "bartlett"
-        open(spec_path, "w").write(json.dumps(doc))
-        out = str(tmp_path / "spec.json")
-        code, _, err = run(["sweep", "--spec", spec_path, "--format", "json", "--out", out], capsys)
-        assert code == 0 and not err
-        docs["spec"] = json.load(open(out))
-        assert docs["flag"]["sampler"] == docs["spec"]["sampler"] == "bartlett"
-        assert docs["flag"]["rows"] == docs["spec"]["rows"]
-        assert docs["flag"]["rows"] != docs["stream"]["rows"]
-
-    def test_sweep_unknown_sampler_is_usage_error(self, tmp_path, capsys):
-        spec_path = self.spec_file(tmp_path)
-        doc = json.loads(open(spec_path).read())
-        doc["sampler"] = "dense"
-        open(spec_path, "w").write(json.dumps(doc))
-        out = tmp_path / "rows.csv"
-        code, _, err = run(["sweep", "--spec", spec_path, "--out", str(out)], capsys)
-        assert code == 2
-        assert "sampler" in err
-        assert not out.exists()
-        code, _, _ = run(["sweep", "--spec", spec_path, "--sampler", "dense"], capsys)
-        assert code == 2
 
 
 class TestGapHelper:

@@ -1,7 +1,6 @@
 """Tests for sweep specification, execution, caching, and persistence."""
 
 import csv
-import dataclasses
 import io
 import json
 
@@ -105,22 +104,12 @@ class TestSpecValidation:
         spec = tiny_spec(
             methods=(("cmni", None), ("ridge", "d/10"), ("ridge", 3.0)),
             outputs=("risk", "bounds", "tightness"),
-            sampler="bartlett",
         )
         back = SweepSpec.from_dict(spec.to_dict())
         assert back.methods == spec.methods
         assert back.axis.values == spec.axis.values
         assert back.outputs == spec.outputs
         assert back.base.seed == spec.base.seed
-        assert back.sampler == "bartlett"
-
-    def test_spec_sampler_defaults_to_stream_and_is_validated(self):
-        doc = tiny_spec().to_dict()
-        assert doc["sampler"] == "stream"
-        del doc["sampler"]
-        assert SweepSpec.from_dict(doc).sampler == "stream"
-        with pytest.raises(ValueError, match="sampler"):
-            tiny_spec(sampler="dense")
 
 
 class TestDeriveConfig:
@@ -365,37 +354,6 @@ class TestRunSweep:
         assert rows[0].tightness_plus_mean is None
 
 
-class TestSamplers:
-    def test_sweep_means_agree_within_4_se(self):
-        # two independent draws of the same law: every mean agrees to 4 SE
-        trials = 40
-        spec = tiny_spec(
-            axis=SweepAxis("delta_minus", (0.5, 0.1)),
-            methods=(("cmni", None), ("ridge", "d")),
-            trials=trials,
-            outputs=("risk",),
-        )
-        stream, skips = run_sweep(spec)
-        assert not skips
-        bartlett, skips = run_sweep(dataclasses.replace(spec, sampler="bartlett"))
-        assert not skips
-        assert len(stream) == len(bartlett) == 4
-        for a, b in zip(stream, bartlett):
-            assert (a.axis_value, a.method, a.tau) == (b.axis_value, b.method, b.tau)
-            for name in ("risk_plus", "risk_minus", "exponent_plus", "exponent_minus"):
-                mean_a, mean_b = getattr(a, f"{name}_mean"), getattr(b, f"{name}_mean")
-                se = np.hypot(getattr(a, f"{name}_std"), getattr(b, f"{name}_std")) / np.sqrt(trials)
-                assert abs(mean_a - mean_b) <= 4.0 * se, (a.run_id, name)
-
-    def test_bartlett_sweep_is_deterministic_and_its_own_draw(self):
-        spec = tiny_spec(sampler="bartlett")
-        rows, _ = run_sweep(spec)
-        again, _ = run_sweep(spec)
-        assert [r.to_csv_values() for r in rows] == [r.to_csv_values() for r in again]
-        stream, _ = run_sweep(dataclasses.replace(spec, sampler="stream"))
-        assert [r.to_csv_values() for r in rows] != [r.to_csv_values() for r in stream]
-
-
 class TestTrialReuse:
     """Along delta_minus each trial factors once per tau and reuses it."""
 
@@ -505,11 +463,6 @@ class TestEmit:
         emit(rows, path, fmt="json", meta={"note": "unit"})
         doc = json.load(open(path))
         assert doc["generator"] == "philox"
-        assert doc["sampler"] == "stream"
-        emit(rows, path, fmt="json", sampler="bartlett")
-        assert json.load(open(path))["sampler"] == "bartlett"
-        with pytest.raises(ValueError, match="sampler"):
-            emit(rows, path, fmt="json", sampler="dense")
         assert doc["meta"]["note"] == "unit"
         assert len(doc["rows"]) == len(rows)
         assert doc["rows"][0]["run_id"] == rows[0].run_id

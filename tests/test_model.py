@@ -8,12 +8,11 @@ from scipy.special import ndtri
 from scipy.stats import chi2, kstest
 
 from grouprisk.model import (
-    STREAM_BARTLETT,
     STREAM_NOISE,
+    STREAM_WISHART,
     AssumptionReport,
     Dataset,
     ModelConfig,
-    _rekey,
     _uniforms_at,
     bartlett_factor,
     check_assumptions,
@@ -363,22 +362,14 @@ class TestPersistence:
             load_dataset(path)
 
 
-def bartlett_config(**overrides):
-    """n = 7, d = 40: small enough to stream hundreds of draws."""
-    fields = dict(d_core=20, d_spur=20, mu_core=e1(3.0, 20), mu_spur=e1(1.5, 20), n_plus=5, n_minus=2)
-    return small_config(**{**fields, **overrides})
-
-
 KS_LEVEL = 0.01  # fixed seeds: each KS test is one deterministic draw of its p-value
 
 
-class TestBartlettSampler:
-    """The opt-in sampler draws NoiseStats by their exact law, not their numbers."""
-
+class TestBartlettFactor:
     def test_factor_follows_documented_draw_order(self):
         n, dof = 5, 12
-        factor = bartlett_factor(n, dof, philox_generator(7, STREAM_BARTLETT))
-        rng = philox_generator(7, STREAM_BARTLETT)
+        factor = bartlett_factor(n, dof, philox_generator(7, STREAM_WISHART))
+        rng = philox_generator(7, STREAM_WISHART)
         np.testing.assert_array_equal(np.diag(factor), np.sqrt(rng.chisquare(dof - np.arange(n))))
         np.testing.assert_array_equal(
             factor[np.tril_indices(n, -1)], rng.standard_normal(n * (n - 1) // 2)
@@ -388,95 +379,13 @@ class TestBartlettSampler:
     @pytest.mark.parametrize("n, dof", [(0, 5), (6, 5)])
     def test_factor_rejects_bad_shape(self, n, dof):
         with pytest.raises(ValueError, match="1 <= n <= dof"):
-            bartlett_factor(n, dof, philox_generator(0, STREAM_BARTLETT))
-
-    def test_rekey_restarts_the_substream_bit_for_bit(self):
-        gen = philox_generator(1, STREAM_BARTLETT)
-        gen.standard_normal(5)
-        for seed, stream in ((3, STREAM_BARTLETT), (2**64 - 1, STREAM_NOISE)):
-            _rekey(gen, seed, stream)
-            ref = philox_generator(seed, stream)
-            np.testing.assert_array_equal(gen.chisquare([9.0, 8.0]), ref.chisquare([9.0, 8.0]))
-            np.testing.assert_array_equal(gen.standard_normal(7), ref.standard_normal(7))
-            assert gen.bit_generator.state["state"]["counter"].tolist() == (
-                ref.bit_generator.state["state"]["counter"].tolist()
-            )
+            bartlett_factor(n, dof, philox_generator(0, STREAM_WISHART))
 
     def test_factor_trace_is_chi2_nm(self):
         # tr(L L') sums n chi2(m - i) and n(n-1)/2 squared normals: chi2(n m)
         n, m = 4, 9
         traces = [
-            np.sum(bartlett_factor(n, m, philox_generator(s, STREAM_BARTLETT)) ** 2)
+            np.sum(bartlett_factor(n, m, philox_generator(s, STREAM_WISHART)) ** 2)
             for s in range(400)
         ]
         assert kstest(traces, chi2(n * m).cdf).pvalue > KS_LEVEL
-
-    def test_stats_follow_documented_stream(self):
-        cfg = bartlett_config(seed=9)
-        got = noise_stats(cfg, sampler="bartlett")
-        rng = philox_generator(cfg.seed, STREAM_BARTLETT)
-        factor = bartlett_factor(cfg.n, cfg.d - 2, rng)
-        g_c, g_s = rng.standard_normal(cfg.n), rng.standard_normal(cfg.n)
-        for name, ref in zip(("y", "a", "b"), sample_labels(cfg)):
-            np.testing.assert_array_equal(getattr(got, name), ref)
-        np.testing.assert_array_equal(got.q_core, g_c)
-        np.testing.assert_array_equal(got.q_spur, g_s)
-        ref = factor @ factor.T + np.outer(g_c, g_c) + np.outer(g_s, g_s)
-        np.testing.assert_allclose(got.gram_0, ref, rtol=1e-14, atol=1e-12)
-        np.testing.assert_array_equal(got.gram_0, got.gram_0.T)
-
-    def test_zero_mean_gives_zero_vector_and_keeps_its_direction(self):
-        cfg = bartlett_config(mu_spur=np.zeros(20), seed=9)
-        got = noise_stats(cfg, sampler="bartlett")
-        rng = philox_generator(cfg.seed, STREAM_BARTLETT)
-        factor = bartlett_factor(cfg.n, cfg.d - 1, rng)
-        g_c = rng.standard_normal(cfg.n)
-        assert not got.q_spur.any()
-        np.testing.assert_array_equal(got.q_core, g_c)
-        np.testing.assert_allclose(
-            got.gram_0, factor @ factor.T + np.outer(g_c, g_c), rtol=1e-14, atol=1e-12
-        )
-
-    def test_mean_projections_are_chi2_n(self):
-        cfg = bartlett_config()
-        draws = [noise_stats(cfg.with_updates(seed=s), sampler="bartlett") for s in range(300)]
-        for name in ("q_core", "q_spur"):
-            norms = [getattr(x, name) @ getattr(x, name) for x in draws]
-            assert kstest(norms, chi2(cfg.n).cdf).pvalue > KS_LEVEL, name
-
-    @pytest.mark.parametrize("sampler", ["stream", "bartlett"])
-    def test_gram_laws_hold_for_both_samplers(self, sampler):
-        # gram_0 ~ Wishart_n(d, I) either way: tr ~ chi2(n d) and
-        # 1/(u' gram_0^{-1} u) ~ chi2(d - n + 1) for any fixed unit u
-        cfg = bartlett_config()
-        n, d = cfg.n, cfg.d
-        dense_u = np.arange(1.0, n + 1.0) / np.linalg.norm(np.arange(1.0, n + 1.0))
-        grams = [noise_stats(cfg.with_updates(seed=s), sampler=sampler).gram_0 for s in range(300)]
-        assert kstest([np.trace(g) for g in grams], chi2(n * d).cdf).pvalue > KS_LEVEL
-        for u in (e1(1.0, n), dense_u):
-            values = [1.0 / (u @ np.linalg.solve(g, u)) for g in grams]
-            assert kstest(values, chi2(d - n + 1).cdf).pvalue > KS_LEVEL
-
-    def test_fallback_below_n_dof_is_streamed_bit_for_bit(self):
-        # d - k = 8 - 2 < n = 7: no Wishart_n(d - k) part exists
-        cfg = bartlett_config(d_core=4, d_spur=4, mu_core=e1(3.0, 4), mu_spur=e1(1.5, 4))
-        got, ref = noise_stats(cfg, sampler="bartlett"), noise_stats(cfg)
-        for name in ("y", "a", "b", "gram_0", "q_core", "q_spur"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
-        # at d - k = n the Bartlett draw runs
-        at_n = cfg.with_updates(d_spur=5, mu_spur=e1(1.5, 5))
-        assert not np.array_equal(
-            noise_stats(at_n, sampler="bartlett").gram_0, noise_stats(at_n).gram_0
-        )
-
-    def test_default_sampler_is_stream(self):
-        cfg = bartlett_config()
-        got, ref = noise_stats(cfg), noise_stats(cfg, sampler="stream")
-        np.testing.assert_array_equal(got.gram_0, ref.gram_0)
-
-    def test_rejects_unknown_sampler_and_dataset_source(self):
-        cfg = bartlett_config()
-        with pytest.raises(ValueError, match="sampler"):
-            noise_stats(cfg, sampler="wishart")
-        with pytest.raises(TypeError, match="bartlett"):
-            noise_stats(sample_dataset(cfg), sampler="bartlett")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from grouprisk.cli import primitive_set_max_gap
 from grouprisk.estimators import GramStats
 from grouprisk.harness import AXIS_NAMES, OUTPUT_NAMES, SweepAxis, SweepSpec
-from grouprisk.model import SAMPLERS, ModelConfig, noise_stats, sample_dataset
+from grouprisk.model import ModelConfig, noise_stats, sample_dataset
 from grouprisk.primitives import compute_primitives
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -143,7 +143,6 @@ def specs(draw):
         outputs=tuple(draw(st.lists(st.sampled_from(OUTPUT_NAMES), unique=True))),
         out_path=draw(st.one_of(st.none(), st.text(max_size=12))),
         name=draw(st.text(max_size=12)),
-        sampler=draw(st.sampled_from(SAMPLERS)),
     )
 
 
