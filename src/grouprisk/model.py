@@ -16,7 +16,11 @@ Randomness is counter-based (Philox) with one named stream per purpose.
 Normals come from the inverse-CDF transform at exactly one 64-bit word per
 value, and column j of the noise matrix consumes words [j*n, (j+1)*n) of
 its stream.  Any column blocking therefore reproduces the one-shot matrix
-bit for bit; `noise_blocks` is the single noise source.
+bit for bit; `noise_blocks` is the single noise source.  It fills one
+reused n x block_cols buffer from one sequential generator, so a stream
+holds that buffer plus its O(n^2) statistics, whatever d is.  Configs
+share their read-only mean vectors instead of copying them, and a loaded
+dataset's X and Q are views of the one buffer read from disk.
 
 Every downstream quantity depends on the noise only through the labels
 and the triple (Q Q', Q u_c, Q u_s), with u_c and u_s the unit core and
@@ -87,29 +91,33 @@ def philox_generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(_philox(seed, stream))
 
 
-def _uniforms_at(seed: int, stream: int, offset: int, count: int) -> np.ndarray:
-    """`count` uniforms starting at word `offset` of stream (seed, stream).
-
-    Philox advances in 4-word counter blocks, so we advance by offset // 4
-    blocks and discard offset % 4 draws to land inside a block.  The result
-    is bit-identical to slicing one long draw.
-    """
-    bg = _philox(seed, stream)
-    q, r = divmod(int(offset), 4)
-    if q:
-        bg.advance(q)
-    gen = np.random.Generator(bg)
-    if r:
-        gen.random(r)
-    return gen.random(count)
-
-
 def _freeze_arrays(obj) -> None:
     """Mark every ndarray field of a dataclass instance read-only."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
+
+
+def _frozen_mean(mu) -> np.ndarray:
+    """A read-only float64 copy of mu, or mu itself if a config froze it.
+
+    An array that owns its data and is already read-only is one that
+    `ModelConfig` made, so every config derived from it shares it; any
+    other input (a list, a view, a writable array) is copied, so a caller
+    mutating their own array never reaches a config.
+    """
+    if (
+        isinstance(mu, np.ndarray)
+        and mu.ndim == 1
+        and mu.dtype == np.float64
+        and mu.base is None
+        and not mu.flags.writeable
+    ):
+        return mu
+    mu = np.atleast_1d(np.asarray(mu, dtype=np.float64)).copy()
+    mu.setflags(write=False)
+    return mu
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +130,10 @@ class ModelConfig:
         Dimensions of the core and spurious blocks; d = d_core + d_spur.
     mu_core, mu_spur : array_like
         Core class mean (length d_core) and spurious mean (length d_spur).
+        Stored as read-only float64 arrays.  A config built from another's
+        means (`with_updates`, the points of a minority-weight sweep)
+        shares them rather than copying them, so such a sweep holds one
+        copy of each mean however many points it has.
     n_plus, n_minus : int
         Majority and minority group counts; n = n_plus + n_minus.
     pi_plus : float
@@ -154,12 +166,11 @@ class ModelConfig:
             ):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        mu_core = np.atleast_1d(np.asarray(self.mu_core, dtype=np.float64)).copy()
-        mu_spur = np.atleast_1d(np.asarray(self.mu_spur, dtype=np.float64)).copy()
+        mu_core = _frozen_mean(self.mu_core)
+        mu_spur = _frozen_mean(self.mu_spur)
         for name, mu in (("mu_core", mu_core), ("mu_spur", mu_spur)):
             if not np.all(np.isfinite(mu)):
                 raise ValueError(f"{name} must be finite")
-            mu.setflags(write=False)
         object.__setattr__(self, "mu_core", mu_core)
         object.__setattr__(self, "mu_spur", mu_spur)
         if self.d_core < 1 or self.d_spur < 1:
@@ -317,7 +328,10 @@ class Dataset:
         if int(np.sum(self.b < 0)) != cfg.n_minus:
             raise ValueError("minority count does not match config")
         mu_bar_c, mu_bar_s = embed_means(cfg)
-        rebuilt = np.outer(self.y, mu_bar_c) + np.outer(self.a, mu_bar_s) + self.Q
+        # in place, in sample_dataset's operation order
+        rebuilt = np.outer(self.y, mu_bar_c)
+        rebuilt += np.outer(self.a, mu_bar_s)
+        rebuilt += self.Q
         if not np.array_equal(rebuilt, self.X):
             raise ValueError("X does not reconstruct from labels, means, and Q")
 
@@ -373,16 +387,22 @@ def noise_blocks(config: ModelConfig, block_cols: int = 4096):
     """Yield (j0, block) column blocks of the n x d noise matrix Q.
 
     Column j is ndtri applied to words [j*n, (j+1)*n) of the noise stream,
-    so assembly is bit-identical for every block_cols choice.  Each block
-    is the transposed view of the (m, n) draw, transformed in place in the
-    buffer the uniforms were drawn into, so a block costs one allocation.
+    so assembly is bit-identical for every block_cols choice.  One
+    sequential generator draws the words, in order, into one buffer of
+    min(block_cols, d) * n values that every block reuses: the uniforms
+    are drawn, floored and transformed in place, and the block is the
+    transposed view of that (m, n) buffer.  A block is therefore valid
+    only until the next step; a caller that keeps one must copy it.
     """
     if block_cols < 1:
         raise ValueError("block_cols must be positive")
     n, d = config.n, config.d
+    gen = philox_generator(config.seed, STREAM_NOISE)
+    buf = np.empty(min(block_cols, d) * n)
     for j0 in range(0, d, block_cols):
         m = min(block_cols, d - j0)
-        u = _uniforms_at(config.seed, STREAM_NOISE, j0 * n, m * n)
+        u = buf[: m * n]
+        gen.random(out=u)
         np.maximum(u, _U_FLOOR, out=u)
         yield j0, ndtri(u, out=u).reshape(m, n).T
 
@@ -473,15 +493,18 @@ def bartlett_factor(n: int, dof: int, rng: np.random.Generator) -> np.ndarray:
 def sample_dataset(config: ModelConfig, block_cols: int = 4096) -> Dataset:
     """Sample a full dataset with X materialized.
 
-    X = outer(y, mu_bar_c) + outer(a, mu_bar_s) + Q, evaluated in exactly
-    that order so the reconstruction invariant holds bitwise.
+    X = outer(y, mu_bar_c) + outer(a, mu_bar_s) + Q, accumulated in place
+    in exactly that order, so the reconstruction invariant holds bitwise.
     """
     y, a, b = sample_labels(config)
     mu_bar_c, mu_bar_s = embed_means(config)
     Q = np.empty((config.n, config.d))
     for j0, blk in noise_blocks(config, block_cols):
         Q[:, j0 : j0 + blk.shape[1]] = blk
-    X = np.outer(y, mu_bar_c) + np.outer(a, mu_bar_s) + Q
+    del blk  # the last block keeps the stream's buffer alive
+    X = np.outer(y, mu_bar_c)
+    X += np.outer(a, mu_bar_s)
+    X += Q
     return Dataset(X=X, y=y, a=a, b=b, Q=Q, config=config)
 
 
@@ -528,8 +551,8 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     """
     cfg = dataset.config
     with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(dataset.X, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(dataset.Q, dtype="<f8").tobytes())
+        np.ascontiguousarray(dataset.X, dtype="<f8").tofile(fh)
+        np.ascontiguousarray(dataset.Q, dtype="<f8").tofile(fh)
     sidecar = {
         "n": cfg.n,
         "d": cfg.d,
@@ -550,13 +573,15 @@ def load_dataset(path: str) -> Dataset:
         sidecar = json.load(fh)
     config = ModelConfig.from_dict(sidecar["config"])
     n, d = config.n, config.d
-    raw = np.fromfile(path, dtype="<f8")
+    # one native-order buffer (no copy on a little-endian host); X and Q
+    # are views of it
+    raw = np.fromfile(path, dtype="<f8").astype(np.float64, copy=False)
     if raw.size != 2 * n * d:
         raise ValueError(
             f"binary payload has {raw.size} floats, expected {2 * n * d}"
         )
-    X = raw[: n * d].reshape(n, d).astype(np.float64)
-    Q = raw[n * d :].reshape(n, d).astype(np.float64)
+    X = raw[: n * d].reshape(n, d)
+    Q = raw[n * d :].reshape(n, d)
     y = np.asarray(sidecar["y"], dtype=np.float64)
     a = np.asarray(sidecar["a"], dtype=np.float64)
     b = np.asarray(sidecar["b"], dtype=np.float64)

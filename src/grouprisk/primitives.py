@@ -563,9 +563,11 @@ def wishart_coverage(
     }
 
 
-@dataclass(frozen=True)
-class BandRow:
-    """One normalized primitive against its acceptance band."""
+class BandRow(NamedTuple):
+    """One normalized primitive against its acceptance band.
+
+    A named tuple: a report builds about a hundred rows per sweep point,
+    and a tuple costs a fraction of a frozen dataclass to construct."""
 
     name: str
     k: int
@@ -599,6 +601,25 @@ class BandReport:
         return {"all_pass": self.all_pass, "rows": [r.to_dict() for r in self.rows]}
 
 
+# The report's rows, as (name, k, two-sided): at each order k the (i, j)
+# pair rows, s_uu, then the per-i u rows; last det(A_1) and det(A_2).
+# Diagonal pairs and sign-definite primitives are two-sided.
+_PAIR_BANDS = (("s_{i}{j}", True), ("t_{i}{j}", True), ("h_{i}{j}", False),
+               ("s_{i}d_{j}", True), ("s_{i}d_{j}d", True), ("h_{i}_{j}d", False))
+_U_BANDS = (("s_u{i}", False), ("h_{i}u", False), ("o_{i}d", True))
+_ORDER_BANDS = (
+    *((f.format(i=i, j=j), diag and i == j) for i in (1, 2) for j in (1, 2) for f, diag in _PAIR_BANDS),
+    ("s_uu", True),
+    *((f.format(i=i), diag) for i in (1, 2) for f, diag in _U_BANDS),
+)
+_BAND_ROWS = (
+    *((name, k, two_sided) for k in range(3) for name, two_sided in _ORDER_BANDS),
+    ("det_a_1", 1, True),
+    ("det_a_2", 2, True),
+)
+_BAND_TWO_SIDED = np.array([two_sided for _, _, two_sided in _BAND_ROWS])
+
+
 def verify_primitive_bounds(
     prims: PrimitiveSet,
     config: ModelConfig,
@@ -619,106 +640,56 @@ def verify_primitive_bounds(
     The rates use `prims.delta`, the weights the primitives were computed
     at.
     """
+    lo, hi = band
+    cross_lo, cross_hi = cross_band
     delta_plus, delta_minus = prims.delta
     n, d = config.n, config.d
     tau = prims.tau
     dt = d + tau
-    m = prims.mu_norms
+    m = np.asarray(prims.mu_norms, dtype=np.float64)
+    m_i, m_j = m[:, None], m[None, :]
     n_delta = config.n_plus / delta_plus**2 + config.n_minus / delta_minus**2
     n_mixed = config.n_plus / delta_plus + config.n_minus / delta_minus
 
-    rows = []
+    # rates (the same at every order) and values of each order's rows
+    pair_rates = np.empty((2, 2, len(_PAIR_BANDS)))
+    pair_rates[..., 0] = n / dt
+    pair_rates[..., 1] = n * m_i * m_j / dt
+    pair_rates[..., 2] = n * m_i / dt
+    pair_rates[..., 3] = n_mixed / dt
+    pair_rates[..., 4] = n_delta / dt
+    pair_rates[..., 5] = np.sqrt(n * n_delta) * m_i / dt
+    u_rates = np.empty((2, len(_U_BANDS)))
+    u_rates[:, 0] = np.sqrt(n) / dt
+    u_rates[:, 1] = np.sqrt(n) * m / dt
+    u_rates[:, 2] = n_delta * d / dt**2
+    rates = np.concatenate([pair_rates.ravel(), [1.0 / dt], u_rates.ravel()])
+    pair_values = np.empty((2, 2, len(_PAIR_BANDS), 3))
+    for slot, prim in enumerate((prims.s, prims.t, prims.h, prims.s_id_j, prims.s_id_jd, prims.h_i_jd)):
+        pair_values[:, :, slot] = prim
+    u_values = np.empty((2, len(_U_BANDS), 3))
+    for slot, prim in enumerate((prims.s_ui, prims.h_iu, prims.o)):
+        u_values[:, slot] = prim
+    values = np.concatenate([pair_values.reshape(-1, 3), prims.s_uu[None], u_values.reshape(-1, 3)])
+    # in `_BAND_ROWS` order
+    values = np.concatenate([values.T.ravel(), prims.det_a])
+    rates = np.concatenate([np.tile(rates, 3), [1.0, 1.0]])
 
-    def add(name, k, value, rate, two_sided):
-        lo, hi = band if two_sided else cross_band
-        if rate == 0.0:
-            # zero-mean direction: the primitive must vanish identically
-            rows.append(
-                BandRow(
-                    name=name,
-                    k=k,
-                    value=float(value),
-                    normalized=0.0,
-                    band_low=0.0,
-                    band_high=0.0,
-                    passed=bool(value == 0.0),
-                )
-            )
-            return
-        normalized = float(value / rate)
-        rows.append(
-            BandRow(
-                name=name,
-                k=k,
-                value=float(value),
-                normalized=normalized,
-                band_low=lo,
-                band_high=hi,
-                passed=bool(lo <= normalized <= hi),
-            )
+    # a zero rate means a zero mean direction: the primitive must vanish
+    zero = rates == 0.0
+    normalized = np.divide(values, rates, out=np.zeros_like(values), where=~zero)
+    inside = (np.where(_BAND_TWO_SIDED, lo, cross_lo) <= normalized) & (
+        normalized <= np.where(_BAND_TWO_SIDED, hi, cross_hi)
+    )
+    passed = np.where(zero, values == 0.0, inside)
+    limits = ((cross_lo, cross_hi), (lo, hi))
+    rows = tuple(
+        BandRow(name, k, value, norm, *((0.0, 0.0) if z else limits[two_sided]), ok)
+        for (name, k, two_sided), value, norm, z, ok in zip(
+            _BAND_ROWS, values.tolist(), normalized.tolist(), zero.tolist(), passed.tolist()
         )
-
-    for k in range(3):
-        for i in range(2):
-            for j in range(2):
-                diag = i == j
-                add(
-                    f"s_{i + 1}{j + 1}",
-                    k,
-                    prims.s[i, j, k],
-                    n / dt,
-                    diag,
-                )
-                add(
-                    f"t_{i + 1}{j + 1}",
-                    k,
-                    prims.t[i, j, k],
-                    n * m[i] * m[j] / dt,
-                    diag,
-                )
-                add(
-                    f"h_{i + 1}{j + 1}",
-                    k,
-                    prims.h[i, j, k],
-                    n * m[i] / dt,
-                    False,
-                )
-                add(
-                    f"s_{i + 1}d_{j + 1}",
-                    k,
-                    prims.s_id_j[i, j, k],
-                    n_mixed / dt,
-                    diag,
-                )
-                add(
-                    f"s_{i + 1}d_{j + 1}d",
-                    k,
-                    prims.s_id_jd[i, j, k],
-                    n_delta / dt,
-                    diag,
-                )
-                add(
-                    f"h_{i + 1}_{j + 1}d",
-                    k,
-                    prims.h_i_jd[i, j, k],
-                    np.sqrt(n * n_delta) * m[i] / dt,
-                    False,
-                )
-        add("s_uu", k, prims.s_uu[k], 1.0 / dt, True)
-        for i in range(2):
-            add(f"s_u{i + 1}", k, prims.s_ui[i, k], np.sqrt(n) / dt, False)
-            add(
-                f"h_{i + 1}u",
-                k,
-                prims.h_iu[i, k],
-                np.sqrt(n) * m[i] / dt,
-                False,
-            )
-            add(f"o_{i + 1}d", k, prims.o[i, k], n_delta * d / dt**2, True)
-    for k in (1, 2):
-        add(f"det_a_{k}", k, prims.det_a[k - 1], 1.0, True)
-
-    return BandReport(rows=tuple(rows), all_pass=all(r.passed for r in rows))
+    )
+    return BandReport(rows=rows, all_pass=bool(passed.all()))
 
 
 @dataclass(frozen=True)

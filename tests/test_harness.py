@@ -118,6 +118,14 @@ class TestDeriveConfig:
         assert cfg.delta_minus == 0.125
         assert cfg.delta_plus == 0.95
 
+    def test_delta_minus_axis_shares_the_base_means(self):
+        # a sweep's points hold one copy of each mean, not one per point
+        base = base_config()
+        for value in (0.125, 0.5, 0.95):
+            cfg = derive_config(base, "delta_minus", value)
+            assert cfg.mu_core is base.mu_core
+            assert cfg.mu_spur is base.mu_spur
+
     def test_r_plus_sq_axis_hits_target(self):
         from grouprisk.model import signal_strengths
 

@@ -1,6 +1,7 @@
 """Tests for configuration, sampling, and dataset persistence."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from grouprisk.model import (
     AssumptionReport,
     Dataset,
     ModelConfig,
-    _uniforms_at,
     bartlett_factor,
     check_assumptions,
     embed_means,
@@ -28,6 +28,23 @@ from grouprisk.model import (
     signal_strengths,
     substream_seed,
 )
+
+
+def uniforms_at(seed, stream, offset, count):
+    """Word-offset oracle: `count` uniforms from word `offset` of (seed, stream).
+
+    Philox advances in 4-word counter blocks, so this jumps offset // 4
+    blocks and discards offset % 4 draws to land inside a block.  It reads
+    no word before `offset`, unlike the sequential reads of `noise_blocks`,
+    and is bit-identical to slicing one long draw.
+    """
+    gen = philox_generator(seed, stream)
+    q, r = divmod(int(offset), 4)
+    if q:
+        gen.bit_generator.advance(q)
+    if r:
+        gen.random(r)
+    return gen.random(count)
 
 
 def e1(scale, length):
@@ -64,6 +81,22 @@ class TestModelConfig:
         assert cfg.mu_core[0] == 14.0
         with pytest.raises((ValueError, RuntimeError)):
             cfg.mu_core[0] = 1.0
+
+    def test_read_only_view_of_a_writable_array_is_copied(self):
+        mu = e1(14.0, 200)
+        view = mu[:]
+        view.setflags(write=False)
+        cfg = small_config(mu_core=view)
+        assert cfg.mu_core is not view
+        mu[0] = 0.0
+        assert cfg.mu_core[0] == 14.0
+
+    def test_derived_configs_share_frozen_means(self):
+        cfg = small_config()
+        for other in (cfg.with_updates(seed=1), cfg.with_updates(tau=2.0),
+                      small_config(mu_core=cfg.mu_core, mu_spur=cfg.mu_spur)):
+            assert other.mu_core is cfg.mu_core
+            assert other.mu_spur is cfg.mu_spur
 
     def test_rejects_d_smaller_than_n(self):
         with pytest.raises(ValueError):
@@ -218,14 +251,52 @@ class TestSampling:
             np.testing.assert_array_equal(ragged, full)
 
     def test_noise_blocks_match_floored_inverse_cdf_bitwise(self):
-        # the in-place transform reproduces ndtri(max(u, 2^-53)) on fresh words
+        # the in-place transform reproduces ndtri(max(u, 2^-53)) on the
+        # words the offset oracle fetches
         cfg = small_config()
         n = cfg.n
-        for j0, blk in noise_blocks(cfg, block_cols=7):
-            m = blk.shape[1]
-            u = _uniforms_at(cfg.seed, STREAM_NOISE, j0 * n, m * n)
-            ref = ndtri(np.maximum(u, 2.0**-53)).reshape(m, n).T
-            np.testing.assert_array_equal(blk, ref)
+        for cols in (1, 7, 64, 4096):
+            for j0, blk in noise_blocks(cfg, block_cols=cols):
+                m = blk.shape[1]
+                u = uniforms_at(cfg.seed, STREAM_NOISE, j0 * n, m * n)
+                ref = ndtri(np.maximum(u, 2.0**-53)).reshape(m, n).T
+                np.testing.assert_array_equal(blk, ref)
+
+    def test_successive_noise_blocks_reuse_one_buffer(self):
+        blocks = noise_blocks(small_config(), block_cols=64)
+        _, first = next(blocks)
+        _, second = next(blocks)
+        assert np.shares_memory(first, second)
+
+    def test_noise_stats_holds_one_block(self):
+        # one n x block_cols buffer plus O(n^2 + d) statistics: holding two
+        # blocks at once would exceed the bound
+        half, cols = 4096, 2048
+        cfg = small_config(d_core=half, d_spur=half, mu_core=e1(14.0, half),
+                           mu_spur=e1(7.0, half), n_plus=60, n_minus=4)
+        n, d = cfg.n, cfg.d
+        block_bytes = 8 * n * cols
+        tracemalloc.start()
+        try:
+            noise_stats(cfg, block_cols=cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block_bytes + 4 * 8 * (n * n + d)
+
+    def test_sample_dataset_holds_three_n_by_d_arrays(self):
+        # Q, X and one outer-product temporary; the stream's buffer is
+        # released before X is built
+        half = 2000
+        cfg = small_config(d_core=half, d_spur=half, mu_core=e1(14.0, half),
+                           mu_spur=e1(7.0, half), n_plus=80, n_minus=20)
+        tracemalloc.start()
+        try:
+            sample_dataset(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * cfg.n * cfg.d
 
     def test_noise_stats_read_only_and_dataset_labels_untouched(self):
         ds = sample_dataset(small_config())
@@ -239,7 +310,7 @@ class TestSampling:
         # column j consumes words [j*n, (j+1)*n) of the noise stream
         cfg = small_config()
         raw = philox_generator(cfg.seed, STREAM_NOISE).random(3 * cfg.n)
-        offset = _uniforms_at(cfg.seed, STREAM_NOISE, cfg.n, 2 * cfg.n)
+        offset = uniforms_at(cfg.seed, STREAM_NOISE, cfg.n, 2 * cfg.n)
         np.testing.assert_array_equal(offset, raw[cfg.n :])
 
     def test_noise_blocks_rejects_bad_width(self):
@@ -344,12 +415,24 @@ class TestPersistence:
         ds = sample_dataset(small_config(seed=21, delta_plus=0.9, delta_minus=0.3))
         path = str(tmp_path / "ds.bin")
         save_dataset(ds, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == ds.X.astype("<f8").tobytes() + ds.Q.astype("<f8").tobytes()
         back = load_dataset(path)
         np.testing.assert_array_equal(back.X, ds.X)
         np.testing.assert_array_equal(back.Q, ds.Q)
         np.testing.assert_array_equal(back.b, ds.b)
         assert back.config.seed == 21
         assert back.config.deltas == (0.9, 0.3)
+
+    def test_load_returns_views_of_one_buffer(self, tmp_path):
+        path = str(tmp_path / "ds.bin")
+        save_dataset(sample_dataset(small_config()), path)
+        back = load_dataset(path)
+        assert back.X.base is not None and back.X.base is back.Q.base
+        # a 1-ulp change to the loaded X still fails validation
+        back.X[0, 0] = np.nextafter(back.X[0, 0], -np.inf)
+        with pytest.raises(ValueError, match="reconstruct"):
+            back.validate()
 
     def test_truncated_payload_rejected(self, tmp_path):
         ds = sample_dataset(small_config())

@@ -581,7 +581,61 @@ class TestWishart:
         assert np.diff([0] + counts).tolist() == [int(low <= v <= high) for v in values]
 
 
+def reference_band_rows(prims, config, band, cross_band):
+    """Row-by-row reference for `verify_primitive_bounds`, in report order."""
+    delta_plus, delta_minus = prims.delta
+    n, d = config.n, config.d
+    dt = d + prims.tau
+    m = prims.mu_norms
+    n_delta = config.n_plus / delta_plus**2 + config.n_minus / delta_minus**2
+    n_mixed = config.n_plus / delta_plus + config.n_minus / delta_minus
+    rows = []
+
+    def add(name, k, value, rate, two_sided):
+        lo, hi = band if two_sided else cross_band
+        if rate == 0.0:
+            rows.append((name, k, float(value), 0.0, 0.0, 0.0, bool(value == 0.0)))
+        else:
+            normalized = float(value / rate)
+            rows.append((name, k, float(value), normalized, lo, hi, bool(lo <= normalized <= hi)))
+
+    for k in range(3):
+        for i in range(2):
+            for j in range(2):
+                diag, tag = i == j, f"{i + 1}{j + 1}"
+                add(f"s_{tag}", k, prims.s[i, j, k], n / dt, diag)
+                add(f"t_{tag}", k, prims.t[i, j, k], n * m[i] * m[j] / dt, diag)
+                add(f"h_{tag}", k, prims.h[i, j, k], n * m[i] / dt, False)
+                add(f"s_{i + 1}d_{j + 1}", k, prims.s_id_j[i, j, k], n_mixed / dt, diag)
+                add(f"s_{i + 1}d_{j + 1}d", k, prims.s_id_jd[i, j, k], n_delta / dt, diag)
+                add(f"h_{i + 1}_{j + 1}d", k, prims.h_i_jd[i, j, k],
+                    np.sqrt(n * n_delta) * m[i] / dt, False)
+        add("s_uu", k, prims.s_uu[k], 1.0 / dt, True)
+        for i in range(2):
+            add(f"s_u{i + 1}", k, prims.s_ui[i, k], np.sqrt(n) / dt, False)
+            add(f"h_{i + 1}u", k, prims.h_iu[i, k], np.sqrt(n) * m[i] / dt, False)
+            add(f"o_{i + 1}d", k, prims.o[i, k], n_delta * d / dt**2, True)
+    for k in (1, 2):
+        add(f"det_a_{k}", k, prims.det_a[k - 1], 1.0, True)
+    return rows
+
+
 class TestBands:
+    @pytest.mark.parametrize("spur_sq", [18.0, 0.0])
+    @pytest.mark.parametrize("band, cross_band", [((0.5, 2.0), (-2.0, 2.0)), ((0.9, 1), (-1, 1))])
+    def test_rows_equal_the_row_by_row_reference(self, spur_sq, band, cross_band):
+        cfg = make_config(mu_spur=e1(np.sqrt(spur_sq), 200), delta_plus=0.9, delta_minus=0.3)
+        stats = GramStats.from_noise(cfg, noise_stats(cfg))
+        for tau in (0.0, 40.0):
+            prims = compute_primitives(stats, tau=tau, delta=cfg.deltas, mode="recursive")
+            report = verify_primitive_bounds(prims, cfg, band=band, cross_band=cross_band)
+            ref = reference_band_rows(prims, cfg, band, cross_band)
+            got = [tuple(row) for row in report.rows]
+            assert got == ref
+            # same values and the same Python types, so the JSON is the same
+            assert [tuple(map(type, r)) for r in got] == [tuple(map(type, r)) for r in ref]
+            assert report.all_pass == all(r[-1] for r in ref)
+
     def deep_config(self, seed=0, tau=0.0):
         # comfortably inside the assumption regime: R_plus n / d ~ 0.1
         return ModelConfig(
