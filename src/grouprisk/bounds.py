@@ -102,8 +102,8 @@ def evaluate_bounds(
 ) -> BoundReport:
     """upper_b = exp(-C_1 E_b), lower_b = C_2 exp(-C_3 E_b) for both groups."""
     c1, c2, c3 = (float(v) for v in constants)
-    if c1 <= 0 or c2 <= 0 or c3 <= 0:
-        raise ValueError("constants must be positive")
+    if not all(np.isfinite(c) and c > 0 for c in (c1, c2, c3)):
+        raise ValueError(f"constants must be finite and positive, got {(c1, c2, c3)}")
     n_delta, alpha_plus, alpha_minus = adjusted_quantities(config)
     exponent = {b: bound_exponent(config, b) for b in (+1, -1)}
     return BoundReport(
@@ -121,8 +121,8 @@ def consistency_check(config: ModelConfig, b: int, c_const: float = 1.0) -> Cons
     """Check the vanishing condition R_plus^2 >= c_const d / (alpha_b n_b)."""
     if b not in (1, -1):
         raise ValueError("b must be +1 or -1")
-    if c_const <= 0:
-        raise ValueError("c_const must be positive")
+    if not (np.isfinite(c_const) and c_const > 0):
+        raise ValueError(f"c_const must be finite and positive, got {c_const!r}")
     sig = signal_strengths(config)
     if sig.r_minus != 0.0:
         return ConsistencyResult(b=b, applicable=False, holds=None, slack=None)

@@ -218,12 +218,14 @@ def _spd_factor(mat: np.ndarray, what: str):
 
     Up to `_SPD_INVERSE_MAX_N` rows it is R = L^{-1} for the Cholesky
     factor L of `mat` (mat = L L'), and a solve is R'(R rhs): all in
-    numpy, on the BLAS pool that `model.noise_stats` has just used for its
-    GEMMs.  scipy's LAPACK runs on scipy's own pool and waits on numpy's
-    still-spinning threads, which at small n costs more than the
-    inverse's extra flops.  Above the cut the O(n^3) work dominates, and
-    the factor is scipy's `cho_factor`: the explicit inverse costs about
-    8x its flops, and numpy's Cholesky runs slower than scipy's there.
+    numpy, on numpy's BLAS pool.  scipy's LAPACK runs on scipy's own pool,
+    whose threads wait on numpy's for the cores whenever a threaded numpy
+    op has just run (OpenBLAS workers spin for about 0.1 s after one); at
+    small n that costs more than the inverse's extra flops.  The noise
+    stream itself runs pinned to one thread and leaves none spinning.
+    Above the cut the O(n^3) work dominates, and the factor is scipy's
+    `cho_factor`: the explicit inverse costs about 8x its flops, and
+    numpy's Cholesky runs slower than scipy's there.
     Raises LinAlgError, led by `what` and carrying a condition estimate,
     if `mat` is not positive definite.
     """
@@ -310,11 +312,14 @@ def fit_gd(
     z = Delta^{-1} y.  Stable for step < n / lambda_max(G); the default is
     0.9 of that limit.  Stops early once |G c - z|_inf <= tol |z|_inf;
     info["converged"] says whether that tolerance was met, so a run cut
-    off at `iters` reads False.  Raises RuntimeError if the loss increases
-    10 consecutive iterations.
+    off at `iters` reads False.  Raises ValueError for a step that is not
+    finite and positive, RuntimeError if the loss increases 10 consecutive
+    iterations.
     """
     if iters < 1:
         raise ValueError("iters must be at least 1")
+    if step is not None and not (np.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
     y, b = _unpack_labels(labels)
     z, _ = _adjusted_targets(delta, y, b)
     gram = stats.gram

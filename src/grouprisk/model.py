@@ -15,18 +15,22 @@ mean y * (mu_bar_c + b * mu_bar_s).
 Randomness is counter-based (Philox) with one named stream per purpose.
 Normals come from the inverse-CDF transform at exactly one 64-bit word per
 value, and column j of the noise matrix consumes words [j*n, (j+1)*n) of
-its stream.  Any column blocking therefore reproduces the one-shot matrix
-bit for bit; `noise_blocks` is the single noise source.  It fills one
-reused n x block_cols buffer from one sequential generator, so a stream
-holds that buffer plus its O(n^2) statistics, whatever d is.  Configs
+its stream.  Any column blocking, and any split of the columns into
+ranges, therefore reproduces the one-shot matrix bit for bit.
+`_noise_range` is the single noise source: it starts a generator at the
+first word of a column range and fills one reused buffer of block
+columns, so a stream holds that buffer plus its O(n^2) statistics,
+whatever d is.  `noise_blocks` is its range over all d columns.  Configs
 share their read-only mean vectors instead of copying them, and a loaded
 dataset's X and Q are views of the one buffer read from disk.
 
 Every downstream quantity depends on the noise only through the labels
 and the triple (Q Q', Q u_c, Q u_s), with u_c and u_s the unit core and
 spurious directions.  `noise_stats` streams a noise source once into that
-`NoiseStats` triple; the Gram statistics of the estimators and the staged
-decomposition of the primitives are O(n^2) views of it.
+`NoiseStats` triple, the two column halves of Q on two threads with the
+loaded OpenBLAS pinned to one thread for the length of the stream; the
+Gram statistics of the estimators and the staged decomposition of the
+primitives are O(n^2) views of it.
 
 `bartlett_factor` draws a Wishart_n(dof, I) matrix L L' by the Bartlett
 decomposition: O(n^2) values where Q Q' takes n * dof.
@@ -34,7 +38,11 @@ decomposition: O(n^2) values where Q Q' takes n * dof.
 
 from __future__ import annotations
 
+import ctypes
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -383,28 +391,123 @@ def sample_labels(config: ModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return y, a, b
 
 
+def _noise_range(config: ModelConfig, j_start: int, j_stop: int, block_cols: int):
+    """Iterator of (j0, block) column blocks of columns [j_start, j_stop) of Q.
+
+    The generator starts at word j_start * n of the noise stream: Philox
+    advances in 4-word counter blocks, so it jumps (j_start * n) // 4
+    blocks and discards the remaining words.  From there it draws the
+    words in order into one buffer of min(block_cols, j_stop - j_start) * n
+    values that every block reuses: the uniforms are drawn, floored and
+    transformed in place, and the block is the transposed view of that
+    (m, n) buffer.  A block is therefore valid only until the next step.
+    The generator and the buffer are made by this call, so on the calling
+    thread, whichever thread then draws the blocks.
+    """
+    n = config.n
+    gen = philox_generator(config.seed, STREAM_NOISE)
+    q, r = divmod(j_start * n, 4)
+    if q:
+        gen.bit_generator.advance(q)
+    if r:
+        gen.random(r)
+    buf = np.empty(min(block_cols, j_stop - j_start) * n)
+
+    def blocks():
+        for j0 in range(j_start, j_stop, block_cols):
+            m = min(block_cols, j_stop - j0)
+            u = buf[: m * n]
+            gen.random(out=u)
+            np.maximum(u, _U_FLOOR, out=u)
+            yield j0, ndtri(u, out=u).reshape(m, n).T
+
+    return blocks()
+
+
 def noise_blocks(config: ModelConfig, block_cols: int = 4096):
     """Yield (j0, block) column blocks of the n x d noise matrix Q.
 
     Column j is ndtri applied to words [j*n, (j+1)*n) of the noise stream,
-    so assembly is bit-identical for every block_cols choice.  One
-    sequential generator draws the words, in order, into one buffer of
-    min(block_cols, d) * n values that every block reuses: the uniforms
-    are drawn, floored and transformed in place, and the block is the
-    transposed view of that (m, n) buffer.  A block is therefore valid
-    only until the next step; a caller that keeps one must copy it.
+    so assembly is bit-identical for every block_cols choice.  This is
+    `_noise_range` over all d columns: one sequential generator and one
+    reused buffer of min(block_cols, d) * n values.  A block is valid only
+    until the next step; a caller that keeps one must copy it.
     """
     if block_cols < 1:
         raise ValueError("block_cols must be positive")
-    n, d = config.n, config.d
-    gen = philox_generator(config.seed, STREAM_NOISE)
-    buf = np.empty(min(block_cols, d) * n)
-    for j0 in range(0, d, block_cols):
-        m = min(block_cols, d - j0)
-        u = buf[: m * n]
-        gen.random(out=u)
-        np.maximum(u, _U_FLOOR, out=u)
-        yield j0, ndtri(u, out=u).reshape(m, n).T
+    yield from _noise_range(config, 0, config.d, block_cols)
+
+
+# (getter, setter) thread-count symbols: the 64-bit-integer and the plain
+# OpenBLAS builds that numpy and scipy ship, then a system OpenBLAS
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_blas_lock = threading.Lock()
+_blas_controls: list | None = None  # found on first use, under the lock
+_blas_depth = 0
+_blas_saved: list = []  # (setter, count) the outermost entry replaced
+
+
+def _blas_thread_controls() -> list:
+    """(getter, setter) of every OpenBLAS loaded in the process, found once.
+
+    The libraries are the mapped files whose path names OpenBLAS; a
+    process without /proc, or without a library exporting a known pair,
+    has none.
+    """
+    global _blas_controls
+    if _blas_controls is None:
+        try:
+            with open("/proc/self/maps") as fh:
+                paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        except OSError:
+            paths = []
+        controls = []
+        for path in paths:
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+                getter = getattr(lib, get_name, None)
+                setter = getattr(lib, set_name, None)
+                if getter is not None and setter is not None:
+                    getter.argtypes, getter.restype = (), ctypes.c_int
+                    setter.argtypes, setter.restype = (ctypes.c_int,), None
+                    controls.append((getter, setter))
+                    break
+        _blas_controls = controls
+    return _blas_controls
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with every loaded OpenBLAS at one thread.
+
+    The outermost entry saves each library's thread count and sets it to
+    1; the outermost exit restores the saved counts, also when the body
+    raises.  A module lock and a depth counter let nested and concurrent
+    entries share one pin.  Where no library is found the body runs at
+    whatever counts are set.
+    """
+    global _blas_depth, _blas_saved
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = [(setter, getter()) for getter, setter in _blas_thread_controls()]
+            for setter, _ in _blas_saved:
+                setter(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for setter, count in _blas_saved:
+                    setter(count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,41 +537,82 @@ class NoiseStats:
         return (self.y, self.a, self.b)
 
 
+def _stream_stats(blocks, u_c: np.ndarray, u_s: np.ndarray, sums):
+    """Add (blk blk', blk u_c, blk u_s) of each (j0, blk) column block to sums.
+
+    sums is (gram, q_core, q_spur, product), product the scratch each
+    blk blk' is written to; returns (gram, q_core, q_spur).
+    """
+    gram, q_core, q_spur, product = sums
+    for j0, blk in blocks:
+        j1 = j0 + blk.shape[1]
+        gram += np.matmul(blk, blk.T, out=product)
+        q_core += blk @ u_c[j0:j1]
+        q_spur += blk @ u_s[j0:j1]
+    return gram, q_core, q_spur
+
+
 def noise_stats(source, block_cols: int = 4096) -> NoiseStats:
     """Stream a noise source once into its `NoiseStats`.
 
     source is a ModelConfig, whose labels are drawn and whose noise comes
-    from `noise_blocks` without ever being held in full, or a Dataset,
-    whose labels and retained Q are read in column views of the same
-    width.  Both routes see the same Q bit for bit.
+    from the noise stream without ever being held in full, or a Dataset,
+    whose labels and retained Q are read in column views.  Both routes see
+    the same Q bit for bit.
+
+    The d columns split into the halves [0, ceil(d/2)) and [ceil(d/2), d).
+    The caller streams the first and one worker thread, started for this
+    call, the second, each in blocks of max(1, block_cols // 4) columns;
+    on the config route each half draws its own range of the stream
+    (`_noise_range`) into one reused buffer, so the two together hold half
+    of an n x block_cols block.  The statistics are the first half's sums
+    plus the second's, symmetrized.  Both halves run under
+    `_one_blas_thread`: a threaded GEMM would take the core the other half
+    runs on, and one thread per GEMM makes the sums the same bits at any
+    BLAS thread count.
     """
     if block_cols < 1:
         raise ValueError("block_cols must be positive")
+    width = max(1, block_cols // 4)
     if isinstance(source, Dataset):
         config, Q = source.config, source.Q
         if Q is None or Q.shape != (config.n, config.d):
             raise ValueError("dataset must retain its n x d noise matrix Q")
         # copied: NoiseStats freezes its arrays, the dataset keeps its own
         labels = (source.y.copy(), source.a.copy(), source.b.copy())
-        blocks = ((j0, Q[:, j0 : j0 + block_cols]) for j0 in range(0, config.d, block_cols))
+
+        def half(j_start, j_stop):
+            return ((j0, Q[:, j0 : min(j0 + width, j_stop)]) for j0 in range(j_start, j_stop, width))
+
     elif isinstance(source, ModelConfig):
         config = source
         labels = sample_labels(config)
-        blocks = noise_blocks(config, block_cols)
+
+        def half(j_start, j_stop):
+            return _noise_range(config, j_start, j_stop, width)
+
     else:
         raise TypeError(f"expected Dataset or ModelConfig, got {type(source).__name__}")
-    u_c, u_s = embed_means(config)
-    u_c /= np.linalg.norm(u_c) or 1.0
-    u_s /= np.linalg.norm(u_s) or 1.0
-    n = config.n
-    gram_0 = np.zeros((n, n))
-    q_core = np.zeros(n)
-    q_spur = np.zeros(n)
-    for j0, blk in blocks:
-        j1 = j0 + blk.shape[1]
-        gram_0 += blk @ blk.T
-        q_core += blk @ u_c[j0:j1]
-        q_spur += blk @ u_s[j0:j1]
+    n, d = config.n, config.d
+    mid = (d + 1) // 2
+    # one worker per call: a module-level pool would hang in a forked child
+    with _one_blas_thread(), ThreadPoolExecutor(1) as pool:
+        # pinned too: above 10^4 entries a threaded dot would leave a BLAS
+        # worker spinning on the second core for the whole stream
+        u_c, u_s = embed_means(config)
+        u_c /= np.linalg.norm(u_c) or 1.0
+        u_s /= np.linalg.norm(u_s) or 1.0
+        # every array of both halves is made here, on the caller's thread:
+        # what a worker allocates and frees stays resident in its own malloc
+        # arena after it exits, on top of what the caller allocates next
+        lower, upper = [
+            (half(lo, hi), u_c, u_s, (np.zeros((n, n)), np.zeros(n), np.zeros(n), np.empty((n, n))))
+            for lo, hi in ((0, mid), (mid, d))
+        ]
+        future = pool.submit(_stream_stats, *upper)
+        first = _stream_stats(*lower)
+        second = future.result()
+    gram_0, q_core, q_spur = (x + y for x, y in zip(first, second))
     gram_0 = 0.5 * (gram_0 + gram_0.T)  # exact symmetry for the SPD solvers
     return NoiseStats(*labels, gram_0=gram_0, q_core=q_core, q_spur=q_spur)
 
@@ -518,8 +662,8 @@ def check_assumptions(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if c_const <= 0.0:
-        raise ValueError("c_const must be positive")
+    if not (np.isfinite(c_const) and c_const > 0.0):
+        raise ValueError(f"c_const must be finite and positive, got {c_const!r}")
     n, d = config.n, config.d
     r_plus = signal_strengths(config).r_plus
     core_sq = float(config.mu_core @ config.mu_core)

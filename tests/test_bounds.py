@@ -126,8 +126,13 @@ class TestEvaluateBounds:
         np.testing.assert_allclose(report.upper[+1], report.lower[+1], rtol=1e-14)
 
     def test_rejects_nonpositive_constants(self):
-        with pytest.raises(ValueError):
-            evaluate_bounds(imbalanced_config(), constants=(0.0, 1.0, 1.0))
+        cfg = imbalanced_config()
+        for slot in range(3):
+            for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+                constants = [1.0, 1.0, 1.0]
+                constants[slot] = bad
+                with pytest.raises(ValueError, match="finite and positive"):
+                    evaluate_bounds(cfg, constants=tuple(constants))
 
     def test_to_dict_has_both_groups(self):
         doc = evaluate_bounds(imbalanced_config()).to_dict()
@@ -165,6 +170,13 @@ class TestConsistency:
         assert not res.applicable
         assert res.holds is None
         assert res.slack is None
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_threshold_constant(self, bad):
+        # equal mean norms: the condition applies, so a NaN would reach the slack
+        assert consistency_check(imbalanced_config(), +1).applicable
+        with pytest.raises(ValueError, match="finite and positive"):
+            consistency_check(imbalanced_config(), +1, c_const=bad)
 
     def test_threshold_constant_monotone(self):
         cfg = imbalanced_config()

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +88,15 @@ class TestSampleAndFit:
         doc = json.loads(stdout)
         assert doc["tau"] == 50.0
 
+    @pytest.mark.parametrize("step", ["nan", "inf", "0", "-1"])
+    def test_fit_gd_bad_step_is_usage_error(self, step, capsys):
+        code, stdout, err = run(
+            ["fit", "-n", "20", "-d", "400", "--method", "gd", "--step", step], capsys
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "step must be finite and positive" in err
+
     def test_fit_missing_data_file(self, capsys):
         code, _, err = run(["fit", "--data", "/nonexistent/ds.bin"], capsys)
         assert code == 2
@@ -148,12 +158,27 @@ class TestRiskAndBounds:
         np.testing.assert_allclose(doc["upper_plus"], np.exp(-5.9375), rtol=1e-9)
         assert doc["consistency_plus"]["applicable"]
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--c1", "nan"), ("--c2", "0"), ("--c3", "inf"), ("--c-const", "nan"), ("--c-const", "-1")],
+    )
+    def test_bounds_bad_constant_is_usage_error(self, flag, value, capsys):
+        # equal mean norms, so the vanishing condition applies
+        code, stdout, err = run(
+            ["bounds", "-n", "20", "-d", "400", "--mu-core-sq", "40", "--mu-spur-sq", "40",
+             flag, value],
+            capsys,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "finite and positive" in err
+
     def test_out_flag_writes_file(self, tmp_path, capsys):
         out = str(tmp_path / "risk.json")
         code, stdout, _ = run(["risk", "-n", "20", "-d", "400", "--out", out], capsys)
         assert code == 0
         assert stdout == ""
-        assert "risk_plus" in json.load(open(out))
+        assert "risk_plus" in json.loads(Path(out).read_text())
 
 
 class TestVerification:
@@ -255,9 +280,9 @@ class TestSweepCommand:
 
     def test_sweep_skips_logged_as_json_lines(self, tmp_path, capsys):
         spec_path = self.spec_file(tmp_path)
-        doc = json.loads(open(spec_path).read())
+        doc = json.loads(Path(spec_path).read_text())
         doc["axis"]["values"] = [0.5, 0.99]  # 0.99 > delta_plus, skipped
-        open(spec_path, "w").write(json.dumps(doc))
+        Path(spec_path).write_text(json.dumps(doc))
         out = str(tmp_path / "rows.csv")
         code, _, err = run(["sweep", "--spec", spec_path, "--out", out], capsys)
         assert code == 0
@@ -347,9 +372,9 @@ class TestSweepCommand:
 
     def test_sweep_all_points_invalid_is_failure(self, tmp_path, capsys):
         spec_path = self.spec_file(tmp_path)
-        doc = json.loads(open(spec_path).read())
+        doc = json.loads(Path(spec_path).read_text())
         doc["axis"]["values"] = [0.99]
-        open(spec_path, "w").write(json.dumps(doc))
+        Path(spec_path).write_text(json.dumps(doc))
         code, _, err = run(
             ["sweep", "--spec", spec_path, "--out", str(tmp_path / "r.csv")], capsys
         )
@@ -366,7 +391,7 @@ class TestSweepCommand:
             capsys,
         )
         assert code == 0
-        doc = json.load(open(out))
+        doc = json.loads(Path(out).read_text())
         assert doc["meta"]["axis"] == "delta_minus"
         assert len(doc["rows"]) == 2
 

@@ -225,6 +225,13 @@ class TestGradientDescent:
         with pytest.raises(RuntimeError):
             fit_gd(stats, cfg.deltas, (ds.y, ds.a, ds.b), step=2.5 * cfg.n / lam_max, iters=5000)
 
+    @pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_bad_step(self, step):
+        cfg = make_config()
+        ds = sample_dataset(cfg)
+        with pytest.raises(ValueError, match="step must be finite and positive"):
+            fit_gd(accumulate_gram(ds), cfg.deltas, (ds.y, ds.a, ds.b), step=step)
+
     def test_rejects_bad_iters(self):
         cfg = make_config()
         ds = sample_dataset(cfg)

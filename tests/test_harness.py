@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -463,13 +464,13 @@ class TestEmit:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         emit(rows, p1)
         emit(rows, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_json_format(self, tmp_path):
         rows = self.make_rows()
         path = str(tmp_path / "out.json")
         emit(rows, path, fmt="json", meta={"note": "unit"})
-        doc = json.load(open(path))
+        doc = json.loads(Path(path).read_text())
         assert doc["generator"] == "philox"
         assert doc["meta"]["note"] == "unit"
         assert len(doc["rows"]) == len(rows)

@@ -1,7 +1,14 @@
 """Tests for configuration, sampling, and dataset persistence."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +35,7 @@ from grouprisk.model import (
     signal_strengths,
     substream_seed,
 )
+from grouprisk.model import _blas_thread_controls, _noise_range, _one_blas_thread
 
 
 def uniforms_at(seed, stream, offset, count):
@@ -359,6 +367,147 @@ class TestSampling:
             bad.validate()
 
 
+class TestTwoHalfStream:
+    @pytest.mark.parametrize("n_plus", [16, 15])  # n = 20, and an odd n = 19
+    def test_noise_range_halves_concatenate_to_noise_blocks(self, n_plus):
+        cfg = small_config(n_plus=n_plus)
+        n, d = cfg.n, cfg.d
+        (_, full), = noise_blocks(cfg, block_cols=d)
+        full = full.copy()
+        for h in (0, 1, 2, 3, 5, 199, 201, d - 1, d):
+            for cols in (1, 7, 64):
+                got = np.full((n, d), np.nan)
+                for lo, hi in ((0, h), (h, d)):
+                    for j0, blk in _noise_range(cfg, lo, hi, cols):
+                        got[:, j0 : j0 + blk.shape[1]] = blk
+                np.testing.assert_array_equal(got, full)
+            if h < d:
+                # the upper range starts at word h*n, mid counter block when h*n % 4 != 0
+                j0, blk = next(_noise_range(cfg, h, d, 7))
+                u = uniforms_at(cfg.seed, STREAM_NOISE, h * n, blk.shape[1] * n)
+                assert j0 == h
+                np.testing.assert_array_equal(blk, ndtri(np.maximum(u, 2.0**-53)).reshape(-1, n).T)
+
+    @pytest.fixture
+    def blas_controls(self):
+        """The loaded OpenBLAS thread controls, each set to 2 for the test."""
+        controls = _blas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread control found")
+        saved = [getter() for getter, _ in controls]
+        for _, setter in controls:
+            setter(2)
+        yield controls
+        for (_, setter), count in zip(controls, saved):
+            setter(count)
+
+    @staticmethod
+    def counts(controls):
+        return [getter() for getter, _ in controls]
+
+    def test_pin_restores_counts_on_exit(self, blas_controls):
+        with _one_blas_thread():
+            assert self.counts(blas_controls) == [1] * len(blas_controls)
+        assert self.counts(blas_controls) == [2] * len(blas_controls)
+
+    def test_pin_restores_counts_after_exception(self, blas_controls):
+        with pytest.raises(RuntimeError, match="inside the pin"):
+            with _one_blas_thread():
+                raise RuntimeError("inside the pin")
+        assert self.counts(blas_controls) == [2] * len(blas_controls)
+
+    def test_nested_pins_restore_once(self, blas_controls):
+        with _one_blas_thread():
+            with _one_blas_thread():
+                assert self.counts(blas_controls) == [1] * len(blas_controls)
+            # the outer entry still holds the pin
+            assert self.counts(blas_controls) == [1] * len(blas_controls)
+        assert self.counts(blas_controls) == [2] * len(blas_controls)
+
+    def test_concurrent_streams_restore_counts(self, blas_controls):
+        # more streams than cores, switching often: a lost update of the pin's
+        # depth would leave the counts at 1 or restore them mid-stream
+        cfg = small_config(d_core=1000, d_spur=1000, mu_core=e1(14.0, 1000),
+                           mu_spur=e1(7.0, 1000), n_plus=40, n_minus=10)
+        expected = noise_stats(cfg)
+        results = [[] for _ in range(4)]
+        start = threading.Barrier(len(results))
+
+        def stream(i):
+            start.wait()
+            for _ in range(5):
+                results[i].append(noise_stats(cfg))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=stream, args=(i,)) for i in range(len(results))]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert self.counts(blas_controls) == [2] * len(blas_controls)
+        assert [len(r) for r in results] == [5] * len(results)
+        for got in (g for r in results for g in r):
+            for name in ("gram_0", "q_core", "q_spur"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
+
+    def test_stats_bits_do_not_depend_on_blas_threads(self, blas_controls):
+        # unpinned, this point's threaded GEMMs sum in a different order at
+        # the default thread count than at one thread
+        script = (
+            "import hashlib\n"
+            "from grouprisk.model import ModelConfig, e1_mean, noise_stats\n"
+            "cfg = ModelConfig(d_core=15000, d_spur=15000, mu_core=e1_mean(30.0, 15000),\n"
+            "                  mu_spur=e1_mean(10.0, 15000), n_plus=120, n_minus=30, seed=11)\n"
+            "s = noise_stats(cfg)\n"
+            "print(hashlib.sha256(s.gram_0.tobytes() + s.q_core.tobytes()"
+            " + s.q_spur.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        digests = []
+        for threads in ("1", None):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_noise_stats_runs_in_a_forked_child(self):
+        cfg = small_config()
+        before = noise_stats(cfg)
+        pid = os.fork()
+        if pid == 0:  # the child exits 0 only on the parent's bits
+            code = 1
+            try:
+                after = noise_stats(cfg)
+                same = all(np.array_equal(getattr(after, k), getattr(before, k))
+                           for k in ("gram_0", "q_core", "q_spur"))
+                code = 0 if same else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("noise_stats hung in a forked child")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+
 class TestSubstreams:
     def test_substream_seed_is_xor(self):
         assert substream_seed(0, 0) == 0
@@ -409,6 +558,11 @@ class TestAssumptions:
         with pytest.raises(ValueError):
             check_assumptions(small_config(), delta=0.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_constant(self, bad):
+        with pytest.raises(ValueError, match="c_const must be finite and positive"):
+            check_assumptions(small_config(), c_const=bad)
+
 
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
@@ -438,9 +592,8 @@ class TestPersistence:
         ds = sample_dataset(small_config())
         path = str(tmp_path / "ds.bin")
         save_dataset(ds, path)
-        raw = open(path, "rb").read()
-        with open(path, "wb") as fh:
-            fh.write(raw[:-16])
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw[:-16])
         with pytest.raises(ValueError):
             load_dataset(path)
 
