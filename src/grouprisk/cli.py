@@ -20,6 +20,7 @@ from .bounds import consistency_check, evaluate_bounds
 from .estimators import GramStats, fit_cmni, fit_gd, fit_ridge, interpolation_residual
 from .harness import PRESET_NAMES, SweepSpec, emit, preset, run_sweep
 from .model import ModelConfig, e1_mean, load_dataset, noise_stats, sample_dataset, save_dataset
+from .model import _one_blas_thread
 from .primitives import (
     PRIMITIVE_NAMES,
     check_aux_inequalities,
@@ -350,7 +351,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # one OpenBLAS thread for the whole command: the same bits at any
+        # BLAS thread count, and no worker left spinning between calls
+        with _one_blas_thread():
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -48,9 +48,6 @@ __all__ = [
 ]
 
 _SOLVE_RTOL = 1e-10  # target residual, relative to |Delta^{-1} y|
-# SPD systems up to this size are solved through the inverse Cholesky
-# factor in numpy, larger ones by scipy's Cholesky (see `_spd_factor`)
-_SPD_INVERSE_MAX_N = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,25 +211,15 @@ def _adjusted_targets(delta, y, b):
 
 
 def _spd_factor(mat: np.ndarray, what: str):
-    """The factor of the SPD `mat` that `_spd_solve` takes.
+    """scipy's lower Cholesky factor `(L, True)` of the SPD `mat`, for `_spd_solve`.
 
-    Up to `_SPD_INVERSE_MAX_N` rows it is R = L^{-1} for the Cholesky
-    factor L of `mat` (mat = L L'), and a solve is R'(R rhs): all in
-    numpy, on numpy's BLAS pool.  scipy's LAPACK runs on scipy's own pool,
-    whose threads wait on numpy's for the cores whenever a threaded numpy
-    op has just run (OpenBLAS workers spin for about 0.1 s after one); at
-    small n that costs more than the inverse's extra flops.  The noise
-    stream itself runs pinned to one thread and leaves none spinning.
-    Above the cut the O(n^3) work dominates, and the factor is scipy's
-    `cho_factor`: the explicit inverse costs about 8x its flops, and
-    numpy's Cholesky runs slower than scipy's there.
-    Raises LinAlgError, led by `what` and carrying a condition estimate,
-    if `mat` is not positive definite.
+    Sweeps and CLI commands take it under `model._one_blas_thread`, so
+    there it is the same bits at any BLAS thread count.  Raises
+    LinAlgError, led by `what` and carrying a condition estimate, if `mat`
+    is not positive definite.
     """
     try:
-        if mat.shape[0] > _SPD_INVERSE_MAX_N:
-            return cho_factor(mat, lower=True, check_finite=False)
-        return np.linalg.inv(np.linalg.cholesky(mat))
+        return cho_factor(mat, lower=True, check_finite=False)
     except LinAlgError as exc:
         cond = np.linalg.cond(mat)
         raise LinAlgError(f"{what} (cond ~ {cond:.3e}): {exc}") from exc
@@ -240,9 +227,7 @@ def _spd_factor(mat: np.ndarray, what: str):
 
 def _spd_solve(factor, rhs: np.ndarray) -> np.ndarray:
     """mat^{-1} rhs for the `_spd_factor` of mat."""
-    if isinstance(factor, tuple):  # cho_factor's (L, lower)
-        return cho_solve(factor, rhs, check_finite=False)
-    return factor.T @ (factor @ rhs)
+    return cho_solve(factor, rhs, check_finite=False)
 
 
 def _gram_factor(stats: GramStats, tau: float):

@@ -48,7 +48,7 @@ import numpy as np
 
 from .bounds import bound_exponent
 from .estimators import GramStats, _check_tau
-from .model import ModelConfig, NoiseStats, e1_mean, noise_stats, substream_seed
+from .model import ModelConfig, NoiseStats, _one_blas_thread, e1_mean, noise_stats, substream_seed
 from .primitives import compute_primitives, fit_moments, verify_primitive_bounds
 from .risk import group_risk, worst_and_average
 
@@ -272,12 +272,16 @@ def _stat_pair(values) -> tuple[float, float]:
     return mean, std
 
 
+@_one_blas_thread()
 def run_sweep(spec: SweepSpec, block_cols: int = 4096):
     """Execute the sweep; returns (rows, skips).
 
     Failures at any stage are appended to `skips` as JSON-ready dicts and
     the sweep continues.  Trial i runs at seed base.seed XOR i; the same
     trial's noise is shared across axis values when the axis permits it.
+    The whole sweep runs at one OpenBLAS thread (`model._one_blas_thread`),
+    so its rows are the same bits at any BLAS thread count; the caller's
+    counts are restored on return.
     """
     derived: list[tuple[float, ModelConfig | None]] = []
     skips: list[dict] = []

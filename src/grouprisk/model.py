@@ -80,13 +80,6 @@ _MASK64 = (1 << 64) - 1
 # Generator.random maps one uint64 word w to (w >> 11) * 2^-53, so 0.0 has
 # probability 2^-53; flooring keeps ndtri finite without bias elsewhere.
 _U_FLOOR = 2.0 ** -53
-# `noise_stats` streams the second column half on a worker thread only from
-# this many noise values (n * d) up; below, the caller streams both halves.
-# Philox and ndtri take about 45 ns a value, so this is a stream of ~0.1 s,
-# as long as an OpenBLAS worker spins after a threaded call made before it.
-# A shorter stream gains little from a second thread, and what it gains
-# depends on whether such a spinning worker holds the other core.
-_THREAD_MIN_VALUES = 1 << 21
 
 
 def substream_seed(seed: int, trial: int) -> int:
@@ -498,7 +491,8 @@ def _one_blas_thread():
     1; the outermost exit restores the saved counts, also when the body
     raises.  A module lock and a depth counter let nested and concurrent
     entries share one pin.  Where no library is found the body runs at
-    whatever counts are set.
+    whatever counts are set.  `harness.run_sweep` and `cli.main` run
+    under it, so one BLAS thread is the policy of every sweep and command.
     """
     global _blas_depth, _blas_saved
     with _blas_lock:
@@ -569,16 +563,15 @@ def noise_stats(source, block_cols: int = 4096) -> NoiseStats:
 
     The d columns split into the halves [0, ceil(d/2)) and [ceil(d/2), d).
     The caller streams the first and one worker thread, started for this
-    call, the second, each in blocks of max(1, block_cols // 4) columns;
-    below `_THREAD_MIN_VALUES` noise values the caller streams both, one
-    after the other, into the same sums.  On the config route each half
-    draws its own range of the stream (`_noise_range`) into one reused
-    buffer, so the two together hold half of an n x block_cols block.  The
-    statistics are the first half's sums plus the second's, symmetrized,
-    so they are the same bits on either path.  Both halves run under
-    `_one_blas_thread`: a threaded GEMM would take the core the other half
-    runs on, and one thread per GEMM makes the sums the same bits at any
-    BLAS thread count.
+    call, the second, each in blocks of max(1, block_cols // 4) columns.
+    On the config route each half draws its own range of the stream
+    (`_noise_range`) into one reused buffer, so the two together hold half
+    of an n x block_cols block.  The statistics are the first half's sums
+    plus the second's, symmetrized.  Both halves run under
+    `_one_blas_thread`, which sweeps and CLI commands already hold and a
+    direct call takes here: a threaded GEMM would take the core the other
+    half runs on, and one thread per GEMM makes the sums the same bits at
+    any BLAS thread count.
     """
     if block_cols < 1:
         raise ValueError("block_cols must be positive")
@@ -617,14 +610,11 @@ def noise_stats(source, block_cols: int = 4096) -> NoiseStats:
             (half(lo, hi), u_c, u_s, (np.zeros((n, n)), np.zeros(n), np.zeros(n), np.empty((n, n))))
             for lo, hi in ((0, mid), (mid, d))
         ]
-        if n * d < _THREAD_MIN_VALUES:
-            first, second = _stream_stats(*lower), _stream_stats(*upper)
-        else:
-            # one worker per call: a module-level pool would hang in a forked child
-            with ThreadPoolExecutor(1) as pool:
-                future = pool.submit(_stream_stats, *upper)
-                first = _stream_stats(*lower)
-                second = future.result()
+        # one worker per call: a module-level pool would hang in a forked child
+        with ThreadPoolExecutor(1) as pool:
+            future = pool.submit(_stream_stats, *upper)
+            first = _stream_stats(*lower)
+            second = future.result()
     gram_0, q_core, q_spur = (x + y for x, y in zip(first, second))
     gram_0 = 0.5 * (gram_0 + gram_0.T)  # exact symmetry for the SPD solvers
     return NoiseStats(*labels, gram_0=gram_0, q_core=q_core, q_spur=q_spur)

@@ -119,7 +119,7 @@ class _Order0(NamedTuple):
     7x7 tables B' M_0^{-1} B and B' M_0^{-2} B over the delta-free basis
     B = [a, y, d_1, d_2, e_1, y_+, y_-] (y_pm is y masked to group pm)."""
 
-    factor: np.ndarray | tuple
+    factor: tuple
     e_1: np.ndarray
     table: np.ndarray
     squared: np.ndarray

@@ -264,21 +264,18 @@ class TestSolutionContainer:
 
 
 class TestSpdSolve:
-    """The SPD factor and solve pair, on both sides of the inverse cut."""
+    """The SPD factor and solve pair: scipy's Cholesky at every size."""
 
     @pytest.mark.parametrize("offset", [0, 1])
     def test_solves_match_dense_solve(self, offset):
-        n = estimators._SPD_INVERSE_MAX_N + offset
+        n = 512 + offset  # 512 and 513 take the same scipy path
         q = np.random.default_rng(offset).standard_normal((n, n + 20))
         mat = q @ q.T
         rhs = np.random.default_rng(9).standard_normal((n, 3))
-        factor = estimators._spd_factor(mat, "unused")
-        lower = np.linalg.cholesky(mat)
-        if offset:  # above the cut: cho_factor's (L, lower)
-            np.testing.assert_allclose(np.tril(factor[0]), lower, rtol=1e-12, atol=1e-12)
-        else:  # up to the cut: L^{-1}
-            np.testing.assert_allclose(factor @ lower, np.eye(n), atol=1e-10)
-        got = estimators._spd_solve(factor, rhs)
+        factor, lower = estimators._spd_factor(mat, "unused")
+        assert lower
+        np.testing.assert_allclose(np.tril(factor), np.linalg.cholesky(mat), rtol=1e-12, atol=1e-12)
+        got = estimators._spd_solve((factor, lower), rhs)
         np.testing.assert_allclose(got, np.linalg.solve(mat, rhs), rtol=1e-8, atol=1e-10)
 
     def test_not_positive_definite_names_the_system(self):
