@@ -80,6 +80,14 @@ _MASK64 = (1 << 64) - 1
 # Generator.random maps one uint64 word w to (w >> 11) * 2^-53, so 0.0 has
 # probability 2^-53; flooring keeps ndtri finite without bias elsewhere.
 _U_FLOOR = 2.0 ** -53
+# `noise_stats` streams the second column half on a worker thread only from
+# this many noise values (n * d) up; below, the caller streams both halves.
+# Philox and ndtri take about 45 ns a value, so this is a stream of ~0.1 s.
+# A shorter stream gains only what share of the second core it gets, and
+# that share moves with the machine's other load: on a shared 2-vCPU VM,
+# `verify-primitives` at n = 30, d = 30000 took a median 27 to 35 ms from
+# run to run with the worker, and 42 to 43 ms without it.
+_THREAD_MIN_VALUES = 1 << 21
 
 
 def substream_seed(seed: int, trial: int) -> int:
@@ -563,11 +571,13 @@ def noise_stats(source, block_cols: int = 4096) -> NoiseStats:
 
     The d columns split into the halves [0, ceil(d/2)) and [ceil(d/2), d).
     The caller streams the first and one worker thread, started for this
-    call, the second, each in blocks of max(1, block_cols // 4) columns.
-    On the config route each half draws its own range of the stream
-    (`_noise_range`) into one reused buffer, so the two together hold half
-    of an n x block_cols block.  The statistics are the first half's sums
-    plus the second's, symmetrized.  Both halves run under
+    call, the second, each in blocks of max(1, block_cols // 4) columns;
+    below `_THREAD_MIN_VALUES` noise values the caller streams both, one
+    after the other, into the same sums.  On the config route each half
+    draws its own range of the stream (`_noise_range`) into one reused
+    buffer, so the two together hold half of an n x block_cols block.  The
+    statistics are the first half's sums plus the second's, symmetrized,
+    so they are the same bits on either path.  Both halves run under
     `_one_blas_thread`, which sweeps and CLI commands already hold and a
     direct call takes here: a threaded GEMM would take the core the other
     half runs on, and one thread per GEMM makes the sums the same bits at
@@ -610,11 +620,14 @@ def noise_stats(source, block_cols: int = 4096) -> NoiseStats:
             (half(lo, hi), u_c, u_s, (np.zeros((n, n)), np.zeros(n), np.zeros(n), np.empty((n, n))))
             for lo, hi in ((0, mid), (mid, d))
         ]
-        # one worker per call: a module-level pool would hang in a forked child
-        with ThreadPoolExecutor(1) as pool:
-            future = pool.submit(_stream_stats, *upper)
-            first = _stream_stats(*lower)
-            second = future.result()
+        if n * d < _THREAD_MIN_VALUES:
+            first, second = _stream_stats(*lower), _stream_stats(*upper)
+        else:
+            # one worker per call: a module-level pool would hang in a forked child
+            with ThreadPoolExecutor(1) as pool:
+                future = pool.submit(_stream_stats, *upper)
+                first = _stream_stats(*lower)
+                second = future.result()
     gram_0, q_core, q_spur = (x + y for x, y in zip(first, second))
     gram_0 = 0.5 * (gram_0 + gram_0.T)  # exact symmetry for the SPD solvers
     return NoiseStats(*labels, gram_0=gram_0, q_core=q_core, q_spur=q_spur)

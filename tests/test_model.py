@@ -15,6 +15,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import chi2, kstest
 
+from grouprisk import model
 from grouprisk.model import (
     STREAM_NOISE,
     STREAM_WISHART,
@@ -411,9 +412,10 @@ class TestTwoHalfStream:
             assert self.counts(blas_controls) == [1] * len(blas_controls)
         assert self.counts(blas_controls) == [2] * len(blas_controls)
 
-    def test_concurrent_streams_restore_counts(self, blas_controls):
+    def test_concurrent_streams_restore_counts(self, blas_controls, monkeypatch):
         # more streams than cores, switching often: a lost update of the pin's
         # depth would leave the counts at 1 or restore them mid-stream
+        monkeypatch.setattr(model, "_THREAD_MIN_VALUES", 0)  # each with its worker
         cfg = small_config(d_core=1000, d_spur=1000, mu_core=e1(14.0, 1000),
                            mu_spur=e1(7.0, 1000), n_plus=40, n_minus=10)
         expected = noise_stats(cfg)
@@ -468,9 +470,29 @@ class TestTwoHalfStream:
             digests.append(proc.stdout.strip())
         assert digests[0] == digests[1]
 
+    @pytest.mark.parametrize("route", ["config", "dataset"])
+    def test_worker_and_caller_only_paths_give_the_same_bits(self, route, monkeypatch):
+        cfg = small_config(d_core=1501, d_spur=1500, mu_core=e1(14.0, 1501),
+                           mu_spur=e1(7.0, 1500), n_plus=41, n_minus=10)
+        source = cfg if route == "config" else sample_dataset(cfg)
+        assert cfg.n * cfg.d < model._THREAD_MIN_VALUES
+        alone = noise_stats(source, block_cols=600)
+        monkeypatch.setattr(model, "_THREAD_MIN_VALUES", 0)
+        threaded = noise_stats(source, block_cols=600)
+        for name in ("gram_0", "q_core", "q_spur"):
+            np.testing.assert_array_equal(getattr(threaded, name), getattr(alone, name))
+
+    def test_short_stream_starts_no_worker(self, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("worker thread started for a short stream")
+
+        monkeypatch.setattr(model, "ThreadPoolExecutor", no_pool)
+        noise_stats(small_config())
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_noise_stats_runs_in_a_forked_child(self):
-        cfg = small_config()  # parent and child each start a worker
+    def test_noise_stats_runs_in_a_forked_child(self, monkeypatch):
+        monkeypatch.setattr(model, "_THREAD_MIN_VALUES", 0)  # parent and child start workers
+        cfg = small_config()
         before = noise_stats(cfg)
         pid = os.fork()
         if pid == 0:  # the child exits 0 only on the parent's bits
