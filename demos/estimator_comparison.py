@@ -41,20 +41,19 @@ def main():
     )
     ds = sample_dataset(cfg)
     stats = accumulate_gram(ds)
-    labels = (ds.y, ds.a, ds.b)
 
-    sol = fit_cmni(stats, cfg.deltas, labels)
+    sol = fit_cmni(stats, cfg.deltas)
     print("interpolator:")
-    print(f"  weighted-constraint residual: {interpolation_residual(sol, stats, cfg.deltas, labels):.2e}")
+    print(f"  weighted-constraint residual: {interpolation_residual(sol, stats, cfg.deltas):.2e}")
     print(f"  |w|^2 = {sol.w_norm_sq:.4f}")
 
     print("\nridge path (larger tau shrinks the solution):")
     for tau in (0.0, cfg.d / 100, cfg.d / 10, float(cfg.d)):
-        r = fit_ridge(stats, cfg.deltas, labels, tau)
-        resid = interpolation_residual(r, stats, cfg.deltas, labels)
+        r = fit_ridge(stats, cfg.deltas, tau)
+        resid = interpolation_residual(r, stats, cfg.deltas)
         print(f"  tau = {tau:8.1f}: |w|^2 = {r.w_norm_sq:.4f}, residual = {resid:.2e}")
 
-    gd = fit_gd(stats, cfg.deltas, labels)
+    gd = fit_gd(stats, cfg.deltas)
     gap = np.linalg.norm(gd.c - sol.c) / np.linalg.norm(sol.c)
     print("\ngradient descent from zero:")
     print(f"  converged in {gd.info['iters']} iterations (step {gd.info['step']:.4g})")

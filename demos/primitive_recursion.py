@@ -4,8 +4,9 @@ The gram of the signal-plus-noise design is the noise gram plus two rank-3
 updates, one per mean direction.  Every statistic the risk formulas need
 is a quadratic form in a staged inverse, and each of those scalars can be
 advanced through the closed-form 3x3 capacitance instead of refactoring
-the matrix.  This script checks the two routes against each other and
-then places the normalized primitives inside their concentration bands.
+the matrix.  This script checks that recursion against dense stage
+inverses, checks the closed-form adjugate of each capacitance, and then
+places the normalized primitives inside their concentration bands.
 
 Run:  python3 demos/primitive_recursion.py
 """
@@ -18,9 +19,7 @@ from grouprisk import (
     compute_primitives,
     fit_cmni,
     risk_identity_check,
-    sample_dataset,
     verify_primitive_bounds,
-    woodbury_invert,
 )
 from grouprisk.primitives import det_and_adj
 
@@ -56,22 +55,13 @@ def main():
         n_minus=6,
         seed=SEED,
     )
-    ds = sample_dataset(cfg)
-    stats = accumulate_gram(ds)
+    stats = accumulate_gram(cfg)
     print(f"d = {cfg.d}, n = {cfg.n}, mean norms m_1 = {stats.mu_norms[0]:.3f}, "
           f"m_2 = {stats.mu_norms[1]:.3f}")
 
-    # route one: Woodbury stage inverses against direct dense inversion
-    inverses = woodbury_invert(stats, cfg.tau)
-    print("\nstage inverses, Woodbury vs dense:")
-    for k, m_inv in enumerate(inverses):
-        dense = np.linalg.inv(stats.stage_gram(k) + cfg.tau * np.eye(cfg.n))
-        gap = np.max(np.abs(m_inv - dense)) / np.max(np.abs(dense))
-        print(f"  k = {k}: max relative gap = {gap:.2e}")
-
-    # route two: every scalar advanced through f_A / det(A_k)
-    direct = compute_primitives(ds, mode="direct")
-    recursive = compute_primitives(ds, mode="recursive")
+    # dense stage inverses against every scalar advanced through f_A / det(A_k)
+    direct = compute_primitives(stats, tau=cfg.tau, delta=cfg.deltas, mode="direct")
+    recursive = compute_primitives(stats, tau=cfg.tau, delta=cfg.deltas, mode="recursive")
     print(f"\nscalar recursion vs dense quadratic forms: "
           f"max relative gap = {max_rel_gap(direct, recursive):.2e}")
 
@@ -79,13 +69,14 @@ def main():
     for k in (1, 2):
         det, adj = det_and_adj(direct, k)
         L, R = stats.update_factors(k)
-        a_k = np.eye(3) + R @ inverses[k - 1] @ L
+        prev_inv = np.linalg.inv(stats.stage_gram(k - 1) + cfg.tau * np.eye(cfg.n))
+        a_k = np.eye(3) + R @ prev_inv @ L
         resid = np.max(np.abs(a_k @ adj - det * np.eye(3)))
         print(f"  k = {k}: det(A_{k}) = {det:8.4f}, "
               f"|A adj - det I| = {resid:.2e}")
 
     # the fitted margin exponent equals its order-2 primitive expression
-    sol = fit_cmni(stats, cfg.deltas, (ds.y, ds.a, ds.b))
+    sol = fit_cmni(stats, cfg.deltas)
     print("\nrisk identity, fitted exponent vs primitive form:")
     for b in (+1, -1):
         print(f"  b = {b:+d}: relative gap = "

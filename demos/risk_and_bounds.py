@@ -17,7 +17,6 @@ from grouprisk import (
     consistency_check,
     evaluate_bounds,
     fit_cmni,
-    sample_labels,
     signal_strengths,
     tightness_ratio,
 )
@@ -51,8 +50,7 @@ def main():
 
     # streamed gram accumulation; X is never materialized at this width
     stats = accumulate_gram(cfg)
-    labels = sample_labels(cfg)
-    sol = fit_cmni(stats, cfg.deltas, labels)
+    sol = fit_cmni(stats, cfg.deltas)
 
     report = build_report(sol, cfg, mc_draws=MC_DRAWS)
     print("\nexact risks from the fitted margin:")

@@ -17,9 +17,9 @@ import sys
 import numpy as np
 
 from .bounds import consistency_check, evaluate_bounds
-from .estimators import GramStats, fit_cmni, fit_gd, fit_ridge, interpolation_residual
+from .estimators import accumulate_gram, fit_cmni, fit_gd, fit_ridge, interpolation_residual
 from .harness import PRESET_NAMES, SweepSpec, emit, preset, run_sweep
-from .model import ModelConfig, e1_mean, load_dataset, noise_stats, sample_dataset, save_dataset
+from .model import ModelConfig, e1_mean, load_dataset, sample_dataset, save_dataset
 from .model import _one_blas_thread
 from .primitives import (
     PRIMITIVE_NAMES,
@@ -80,12 +80,12 @@ def _emit_json(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _fit_solution(args, cfg, stats, labels):
+def _fit_solution(args, cfg, stats):
     if args.method == "cmni":
-        return fit_cmni(stats, cfg.deltas, labels)
+        return fit_cmni(stats, cfg.deltas)
     if args.method == "ridge":
-        return fit_ridge(stats, cfg.deltas, labels, cfg.tau)
-    return fit_gd(stats, cfg.deltas, labels, step=args.step, iters=args.iters)
+        return fit_ridge(stats, cfg.deltas, cfg.tau)
+    return fit_gd(stats, cfg.deltas, step=args.step, iters=args.iters)
 
 
 def primitive_set_max_gap(a, b) -> float:
@@ -109,7 +109,7 @@ def _cmd_sample(args) -> int:
         print("sample: --out PATH is required", file=sys.stderr)
         return 2
     cfg = config_from_args(args)
-    save_dataset(sample_dataset(cfg, block_cols=args.block_cols), args.out)
+    save_dataset(sample_dataset(cfg), args.out)
     _emit_json(
         {
             "path": args.out,
@@ -124,11 +124,6 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _stats_and_labels(source, cfg, block_cols):
-    noise = noise_stats(source, block_cols)
-    return GramStats.from_noise(cfg, noise), noise.labels
-
-
 def _cmd_fit(args) -> int:
     if args.data:
         source = load_dataset(args.data)
@@ -137,18 +132,17 @@ def _cmd_fit(args) -> int:
             cfg = cfg.with_updates(tau=args.tau)
     else:
         source = cfg = config_from_args(args)
-    stats, labels = _stats_and_labels(source, cfg, args.block_cols)
-    sol = _fit_solution(args, cfg, stats, labels)
+    stats = accumulate_gram(source)
+    sol = _fit_solution(args, cfg, stats)
     doc = sol.to_dict()
-    doc["interpolation_residual"] = interpolation_residual(sol, stats, cfg.deltas, labels)
+    doc["interpolation_residual"] = interpolation_residual(sol, stats, cfg.deltas)
     _emit_json(doc, args.out)
     return 0
 
 
 def _cmd_risk(args) -> int:
     cfg = config_from_args(args)
-    stats, labels = _stats_and_labels(cfg, cfg, args.block_cols)
-    sol = _fit_solution(args, cfg, stats, labels)
+    sol = _fit_solution(args, cfg, accumulate_gram(cfg))
     report = build_report(sol, cfg, mc_draws=args.mc_draws)
     _emit_json(report.to_dict(), args.out)
     return 0
@@ -171,13 +165,12 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_verify_primitives(args) -> int:
     cfg = config_from_args(args)
-    noise = noise_stats(cfg, args.block_cols)
-    stats = GramStats.from_noise(cfg, noise)
+    stats = accumulate_gram(cfg)
     direct = compute_primitives(stats, tau=cfg.tau, delta=cfg.deltas, mode="direct")
     recursive = compute_primitives(stats, tau=cfg.tau, delta=cfg.deltas, mode="recursive")
     mode_gap = primitive_set_max_gap(direct, recursive)
 
-    sol = fit_ridge(stats, cfg.deltas, noise.labels, cfg.tau)
+    sol = fit_ridge(stats, cfg.deltas, cfg.tau)
     identity_gaps = {
         str(b): risk_identity_check(direct, sol, cfg, b) for b in (+1, -1)
     }
@@ -237,7 +230,7 @@ def _cmd_sweep(args) -> int:
         if args.trials is not None:
             updates["trials"] = args.trials
         spec = dataclasses.replace(spec, **updates)
-    rows, skips = run_sweep(spec, block_cols=args.block_cols)
+    rows, skips = run_sweep(spec)
     for skip in skips:
         # strict JSON: a non-finite axis value is logged as null
         strict = {
@@ -274,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="master RNG seed")
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--block-cols", type=int, default=4096, help="noise streaming block width")
 
     config_flags = argparse.ArgumentParser(add_help=False)
     config_flags.add_argument("--config", default=None, help="ModelConfig JSON file")

@@ -6,13 +6,13 @@ The estimator
 
 is represented by its dual coefficients c = (G + tau I)^{-1} Delta^{-1} y
 with G = X X', so no d-dimensional object is ever materialized.  Everything
-downstream needs only G, X mu_b, and the noise projections d_1 = Q mu_bar_s,
-d_2 = Q mu_bar_c.  `GramStats` holds them as one tau-free O(n^2) view of the
-`NoiseStats` that `model.noise_stats` streams once from a config or a
-dataset; the fitters here and the primitives in `primitives` share it, and
-with it the per-tau factors memoized on it.  A sweep reads its fits off the
-primitives (`primitives.fit_moments`); the fitters here are the per-point
-reference and serve the CLI.
+downstream needs only the labels, G, X mu_b, and the noise projections
+d_1 = Q mu_bar_s, d_2 = Q mu_bar_c.  `GramStats` holds them as one tau-free
+O(n^2) view of the `NoiseStats` that `model.noise_stats` streams once from
+a config or a dataset; it is the one input of the fitters here and of the
+primitives in `primitives`, which share the per-tau factors memoized on
+it.  A sweep reads its fits off the primitives (`primitives.fit_moments`);
+the fitters here are the per-point reference and serve the CLI.
 
 tau = 0 is the cost-sensitive minimum-norm interpolator, whose defining
 constraint is Delta_{b_i} <w, x_i> = y_i.  Gradient descent on the adjusted
@@ -54,8 +54,9 @@ _SOLVE_RTOL = 1e-10  # target residual, relative to |Delta^{-1} y|
 class GramStats:
     """The Gram structure of one design matrix under one pair of mean norms.
 
-    With v_1 = a, v_2 = y, (m_1, m_2) = mu_norms = (|mu_bar_s|, |mu_bar_c|)
-    and the noise-mean projections d_1 = Q mu_bar_s, d_2 = Q mu_bar_c, the
+    y and a are the labels; the group of row i is b_i = y_i a_i.  With
+    v_1 = a, v_2 = y, (m_1, m_2) = mu_norms = (|mu_bar_s|, |mu_bar_c|) and
+    the noise-mean projections d_1 = Q mu_bar_s, d_2 = Q mu_bar_c, the
     Gram matrix G = X X' is built stage by stage from G_0 = gram_0 = Q Q':
 
         G_k = G_{k-1} + L_k R_k,
@@ -66,9 +67,8 @@ class GramStats:
     The instance holds no tau: what depends on it is memoized per tau
     through `per_tau`, so every weight, fit and primitive call that shares
     the instance and tau shares it.  The builds are the factor of
-    G + tau I (`fit_cmni`, `fit_ridge`), the order-0 solve of recursive
-    primitives (the factor of gram_0 + tau I and two 7x7 tables) and the
-    Woodbury stage inverses (`primitives.woodbury_invert`).
+    G + tau I (`fit_cmni`, `fit_ridge`) and the order-0 solve of recursive
+    primitives (the factor of gram_0 + tau I and two 7x7 tables).
     """
 
     y: np.ndarray
@@ -84,9 +84,15 @@ class GramStats:
 
     @classmethod
     def from_noise(cls, config: ModelConfig, noise: NoiseStats) -> "GramStats":
-        """The view of `noise` under `config`'s means, in O(n)."""
-        m_1 = float(np.linalg.norm(config.mu_spur))
-        m_2 = float(np.linalg.norm(config.mu_core))
+        """The view of `noise` under `config`'s means, in O(n).
+
+        A mean with |mu|^2 below `_MEAN_SQ_FLOOR` takes the zero-mean path
+        (m = 0, d = 0): the primitives scale with m^2 times factors of
+        order n / (d + tau), which would leave the normal range and round
+        differently in the two primitive modes.
+        """
+        m_1 = _mean_norm(config.mu_spur)
+        m_2 = _mean_norm(config.mu_core)
         return cls(
             y=noise.y,
             a=noise.a,
@@ -148,6 +154,17 @@ class GramStats:
         return hit
 
 
+# sqrt of the smallest normal double: m^2 times any factor down to this
+# stays normal, and a mean this small moves no O(1) quantity by an ulp
+_MEAN_SQ_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
+def _mean_norm(mu) -> float:
+    """|mu|, or 0.0 when |mu|^2 < `_MEAN_SQ_FLOOR`."""
+    m = float(np.linalg.norm(mu))
+    return 0.0 if m * m < _MEAN_SQ_FLOOR else m
+
+
 def _check_tau(tau) -> float:
     """tau as a float; raises ValueError unless it is finite and nonnegative."""
     if not (np.isfinite(tau) and tau >= 0.0):
@@ -199,15 +216,12 @@ def accumulate_gram(source, block_cols: int = 4096) -> GramStats:
     return GramStats.from_noise(config, noise)
 
 
-def _unpack_labels(labels):
-    y, a, b = labels
-    return np.asarray(y, dtype=np.float64), np.asarray(b, dtype=np.float64)
-
-
-def _adjusted_targets(delta, y, b):
+def _adjusted_targets(stats: GramStats, delta):
+    """(Delta^{-1} y, Delta_b) of `stats`: each row's weight Delta_{b_i} is
+    delta_plus in the majority group b_i = y_i a_i = +1, else delta_minus."""
     delta_plus, delta_minus = delta
-    dvec = np.where(b > 0, float(delta_plus), float(delta_minus))
-    return y / dvec, dvec
+    dvec = np.where(stats.y * stats.a > 0, float(delta_plus), float(delta_minus))
+    return stats.y / dvec, dvec
 
 
 def _spd_factor(mat: np.ndarray, what: str):
@@ -262,22 +276,20 @@ def _finish(c, stats, tau, method, info=None) -> DualSolution:
     )
 
 
-def fit_cmni(stats: GramStats, delta, labels) -> DualSolution:
+def fit_cmni(stats: GramStats, delta) -> DualSolution:
     """Cost-sensitive minimum-norm interpolator: c = G^{-1} Delta^{-1} y."""
-    y, b = _unpack_labels(labels)
-    z, _ = _adjusted_targets(delta, y, b)
+    z, _ = _adjusted_targets(stats, delta)
     c, res = _solve_gram(stats, 0.0, z)
     return _finish(c, stats, 0.0, "cmni", {"solver_residual": float(res)})
 
 
-def fit_ridge(stats: GramStats, delta, labels, tau: float) -> DualSolution:
+def fit_ridge(stats: GramStats, delta, tau: float) -> DualSolution:
     """Cost-sensitive ridge: c = (G + tau I)^{-1} Delta^{-1} y.
 
     tau = 0 runs the identical solve as fit_cmni and reproduces it exactly.
     """
     tau = _check_tau(tau)
-    y, b = _unpack_labels(labels)
-    z, _ = _adjusted_targets(delta, y, b)
+    z, _ = _adjusted_targets(stats, delta)
     c, res = _solve_gram(stats, tau, z)
     return _finish(c, stats, tau, "ridge", {"solver_residual": float(res)})
 
@@ -285,7 +297,6 @@ def fit_ridge(stats: GramStats, delta, labels, tau: float) -> DualSolution:
 def fit_gd(
     stats: GramStats,
     delta,
-    labels,
     step: float | None = None,
     iters: int = 100_000,
     *,
@@ -305,8 +316,7 @@ def fit_gd(
         raise ValueError("iters must be at least 1")
     if step is not None and not (np.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
-    y, b = _unpack_labels(labels)
-    z, _ = _adjusted_targets(delta, y, b)
+    z, _ = _adjusted_targets(stats, delta)
     gram = stats.gram
     n = gram.shape[0]
     lam_max = float(np.linalg.eigvalsh(gram)[-1])
@@ -345,8 +355,7 @@ def fit_gd(
     return _finish(c, stats, 0.0, "gd", info)
 
 
-def interpolation_residual(sol: DualSolution, stats: GramStats, delta, labels) -> float:
+def interpolation_residual(sol: DualSolution, stats: GramStats, delta) -> float:
     """max_i |Delta_{b_i} (G c)_i - y_i|: zero exactly at the interpolator."""
-    y, b = _unpack_labels(labels)
-    _, dvec = _adjusted_targets(delta, y, b)
-    return float(np.max(np.abs(dvec * (stats.gram @ sol.c) - y)))
+    _, dvec = _adjusted_targets(stats, delta)
+    return float(np.max(np.abs(dvec * (stats.gram @ sol.c) - stats.y)))

@@ -273,7 +273,7 @@ def _stat_pair(values) -> tuple[float, float]:
 
 
 @_one_blas_thread()
-def run_sweep(spec: SweepSpec, block_cols: int = 4096):
+def run_sweep(spec: SweepSpec):
     """Execute the sweep; returns (rows, skips).
 
     Failures at any stage are appended to `skips` as JSON-ready dicts and
@@ -320,7 +320,7 @@ def run_sweep(spec: SweepSpec, block_cols: int = 4096):
                 stats = None
             try:
                 if noise is None or not cacheable:
-                    noise = noise_stats(tcfg, block_cols)
+                    noise = noise_stats(tcfg)
                 if stats is None:
                     stats = GramStats.from_noise(tcfg, noise)
             except Exception as exc:

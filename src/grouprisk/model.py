@@ -232,11 +232,6 @@ class ModelConfig:
         """(delta_plus, delta_minus)."""
         return (self.delta_plus, self.delta_minus)
 
-    def delta_of(self, b) -> np.ndarray:
-        """Adjustment weight Delta_{b_i} for each sign in b."""
-        b = np.asarray(b)
-        return np.where(b > 0, self.delta_plus, self.delta_minus).astype(np.float64)
-
     def with_updates(self, **changes) -> "ModelConfig":
         """Copy with fields replaced; revalidates."""
         return replace(self, **changes)
@@ -523,7 +518,7 @@ def _one_blas_thread():
 class NoiseStats:
     """Sufficient statistics of one noise draw.
 
-    y, a, b are the labels; gram_0 is Q Q'; q_core and q_spur are Q u_c and
+    y and a are the labels; gram_0 is Q Q'; q_core and q_spur are Q u_c and
     Q u_s for the unit core and spurious directions (zero when that mean
     is zero).  None of them depends on the mean norms, the weights or tau,
     so one draw serves every config that shares its seed, shape and mean
@@ -533,17 +528,12 @@ class NoiseStats:
 
     y: np.ndarray
     a: np.ndarray
-    b: np.ndarray
     gram_0: np.ndarray
     q_core: np.ndarray
     q_spur: np.ndarray
 
     def __post_init__(self):
         _freeze_arrays(self)
-
-    @property
-    def labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.y, self.a, self.b)
 
 
 def _stream_stats(blocks, u_c: np.ndarray, u_s: np.ndarray, sums):
@@ -591,14 +581,14 @@ def noise_stats(source, block_cols: int = 4096) -> NoiseStats:
         if Q is None or Q.shape != (config.n, config.d):
             raise ValueError("dataset must retain its n x d noise matrix Q")
         # copied: NoiseStats freezes its arrays, the dataset keeps its own
-        labels = (source.y.copy(), source.a.copy(), source.b.copy())
+        y, a = source.y.copy(), source.a.copy()
 
         def half(j_start, j_stop):
             return ((j0, Q[:, j0 : min(j0 + width, j_stop)]) for j0 in range(j_start, j_stop, width))
 
     elif isinstance(source, ModelConfig):
         config = source
-        labels = sample_labels(config)
+        y, a, _ = sample_labels(config)
 
         def half(j_start, j_stop):
             return _noise_range(config, j_start, j_stop, width)
@@ -630,7 +620,7 @@ def noise_stats(source, block_cols: int = 4096) -> NoiseStats:
                 second = future.result()
     gram_0, q_core, q_spur = (x + y for x, y in zip(first, second))
     gram_0 = 0.5 * (gram_0 + gram_0.T)  # exact symmetry for the SPD solvers
-    return NoiseStats(*labels, gram_0=gram_0, q_core=q_core, q_spur=q_spur)
+    return NoiseStats(y=y, a=a, gram_0=gram_0, q_core=q_core, q_spur=q_spur)
 
 
 def bartlett_factor(n: int, dof: int, rng: np.random.Generator) -> np.ndarray:

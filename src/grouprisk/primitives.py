@@ -53,9 +53,9 @@ the fit itself, which is where a sweep's risks come from.
 
 Q enters only through G_0 = Q Q' and d_k = m_k Q u_k, so the stages are
 read off `estimators.GramStats`, the one tau-free O(n^2) view of the
-`NoiseStats` that `model.noise_stats` streams.  tau is an argument of
-`woodbury_invert` and `compute_primitives`; the order-0 solve and the
-Woodbury stage inverses are each memoized per tau on the instance.
+`NoiseStats` that `model.noise_stats` streams, labels included.  tau is an
+argument of `compute_primitives`, and the order-0 solve of recursive mode
+is memoized per tau on the instance.
 """
 
 from __future__ import annotations
@@ -67,9 +67,8 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dtrtrs
 
-from .estimators import GramStats, _check_tau, _spd_factor, _spd_solve, accumulate_gram
+from .estimators import GramStats, _adjusted_targets, _check_tau, _spd_factor, _spd_solve
 from .model import (
-    Dataset,
     ModelConfig,
     bartlett_factor,
     philox_generator,
@@ -83,7 +82,6 @@ __all__ = [
     "BandRow",
     "BandReport",
     "AuxInequalityReport",
-    "woodbury_invert",
     "det_and_adj",
     "f_a",
     "compute_primitives",
@@ -170,46 +168,16 @@ def _change_of_basis(delta) -> np.ndarray:
     return change
 
 
-def woodbury_invert(stats: GramStats, tau: float = 0.0):
-    """(M_0^{-1}, M_1^{-1}, M_2^{-1}) by recursive rank-3 updates.
+def det_and_adj(prims: "PrimitiveSet", k: int):
+    """Closed-form det(A_k) and adj(A_k) from order-(k-1) primitives.
 
-    The result is memoized per tau on `stats`: the first call computes it
-    and later calls return the same read-only arrays.  It is a dense
-    reference for the stage inverses; neither primitive mode calls it.
-
-    M_0^{-1} is a dense inverse of gram_0 + tau I; each later stage applies
-    the Woodbury identity with the 3x3 capacitance A_k solved through its
-    closed-form adjugate and determinant.  |det(A_k)| below DET_SINGULAR_TOL
-    raises.  det(A_k) concentrates near 1 + |mu_bar_k|^2 n / (d + tau); for
-    the label direction, det(A_2) ~ 1 + |mu_c|^2 n / (d + tau).  Under
+    det(A_k) concentrates near 1 + |mu_bar_k|^2 n / (d + tau); for the
+    label direction, det(A_2) ~ 1 + |mu_c|^2 n / (d + tau).  Under
     inequality (c) of `model.check_assumptions`, d >= C R_plus n, that
     limit lies in [1, 1 + 1/C], so a tiny value means degenerate inputs,
     not a rounding accident.  Past (c) the determinant grows with the
     signal energy (about 10 at |mu_c|^2 n / d = 9).
     """
-    return stats.per_tau(_woodbury_stages, tau)
-
-
-def _woodbury_stages(stats: GramStats, tau: float):
-    inverses = [_dense_inverse(stats.gram_0 + tau * np.eye(stats.n))]
-    for k in (1, 2):
-        L, R = stats.update_factors(k)
-        prev = inverses[-1]
-        left = prev @ L          # n x 3: [m P v, P d, P v]
-        right = R @ prev         # 3 x n
-        # R = [m v'; v'; d'], so (s, t, h) = (v'Pv, d'Pd, d'Pv)
-        s, t, h = R[1] @ left[:, 2], R[2] @ left[:, 1], R[2] @ left[:, 2]
-        m = stats.mu_norms[k - 1]
-        det = _checked_det(k, m * m, s, t, h)
-        nxt = prev - left @ (_adj_a(m, s, t, h) / det) @ right
-        inverses.append(_symmetric(nxt))
-    for inv in inverses:
-        inv.setflags(write=False)
-    return tuple(inverses)
-
-
-def det_and_adj(prims: "PrimitiveSet", k: int):
-    """Closed-form det(A_k) and adj(A_k) from order-(k-1) primitives."""
     m_sq, s, t, h = _table_self_primitives(prims.tables[..., k - 1], prims.mu_norms, k)
     return float(_det_a(m_sq, s, t, h)), _adj_a(prims.mu_norms[k - 1], s, t, h)
 
@@ -303,12 +271,8 @@ class PrimitiveSet:
 
 def _pack(stats: GramStats, delta, u: np.ndarray):
     """The 7 probe vectors, columns in slot order v1 v2 d1 d2 u w1 w2."""
-    delta_plus, delta_minus = delta
-    b = stats.y * stats.a
-    dvec = np.where(b > 0, float(delta_plus), float(delta_minus))
-    w_1 = stats.a / dvec
-    w_2 = stats.y / dvec
-    return np.column_stack([stats.a, stats.y, stats.d_1, stats.d_2, u, w_1, w_2])
+    w_2, dvec = _adjusted_targets(stats, delta)
+    return np.column_stack([stats.a, stats.y, stats.d_1, stats.d_2, u, stats.a / dvec, w_2])
 
 
 def _table_self_primitives(p: np.ndarray, mu_norms, k: int):
@@ -335,17 +299,15 @@ def _probe_u(u, n: int) -> np.ndarray:
 
 
 def compute_primitives(
-    source,
-    tau: float | None = None,
-    delta=None,
+    stats: GramStats,
+    tau: float = 0.0,
+    delta=(1.0, 1.0),
     u: np.ndarray | None = None,
     mode: str = "direct",
 ) -> PrimitiveSet:
-    """All primitives at orders 0..2, by dense stages or by recursion.
+    """All primitives of `stats` at orders 0..2, by dense stages or by recursion.
 
-    source is a Dataset or a prebuilt GramStats.  tau and delta default to
-    the config's tau and weights when a Dataset is given and to 0 and
-    (1, 1) otherwise; u defaults to e_1 and must be a finite unit vector.
+    u defaults to e_1 and must be a finite unit vector.
 
     direct mode forms each G_k and M_k^{-1} densely and evaluates quadratic
     forms, o included as c' G_k c; it never reads or fills the memo on
@@ -359,21 +321,10 @@ def compute_primitives(
     X and P is the order-(k-1) table (M_k^{-1} X = M_{k-1}^{-1} X E_k).  o is read as
     o = s_id_jd - tau diag(squared table), since G_k = M_k - tau I.  A
     warm call with the default u touches no n-sized array; a caller's u is
-    solved on the memoized factor and never enters the memo.
+    solved on the memoized factor and never enters the memo.  Recursive
+    mode raises LinAlgError when |det(A_k)| < DET_SINGULAR_TOL.
     """
-    if isinstance(source, Dataset):
-        if delta is None:
-            delta = source.config.deltas
-        if tau is None:
-            tau = source.config.tau
-        stats = accumulate_gram(source)
-    elif isinstance(source, GramStats):
-        stats = source
-        if delta is None:
-            delta = (1.0, 1.0)
-    else:
-        raise TypeError(f"expected Dataset or GramStats, got {type(source).__name__}")
-    tau = _check_tau(0.0 if tau is None else tau)
+    tau = _check_tau(tau)
     if mode not in ("direct", "recursive"):
         raise ValueError("mode must be 'direct' or 'recursive'")
     n = stats.n
@@ -636,7 +587,7 @@ def verify_primitive_bounds(
     The rates are order-0 rates.  They hold at every order only in the
     `model.check_assumptions` regime: at order 2 the label-direction
     diagonals (s_22, s_2d_2, s_2d_2d, o_2d) scale by 1/det(A_2), which
-    stays order 1 only while inequality (c) holds (see `woodbury_invert`).
+    stays order 1 only while inequality (c) holds (see `det_and_adj`).
     The rates use `prims.delta`, the weights the primitives were computed
     at.
     """

@@ -15,14 +15,13 @@ from grouprisk.bounds import bound_exponent, consistency_check
 from grouprisk.cli import primitive_set_max_gap
 from grouprisk.estimators import GramStats, accumulate_gram, fit_cmni, fit_gd, fit_ridge, interpolation_residual
 from grouprisk.harness import SweepAxis, SweepSpec, derive_config, preset, run_sweep
-from grouprisk.model import ModelConfig, check_assumptions, noise_stats, sample_dataset
+from grouprisk.model import ModelConfig, check_assumptions, embed_means, noise_stats, sample_dataset
 from grouprisk.primitives import (
     check_aux_inequalities,
     compute_primitives,
     risk_identity_check,
     verify_primitive_bounds,
     wishart_coverage,
-    woodbury_invert,
 )
 
 
@@ -106,17 +105,35 @@ def band_regime_ensemble():
     return data, elapsed, premises
 
 
+def dense_probe_table(ds, tau):
+    """x' (X X' + tau I)^{-1} y over the seven probes, in slot order
+    v_1 v_2 d_1 d_2 u w_1 w_2, from the dense design matrix."""
+    cfg = ds.config
+    mu_bar_c, mu_bar_s = embed_means(cfg)
+    dvec = np.where(ds.b > 0, cfg.delta_plus, cfg.delta_minus)
+    probes = np.column_stack(
+        [ds.a, ds.y, ds.Q @ mu_bar_s, ds.Q @ mu_bar_c, e1(1.0, cfg.n), ds.a / dvec, ds.y / dvec]
+    )
+    return probes.T @ np.linalg.inv(ds.X @ ds.X.T + tau * np.eye(cfg.n)) @ probes
+
+
 class TestRecursionMachinery:
     def test_criterion_01_woodbury_equivalence(self):
+        # the two rank-3 Woodbury steps of recursive mode against the dense
+        # inverse of the full X X' + tau I, through the order-2 probe table
         start = time.time()
         worst = 0.0
         for n, d in GRID:
             for tau in TAUS:
                 for seed in range(N_SEEDS):
                     ds = sample_dataset(grid_config(n, d, seed))
-                    recursive = woodbury_invert(accumulate_gram(ds), tau)[2]
-                    dense = np.linalg.inv(ds.X @ ds.X.T + tau * np.eye(n))
-                    rel = np.linalg.norm(recursive - dense) / np.linalg.norm(dense)
+                    prims = compute_primitives(
+                        accumulate_gram(ds), tau=tau, delta=ds.config.deltas, mode="recursive"
+                    )
+                    dense = dense_probe_table(ds, tau)
+                    # each entry against its Cauchy-Schwarz scale sqrt(x'M^{-1}x y'M^{-1}y)
+                    scale = np.sqrt(np.outer(np.diag(dense), np.diag(dense)))
+                    rel = np.max(np.abs(prims.tables[..., 2] - dense) / scale)
                     worst = max(worst, rel)
         elapsed = time.time() - start
         ok = worst <= 1e-8 and elapsed < 30.0
@@ -131,8 +148,9 @@ class TestRecursionMachinery:
             for tau in TAUS:
                 for seed in range(N_SEEDS):
                     ds = sample_dataset(grid_config(n, d, seed))
-                    direct = compute_primitives(ds, tau=tau, mode="direct")
-                    recursive = compute_primitives(ds, tau=tau, mode="recursive")
+                    stats = accumulate_gram(ds)
+                    direct = compute_primitives(stats, tau=tau, delta=ds.config.deltas, mode="direct")
+                    recursive = compute_primitives(stats, tau=tau, delta=ds.config.deltas, mode="recursive")
                     worst = max(worst, primitive_set_max_gap(direct, recursive))
         elapsed = time.time() - start
         ok = worst <= 1e-8 and elapsed < 60.0
@@ -160,8 +178,8 @@ class TestRecursionMachinery:
                             )
                         ds = sample_dataset(cfg)
                         stats = accumulate_gram(ds)
-                        sol = fit_ridge(stats, cfg.deltas, (ds.y, ds.a, ds.b), tau)
-                        prims = compute_primitives(ds, mode="direct")
+                        sol = fit_ridge(stats, cfg.deltas, tau)
+                        prims = compute_primitives(stats, tau=tau, delta=cfg.deltas, mode="direct")
                         for b in (+1, -1):
                             worst = max(worst, risk_identity_check(prims, sol, cfg, b))
         elapsed = time.time() - start
@@ -180,12 +198,11 @@ class TestEstimatorContracts:
                 cfg = grid_config(n, d, seed)
                 ds = sample_dataset(cfg)
                 stats = accumulate_gram(ds)
-                labels = (ds.y, ds.a, ds.b)
-                sol = fit_cmni(stats, cfg.deltas, labels)
+                sol = fit_cmni(stats, cfg.deltas)
                 worst_resid = max(
-                    worst_resid, interpolation_residual(sol, stats, cfg.deltas, labels)
+                    worst_resid, interpolation_residual(sol, stats, cfg.deltas)
                 )
-                ridge0 = fit_ridge(stats, cfg.deltas, labels, tau=0.0)
+                ridge0 = fit_ridge(stats, cfg.deltas, tau=0.0)
                 worst_dual = max(
                     worst_dual,
                     float(np.linalg.norm(ridge0.c - sol.c) / np.linalg.norm(sol.c)),
@@ -202,9 +219,8 @@ class TestEstimatorContracts:
         cfg = grid_config(20, 400, seed=0)
         ds = sample_dataset(cfg)
         stats = accumulate_gram(ds)
-        labels = (ds.y, ds.a, ds.b)
-        direct = fit_cmni(stats, cfg.deltas, labels)
-        gd = fit_gd(stats, cfg.deltas, labels, iters=100_000)
+        direct = fit_cmni(stats, cfg.deltas)
+        gd = fit_gd(stats, cfg.deltas, iters=100_000)
         rel = float(np.linalg.norm(gd.c - direct.c) / np.linalg.norm(direct.c))
         elapsed = time.time() - start
         ok = rel <= 1e-4 and gd.info["iters"] <= 100_000 and elapsed < 60.0

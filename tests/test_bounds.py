@@ -189,7 +189,7 @@ class TestTightness:
     def small_fit(self, cfg):
         ds = sample_dataset(cfg)
         stats = accumulate_gram(ds)
-        return fit_cmni(stats, cfg.deltas, (ds.y, ds.a, ds.b))
+        return fit_cmni(stats, cfg.deltas)
 
     def small_config(self, **overrides):
         base = dict(

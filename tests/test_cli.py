@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from grouprisk.cli import main, primitive_set_max_gap
+from grouprisk.estimators import accumulate_gram
 from grouprisk.harness import CSV_COLUMNS
-from grouprisk.model import ModelConfig, e1_mean, sample_dataset
+from grouprisk.model import ModelConfig, e1_mean
 from grouprisk.primitives import _LAYOUT, PRIMITIVE_NAMES, compute_primitives
 
 
@@ -412,8 +413,7 @@ class TestGapHelper:
             n_minus=4,
             seed=1,
         )
-        ds = sample_dataset(cfg)
-        prims = compute_primitives(ds, mode="direct")
+        prims = compute_primitives(accumulate_gram(cfg), mode="direct")
         assert primitive_set_max_gap(prims, prims) == 0.0
 
     @pytest.mark.parametrize("name", PRIMITIVE_NAMES)
@@ -427,7 +427,7 @@ class TestGapHelper:
             n_minus=4,
             seed=1,
         )
-        prims = compute_primitives(sample_dataset(cfg), mode="direct")
+        prims = compute_primitives(accumulate_gram(cfg), mode="direct")
         if name in _LAYOUT:
             tables = prims.tables.copy()
             tables[_LAYOUT[name]] += 1e-6

@@ -12,7 +12,7 @@ from grouprisk.estimators import (
     fit_ridge,
     interpolation_residual,
 )
-from grouprisk.model import ModelConfig, embed_means, group_mean, sample_dataset, sample_labels
+from grouprisk.model import ModelConfig, embed_means, group_mean, sample_dataset
 
 
 def e1(scale, length):
@@ -35,12 +35,14 @@ def make_config(**overrides):
     return ModelConfig(**base)
 
 
-def stats_from_rows(X):
-    """GramStats of hand-sized zero-mean rows X: G = X X', X mu_b = 0."""
+def stats_from_rows(X, y=None, a=None):
+    """GramStats of hand-sized zero-mean rows X: G = X X', X mu_b = 0.
+
+    y and a default to all +1 (every row in the majority group)."""
     n = X.shape[0]
     return GramStats(
-        y=np.ones(n),
-        a=np.ones(n),
+        y=np.ones(n) if y is None else np.asarray(y, dtype=np.float64),
+        a=np.ones(n) if a is None else np.asarray(a, dtype=np.float64),
         gram_0=X @ X.T,
         d_1=np.zeros(n),
         d_2=np.zeros(n),
@@ -99,8 +101,7 @@ class TestClosedFormSolutions:
         # G = 25, c = 2/25, w = X^T c = (0.24, 0.32)
         X = np.array([[3.0, 4.0]])
         stats = stats_from_rows(X)
-        labels = (np.array([1.0]), np.array([1.0]), np.array([1.0]))
-        sol = fit_cmni(stats, (0.5, 0.5), labels)
+        sol = fit_cmni(stats, (0.5, 0.5))
         np.testing.assert_allclose(sol.c, [0.08])
         w = X.T @ sol.c
         np.testing.assert_allclose(w, [0.24, 0.32])
@@ -108,21 +109,15 @@ class TestClosedFormSolutions:
 
     def test_two_orthogonal_points(self):
         X = np.array([[2.0, 0.0], [0.0, 1.0]])
-        stats = stats_from_rows(X)
-        labels = (
-            np.array([1.0, -1.0]),
-            np.array([1.0, 1.0]),
-            np.array([1.0, -1.0]),
-        )
-        sol = fit_cmni(stats, (1.0, 1.0), labels)
+        stats = stats_from_rows(X, y=[1.0, -1.0], a=[1.0, 1.0])
+        sol = fit_cmni(stats, (1.0, 1.0))
         np.testing.assert_allclose(sol.c, [0.25, -1.0])
 
     def test_ridge_closed_form_single_point(self):
         # c = z / (|x|^2 + tau) with z = 2
         X = np.array([[3.0, 4.0]])
         stats = stats_from_rows(X)
-        labels = (np.array([1.0]), np.array([1.0]), np.array([1.0]))
-        sol = fit_ridge(stats, (0.5, 0.5), labels, tau=25.0)
+        sol = fit_ridge(stats, (0.5, 0.5), tau=25.0)
         np.testing.assert_allclose(sol.c, [2.0 / 50.0])
 
 
@@ -131,26 +126,23 @@ class TestInterpolation:
         cfg = make_config(delta_plus=0.9, delta_minus=0.2, seed=7)
         ds = sample_dataset(cfg)
         stats = accumulate_gram(ds)
-        labels = (ds.y, ds.a, ds.b)
-        sol = fit_cmni(stats, cfg.deltas, labels)
-        assert interpolation_residual(sol, stats, cfg.deltas, labels) <= 1e-10
+        sol = fit_cmni(stats, cfg.deltas)
+        assert interpolation_residual(sol, stats, cfg.deltas) <= 1e-10
 
     def test_ridge_zero_equals_cmni_exactly(self):
         cfg = make_config(seed=11)
         ds = sample_dataset(cfg)
         stats = accumulate_gram(ds)
-        labels = (ds.y, ds.a, ds.b)
-        a = fit_cmni(stats, cfg.deltas, labels)
-        b = fit_ridge(stats, cfg.deltas, labels, tau=0.0)
+        a = fit_cmni(stats, cfg.deltas)
+        b = fit_ridge(stats, cfg.deltas, tau=0.0)
         np.testing.assert_array_equal(a.c, b.c)
 
     def test_ridge_shrinks_weight_norm(self):
         cfg = make_config(seed=2)
         ds = sample_dataset(cfg)
         stats = accumulate_gram(ds)
-        labels = (ds.y, ds.a, ds.b)
         norms = [
-            fit_ridge(stats, cfg.deltas, labels, tau=t).w_norm_sq
+            fit_ridge(stats, cfg.deltas, tau=t).w_norm_sq
             for t in (0.0, 10.0, 100.0, 1000.0)
         ]
         assert norms == sorted(norms, reverse=True)
@@ -160,9 +152,8 @@ class TestInterpolation:
         cfg = make_config(seed=13, delta_plus=0.8, delta_minus=0.4)
         ds = sample_dataset(cfg)
         stats = accumulate_gram(ds)
-        labels = (ds.y, ds.a, ds.b)
         tau = 37.0
-        sol = fit_ridge(stats, cfg.deltas, labels, tau)
+        sol = fit_ridge(stats, cfg.deltas, tau)
         z = ds.y / np.where(ds.b > 0, 0.8, 0.4)
         residual = (stats.gram + tau * np.eye(cfg.n)) @ sol.c - z
         assert np.abs(residual).max() <= 1e-8 * np.abs(z).max()
@@ -171,7 +162,7 @@ class TestInterpolation:
         cfg = make_config(seed=4)
         ds = sample_dataset(cfg)
         stats = accumulate_gram(ds)
-        sol = fit_cmni(stats, cfg.deltas, (ds.y, ds.a, ds.b))
+        sol = fit_cmni(stats, cfg.deltas)
         w = ds.X.T @ sol.c
         from grouprisk.model import group_mean
 
@@ -185,9 +176,8 @@ class TestGradientDescent:
         cfg = make_config(seed=6)
         ds = sample_dataset(cfg)
         stats = accumulate_gram(ds)
-        labels = (ds.y, ds.a, ds.b)
-        direct = fit_cmni(stats, cfg.deltas, labels)
-        gd = fit_gd(stats, cfg.deltas, labels)
+        direct = fit_cmni(stats, cfg.deltas)
+        gd = fit_gd(stats, cfg.deltas)
         rel = np.linalg.norm(gd.c - direct.c) / np.linalg.norm(direct.c)
         assert rel <= 1e-4
         assert gd.info["iters"] <= 100_000
@@ -195,26 +185,25 @@ class TestGradientDescent:
     def test_respects_iteration_cap(self):
         cfg = make_config(seed=6)
         ds = sample_dataset(cfg)
-        gd = fit_gd(accumulate_gram(ds), cfg.deltas, (ds.y, ds.a, ds.b), iters=3, tol=0.0)
+        gd = fit_gd(accumulate_gram(ds), cfg.deltas, iters=3, tol=0.0)
         assert gd.info["iters"] == 3
         assert gd.info["converged"] is False
 
     def test_reports_convergence_when_tolerance_met(self):
         cfg = make_config(seed=6)
         ds = sample_dataset(cfg)
-        gd = fit_gd(accumulate_gram(ds), cfg.deltas, (ds.y, ds.a, ds.b), tol=1e-8)
+        gd = fit_gd(accumulate_gram(ds), cfg.deltas, tol=1e-8)
         assert gd.info["converged"] is True
         assert gd.info["iters"] < 100_000
-        z_inf = np.max(np.abs(ds.y / cfg.delta_of(ds.b)))
+        z_inf = np.max(np.abs(ds.y / np.where(ds.b > 0, cfg.delta_plus, cfg.delta_minus)))
         assert gd.info["residual_inf"] <= 1e-8 * z_inf
 
     def test_adjusted_weights_change_solution(self):
         cfg = make_config(seed=6, delta_plus=1.0, delta_minus=0.2)
         ds = sample_dataset(cfg)
         stats = accumulate_gram(ds)
-        labels = (ds.y, ds.a, ds.b)
-        flat = fit_cmni(stats, (1.0, 1.0), labels)
-        tilted = fit_cmni(stats, (1.0, 0.2), labels)
+        flat = fit_cmni(stats, (1.0, 1.0))
+        tilted = fit_cmni(stats, (1.0, 0.2))
         assert np.linalg.norm(flat.c - tilted.c) > 1e-3
 
     def test_divergence_raises(self):
@@ -223,20 +212,20 @@ class TestGradientDescent:
         stats = accumulate_gram(ds)
         lam_max = float(np.linalg.eigvalsh(stats.gram)[-1])
         with pytest.raises(RuntimeError):
-            fit_gd(stats, cfg.deltas, (ds.y, ds.a, ds.b), step=2.5 * cfg.n / lam_max, iters=5000)
+            fit_gd(stats, cfg.deltas, step=2.5 * cfg.n / lam_max, iters=5000)
 
     @pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_bad_step(self, step):
         cfg = make_config()
         ds = sample_dataset(cfg)
         with pytest.raises(ValueError, match="step must be finite and positive"):
-            fit_gd(accumulate_gram(ds), cfg.deltas, (ds.y, ds.a, ds.b), step=step)
+            fit_gd(accumulate_gram(ds), cfg.deltas, step=step)
 
     def test_rejects_bad_iters(self):
         cfg = make_config()
         ds = sample_dataset(cfg)
         with pytest.raises(ValueError):
-            fit_gd(accumulate_gram(ds), cfg.deltas, (ds.y, ds.a, ds.b), iters=0)
+            fit_gd(accumulate_gram(ds), cfg.deltas, iters=0)
 
 
 class TestSolutionContainer:
@@ -244,7 +233,7 @@ class TestSolutionContainer:
         cfg = make_config()
         ds = sample_dataset(cfg)
         stats = accumulate_gram(ds)
-        sol = fit_ridge(stats, cfg.deltas, (ds.y, ds.a, ds.b), tau=3.0)
+        sol = fit_ridge(stats, cfg.deltas, tau=3.0)
         doc = sol.to_dict()
         assert doc["method"] == "ridge"
         assert doc["tau"] == 3.0
@@ -253,14 +242,9 @@ class TestSolutionContainer:
     def test_singular_gram_reports_conditioning(self):
         # duplicate rows make G (tau = 0) exactly singular
         X = np.array([[1.0, 0.0], [1.0, 0.0]])
-        stats = stats_from_rows(X)
-        labels = (
-            np.array([1.0, -1.0]),
-            np.array([1.0, 1.0]),
-            np.array([1.0, -1.0]),
-        )
+        stats = stats_from_rows(X, y=[1.0, -1.0], a=[1.0, 1.0])
         with pytest.raises(np.linalg.LinAlgError):
-            fit_cmni(stats, (1.0, 1.0), labels)
+            fit_cmni(stats, (1.0, 1.0))
 
 
 class TestSpdSolve:
@@ -299,23 +283,22 @@ class TestFactorMemo:
     def test_one_factor_per_tau_and_fits_match_fresh_stats(self, monkeypatch):
         cfg = make_config(seed=8)
         ds = sample_dataset(cfg)
-        labels = (ds.y, ds.a, ds.b)
         shared = accumulate_gram(ds)
         calls = self.count_factors(monkeypatch)
         fits = [
-            fit_cmni(shared, (1.0, 0.5), labels),
-            fit_cmni(shared, (1.0, 0.1), labels),
-            fit_ridge(shared, (1.0, 0.5), labels, 0.0),
-            fit_ridge(shared, (1.0, 0.5), labels, 40.0),
-            fit_ridge(shared, (1.0, 0.1), labels, 40.0),
+            fit_cmni(shared, (1.0, 0.5)),
+            fit_cmni(shared, (1.0, 0.1)),
+            fit_ridge(shared, (1.0, 0.5), 0.0),
+            fit_ridge(shared, (1.0, 0.5), 40.0),
+            fit_ridge(shared, (1.0, 0.1), 40.0),
         ]
         assert len(calls) == 2  # tau = 0 and tau = 40
         fresh = [
-            fit_cmni(accumulate_gram(ds), (1.0, 0.5), labels),
-            fit_cmni(accumulate_gram(ds), (1.0, 0.1), labels),
-            fit_ridge(accumulate_gram(ds), (1.0, 0.5), labels, 0.0),
-            fit_ridge(accumulate_gram(ds), (1.0, 0.5), labels, 40.0),
-            fit_ridge(accumulate_gram(ds), (1.0, 0.1), labels, 40.0),
+            fit_cmni(accumulate_gram(ds), (1.0, 0.5)),
+            fit_cmni(accumulate_gram(ds), (1.0, 0.1)),
+            fit_ridge(accumulate_gram(ds), (1.0, 0.5), 0.0),
+            fit_ridge(accumulate_gram(ds), (1.0, 0.5), 40.0),
+            fit_ridge(accumulate_gram(ds), (1.0, 0.1), 40.0),
         ]
         for got, ref in zip(fits, fresh):
             np.testing.assert_array_equal(got.c, ref.c)
@@ -326,7 +309,7 @@ class TestFactorMemo:
         cfg = make_config()
         stats = accumulate_gram(cfg)
         with pytest.raises(ValueError, match="tau"):
-            fit_ridge(stats, cfg.deltas, sample_labels(cfg), tau)
+            fit_ridge(stats, cfg.deltas, tau)
         assert not stats._memo
 
     def test_arrays_are_read_only(self):

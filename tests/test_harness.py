@@ -246,7 +246,7 @@ class TestRunSweep:
         )
         ds = sample_dataset(cfg)
         stats = accumulate_gram(ds)
-        sol = fit_cmni(stats, cfg.deltas, (ds.y, ds.a, ds.b))
+        sol = fit_cmni(stats, cfg.deltas)
         np.testing.assert_allclose(
             rows[0].risk_plus_mean, group_risk(sol, cfg, +1).risk, rtol=1e-10
         )
@@ -262,7 +262,7 @@ class TestRunSweep:
         )
         ds = sample_dataset(cfg)
         stats = accumulate_gram(ds)
-        sol = fit_ridge(stats, cfg.deltas, (ds.y, ds.a, ds.b), tau=cfg.d / 10.0)
+        sol = fit_ridge(stats, cfg.deltas, tau=cfg.d / 10.0)
         np.testing.assert_allclose(
             rows[0].risk_minus_mean, group_risk(sol, cfg, -1).risk, rtol=1e-10
         )
@@ -283,9 +283,9 @@ class TestRunSweep:
             cfg = cfg0.with_updates(delta_minus=row.axis_value)
             stats = GramStats.from_noise(cfg, noise)
             if row.method == "cmni":
-                sol = fit_cmni(stats, cfg.deltas, noise.labels)
+                sol = fit_cmni(stats, cfg.deltas)
             else:
-                sol = fit_ridge(stats, cfg.deltas, noise.labels, row.tau)
+                sol = fit_ridge(stats, cfg.deltas, row.tau)
             for b, tag in ((+1, "plus"), (-1, "minus")):
                 ref = group_risk(sol, cfg, b)
                 got = getattr(row, f"exponent_{tag}_mean")

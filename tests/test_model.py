@@ -142,11 +142,6 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             small_config(tau=-1.0)
 
-    def test_delta_of_maps_groups(self):
-        cfg = small_config(delta_plus=0.9, delta_minus=0.1)
-        b = np.array([1.0, -1.0, 1.0])
-        np.testing.assert_allclose(cfg.delta_of(b), [0.9, 0.1, 0.9])
-
     def test_with_updates_revalidates(self):
         cfg = small_config()
         assert cfg.with_updates(tau=2.0).tau == 2.0
@@ -310,7 +305,7 @@ class TestSampling:
     def test_noise_stats_read_only_and_dataset_labels_untouched(self):
         ds = sample_dataset(small_config())
         noise = noise_stats(ds)
-        for name in ("y", "a", "b", "gram_0", "q_core", "q_spur"):
+        for name in ("y", "a", "gram_0", "q_core", "q_spur"):
             with pytest.raises(ValueError):
                 getattr(noise, name)[0] = 0.0
         ds.y[0] = ds.y[0]  # the dataset keeps its own writable labels

@@ -31,7 +31,6 @@ from grouprisk.primitives import (
     verify_primitive_bounds,
     wishart_coverage,
     wishart_interval,
-    woodbury_invert,
 )
 
 
@@ -155,8 +154,6 @@ class TestDecomposition:
         stats = accumulate_gram(sample_dataset(make_config()))
         with pytest.raises(ValueError):
             compute_primitives(stats, tau=-1.0)
-        with pytest.raises(ValueError):
-            woodbury_invert(stats, tau=-1.0)
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
     def test_rejects_non_finite_tau(self, tau):
@@ -164,72 +161,14 @@ class TestDecomposition:
         for mode in ("direct", "recursive"):
             with pytest.raises(ValueError, match="tau"):
                 compute_primitives(stats, tau=tau, mode=mode)
-        with pytest.raises(ValueError, match="tau"):
-            woodbury_invert(stats, tau=tau)
-
-    def test_tau_defaults_to_config(self):
-        cfg = make_config(tau=7.0)
-        ds = sample_dataset(cfg)
-        assert compute_primitives(ds).tau == 7.0
-        assert compute_primitives(ds, tau=0.0).tau == 0.0
-        # a GramStats carries no tau: it defaults to 0
-        assert compute_primitives(accumulate_gram(ds)).tau == 0.0
-
-
-class TestWoodburyInversion:
-    @pytest.mark.parametrize("tau", [0.0, 1.0, 100.0])
-    def test_matches_dense_inverse_all_stages(self, tau):
-        ds = sample_dataset(make_config(seed=2))
-        inv0, inv1, inv2 = woodbury_invert(accumulate_gram(ds), tau)
-        _, dense = dense_oracle(ds, tau)
-        for ours, ref in zip((inv0, inv1, inv2), dense):
-            rel = np.linalg.norm(ours - ref) / np.linalg.norm(ref)
-            assert rel <= 1e-10
-
-    def test_inverse_is_symmetric(self):
-        ds = sample_dataset(make_config(seed=4))
-        for m in woodbury_invert(accumulate_gram(ds), tau=3.0):
-            np.testing.assert_array_equal(m, m.T)
-
-    def test_singular_update_raises(self):
-        ds = sample_dataset(make_config(seed=2))
-        stats = accumulate_gram(ds)
-        rank_deficient = GramStats(
-            y=stats.y,
-            a=np.zeros(stats.n),
-            gram_0=np.zeros((stats.n, stats.n)),
-            d_1=np.zeros(stats.n),
-            d_2=stats.d_2,
-            mu_norms=stats.mu_norms,
-        )
-        with pytest.raises(np.linalg.LinAlgError):
-            woodbury_invert(rank_deficient)
 
 
 class TestInverseMemo:
-    def test_memoized_per_instance(self):
-        stats = GramStats.from_noise(make_config(seed=5), noise_stats(make_config(seed=5)))
-        first = woodbury_invert(stats)
-        again = woodbury_invert(stats)
-        assert all(a is b for a, b in zip(first, again))
-
-    def test_each_tau_gets_its_own_inverses(self):
-        ds = sample_dataset(make_config(seed=2))
-        stats = accumulate_gram(ds)
-        woodbury_invert(stats, tau=0.0)
-        _, dense = dense_oracle(ds, 7.0)
-        for ours, ref in zip(woodbury_invert(stats, tau=7.0), dense):
-            rel = np.linalg.norm(ours - ref) / np.linalg.norm(ref)
-            assert rel <= 1e-10
-
-    def test_arrays_and_inverses_read_only(self):
+    def test_arrays_read_only(self):
         stats = accumulate_gram(sample_dataset(make_config(seed=2)))
         for name in ("y", "a", "d_1", "d_2", "gram_0", "gram", "x_mu_plus", "x_mu_minus"):
             with pytest.raises(ValueError):
                 getattr(stats, name)[0] = 0.0
-        for inv in woodbury_invert(stats, tau=1.0):
-            with pytest.raises(ValueError):
-                inv[0, 0] = 0.0
 
     def test_direct_mode_never_touches_memo(self):
         stats = accumulate_gram(sample_dataset(make_config(seed=2)))
@@ -292,11 +231,10 @@ class TestOrder0Solve:
     def test_fit_moments_match_the_fitters(self, tau, deltas):
         ds = sample_dataset(make_config(seed=10))
         stats = accumulate_gram(ds)
-        labels = (ds.y, ds.a, ds.b)
         if tau == 0.0:
-            sol = fit_cmni(stats, deltas, labels)
+            sol = fit_cmni(stats, deltas)
         else:
-            sol = fit_ridge(stats, deltas, labels, tau)
+            sol = fit_ridge(stats, deltas, tau)
         moments = fit_moments(compute_primitives(stats, tau=tau, delta=deltas, mode="recursive"))
         np.testing.assert_allclose(moments.w_norm_sq, sol.w_norm_sq, rtol=1e-10)
         np.testing.assert_allclose(moments.w_dot_mu, sol.w_dot_mu, rtol=1e-10)
@@ -307,7 +245,7 @@ class TestAdjugateSolve:
         ds = sample_dataset(make_config(seed=6))
         stats = accumulate_gram(ds)
         for tau in (0.0, 5.0):
-            prims = compute_primitives(ds, tau=tau, mode="direct")
+            prims = compute_primitives(stats, tau=tau, mode="direct")
             _, dense = dense_oracle(ds, tau)
             for k in (1, 2):
                 a_mat = explicit_update_matrix(stats, k, dense[k - 1])
@@ -317,10 +255,24 @@ class TestAdjugateSolve:
                 residual = a_mat @ adj - det * np.eye(3)
                 assert np.abs(residual).max() <= 1e-10 * max(1.0, abs(det))
 
+    def test_singular_update_raises(self):
+        # M_0 = I, s = a'a = 1, h = d_1'a = 0 and t = |d_1|^2 = m_1^2 + 1 put
+        # det(A_1) = s (m_1^2 - t) + (1 + h)^2 at zero: G_1 is singular
+        singular = GramStats(
+            y=np.array([1.0, -1.0]),
+            a=np.array([1.0, 0.0]),
+            gram_0=np.eye(2),
+            d_1=np.array([0.0, np.sqrt(2.0)]),
+            d_2=np.zeros(2),
+            mu_norms=(1.0, 0.0),
+        )
+        with pytest.raises(np.linalg.LinAlgError, match=r"det\(A_1\)"):
+            compute_primitives(singular, mode="recursive")
+
     def test_f_a_matches_bilinear_adjugate_product(self):
         # f_a IS the row-adjugate-column product; the recursion divides by det
         ds = sample_dataset(make_config(seed=8))
-        prims = compute_primitives(ds, tau=2.0, mode="direct")
+        prims = compute_primitives(accumulate_gram(ds), tau=2.0, mode="direct")
         rng = np.random.default_rng(0)
         for k in (1, 2):
             _, adj = det_and_adj(prims, k)
@@ -339,7 +291,7 @@ class TestPrimitiveValues:
     def test_against_dense_oracle(self, tau, mode):
         cfg = make_config(seed=1, delta_plus=0.9, delta_minus=0.25)
         ds = sample_dataset(cfg)
-        prims = compute_primitives(ds, tau=tau, mode=mode)
+        prims = compute_primitives(accumulate_gram(ds), tau=tau, delta=cfg.deltas, mode=mode)
         ref, _ = dense_oracle(ds, tau)
         for name, expected in ref.items():
             np.testing.assert_allclose(
@@ -348,9 +300,9 @@ class TestPrimitiveValues:
 
     def test_modes_agree_tightly(self):
         for seed in range(5):
-            ds = sample_dataset(make_config(seed=seed))
-            direct = compute_primitives(ds, mode="direct")
-            recursive = compute_primitives(ds, mode="recursive")
+            stats = accumulate_gram(sample_dataset(make_config(seed=seed)))
+            direct = compute_primitives(stats, mode="direct")
+            recursive = compute_primitives(stats, mode="recursive")
             for name in ("s", "t", "h", "s_uu", "s_ui", "h_iu", "s_id_j", "s_id_jd", "h_i_jd", "o", "det_a"):
                 np.testing.assert_allclose(
                     getattr(recursive, name),
@@ -362,7 +314,7 @@ class TestPrimitiveValues:
 
     def test_symmetry_and_sign_invariants(self):
         ds = sample_dataset(make_config(seed=7, delta_plus=0.8, delta_minus=0.2))
-        prims = compute_primitives(ds, mode="direct")
+        prims = compute_primitives(accumulate_gram(ds), delta=ds.config.deltas, mode="direct")
         for k in range(3):
             np.testing.assert_allclose(prims.s[0, 1, k], prims.s[1, 0, k], rtol=1e-10)
             np.testing.assert_allclose(prims.t[0, 1, k], prims.t[1, 0, k], rtol=1e-10)
@@ -376,9 +328,9 @@ class TestPrimitiveValues:
 
     def test_zero_spurious_mean_zeroes_its_primitives(self):
         cfg = make_config(mu_spur=np.zeros(200))
-        ds = sample_dataset(cfg)
+        stats = accumulate_gram(sample_dataset(cfg))
         for mode in ("direct", "recursive"):
-            prims = compute_primitives(ds, mode=mode)
+            prims = compute_primitives(stats, mode=mode)
             assert np.all(prims.t[0, :, :] == 0.0)
             assert np.all(prims.t[:, 0, :] == 0.0)
             assert np.all(prims.h[0, :, :] == 0.0)
@@ -388,7 +340,7 @@ class TestPrimitiveValues:
     def test_custom_unit_vector(self):
         ds = sample_dataset(make_config(seed=2))
         u = np.full(20, 1.0 / np.sqrt(20.0))
-        prims = compute_primitives(ds, u=u, mode="direct")
+        prims = compute_primitives(accumulate_gram(ds), u=u, mode="direct")
         ref, _ = dense_oracle(ds, 0.0, u=u)
         np.testing.assert_allclose(prims.s_uu, ref["s_uu"], rtol=1e-9)
         np.testing.assert_allclose(prims.s_ui, ref["s_ui"], rtol=1e-9, atol=1e-12)
@@ -396,7 +348,7 @@ class TestPrimitiveValues:
     def test_rejects_non_unit_vector(self):
         ds = sample_dataset(make_config())
         with pytest.raises(ValueError):
-            compute_primitives(ds, u=np.ones(20))
+            compute_primitives(accumulate_gram(ds), u=np.ones(20))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("mode", ["direct", "recursive"])
@@ -411,11 +363,11 @@ class TestPrimitiveValues:
     def test_rejects_unknown_mode(self):
         ds = sample_dataset(make_config())
         with pytest.raises(ValueError):
-            compute_primitives(ds, mode="magic")
+            compute_primitives(accumulate_gram(ds), mode="magic")
 
     @pytest.mark.parametrize("mode", ["direct", "recursive"])
     def test_named_primitives_are_read_only_table_views(self, mode):
-        prims = compute_primitives(sample_dataset(make_config(seed=4)), mode=mode)
+        prims = compute_primitives(accumulate_gram(sample_dataset(make_config(seed=4))), mode=mode)
         assert prims.tables.shape == (7, 7, 3)
         assert not prims.tables.flags.writeable
         for name in [n for n in primitives.PRIMITIVE_NAMES if n not in ("o", "det_a")]:
@@ -435,9 +387,8 @@ class TestRiskIdentity:
         )
         ds = sample_dataset(cfg)
         stats = accumulate_gram(ds)
-        labels = (ds.y, ds.a, ds.b)
-        sol = fit_ridge(stats, cfg.deltas, labels, tau)
-        prims = compute_primitives(ds, mode="direct")
+        sol = fit_ridge(stats, cfg.deltas, tau)
+        prims = compute_primitives(stats, tau=tau, delta=cfg.deltas, mode="direct")
         for b in (+1, -1):
             assert risk_identity_check(prims, sol, cfg, b) <= 1e-10
 
@@ -445,8 +396,8 @@ class TestRiskIdentity:
         cfg = make_config(seed=12, delta_plus=0.9, delta_minus=0.3)
         ds = sample_dataset(cfg)
         stats = accumulate_gram(ds)
-        sol = fit_cmni(stats, cfg.deltas, (ds.y, ds.a, ds.b))
-        prims = compute_primitives(ds, mode="recursive")
+        sol = fit_cmni(stats, cfg.deltas)
+        prims = compute_primitives(stats, delta=cfg.deltas, mode="recursive")
         for b in (+1, -1):
             assert risk_identity_check(prims, sol, cfg, b) <= 1e-8
 
@@ -455,8 +406,8 @@ class TestRiskIdentity:
         cfg = make_config(mu_spur=np.zeros(200), seed=4)
         ds = sample_dataset(cfg)
         stats = accumulate_gram(ds)
-        sol = fit_cmni(stats, cfg.deltas, (ds.y, ds.a, ds.b))
-        prims = compute_primitives(ds, mode="direct")
+        sol = fit_cmni(stats, cfg.deltas)
+        prims = compute_primitives(stats, mode="direct")
         assert risk_identity_check(prims, sol, cfg, +1) <= 1e-10
         assert risk_identity_check(prims, sol, cfg, -1) <= 1e-10
         np.testing.assert_allclose(sol.w_dot_mu[0], sol.w_dot_mu[1], rtol=1e-9)
@@ -651,14 +602,14 @@ class TestBands:
 
     def test_all_bands_pass_in_regime(self):
         cfg = self.deep_config(seed=0)
-        prims = compute_primitives(sample_dataset(cfg), mode="recursive")
+        prims = compute_primitives(accumulate_gram(sample_dataset(cfg)), tau=cfg.tau, mode="recursive")
         report = verify_primitive_bounds(prims, cfg)
         failing = [r.name for r in report.failures()]
         assert report.all_pass, failing
 
     def test_diagonals_near_one_in_regime(self):
         cfg = self.deep_config(seed=1)
-        prims = compute_primitives(sample_dataset(cfg), mode="recursive")
+        prims = compute_primitives(accumulate_gram(sample_dataset(cfg)), tau=cfg.tau, mode="recursive")
         report = verify_primitive_bounds(prims, cfg, band=(0.8, 1.2))
         diag = [r for r in report.rows if r.name.startswith(("s_11", "s_22"))]
         assert diag and all(r.passed for r in diag)
@@ -693,14 +644,14 @@ class TestBands:
             n_plus=24,
             n_minus=6,
         )
-        prims = compute_primitives(sample_dataset(cfg), mode="direct")
+        prims = compute_primitives(accumulate_gram(sample_dataset(cfg)), mode="direct")
         report = verify_primitive_bounds(prims, cfg)
         zero_rows = [r for r in report.rows if r.name.startswith(("t_1", "h_1"))]
         assert zero_rows and all(r.passed and r.value == 0.0 for r in zero_rows)
 
     def test_report_serializes(self):
         cfg = self.deep_config(seed=2)
-        prims = compute_primitives(sample_dataset(cfg), mode="recursive")
+        prims = compute_primitives(accumulate_gram(sample_dataset(cfg)), tau=cfg.tau, mode="recursive")
         doc = verify_primitive_bounds(prims, cfg).to_dict()
         assert isinstance(doc["rows"], list)
         assert {"name", "k", "value", "normalized", "band_low", "band_high", "pass"} <= set(

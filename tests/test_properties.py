@@ -4,7 +4,7 @@ Over small random valid configs and random block widths: the streamed
 `NoiseStats` does not depend on the block width, the config and dataset
 routes agree, and the two primitive modes built on the resulting
 `GramStats` meet the CLI's mode-equivalence gate and agree to 1e-10 over
-weights, ridge levels and probe vectors.  Configs and sweep
+weights, ridge levels and probe vectors, a subnormal mean included.  Configs and sweep
 specs survive a JSON round trip unchanged, numpy integers included.
 """
 
@@ -56,7 +56,7 @@ def configs(draw, min_d_over_n=1):
 
 
 def assert_same_stats(got, ref, rtol=1e-12):
-    for name in ("y", "a", "b"):
+    for name in ("y", "a"):
         np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
     for name in ("gram_0", "q_core", "q_spur"):
         x, y = getattr(got, name), getattr(ref, name)
@@ -106,6 +106,34 @@ def test_recursive_matches_direct_over_weights_taus_and_probes(cfg, data):
     direct = compute_primitives(stats, tau=tau, delta=delta, u=u, mode="direct")
     recursive = compute_primitives(stats, tau=tau, delta=delta, u=u, mode="recursive")
     assert primitive_set_max_gap(direct, recursive) <= 1e-10
+
+
+def test_subnormal_spurious_mean_meets_both_mode_gates():
+    # |mu_s|^2 = 1.9e-323 is subnormal: t = d_1' M^{-1} d_1 underflows to 0
+    # in one mode and to 5e-324 in the other unless the mean takes the
+    # zero-mean path, which fails both gates above on most seeds
+    n = 2
+    u = np.full(n, 1.0 / np.sqrt(n))
+    for seed in range(20):
+        cfg = ModelConfig(
+            d_core=1,
+            d_spur=3,
+            mu_core=np.array([2.0]),
+            mu_spur=np.array([4.4e-162, 0.0, 0.0]),
+            n_plus=1,
+            n_minus=1,
+            seed=seed,
+        )
+        stats = GramStats.from_noise(cfg, noise_stats(cfg))
+        direct = compute_primitives(stats, tau=cfg.tau, delta=cfg.deltas, mode="direct")
+        recursive = compute_primitives(stats, tau=cfg.tau, delta=cfg.deltas, mode="recursive")
+        assert primitive_set_max_gap(direct, recursive) <= 1e-8, seed
+        for tau in (0.0, cfg.d / 10, float(cfg.d)):
+            for delta in ((1.0, 1.0 / n), (1.0, 1.0)):
+                for probe in (None, u):
+                    direct = compute_primitives(stats, tau=tau, delta=delta, u=probe, mode="direct")
+                    recursive = compute_primitives(stats, tau=tau, delta=delta, u=probe, mode="recursive")
+                    assert primitive_set_max_gap(direct, recursive) <= 1e-10, (seed, tau, delta)
 
 
 @PROPERTY

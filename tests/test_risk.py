@@ -43,10 +43,9 @@ def make_config(**overrides):
 def fitted(cfg):
     ds = sample_dataset(cfg)
     stats = accumulate_gram(ds)
-    labels = (ds.y, ds.a, ds.b)
     if cfg.tau > 0:
-        return fit_ridge(stats, cfg.deltas, labels, cfg.tau)
-    return fit_cmni(stats, cfg.deltas, labels)
+        return fit_ridge(stats, cfg.deltas, cfg.tau)
+    return fit_cmni(stats, cfg.deltas)
 
 
 class TestQFunction:
