@@ -59,9 +59,12 @@ def main():
     print(f"d = {cfg.d}, n = {cfg.n}, mean norms m_1 = {stats.mu_norms[0]:.3f}, "
           f"m_2 = {stats.mu_norms[1]:.3f}")
 
+    # the ridge level of the interpolator that fit_cmni fits below
+    tau = 0.0
+
     # dense stage inverses against every scalar advanced through f_A / det(A_k)
-    direct = compute_primitives(stats, tau=cfg.tau, delta=cfg.deltas, mode="direct")
-    recursive = compute_primitives(stats, tau=cfg.tau, delta=cfg.deltas, mode="recursive")
+    direct = compute_primitives(stats, tau=tau, delta=cfg.deltas, mode="direct")
+    recursive = compute_primitives(stats, tau=tau, delta=cfg.deltas, mode="recursive")
     print(f"\nscalar recursion vs dense quadratic forms: "
           f"max relative gap = {max_rel_gap(direct, recursive):.2e}")
 
@@ -69,7 +72,7 @@ def main():
     for k in (1, 2):
         det, adj = det_and_adj(direct, k)
         L, R = stats.update_factors(k)
-        prev_inv = np.linalg.inv(stats.stage_gram(k - 1) + cfg.tau * np.eye(cfg.n))
+        prev_inv = np.linalg.inv(stats.stage_gram(k - 1) + tau * np.eye(cfg.n))
         a_k = np.eye(3) + R @ prev_inv @ L
         resid = np.max(np.abs(a_k @ adj - det * np.eye(3)))
         print(f"  k = {k}: det(A_{k}) = {det:8.4f}, "

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .bounds import consistency_check, evaluate_bounds
-from .estimators import accumulate_gram, fit_cmni, fit_gd, fit_ridge, interpolation_residual
+from .estimators import _check_tau, accumulate_gram, fit_cmni, fit_gd, fit_ridge, interpolation_residual
 from .harness import PRESET_NAMES, SweepSpec, emit, preset, run_sweep
 from .model import ModelConfig, e1_mean, load_dataset, sample_dataset, save_dataset
 from .model import _one_blas_thread
@@ -40,12 +40,7 @@ def config_from_args(args) -> ModelConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg = ModelConfig.from_dict(json.load(fh))
-        updates = {}
-        if args.seed is not None:
-            updates["seed"] = args.seed
-        if getattr(args, "tau", None) is not None:
-            updates["tau"] = args.tau
-        return cfg.with_updates(**updates) if updates else cfg
+        return cfg.with_updates(seed=args.seed) if args.seed is not None else cfg
     if args.n_total is not None:
         n_minus = args.n_minus if args.n_minus is not None else max(1, args.n_total // 5)
         n_plus = args.n_plus if args.n_plus is not None else args.n_total - n_minus
@@ -66,7 +61,6 @@ def config_from_args(args) -> ModelConfig:
         pi_plus=args.pi_plus,
         delta_plus=args.delta_plus,
         delta_minus=args.delta_minus,
-        tau=args.tau if getattr(args, "tau", None) is not None else 0.0,
         seed=args.seed if args.seed is not None else 0,
     )
 
@@ -84,7 +78,7 @@ def _fit_solution(args, cfg, stats):
     if args.method == "cmni":
         return fit_cmni(stats, cfg.deltas)
     if args.method == "ridge":
-        return fit_ridge(stats, cfg.deltas, cfg.tau)
+        return fit_ridge(stats, cfg.deltas, args.tau)
     return fit_gd(stats, cfg.deltas, step=args.step, iters=args.iters)
 
 
@@ -128,8 +122,6 @@ def _cmd_fit(args) -> int:
     if args.data:
         source = load_dataset(args.data)
         cfg = source.config
-        if args.tau is not None:
-            cfg = cfg.with_updates(tau=args.tau)
     else:
         source = cfg = config_from_args(args)
     stats = accumulate_gram(source)
@@ -166,11 +158,11 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify_primitives(args) -> int:
     cfg = config_from_args(args)
     stats = accumulate_gram(cfg)
-    direct = compute_primitives(stats, tau=cfg.tau, delta=cfg.deltas, mode="direct")
-    recursive = compute_primitives(stats, tau=cfg.tau, delta=cfg.deltas, mode="recursive")
+    direct = compute_primitives(stats, tau=args.tau, delta=cfg.deltas, mode="direct")
+    recursive = compute_primitives(stats, tau=args.tau, delta=cfg.deltas, mode="recursive")
     mode_gap = primitive_set_max_gap(direct, recursive)
 
-    sol = fit_ridge(stats, cfg.deltas, cfg.tau)
+    sol = fit_ridge(stats, cfg.deltas, args.tau)
     identity_gaps = {
         str(b): risk_identity_check(direct, sol, cfg, b) for b in (+1, -1)
     }
@@ -178,7 +170,7 @@ def _cmd_verify_primitives(args) -> int:
     # the closed-form adjugate against the dense capacitance I + R M_{k-1}^{-1} L
     adj_gap = 0.0
     for k in (1, 2):
-        prev_inv = np.linalg.inv(stats.stage_gram(k - 1) + cfg.tau * np.eye(cfg.n))
+        prev_inv = np.linalg.inv(stats.stage_gram(k - 1) + args.tau * np.eye(cfg.n))
         L, R = stats.update_factors(k)
         a_k = np.eye(3) + R @ prev_inv @ L
         det, adj = det_and_adj(direct, k)
@@ -263,6 +255,14 @@ def _band_pair(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _tau_value(text: str) -> float:
+    """--tau as a float, refused at parse time unless `_check_tau` takes it."""
+    try:
+        return _check_tau(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="master RNG seed")
@@ -279,7 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     config_flags.add_argument("--pi-plus", type=float, default=0.5)
     config_flags.add_argument("--delta-plus", type=float, default=1.0)
     config_flags.add_argument("--delta-minus", type=float, default=1.0)
-    config_flags.add_argument("--tau", type=float, default=None)
+
+    # only on the subcommands that fit or build primitives at a tau
+    tau_flag = argparse.ArgumentParser(add_help=False)
+    tau_flag.add_argument("--tau", type=_tau_value, default=0.0)
 
     method_flags = argparse.ArgumentParser(add_help=False)
     method_flags.add_argument("--method", choices=("cmni", "ridge", "gd"), default="cmni")
@@ -295,11 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", parents=[common, config_flags], help="sample a dataset to disk")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("fit", parents=[common, config_flags, method_flags], help="fit one estimator")
+    p = sub.add_parser("fit", parents=[common, config_flags, tau_flag, method_flags], help="fit one estimator")
     p.add_argument("--data", default=None, help="load a saved dataset instead of sampling")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("risk", parents=[common, config_flags, method_flags], help="group risks for one fit")
+    p = sub.add_parser("risk", parents=[common, config_flags, tau_flag, method_flags], help="group risks for one fit")
     p.add_argument("--mc-draws", type=int, default=None, help="optional Monte-Carlo cross-check draws")
     p.set_defaults(func=_cmd_risk)
 
@@ -312,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify-primitives",
-        parents=[common, config_flags],
+        parents=[common, config_flags, tau_flag],
         help="mode equivalence, risk identity, bound bands, aux inequalities",
     )
     p.add_argument("--band", type=_band_pair, default=(0.5, 2.0), help="positive band LO,HI (sign-indefinite band becomes -HI,HI)")

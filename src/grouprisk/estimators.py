@@ -11,8 +11,10 @@ d_1 = Q mu_bar_s, d_2 = Q mu_bar_c.  `GramStats` holds them as one tau-free
 O(n^2) view of the `NoiseStats` that `model.noise_stats` streams once from
 a config or a dataset; it is the one input of the fitters here and of the
 primitives in `primitives`, which share the per-tau factors memoized on
-it.  A sweep reads its fits off the primitives (`primitives.fit_moments`);
-the fitters here are the per-point reference and serve the CLI.
+it.  tau is an argument of each call that uses it, never part of the
+config, and `_check_tau` is its one validator.  A sweep reads its fits
+off the primitives (`primitives.fit_moments`); the fitters here are the
+per-point reference and serve the CLI.
 
 tau = 0 is the cost-sensitive minimum-norm interpolator, whose defining
 constraint is Delta_{b_i} <w, x_i> = y_i.  Gradient descent on the adjusted
@@ -23,6 +25,7 @@ iteration c <- c + (2 step / n)(Delta^{-1} y - G c).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -166,9 +169,14 @@ def _mean_norm(mu) -> float:
 
 
 def _check_tau(tau) -> float:
-    """tau as a float; raises ValueError unless it is finite and nonnegative."""
-    if not (np.isfinite(tau) and tau >= 0.0):
-        raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
+    """tau as a float; raises ValueError unless it is a finite, nonnegative
+    real number.  A bool is not one: True would otherwise run at tau 1."""
+    if (
+        isinstance(tau, (bool, np.bool_))
+        or not isinstance(tau, numbers.Real)
+        or not (np.isfinite(tau) and tau >= 0.0)
+    ):
+        raise ValueError(f"tau must be a finite nonnegative number, got {tau!r}")
     return float(tau)
 
 
@@ -204,14 +212,13 @@ class DualSolution:
         }
 
 
-def accumulate_gram(source, block_cols: int = 4096) -> GramStats:
+def accumulate_gram(source) -> GramStats:
     """G = X X', X mu_b, and d_k = Q mu_bar_k of a Dataset or a ModelConfig.
 
     The noise is streamed once by `noise_stats`; from a config, X and Q are
-    never held in full.  Results agree across block sizes to ~1e-10
-    relative (summation order differs).
+    never held in full.
     """
-    noise = noise_stats(source, block_cols)
+    noise = noise_stats(source)
     config = source.config if isinstance(source, Dataset) else source
     return GramStats.from_noise(config, noise)
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from .bounds import bound_exponent
 from .estimators import GramStats, _check_tau
-from .model import ModelConfig, NoiseStats, _one_blas_thread, e1_mean, noise_stats, substream_seed
+from .model import ModelConfig, NoiseStats, _check_int, _one_blas_thread, e1_mean, noise_stats, substream_seed
 from .primitives import compute_primitives, fit_moments, verify_primitive_bounds
 from .risk import group_risk, worst_and_average
 
@@ -96,13 +96,10 @@ class SweepSpec:
     name: str = "sweep"
 
     def __post_init__(self):
-        if isinstance(self.trials, (bool, np.bool_)) or not isinstance(
-            self.trials, (int, np.integer)
-        ):
-            raise ValueError(f"trials must be an integer, got {self.trials!r}")
-        if self.trials < 1:
+        trials = _check_int("trials", self.trials)
+        if trials < 1:
             raise ValueError("trials must be at least 1")
-        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "trials", trials)
         methods = []
         for entry in self.methods:
             mname, tau = entry
@@ -244,8 +241,6 @@ def resolve_tau(tau_spec, config: ModelConfig) -> float:
     """
     if tau_spec is None:
         return 0.0
-    if isinstance(tau_spec, (bool, np.bool_)):
-        raise ValueError(f"cannot resolve tau spec {tau_spec!r}")
     if isinstance(tau_spec, str):
         text = tau_spec.strip()
         if text == "d":
@@ -258,11 +253,7 @@ def resolve_tau(tau_spec, config: ModelConfig) -> float:
             if np.isfinite(divisor) and divisor > 0 and np.isfinite(config.d / divisor):
                 return config.d / divisor
         raise ValueError(f"cannot resolve tau spec {tau_spec!r}")
-    try:
-        tau = float(tau_spec)
-    except TypeError:
-        raise ValueError(f"cannot resolve tau spec {tau_spec!r}") from None
-    return _check_tau(tau)
+    return _check_tau(tau_spec)
 
 
 def _stat_pair(values) -> tuple[float, float]:
@@ -424,7 +415,6 @@ def _fig_base(seed: int, delta_plus: float, delta_minus: float, r_plus: float = 
         n_minus=10,
         delta_plus=delta_plus,
         delta_minus=delta_minus,
-        tau=0.0,
         seed=seed,
     )
 
@@ -454,7 +444,6 @@ def preset(name: str, seed: int = 0, trials: int = 10) -> SweepSpec:
             n_minus=2,
             delta_plus=0.96,
             delta_minus=0.04,
-            tau=0.0,
             seed=seed,
         )
         return SweepSpec(

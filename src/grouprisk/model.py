@@ -18,9 +18,11 @@ value, and column j of the noise matrix consumes words [j*n, (j+1)*n) of
 its stream.  Any column blocking, and any split of the columns into
 ranges, therefore reproduces the one-shot matrix bit for bit.
 `_noise_range` is the single noise source: it starts a generator at the
-first word of a column range and fills one reused buffer of block
-columns, so a stream holds that buffer plus its O(n^2) statistics,
-whatever d is.  `noise_blocks` is its range over all d columns.  Configs
+first word of a column range and fills one reused buffer of
+`_BLOCK_COLS` columns, so a stream holds that buffer plus its O(n^2)
+statistics, whatever d is.  `noise_blocks` is its range over all d
+columns.  The config is the problem instance and nothing else: tau is
+an argument of the fits and primitives that use it.  Configs
 share their read-only mean vectors instead of copying them, and a loaded
 dataset's X and Q are views of the one buffer read from disk.
 
@@ -80,6 +82,9 @@ _MASK64 = (1 << 64) - 1
 # Generator.random maps one uint64 word w to (w >> 11) * 2^-53, so 0.0 has
 # probability 2^-53; flooring keeps ndtri finite without bias elsewhere.
 _U_FLOOR = 2.0 ** -53
+# Columns per noise block.  The sums of Q Q' run block by block, so the
+# bits of every `NoiseStats` depend on this width; Q itself does not.
+_BLOCK_COLS = 1024
 # `noise_stats` streams the second column half on a worker thread only from
 # this many noise values (n * d) up; below, the caller streams both halves.
 # Philox and ndtri take about 45 ns a value, so this is a stream of ~0.1 s.
@@ -105,6 +110,13 @@ def _philox(seed: int, stream: int) -> np.random.Philox:
 def philox_generator(seed: int, stream: int) -> np.random.Generator:
     """Generator on the independent Philox stream keyed by (seed, stream)."""
     return np.random.Generator(_philox(seed, stream))
+
+
+def _check_int(name: str, value) -> int:
+    """value as an int; ValueError for a bool or any non-integer."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _freeze_arrays(obj) -> None:
@@ -156,8 +168,6 @@ class ModelConfig:
         Label marginal P(y = +1), in (0, 1).
     delta_plus, delta_minus : float
         Cost-sensitive adjustment weights, 1/n <= delta_minus <= delta_plus <= 1.
-    tau : float
-        Ridge parameter, >= 0.
     seed : int
         Master RNG seed, a 64-bit unsigned integer.
     """
@@ -171,17 +181,11 @@ class ModelConfig:
     pi_plus: float = 0.5
     delta_plus: float = 1.0
     delta_minus: float = 1.0
-    tau: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
         for name in ("d_core", "d_spur", "n_plus", "n_minus", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)) or not isinstance(
-                value, (int, np.integer)
-            ):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _check_int(name, getattr(self, name)))
         mu_core = _frozen_mean(self.mu_core)
         mu_spur = _frozen_mean(self.mu_spur)
         for name, mu in (("mu_core", mu_core), ("mu_spur", mu_spur)):
@@ -214,8 +218,6 @@ class ModelConfig:
             raise ValueError(
                 "adjustment weights must satisfy 1/n <= delta_minus <= delta_plus <= 1"
             )
-        if not (np.isfinite(self.tau) and self.tau >= 0.0):
-            raise ValueError(f"tau must be finite and nonnegative, got {self.tau!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
@@ -247,7 +249,6 @@ class ModelConfig:
             "pi_plus": self.pi_plus,
             "delta_plus": self.delta_plus,
             "delta_minus": self.delta_minus,
-            "tau": self.tau,
             "seed": self.seed,
         }
 
@@ -394,13 +395,13 @@ def sample_labels(config: ModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return y, a, b
 
 
-def _noise_range(config: ModelConfig, j_start: int, j_stop: int, block_cols: int):
+def _noise_range(config: ModelConfig, j_start: int, j_stop: int, width: int):
     """Iterator of (j0, block) column blocks of columns [j_start, j_stop) of Q.
 
     The generator starts at word j_start * n of the noise stream: Philox
     advances in 4-word counter blocks, so it jumps (j_start * n) // 4
     blocks and discards the remaining words.  From there it draws the
-    words in order into one buffer of min(block_cols, j_stop - j_start) * n
+    words in order into one buffer of min(width, j_stop - j_start) * n
     values that every block reuses: the uniforms are drawn, floored and
     transformed in place, and the block is the transposed view of that
     (m, n) buffer.  A block is therefore valid only until the next step.
@@ -414,11 +415,11 @@ def _noise_range(config: ModelConfig, j_start: int, j_stop: int, block_cols: int
         gen.bit_generator.advance(q)
     if r:
         gen.random(r)
-    buf = np.empty(min(block_cols, j_stop - j_start) * n)
+    buf = np.empty(min(width, j_stop - j_start) * n)
 
     def blocks():
-        for j0 in range(j_start, j_stop, block_cols):
-            m = min(block_cols, j_stop - j0)
+        for j0 in range(j_start, j_stop, width):
+            m = min(width, j_stop - j0)
             u = buf[: m * n]
             gen.random(out=u)
             np.maximum(u, _U_FLOOR, out=u)
@@ -427,18 +428,16 @@ def _noise_range(config: ModelConfig, j_start: int, j_stop: int, block_cols: int
     return blocks()
 
 
-def noise_blocks(config: ModelConfig, block_cols: int = 4096):
+def noise_blocks(config: ModelConfig):
     """Yield (j0, block) column blocks of the n x d noise matrix Q.
 
     Column j is ndtri applied to words [j*n, (j+1)*n) of the noise stream,
-    so assembly is bit-identical for every block_cols choice.  This is
+    so the assembled Q is the same bits at any block width.  This is
     `_noise_range` over all d columns: one sequential generator and one
-    reused buffer of min(block_cols, d) * n values.  A block is valid only
-    until the next step; a caller that keeps one must copy it.
+    reused buffer of min(`_BLOCK_COLS`, d) * n values.  A block is valid
+    only until the next step; a caller that keeps one must copy it.
     """
-    if block_cols < 1:
-        raise ValueError("block_cols must be positive")
-    yield from _noise_range(config, 0, config.d, block_cols)
+    yield from _noise_range(config, 0, config.d, _BLOCK_COLS)
 
 
 # (getter, setter) thread-count symbols: the 64-bit-integer and the plain
@@ -551,7 +550,7 @@ def _stream_stats(blocks, u_c: np.ndarray, u_s: np.ndarray, sums):
     return gram, q_core, q_spur
 
 
-def noise_stats(source, block_cols: int = 4096) -> NoiseStats:
+def noise_stats(source) -> NoiseStats:
     """Stream a noise source once into its `NoiseStats`.
 
     source is a ModelConfig, whose labels are drawn and whose noise comes
@@ -561,21 +560,18 @@ def noise_stats(source, block_cols: int = 4096) -> NoiseStats:
 
     The d columns split into the halves [0, ceil(d/2)) and [ceil(d/2), d).
     The caller streams the first and one worker thread, started for this
-    call, the second, each in blocks of max(1, block_cols // 4) columns;
-    below `_THREAD_MIN_VALUES` noise values the caller streams both, one
-    after the other, into the same sums.  On the config route each half
-    draws its own range of the stream (`_noise_range`) into one reused
-    buffer, so the two together hold half of an n x block_cols block.  The
-    statistics are the first half's sums plus the second's, symmetrized,
-    so they are the same bits on either path.  Both halves run under
-    `_one_blas_thread`, which sweeps and CLI commands already hold and a
-    direct call takes here: a threaded GEMM would take the core the other
-    half runs on, and one thread per GEMM makes the sums the same bits at
-    any BLAS thread count.
+    call, the second, each in blocks of `_BLOCK_COLS` columns; below
+    `_THREAD_MIN_VALUES` noise values the caller streams both, one after
+    the other, into the same sums.  On the config route each half draws
+    its own range of the stream (`_noise_range`) into one reused buffer of
+    n x `_BLOCK_COLS` values.  The statistics are the first half's sums
+    plus the second's, symmetrized, so they are the same bits on either
+    path.  Both halves run under `_one_blas_thread`, which sweeps and CLI
+    commands already hold and a direct call takes here: a threaded GEMM
+    would take the core the other half runs on, and one thread per GEMM
+    makes the sums the same bits at any BLAS thread count.
     """
-    if block_cols < 1:
-        raise ValueError("block_cols must be positive")
-    width = max(1, block_cols // 4)
+    width = _BLOCK_COLS
     if isinstance(source, Dataset):
         config, Q = source.config, source.Q
         if Q is None or Q.shape != (config.n, config.d):
@@ -640,7 +636,7 @@ def bartlett_factor(n: int, dof: int, rng: np.random.Generator) -> np.ndarray:
     return factor
 
 
-def sample_dataset(config: ModelConfig, block_cols: int = 4096) -> Dataset:
+def sample_dataset(config: ModelConfig) -> Dataset:
     """Sample a full dataset with X materialized.
 
     X = outer(y, mu_bar_c) + outer(a, mu_bar_s) + Q, accumulated in place
@@ -649,7 +645,7 @@ def sample_dataset(config: ModelConfig, block_cols: int = 4096) -> Dataset:
     y, a, b = sample_labels(config)
     mu_bar_c, mu_bar_s = embed_means(config)
     Q = np.empty((config.n, config.d))
-    for j0, blk in noise_blocks(config, block_cols):
+    for j0, blk in noise_blocks(config):
         Q[:, j0 : j0 + blk.shape[1]] = blk
     del blk  # the last block keeps the stream's buffer alive
     X = np.outer(y, mu_bar_c)

@@ -70,6 +70,7 @@ from scipy.linalg.lapack import dtrtrs
 from .estimators import GramStats, _adjusted_targets, _check_tau, _spd_factor, _spd_solve
 from .model import (
     ModelConfig,
+    _check_int,
     bartlett_factor,
     philox_generator,
     substream_seed,
@@ -118,7 +119,6 @@ class _Order0(NamedTuple):
     B = [a, y, d_1, d_2, e_1, y_+, y_-] (y_pm is y masked to group pm)."""
 
     factor: tuple
-    e_1: np.ndarray
     table: np.ndarray
     squared: np.ndarray
 
@@ -133,31 +133,30 @@ def _basis(stats: GramStats, u: np.ndarray) -> np.ndarray:
 
 def _order0_solve(stats: GramStats, tau: float) -> _Order0:
     factor = _stage_factor(stats.gram_0 + tau * np.eye(stats.n))
-    e_1 = _probe_u(None, stats.n)
-    basis = _basis(stats, e_1)
+    basis = _basis(stats, _probe_u(None, stats.n))
     solved = _spd_solve(factor, basis)
     table, squared = _symmetric(basis.T @ solved), _symmetric(solved.T @ solved)
-    for arr in (e_1, table, squared):
+    for arr in (table, squared):
         arr.setflags(write=False)
-    return _Order0(factor, e_1, table, squared)
+    return _Order0(factor, table, squared)
 
 
 def _order0_tables(stats: GramStats, tau: float, u: np.ndarray | None):
-    """(u, B' M_0^{-1} B, B' M_0^{-2} B) from the memoized order-0 solve.
+    """(B' M_0^{-1} B, B' M_0^{-2} B) from the memoized order-0 solve.
 
     u None takes e_1 and the memoized tables as they are; any other u is
     solved on the memoized factor and only its row and column are replaced.
     """
     order0 = stats.per_tau(_order0_solve, tau)
     if u is None:
-        return order0.e_1, order0.table, order0.squared
+        return order0.table, order0.squared
     basis = _basis(stats, u)
     once = _spd_solve(order0.factor, u)
     twice = _spd_solve(order0.factor, once)
     table, squared = order0.table.copy(), order0.squared.copy()
     table[_U, :] = table[:, _U] = basis.T @ once
     squared[_U, :] = squared[:, _U] = basis.T @ twice
-    return u, table, squared
+    return table, squared
 
 
 def _change_of_basis(delta) -> np.ndarray:
@@ -260,8 +259,6 @@ class PrimitiveSet:
     mu_norms: tuple[float, float]
     tau: float
     delta: tuple[float, float]
-    u: np.ndarray
-    mode: str
 
     def __post_init__(self):
         self.tables.setflags(write=False)
@@ -336,8 +333,7 @@ def compute_primitives(
     o_vals = np.empty((2, 3))
     det_a = np.empty(2)
     if mode == "direct":
-        u = _probe_u(u, n)
-        probes = _pack(stats, delta, u)
+        probes = _pack(stats, delta, _probe_u(u, n))
         w_cols = probes[:, [_W1, _W2]]
         p_orders = []
         for k in range(3):
@@ -350,7 +346,7 @@ def compute_primitives(
         for k in (1, 2):
             det_a[k - 1] = _det_a(*_table_self_primitives(p_orders[k - 1], stats.mu_norms, k))
     else:
-        u, table, squared = _order0_tables(stats, tau, u)
+        table, squared = _order0_tables(stats, tau, u)
         change = _change_of_basis(delta)
         p_orders = [_symmetric(change.T @ table @ change)]
         squares = [_symmetric(change.T @ squared @ change)]
@@ -378,8 +374,6 @@ def compute_primitives(
         mu_norms=stats.mu_norms,
         tau=tau,
         delta=(float(delta[0]), float(delta[1])),
-        u=u,
-        mode=mode,
     )
 
 
@@ -432,9 +426,8 @@ def risk_identity_check(prims: PrimitiveSet, sol, config: ModelConfig, b: int) -
 
 def _check_wishart_args(d, n, t) -> None:
     """ValueError unless d and n are integers with n >= 1 and t is finite and nonnegative."""
-    for name, value in (("d", d), ("n", n)):
-        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    _check_int("d", d)
+    _check_int("n", n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if not (np.isfinite(t) and t >= 0):
@@ -491,6 +484,7 @@ def wishart_coverage(
     inside the interval.  Returns the count, fraction, and the binomial
     three-sigma acceptance threshold for coverage 1 - 2 e^{-t}.
     """
+    draws = _check_int("draws", draws)
     if draws < 1:
         raise ValueError("draws must be at least 1")
     low, high = wishart_interval(d, n, t)

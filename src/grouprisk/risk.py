@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .model import ModelConfig, philox_generator, substream_seed, STREAM_MC
+from .model import ModelConfig, _check_int, philox_generator, substream_seed, STREAM_MC
 
 __all__ = [
     "GroupRiskEntry",
@@ -196,8 +196,7 @@ def monte_carlo_risk(sol, config: ModelConfig, b: int, m: int, seed=None):
     """
     if b not in (1, -1):
         raise ValueError("b must be +1 or -1")
-    if isinstance(m, (bool, np.bool_)) or not isinstance(m, (int, np.integer)):
-        raise ValueError(f"m must be an integer, got {m!r}")
+    m = _check_int("m", m)
     if m < 1:
         raise ValueError("m must be at least 1")
     if not sol.w_norm_sq > 0.0:
@@ -207,7 +206,7 @@ def monte_carlo_risk(sol, config: ModelConfig, b: int, m: int, seed=None):
     base = config.seed if seed is None else seed
     rng = philox_generator(substream_seed(base, 0 if b == 1 else 1), STREAM_MC)
     errors = 0
-    left = int(m)
+    left = m
     while left > 0:
         k = min(left, 10_000_000)
         g = rng.standard_normal(k)

@@ -170,11 +170,10 @@ class TestRecursionMachinery:
                             cfg = cfg.with_updates(
                                 delta_plus=cfg.n_plus / cfg.n,
                                 delta_minus=cfg.n_minus / cfg.n,
-                                tau=tau,
                             )
                         else:
                             cfg = grid_config(
-                                n, d, seed, delta_plus=deltas[0], delta_minus=deltas[1], tau=tau
+                                n, d, seed, delta_plus=deltas[0], delta_minus=deltas[1]
                             )
                         ds = sample_dataset(cfg)
                         stats = accumulate_gram(ds)

@@ -111,8 +111,9 @@ class TestPinRestore:
     def test_cli_error_exit_restores(self, blas_controls, monkeypatch, capsys):
         seen = []
         _spy(monkeypatch, cli, "config_from_args", blas_controls, seen)
-        assert cli.main(["fit", "--method", "ridge", "--tau", "-1", "-n", "40", "-d", "400"]) == 2
-        assert "tau" in capsys.readouterr().err
+        # a config error, raised inside the pin (a bad --tau is refused before it)
+        assert cli.main(["fit", "--method", "ridge", "--delta-minus", "2", "-n", "40", "-d", "400"]) == 2
+        assert "adjustment weights" in capsys.readouterr().err
         assert seen == [[1] * len(blas_controls)]
         assert _counts(blas_controls) == [2] * len(blas_controls)
 

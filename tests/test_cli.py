@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -39,6 +40,107 @@ class TestUsage:
     def test_bad_flag_value(self, capsys):
         code, _, _ = run(["wishart", "--draws", "many"], capsys)
         assert code == 2
+
+
+TAU_COMMANDS = ("fit", "risk", "verify-primitives")
+
+# sha256 prefixes of each subcommand's --help at 80 columns, with every
+# "--tau TAU" removed and whitespace collapsed: a flag that is added,
+# dropped or reworded changes a digest, and --tau is checked on its own
+HELP_DIGESTS = {
+    "sample": "13e417262bbc1bda",
+    "fit": "33c4645cdaf8fb22",
+    "risk": "839081d1eaead466",
+    "bounds": "71d2dc808c7e25a2",
+    "verify-primitives": "d11c500368cfdc8a",
+    "wishart": "3b9c4ab312eb58f2",
+    "sweep": "055d03efb2c0737a",
+}
+
+
+def small_config(**overrides):
+    base = dict(
+        d_core=200,
+        d_spur=200,
+        mu_core=e1_mean(10.0, 200),
+        mu_spur=e1_mean(5.0, 200),
+        n_plus=16,
+        n_minus=4,
+        seed=8,
+    )
+    base.update(overrides)
+    return ModelConfig(**base)
+
+
+class TestTauFlag:
+    """tau is an argument of the subcommands that fit or build primitives."""
+
+    @pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+    def test_help_lists_tau_exactly_where_it_is_used(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = run([command, "--help"], capsys)
+        assert code == 0
+        assert ("\n  --tau TAU\n" in out) == (command in TAU_COMMANDS)
+        rest = " ".join(out.replace("[--tau TAU]", "").replace("--tau TAU", "").split())
+        assert hashlib.sha256(rest.encode()).hexdigest()[:16] == HELP_DIGESTS[command]
+
+    @pytest.mark.parametrize("command", ["sample", "bounds"])
+    def test_tau_refused_where_unused(self, command, tmp_path, capsys):
+        argv = [command, "-n", "20", "-d", "400", "--tau", "1", "--out", str(tmp_path / "x")]
+        code, stdout, err = run(argv, capsys)
+        assert code == 2
+        assert stdout == ""
+        assert "unrecognized arguments: --tau 1" in err
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf", "ten"])
+    @pytest.mark.parametrize("command", TAU_COMMANDS)
+    def test_bad_tau_exits_before_any_stream(self, command, value, monkeypatch, capsys):
+        from grouprisk import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "accumulate_gram", lambda *a, **k: calls.append(a))
+        code, stdout, err = run([command, "-n", "20", "-d", "400", f"--tau={value}"], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert "--tau" in err
+        assert not calls
+
+    def test_config_file_with_tau_is_refused(self, tmp_path, capsys):
+        doc = small_config().to_dict()
+        doc["tau"] = 0.0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(["fit", "--config", str(path)], capsys)
+        assert code == 2
+        assert "unknown ModelConfig fields: ['tau']" in err
+
+    def test_sweep_spec_with_tau_is_refused(self, tmp_path, capsys):
+        base = small_config().to_dict()
+        base["tau"] = 0.0
+        spec = {"base": base, "axis": {"name": "delta_minus", "values": [0.5]}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run(["sweep", "--spec", str(path), "--out", str(tmp_path / "rows.csv")], capsys)
+        assert code == 2
+        assert "unknown ModelConfig fields: ['tau']" in err
+
+    def test_sidecar_with_tau_is_refused(self, tmp_path, capsys):
+        out = str(tmp_path / "ds.bin")
+        assert run(["sample", "-n", "20", "-d", "400", "--out", out], capsys)[0] == 0
+        sidecar = json.loads(Path(out + ".json").read_text())
+        assert "tau" not in sidecar["config"]
+        sidecar["config"]["tau"] = 0.0
+        Path(out + ".json").write_text(json.dumps(sidecar))
+        code, _, err = run(["fit", "--data", out], capsys)
+        assert code == 2
+        assert "unknown ModelConfig fields: ['tau']" in err
+
+    def test_fit_from_saved_dataset_takes_tau(self, tmp_path, capsys):
+        out = str(tmp_path / "ds.bin")
+        assert run(["sample", "-n", "20", "-d", "400", "--out", out], capsys)[0] == 0
+        code, stdout, _ = run(["fit", "--data", out, "--method", "ridge", "--tau", "50"], capsys)
+        assert code == 0
+        assert json.loads(stdout)["tau"] == 50.0
 
 
 class TestSampleAndFit:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from grouprisk import estimators
+from grouprisk import estimators, model
 from grouprisk.estimators import (
     GramStats,
     accumulate_gram,
@@ -62,10 +62,11 @@ class TestAccumulateGram:
         np.testing.assert_allclose(stats.d_1, ds.Q @ mu_bar_s, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(stats.d_2, ds.Q @ mu_bar_c, rtol=1e-12, atol=1e-12)
 
-    def test_block_width_invariance(self):
+    def test_block_width_invariance(self, monkeypatch):
         cfg = make_config()
-        wide = accumulate_gram(cfg, block_cols=4096)
-        narrow = accumulate_gram(cfg, block_cols=13)
+        wide = accumulate_gram(cfg)
+        monkeypatch.setattr(model, "_BLOCK_COLS", 3)
+        narrow = accumulate_gram(cfg)
         np.testing.assert_allclose(narrow.gram, wide.gram, rtol=1e-13)
         np.testing.assert_allclose(narrow.d_2, wide.d_2, rtol=1e-12, atol=1e-13)
 
@@ -304,12 +305,21 @@ class TestFactorMemo:
             np.testing.assert_array_equal(got.c, ref.c)
             assert got.info == ref.info
 
-    @pytest.mark.parametrize("tau", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "tau", [-1.0, float("nan"), float("inf"), True, False, np.bool_(True), "1", [1.0]]
+    )
     def test_ridge_rejects_bad_tau(self, tau):
         cfg = make_config()
         stats = accumulate_gram(cfg)
         with pytest.raises(ValueError, match="tau"):
             fit_ridge(stats, cfg.deltas, tau)
+        assert not stats._memo
+
+    @pytest.mark.parametrize("tau", [True, np.bool_(False)])
+    def test_per_tau_rejects_bad_tau_and_caches_nothing(self, tau):
+        stats = accumulate_gram(make_config())
+        with pytest.raises(ValueError, match="tau"):
+            stats.per_tau(estimators._gram_factor, tau)
         assert not stats._memo
 
     def test_arrays_are_read_only(self):

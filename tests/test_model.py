@@ -102,7 +102,7 @@ class TestModelConfig:
 
     def test_derived_configs_share_frozen_means(self):
         cfg = small_config()
-        for other in (cfg.with_updates(seed=1), cfg.with_updates(tau=2.0),
+        for other in (cfg.with_updates(seed=1), cfg.with_updates(delta_minus=0.5),
                       small_config(mu_core=cfg.mu_core, mu_spur=cfg.mu_spur)):
             assert other.mu_core is cfg.mu_core
             assert other.mu_spur is cfg.mu_spur
@@ -139,17 +139,18 @@ class TestModelConfig:
     def test_rejects_bad_pi_and_tau(self):
         with pytest.raises(ValueError):
             small_config(pi_plus=0.0)
-        with pytest.raises(ValueError):
-            small_config(tau=-1.0)
+        # tau is an argument of the fits, not a config field
+        with pytest.raises(TypeError, match="tau"):
+            small_config(tau=0.0)
 
     def test_with_updates_revalidates(self):
         cfg = small_config()
-        assert cfg.with_updates(tau=2.0).tau == 2.0
+        assert cfg.with_updates(delta_minus=0.5).delta_minus == 0.5
         with pytest.raises(ValueError):
             cfg.with_updates(n_minus=0)
 
     def test_json_roundtrip(self):
-        cfg = small_config(delta_plus=0.9, delta_minus=0.25, tau=1.5, seed=77)
+        cfg = small_config(delta_plus=0.9, delta_minus=0.25, seed=77)
         back = ModelConfig.from_json(cfg.to_json())
         assert back.seed == 77
         assert back.deltas == (0.9, 0.25)
@@ -158,8 +159,8 @@ class TestModelConfig:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("tau", float("nan")),
-            ("tau", float("inf")),
+            ("pi_plus", float("nan")),
+            ("delta_minus", float("nan")),
             ("n_plus", 16.5),
             ("n_plus", 16.0),
             ("n_minus", True),
@@ -193,6 +194,13 @@ class TestModelConfig:
         back = ModelConfig.from_json(cfg.to_json())
         assert back.seed == 2**64 - 1
         assert back.to_dict() == cfg.to_dict()
+
+    def test_from_dict_refuses_tau(self):
+        payload = json.loads(small_config().to_json())
+        assert "tau" not in payload
+        payload["tau"] = 0.0
+        with pytest.raises(ValueError, match=r"unknown ModelConfig fields: \['tau'\]"):
+            ModelConfig.from_dict(payload)
 
     def test_from_dict_rejects_unknown_fields(self):
         payload = json.loads(small_config().to_json())
@@ -246,11 +254,11 @@ class TestSampling:
     def test_noise_blocks_bit_identical_across_block_sizes(self):
         cfg = small_config()
         full = np.empty((cfg.n, cfg.d))
-        for j0, blk in noise_blocks(cfg, block_cols=cfg.d):
+        for j0, blk in noise_blocks(cfg):
             full[:, j0 : j0 + blk.shape[1]] = blk
         for cols in (1, 7, 64, 4096):
             ragged = np.empty_like(full)
-            for j0, blk in noise_blocks(cfg, block_cols=cols):
+            for j0, blk in _noise_range(cfg, 0, cfg.d, cols):
                 ragged[:, j0 : j0 + blk.shape[1]] = blk
             np.testing.assert_array_equal(ragged, full)
 
@@ -260,29 +268,31 @@ class TestSampling:
         cfg = small_config()
         n = cfg.n
         for cols in (1, 7, 64, 4096):
-            for j0, blk in noise_blocks(cfg, block_cols=cols):
+            for j0, blk in _noise_range(cfg, 0, cfg.d, cols):
                 m = blk.shape[1]
                 u = uniforms_at(cfg.seed, STREAM_NOISE, j0 * n, m * n)
                 ref = ndtri(np.maximum(u, 2.0**-53)).reshape(m, n).T
                 np.testing.assert_array_equal(blk, ref)
 
     def test_successive_noise_blocks_reuse_one_buffer(self):
-        blocks = noise_blocks(small_config(), block_cols=64)
+        cfg = small_config()
+        blocks = _noise_range(cfg, 0, cfg.d, 64)
         _, first = next(blocks)
         _, second = next(blocks)
         assert np.shares_memory(first, second)
 
-    def test_noise_stats_holds_one_block(self):
-        # one n x block_cols buffer plus O(n^2 + d) statistics: holding two
-        # blocks at once would exceed the bound
+    def test_noise_stats_holds_one_block(self, monkeypatch):
+        # the two halves' buffers (n x cols/4 values each) plus O(n^2 + d)
+        # statistics: a stream that held all of Q would not fit
         half, cols = 4096, 2048
+        monkeypatch.setattr(model, "_BLOCK_COLS", cols // 4)
         cfg = small_config(d_core=half, d_spur=half, mu_core=e1(14.0, half),
                            mu_spur=e1(7.0, half), n_plus=60, n_minus=4)
         n, d = cfg.n, cfg.d
         block_bytes = 8 * n * cols
         tracemalloc.start()
         try:
-            noise_stats(cfg, block_cols=cols)
+            noise_stats(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -317,10 +327,6 @@ class TestSampling:
         offset = uniforms_at(cfg.seed, STREAM_NOISE, cfg.n, 2 * cfg.n)
         np.testing.assert_array_equal(offset, raw[cfg.n :])
 
-    def test_noise_blocks_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            next(noise_blocks(small_config(), block_cols=0))
-
     def test_dataset_reconstruction_is_bitwise(self):
         ds = sample_dataset(small_config())
         ds.validate()
@@ -328,10 +334,12 @@ class TestSampling:
         rebuilt = np.outer(ds.y, mu_bar_c) + np.outer(ds.a, mu_bar_s) + ds.Q
         np.testing.assert_array_equal(ds.X, rebuilt)
 
-    def test_sample_dataset_block_invariant(self):
+    def test_sample_dataset_block_invariant(self, monkeypatch):
         cfg = small_config()
-        a = sample_dataset(cfg, block_cols=64)
-        b = sample_dataset(cfg, block_cols=4096)
+        monkeypatch.setattr(model, "_BLOCK_COLS", 64)
+        a = sample_dataset(cfg)
+        monkeypatch.setattr(model, "_BLOCK_COLS", 4096)
+        b = sample_dataset(cfg)
         np.testing.assert_array_equal(a.X, b.X)
 
     def test_different_seeds_differ(self):
@@ -368,7 +376,7 @@ class TestTwoHalfStream:
     def test_noise_range_halves_concatenate_to_noise_blocks(self, n_plus):
         cfg = small_config(n_plus=n_plus)
         n, d = cfg.n, cfg.d
-        (_, full), = noise_blocks(cfg, block_cols=d)
+        (_, full), = noise_blocks(cfg)  # d < _BLOCK_COLS: one block
         full = full.copy()
         for h in (0, 1, 2, 3, 5, 199, 201, d - 1, d):
             for cols in (1, 7, 64):
@@ -471,9 +479,10 @@ class TestTwoHalfStream:
                            mu_spur=e1(7.0, 1500), n_plus=41, n_minus=10)
         source = cfg if route == "config" else sample_dataset(cfg)
         assert cfg.n * cfg.d < model._THREAD_MIN_VALUES
-        alone = noise_stats(source, block_cols=600)
+        monkeypatch.setattr(model, "_BLOCK_COLS", 150)
+        alone = noise_stats(source)
         monkeypatch.setattr(model, "_THREAD_MIN_VALUES", 0)
-        threaded = noise_stats(source, block_cols=600)
+        threaded = noise_stats(source)
         for name in ("gram_0", "q_core", "q_spur"):
             np.testing.assert_array_equal(getattr(threaded, name), getattr(alone, name))
 

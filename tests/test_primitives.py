@@ -162,6 +162,14 @@ class TestDecomposition:
             with pytest.raises(ValueError, match="tau"):
                 compute_primitives(stats, tau=tau, mode=mode)
 
+    @pytest.mark.parametrize("tau", [True, np.bool_(False)], ids=["True", "np_False"])
+    def test_rejects_bool_tau(self, tau):
+        stats = accumulate_gram(sample_dataset(make_config()))
+        for mode in ("direct", "recursive"):
+            with pytest.raises(ValueError, match="tau"):
+                compute_primitives(stats, tau=tau, mode=mode)
+        assert not stats._memo
+
 
 class TestInverseMemo:
     def test_arrays_read_only(self):
@@ -216,13 +224,12 @@ class TestOrder0Solve:
         assert stats._memo.keys() == memo.keys()
         again = compute_primitives(stats, tau=1.0, mode="recursive")
         np.testing.assert_array_equal(again.tables, default.tables)
-        np.testing.assert_array_equal(again.u, e1(1.0, 20))
 
     def test_memo_arrays_are_read_only(self):
         stats = accumulate_gram(sample_dataset(make_config(seed=2)))
-        prims = compute_primitives(stats, tau=1.0, mode="recursive")
+        compute_primitives(stats, tau=1.0, mode="recursive")
         (order0,) = stats._memo.values()
-        for arr in (order0.e_1, order0.table, order0.squared, prims.u):
+        for arr in (order0.table, order0.squared):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -382,9 +389,7 @@ class TestRiskIdentity:
     @pytest.mark.parametrize("tau", [0.0, 5.0])
     @pytest.mark.parametrize("deltas", [(1.0, 1.0), (0.95, 0.05)])
     def test_identity_both_groups(self, tau, deltas):
-        cfg = make_config(
-            seed=10, delta_plus=deltas[0], delta_minus=deltas[1], tau=tau
-        )
+        cfg = make_config(seed=10, delta_plus=deltas[0], delta_minus=deltas[1])
         ds = sample_dataset(cfg)
         stats = accumulate_gram(ds)
         sol = fit_ridge(stats, cfg.deltas, tau)
@@ -493,6 +498,16 @@ class TestWishart:
         with pytest.raises(ValueError, match=match):
             wishart_coverage(d=d, n=n, t=t, draws=10)
 
+    @pytest.mark.parametrize("draws", [True, 2.5, np.bool_(True), "10"])
+    def test_coverage_rejects_non_integer_draws(self, draws):
+        with pytest.raises(ValueError, match="draws must be an integer"):
+            wishart_coverage(d=300, n=8, t=2.0, draws=draws)
+
+    def test_coverage_reports_numpy_draws_as_int(self):
+        rep = wishart_coverage(d=300, n=8, t=2.0, draws=np.int64(5))
+        assert type(rep["draws"]) is int
+        assert rep == wishart_coverage(d=300, n=8, t=2.0, draws=5)
+
     @staticmethod
     def dense_draw(d, n, u, seed, trial):
         """The dense reference: A = Q Q' for an n x d standard normal Q."""
@@ -587,7 +602,7 @@ class TestBands:
             assert [tuple(map(type, r)) for r in got] == [tuple(map(type, r)) for r in ref]
             assert report.all_pass == all(r[-1] for r in ref)
 
-    def deep_config(self, seed=0, tau=0.0):
+    def deep_config(self, seed=0):
         # comfortably inside the assumption regime: R_plus n / d ~ 0.1
         return ModelConfig(
             d_core=15_000,
@@ -597,19 +612,18 @@ class TestBands:
             n_plus=24,
             n_minus=6,
             seed=seed,
-            tau=tau,
         )
 
     def test_all_bands_pass_in_regime(self):
         cfg = self.deep_config(seed=0)
-        prims = compute_primitives(accumulate_gram(sample_dataset(cfg)), tau=cfg.tau, mode="recursive")
+        prims = compute_primitives(accumulate_gram(sample_dataset(cfg)), mode="recursive")
         report = verify_primitive_bounds(prims, cfg)
         failing = [r.name for r in report.failures()]
         assert report.all_pass, failing
 
     def test_diagonals_near_one_in_regime(self):
         cfg = self.deep_config(seed=1)
-        prims = compute_primitives(accumulate_gram(sample_dataset(cfg)), tau=cfg.tau, mode="recursive")
+        prims = compute_primitives(accumulate_gram(sample_dataset(cfg)), mode="recursive")
         report = verify_primitive_bounds(prims, cfg, band=(0.8, 1.2))
         diag = [r for r in report.rows if r.name.startswith(("s_11", "s_22"))]
         assert diag and all(r.passed for r in diag)
@@ -651,7 +665,7 @@ class TestBands:
 
     def test_report_serializes(self):
         cfg = self.deep_config(seed=2)
-        prims = compute_primitives(accumulate_gram(sample_dataset(cfg)), tau=cfg.tau, mode="recursive")
+        prims = compute_primitives(accumulate_gram(sample_dataset(cfg)), mode="recursive")
         doc = verify_primitive_bounds(prims, cfg).to_dict()
         assert isinstance(doc["rows"], list)
         assert {"name", "k", "value", "normalized", "band_low", "band_high", "pass"} <= set(

@@ -9,11 +9,13 @@ specs survive a JSON round trip unchanged, numpy integers included.
 """
 
 import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from grouprisk import model
 from grouprisk.cli import primitive_set_max_gap
 from grouprisk.estimators import GramStats
 from grouprisk.harness import AXIS_NAMES, OUTPUT_NAMES, SweepAxis, SweepSpec
@@ -21,6 +23,17 @@ from grouprisk.model import ModelConfig, noise_stats, sample_dataset
 from grouprisk.primitives import compute_primitives
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def block_width(width):
+    """A context in which noise streams `width` columns per block (patches
+    `model._BLOCK_COLS`)."""
+    return mock.patch.object(model, "_BLOCK_COLS", width)
+
+
+def widths(top):
+    """Stream widths from 1 to max(1, top // 4)."""
+    return st.integers(1, max(1, top // 4))
 
 
 @st.composite
@@ -50,7 +63,6 @@ def configs(draw, min_d_over_n=1):
         pi_plus=draw(st.floats(0.1, 0.9)),
         delta_plus=1.0,
         delta_minus=draw(st.floats(1.0 / n, 1.0)),
-        tau=draw(st.sampled_from([0.0, 1.0, float(d)])),
         seed=draw(st.integers(0, 2**64 - 1)),
     )
 
@@ -66,16 +78,23 @@ def assert_same_stats(got, ref, rtol=1e-12):
 @PROPERTY
 @given(cfg=configs(), data=st.data())
 def test_noise_stats_agree_across_block_widths(cfg, data):
-    block_cols = data.draw(st.integers(1, cfg.d + 3))
-    assert_same_stats(noise_stats(cfg, block_cols), noise_stats(cfg, cfg.d))
+    with block_width(data.draw(widths(cfg.d + 3))):
+        got = noise_stats(cfg)
+    with block_width(max(1, cfg.d // 4)):
+        ref = noise_stats(cfg)
+    assert_same_stats(got, ref)
 
 
 @PROPERTY
 @given(cfg=configs(), data=st.data())
 def test_config_and_dataset_routes_agree(cfg, data):
-    ds = sample_dataset(cfg, block_cols=data.draw(st.integers(1, cfg.d)))
-    from_ds = noise_stats(ds, data.draw(st.integers(1, cfg.d + 3)))
-    assert_same_stats(noise_stats(cfg, data.draw(st.integers(1, cfg.d + 3))), from_ds)
+    with block_width(data.draw(st.integers(1, cfg.d))):
+        ds = sample_dataset(cfg)
+    with block_width(data.draw(widths(cfg.d + 3))):
+        from_ds = noise_stats(ds)
+    with block_width(data.draw(widths(cfg.d + 3))):
+        from_cfg = noise_stats(cfg)
+    assert_same_stats(from_cfg, from_ds)
     # the dataset route is anchored to the dense Q Q'
     np.testing.assert_allclose(from_ds.gram_0, ds.Q @ ds.Q.T, rtol=1e-12, atol=1e-12 * cfg.d)
 
@@ -83,9 +102,11 @@ def test_config_and_dataset_routes_agree(cfg, data):
 @PROPERTY
 @given(cfg=configs(min_d_over_n=2), data=st.data())
 def test_direct_and_recursive_primitives_meet_mode_gate(cfg, data):
-    stats = GramStats.from_noise(cfg, noise_stats(cfg, data.draw(st.integers(1, cfg.d))))
-    direct = compute_primitives(stats, tau=cfg.tau, delta=cfg.deltas, mode="direct")
-    recursive = compute_primitives(stats, tau=cfg.tau, delta=cfg.deltas, mode="recursive")
+    with block_width(data.draw(widths(cfg.d))):
+        stats = GramStats.from_noise(cfg, noise_stats(cfg))
+    tau = data.draw(st.sampled_from([0.0, 1.0, float(cfg.d)]))
+    direct = compute_primitives(stats, tau=tau, delta=cfg.deltas, mode="direct")
+    recursive = compute_primitives(stats, tau=tau, delta=cfg.deltas, mode="recursive")
     assert primitive_set_max_gap(direct, recursive) <= 1e-8
 
 
@@ -125,8 +146,8 @@ def test_subnormal_spurious_mean_meets_both_mode_gates():
             seed=seed,
         )
         stats = GramStats.from_noise(cfg, noise_stats(cfg))
-        direct = compute_primitives(stats, tau=cfg.tau, delta=cfg.deltas, mode="direct")
-        recursive = compute_primitives(stats, tau=cfg.tau, delta=cfg.deltas, mode="recursive")
+        direct = compute_primitives(stats, tau=0.0, delta=cfg.deltas, mode="direct")
+        recursive = compute_primitives(stats, tau=0.0, delta=cfg.deltas, mode="recursive")
         assert primitive_set_max_gap(direct, recursive) <= 1e-8, seed
         for tau in (0.0, cfg.d / 10, float(cfg.d)):
             for delta in ((1.0, 1.0 / n), (1.0, 1.0)):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from grouprisk.estimators import accumulate_gram, fit_cmni, fit_ridge
+from grouprisk.estimators import accumulate_gram, fit_cmni
 from grouprisk.model import ModelConfig, sample_dataset
 from grouprisk.risk import (
     TWO_TERM_VALID_FROM,
@@ -41,11 +41,7 @@ def make_config(**overrides):
 
 
 def fitted(cfg):
-    ds = sample_dataset(cfg)
-    stats = accumulate_gram(ds)
-    if cfg.tau > 0:
-        return fit_ridge(stats, cfg.deltas, cfg.tau)
-    return fit_cmni(stats, cfg.deltas)
+    return fit_cmni(accumulate_gram(sample_dataset(cfg)), cfg.deltas)
 
 
 class TestQFunction:
