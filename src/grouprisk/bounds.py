@@ -78,12 +78,17 @@ class ConsistencyResult:
     slack: float | None
 
 
+def _adjusted_counts(n_plus, n_minus, delta) -> tuple[float, float]:
+    """(n_delta, n_mixed) = (n_+/Delta_+^2 + n_-/Delta_-^2, n_+/Delta_+ + n_-/Delta_-)."""
+    delta_plus, delta_minus = delta
+    n_delta = n_plus / delta_plus**2 + n_minus / delta_minus**2
+    return n_delta, n_plus / delta_plus + n_minus / delta_minus
+
+
 def adjusted_quantities(config: ModelConfig) -> tuple[float, float, float]:
     """(n_delta, alpha_plus, alpha_minus) from the adjustment weights."""
-    wp = config.n_plus / config.delta_plus**2
-    wm = config.n_minus / config.delta_minus**2
-    n_delta = wp + wm
-    return n_delta, wp / n_delta, wm / n_delta
+    n_delta, _ = _adjusted_counts(config.n_plus, config.n_minus, config.deltas)
+    return n_delta, config.n_plus / config.delta_plus**2 / n_delta, config.n_minus / config.delta_minus**2 / n_delta
 
 
 def bound_exponent(config: ModelConfig, b: int) -> float:

@@ -21,23 +21,47 @@ from .estimators import _check_tau, accumulate_gram, fit_cmni, fit_gd, fit_ridge
 from .harness import PRESET_NAMES, SweepSpec, emit, preset, run_sweep
 from .model import ModelConfig, e1_mean, load_dataset, sample_dataset, save_dataset
 from .model import _one_blas_thread
-from .primitives import (
-    PRIMITIVE_NAMES,
-    check_aux_inequalities,
-    compute_primitives,
-    det_and_adj,
-    risk_identity_check,
-    verify_primitive_bounds,
-    wishart_coverage,
-)
+from .primitives import verify_primitives, wishart_coverage
 from .risk import build_report
 
-__all__ = ["main", "config_from_args", "primitive_set_max_gap"]
+__all__ = ["main", "config_from_args"]
+
+# The inline flags that build a ModelConfig, by argparse dest.  None of
+# them has an argparse default, so a given one can be told from an absent
+# one; `config_from_args` (or ModelConfig) supplies the defaults.
+_CONFIG_FLAGS = {
+    "n_total": "-n", "n_plus": "--n-plus", "n_minus": "--n-minus", "dim": "-d",
+    "mu_core_sq": "--mu-core-sq", "mu_spur_sq": "--mu-spur-sq", "pi_plus": "--pi-plus",
+    "delta_plus": "--delta-plus", "delta_minus": "--delta-minus",
+}
+
+
+def _given(args, *dests) -> dict:
+    """{dest: value} of the flags among `dests` that were given; an absent
+    one is None and leaves the default to the function it is passed to."""
+    return {dest: getattr(args, dest) for dest in dests if getattr(args, dest) is not None}
+
+
+def _refuse_given(args, flags: dict, reason: str) -> None:
+    """ValueError naming each flag of `flags` (dest -> flag) that was given."""
+    given = _given(args, *flags)
+    if given:
+        raise ValueError(f"{', '.join(flags[dest] for dest in given)}: ignored {reason}")
+
+
+def _refuse_unused_method_flags(args) -> None:
+    """ValueError for --tau off ridge, and --step or --iters off gd."""
+    if args.method != "ridge" and args.tau != 0.0:
+        raise ValueError(f"--tau: ignored by --method {args.method}")
+    if args.method != "gd":
+        _refuse_given(args, {"step": "--step", "iters": "--iters"}, f"by --method {args.method}")
 
 
 def config_from_args(args) -> ModelConfig:
-    """Build a ModelConfig from CLI flags, or load --config and apply overrides."""
+    """Build a ModelConfig from inline CLI flags, or load --config (which
+    takes no inline flag) and apply --seed."""
     if getattr(args, "config", None):
+        _refuse_given(args, _CONFIG_FLAGS, "with --config")
         with open(args.config) as fh:
             cfg = ModelConfig.from_dict(json.load(fh))
         return cfg.with_updates(seed=args.seed) if args.seed is not None else cfg
@@ -47,7 +71,7 @@ def config_from_args(args) -> ModelConfig:
     else:
         n_plus = args.n_plus if args.n_plus is not None else 50
         n_minus = args.n_minus if args.n_minus is not None else 10
-    d = args.dim
+    d = args.dim if args.dim is not None else 2000
     d_core = (d + 1) // 2
     mu_core_sq = args.mu_core_sq if args.mu_core_sq is not None else d / 10.0
     mu_spur_sq = args.mu_spur_sq if args.mu_spur_sq is not None else mu_core_sq / 4.0
@@ -58,10 +82,7 @@ def config_from_args(args) -> ModelConfig:
         mu_spur=e1_mean(float(np.sqrt(mu_spur_sq)), d - d_core),
         n_plus=n_plus,
         n_minus=n_minus,
-        pi_plus=args.pi_plus,
-        delta_plus=args.delta_plus,
-        delta_minus=args.delta_minus,
-        seed=args.seed if args.seed is not None else 0,
+        **_given(args, "pi_plus", "delta_plus", "delta_minus", "seed"),
     )
 
 
@@ -79,23 +100,7 @@ def _fit_solution(args, cfg, stats):
         return fit_cmni(stats, cfg.deltas)
     if args.method == "ridge":
         return fit_ridge(stats, cfg.deltas, args.tau)
-    return fit_gd(stats, cfg.deltas, step=args.step, iters=args.iters)
-
-
-def primitive_set_max_gap(a, b) -> float:
-    """Largest relative discrepancy between two PrimitiveSets."""
-    gap = 0.0
-    for name in PRIMITIVE_NAMES:
-        x = getattr(a, name).ravel()
-        y = getattr(b, name).ravel()
-        scale = np.maximum(np.abs(x), np.abs(y))
-        diff = np.abs(x - y)
-        mask = scale > 0
-        if mask.any():
-            gap = max(gap, float((diff[mask] / scale[mask]).max()))
-        if (diff[~mask] != 0).any():
-            gap = max(gap, np.inf)
-    return gap
+    return fit_gd(stats, cfg.deltas, **_given(args, "step", "iters"))
 
 
 def _cmd_sample(args) -> int:
@@ -119,7 +124,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    _refuse_unused_method_flags(args)
     if args.data:
+        _refuse_given(args, {**_CONFIG_FLAGS, "seed": "--seed", "config": "--config"}, "with --data")
         source = load_dataset(args.data)
         cfg = source.config
     else:
@@ -133,6 +140,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_risk(args) -> int:
+    _refuse_unused_method_flags(args)
     cfg = config_from_args(args)
     sol = _fit_solution(args, cfg, accumulate_gram(cfg))
     report = build_report(sol, cfg, mc_draws=args.mc_draws)
@@ -157,50 +165,18 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_verify_primitives(args) -> int:
     cfg = config_from_args(args)
-    stats = accumulate_gram(cfg)
-    direct = compute_primitives(stats, tau=args.tau, delta=cfg.deltas, mode="direct")
-    recursive = compute_primitives(stats, tau=args.tau, delta=cfg.deltas, mode="recursive")
-    mode_gap = primitive_set_max_gap(direct, recursive)
-
-    sol = fit_ridge(stats, cfg.deltas, args.tau)
-    identity_gaps = {
-        str(b): risk_identity_check(direct, sol, cfg, b) for b in (+1, -1)
-    }
-
-    # the closed-form adjugate against the dense capacitance I + R M_{k-1}^{-1} L
-    adj_gap = 0.0
-    for k in (1, 2):
-        prev_inv = np.linalg.inv(stats.stage_gram(k - 1) + args.tau * np.eye(cfg.n))
-        L, R = stats.update_factors(k)
-        a_k = np.eye(3) + R @ prev_inv @ L
-        det, adj = det_and_adj(direct, k)
-        residual = a_k @ adj - det * np.eye(3)
-        adj_gap = max(adj_gap, float(np.abs(residual).max()))
-
-    band = verify_primitive_bounds(direct, cfg, band=args.band, cross_band=(-args.band[1], args.band[1]))
-    aux = check_aux_inequalities(cfg)
-
-    ok = mode_gap <= 1e-8 and max(identity_gaps.values()) <= 1e-8 and adj_gap <= 1e-10 and aux.all_ok
-    doc = {
-        "mode_equivalence_max_gap": mode_gap,
-        "risk_identity_gap": identity_gaps,
-        "adjugate_identity_gap": adj_gap,
-        "bands_all_pass": band.all_pass,
-        "band_failures": [r.to_dict() for r in band.failures()],
-        "aux_inequalities": aux.to_dict(),
-        "passed": bool(ok),
-    }
+    doc = verify_primitives(accumulate_gram(cfg), cfg, tau=args.tau, band=args.band)
     _emit_json(doc, args.out)
-    return 0 if ok else 1
+    return 0 if doc["passed"] else 1
 
 
 def _cmd_wishart(args) -> int:
     report = wishart_coverage(
         d=args.dim,
-        n=args.n_total if args.n_total is not None else 10,
+        n=args.n_total,
         t=args.t,
         draws=args.draws,
-        seed=args.seed if args.seed is not None else 0,
+        **_given(args, "seed"),
     )
     _emit_json(report, args.out)
     return 0 if report["passed"] else 1
@@ -208,11 +184,7 @@ def _cmd_wishart(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.preset:
-        spec = preset(
-            args.preset,
-            seed=args.seed if args.seed is not None else 0,
-            trials=args.trials if args.trials is not None else 10,
-        )
+        spec = preset(args.preset, **_given(args, "seed", "trials"))
     else:
         with open(args.spec) as fh:
             spec = SweepSpec.from_dict(json.load(fh))
@@ -273,12 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     config_flags.add_argument("-n", "--n-total", type=int, default=None, help="total sample count (split 4:1 unless group counts given)")
     config_flags.add_argument("--n-plus", type=int, default=None)
     config_flags.add_argument("--n-minus", type=int, default=None)
-    config_flags.add_argument("-d", "--dim", type=int, default=2000, help="total dimension")
+    config_flags.add_argument("-d", "--dim", type=int, default=None, help="total dimension")
     config_flags.add_argument("--mu-core-sq", type=float, default=None, help="|mu_c|^2 (default d/10)")
     config_flags.add_argument("--mu-spur-sq", type=float, default=None, help="|mu_s|^2 (default |mu_c|^2 / 4)")
-    config_flags.add_argument("--pi-plus", type=float, default=0.5)
-    config_flags.add_argument("--delta-plus", type=float, default=1.0)
-    config_flags.add_argument("--delta-minus", type=float, default=1.0)
+    config_flags.add_argument("--pi-plus", type=float, default=None)
+    config_flags.add_argument("--delta-plus", type=float, default=None)
+    config_flags.add_argument("--delta-minus", type=float, default=None)
 
     # only on the subcommands that fit or build primitives at a tau
     tau_flag = argparse.ArgumentParser(add_help=False)
@@ -287,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     method_flags = argparse.ArgumentParser(add_help=False)
     method_flags.add_argument("--method", choices=("cmni", "ridge", "gd"), default="cmni")
     method_flags.add_argument("--step", type=float, default=None, help="gd step size")
-    method_flags.add_argument("--iters", type=int, default=100_000, help="gd iteration cap")
+    method_flags.add_argument("--iters", type=int, default=None, help="gd iteration cap")
 
     parser = argparse.ArgumentParser(
         prog="grouprisk",

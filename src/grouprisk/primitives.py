@@ -67,7 +67,8 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dtrtrs
 
-from .estimators import GramStats, _adjusted_targets, _check_tau, _spd_factor, _spd_solve
+from .bounds import _adjusted_counts
+from .estimators import GramStats, _adjusted_targets, _check_tau, _spd_factor, _spd_solve, fit_ridge
 from .model import (
     ModelConfig,
     _check_int,
@@ -93,6 +94,8 @@ __all__ = [
     "wishart_coverage",
     "verify_primitive_bounds",
     "check_aux_inequalities",
+    "primitive_set_max_gap",
+    "verify_primitives",
 ]
 
 DET_SINGULAR_TOL = 1e-12
@@ -473,7 +476,6 @@ def wishart_coverage(
     t: float,
     draws: int,
     seed: int = 0,
-    u: np.ndarray | None = None,
 ) -> dict:
     """Empirical coverage of the band over fresh Wishart draws.
 
@@ -481,14 +483,16 @@ def wishart_coverage(
     (`model.bartlett_factor`, O(n^2) values in place of an n x d normal
     matrix) on its own substream, so draw i is the same for every
     `draws`, and checks whether 1/(u' A^{-1} u) = 1/|L^{-1} u|^2 lands
-    inside the interval.  Returns the count, fraction, and the binomial
-    three-sigma acceptance threshold for coverage 1 - 2 e^{-t}.
+    inside the interval.  u is e_1: the law of 1/(u' A^{-1} u) is the
+    same chi-square for every unit u.  Returns the count, fraction, and
+    the binomial three-sigma acceptance threshold for coverage
+    1 - 2 e^{-t}.
     """
     draws = _check_int("draws", draws)
     if draws < 1:
         raise ValueError("draws must be at least 1")
     low, high = wishart_interval(d, n, t)
-    u = _probe_u(u, n)
+    u = _probe_u(None, n)
     inside = sum(low <= value <= high for value in _wishart_draws(d, n, u, seed, draws))
     coverage_target = 1.0 - 2.0 * np.exp(-t)
     sigma = np.sqrt(coverage_target * (1.0 - coverage_target) / draws)
@@ -569,14 +573,14 @@ def verify_primitive_bounds(
     prims: PrimitiveSet,
     config: ModelConfig,
     band: tuple[float, float] = (0.5, 2.0),
-    cross_band: tuple[float, float] = (-2.0, 2.0),
 ) -> BandReport:
     """Normalize every primitive by its theoretical rate and check bands.
 
     Sign-definite primitives (diagonal s, t, s_uu, the adjusted diagonals,
-    o, det_A) go against `band`; fluctuating ones (cross terms and the
-    u-projections) against `cross_band`.  A primitive whose rate vanishes
-    because its mean direction is zero must itself be exactly zero.
+    o, det_A) go against `band` = (LO, HI); fluctuating ones (cross terms
+    and the u-projections) against (-HI, HI).  A primitive whose rate
+    vanishes because its mean direction is zero must itself be exactly
+    zero.
 
     The rates are order-0 rates.  They hold at every order only in the
     `model.check_assumptions` regime: at order 2 the label-direction
@@ -586,15 +590,13 @@ def verify_primitive_bounds(
     at.
     """
     lo, hi = band
-    cross_lo, cross_hi = cross_band
-    delta_plus, delta_minus = prims.delta
+    cross_lo, cross_hi = -hi, hi
     n, d = config.n, config.d
     tau = prims.tau
     dt = d + tau
     m = np.asarray(prims.mu_norms, dtype=np.float64)
     m_i, m_j = m[:, None], m[None, :]
-    n_delta = config.n_plus / delta_plus**2 + config.n_minus / delta_minus**2
-    n_mixed = config.n_plus / delta_plus + config.n_minus / delta_minus
+    n_delta, n_mixed = _adjusted_counts(config.n_plus, config.n_minus, prims.delta)
 
     # rates (the same at every order) and values of each order's rows
     pair_rates = np.empty((2, 2, len(_PAIR_BANDS)))
@@ -643,9 +645,9 @@ class AuxInequalityReport:
 
     The first: (1/2)(n_plus/Delta_plus + n_minus/Delta_minus) |mu_bar_c|
     >= C_1 sqrt(n n_delta) with reference constant
-    C_1 = sqrt(n_minus / n) |mu_bar_c| / 2.  The second, at constants
-    (c_big, c_tilde): (c_tilde / (sqrt(c_big) n)) (n + n_delta)
-    <= (1/2)(n_plus/Delta_plus + n_minus/Delta_minus).
+    C_1 = sqrt(n_minus / n) |mu_bar_c| / 2.  The second, at the constants
+    (c_big, c_tilde) = (AUX_C_BIG, AUX_C_TILDE):
+    (c_tilde / (sqrt(c_big) n)) (n + n_delta) <= (1/2)(n_plus/Delta_plus + n_minus/Delta_minus).
     """
 
     margin_floor_realized: float
@@ -674,17 +676,19 @@ class AuxInequalityReport:
         }
 
 
-def check_aux_inequalities(
-    config: ModelConfig, c_big: float = 145.0, c_tilde: float = 2.01
-) -> AuxInequalityReport:
+# The constants (c_big, c_tilde) of the count-cap inequality.
+AUX_C_BIG = 145.0
+AUX_C_TILDE = 2.01
+
+
+def check_aux_inequalities(config: ModelConfig) -> AuxInequalityReport:
     """Evaluate both scalar inequalities at the config's weights."""
     n = config.n
     mu_c_norm = float(np.linalg.norm(config.mu_core))
-    n_delta = config.n_plus / config.delta_plus**2 + config.n_minus / config.delta_minus**2
-    n_mixed = config.n_plus / config.delta_plus + config.n_minus / config.delta_minus
+    n_delta, n_mixed = _adjusted_counts(config.n_plus, config.n_minus, config.deltas)
     realized = 0.5 * n_mixed * mu_c_norm / np.sqrt(n * n_delta)
     reference = np.sqrt(config.n_minus / n) * mu_c_norm / 2.0
-    count_cap_lhs = (c_tilde / (np.sqrt(c_big) * n)) * (n + n_delta)
+    count_cap_lhs = (AUX_C_TILDE / (np.sqrt(AUX_C_BIG) * n)) * (n + n_delta)
     count_cap_rhs = 0.5 * n_mixed
     return AuxInequalityReport(
         margin_floor_realized=float(realized),
@@ -693,6 +697,68 @@ def check_aux_inequalities(
         count_cap_lhs=float(count_cap_lhs),
         count_cap_rhs=float(count_cap_rhs),
         count_cap_ok=bool(count_cap_lhs <= count_cap_rhs),
-        c_big=float(c_big),
-        c_tilde=float(c_tilde),
+        c_big=AUX_C_BIG,
+        c_tilde=AUX_C_TILDE,
     )
+
+
+def primitive_set_max_gap(a: PrimitiveSet, b: PrimitiveSet) -> float:
+    """Largest relative discrepancy between two PrimitiveSets."""
+    gap = 0.0
+    for name in PRIMITIVE_NAMES:
+        x = getattr(a, name).ravel()
+        y = getattr(b, name).ravel()
+        scale = np.maximum(np.abs(x), np.abs(y))
+        diff = np.abs(x - y)
+        mask = scale > 0
+        if mask.any():
+            gap = max(gap, float((diff[mask] / scale[mask]).max()))
+        if (diff[~mask] != 0).any():
+            gap = max(gap, np.inf)
+    return gap
+
+
+def verify_primitives(
+    stats: GramStats,
+    config: ModelConfig,
+    tau: float = 0.0,
+    band: tuple[float, float] = (0.5, 2.0),
+) -> dict:
+    """The document `grouprisk verify-primitives` prints, for `stats` at tau.
+
+    Checks in order: the direct-vs-recursive gap (at most 1e-8), the risk
+    identity of the ridge fit (at most 1e-8), the closed-form adjugate of
+    each A_k against the dense capacitance I + R_k M_{k-1}^{-1} L_k (at most
+    1e-10), the bands of `verify_primitive_bounds` and the aux inequalities.
+    `passed`, the exit code of `verify-primitives`, covers the mode gap,
+    the identities, the adjugate and the aux inequalities; the bands are
+    reported in `bands_all_pass` and do not enter it, because they hold
+    only in the `check_assumptions` regime.
+    """
+    direct = compute_primitives(stats, tau=tau, delta=config.deltas, mode="direct")
+    recursive = compute_primitives(stats, tau=tau, delta=config.deltas, mode="recursive")
+    mode_gap = primitive_set_max_gap(direct, recursive)
+
+    sol = fit_ridge(stats, config.deltas, tau)
+    identity_gaps = {str(b): risk_identity_check(direct, sol, config, b) for b in (+1, -1)}
+
+    adj_gap = 0.0
+    for k in (1, 2):
+        prev_inv = np.linalg.inv(stats.stage_gram(k - 1) + tau * np.eye(stats.n))
+        L, R = stats.update_factors(k)
+        det, adj = det_and_adj(direct, k)
+        residual = (np.eye(3) + R @ prev_inv @ L) @ adj - det * np.eye(3)
+        adj_gap = max(adj_gap, float(np.abs(residual).max()))
+
+    bands = verify_primitive_bounds(direct, config, band=band)
+    aux = check_aux_inequalities(config)
+    passed = mode_gap <= 1e-8 and max(identity_gaps.values()) <= 1e-8 and adj_gap <= 1e-10 and aux.all_ok
+    return {
+        "mode_equivalence_max_gap": mode_gap,
+        "risk_identity_gap": identity_gaps,
+        "adjugate_identity_gap": adj_gap,
+        "bands_all_pass": bands.all_pass,
+        "band_failures": [r.to_dict() for r in bands.failures()],
+        "aux_inequalities": aux.to_dict(),
+        "passed": bool(passed),
+    }

@@ -159,30 +159,16 @@ def group_risk(sol, config: ModelConfig, b: int) -> GroupRiskEntry:
     )
 
 
-def worst_and_average(reports, config: ModelConfig | None = None, weights=None):
-    """(max risk, weighted-average risk) over the two group entries.
-
-    Default weights are the training proportions (n_plus/n, n_minus/n),
-    which needs config; custom (w_plus, w_minus) are normalized to sum 1.
-    reports is either an iterable of group entries or a {b: risk} mapping.
-    """
-    if isinstance(reports, dict):
-        by_b = {int(b): GroupRiskEntry(b=int(b), margin=np.nan, exponent=np.nan, risk=float(r))
-                for b, r in reports.items()}
-    else:
-        by_b = {r.b: r for r in reports}
+def worst_and_average(reports, config: ModelConfig):
+    """(max risk, average risk) over the two group entries, the average
+    weighted by the training shares (n_plus/n, n_minus/n)."""
+    by_b = {r.b: r for r in reports}
     if set(by_b) != {1, -1}:
         raise ValueError("need exactly one entry per group b in {+1, -1}")
-    if weights is None:
-        if config is None:
-            raise ValueError("pass config for default weights, or explicit weights")
-        weights = (config.n_plus / config.n, config.n_minus / config.n)
-    w_plus, w_minus = float(weights[0]), float(weights[1])
-    if w_plus < 0 or w_minus < 0 or w_plus + w_minus <= 0:
-        raise ValueError("weights must be nonnegative and not both zero")
-    total = w_plus + w_minus
+    w_plus, w_minus = config.n_plus / config.n, config.n_minus / config.n
     worst = max(by_b[1].risk, by_b[-1].risk)
-    average = (w_plus * by_b[1].risk + w_minus * by_b[-1].risk) / total
+    # the shares sum to 1 only up to rounding: normalize as written
+    average = (w_plus * by_b[1].risk + w_minus * by_b[-1].risk) / (w_plus + w_minus)
     return worst, average
 
 
@@ -217,22 +203,13 @@ def monte_carlo_risk(sol, config: ModelConfig, b: int, m: int, seed=None):
     return rate, std_err
 
 
-def build_report(
-    sol,
-    config: ModelConfig,
-    weights=None,
-    mc_draws: int | None = None,
-    seed=None,
-) -> RiskReport:
+def build_report(sol, config: ModelConfig, mc_draws: int | None = None) -> RiskReport:
     """Assemble the full two-group report from one fitted solution."""
     entries = [group_risk(sol, config, b) for b in (+1, -1)]
-    worst, average = worst_and_average(entries, config=config, weights=weights)
+    worst, average = worst_and_average(entries, config)
     mc = None
     if mc_draws is not None:
-        mc = {
-            b: monte_carlo_risk(sol, config, b, mc_draws, seed=seed)
-            for b in (+1, -1)
-        }
+        mc = {b: monte_carlo_risk(sol, config, b, mc_draws) for b in (+1, -1)}
     by_b = {e.b: e for e in entries}
     return RiskReport(
         margin={b: by_b[b].margin for b in (+1, -1)},

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from grouprisk.bounds import bound_exponent, consistency_check
-from grouprisk.cli import primitive_set_max_gap
 from grouprisk.estimators import GramStats, accumulate_gram, fit_cmni, fit_gd, fit_ridge, interpolation_residual
 from grouprisk.harness import SweepAxis, SweepSpec, derive_config, preset, run_sweep
 from grouprisk.model import ModelConfig, check_assumptions, embed_means, noise_stats, sample_dataset
 from grouprisk.primitives import (
     check_aux_inequalities,
     compute_primitives,
+    primitive_set_max_gap,
     risk_identity_check,
     verify_primitive_bounds,
     wishart_coverage,

@@ -9,11 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grouprisk.cli import main, primitive_set_max_gap
+from grouprisk.cli import build_parser, config_from_args, main
 from grouprisk.estimators import accumulate_gram
 from grouprisk.harness import CSV_COLUMNS
-from grouprisk.model import ModelConfig, e1_mean
-from grouprisk.primitives import _LAYOUT, PRIMITIVE_NAMES, compute_primitives
+from grouprisk.model import ModelConfig, e1_mean, sample_dataset, save_dataset
+from grouprisk.primitives import (
+    _LAYOUT,
+    PRIMITIVE_NAMES,
+    compute_primitives,
+    primitive_set_max_gap,
+    verify_primitives,
+)
 
 
 def run(argv, capsys):
@@ -284,7 +290,115 @@ class TestRiskAndBounds:
         assert "risk_plus" in json.loads(Path(out).read_text())
 
 
+# inline config flags with a value each, as a command line would give them
+INLINE_FLAGS = [
+    ("-n", "20"), ("--n-plus", "16"), ("--n-minus", "4"), ("-d", "400"),
+    ("--mu-core-sq", "40"), ("--mu-spur-sq", "10"), ("--pi-plus", "0.4"),
+    ("--delta-plus", "0.9"), ("--delta-minus", "0.5"),
+]
+CONFIG_COMMANDS = ("sample", "fit", "risk", "bounds", "verify-primitives")
+
+
+@pytest.fixture
+def no_stream(monkeypatch):
+    """Record every call that would load or stream noise; none may happen."""
+    from grouprisk import cli
+
+    calls = []
+    for name in ("accumulate_gram", "sample_dataset", "load_dataset"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
+    return calls
+
+
+class TestIgnoredFlags:
+    """A flag that the command would ignore exits 2, naming the flag."""
+
+    def refused(self, argv, flag, calls, capsys):
+        code, stdout, err = run(argv, capsys)
+        assert code == 2
+        assert stdout == ""
+        assert f"{flag}: ignored" in err
+        assert not calls
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--tau", "50"], "--tau"),
+            (["--method", "cmni", "--tau", "50"], "--tau"),
+            (["--method", "gd", "--tau", "50"], "--tau"),
+            (["--method", "cmni", "--step", "0.1"], "--step"),
+            (["--method", "ridge", "--step", "0.1"], "--step"),
+            (["--method", "cmni", "--iters", "10"], "--iters"),
+            (["--method", "ridge", "--iters", "10"], "--iters"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["fit", "risk"])
+    def test_method_flag_off_its_method(self, command, extra, flag, no_stream, capsys):
+        self.refused([command, "-n", "20", "-d", "400", *extra], flag, no_stream, capsys)
+
+    @pytest.mark.parametrize("flag, value", INLINE_FLAGS)
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_inline_flag_with_config_file(self, command, flag, value, tmp_path, no_stream, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(small_config().to_json())
+        argv = [command, "--config", str(path), flag, value, "--out", str(tmp_path / "out")]
+        self.refused(argv, flag, no_stream, capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [*INLINE_FLAGS, ("--seed", "5"), ("--config", "cfg.json")])
+    def test_config_flag_with_saved_dataset(self, flag, value, tmp_path, no_stream, capsys):
+        data = str(tmp_path / "ds.bin")
+        save_dataset(sample_dataset(small_config()), data)
+        self.refused(["fit", "--data", data, flag, value], flag, no_stream, capsys)
+
+    @pytest.mark.parametrize("method", ["cmni", "gd"])
+    def test_zero_tau_is_taken_by_every_method(self, method, capsys):
+        code, stdout, _ = run(["fit", "-n", "20", "-d", "400", "--method", method, "--tau", "0"], capsys)
+        assert code == 0
+        assert json.loads(stdout)["method"] == method
+
+    def test_config_file_takes_seed(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(small_config().to_json())
+        assert run(["risk", "--config", str(path), "--seed", "5"], capsys)[0] == 0
+
+
+BENCH_VERIFY = ["--n-plus", "24", "--n-minus", "6", "-d", "30000", "--mu-core-sq", "72",
+                "--mu-spur-sq", "18", "--seed", "3", "--band", "0.5,2.0"]
+
+
 class TestVerification:
+    @pytest.mark.parametrize("argv", [BENCH_VERIFY, ["-n", "40", "-d", "3000", "--tau", "100", "--seed", "3"]])
+    def test_library_document_is_the_printed_one(self, argv, capsys):
+        args = build_parser().parse_args(["verify-primitives", *argv])
+        cfg = config_from_args(args)
+        doc = verify_primitives(accumulate_gram(cfg), cfg, tau=args.tau, band=args.band)
+        code, stdout, _ = run(["verify-primitives", *argv], capsys)
+        assert code == 0
+        assert doc["passed"]
+        assert json.loads(stdout) == doc
+
+    def test_failed_gate_exits_one(self, monkeypatch, capsys):
+        # the risk identity against a ridge fit at another tau
+        from grouprisk import primitives
+
+        fit_ridge = primitives.fit_ridge
+        monkeypatch.setattr(primitives, "fit_ridge", lambda stats, delta, tau: fit_ridge(stats, delta, tau + 50.0))
+        code, stdout, _ = run(["verify-primitives", *BENCH_VERIFY], capsys)
+        doc = json.loads(stdout)
+        assert code == 1
+        assert not doc["passed"]
+        assert max(doc["risk_identity_gap"].values()) > 1e-8
+        assert doc["mode_equivalence_max_gap"] <= 1e-8 and doc["aux_inequalities"]["count_cap_ok"]
+
+    def test_bands_are_reported_outside_the_exit_code(self, capsys):
+        # d = 300 is far from the check_assumptions regime: bands fail, gates hold
+        code, stdout, _ = run(["verify-primitives", "-n", "40", "-d", "300", "--seed", "3"], capsys)
+        doc = json.loads(stdout)
+        assert code == 0
+        assert doc["passed"]
+        assert not doc["bands_all_pass"] and doc["band_failures"]
+
     def test_verify_primitives_passes(self, capsys):
         code, stdout, _ = run(
             ["verify-primitives", "--seed", "7", "-n", "20", "-d", "400"], capsys

@@ -474,13 +474,6 @@ class TestWishart:
         assert 0.0 <= a["fraction"] <= 1.0
         assert a["threshold"] < a["coverage_target"]
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_coverage_rejects_non_finite_vector(self, bad):
-        u = e1(1.0, 8)
-        u[2] = bad
-        with pytest.raises(ValueError, match="finite unit"):
-            wishart_coverage(d=300, n=8, t=2.0, draws=10, u=u)
-
     def test_coverage_passes_at_reference_point(self):
         rep = wishart_coverage(d=1000, n=10, t=4.6, draws=200, seed=0)
         assert rep["fraction"] >= rep["threshold"]
@@ -594,7 +587,7 @@ class TestBands:
         stats = GramStats.from_noise(cfg, noise_stats(cfg))
         for tau in (0.0, 40.0):
             prims = compute_primitives(stats, tau=tau, delta=cfg.deltas, mode="recursive")
-            report = verify_primitive_bounds(prims, cfg, band=band, cross_band=cross_band)
+            report = verify_primitive_bounds(prims, cfg, band=band)
             ref = reference_band_rows(prims, cfg, band, cross_band)
             got = [tuple(row) for row in report.rows]
             assert got == ref

@@ -16,11 +16,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grouprisk import model
-from grouprisk.cli import primitive_set_max_gap
 from grouprisk.estimators import GramStats
 from grouprisk.harness import AXIS_NAMES, OUTPUT_NAMES, SweepAxis, SweepSpec
 from grouprisk.model import ModelConfig, noise_stats, sample_dataset
-from grouprisk.primitives import compute_primitives
+from grouprisk.primitives import compute_primitives, primitive_set_max_gap
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 

@@ -8,6 +8,7 @@ from grouprisk.estimators import accumulate_gram, fit_cmni
 from grouprisk.model import ModelConfig, sample_dataset
 from grouprisk.risk import (
     TWO_TERM_VALID_FROM,
+    GroupRiskEntry,
     RiskReport,
     build_report,
     group_risk,
@@ -114,23 +115,11 @@ class TestAggregation:
     def test_average_uses_group_shares(self):
         cfg = make_config(n_plus=190, n_minus=10, d_core=500, d_spur=500,
                           mu_core=e1(10.0, 500), mu_spur=e1(5.0, 500))
-        risks = {+1: 0.02, -1: 0.2}
-        worst, average = worst_and_average(risks, config=cfg)
+        risks = [GroupRiskEntry(b=-1, margin=1.0, exponent=0.5, risk=0.2),
+                 GroupRiskEntry(b=+1, margin=2.0, exponent=2.0, risk=0.02)]
+        worst, average = worst_and_average(risks, cfg)
         np.testing.assert_allclose(worst, 0.2)
         np.testing.assert_allclose(average, 0.95 * 0.02 + 0.05 * 0.2)
-
-    def test_custom_weights_normalized(self):
-        risks = {+1: 0.1, -1: 0.3}
-        _, average = worst_and_average(risks, weights=(2.0, 2.0))
-        np.testing.assert_allclose(average, 0.2)
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError):
-            worst_and_average({+1: 0.1, -1: 0.3}, weights=(-1.0, 2.0))
-
-    def test_requires_config_or_weights(self):
-        with pytest.raises(ValueError):
-            worst_and_average({+1: 0.1, -1: 0.3})
 
 
 class TestMonteCarlo:
