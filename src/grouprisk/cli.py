@@ -222,9 +222,22 @@ def _band_pair(text: str) -> tuple[float, float]:
         lo, hi = (float(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError("expected LO,HI") from exc
-    if not lo < hi:
-        raise argparse.ArgumentTypeError("band must satisfy LO < HI")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError("band must be finite")
+    if not 0 < lo < hi:
+        raise argparse.ArgumentTypeError("band must satisfy 0 < LO < HI")
     return lo, hi
+
+
+def _draw_count(text: str) -> int:
+    """--mc-draws as an int of at least 1, refused at parse time otherwise."""
+    try:
+        draws = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+    if draws < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {draws}")
+    return draws
 
 
 def _tau_value(text: str) -> float:
@@ -275,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("risk", parents=[common, config_flags, tau_flag, method_flags], help="group risks for one fit")
-    p.add_argument("--mc-draws", type=int, default=None, help="optional Monte-Carlo cross-check draws")
+    p.add_argument("--mc-draws", type=_draw_count, default=None, help="optional Monte-Carlo cross-check draws")
     p.set_defaults(func=_cmd_risk)
 
     p = sub.add_parser("bounds", parents=[common, config_flags], help="bound exponents and consistency")

@@ -13,11 +13,14 @@ Axes:
                   n_minus = round(0.04 n), Delta_pm = n_pm / n,
                   R_plus = d^0.6 / 4, means split evenly on e_1
 
-Trial i reseeds the config with seed XOR i.  Along delta_minus and
+Trial i reseeds the config with seed XOR i, and streams its noise once,
+before its points, into (Q Q', Q u_c, Q u_s).  Along delta_minus and
 r_plus_sq the noise matrix and labels do not depend on the axis value, so
-each trial streams the noise once with `model.noise_stats` into
-(Q Q', Q u_c, Q u_s) and builds every `GramStats` view from it in O(n^2);
-n_coupled re-streams per value.  Every point and method is one recursive
+that is one `model.noise_stats_many` call of one config, and every
+`GramStats` view is built from it in O(n^2).  Along n_coupled every value
+has its own n and d, but every point's Q reads a prefix of the trial's one
+noise stream, so one call streams all of them in a single pass and each
+word is drawn once.  Every point and method is one recursive
 `compute_primitives` call at its tau and weights, and the risks come from
 its order-2 table: the risk identity (`primitives.fit_moments`) gives
 |w_hat|^2 and w_hat' mu_b of the fit, so no fitter runs in a sweep.  The
@@ -48,7 +51,7 @@ import numpy as np
 
 from .bounds import bound_exponent
 from .estimators import GramStats, _check_tau
-from .model import ModelConfig, NoiseStats, _check_int, _one_blas_thread, e1_mean, noise_stats, substream_seed
+from .model import ModelConfig, _check_int, _one_blas_thread, e1_mean, noise_stats_many, substream_seed
 from .primitives import compute_primitives, fit_moments, verify_primitive_bounds
 from .risk import group_risk, worst_and_average
 
@@ -66,7 +69,6 @@ __all__ = [
 ]
 
 AXIS_NAMES = ("delta_minus", "r_plus_sq", "n_coupled")
-_CACHED_AXES = ("delta_minus", "r_plus_sq")
 OUTPUT_NAMES = ("risk", "bounds", "primitives", "tightness")
 PRESET_NAMES = ("fig1_left", "fig1_right", "fig2_left", "fig2_right")
 
@@ -268,8 +270,9 @@ def run_sweep(spec: SweepSpec):
     """Execute the sweep; returns (rows, skips).
 
     Failures at any stage are appended to `skips` as JSON-ready dicts and
-    the sweep continues.  Trial i runs at seed base.seed XOR i; the same
-    trial's noise is shared across axis values when the axis permits it.
+    the sweep continues.  Trial i runs at seed base.seed XOR i; its noise
+    is streamed once for all of its points, and a failed stream skips
+    every point of the trial at the "sample" stage.
     The whole sweep runs at one OpenBLAS thread (`model._one_blas_thread`),
     so its rows are the same bits at any BLAS thread count; the caller's
     counts are restored on return.
@@ -287,7 +290,10 @@ def run_sweep(spec: SweepSpec):
             skip("config", str(exc), value=value)
             derived.append((value, None))
 
-    cacheable = spec.axis.name in _CACHED_AXES
+    points = [idx for idx, (_, cfg) in enumerate(derived) if cfg is not None]
+    # each n_coupled value has its own n and d; on the other axes the labels
+    # and noise do not depend on the value, so the first point's serve all
+    per_point = spec.axis.name == "n_coupled"
     means_fixed = spec.axis.name == "delta_minus"
     want_bounds = "bounds" in spec.outputs
     want_tight = "tightness" in spec.outputs
@@ -301,19 +307,20 @@ def run_sweep(spec: SweepSpec):
     # results[(idx, mi)] -> list of per-trial output dicts
     results: dict[tuple[int, int], list[dict]] = {}
     for trial in range(spec.trials):
-        noise: NoiseStats | None = None
+        seed = substream_seed(spec.base.seed, trial)
+        tcfgs = {idx: derived[idx][1].with_updates(seed=seed) for idx in points}
+        try:
+            noises = noise_stats_many([tcfgs[idx] for idx in (points if per_point else points[:1])])
+        except Exception as exc:
+            for idx in points:
+                skip("sample", str(exc), value=derived[idx][0], trial=trial)
+            continue
         stats: GramStats | None = None
-        for idx, (value, cfg) in enumerate(derived):
-            if cfg is None:
-                continue
-            tcfg = cfg.with_updates(seed=substream_seed(spec.base.seed, trial))
-            if not means_fixed:
-                stats = None
+        for k, idx in enumerate(points):
+            value, tcfg = derived[idx][0], tcfgs[idx]
             try:
-                if noise is None or not cacheable:
-                    noise = noise_stats(tcfg)
-                if stats is None:
-                    stats = GramStats.from_noise(tcfg, noise)
+                if stats is None or not means_fixed:
+                    stats = GramStats.from_noise(tcfg, noises[k if per_point else 0])
             except Exception as exc:
                 skip("sample", str(exc), value=value, trial=trial)
                 continue

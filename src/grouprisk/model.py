@@ -17,11 +17,12 @@ Normals come from the inverse-CDF transform at exactly one 64-bit word per
 value, and column j of the noise matrix consumes words [j*n, (j+1)*n) of
 its stream.  Any column blocking, and any split of the columns into
 ranges, therefore reproduces the one-shot matrix bit for bit.
-`_noise_range` is the single noise source: it starts a generator at the
-first word of a column range and fills one reused buffer of
-`_BLOCK_COLS` columns, so a stream holds that buffer plus its O(n^2)
-statistics, whatever d is.  `noise_blocks` is its range over all d
-columns.  The config is the problem instance and nothing else: tau is
+`_noise_windows` is the single noise source: it starts a generator at the
+first word of one or more column ranges and draws each word once into one
+window of `_BLOCK_COLS`-column blocks (one reused buffer for one range),
+so a stream holds that window plus its O(n^2) statistics, whatever d is.
+`noise_blocks` is its one range over all d columns.  The config is the
+problem instance and nothing else: tau is
 an argument of the fits and primitives that use it.  Configs
 share their read-only mean vectors instead of copying them, and a loaded
 dataset's X and Q are views of the one buffer read from disk.
@@ -32,7 +33,10 @@ spurious directions.  `noise_stats` streams a noise source once into that
 `NoiseStats` triple, the two column halves of Q on two threads with the
 loaded OpenBLAS pinned to one thread for the length of the stream; the
 Gram statistics of the estimators and the staged decomposition of the
-primitives are O(n^2) views of it.
+primitives are O(n^2) views of it.  Configs that share a seed read
+prefixes of one noise stream, so `noise_stats_many` streams all of them
+(the n-coupled points of a sweep trial) in one pass that draws each word
+once, with the same bits per config as `noise_stats`.
 
 `bartlett_factor` draws a Wishart_n(dof, I) matrix L L' by the Bartlett
 decomposition: O(n^2) values where Q Q' takes n * dof.
@@ -62,6 +66,7 @@ __all__ = [
     "noise_blocks",
     "NoiseStats",
     "noise_stats",
+    "noise_stats_many",
     "bartlett_factor",
     "sample_dataset",
     "check_assumptions",
@@ -85,8 +90,8 @@ _U_FLOOR = 2.0 ** -53
 # Columns per noise block.  The sums of Q Q' run block by block, so the
 # bits of every `NoiseStats` depend on this width; Q itself does not.
 _BLOCK_COLS = 1024
-# `noise_stats` streams the second column half on a worker thread only from
-# this many noise values (n * d) up; below, the caller streams both halves.
+# A pass (`noise_stats_many`) starts its worker thread only from this many
+# noise values drawn (n * d for one config); below, the caller streams both.
 # Philox and ndtri take about 45 ns a value, so this is a stream of ~0.1 s.
 # A shorter stream gains only what share of the second core it gets, and
 # that share moves with the machine's other load: on a shared 2-vCPU VM,
@@ -395,37 +400,71 @@ def sample_labels(config: ModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return y, a, b
 
 
-def _noise_range(config: ModelConfig, j_start: int, j_stop: int, width: int):
-    """Iterator of (j0, block) column blocks of columns [j_start, j_stop) of Q.
+def _noise_windows(seed: int, spans, width: int):
+    """Iterator of (tag, j0, block) over column ranges of noise matrices that
+    share the noise stream of seed, each word drawn once.
 
-    The generator starts at word j_start * n of the noise stream: Philox
-    advances in 4-word counter blocks, so it jumps (j_start * n) // 4
-    blocks and discards the remaining words.  From there it draws the
-    words in order into one buffer of min(width, j_stop - j_start) * n
-    values that every block reuses: the uniforms are drawn, floored and
-    transformed in place, and the block is the transposed view of that
-    (m, n) buffer.  A block is therefore valid only until the next step.
-    The generator and the buffer are made by this call, so on the calling
+    spans is a list of (tag, n, j_start, j_stop): columns [j_start,
+    j_stop) of an n-row Q, whose column j is words [j n, (j+1) n) of the
+    stream.  Each span is cut into blocks of `width` columns counted from
+    j_start, and its blocks come in order; the spans' blocks interleave
+    in the order the stream completes them.
+
+    The generator starts at the spans' first word: Philox advances in
+    4-word counter blocks, so it jumps that many blocks and discards the
+    remaining words.  From there it draws the words in order into one
+    window, in which the uniforms are drawn, floored and transformed in
+    place; a block of m columns is the transposed view of an (m, n) slice
+    of it.  When no whole block is left, the window slides: the words
+    from the earliest unfinished block on move to its front and fresh
+    words fill the rest.  With one span the window holds exactly its
+    largest block, so every block is drawn in place and nothing moves;
+    with more, it holds 1.5 of the largest, so each slide draws at least
+    half a block.  A block is valid only until the next step.  The
+    generator and the window are made by this call, so on the calling
     thread, whichever thread then draws the blocks.
     """
-    n = config.n
-    gen = philox_generator(config.seed, STREAM_NOISE)
-    q, r = divmod(j_start * n, 4)
+    nxt = {tag: j_start for tag, _, j_start, _ in spans}  # next block's first column
+    first = min(n * j_start for _, n, j_start, _ in spans)
+    stop = max(n * j_stop for _, n, _, j_stop in spans)
+    big = max(n * min(width, j_stop - j_start) for _, n, j_start, j_stop in spans)
+    window = np.empty(min(big if len(spans) == 1 else big + big // 2, stop - first))
+    gen = philox_generator(seed, STREAM_NOISE)
+    q, r = divmod(first, 4)
     if q:
         gen.bit_generator.advance(q)
     if r:
         gen.random(r)
-    buf = np.empty(min(width, j_stop - j_start) * n)
 
     def blocks():
-        for j0 in range(j_start, j_stop, width):
-            m = min(width, j_stop - j0)
-            u = buf[: m * n]
+        lo = hi = first  # the window holds words [lo, hi)
+        live = [span for span in spans if span[2] < span[3]]
+        while live:
+            keep = min(min(n * nxt[tag] for tag, n, _, _ in live), hi)
+            kept = hi - keep
+            if kept:  # numpy copies between overlapping ranges correctly
+                window[:kept] = window[keep - lo : hi - lo]
+            lo, hi = keep, min(keep + window.size, stop)
+            u = window[kept : hi - lo]
             gen.random(out=u)
             np.maximum(u, _U_FLOOR, out=u)
-            yield j0, ndtri(u, out=u).reshape(m, n).T
+            ndtri(u, out=u)
+            for tag, n, _, j_stop in live:
+                j0 = nxt[tag]
+                while j0 < j_stop and (j1 := min(j0 + width, j_stop)) * n <= hi:
+                    yield tag, j0, window[j0 * n - lo : j1 * n - lo].reshape(j1 - j0, n).T
+                    j0 = nxt[tag] = j1
+            live = [span for span in live if nxt[span[0]] < span[3]]
 
     return blocks()
+
+
+def _noise_range(config: ModelConfig, j_start: int, j_stop: int, width: int):
+    """Iterator of (j0, block) column blocks of columns [j_start, j_stop) of Q:
+    `_noise_windows` with one span, so one reused buffer of
+    min(width, j_stop - j_start) * n values."""
+    windows = _noise_windows(config.seed, [(None, config.n, j_start, j_stop)], width)
+    return ((j0, blk) for _, j0, blk in windows)
 
 
 def noise_blocks(config: ModelConfig):
@@ -535,88 +574,164 @@ class NoiseStats:
         _freeze_arrays(self)
 
 
-def _stream_stats(blocks, u_c: np.ndarray, u_s: np.ndarray, sums):
-    """Add (blk blk', blk u_c, blk u_s) of each (j0, blk) column block to sums.
+def _unit_columns(mu: np.ndarray, offset: int, norm: float, j0: int, j1: int) -> np.ndarray:
+    """Entries [j0, j1) of the unit direction that holds mu / norm at
+    [offset, offset + mu.size) and zeros elsewhere: the same bits as that
+    slice of `embed_means`' vector divided by norm, without the d-vector."""
+    out = np.zeros(j1 - j0)
+    lo, hi = max(j0, offset), min(j1, offset + mu.size)
+    if lo < hi:
+        out[lo - j0 : hi - j0] = mu[lo - offset : hi - offset]
+    out /= norm
+    return out
 
-    sums is (gram, q_core, q_spur, product), product the scratch each
-    blk blk' is written to; returns (gram, q_core, q_spur).
+
+def _stream_stats(blocks, halves, product: np.ndarray) -> None:
+    """Add (blk blk', blk u_c, blk u_s) of each (h, j0, blk) column block to
+    the sums of half h.
+
+    halves[h] is (config, (norm_c, norm_s), (gram, q_core, q_spur)), the
+    norms those of the config's embedded means (1.0 for a zero mean), and
+    product is flat scratch of at least n^2 values for every half's n,
+    which each blk blk' is written to.
     """
-    gram, q_core, q_spur, product = sums
-    for j0, blk in blocks:
-        j1 = j0 + blk.shape[1]
-        gram += np.matmul(blk, blk.T, out=product)
-        q_core += blk @ u_c[j0:j1]
-        q_spur += blk @ u_s[j0:j1]
-    return gram, q_core, q_spur
+    for h, j0, blk in blocks:
+        config, (norm_c, norm_s), (gram, q_core, q_spur) = halves[h]
+        n, j1 = blk.shape[0], j0 + blk.shape[1]
+        gram += np.matmul(blk, blk.T, out=product[: n * n].reshape(n, n))
+        q_core += blk @ _unit_columns(config.mu_core, 0, norm_c, j0, j1)
+        q_spur += blk @ _unit_columns(config.mu_spur, config.d_core, norm_s, j0, j1)
+
+
+def _halves(d: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The column halves [0, ceil(d/2)) and [ceil(d/2), d)."""
+    mid = (d + 1) // 2
+    return (0, mid), (mid, d)
+
+
+def _assemble(configs, labels, lower, upper, values: int) -> tuple[NoiseStats, ...]:
+    """The `NoiseStats` of every config from two streams of its halves' blocks.
+
+    Half 2k is the first column half of configs[k] and half 2k + 1 the
+    second; labels[k] is its (y, a).  lower and upper are iterators of
+    (h, j0, blk) blocks.  One worker thread, started for this call,
+    streams upper while the caller streams lower; below
+    `_THREAD_MIN_VALUES` noise values the caller streams lower, then
+    upper.  A config's statistics are its first half's sums plus its
+    second's, symmetrized, so they are the same bits on either path.
+    Both run under `_one_blas_thread`, which sweeps and CLI commands
+    already hold and a direct call takes here: a threaded GEMM would take
+    the core the other stream runs on, and one thread per GEMM makes the
+    sums the same bits at any BLAS thread count.
+    """
+    with _one_blas_thread():
+        # every array of the sums is made here, on the caller's thread: what
+        # a worker allocates and frees stays resident in its own malloc
+        # arena after it exits, on top of what the caller allocates next
+        halves = []
+        for config in configs:
+            # pinned too: above 10^4 entries a threaded dot would leave a
+            # BLAS worker spinning on the second core for the whole stream
+            norms = tuple(float(np.linalg.norm(u)) or 1.0 for u in embed_means(config))
+            n = config.n
+            halves += [(config, norms, (np.zeros((n, n)), np.zeros(n), np.zeros(n))) for _ in range(2)]
+        rows = max(config.n for config in configs)
+        product = np.empty(rows * rows)
+        if values < _THREAD_MIN_VALUES:
+            _stream_stats(lower, halves, product)
+            _stream_stats(upper, halves, product)
+        else:
+            worker_product = np.empty(rows * rows)
+            # one worker per call: a module-level pool would hang in a forked child
+            with ThreadPoolExecutor(1) as pool:
+                future = pool.submit(_stream_stats, upper, halves, worker_product)
+                _stream_stats(lower, halves, product)
+                future.result()
+    out = []
+    for (y, a), (_, _, first), (_, _, second) in zip(labels, halves[::2], halves[1::2]):
+        for total, part in zip(first, second):
+            total += part
+        gram_0, q_core, q_spur = first
+        # exact symmetry for the SPD solvers (numpy buffers the overlapping .T)
+        np.add(gram_0, gram_0.T, out=gram_0)
+        gram_0 *= 0.5
+        out.append(NoiseStats(y=y, a=a, gram_0=gram_0, q_core=q_core, q_spur=q_spur))
+    return tuple(out)
+
+
+def noise_stats_many(configs) -> tuple[NoiseStats, ...]:
+    """`noise_stats` of every config, from one pass over their noise stream.
+
+    The configs must share one seed (the n-coupled points of one sweep
+    trial), so each one's Q reads a prefix of the same noise stream, and
+    each result is the same bits as `noise_stats(config)`.  Each config's
+    columns split into the halves [0, ceil(d/2)) and [ceil(d/2), d), each
+    cut into blocks of `_BLOCK_COLS` columns from its start.  One worker
+    thread streams the second half of the config with the most noise
+    values (n * d) from its own generator; the caller walks the stream
+    once from word 0 to the end of every other half (`_noise_windows`),
+    handing each half its blocks in order as views of one sliding window.
+    Below `_THREAD_MIN_VALUES` values drawn by the two together, the
+    caller streams both.  One config is one buffer of n x `_BLOCK_COLS`
+    values per half, drawn in place: the work of one stream.
+    """
+    configs = tuple(configs)
+    if not configs:
+        raise ValueError("need at least one config")
+    for config in configs:
+        if not isinstance(config, ModelConfig):
+            raise TypeError(f"expected ModelConfig, got {type(config).__name__}")
+    seed = configs[0].seed
+    if any(config.seed != seed for config in configs):
+        raise ValueError("configs must share one seed to share a noise stream")
+    width = _BLOCK_COLS
+    spans = [
+        (2 * k + h, config.n, j_start, j_stop)
+        for k, config in enumerate(configs)
+        for h, (j_start, j_stop) in enumerate(_halves(config.d))
+    ]
+    top = max(range(len(configs)), key=lambda k: configs[k].n * configs[k].d)
+    upper = spans.pop(2 * top + 1)
+    _, n_top, mid, d_top = upper
+    # the words drawn: the worker's half, and the walk from word 0, where
+    # every first half starts
+    values = n_top * (d_top - mid) + max(n * j_stop for _, n, _, j_stop in spans)
+    labels = [sample_labels(config)[:2] for config in configs]
+    return _assemble(
+        configs,
+        labels,
+        _noise_windows(seed, spans, width),
+        _noise_windows(seed, [upper], width),
+        values,
+    )
 
 
 def noise_stats(source) -> NoiseStats:
     """Stream a noise source once into its `NoiseStats`.
 
     source is a ModelConfig, whose labels are drawn and whose noise comes
-    from the noise stream without ever being held in full, or a Dataset,
-    whose labels and retained Q are read in column views.  Both routes see
-    the same Q bit for bit.
-
-    The d columns split into the halves [0, ceil(d/2)) and [ceil(d/2), d).
-    The caller streams the first and one worker thread, started for this
-    call, the second, each in blocks of `_BLOCK_COLS` columns; below
-    `_THREAD_MIN_VALUES` noise values the caller streams both, one after
-    the other, into the same sums.  On the config route each half draws
-    its own range of the stream (`_noise_range`) into one reused buffer of
-    n x `_BLOCK_COLS` values.  The statistics are the first half's sums
-    plus the second's, symmetrized, so they are the same bits on either
-    path.  Both halves run under `_one_blas_thread`, which sweeps and CLI
-    commands already hold and a direct call takes here: a threaded GEMM
-    would take the core the other half runs on, and one thread per GEMM
-    makes the sums the same bits at any BLAS thread count.
+    from the noise stream without ever being held in full
+    (`noise_stats_many` of the one config), or a Dataset, whose labels and
+    retained Q are read in column views.  Both routes see the same Q bit
+    for bit and cut it into the same halves and blocks, the caller
+    streaming the first half and one worker thread the second.
     """
-    width = _BLOCK_COLS
-    if isinstance(source, Dataset):
-        config, Q = source.config, source.Q
-        if Q is None or Q.shape != (config.n, config.d):
-            raise ValueError("dataset must retain its n x d noise matrix Q")
-        # copied: NoiseStats freezes its arrays, the dataset keeps its own
-        y, a = source.y.copy(), source.a.copy()
-
-        def half(j_start, j_stop):
-            return ((j0, Q[:, j0 : min(j0 + width, j_stop)]) for j0 in range(j_start, j_stop, width))
-
-    elif isinstance(source, ModelConfig):
-        config = source
-        y, a, _ = sample_labels(config)
-
-        def half(j_start, j_stop):
-            return _noise_range(config, j_start, j_stop, width)
-
-    else:
+    if isinstance(source, ModelConfig):
+        return noise_stats_many((source,))[0]
+    if not isinstance(source, Dataset):
         raise TypeError(f"expected Dataset or ModelConfig, got {type(source).__name__}")
-    n, d = config.n, config.d
-    mid = (d + 1) // 2
-    with _one_blas_thread():
-        # pinned too: above 10^4 entries a threaded dot would leave a BLAS
-        # worker spinning on the second core for the whole stream
-        u_c, u_s = embed_means(config)
-        u_c /= np.linalg.norm(u_c) or 1.0
-        u_s /= np.linalg.norm(u_s) or 1.0
-        # every array of both halves is made here, on the caller's thread:
-        # what a worker allocates and frees stays resident in its own malloc
-        # arena after it exits, on top of what the caller allocates next
-        lower, upper = [
-            (half(lo, hi), u_c, u_s, (np.zeros((n, n)), np.zeros(n), np.zeros(n), np.empty((n, n))))
-            for lo, hi in ((0, mid), (mid, d))
-        ]
-        if n * d < _THREAD_MIN_VALUES:
-            first, second = _stream_stats(*lower), _stream_stats(*upper)
-        else:
-            # one worker per call: a module-level pool would hang in a forked child
-            with ThreadPoolExecutor(1) as pool:
-                future = pool.submit(_stream_stats, *upper)
-                first = _stream_stats(*lower)
-                second = future.result()
-    gram_0, q_core, q_spur = (x + y for x, y in zip(first, second))
-    gram_0 = 0.5 * (gram_0 + gram_0.T)  # exact symmetry for the SPD solvers
-    return NoiseStats(y=y, a=a, gram_0=gram_0, q_core=q_core, q_spur=q_spur)
+    config, Q = source.config, source.Q
+    if Q is None or Q.shape != (config.n, config.d):
+        raise ValueError("dataset must retain its n x d noise matrix Q")
+    width = _BLOCK_COLS
+
+    def columns(h, j_start, j_stop):
+        return ((h, j0, Q[:, j0 : min(j0 + width, j_stop)]) for j0 in range(j_start, j_stop, width))
+
+    lower, upper = (columns(h, *half) for h, half in enumerate(_halves(config.d)))
+    # copied: NoiseStats freezes its arrays, the dataset keeps its own
+    labels = [(source.y.copy(), source.a.copy())]
+    return _assemble((config,), labels, lower, upper, config.n * config.d)[0]
 
 
 def bartlett_factor(n: int, dof: int, rng: np.random.Generator) -> np.ndarray:

@@ -462,10 +462,17 @@ def _wishart_draws(d: int, n: int, u: np.ndarray, seed: int, draws: int):
     Draw i is `bartlett_factor` on its own (seed XOR i, STREAM_WISHART)
     substream, so it does not depend on `draws`; u' A^{-1} u = |L^{-1} u|^2
     takes one triangular solve (LAPACK trtrs, without `solve_triangular`'s
-    per-call checks: L's diagonal is positive).
+    per-call checks: L's diagonal is positive).  One generator serves
+    every draw: before each, its state is set to the substream's key at
+    counter 0 with an empty buffer, the state a fresh generator starts in.
+    A fresh Philox would also read OS entropy for a seed sequence that
+    the key then overrides.
     """
+    rng = philox_generator(seed, STREAM_WISHART)
+    state = rng.bit_generator.state  # a copy: counter 0, empty buffer
     for trial in range(draws):
-        rng = philox_generator(substream_seed(seed, trial), STREAM_WISHART)
+        state["state"]["key"][0] = substream_seed(seed, trial)
+        rng.bit_generator.state = state
         half, _ = dtrtrs(bartlett_factor(n, d, rng), u, lower=1)
         yield 1.0 / float(half @ half)
 

@@ -31,6 +31,25 @@ with open(path, "rb") as fh:
     print(hashlib.sha256(fh.read()).hexdigest())
 """
 
+# n-coupled points share one pass over the noise stream, long enough at
+# n = 110 to start the worker thread
+_N_COUPLED_SWEEP = """
+import hashlib, os, tempfile
+from grouprisk.harness import SweepAxis, SweepSpec, emit, run_sweep
+from grouprisk.model import ModelConfig, e1_mean
+base = ModelConfig(d_core=1000, d_spur=1000, mu_core=e1_mean(20.0, 1000),
+                   mu_spur=e1_mean(8.0, 1000), n_plus=320, n_minus=80, seed=5)
+spec = SweepSpec(base=base, axis=SweepAxis("n_coupled", (30, 70, 110)),
+                 methods=(("ridge", 0.0), ("ridge", "d/10")), trials=2,
+                 outputs=("risk", "bounds", "tightness"), name="coupled")
+rows, skips = run_sweep(spec)
+assert len(rows) == 6 and not skips, skips
+path = os.path.join(tempfile.mkdtemp(), "coupled.csv")
+emit(rows, path)
+with open(path, "rb") as fh:
+    print(hashlib.sha256(fh.read()).hexdigest())
+"""
+
 _CLI_COMMANDS = """
 from grouprisk.cli import main
 flags = ["-n", "400", "-d", "2000", "--seed", "3"]
@@ -52,7 +71,11 @@ def _run_at_threads(script, threads):
     return proc.stdout
 
 
-@pytest.mark.parametrize("script", [_SWEEP_AT_N400, _CLI_COMMANDS], ids=["sweep_csv", "cli_stdout"])
+@pytest.mark.parametrize(
+    "script",
+    [_SWEEP_AT_N400, _N_COUPLED_SWEEP, _CLI_COMMANDS],
+    ids=["sweep_csv", "n_coupled_sweep_csv", "cli_stdout"],
+)
 def test_driver_bits_do_not_depend_on_blas_threads(blas_controls, script):
     at_one, at_default = (_run_at_threads(script, threads) for threads in ("1", None))
     assert at_one and at_one == at_default

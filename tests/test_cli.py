@@ -250,6 +250,14 @@ class TestRiskAndBounds:
         doc = json.loads(stdout)
         assert "mc_risk_plus" in doc
 
+    @pytest.mark.parametrize("draws", ["0", "-5"])
+    def test_mc_draws_below_one_exits_before_any_stream(self, draws, no_stream, capsys):
+        code, stdout, err = run(["risk", "-n", "20", "-d", "400", "--mc-draws", draws], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert "--mc-draws: must be at least 1" in err
+        assert not no_stream
+
     def test_bounds_reference_config(self, capsys):
         code, stdout, _ = run(
             [
@@ -423,6 +431,14 @@ class TestVerification:
             ["verify-primitives", "-n", "20", "-d", "400", "--band", "2,0.5"], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize("band", ["-3,-1", "0,2", "0.5,inf", "nan,1"])
+    def test_non_positive_or_non_finite_band_exits_before_any_stream(self, band, no_stream, capsys):
+        code, stdout, err = run(["verify-primitives", "-n", "20", "-d", "400", f"--band={band}"], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert "--band" in err
+        assert not no_stream
 
     def test_wishart_pass_and_fail_exit_codes(self, capsys):
         code, stdout, _ = run(

@@ -430,6 +430,75 @@ class TestTrialReuse:
         assert len(calls) == 4
 
 
+class TestOnePassPerTrial:
+    """Each trial streams its noise once, for all of its points."""
+
+    def spec(self, **overrides):
+        kwargs = dict(
+            axis=SweepAxis("n_coupled", (10, 14, 20)),
+            methods=(("ridge", 0.0), ("ridge", "d/10")),
+            trials=2,
+            outputs=("risk", "bounds", "tightness", "primitives"),
+        )
+        kwargs.update(overrides)
+        return tiny_spec(**kwargs)
+
+    @staticmethod
+    def csv_bytes(rows, path):
+        emit(rows, str(path))
+        return path.read_bytes()
+
+    def test_n_coupled_csv_equals_per_point_streams(self, tmp_path, monkeypatch):
+        from grouprisk import harness, model
+
+        monkeypatch.setattr(model, "_BLOCK_COLS", 16)  # many blocks per half
+        rows, skips = run_sweep(self.spec())
+        assert len(rows) == 6 and not skips
+        monkeypatch.setattr(
+            harness, "noise_stats_many", lambda configs: tuple(noise_stats(c) for c in configs)
+        )
+        ref_rows, ref_skips = run_sweep(self.spec())
+        assert not ref_skips
+        assert self.csv_bytes(rows, tmp_path / "a.csv") == self.csv_bytes(ref_rows, tmp_path / "b.csv")
+
+    @pytest.mark.parametrize(
+        "axis, per_call",
+        [(SweepAxis("n_coupled", (10, 14, 20)), [10, 14, 20]),
+         (SweepAxis("delta_minus", (0.5, 0.25, 0.1)), [40]),
+         (SweepAxis("r_plus_sq", (50.0, 100.0)), [40])],
+    )
+    def test_one_stream_call_per_trial(self, axis, per_call, monkeypatch):
+        from grouprisk import harness
+
+        calls = []
+        real = harness.noise_stats_many
+
+        def spy(configs):
+            calls.append([c.n for c in configs])
+            return real(configs)
+
+        monkeypatch.setattr(harness, "noise_stats_many", spy)
+        rows, skips = run_sweep(self.spec(axis=axis, outputs=("risk",)))
+        assert rows and not skips
+        assert calls == [per_call] * 2
+
+    def test_failed_stream_skips_every_point_of_the_trial(self, monkeypatch):
+        from grouprisk import harness
+
+        def refuse(configs):
+            raise MemoryError("stream refused")
+
+        monkeypatch.setattr(harness, "noise_stats_many", refuse)
+        rows, skips = run_sweep(self.spec())
+        assert not rows
+        sample = [s for s in skips if s["stage"] == "sample"]
+        assert [(s["trial"], s["value"]) for s in sample] == [
+            (t, v) for t in range(2) for v in (10.0, 14.0, 20.0)
+        ]
+        assert all(s["reason"] == "stream refused" for s in sample)
+        assert len(skips) == len(sample) + 6  # and one aggregate skip per row
+
+
 class TestEmit:
     def make_rows(self):
         return run_sweep(tiny_spec())[0]

@@ -521,6 +521,109 @@ class TestTwoHalfStream:
         assert os.waitstatus_to_exitcode(status) == 0
 
 
+def coupled_config(n, seed=7):
+    """An n-coupled point (d = 2 n^2) with dense means, so every block
+    carries a different slice of both directions."""
+    n_minus = max(1, round(0.2 * n))
+    d = 2 * n * n
+    d_core = (d + 1) // 2
+    return ModelConfig(d_core=d_core, d_spur=d - d_core,
+                       mu_core=np.linspace(1.0, 2.0, d_core), mu_spur=np.linspace(-0.5, 0.5, d - d_core),
+                       n_plus=n - n_minus, n_minus=n_minus, seed=seed)
+
+
+class TestSharedStream:
+    """noise_stats_many: one pass over a shared noise stream, each config's
+    statistics the bits of its own stream."""
+
+    @staticmethod
+    def assert_same(got, ref):
+        for name in ("y", "a", "gram_0", "q_core", "q_spur"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+
+    @pytest.mark.parametrize("threshold", [0, 1 << 60], ids=["worker", "caller"])
+    @pytest.mark.parametrize("width", [3, 7, 1024])
+    @pytest.mark.parametrize("ns", [(4, 6, 9, 12), (12, 5, 12, 8)], ids=["rising", "mixed"])
+    def test_equals_noise_stats_bitwise(self, ns, width, threshold, monkeypatch):
+        # narrow blocks straddle the window's slides
+        monkeypatch.setattr(model, "_BLOCK_COLS", width)
+        monkeypatch.setattr(model, "_THREAD_MIN_VALUES", threshold)
+        configs = [coupled_config(n) for n in ns]
+        many = model.noise_stats_many(configs)
+        assert len(many) == len(configs)
+        for cfg, got in zip(configs, many):
+            self.assert_same(got, noise_stats(cfg))
+
+    @pytest.mark.parametrize("threshold", [0, 1 << 60], ids=["worker", "caller"])
+    def test_single_config_equals_noise_stats(self, threshold, monkeypatch):
+        monkeypatch.setattr(model, "_BLOCK_COLS", 150)
+        monkeypatch.setattr(model, "_THREAD_MIN_VALUES", threshold)
+        cfg = small_config(d_core=1501, d_spur=1500, mu_core=e1(14.0, 1501),
+                           mu_spur=e1(7.0, 1500), n_plus=41, n_minus=10)
+        (got,) = model.noise_stats_many([cfg])
+        self.assert_same(got, noise_stats(cfg))
+        # e1 means: the dataset route's column views give the same bits
+        self.assert_same(got, noise_stats(sample_dataset(cfg)))
+
+    def test_refuses_mixed_seeds_and_no_configs(self):
+        with pytest.raises(ValueError, match="one seed"):
+            model.noise_stats_many([coupled_config(4, seed=1), coupled_config(6, seed=2)])
+        with pytest.raises(ValueError, match="at least one"):
+            model.noise_stats_many([])
+        with pytest.raises(TypeError, match="ModelConfig"):
+            model.noise_stats_many([sample_dataset(coupled_config(4))])
+
+    @pytest.mark.parametrize("threshold", [0, 1 << 60], ids=["worker", "caller"])
+    def test_each_word_is_drawn_once(self, threshold, monkeypatch):
+        # the caller walks to the end of the last half it streams, the
+        # worker draws the largest config's second half: 2 * 12^3 + 14^3
+        # words for the 2 * (6^3 + 9^3 + 12^3 + 14^3) of four streams
+        monkeypatch.setattr(model, "_BLOCK_COLS", 5)
+        monkeypatch.setattr(model, "_THREAD_MIN_VALUES", threshold)
+        drawn = []
+        real = model.philox_generator
+
+        class Counting:
+            def __init__(self, gen):
+                self.gen, self.bit_generator = gen, gen.bit_generator
+
+            def random(self, size=None, out=None):
+                values = self.gen.random(size, out=out)
+                drawn.append(values.size)
+                return values
+
+        def counting(seed, stream):
+            gen = real(seed, stream)
+            return Counting(gen) if stream == STREAM_NOISE else gen
+
+        monkeypatch.setattr(model, "philox_generator", counting)
+        configs = [coupled_config(n) for n in (6, 9, 12, 14)]
+        many = model.noise_stats_many(configs)
+        assert sum(drawn) == 2 * 12**3 + 14**3
+        monkeypatch.setattr(model, "philox_generator", real)
+        for cfg, got in zip(configs, many):
+            self.assert_same(got, noise_stats(cfg))
+
+    def test_pass_holds_its_windows(self, monkeypatch):
+        # the caller's window (1.5 of its largest block) and the worker's
+        # buffer (one block) plus O(sum n^2 + d) statistics and scratch:
+        # a pass that held any config's Q would not fit
+        cols = 64
+        monkeypatch.setattr(model, "_BLOCK_COLS", cols)
+        configs = [coupled_config(n) for n in (20, 30, 40, 50)]
+        big = max(cfg.n for cfg in configs)
+        window_bytes = 8 * 2.5 * big * cols
+        sum_sq, d = sum(cfg.n**2 for cfg in configs), max(cfg.d for cfg in configs)
+        assert 8 * big * max(cfg.d for cfg in configs) > 4 * (window_bytes + 8 * (sum_sq + d))
+        tracemalloc.start()
+        try:
+            model.noise_stats_many(configs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < window_bytes + 4 * 8 * (sum_sq + d)
+
+
 class TestSubstreams:
     def test_substream_seed_is_xor(self):
         assert substream_seed(0, 0) == 0

@@ -539,6 +539,20 @@ class TestWishart:
         counts = [wishart_coverage(d=d, n=n, t=t, draws=k, seed=4)["inside"] for k in range(1, 7)]
         assert np.diff([0] + counts).tolist() == [int(low <= v <= high) for v in values]
 
+    def test_reused_generator_equals_fresh_generators(self):
+        # seed XOR i runs through the top bit of the key; one generator
+        # reset per draw must give the bits of a fresh one per draw
+        from scipy.linalg.lapack import dtrtrs
+
+        d, n, seed, u = 50, 7, 2**64 - 3, e1(1.0, 7)
+        values = list(primitives._wishart_draws(d, n, u, seed, 40))
+        fresh = []
+        for trial in range(40):
+            rng = philox_generator(substream_seed(seed, trial), STREAM_WISHART)
+            half, _ = dtrtrs(bartlett_factor(n, d, rng), u, lower=1)
+            fresh.append(1.0 / float(half @ half))
+        assert values == fresh
+
 
 def reference_band_rows(prims, config, band, cross_band):
     """Row-by-row reference for `verify_primitive_bounds`, in report order."""
