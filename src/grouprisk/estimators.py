@@ -36,6 +36,7 @@ from .model import (
     Dataset,
     ModelConfig,
     NoiseStats,
+    _check_int,
     _freeze_arrays,
     noise_stats,
 )
@@ -51,6 +52,7 @@ __all__ = [
 ]
 
 _SOLVE_RTOL = 1e-10  # target residual, relative to |Delta^{-1} y|
+_GD_TOL = 1e-10  # fit_gd stops at this inf-norm residual, relative to |Delta^{-1} y|_inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +73,7 @@ class GramStats:
     through `per_tau`, so every weight, fit and primitive call that shares
     the instance and tau shares it.  The builds are the factor of
     G + tau I (`fit_cmni`, `fit_ridge`) and the order-0 solve of recursive
-    primitives (the factor of gram_0 + tau I and two 7x7 tables).
+    primitives (two 7x7 tables, from one factor of gram_0 + tau I).
     """
 
     y: np.ndarray
@@ -306,19 +308,18 @@ def fit_gd(
     delta,
     step: float | None = None,
     iters: int = 100_000,
-    *,
-    tol: float = 1e-10,
 ) -> DualSolution:
     """Full-batch gradient descent on the adjusted squared loss, from zero.
 
     Tracked in dual coordinates: c <- c + (2 step / n)(z - G c) with
     z = Delta^{-1} y.  Stable for step < n / lambda_max(G); the default is
-    0.9 of that limit.  Stops early once |G c - z|_inf <= tol |z|_inf;
+    0.9 of that limit.  Stops early once |G c - z|_inf <= _GD_TOL |z|_inf;
     info["converged"] says whether that tolerance was met, so a run cut
-    off at `iters` reads False.  Raises ValueError for a step that is not
-    finite and positive, RuntimeError if the loss increases 10 consecutive
-    iterations.
+    off at `iters` reads False.  Raises ValueError unless step is finite and
+    positive and iters an integer >= 1, RuntimeError if the loss increases
+    10 consecutive iterations.
     """
+    iters = _check_int("iters", iters)
     if iters < 1:
         raise ValueError("iters must be at least 1")
     if step is not None and not (np.isfinite(step) and step > 0.0):
@@ -331,7 +332,7 @@ def fit_gd(
         step = 0.9 * n / lam_max
     rate = 2.0 * step / n
     c = np.zeros(n)
-    target = tol * np.max(np.abs(z))
+    target = _GD_TOL * np.max(np.abs(z))
     prev_loss = np.inf
     bad = 0
     it = 0

@@ -51,7 +51,15 @@ import numpy as np
 
 from .bounds import bound_exponent
 from .estimators import GramStats, _check_tau
-from .model import ModelConfig, _check_int, _one_blas_thread, e1_mean, noise_stats_many, substream_seed
+from .model import (
+    ModelConfig,
+    _check_int,
+    _one_blas_thread,
+    _refuse_unknown,
+    e1_mean,
+    noise_stats_many,
+    substream_seed,
+)
 from .primitives import compute_primitives, fit_moments, verify_primitive_bounds
 from .risk import group_risk, worst_and_average
 
@@ -134,18 +142,19 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        methods = tuple(
-            (entry["method"], entry.get("tau")) for entry in data.get("methods", [])
-        ) or (("cmni", None),)
-        return cls(
-            base=ModelConfig.from_dict(data["base"]),
-            axis=SweepAxis(data["axis"]["name"], tuple(data["axis"]["values"])),
-            methods=methods,
-            trials=data.get("trials", 1),
-            outputs=tuple(data.get("outputs", ("risk", "bounds"))),
-            out_path=data.get("out_path"),
-            name=data.get("name", "sweep"),
-        )
+        """The spec of a `to_dict` document; ValueError naming any unknown
+        key at the top level, in "axis" or in a "methods" entry."""
+        _refuse_unknown("SweepSpec", data, {f.name for f in fields(cls)})
+        _refuse_unknown("axis", data["axis"], {"name", "values"})
+        for entry in data.get("methods", ()):
+            _refuse_unknown("method", entry, {"method", "tau"})
+        methods = tuple((entry["method"], entry.get("tau")) for entry in data.get("methods", ()))
+        return cls(**{
+            **data,
+            "base": ModelConfig.from_dict(data["base"]),
+            "axis": SweepAxis(**data["axis"]),
+            "methods": methods or (("cmni", None),),
+        })
 
 
 @dataclass(frozen=True)

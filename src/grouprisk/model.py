@@ -124,6 +124,13 @@ def _check_int(name: str, value) -> int:
     return int(value)
 
 
+def _refuse_unknown(what: str, data: dict, names: set) -> None:
+    """ValueError naming every key of data outside names."""
+    unknown = set(data) - names
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+
+
 def _freeze_arrays(obj) -> None:
     """Mark every ndarray field of a dataclass instance read-only."""
     for f in fields(obj):
@@ -259,10 +266,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        names = {f.name for f in fields(cls)}
-        unknown = set(data) - names
-        if unknown:
-            raise ValueError(f"unknown ModelConfig fields: {sorted(unknown)}")
+        _refuse_unknown("ModelConfig", data, {f.name for f in fields(cls)})
         return cls(**data)
 
     def to_json(self) -> str:
@@ -576,8 +580,7 @@ class NoiseStats:
 
 def _unit_columns(mu: np.ndarray, offset: int, norm: float, j0: int, j1: int) -> np.ndarray:
     """Entries [j0, j1) of the unit direction that holds mu / norm at
-    [offset, offset + mu.size) and zeros elsewhere: the same bits as that
-    slice of `embed_means`' vector divided by norm, without the d-vector."""
+    [offset, offset + mu.size) and zeros elsewhere, without a d-vector."""
     out = np.zeros(j1 - j0)
     lo, hi = max(j0, offset), min(j1, offset + mu.size)
     if lo < hi:
@@ -591,7 +594,7 @@ def _stream_stats(blocks, halves, product: np.ndarray) -> None:
     the sums of half h.
 
     halves[h] is (config, (norm_c, norm_s), (gram, q_core, q_spur)), the
-    norms those of the config's embedded means (1.0 for a zero mean), and
+    norms |mu_core| and |mu_spur| of the config (1.0 for a zero mean), and
     product is flat scratch of at least n^2 values for every half's n,
     which each blk blk' is written to.
     """
@@ -632,7 +635,7 @@ def _assemble(configs, labels, lower, upper, values: int) -> tuple[NoiseStats, .
         for config in configs:
             # pinned too: above 10^4 entries a threaded dot would leave a
             # BLAS worker spinning on the second core for the whole stream
-            norms = tuple(float(np.linalg.norm(u)) or 1.0 for u in embed_means(config))
+            norms = tuple(float(np.linalg.norm(mu)) or 1.0 for mu in (config.mu_core, config.mu_spur))
             n = config.n
             halves += [(config, norms, (np.zeros((n, n)), np.zeros(n), np.zeros(n))) for _ in range(2)]
         rows = max(config.n for config in configs)

@@ -37,17 +37,17 @@ M_1 or M_2.  The direct mode forms each stage inverse densely instead;
 the two routes share no solve and must agree.
 
 Every primitive is such a form over the same seven probe vectors
-(v_1, v_2, d_1, d_2, u, D^{-1} v_1, D^{-1} v_2), so both routes produce
+(v_1, v_2, d_1, d_2, u = e_1, D^{-1} v_1, D^{-1} v_2), so both routes produce
 one 7x7 table per order.  `PrimitiveSet` stores the three tables as one
 read-only array, and each named primitive (s, t, h, ...) is a view of a
 block of it, declared once in `_LAYOUT`.
 
 The weights enter only through w_i = D^{-1} v_i, which are fixed linear
 combinations of y_+ and y_- (y masked to each group), so every probe is
-B C(delta) for the delta-free basis B = [a, y, d_1, d_2, u, y_+, y_-] and
+B C(delta) for the delta-free basis B = [a, y, d_1, d_2, e_1, y_+, y_-] and
 a 7x7 change of basis C.  The recursive mode therefore needs, per tau,
-only the order-0 solve: one Cholesky factor of M_0 and the 7x7 tables
-B' M_0^{-1} B and B' M_0^{-2} B.  Through the risk identity
+only the order-0 solve: the 7x7 tables B' M_0^{-1} B and B' M_0^{-2} B,
+from one Cholesky factor of M_0.  Through the risk identity
 (`fit_moments`) the order-2 table also yields |w_hat|^2 and w_hat' mu_b of
 the fit itself, which is where a sweep's risks come from.
 
@@ -73,6 +73,7 @@ from .model import (
     ModelConfig,
     _check_int,
     bartlett_factor,
+    e1_mean,
     philox_generator,
     substream_seed,
     STREAM_WISHART,
@@ -85,7 +86,6 @@ __all__ = [
     "BandReport",
     "AuxInequalityReport",
     "det_and_adj",
-    "f_a",
     "compute_primitives",
     "FitMoments",
     "fit_moments",
@@ -116,49 +116,24 @@ def _dense_inverse(mat: np.ndarray) -> np.ndarray:
     return _symmetric(_spd_solve(_stage_factor(mat), np.eye(mat.shape[0])))
 
 
-class _Order0(NamedTuple):
-    """The order-0 solve of one tau: the `_spd_factor` of M_0 and the
-    7x7 tables B' M_0^{-1} B and B' M_0^{-2} B over the delta-free basis
-    B = [a, y, d_1, d_2, e_1, y_+, y_-] (y_pm is y masked to group pm)."""
-
-    factor: tuple
-    table: np.ndarray
-    squared: np.ndarray
-
-
-def _basis(stats: GramStats, u: np.ndarray) -> np.ndarray:
-    """B with u in the u slot; the probes are B @ _change_of_basis(delta)."""
+def _basis(stats: GramStats) -> np.ndarray:
+    """B = [a, y, d_1, d_2, e_1, y_+, y_-] (y_pm is y masked to group pm);
+    the probes are B @ _change_of_basis(delta)."""
     plus = stats.y * stats.a > 0
     y_plus = np.where(plus, stats.y, 0.0)
     y_minus = np.where(plus, 0.0, stats.y)
+    u = e1_mean(1.0, stats.n)
     return np.column_stack([stats.a, stats.y, stats.d_1, stats.d_2, u, y_plus, y_minus])
 
 
-def _order0_solve(stats: GramStats, tau: float) -> _Order0:
-    factor = _stage_factor(stats.gram_0 + tau * np.eye(stats.n))
-    basis = _basis(stats, _probe_u(None, stats.n))
-    solved = _spd_solve(factor, basis)
+def _order0_solve(stats: GramStats, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only 7x7 tables B' M_0^{-1} B and B' M_0^{-2} B of one tau,
+    over the basis B of `_basis`."""
+    basis = _basis(stats)
+    solved = _spd_solve(_stage_factor(stats.gram_0 + tau * np.eye(stats.n)), basis)
     table, squared = _symmetric(basis.T @ solved), _symmetric(solved.T @ solved)
     for arr in (table, squared):
         arr.setflags(write=False)
-    return _Order0(factor, table, squared)
-
-
-def _order0_tables(stats: GramStats, tau: float, u: np.ndarray | None):
-    """(B' M_0^{-1} B, B' M_0^{-2} B) from the memoized order-0 solve.
-
-    u None takes e_1 and the memoized tables as they are; any other u is
-    solved on the memoized factor and only its row and column are replaced.
-    """
-    order0 = stats.per_tau(_order0_solve, tau)
-    if u is None:
-        return order0.table, order0.squared
-    basis = _basis(stats, u)
-    once = _spd_solve(order0.factor, u)
-    twice = _spd_solve(order0.factor, once)
-    table, squared = order0.table.copy(), order0.squared.copy()
-    table[_U, :] = table[:, _U] = basis.T @ once
-    squared[_U, :] = squared[:, _U] = basis.T @ twice
     return table, squared
 
 
@@ -208,18 +183,9 @@ def _adj_a(m, s, t, h) -> np.ndarray:
     )
 
 
-def f_a(prims: "PrimitiveSet", k: int, x_a: float, x_b: float, x_c: float, x_d: float) -> float:
-    """Bilinear update form [m x_a, x_b, x_a] adj(A_k) [m x_c; x_c; x_d].
-
-    Equals (m_k^2 - t) x_a x_c + (1 + h)(x_a x_d + x_b x_c) - s x_b x_d
-    with (s, t, h) the direction-k self primitives at order k-1.
-    """
-    self_prims = _table_self_primitives(prims.tables[..., k - 1], prims.mu_norms, k)
-    return float(_f_a(*self_prims, x_a, x_b, x_c, x_d))
-
-
 def _f_a(m_sq, s, t, h, x_a, x_b, x_c, x_d):
-    """f_A elementwise; symmetric under (x_a, x_b) <-> (x_c, x_d) bit for bit."""
+    """f_A = [m x_a, x_b, x_a] adj(A_k) [m x_c; x_c; x_d] elementwise;
+    symmetric under (x_a, x_b) <-> (x_c, x_d) bit for bit."""
     return (m_sq - t) * (x_a * x_c) + (1.0 + h) * (x_a * x_d + x_b * x_c) - s * (x_b * x_d)
 
 
@@ -246,11 +212,12 @@ class PrimitiveSet:
     """All quadratic-form primitives at orders k = 0, 1, 2.
 
     tables[:, :, k] holds x' M_k^{-1} y for every pair of the seven probe
-    vectors, in slot order v_1 v_2 d_1 d_2 u w_1 w_2 (w_i = D^{-1} v_i,
-    with D the diagonal adjustment matrix, D_jj = Delta_{b_j}).  It is the
-    one stored form and is read-only; each name in `_LAYOUT` is a view of
-    it, indexed [i, j, k] (or [i, k], [k] where a probe is u), with i, j
-    the 0-based directions 1, 2 and k the order.  Besides the tables:
+    vectors, in slot order v_1 v_2 d_1 d_2 u w_1 w_2 (u = e_1, and
+    w_i = D^{-1} v_i with D the diagonal adjustment matrix,
+    D_jj = Delta_{b_j}).  It is the one stored form and is read-only; each
+    name in `_LAYOUT` is a view of it, indexed [i, j, k] (or [i, k], [k]
+    where a probe is u), with i, j the 0-based directions 1, 2 and k the
+    order.  Besides the tables:
 
         o[i, k]    = w_{i+1}' M_k^{-1} G_k M_k^{-1} w_{i+1}
         det_a[k-1] = det(A_k) for k in {1, 2}.
@@ -269,9 +236,10 @@ class PrimitiveSet:
             object.__setattr__(self, name, self.tables[rows, cols])
 
 
-def _pack(stats: GramStats, delta, u: np.ndarray):
+def _pack(stats: GramStats, delta):
     """The 7 probe vectors, columns in slot order v1 v2 d1 d2 u w1 w2."""
     w_2, dvec = _adjusted_targets(stats, delta)
+    u = e1_mean(1.0, stats.n)
     return np.column_stack([stats.a, stats.y, stats.d_1, stats.d_2, u, stats.a / dvec, w_2])
 
 
@@ -284,59 +252,40 @@ def _table_self_primitives(p: np.ndarray, mu_norms, k: int):
     return m * m, p[v_slot, v_slot], p[d_slot, d_slot], p[d_slot, v_slot]
 
 
-def _probe_u(u, n: int) -> np.ndarray:
-    """The probe u: e_1 for None, else u as float64, which must be a finite
-    unit n-vector (ValueError otherwise)."""
-    if u is None:
-        u = np.zeros(n)
-        u[0] = 1.0
-        return u
-    u = np.asarray(u, dtype=np.float64)
-    # negated so that a NaN norm fails too; an inf entry makes the norm inf
-    if u.shape != (n,) or not abs(np.linalg.norm(u) - 1.0) <= 1e-12:
-        raise ValueError("u must be a finite unit n-vector")
-    return u
-
-
 def compute_primitives(
     stats: GramStats,
     tau: float = 0.0,
     delta=(1.0, 1.0),
-    u: np.ndarray | None = None,
     mode: str = "direct",
 ) -> PrimitiveSet:
     """All primitives of `stats` at orders 0..2, by dense stages or by recursion.
 
-    u defaults to e_1 and must be a finite unit vector.
-
-    direct mode forms each G_k and M_k^{-1} densely and evaluates quadratic
-    forms, o included as c' G_k c; it never reads or fills the memo on
-    `stats`.  recursive mode is 7x7 algebra on the order-0 solve memoized
-    per tau on `stats` (one Cholesky of M_0 = gram_0 + tau I and the tables
-    T_0 = B' M_0^{-1} B, S_0 = B' M_0^{-2} B over the delta-free basis B
-    of `_basis`).  The probes are B C(delta), so order 0 is C' T_0 C and
-    C' S_0 C; each stage advances the table by f_A / det(A_k) and the
-    squared table by the stage map E_k = I - J_k adj(A_k) K_k' P / det(A_k)
-    as E_k' S E_k, where L_k = X J_k and R_k' = X K_k for the probe matrix
-    X and P is the order-(k-1) table (M_k^{-1} X = M_{k-1}^{-1} X E_k).  o is read as
+    The probe u is e_1.  direct mode forms each G_k and M_k^{-1} densely
+    and evaluates quadratic forms, o included as c' G_k c; it never reads
+    or fills the memo on `stats`.  recursive mode is 7x7 algebra on the
+    order-0 solve memoized per tau on `stats` (the tables
+    T_0 = B' M_0^{-1} B and S_0 = B' M_0^{-2} B over the delta-free basis
+    B of `_basis`, from one Cholesky of M_0 = gram_0 + tau I).  The probes
+    are B C(delta), so order 0 is C' T_0 C and C' S_0 C; each stage
+    advances the table by f_A / det(A_k) and the squared table by the
+    stage map E_k = I - J_k adj(A_k) K_k' P / det(A_k) as E_k' S E_k, where
+    L_k = X J_k and R_k' = X K_k for the probe matrix X and P is the
+    order-(k-1) table (M_k^{-1} X = M_{k-1}^{-1} X E_k).  o is read as
     o = s_id_jd - tau diag(squared table), since G_k = M_k - tau I.  A
-    warm call with the default u touches no n-sized array; a caller's u is
-    solved on the memoized factor and never enters the memo.  Recursive
-    mode raises LinAlgError when |det(A_k)| < DET_SINGULAR_TOL.
+    warm call touches no n-sized array.  Recursive mode raises LinAlgError
+    when |det(A_k)| < DET_SINGULAR_TOL.
     """
     tau = _check_tau(tau)
     if mode not in ("direct", "recursive"):
         raise ValueError("mode must be 'direct' or 'recursive'")
     n = stats.n
-    if u is not None:
-        u = _probe_u(u, n)
     if not (delta[0] > 0.0 and delta[1] > 0.0):
         raise ValueError("delta weights must be positive")
 
     o_vals = np.empty((2, 3))
     det_a = np.empty(2)
     if mode == "direct":
-        probes = _pack(stats, delta, _probe_u(u, n))
+        probes = _pack(stats, delta)
         w_cols = probes[:, [_W1, _W2]]
         p_orders = []
         for k in range(3):
@@ -349,7 +298,7 @@ def compute_primitives(
         for k in (1, 2):
             det_a[k - 1] = _det_a(*_table_self_primitives(p_orders[k - 1], stats.mu_norms, k))
     else:
-        table, squared = _order0_tables(stats, tau, u)
+        table, squared = stats.per_tau(_order0_solve, tau)
         change = _change_of_basis(delta)
         p_orders = [_symmetric(change.T @ table @ change)]
         squares = [_symmetric(change.T @ squared @ change)]
@@ -499,8 +448,8 @@ def wishart_coverage(
     if draws < 1:
         raise ValueError("draws must be at least 1")
     low, high = wishart_interval(d, n, t)
-    u = _probe_u(None, n)
-    inside = sum(low <= value <= high for value in _wishart_draws(d, n, u, seed, draws))
+    values = _wishart_draws(d, n, e1_mean(1.0, n), seed, draws)
+    inside = sum(low <= value <= high for value in values)
     coverage_target = 1.0 - 2.0 * np.exp(-t)
     sigma = np.sqrt(coverage_target * (1.0 - coverage_target) / draws)
     return {

@@ -4,19 +4,6 @@ A fitted direction w_hat misclassifies a fresh group-b sample with
 probability Q(w_hat' mu_b / |w_hat|), where Q is the standard Gaussian
 upper tail.  Everything here consumes dual statistics only: the margin
 ratio needs just w_hat' mu_b and |w_hat|^2, both carried by DualSolution.
-
-Tail bounds exposed alongside the exact Q:
-
-    upper:     Q(x) <= exp(-x^2 / 2)                     (x >= 0)
-    certified: Q(x) >= (1/4) exp(-x^2)                   (x >= 0)
-    Mills:     Q(x) >= x / (1 + x^2) * phi(x)            (x >= 0)
-    two-term:  (1/12) exp(-x^2/2) + (1/4) exp(-2 x^2/3)  upper only for
-               x >= 0.78; below that it dips under Q (checked on a grid,
-               not assumed).
-
-The certified pair (upper, (1/4) exp(-x^2)) is what q_bounds returns; the
-worst grid ratio Q(x) / lower on [0, 6] is about 1.57 at x ~ 0.65, so the
-constant pair (C, c) = (1/4, 1) holds with margin.
 """
 
 from __future__ import annotations
@@ -32,10 +19,6 @@ __all__ = [
     "GroupRiskEntry",
     "RiskReport",
     "q_function",
-    "q_bounds",
-    "q_lower_mills",
-    "q_upper_two_term",
-    "TWO_TERM_VALID_FROM",
     "group_risk",
     "worst_and_average",
     "monte_carlo_risk",
@@ -43,10 +26,6 @@ __all__ = [
 ]
 
 _SQRT2 = np.sqrt(2.0)
-
-# Smallest x (to 1e-2) at which the two-term expression is still an upper
-# bound on Q; verified numerically in the test suite.
-TWO_TERM_VALID_FROM = 0.78
 
 
 @dataclass(frozen=True)
@@ -104,41 +83,6 @@ def q_function(x):
     return 0.5 * erfc(np.asarray(x, dtype=np.float64) / _SQRT2)
 
 
-def _require_nonnegative(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x < 0.0):
-        raise ValueError("tail bounds are defined for x >= 0 only")
-    return x
-
-
-def q_bounds(x):
-    """Certified envelope for x >= 0: exp(-x^2/2) above, (1/4) exp(-x^2) below."""
-    x = _require_nonnegative(x)
-    upper = np.exp(-0.5 * x * x)
-    lower = 0.25 * np.exp(-x * x)
-    return upper, lower
-
-
-def q_lower_mills(x):
-    """Mills-ratio lower bound x/(1+x^2) * phi(x), valid for x >= 0."""
-    x = _require_nonnegative(x)
-    phi = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    return x / (1.0 + x * x) * phi
-
-
-def q_upper_two_term(x):
-    """Two-term exponential upper bound (1/12)e^{-x^2/2} + (1/4)e^{-2x^2/3}.
-
-    Only an upper bound for x >= TWO_TERM_VALID_FROM; raises below that.
-    """
-    x = _require_nonnegative(x)
-    if np.any(x < TWO_TERM_VALID_FROM):
-        raise ValueError(
-            f"two-term bound only valid for x >= {TWO_TERM_VALID_FROM}"
-        )
-    return np.exp(-0.5 * x * x) / 12.0 + 0.25 * np.exp(-2.0 * x * x / 3.0)
-
-
 def group_risk(sol, config: ModelConfig, b: int) -> GroupRiskEntry:
     """Exact risk of group b: Q(w_hat' mu_b / |w_hat|) from dual statistics.
 
@@ -172,13 +116,14 @@ def worst_and_average(reports, config: ModelConfig):
     return worst, average
 
 
-def monte_carlo_risk(sol, config: ModelConfig, b: int, m: int, seed=None):
+def monte_carlo_risk(sol, config: ModelConfig, b: int, m: int):
     """Empirical error rate on m fresh group-b samples, with standard error.
 
     For x drawn from group b with label y, the classification margin is
     y w_hat' x = w_hat' mu_b + y w_hat' z, and y w_hat' z / |w_hat| is a
     standard normal whatever y is, so the label marginalizes out exactly
-    and one scalar Gaussian per sample suffices.
+    and one scalar Gaussian per sample suffices, drawn on the STREAM_MC
+    substream of config.seed that b picks.
     """
     if b not in (1, -1):
         raise ValueError("b must be +1 or -1")
@@ -189,8 +134,7 @@ def monte_carlo_risk(sol, config: ModelConfig, b: int, m: int, seed=None):
         raise ValueError("estimator has zero norm; margin undefined")
     dot = sol.w_dot_mu[0] if b == 1 else sol.w_dot_mu[1]
     margin = float(dot / np.sqrt(sol.w_norm_sq))
-    base = config.seed if seed is None else seed
-    rng = philox_generator(substream_seed(base, 0 if b == 1 else 1), STREAM_MC)
+    rng = philox_generator(substream_seed(config.seed, 0 if b == 1 else 1), STREAM_MC)
     errors = 0
     left = m
     while left > 0:

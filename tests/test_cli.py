@@ -576,6 +576,25 @@ class TestSweepCommand:
         assert "tau" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where, key", [("top", "trails"), ("axis", "valeus"), ("method", "Tau")])
+    def test_sweep_spec_unknown_key_exits_before_any_stream(self, where, key, tmp_path, monkeypatch, capsys):
+        from grouprisk import harness
+
+        calls = []
+        monkeypatch.setattr(harness, "noise_stats_many", lambda *a, **k: calls.append(a))
+        spec_path = self.spec_file(tmp_path)
+        doc = json.loads(Path(spec_path).read_text())
+        doc["methods"] = [{"method": "ridge", "tau": 3.0}]
+        {"top": doc, "axis": doc["axis"], "method": doc["methods"][0]}[where][key] = 5
+        Path(spec_path).write_text(json.dumps(doc))
+        out = tmp_path / "rows.csv"
+        code, stdout, err = run(["sweep", "--spec", spec_path, "--out", str(out)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert f"['{key}']" in err
+        assert not calls
+        assert not out.exists()
+
     def test_sweep_bool_tau_spec_is_usage_error(self, tmp_path, capsys):
         spec_path = self.spec_file(tmp_path)
         with open(spec_path) as fh:

@@ -89,6 +89,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="trials"):
             SweepSpec.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "where, key",
+        [("top", "Tau"), ("top", "trails"), ("axis", "valeus"), ("method", "Tau")],
+    )
+    def test_from_dict_refuses_unknown_keys(self, where, key):
+        # a misspelt key would otherwise be dropped without a word
+        doc = tiny_spec(methods=(("ridge", 3.0),)).to_dict()
+        target = {"top": doc, "axis": doc["axis"], "method": doc["methods"][0]}[where]
+        target[key] = 50
+        with pytest.raises(ValueError, match=rf"unknown \w+ fields: \['{key}'\]"):
+            SweepSpec.from_dict(doc)
+
     def test_spec_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             tiny_spec(methods=(("lasso", None),))

@@ -25,7 +25,6 @@ from grouprisk.primitives import (
     check_aux_inequalities,
     compute_primitives,
     det_and_adj,
-    f_a,
     fit_moments,
     risk_identity_check,
     verify_primitive_bounds,
@@ -54,8 +53,8 @@ def make_config(**overrides):
     return ModelConfig(**base)
 
 
-def dense_oracle(ds, tau, u=None):
-    """Every primitive from scratch via explicit dense inverses."""
+def dense_oracle(ds, tau):
+    """Every primitive from scratch via explicit dense inverses, at u = e_1."""
     cfg = ds.config
     n = cfg.n
     mu_bar_c, mu_bar_s = embed_means(cfg)
@@ -63,8 +62,7 @@ def dense_oracle(ds, tau, u=None):
     x_stage.append(x_stage[1] + np.outer(ds.y, mu_bar_c))
     grams = [x @ x.T for x in x_stage]
     invs = [np.linalg.inv(g + tau * np.eye(n)) for g in grams]
-    if u is None:
-        u = e1(1.0, n)
+    u = e1(1.0, n)
     dvec = np.where(ds.b > 0, cfg.delta_plus, cfg.delta_minus)
     v = [ds.a, ds.y]
     d = [ds.Q @ mu_bar_s, ds.Q @ mu_bar_c]
@@ -206,30 +204,13 @@ class TestOrder0Solve:
         for name in ("s_id_j", "s_id_jd", "h_i_jd", "o"):
             np.testing.assert_allclose(getattr(prims, name), ref[name], rtol=1e-9, atol=1e-13)
 
-    def test_caller_u_is_solved_on_the_memoized_factor(self, monkeypatch):
-        ds = sample_dataset(make_config(seed=2))
-        stats = accumulate_gram(ds)
-        default = compute_primitives(stats, tau=1.0, mode="recursive")
-        memo = dict(stats._memo)
-        calls = []
-        real = primitives._spd_factor
-        monkeypatch.setattr(primitives, "_spd_factor", lambda *a, **k: calls.append(1) or real(*a, **k))
-        u = np.full(20, 1.0 / np.sqrt(20.0))
-        prims = compute_primitives(stats, tau=1.0, u=u, mode="recursive")
-        assert not calls
-        ref, _ = dense_oracle(ds, 1.0, u=u)
-        for name in ("s_uu", "s_ui", "h_iu"):
-            np.testing.assert_allclose(getattr(prims, name), ref[name], rtol=1e-9, atol=1e-13)
-        # the caller's u never enters the memo: the default probe is unchanged
-        assert stats._memo.keys() == memo.keys()
-        again = compute_primitives(stats, tau=1.0, mode="recursive")
-        np.testing.assert_array_equal(again.tables, default.tables)
-
     def test_memo_arrays_are_read_only(self):
         stats = accumulate_gram(sample_dataset(make_config(seed=2)))
         compute_primitives(stats, tau=1.0, mode="recursive")
-        (order0,) = stats._memo.values()
-        for arr in (order0.table, order0.squared):
+        # the memo keeps the two 7x7 tables of the order-0 solve, not its factor
+        (tables,) = stats._memo.values()
+        assert [arr.shape for arr in tables] == [(7, 7), (7, 7)]
+        for arr in tables:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -277,18 +258,19 @@ class TestAdjugateSolve:
             compute_primitives(singular, mode="recursive")
 
     def test_f_a_matches_bilinear_adjugate_product(self):
-        # f_a IS the row-adjugate-column product; the recursion divides by det
+        # _f_a IS the row-adjugate-column product; the recursion divides by det
         ds = sample_dataset(make_config(seed=8))
         prims = compute_primitives(accumulate_gram(ds), tau=2.0, mode="direct")
         rng = np.random.default_rng(0)
         for k in (1, 2):
             _, adj = det_and_adj(prims, k)
             m = prims.mu_norms[k - 1]
+            self_prims = primitives._table_self_primitives(prims.tables[..., k - 1], prims.mu_norms, k)
             for _ in range(5):
                 xa, xb, xc, xd = rng.standard_normal(4)
                 expected = np.array([m * xa, xb, xa]) @ adj @ np.array([m * xc, xc, xd])
                 np.testing.assert_allclose(
-                    f_a(prims, k, xa, xb, xc, xd), expected, rtol=1e-10
+                    primitives._f_a(*self_prims, xa, xb, xc, xd), expected, rtol=1e-10
                 )
 
 
@@ -343,29 +325,6 @@ class TestPrimitiveValues:
             assert np.all(prims.h[0, :, :] == 0.0)
             assert np.all(prims.h_iu[0, :] == 0.0)
             assert np.all(prims.h_i_jd[0, :, :] == 0.0)
-
-    def test_custom_unit_vector(self):
-        ds = sample_dataset(make_config(seed=2))
-        u = np.full(20, 1.0 / np.sqrt(20.0))
-        prims = compute_primitives(accumulate_gram(ds), u=u, mode="direct")
-        ref, _ = dense_oracle(ds, 0.0, u=u)
-        np.testing.assert_allclose(prims.s_uu, ref["s_uu"], rtol=1e-9)
-        np.testing.assert_allclose(prims.s_ui, ref["s_ui"], rtol=1e-9, atol=1e-12)
-
-    def test_rejects_non_unit_vector(self):
-        ds = sample_dataset(make_config())
-        with pytest.raises(ValueError):
-            compute_primitives(accumulate_gram(ds), u=np.ones(20))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("mode", ["direct", "recursive"])
-    def test_rejects_non_finite_vector(self, bad, mode):
-        stats = accumulate_gram(sample_dataset(make_config()))
-        u = e1(1.0, 20)
-        u[3] = bad
-        with pytest.raises(ValueError, match="finite unit"):
-            compute_primitives(stats, u=u, mode=mode)
-        assert not stats._memo
 
     def test_rejects_unknown_mode(self):
         ds = sample_dataset(make_config())

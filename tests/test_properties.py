@@ -4,7 +4,7 @@ Over small random valid configs and random block widths: the streamed
 `NoiseStats` does not depend on the block width, the config and dataset
 routes agree, and the two primitive modes built on the resulting
 `GramStats` meet the CLI's mode-equivalence gate and agree to 1e-10 over
-weights, ridge levels and probe vectors, a subnormal mean included.  Configs and sweep
+weights and ridge levels, a subnormal mean included.  Configs and sweep
 specs survive a JSON round trip unchanged, numpy integers included.
 """
 
@@ -12,7 +12,7 @@ import json
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouprisk import model
@@ -112,19 +112,13 @@ def test_direct_and_recursive_primitives_meet_mode_gate(cfg, data):
 @PROPERTY
 @given(cfg=configs(min_d_over_n=2), data=st.data())
 def test_recursive_matches_direct_over_weights_taus_and_probes(cfg, data):
-    # the recursive route's 7x7 change of basis and caller-u solve, held to
-    # the dense stage inverses of direct mode
-    n = cfg.n
-    delta = (1.0, data.draw(st.floats(1.0 / n, 1.0)))
+    # the recursive route's 7x7 change of basis of the probes, held to the
+    # dense stage inverses of direct mode
+    delta = (1.0, data.draw(st.floats(1.0 / cfg.n, 1.0)))
     tau = data.draw(st.sampled_from([0.0, cfg.d / 10, float(cfg.d)]))
-    u = None
-    if data.draw(st.booleans()):
-        raw = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
-        assume(np.linalg.norm(raw) > 1e-3)
-        u = raw / np.linalg.norm(raw)
     stats = GramStats.from_noise(cfg, noise_stats(cfg))
-    direct = compute_primitives(stats, tau=tau, delta=delta, u=u, mode="direct")
-    recursive = compute_primitives(stats, tau=tau, delta=delta, u=u, mode="recursive")
+    direct = compute_primitives(stats, tau=tau, delta=delta, mode="direct")
+    recursive = compute_primitives(stats, tau=tau, delta=delta, mode="recursive")
     assert primitive_set_max_gap(direct, recursive) <= 1e-10
 
 
@@ -133,7 +127,6 @@ def test_subnormal_spurious_mean_meets_both_mode_gates():
     # in one mode and to 5e-324 in the other unless the mean takes the
     # zero-mean path, which fails both gates above on most seeds
     n = 2
-    u = np.full(n, 1.0 / np.sqrt(n))
     for seed in range(20):
         cfg = ModelConfig(
             d_core=1,
@@ -150,10 +143,9 @@ def test_subnormal_spurious_mean_meets_both_mode_gates():
         assert primitive_set_max_gap(direct, recursive) <= 1e-8, seed
         for tau in (0.0, cfg.d / 10, float(cfg.d)):
             for delta in ((1.0, 1.0 / n), (1.0, 1.0)):
-                for probe in (None, u):
-                    direct = compute_primitives(stats, tau=tau, delta=delta, u=probe, mode="direct")
-                    recursive = compute_primitives(stats, tau=tau, delta=delta, u=probe, mode="recursive")
-                    assert primitive_set_max_gap(direct, recursive) <= 1e-10, (seed, tau, delta)
+                direct = compute_primitives(stats, tau=tau, delta=delta, mode="direct")
+                recursive = compute_primitives(stats, tau=tau, delta=delta, mode="recursive")
+                assert primitive_set_max_gap(direct, recursive) <= 1e-10, (seed, tau, delta)
 
 
 @PROPERTY
