@@ -37,6 +37,7 @@ from .model import (
     ModelConfig,
     NoiseStats,
     _check_int,
+    _check_positive,
     _freeze_arrays,
     noise_stats,
 )
@@ -322,8 +323,8 @@ def fit_gd(
     iters = _check_int("iters", iters)
     if iters < 1:
         raise ValueError("iters must be at least 1")
-    if step is not None and not (np.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be finite and positive, got {step!r}")
+    if step is not None:
+        step = _check_positive("step", step)
     z, _ = _adjusted_targets(stats, delta)
     gram = stats.gram
     n = gram.shape[0]

@@ -53,9 +53,10 @@ from .bounds import bound_exponent
 from .estimators import GramStats, _check_tau
 from .model import (
     ModelConfig,
+    _check_fields,
     _check_int,
     _one_blas_thread,
-    _refuse_unknown,
+    _required_fields,
     e1_mean,
     noise_stats_many,
     substream_seed,
@@ -143,11 +144,12 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
         """The spec of a `to_dict` document; ValueError naming any unknown
-        key at the top level, in "axis" or in a "methods" entry."""
-        _refuse_unknown("SweepSpec", data, {f.name for f in fields(cls)})
-        _refuse_unknown("axis", data["axis"], {"name", "values"})
+        or missing key at the top level, in "axis" or in a "methods" entry,
+        or for any of them that is not an object."""
+        _check_fields("SweepSpec", data, {f.name for f in fields(cls)}, _required_fields(cls))
+        _check_fields("axis", data["axis"], {"name", "values"}, {"name", "values"})
         for entry in data.get("methods", ()):
-            _refuse_unknown("method", entry, {"method", "tau"})
+            _check_fields("method", entry, {"method", "tau"}, {"method"})
         methods = tuple((entry["method"], entry.get("tau")) for entry in data.get("methods", ()))
         return cls(**{
             **data,

@@ -38,18 +38,20 @@ prefixes of one noise stream, so `noise_stats_many` streams all of them
 (the n-coupled points of a sweep trial) in one pass that draws each word
 once, with the same bits per config as `noise_stats`.
 
-`bartlett_factor` draws a Wishart_n(dof, I) matrix L L' by the Bartlett
-decomposition: O(n^2) values where Q Q' takes n * dof.
+`bartlett_factor` draws Wishart_n(dof, I) matrices L L' by the Bartlett
+decomposition, in chunks of draws: O(n^2) values a draw where Q Q' takes
+n * dof, from two streams that each serve the draws in order.
 """
 
 from __future__ import annotations
 
 import ctypes
 import json
+import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -81,7 +83,8 @@ __all__ = [
 STREAM_LABELS = 1
 STREAM_NOISE = 2
 STREAM_MC = 3
-STREAM_WISHART = 4
+STREAM_WISHART = 4  # Bartlett diagonal chi-squares
+STREAM_WISHART_NORMALS = 5  # Bartlett normals below the diagonal
 
 _MASK64 = (1 << 64) - 1
 # Generator.random maps one uint64 word w to (w >> 11) * 2^-53, so 0.0 has
@@ -98,6 +101,11 @@ _BLOCK_COLS = 1024
 # `verify-primitives` at n = 30, d = 30000 took a median 27 to 35 ms from
 # run to run with the worker, and 42 to 43 ms without it.
 _THREAD_MIN_VALUES = 1 << 21
+# Values per chunk of Bartlett factors (k draws of order n hold k n^2):
+# `bartlett_factor` yields max(1, this // n^2) factors at a time, so its
+# memory does not grow with the draw count.  The bits of a draw do not
+# depend on it.
+_BARTLETT_CHUNK_VALUES = 1 << 16
 
 
 def substream_seed(seed: int, trial: int) -> int:
@@ -124,11 +132,48 @@ def _check_int(name: str, value) -> int:
     return int(value)
 
 
-def _refuse_unknown(what: str, data: dict, names: set) -> None:
-    """ValueError naming every key of data outside names."""
-    unknown = set(data) - names
+def _check_seed(value) -> int:
+    """value as an int; ValueError unless it is an integer (not a bool) in
+    [0, 2^64), the key word of every Philox stream."""
+    if (
+        isinstance(value, (bool, np.bool_))
+        or not isinstance(value, (int, np.integer))
+        or not 0 <= int(value) < 2 ** 64
+    ):
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {value!r}")
+    return int(value)
+
+
+def _check_positive(name: str, value) -> float:
+    """value as a float; ValueError unless it is a finite, positive real
+    number.  A bool is not one: True would otherwise read as 1.0."""
+    if (
+        isinstance(value, (bool, np.bool_))
+        or not isinstance(value, numbers.Real)
+        or not (np.isfinite(value) and value > 0.0)
+    ):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return float(value)
+
+
+def _required_fields(cls) -> set:
+    """Names of the fields of dataclass cls that have no default."""
+    return {
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    }
+
+
+def _check_fields(what: str, data, names, required) -> None:
+    """ValueError unless data is a dict (a JSON object) whose keys lie in
+    names and include every one of required; it names what is wrong."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = set(data) - set(names)
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = set(required) - set(data)
+    if missing:
+        raise ValueError(f"missing {what} fields: {sorted(missing)}")
 
 
 def _freeze_arrays(obj) -> None:
@@ -196,8 +241,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("d_core", "d_spur", "n_plus", "n_minus", "seed"):
+        for name in ("d_core", "d_spur", "n_plus", "n_minus"):
             object.__setattr__(self, name, _check_int(name, getattr(self, name)))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         mu_core = _frozen_mean(self.mu_core)
         mu_spur = _frozen_mean(self.mu_spur)
         for name, mu in (("mu_core", mu_core), ("mu_spur", mu_spur)):
@@ -230,8 +276,6 @@ class ModelConfig:
             raise ValueError(
                 "adjustment weights must satisfy 1/n <= delta_minus <= delta_plus <= 1"
             )
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
 
     @property
     def d(self) -> int:
@@ -266,7 +310,9 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        _refuse_unknown("ModelConfig", data, {f.name for f in fields(cls)})
+        """The config of a `to_dict` document; ValueError naming any
+        unknown or missing key, or for a document that is not an object."""
+        _check_fields("ModelConfig", data, {f.name for f in fields(cls)}, _required_fields(cls))
         return cls(**data)
 
     def to_json(self) -> str:
@@ -737,21 +783,44 @@ def noise_stats(source) -> NoiseStats:
     return _assemble((config,), labels, lower, upper, config.n * config.d)[0]
 
 
-def bartlett_factor(n: int, dof: int, rng: np.random.Generator) -> np.ndarray:
-    """Lower-triangular L with L L' ~ Wishart_n(dof, I) (Bartlett 1933).
+def bartlett_factor(n: int, dof: int, seed: int, draws: int):
+    """Yield lower-triangular L with L L' ~ Wishart_n(dof, I) (Bartlett 1933),
+    draws 0..draws-1 in order, as (k, n, n) arrays of k factors at a time.
 
     L_ii^2 ~ chi2(dof - i) for i = 0..n-1 (0-based), the entries below the
-    diagonal are N(0, 1), and all are independent.  rng supplies, in this
-    order, the n chi-squares of the diagonal and then the n(n-1)/2
-    normals of the strict lower triangle in row-major order: O(n^2)
-    values, however large dof is.  Requires 1 <= n <= dof.
+    diagonal are N(0, 1), and all are independent: O(n^2) values a draw,
+    however large dof is.  The chi-squares of every diagonal come, draw
+    after draw, from the (seed, STREAM_WISHART) stream; the n(n-1)/2
+    normals of every strict lower triangle, row-major and draw after draw,
+    from (seed, STREAM_WISHART_NORMALS).  A chi-square takes a varying
+    number of words, so the normals have a stream of their own.  Both
+    streams serve the draws in order, so draw i is the same bits whatever
+    `draws` is and however the draws are chunked: the factors of
+    `draws=k` are a prefix of those of `draws=k+m`.  A chunk holds
+    max(1, `_BARTLETT_CHUNK_VALUES` // n^2) factors.  Requires
+    1 <= n <= dof, a 64-bit unsigned seed and draws >= 0; ValueError
+    otherwise, raised at the call.
     """
     if not 1 <= n <= dof:
         raise ValueError(f"need 1 <= n <= dof, got n={n}, dof={dof}")
-    factor = np.zeros((n, n))
-    factor.flat[:: n + 1] = np.sqrt(rng.chisquare(dof - np.arange(n)))
-    factor[np.tri(n, k=-1, dtype=bool)] = rng.standard_normal(n * (n - 1) // 2)
-    return factor
+    seed = _check_seed(seed)
+    if _check_int("draws", draws) < 0:
+        raise ValueError(f"draws must be nonnegative, got {draws}")
+    per_chunk = max(1, _BARTLETT_CHUNK_VALUES // (n * n))
+    diagonal = np.arange(n)
+    rows, cols = np.tril_indices(n, -1)  # row-major
+
+    def chunks():
+        chi2_rng = philox_generator(seed, STREAM_WISHART)
+        normal_rng = philox_generator(seed, STREAM_WISHART_NORMALS)
+        for start in range(0, draws, per_chunk):
+            k = min(per_chunk, draws - start)
+            factors = np.zeros((k, n, n))
+            factors[:, diagonal, diagonal] = np.sqrt(chi2_rng.chisquare(dof - diagonal, (k, n)))
+            factors[:, rows, cols] = normal_rng.standard_normal((k, rows.size))
+            yield factors
+
+    return chunks()
 
 
 def sample_dataset(config: ModelConfig) -> Dataset:
@@ -782,8 +851,7 @@ def check_assumptions(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if not (np.isfinite(c_const) and c_const > 0.0):
-        raise ValueError(f"c_const must be finite and positive, got {c_const!r}")
+    c_const = _check_positive("c_const", c_const)
     n, d = config.n, config.d
     r_plus = signal_strengths(config).r_plus
     core_sq = float(config.mu_core @ config.mu_core)

@@ -65,19 +65,10 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dtrtrs
 
 from .bounds import _adjusted_counts
 from .estimators import GramStats, _adjusted_targets, _check_tau, _spd_factor, _spd_solve, fit_ridge
-from .model import (
-    ModelConfig,
-    _check_int,
-    bartlett_factor,
-    e1_mean,
-    philox_generator,
-    substream_seed,
-    STREAM_WISHART,
-)
+from .model import ModelConfig, _check_int, _check_seed, bartlett_factor, e1_mean
 
 __all__ = [
     "PrimitiveSet",
@@ -406,24 +397,25 @@ def wishart_interval(d: int, n: int, t: float) -> tuple[float, float]:
 
 
 def _wishart_draws(d: int, n: int, u: np.ndarray, seed: int, draws: int):
-    """Yield 1/(u' A^{-1} u) for draws 0..draws-1 of A = L L' ~ Wishart(d, I_n).
+    """Yield 1/(u' A^{-1} u) for draws 0..draws-1 of A = L L' ~ Wishart(d, I_n),
+    one array per chunk of `model.bartlett_factor` factors.
 
-    Draw i is `bartlett_factor` on its own (seed XOR i, STREAM_WISHART)
-    substream, so it does not depend on `draws`; u' A^{-1} u = |L^{-1} u|^2
-    takes one triangular solve (LAPACK trtrs, without `solve_triangular`'s
-    per-call checks: L's diagonal is positive).  One generator serves
-    every draw: before each, its state is set to the substream's key at
-    counter 0 with an empty buffer, the state a fresh generator starts in.
-    A fresh Philox would also read OS entropy for a seed sequence that
-    the key then overrides.
+    u' A^{-1} u = |L^{-1} u|^2, and one forward substitution serves the
+    whole chunk: column j of x = L^{-1} u is the residual's column j over
+    L_jj, and the later residual columns then lose L_ij x_j.  Every step is
+    elementwise over the draws, so a draw's value is the same bits in any
+    chunk.  Draw i reads the first i+1 draws of each Bartlett stream
+    (chi-squares, then normals), so the values of `draws=k` are a prefix
+    of those of `draws=k+m`.
     """
-    rng = philox_generator(seed, STREAM_WISHART)
-    state = rng.bit_generator.state  # a copy: counter 0, empty buffer
-    for trial in range(draws):
-        state["state"]["key"][0] = substream_seed(seed, trial)
-        rng.bit_generator.state = state
-        half, _ = dtrtrs(bartlett_factor(n, d, rng), u, lower=1)
-        yield 1.0 / float(half @ half)
+    for factors in bartlett_factor(n, d, seed, draws):
+        rest = np.tile(u, (len(factors), 1))
+        norm_sq = np.zeros(len(factors))
+        for j in range(n):
+            x_j = rest[:, j] / factors[:, j, j]
+            rest[:, j + 1 :] -= factors[:, j + 1 :, j] * x_j[:, None]
+            norm_sq += x_j * x_j
+        yield 1.0 / norm_sq
 
 
 def wishart_coverage(
@@ -437,19 +429,25 @@ def wishart_coverage(
 
     Each draw is a Bartlett factor L with L L' ~ Wishart(d, I_n)
     (`model.bartlett_factor`, O(n^2) values in place of an n x d normal
-    matrix) on its own substream, so draw i is the same for every
-    `draws`, and checks whether 1/(u' A^{-1} u) = 1/|L^{-1} u|^2 lands
-    inside the interval.  u is e_1: the law of 1/(u' A^{-1} u) is the
-    same chi-square for every unit u.  Returns the count, fraction, and
-    the binomial three-sigma acceptance threshold for coverage
-    1 - 2 e^{-t}.
+    matrix), and checks whether 1/(u' A^{-1} u) = 1/|L^{-1} u|^2 lands
+    inside the interval.  The diagonals come from one Philox stream of
+    the seed and the normals below them from another, each read draw
+    after draw, so draw i is the same for every `draws`: a run of k draws
+    is a prefix of a run of k + m.  u is e_1: the law of 1/(u' A^{-1} u)
+    is the same chi-square for every unit u.  Returns the count,
+    fraction, and the binomial three-sigma acceptance threshold for
+    coverage 1 - 2 e^{-t}.  Raises ValueError for a seed that is not a
+    64-bit unsigned integer.
     """
     draws = _check_int("draws", draws)
     if draws < 1:
         raise ValueError("draws must be at least 1")
+    seed = _check_seed(seed)
     low, high = wishart_interval(d, n, t)
-    values = _wishart_draws(d, n, e1_mean(1.0, n), seed, draws)
-    inside = sum(low <= value <= high for value in values)
+    inside = sum(
+        int(np.count_nonzero((low <= values) & (values <= high)))
+        for values in _wishart_draws(d, n, e1_mean(1.0, n), seed, draws)
+    )
     coverage_target = 1.0 - 2.0 * np.exp(-t)
     sigma = np.sqrt(coverage_target * (1.0 - coverage_target) / draws)
     return {

@@ -128,7 +128,7 @@ class TestEvaluateBounds:
     def test_rejects_nonpositive_constants(self):
         cfg = imbalanced_config()
         for slot in range(3):
-            for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            for bad in (0.0, -1.0, np.nan, np.inf, -np.inf, True, np.bool_(True)):
                 constants = [1.0, 1.0, 1.0]
                 constants[slot] = bad
                 with pytest.raises(ValueError, match="finite and positive"):
@@ -171,7 +171,7 @@ class TestConsistency:
         assert res.holds is None
         assert res.slack is None
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, True])
     def test_rejects_bad_threshold_constant(self, bad):
         # equal mean norms: the condition applies, so a NaN would reach the slack
         assert consistency_check(imbalanced_config(), +1).applicable

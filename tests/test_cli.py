@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from grouprisk import cli, model
 from grouprisk.cli import build_parser, config_from_args, main
 from grouprisk.estimators import accumulate_gram
 from grouprisk.harness import CSV_COLUMNS
@@ -20,6 +21,10 @@ from grouprisk.primitives import (
     primitive_set_max_gap,
     verify_primitives,
 )
+
+
+def never_stream(*args, **kwargs):
+    raise AssertionError("noise streamed")
 
 
 def run(argv, capsys):
@@ -209,6 +214,17 @@ class TestSampleAndFit:
     def test_fit_missing_data_file(self, capsys):
         code, _, err = run(["fit", "--data", "/nonexistent/ds.bin"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("doc", [{}, {"n_plus": 16}, [1, 2]])
+    def test_incomplete_config_file_exits_before_any_stream(self, doc, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(model, "_noise_windows", never_stream)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        code, stdout, err = run(["risk", "--config", str(cfg_path)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert ("missing ModelConfig fields: ['d_core'" in err) == isinstance(doc, dict)
+        assert ("ModelConfig must be a JSON object, got list" in err) == isinstance(doc, list)
 
     def test_config_file_round_trip(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -468,6 +484,55 @@ class TestWishartCommand:
         assert not stdout
         assert message in err
 
+    @pytest.mark.parametrize("command", [["wishart", "--draws", "10"], ["risk", "-n", "20", "-d", "400"]])
+    @pytest.mark.parametrize("seed", ["-5", str(2**64), str(2**64 + 5)])
+    def test_bad_seed_is_usage_error(self, command, seed, capsys):
+        # wishart refuses the seeds every config-building command refuses
+        code, stdout, err = run([*command, "--seed", seed], capsys)
+        assert code == 2
+        assert not stdout
+        assert "seed must be a 64-bit unsigned integer" in err
+
+    def test_top_seed_is_echoed(self, capsys):
+        code, stdout, _ = run(["wishart", "--draws", "10", "--seed", str(2**64 - 1)], capsys)
+        assert code == 0
+        assert json.loads(stdout)["seed"] == 2**64 - 1
+
+
+class TestParserReuse:
+    @staticmethod
+    def fresh(argv, capsys):
+        """What `main` prints with a parser built for this call alone."""
+        cli._parser.cache_clear()
+        return run(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            # --method falls back to cmni
+            (["fit", "-n", "20", "-d", "400", "--method", "gd"], ["fit", "-n", "20", "-d", "400"]),
+            # no mc fields without --mc-draws
+            (["risk", "-n", "20", "-d", "400", "--mc-draws", "10"], ["risk", "-n", "20", "-d", "400"]),
+            # a usage error, then a good call
+            (["fit", "--method", "lasso"], ["fit", "-n", "20", "-d", "400"]),
+        ],
+    )
+    def test_main_builds_one_parser_and_prints_what_a_fresh_one_does(
+        self, first, second, monkeypatch, capsys
+    ):
+        want = [self.fresh(first, capsys), self.fresh(second, capsys)]
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        got = [run(argv, capsys) for argv in (first, second, first, second)]
+        assert len(built) == 1
+        assert got == want + want
+        assert [code for code, _, _ in got[:2]] == [2 if "lasso" in first else 0, 0]
+        doc = json.loads(got[1][1])
+        assert doc.get("method", "cmni") == "cmni"
+        assert "mc_risk_plus" not in doc
+
 
 class TestSweepCommand:
     def spec_file(self, tmp_path):
@@ -594,6 +659,41 @@ class TestSweepCommand:
         assert f"['{key}']" in err
         assert not calls
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "where, key",
+        [("top", "base"), ("top", "axis"), ("axis", "values"), ("method", "method"),
+         ("base", "n_plus")],
+    )
+    def test_sweep_spec_missing_key_exits_before_any_stream(self, where, key, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(model, "_noise_windows", never_stream)
+        spec_path = self.spec_file(tmp_path)
+        doc = json.loads(Path(spec_path).read_text())
+        del {"top": doc, "axis": doc["axis"], "method": doc["methods"][0], "base": doc["base"]}[where][key]
+        Path(spec_path).write_text(json.dumps(doc))
+        out = tmp_path / "rows.csv"
+        code, stdout, err = run(["sweep", "--spec", spec_path, "--out", str(out)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert f"['{key}']" in err and "missing" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["top", "axis", "method", "base"])
+    def test_sweep_spec_non_object_exits_before_any_stream(self, where, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(model, "_noise_windows", never_stream)
+        spec_path = self.spec_file(tmp_path)
+        doc = json.loads(Path(spec_path).read_text())
+        if where == "top":
+            doc = [1, 2]
+        elif where == "method":
+            doc["methods"] = ["cmni"]
+        else:
+            doc[where] = [1, 2]
+        Path(spec_path).write_text(json.dumps(doc))
+        code, stdout, err = run(["sweep", "--spec", spec_path, "--out", str(tmp_path / "r.csv")], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert "must be a JSON object, got" in err
 
     def test_sweep_bool_tau_spec_is_usage_error(self, tmp_path, capsys):
         spec_path = self.spec_file(tmp_path)

@@ -215,7 +215,7 @@ class TestGradientDescent:
         with pytest.raises(RuntimeError):
             fit_gd(stats, cfg.deltas, step=2.5 * cfg.n / lam_max, iters=5000)
 
-    @pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1.0, True, np.bool_(True)])
     def test_rejects_bad_step(self, step):
         cfg = make_config()
         ds = sample_dataset(cfg)

@@ -101,6 +101,31 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=rf"unknown \w+ fields: \['{key}'\]"):
             SweepSpec.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "where, key",
+        [("top", "base"), ("top", "axis"), ("axis", "name"), ("axis", "values"),
+         ("method", "method"), ("base", "mu_core")],
+    )
+    def test_from_dict_refuses_missing_keys(self, where, key):
+        doc = tiny_spec(methods=(("ridge", 3.0),)).to_dict()
+        target = {"top": doc, "axis": doc["axis"], "method": doc["methods"][0], "base": doc["base"]}[where]
+        del target[key]
+        with pytest.raises(ValueError, match=rf"missing \w+ fields: \['{key}'\]"):
+            SweepSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("where", ["top", "axis", "method", "base"])
+    @pytest.mark.parametrize("value", [[1, 2], "x", None, 5])
+    def test_from_dict_refuses_non_objects(self, where, value):
+        doc = tiny_spec().to_dict()
+        if where == "top":
+            doc = value
+        elif where == "method":
+            doc["methods"] = [value]
+        else:
+            doc[where] = value
+        with pytest.raises(ValueError, match=r"must be a JSON object, got"):
+            SweepSpec.from_dict(doc)
+
     def test_spec_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             tiny_spec(methods=(("lasso", None),))

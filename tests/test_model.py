@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from grouprisk import model
 from grouprisk.model import (
     STREAM_NOISE,
     STREAM_WISHART,
+    STREAM_WISHART_NORMALS,
     AssumptionReport,
     Dataset,
     ModelConfig,
@@ -168,6 +170,8 @@ class TestModelConfig:
             ("d_spur", "200"),
             ("seed", 1.7),
             ("seed", False),
+            ("seed", -1),
+            ("seed", 2**64),
         ],
     )
     def test_rejects_non_finite_and_non_integer_fields(self, field, value):
@@ -194,6 +198,28 @@ class TestModelConfig:
         back = ModelConfig.from_json(cfg.to_json())
         assert back.seed == 2**64 - 1
         assert back.to_dict() == cfg.to_dict()
+
+    @pytest.mark.parametrize(
+        "drop, missing",
+        [(("n_plus",), "['n_plus']"), (("d_core", "mu_spur"), "['d_core', 'mu_spur']")],
+    )
+    def test_from_dict_names_missing_fields(self, drop, missing):
+        payload = small_config().to_dict()
+        for key in drop:
+            del payload[key]
+        with pytest.raises(ValueError, match=re.escape(f"missing ModelConfig fields: {missing}")):
+            ModelConfig.from_dict(payload)
+
+    def test_from_dict_takes_defaults_for_optional_fields(self):
+        payload = small_config().to_dict()
+        for key in ("pi_plus", "delta_plus", "delta_minus", "seed"):
+            del payload[key]
+        assert ModelConfig.from_dict(payload).to_dict()["seed"] == 0
+
+    @pytest.mark.parametrize("doc", [[1, 2], "x", None, 3.0])
+    def test_from_dict_refuses_non_objects(self, doc):
+        with pytest.raises(ValueError, match="ModelConfig must be a JSON object"):
+            ModelConfig.from_dict(doc)
 
     def test_from_dict_refuses_tau(self):
         payload = json.loads(small_config().to_json())
@@ -674,7 +700,7 @@ class TestAssumptions:
         with pytest.raises(ValueError):
             check_assumptions(small_config(), delta=0.0)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, True, np.bool_(True), "1"])
     def test_rejects_bad_constant(self, bad):
         with pytest.raises(ValueError, match="c_const must be finite and positive"):
             check_assumptions(small_config(), c_const=bad)
@@ -719,25 +745,42 @@ KS_LEVEL = 0.01  # fixed seeds: each KS test is one deterministic draw of its p-
 
 class TestBartlettFactor:
     def test_factor_follows_documented_draw_order(self):
-        n, dof = 5, 12
-        factor = bartlett_factor(n, dof, philox_generator(7, STREAM_WISHART))
-        rng = philox_generator(7, STREAM_WISHART)
-        np.testing.assert_array_equal(np.diag(factor), np.sqrt(rng.chisquare(dof - np.arange(n))))
-        np.testing.assert_array_equal(
-            factor[np.tril_indices(n, -1)], rng.standard_normal(n * (n - 1) // 2)
-        )
-        assert not np.triu(factor, 1).any()
+        # diagonals from one stream, normals from the other, each draw after draw
+        n, dof, draws = 5, 12, 3
+        factors = np.concatenate(list(bartlett_factor(n, dof, 7, draws)))
+        chi2_rng = philox_generator(7, STREAM_WISHART)
+        normal_rng = philox_generator(7, STREAM_WISHART_NORMALS)
+        for factor in factors:
+            np.testing.assert_array_equal(
+                np.diag(factor), np.sqrt(chi2_rng.chisquare(dof - np.arange(n)))
+            )
+            np.testing.assert_array_equal(
+                factor[np.tril_indices(n, -1)], normal_rng.standard_normal(n * (n - 1) // 2)
+            )
+            assert not np.triu(factor, 1).any()
+
+    def test_factors_come_in_chunks_of_bounded_size(self, monkeypatch):
+        monkeypatch.setattr(model, "_BARTLETT_CHUNK_VALUES", 3 * 25)
+        sizes = [chunk.shape for chunk in bartlett_factor(5, 12, 7, 8)]
+        assert sizes == [(3, 5, 5), (3, 5, 5), (2, 5, 5)]
+        assert list(bartlett_factor(5, 12, 7, 0)) == []
 
     @pytest.mark.parametrize("n, dof", [(0, 5), (6, 5)])
     def test_factor_rejects_bad_shape(self, n, dof):
         with pytest.raises(ValueError, match="1 <= n <= dof"):
-            bartlett_factor(n, dof, philox_generator(0, STREAM_WISHART))
+            bartlett_factor(n, dof, 0, 1)
+
+    @pytest.mark.parametrize(
+        "seed, draws, match",
+        [(-1, 1, "seed"), (2**64, 1, "seed"), (1.0, 1, "seed"), (0, -1, "draws"), (0, 2.0, "draws")],
+    )
+    def test_factor_rejects_bad_seed_and_draws_at_the_call(self, seed, draws, match):
+        with pytest.raises(ValueError, match=match):
+            bartlett_factor(4, 9, seed, draws)
 
     def test_factor_trace_is_chi2_nm(self):
         # tr(L L') sums n chi2(m - i) and n(n-1)/2 squared normals: chi2(n m)
         n, m = 4, 9
-        traces = [
-            np.sum(bartlett_factor(n, m, philox_generator(s, STREAM_WISHART)) ** 2)
-            for s in range(400)
-        ]
+        factors = np.concatenate(list(bartlett_factor(n, m, 0, 400)))
+        traces = np.sum(factors**2, axis=(1, 2))
         assert kstest(traces, chi2(n * m).cdf).pvalue > KS_LEVEL

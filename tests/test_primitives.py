@@ -8,7 +8,7 @@ solve and update paths.
 import numpy as np
 import pytest
 
-from grouprisk import primitives
+from grouprisk import model, primitives
 from grouprisk.estimators import GramStats, accumulate_gram, fit_cmni, fit_ridge
 from grouprisk.model import (
     STREAM_WISHART,
@@ -466,51 +466,70 @@ class TestWishart:
         q = philox_generator(substream_seed(seed, trial), STREAM_WISHART).standard_normal((n, d))
         return 1.0 / float(u @ np.linalg.solve(q @ q.T, u))
 
+    @staticmethod
+    def draws(d, n, u, seed, draws):
+        """Every value of `_wishart_draws` as one array."""
+        return np.concatenate(list(primitives._wishart_draws(d, n, u, seed, draws)))
+
     @pytest.mark.parametrize("route", ["bartlett", "dense"])
     @pytest.mark.parametrize("probe", ["e1", "dense"])
     def test_inverse_quadratic_form_is_chi2(self, route, probe):
         # 1/(u'A^{-1}u) ~ chi2(d - n + 1) for A ~ Wishart_n(d, I) (Muirhead 1982,
-        # Thm 3.2.12), on the coverage draws and on the dense Q Q' reference
+        # Thm 3.2.12), on the coverage draws and on the dense Q Q' reference;
+        # at n = 30 the 500 coverage draws span seven chunks
         from scipy.stats import chi2, kstest
 
-        d, n = 30, 5
-        u = e1(1.0, n) if probe == "e1" else np.full(n, 1.0 / np.sqrt(n))
-        if route == "bartlett":
-            values = list(primitives._wishart_draws(d, n, u, 3, 500))
-        else:
-            values = [self.dense_draw(d, n, u, 3, trial) for trial in range(500)]
-        assert kstest(values, chi2(d - n + 1).cdf).pvalue > 0.01
+        for d, n in ((30, 5), (80, 30)):
+            u = e1(1.0, n) if probe == "e1" else np.full(n, 1.0 / np.sqrt(n))
+            if route == "bartlett":
+                values = self.draws(d, n, u, 3, 500)
+            else:
+                values = [self.dense_draw(d, n, u, 3, trial) for trial in range(500)]
+            assert kstest(values, chi2(d - n + 1).cdf).pvalue > 0.01, (d, n)
 
-    def test_draw_i_is_its_substreams_bartlett_factor(self):
-        d, n, u = 40, 6, np.full(6, 1.0 / np.sqrt(6.0))
-        values = list(primitives._wishart_draws(d, n, u, 4, 6))
-        for trial, value in enumerate(values):
-            rng = philox_generator(substream_seed(4, trial), STREAM_WISHART)
-            factor = bartlett_factor(n, d, rng)
-            ref = 1.0 / float(u @ np.linalg.solve(factor @ factor.T, u))
-            np.testing.assert_allclose(value, ref, rtol=1e-12)
+    @pytest.mark.parametrize("probe", ["e1", "dense"])
+    def test_batched_solve_equals_per_draw_triangular_solve(self, probe):
+        from scipy.linalg import solve_triangular
+
+        d, n, draws = 40, 12, 1000  # three chunks of at most 455
+        u = e1(1.0, n) if probe == "e1" else np.full(n, 1.0 / np.sqrt(n))
+        factors = np.concatenate(list(bartlett_factor(n, d, 4, draws)))
+        ref = [1.0 / float(np.sum(solve_triangular(f, u, lower=True) ** 2)) for f in factors]
+        np.testing.assert_allclose(self.draws(d, n, u, 4, draws), ref, rtol=1e-12, atol=0)
 
     def test_draw_i_does_not_depend_on_draws(self):
         d, n, t, u = 40, 6, 1.0, e1(1.0, 6)
         low, high = wishart_interval(d, n, t)
-        values = list(primitives._wishart_draws(d, n, u, 4, 6))
-        assert list(primitives._wishart_draws(d, n, u, 4, 3)) == values[:3]
+        values = self.draws(d, n, u, 4, 6)
+        assert self.draws(d, n, u, 4, 3).tobytes() == values[:3].tobytes()
         counts = [wishart_coverage(d=d, n=n, t=t, draws=k, seed=4)["inside"] for k in range(1, 7)]
         assert np.diff([0] + counts).tolist() == [int(low <= v <= high) for v in values]
 
-    def test_reused_generator_equals_fresh_generators(self):
-        # seed XOR i runs through the top bit of the key; one generator
-        # reset per draw must give the bits of a fresh one per draw
-        from scipy.linalg.lapack import dtrtrs
+    @pytest.mark.parametrize("k, m", [(1, 1), (1819, 1), (1820, 1000)])
+    def test_draws_k_are_a_prefix_of_draws_k_plus_m(self, k, m):
+        # n = 6 gives 1820 draws a chunk: the prefix ends inside a chunk or at its end
+        d, n, seed, u = 50, 6, 2**64 - 3, np.full(6, 1.0 / np.sqrt(6.0))
+        longer = self.draws(d, n, u, seed, k + m)
+        assert self.draws(d, n, u, seed, k).tobytes() == longer[:k].tobytes()
 
-        d, n, seed, u = 50, 7, 2**64 - 3, e1(1.0, 7)
-        values = list(primitives._wishart_draws(d, n, u, seed, 40))
-        fresh = []
-        for trial in range(40):
-            rng = philox_generator(substream_seed(seed, trial), STREAM_WISHART)
-            half, _ = dtrtrs(bartlett_factor(n, d, rng), u, lower=1)
-            fresh.append(1.0 / float(half @ half))
-        assert values == fresh
+    def test_chunk_size_does_not_change_the_bits(self, monkeypatch):
+        d, n, seed, u = 50, 7, 11, np.full(7, 1.0 / np.sqrt(7.0))
+        values = self.draws(d, n, u, seed, 300)
+        report = wishart_coverage(d=d, n=n, t=1.0, draws=300, seed=seed)
+        for chunk_values in (1, 49, 3 * 49 + 1, 7 * 49):  # 1, 1, 3 and 7 draws a chunk
+            monkeypatch.setattr(model, "_BARTLETT_CHUNK_VALUES", chunk_values)
+            assert self.draws(d, n, u, seed, 300).tobytes() == values.tobytes()
+            assert wishart_coverage(d=d, n=n, t=1.0, draws=300, seed=seed) == report
+
+    @pytest.mark.parametrize("seed", [-5, 2**64, 2**64 + 5, 1.5, True, np.bool_(False), "1"])
+    def test_coverage_refuses_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+            wishart_coverage(d=300, n=8, t=2.0, draws=10, seed=seed)
+
+    def test_coverage_reports_numpy_seed_as_int(self):
+        rep = wishart_coverage(d=300, n=8, t=2.0, draws=10, seed=np.uint64(2**64 - 1))
+        assert type(rep["seed"]) is int and rep["seed"] == 2**64 - 1
+        assert rep == wishart_coverage(d=300, n=8, t=2.0, draws=10, seed=2**64 - 1)
 
 
 def reference_band_rows(prims, config, band, cross_band):
