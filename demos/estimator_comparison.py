@@ -13,6 +13,7 @@ import numpy as np
 from grouprisk import (
     ModelConfig,
     accumulate_gram,
+    e1_mean,
     fit_cmni,
     fit_gd,
     fit_ridge,
@@ -21,18 +22,12 @@ from grouprisk import (
 )
 
 
-def e1(scale, length):
-    v = np.zeros(length)
-    v[0] = scale
-    return v
-
-
 def main():
     cfg = ModelConfig(
         d_core=1000,
         d_spur=1000,
-        mu_core=e1(12.0, 1000),
-        mu_spur=e1(6.0, 1000),
+        mu_core=e1_mean(12.0, 1000),
+        mu_spur=e1_mean(6.0, 1000),
         n_plus=32,
         n_minus=8,
         delta_plus=0.8,

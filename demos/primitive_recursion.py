@@ -14,16 +14,10 @@ Run:  python3 demos/primitive_recursion.py
 
 import numpy as np
 
-from grouprisk import ModelConfig, accumulate_gram, compute_primitives
+from grouprisk import ModelConfig, accumulate_gram, compute_primitives, e1_mean
 from grouprisk.primitives import verify_primitives
 
 SEED = 3
-
-
-def e1(scale, length):
-    v = np.zeros(length)
-    v[0] = scale
-    return v
 
 
 def main():
@@ -31,8 +25,8 @@ def main():
     cfg = ModelConfig(
         d_core=15_000,
         d_spur=15_000,
-        mu_core=e1(np.sqrt(72.0), 15_000),
-        mu_spur=e1(np.sqrt(18.0), 15_000),
+        mu_core=e1_mean(np.sqrt(72.0), 15_000),
+        mu_spur=e1_mean(np.sqrt(18.0), 15_000),
         n_plus=24,
         n_minus=6,
         seed=SEED,

@@ -15,6 +15,7 @@ from grouprisk import (
     accumulate_gram,
     build_report,
     consistency_check,
+    e1_mean,
     evaluate_bounds,
     fit_cmni,
     signal_strengths,
@@ -25,19 +26,13 @@ SEED = 11
 MC_DRAWS = 400_000
 
 
-def e1(scale, length):
-    v = np.zeros(length)
-    v[0] = scale
-    return v
-
-
 def main():
     # d >> n and R_minus = 0: the consistency condition applies verbatim
     cfg = ModelConfig(
         d_core=50_000,
         d_spur=50_000,
-        mu_core=e1(np.sqrt(125.0), 50_000),
-        mu_spur=e1(np.sqrt(125.0), 50_000),
+        mu_core=e1_mean(np.sqrt(125.0), 50_000),
+        mu_spur=e1_mean(np.sqrt(125.0), 50_000),
         n_plus=190,
         n_minus=10,
         delta_plus=0.95,

@@ -15,6 +15,7 @@ import numpy as np
 from grouprisk import (
     ModelConfig,
     check_assumptions,
+    e1_mean,
     load_dataset,
     sample_dataset,
     save_dataset,
@@ -22,18 +23,12 @@ from grouprisk import (
 )
 
 
-def e1(scale, length):
-    v = np.zeros(length)
-    v[0] = scale
-    return v
-
-
 def main():
     cfg = ModelConfig(
         d_core=2000,
         d_spur=2000,
-        mu_core=e1(np.sqrt(200.0), 2000),
-        mu_spur=e1(np.sqrt(50.0), 2000),
+        mu_core=e1_mean(np.sqrt(200.0), 2000),
+        mu_spur=e1_mean(np.sqrt(50.0), 2000),
         n_plus=48,
         n_minus=12,
         delta_plus=0.8,

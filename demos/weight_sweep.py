@@ -14,24 +14,18 @@ import tempfile
 
 import numpy as np
 
-from grouprisk import ModelConfig, SweepAxis, SweepSpec, emit, run_sweep
+from grouprisk import ModelConfig, SweepAxis, SweepSpec, e1_mean, emit, run_sweep
 
 SEED = 5
 TRIALS = 5
-
-
-def e1(scale, length):
-    v = np.zeros(length)
-    v[0] = scale
-    return v
 
 
 def main():
     base = ModelConfig(
         d_core=20_000,
         d_spur=20_000,
-        mu_core=e1(np.sqrt(125.0), 20_000),
-        mu_spur=e1(np.sqrt(125.0), 20_000),
+        mu_core=e1_mean(np.sqrt(125.0), 20_000),
+        mu_spur=e1_mean(np.sqrt(125.0), 20_000),
         n_plus=95,
         n_minus=5,
         delta_plus=0.9,

@@ -142,4 +142,4 @@ def tightness_ratio(sol, config: ModelConfig, b: int) -> float:
     e_b = bound_exponent(config, b)
     if e_b == 0.0:
         raise ZeroDivisionError("bound exponent is zero; ratio undefined")
-    return group_risk(sol, config, b).exponent / e_b
+    return group_risk(sol, b).exponent / e_b

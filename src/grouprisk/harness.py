@@ -44,6 +44,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
@@ -89,7 +90,11 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
             raise ValueError(f"unknown axis {self.name!r}; choose from {AXIS_NAMES}")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        values = tuple(self.values)
+        for v in values:
+            if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
+                raise ValueError(f"axis values must be real numbers, got {v!r}")
+        object.__setattr__(self, "values", tuple(float(v) for v in values))
         if not self.values:
             raise ValueError("axis needs at least one value")
 
@@ -145,9 +150,13 @@ class SweepSpec:
     def from_dict(cls, data: dict) -> "SweepSpec":
         """The spec of a `to_dict` document; ValueError naming any unknown
         or missing key at the top level, in "axis" or in a "methods" entry,
-        or for any of them that is not an object."""
+        for any of them that is not an object, and for "values", "outputs"
+        or "methods" that is not an array."""
         _check_fields("SweepSpec", data, {f.name for f in fields(cls)}, _required_fields(cls))
         _check_fields("axis", data["axis"], {"name", "values"}, {"name", "values"})
+        for name, doc in (("values", data["axis"]), ("outputs", data), ("methods", data)):
+            if name in doc and not isinstance(doc[name], list):
+                raise ValueError(f"{name} must be a JSON array, got {type(doc[name]).__name__}")
         for entry in data.get("methods", ()):
             _check_fields("method", entry, {"method", "tau"}, {"method"})
         methods = tuple((entry["method"], entry.get("tau")) for entry in data.get("methods", ()))
@@ -368,8 +377,8 @@ def run_sweep(spec: SweepSpec):
 
 def _trial_outputs(cfg, prims, e_pair, want_tight, want_prims):
     moments = fit_moments(prims)
-    plus = group_risk(moments, cfg, +1)
-    minus = group_risk(moments, cfg, -1)
+    plus = group_risk(moments, +1)
+    minus = group_risk(moments, -1)
     worst, average = worst_and_average((plus, minus), config=cfg)
     entry = {
         "risk_plus": plus.risk,

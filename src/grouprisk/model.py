@@ -10,7 +10,10 @@ into a majority group (b = +1, exactly n_plus rows) and a minority group
 (b = -1, exactly n_minus rows).  The core mean occupies the first d_core
 coordinates and the spurious mean the remaining d_spur, so the embedded
 directions are orthogonal by construction and group b has class-conditional
-mean y * (mu_bar_c + b * mu_bar_s).
+mean y * (mu_bar_c + b * mu_bar_s).  The noise is isotropic, so the law of
+every output depends on the means only through their norms: each mean is a
+multiple of the first vector of its block (e_1), so mu_bar_c lies along
+coordinate 0 and mu_bar_s along coordinate d_core.
 
 Randomness is counter-based (Philox) with one named stream per purpose.
 Normals come from the inverse-CDF transform at exactly one 64-bit word per
@@ -29,7 +32,8 @@ dataset's X and Q are views of the one buffer read from disk.
 
 Every downstream quantity depends on the noise only through the labels
 and the triple (Q Q', Q u_c, Q u_s), with u_c and u_s the unit core and
-spurious directions.  `noise_stats` streams a noise source once into that
+spurious directions: columns 0 and d_core of Q, each times the sign of its
+mean.  `noise_stats` streams a noise source once into that
 `NoiseStats` triple, the two column halves of Q on two threads with the
 loaded OpenBLAS pinned to one thread for the length of the stream; the
 Gram statistics of the estimators and the staged decomposition of the
@@ -61,8 +65,7 @@ __all__ = [
     "Dataset",
     "SignalStrengths",
     "AssumptionReport",
-    "embed_means",
-    "group_mean",
+    "e1_mean",
     "signal_strengths",
     "sample_labels",
     "noise_blocks",
@@ -214,7 +217,9 @@ class ModelConfig:
     d_core, d_spur : int
         Dimensions of the core and spurious blocks; d = d_core + d_spur.
     mu_core, mu_spur : array_like
-        Core class mean (length d_core) and spurious mean (length d_spur).
+        Core class mean (length d_core) and spurious mean (length d_spur),
+        each a multiple of e_1 (`e1_mean`): a nonzero entry past index 0
+        is refused, since a mean's norm is all the model reads of it.
         Stored as read-only float64 arrays.  A config built from another's
         means (`with_updates`, the points of a minority-weight sweep)
         shares them rather than copying them, so such a sweep holds one
@@ -225,6 +230,7 @@ class ModelConfig:
         Label marginal P(y = +1), in (0, 1).
     delta_plus, delta_minus : float
         Cost-sensitive adjustment weights, 1/n <= delta_minus <= delta_plus <= 1.
+        pi_plus and the weights are stored as floats; a bool is refused.
     seed : int
         Master RNG seed, a 64-bit unsigned integer.
     """
@@ -244,27 +250,27 @@ class ModelConfig:
         for name in ("d_core", "d_spur", "n_plus", "n_minus"):
             object.__setattr__(self, name, _check_int(name, getattr(self, name)))
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        mu_core = _frozen_mean(self.mu_core)
-        mu_spur = _frozen_mean(self.mu_spur)
-        for name, mu in (("mu_core", mu_core), ("mu_spur", mu_spur)):
-            if not np.all(np.isfinite(mu)):
-                raise ValueError(f"{name} must be finite")
-        object.__setattr__(self, "mu_core", mu_core)
-        object.__setattr__(self, "mu_spur", mu_spur)
+        for name in ("pi_plus", "delta_plus", "delta_minus"):
+            object.__setattr__(self, name, _check_positive(name, getattr(self, name)))
         if self.d_core < 1 or self.d_spur < 1:
             raise ValueError("d_core and d_spur must be positive")
-        if mu_core.ndim != 1 or mu_core.size != self.d_core:
-            raise ValueError(f"mu_core must have length d_core={self.d_core}")
-        if mu_spur.ndim != 1 or mu_spur.size != self.d_spur:
-            raise ValueError(f"mu_spur must have length d_spur={self.d_spur}")
+        for name, block in (("mu_core", "d_core"), ("mu_spur", "d_spur")):
+            mu = _frozen_mean(getattr(self, name))
+            if not np.all(np.isfinite(mu)):
+                raise ValueError(f"{name} must be finite")
+            if mu.ndim != 1 or mu.size != getattr(self, block):
+                raise ValueError(f"{name} must have length {block}={getattr(self, block)}")
+            if np.any(mu[1:]):
+                raise ValueError(f"{name} must be a multiple of e_1: an entry past index 0 is nonzero")
+            object.__setattr__(self, name, mu)
         if self.n_plus < 1 or self.n_minus < 1:
             raise ValueError("group counts must be positive")
         if self.n_plus < self.n_minus:
             raise ValueError("n_plus must be at least n_minus")
         if self.d < self.n:
             raise ValueError(f"need d >= n, got d={self.d} < n={self.n}")
-        nc2 = float(mu_core @ mu_core)
-        ns2 = float(mu_spur @ mu_spur)
+        nc2 = float(self.mu_core @ self.mu_core)
+        ns2 = float(self.mu_spur @ self.mu_spur)
         if nc2 < ns2:
             raise ValueError(
                 f"core signal must dominate: |mu_core|^2={nc2:g} < |mu_spur|^2={ns2:g}"
@@ -382,7 +388,7 @@ class Dataset:
     config: ModelConfig
 
     def validate(self) -> None:
-        """Raise ValueError if any structural invariant fails."""
+        """Raise ValueError if any structural invariant fails, X bitwise included."""
         cfg = self.config
         n, d = cfg.n, cfg.d
         if self.X.shape != (n, d) or self.Q.shape != (n, d):
@@ -394,12 +400,7 @@ class Dataset:
             raise ValueError("group labels must satisfy b = y * a")
         if int(np.sum(self.b < 0)) != cfg.n_minus:
             raise ValueError("minority count does not match config")
-        mu_bar_c, mu_bar_s = embed_means(cfg)
-        # in place, in sample_dataset's operation order
-        rebuilt = np.outer(self.y, mu_bar_c)
-        rebuilt += np.outer(self.a, mu_bar_s)
-        rebuilt += self.Q
-        if not np.array_equal(rebuilt, self.X):
+        if not np.array_equal(_design_matrix(cfg, self.y, self.a, self.Q), self.X):
             raise ValueError("X does not reconstruct from labels, means, and Q")
 
 
@@ -410,22 +411,14 @@ def e1_mean(scale: float, length: int) -> np.ndarray:
     return v
 
 
-def embed_means(config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Embed the block means into R^d: mu_bar_c = [mu_c; 0], mu_bar_s = [0; mu_s]."""
-    d = config.d
-    mu_bar_c = np.zeros(d)
-    mu_bar_s = np.zeros(d)
-    mu_bar_c[: config.d_core] = config.mu_core
-    mu_bar_s[config.d_core :] = config.mu_spur
-    return mu_bar_c, mu_bar_s
-
-
-def group_mean(config: ModelConfig, b: int) -> np.ndarray:
-    """Class-(+1) mean of group b: mu_b = mu_bar_c + b * mu_bar_s."""
-    if b not in (1, -1):
-        raise ValueError("b must be +1 or -1")
-    mu_bar_c, mu_bar_s = embed_means(config)
-    return mu_bar_c + b * mu_bar_s
+def _design_matrix(config: ModelConfig, y: np.ndarray, a: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """X = y mu_bar_c' + a mu_bar_s' + Q: a copy of Q with y * mu_core[0]
+    added to column 0 and a * mu_spur[0] to column d_core, the only
+    columns the e_1 means reach."""
+    X = Q.copy()
+    X[:, 0] += y * config.mu_core[0]
+    X[:, config.d_core] += a * config.mu_spur[0]
+    return X
 
 
 def signal_strengths(config: ModelConfig) -> SignalStrengths:
@@ -607,11 +600,12 @@ class NoiseStats:
     """Sufficient statistics of one noise draw.
 
     y and a are the labels; gram_0 is Q Q'; q_core and q_spur are Q u_c and
-    Q u_s for the unit core and spurious directions (zero when that mean
-    is zero).  None of them depends on the mean norms, the weights or tau,
-    so one draw serves every config that shares its seed, shape and mean
-    directions.  The arrays are read-only, because the views built on them
-    are shared across configs.
+    Q u_s for the unit core and spurious directions, that is columns 0 and
+    d_core of Q times the sign of mu_core[0] and of mu_spur[0] (zero when
+    that mean is zero).  None of them depends on the mean norms, the
+    weights or tau, so one draw serves every config that shares its seed,
+    shape and mean signs.  The arrays are read-only, because the views
+    built on them are shared across configs.
     """
 
     y: np.ndarray
@@ -624,32 +618,23 @@ class NoiseStats:
         _freeze_arrays(self)
 
 
-def _unit_columns(mu: np.ndarray, offset: int, norm: float, j0: int, j1: int) -> np.ndarray:
-    """Entries [j0, j1) of the unit direction that holds mu / norm at
-    [offset, offset + mu.size) and zeros elsewhere, without a d-vector."""
-    out = np.zeros(j1 - j0)
-    lo, hi = max(j0, offset), min(j1, offset + mu.size)
-    if lo < hi:
-        out[lo - j0 : hi - j0] = mu[lo - offset : hi - offset]
-    out /= norm
-    return out
-
-
 def _stream_stats(blocks, halves, product: np.ndarray) -> None:
-    """Add (blk blk', blk u_c, blk u_s) of each (h, j0, blk) column block to
-    the sums of half h.
+    """Add blk blk' of each (h, j0, blk) column block to the Gram sum of
+    half h, and set q_core and q_spur from the block that holds their column.
 
-    halves[h] is (config, (norm_c, norm_s), (gram, q_core, q_spur)), the
-    norms |mu_core| and |mu_spur| of the config (1.0 for a zero mean), and
-    product is flat scratch of at least n^2 values for every half's n,
-    which each blk blk' is written to.
+    halves[h] is (columns, (gram, q_core, q_spur)), where columns is
+    ((0, sign of mu_core[0]), (d_core, sign of mu_spur[0])) of the config:
+    q is its column of Q times its sign, and a zero sign (a zero mean)
+    leaves q at zero.  product is flat scratch of at least n^2 values for
+    every half's n, which each blk blk' is written to.
     """
     for h, j0, blk in blocks:
-        config, (norm_c, norm_s), (gram, q_core, q_spur) = halves[h]
-        n, j1 = blk.shape[0], j0 + blk.shape[1]
+        columns, (gram, *qs) = halves[h]
+        n, m = blk.shape
         gram += np.matmul(blk, blk.T, out=product[: n * n].reshape(n, n))
-        q_core += blk @ _unit_columns(config.mu_core, 0, norm_c, j0, j1)
-        q_spur += blk @ _unit_columns(config.mu_spur, config.d_core, norm_s, j0, j1)
+        for (j, sign), q in zip(columns, qs):
+            if sign and j0 <= j < j0 + m:
+                np.multiply(blk[:, j - j0], sign, out=q)
 
 
 def _halves(d: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -667,7 +652,8 @@ def _assemble(configs, labels, lower, upper, values: int) -> tuple[NoiseStats, .
     streams upper while the caller streams lower; below
     `_THREAD_MIN_VALUES` noise values the caller streams lower, then
     upper.  A config's statistics are its first half's sums plus its
-    second's, symmetrized, so they are the same bits on either path.
+    second's, symmetrized, so they are the same bits on either path (q_core
+    and q_spur, read off one column, at any width too).
     Both run under `_one_blas_thread`, which sweeps and CLI commands
     already hold and a direct call takes here: a threaded GEMM would take
     the core the other stream runs on, and one thread per GEMM makes the
@@ -679,11 +665,10 @@ def _assemble(configs, labels, lower, upper, values: int) -> tuple[NoiseStats, .
         # arena after it exits, on top of what the caller allocates next
         halves = []
         for config in configs:
-            # pinned too: above 10^4 entries a threaded dot would leave a
-            # BLAS worker spinning on the second core for the whole stream
-            norms = tuple(float(np.linalg.norm(mu)) or 1.0 for mu in (config.mu_core, config.mu_spur))
+            columns = ((0, float(np.sign(config.mu_core[0]))),
+                       (config.d_core, float(np.sign(config.mu_spur[0]))))
             n = config.n
-            halves += [(config, norms, (np.zeros((n, n)), np.zeros(n), np.zeros(n))) for _ in range(2)]
+            halves += [(columns, (np.zeros((n, n)), np.zeros(n), np.zeros(n))) for _ in range(2)]
         rows = max(config.n for config in configs)
         product = np.empty(rows * rows)
         if values < _THREAD_MIN_VALUES:
@@ -697,7 +682,7 @@ def _assemble(configs, labels, lower, upper, values: int) -> tuple[NoiseStats, .
                 _stream_stats(lower, halves, product)
                 future.result()
     out = []
-    for (y, a), (_, _, first), (_, _, second) in zip(labels, halves[::2], halves[1::2]):
+    for (y, a), (_, first), (_, second) in zip(labels, halves[::2], halves[1::2]):
         for total, part in zip(first, second):
             total += part
         gram_0, q_core, q_spur = first
@@ -826,19 +811,17 @@ def bartlett_factor(n: int, dof: int, seed: int, draws: int):
 def sample_dataset(config: ModelConfig) -> Dataset:
     """Sample a full dataset with X materialized.
 
-    X = outer(y, mu_bar_c) + outer(a, mu_bar_s) + Q, accumulated in place
-    in exactly that order, so the reconstruction invariant holds bitwise.
+    X = y mu_bar_c' + a mu_bar_s' + Q is Q with y * mu_core[0] added to
+    column 0 and a * mu_spur[0] to column d_core (`_design_matrix`), so it
+    holds two n x d arrays, X and Q, and `Dataset.validate` rebuilds X
+    bit for bit.
     """
     y, a, b = sample_labels(config)
-    mu_bar_c, mu_bar_s = embed_means(config)
     Q = np.empty((config.n, config.d))
     for j0, blk in noise_blocks(config):
         Q[:, j0 : j0 + blk.shape[1]] = blk
     del blk  # the last block keeps the stream's buffer alive
-    X = np.outer(y, mu_bar_c)
-    X += np.outer(a, mu_bar_s)
-    X += Q
-    return Dataset(X=X, y=y, a=a, b=b, Q=Q, config=config)
+    return Dataset(X=_design_matrix(config, y, a, Q), y=y, a=a, b=b, Q=Q, config=config)
 
 
 def check_assumptions(
@@ -901,8 +884,11 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
+    """The dataset `save_dataset` wrote at path; ValueError naming any bad sidecar field."""
     with open(path + ".json") as fh:
         sidecar = json.load(fh)
+    names = ("n", "d", "seed", "layout", "y", "a", "b", "config")  # what save_dataset writes
+    _check_fields("sidecar", sidecar, names, ("y", "a", "b", "config"))
     config = ModelConfig.from_dict(sidecar["config"])
     n, d = config.n, config.d
     # one native-order buffer (no copy on a little-endian host); X and Q

@@ -349,7 +349,7 @@ def fit_moments(prims: PrimitiveSet) -> FitMoments:
     return FitMoments(float(prims.o[1, 2]), (float(dot(+1)), float(dot(-1))))
 
 
-def risk_identity_check(prims: PrimitiveSet, sol, config: ModelConfig, b: int) -> float:
+def risk_identity_check(prims: PrimitiveSet, sol, b: int) -> float:
     """Relative gap between the margin exponent and its primitive form.
 
     The exponent (w_hat' mu_b)^2 / (2 |w_hat|^2) of the fitted `sol` must
@@ -362,7 +362,7 @@ def risk_identity_check(prims: PrimitiveSet, sol, config: ModelConfig, b: int) -
     moments = fit_moments(prims)
     num = moments.w_dot_mu[0 if b == 1 else 1]
     primitive_side = num * num / (2.0 * moments.w_norm_sq)
-    fitted_side = group_risk(sol, config, b).exponent
+    fitted_side = group_risk(sol, b).exponent
     scale = max(abs(primitive_side), abs(fitted_side), 1e-300)
     return float(abs(primitive_side - fitted_side) / scale)
 
@@ -694,7 +694,7 @@ def verify_primitives(
     mode_gap = primitive_set_max_gap(direct, recursive)
 
     sol = fit_ridge(stats, config.deltas, tau)
-    identity_gaps = {str(b): risk_identity_check(direct, sol, config, b) for b in (+1, -1)}
+    identity_gaps = {str(b): risk_identity_check(direct, sol, b) for b in (+1, -1)}
 
     adj_gap = 0.0
     for k in (1, 2):

@@ -83,7 +83,7 @@ def q_function(x):
     return 0.5 * erfc(np.asarray(x, dtype=np.float64) / _SQRT2)
 
 
-def group_risk(sol, config: ModelConfig, b: int) -> GroupRiskEntry:
+def group_risk(sol, b: int) -> GroupRiskEntry:
     """Exact risk of group b: Q(w_hat' mu_b / |w_hat|) from dual statistics.
 
     sol is anything carrying w_norm_sq and w_dot_mu: a DualSolution, or the
@@ -149,7 +149,7 @@ def monte_carlo_risk(sol, config: ModelConfig, b: int, m: int):
 
 def build_report(sol, config: ModelConfig, mc_draws: int | None = None) -> RiskReport:
     """Assemble the full two-group report from one fitted solution."""
-    entries = [group_risk(sol, config, b) for b in (+1, -1)]
+    entries = [group_risk(sol, b) for b in (+1, -1)]
     worst, average = worst_and_average(entries, config)
     mc = None
     if mc_draws is not None:

@@ -14,7 +14,7 @@ import pytest
 from grouprisk.bounds import bound_exponent, consistency_check
 from grouprisk.estimators import GramStats, accumulate_gram, fit_cmni, fit_gd, fit_ridge, interpolation_residual
 from grouprisk.harness import SweepAxis, SweepSpec, derive_config, preset, run_sweep
-from grouprisk.model import ModelConfig, check_assumptions, embed_means, noise_stats, sample_dataset
+from grouprisk.model import ModelConfig, check_assumptions, e1_mean, noise_stats, sample_dataset
 from grouprisk.primitives import (
     check_aux_inequalities,
     compute_primitives,
@@ -24,11 +24,7 @@ from grouprisk.primitives import (
     wishart_coverage,
 )
 
-
-def e1(scale, length):
-    v = np.zeros(length)
-    v[0] = scale
-    return v
+from conftest import dense_means
 
 
 def grid_config(n, d, seed, **overrides):
@@ -37,8 +33,8 @@ def grid_config(n, d, seed, **overrides):
     base = dict(
         d_core=half,
         d_spur=d - half,
-        mu_core=e1(np.sqrt(d / 10.0), half),
-        mu_spur=e1(np.sqrt(d / 40.0), d - half),
+        mu_core=e1_mean(np.sqrt(d / 10.0), half),
+        mu_spur=e1_mean(np.sqrt(d / 40.0), d - half),
         n_plus=n - max(1, n // 5),
         n_minus=max(1, n // 5),
         delta_plus=0.9,
@@ -89,7 +85,7 @@ def band_regime_ensemble():
         cfg = ModelConfig(
             d_core=half,
             d_spur=half,
-            mu_core=e1(np.sqrt(900.0), half),
+            mu_core=e1_mean(np.sqrt(900.0), half),
             mu_spur=np.zeros(half),
             n_plus=48,
             n_minus=12,
@@ -109,10 +105,10 @@ def dense_probe_table(ds, tau):
     """x' (X X' + tau I)^{-1} y over the seven probes, in slot order
     v_1 v_2 d_1 d_2 u w_1 w_2, from the dense design matrix."""
     cfg = ds.config
-    mu_bar_c, mu_bar_s = embed_means(cfg)
+    mu_bar_c, mu_bar_s = dense_means(cfg)
     dvec = np.where(ds.b > 0, cfg.delta_plus, cfg.delta_minus)
     probes = np.column_stack(
-        [ds.a, ds.y, ds.Q @ mu_bar_s, ds.Q @ mu_bar_c, e1(1.0, cfg.n), ds.a / dvec, ds.y / dvec]
+        [ds.a, ds.y, ds.Q @ mu_bar_s, ds.Q @ mu_bar_c, e1_mean(1.0, cfg.n), ds.a / dvec, ds.y / dvec]
     )
     return probes.T @ np.linalg.inv(ds.X @ ds.X.T + tau * np.eye(cfg.n)) @ probes
 
@@ -180,7 +176,7 @@ class TestRecursionMachinery:
                         sol = fit_ridge(stats, cfg.deltas, tau)
                         prims = compute_primitives(stats, tau=tau, delta=cfg.deltas, mode="direct")
                         for b in (+1, -1):
-                            worst = max(worst, risk_identity_check(prims, sol, cfg, b))
+                            worst = max(worst, risk_identity_check(prims, sol, b))
         elapsed = time.time() - start
         ok = worst <= 1e-8 and elapsed < 30.0
         assert report(
@@ -400,8 +396,8 @@ class TestFormulaLevel:
             cfg = ModelConfig(
                 d_core=n,
                 d_spur=n,
-                mu_core=e1(4.0 * np.sqrt(n), n),
-                mu_spur=e1(np.sqrt(n), n),
+                mu_core=e1_mean(4.0 * np.sqrt(n), n),
+                mu_spur=e1_mean(np.sqrt(n), n),
                 n_plus=n - n_minus,
                 n_minus=n_minus,
             )
@@ -421,8 +417,8 @@ class TestFormulaLevel:
             cfg = ModelConfig(
                 d_core=200,
                 d_spur=200,
-                mu_core=e1(9.0, 200),
-                mu_spur=e1(3.0, 200),
+                mu_core=e1_mean(9.0, 200),
+                mu_spur=e1_mean(3.0, 200),
                 n_plus=n - n_minus,
                 n_minus=n_minus,
             )

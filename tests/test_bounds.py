@@ -11,13 +11,7 @@ from grouprisk.bounds import (
     tightness_ratio,
 )
 from grouprisk.estimators import accumulate_gram, fit_cmni
-from grouprisk.model import ModelConfig, sample_dataset
-
-
-def e1(scale, length):
-    v = np.zeros(length)
-    v[0] = scale
-    return v
+from grouprisk.model import ModelConfig, e1_mean, sample_dataset
 
 
 def imbalanced_config(**overrides):
@@ -30,8 +24,8 @@ def imbalanced_config(**overrides):
     base = dict(
         d_core=50_000,
         d_spur=50_000,
-        mu_core=e1(np.sqrt(125.0), 50_000),
-        mu_spur=e1(np.sqrt(125.0), 50_000),
+        mu_core=e1_mean(np.sqrt(125.0), 50_000),
+        mu_spur=e1_mean(np.sqrt(125.0), 50_000),
         n_plus=190,
         n_minus=10,
         delta_plus=0.95,
@@ -165,7 +159,7 @@ class TestConsistency:
         )
 
     def test_not_applicable_with_spurious_asymmetry(self):
-        cfg = imbalanced_config(mu_spur=e1(5.0, 50_000))  # R_minus = 100 != 0
+        cfg = imbalanced_config(mu_spur=e1_mean(5.0, 50_000))  # R_minus = 100 != 0
         res = consistency_check(cfg, +1, c_const=1.0)
         assert not res.applicable
         assert res.holds is None
@@ -195,8 +189,8 @@ class TestTightness:
         base = dict(
             d_core=400,
             d_spur=400,
-            mu_core=e1(10.0, 400),
-            mu_spur=e1(5.0, 400),
+            mu_core=e1_mean(10.0, 400),
+            mu_spur=e1_mean(5.0, 400),
             n_plus=32,
             n_minus=8,
             delta_plus=0.8,

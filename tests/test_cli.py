@@ -226,19 +226,60 @@ class TestSampleAndFit:
         assert ("missing ModelConfig fields: ['d_core'" in err) == isinstance(doc, dict)
         assert ("ModelConfig must be a JSON object, got list" in err) == isinstance(doc, list)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("mu_core", "dense", "mu_core must be a multiple of e_1: an entry past index 0 is nonzero"),
+            ("mu_spur", "dense", "mu_spur must be a multiple of e_1: an entry past index 0 is nonzero"),
+            ("delta_minus", "0.5", "delta_minus must be finite and positive, got '0.5'"),
+            ("delta_minus", None, "delta_minus must be finite and positive, got None"),
+            ("delta_plus", True, "delta_plus must be finite and positive, got True"),
+            ("pi_plus", [0.5], "pi_plus must be finite and positive, got [0.5]"),
+        ],
+    )
+    def test_bad_config_field_exits_before_any_stream(
+        self, field, value, message, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(model, "_noise_windows", never_stream)
+        doc = small_config().to_dict()
+        doc[field] = [1.0] * len(doc[field]) if value == "dense" else value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        code, stdout, err = run(["risk", "--config", str(cfg_path)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert f"error: {message}\n" == err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: {k: v for k, v in doc.items() if k != "config"},
+             "missing sidecar fields: ['config']"),
+            (lambda doc: doc["config"]["mu_spur"].__setitem__(7, -0.25) or doc,
+             "mu_spur must be a multiple of e_1: an entry past index 0 is nonzero"),
+            (lambda doc: [doc], "sidecar must be a JSON object, got list"),
+        ],
+        ids=["no-config", "dense-mean", "array"],
+    )
+    def test_bad_sidecar_exits_before_any_stream(self, edit, message, tmp_path, monkeypatch, capsys):
+        out = str(tmp_path / "ds.bin")
+        assert run(["sample", "-n", "20", "-d", "400", "--out", out], capsys)[0] == 0
+        doc = edit(json.loads(Path(out + ".json").read_text()))
+        Path(out + ".json").write_text(json.dumps(doc))
+        monkeypatch.setattr(model, "_noise_windows", never_stream)
+        code, stdout, err = run(["fit", "--data", out], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert message in err
+
     def test_config_file_round_trip(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-
-        def e1(scale, length):
-            v = np.zeros(length)
-            v[0] = scale
-            return v
 
         cfg = ModelConfig(
             d_core=200,
             d_spur=200,
-            mu_core=e1(10.0, 200),
-            mu_spur=e1(5.0, 200),
+            mu_core=e1_mean(10.0, 200),
+            mu_spur=e1_mean(5.0, 200),
             n_plus=16,
             n_minus=4,
             seed=8,
@@ -536,16 +577,11 @@ class TestParserReuse:
 
 class TestSweepCommand:
     def spec_file(self, tmp_path):
-        def e1(scale, length):
-            v = np.zeros(length)
-            v[0] = scale
-            return v
-
         cfg = ModelConfig(
             d_core=400,
             d_spur=400,
-            mu_core=e1(10.0, 400),
-            mu_spur=e1(5.0, 400),
+            mu_core=e1_mean(10.0, 400),
+            mu_spur=e1_mean(5.0, 400),
             n_plus=32,
             n_minus=8,
             delta_plus=0.95,
@@ -695,6 +731,32 @@ class TestSweepCommand:
         assert stdout == ""
         assert "must be a JSON object, got" in err
 
+    @pytest.mark.parametrize(
+        "where, key, value, message",
+        [
+            ("axis", "values", 5, "values must be a JSON array, got int"),
+            ("axis", "values", "0.5", "values must be a JSON array, got str"),
+            ("axis", "values", [0.5, None], "axis values must be real numbers, got None"),
+            ("axis", "values", [True], "axis values must be real numbers, got True"),
+            ("top", "outputs", "risk", "outputs must be a JSON array, got str"),
+            ("top", "methods", {"method": "cmni"}, "methods must be a JSON array, got dict"),
+        ],
+    )
+    def test_sweep_spec_non_array_exits_before_any_stream(
+        self, where, key, value, message, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(model, "_noise_windows", never_stream)
+        spec_path = self.spec_file(tmp_path)
+        doc = json.loads(Path(spec_path).read_text())
+        {"top": doc, "axis": doc["axis"]}[where][key] = value
+        Path(spec_path).write_text(json.dumps(doc))
+        out = tmp_path / "rows.csv"
+        code, stdout, err = run(["sweep", "--spec", spec_path, "--out", str(out)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert f"error: {message}\n" == err
+        assert not out.exists()
+
     def test_sweep_bool_tau_spec_is_usage_error(self, tmp_path, capsys):
         spec_path = self.spec_file(tmp_path)
         with open(spec_path) as fh:
@@ -750,16 +812,11 @@ class TestSweepCommand:
 
 class TestGapHelper:
     def test_zero_for_identical_sets(self):
-        def e1(scale, length):
-            v = np.zeros(length)
-            v[0] = scale
-            return v
-
         cfg = ModelConfig(
             d_core=200,
             d_spur=200,
-            mu_core=e1(10.0, 200),
-            mu_spur=e1(5.0, 200),
+            mu_core=e1_mean(10.0, 200),
+            mu_spur=e1_mean(5.0, 200),
             n_plus=16,
             n_minus=4,
             seed=1,

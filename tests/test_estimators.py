@@ -12,21 +12,17 @@ from grouprisk.estimators import (
     fit_ridge,
     interpolation_residual,
 )
-from grouprisk.model import ModelConfig, embed_means, group_mean, sample_dataset
+from grouprisk.model import ModelConfig, e1_mean, sample_dataset
 
-
-def e1(scale, length):
-    v = np.zeros(length)
-    v[0] = scale
-    return v
+from conftest import dense_means
 
 
 def make_config(**overrides):
     base = dict(
         d_core=200,
         d_spur=200,
-        mu_core=e1(14.0, 200),
-        mu_spur=e1(7.0, 200),
+        mu_core=e1_mean(14.0, 200),
+        mu_spur=e1_mean(7.0, 200),
         n_plus=16,
         n_minus=4,
         seed=3,
@@ -55,10 +51,8 @@ class TestAccumulateGram:
         ds = sample_dataset(make_config())
         stats = accumulate_gram(ds)
         np.testing.assert_allclose(stats.gram, ds.X @ ds.X.T, rtol=1e-12)
-        np.testing.assert_allclose(
-            stats.x_mu_plus, ds.X @ group_mean(ds.config, +1), rtol=1e-12
-        )
-        mu_bar_c, mu_bar_s = embed_means(ds.config)
+        mu_bar_c, mu_bar_s = dense_means(ds.config)
+        np.testing.assert_allclose(stats.x_mu_plus, ds.X @ (mu_bar_c + mu_bar_s), rtol=1e-12)
         np.testing.assert_allclose(stats.d_1, ds.Q @ mu_bar_s, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(stats.d_2, ds.Q @ mu_bar_c, rtol=1e-12, atol=1e-12)
 
@@ -85,7 +79,7 @@ class TestAccumulateGram:
         cfg = make_config(seed=5)
         ds = sample_dataset(cfg)
         stats = accumulate_gram(ds)
-        mu_bar_c, mu_bar_s = embed_means(cfg)
+        mu_bar_c, mu_bar_s = dense_means(cfg)
         d_1, d_2 = ds.Q @ mu_bar_s, ds.Q @ mu_bar_c
         nc2 = float(cfg.mu_core @ cfg.mu_core)
         ns2 = float(cfg.mu_spur @ cfg.mu_spur)
@@ -93,7 +87,7 @@ class TestAccumulateGram:
             via_parts = nc2 * ds.y + b * ns2 * ds.a + d_2 + b * d_1
             direct = stats.x_mu_plus if b == 1 else stats.x_mu_minus
             np.testing.assert_allclose(via_parts, direct, rtol=1e-10)
-            np.testing.assert_allclose(ds.X @ group_mean(cfg, b), direct, rtol=1e-10)
+            np.testing.assert_allclose(ds.X @ (mu_bar_c + b * mu_bar_s), direct, rtol=1e-10)
 
 
 class TestClosedFormSolutions:
@@ -165,10 +159,9 @@ class TestInterpolation:
         stats = accumulate_gram(ds)
         sol = fit_cmni(stats, cfg.deltas)
         w = ds.X.T @ sol.c
-        from grouprisk.model import group_mean
-
-        np.testing.assert_allclose(sol.w_dot_mu[0], w @ group_mean(cfg, +1), rtol=1e-9)
-        np.testing.assert_allclose(sol.w_dot_mu[1], w @ group_mean(cfg, -1), rtol=1e-9)
+        mu_bar_c, mu_bar_s = dense_means(cfg)
+        np.testing.assert_allclose(sol.w_dot_mu[0], w @ (mu_bar_c + mu_bar_s), rtol=1e-9)
+        np.testing.assert_allclose(sol.w_dot_mu[1], w @ (mu_bar_c - mu_bar_s), rtol=1e-9)
         np.testing.assert_allclose(sol.w_norm_sq, w @ w, rtol=1e-9)
 
 

@@ -21,22 +21,18 @@ from grouprisk.harness import (
     resolve_tau,
     run_sweep,
 )
-from grouprisk.model import ModelConfig, group_mean, noise_stats, sample_dataset, substream_seed
+from grouprisk.model import ModelConfig, e1_mean, noise_stats, sample_dataset, substream_seed
 from grouprisk.risk import group_risk
 
-
-def e1(scale, length):
-    v = np.zeros(length)
-    v[0] = scale
-    return v
+from conftest import dense_means
 
 
 def base_config(**overrides):
     base = dict(
         d_core=400,
         d_spur=400,
-        mu_core=e1(10.0, 400),
-        mu_spur=e1(5.0, 400),
+        mu_core=e1_mean(10.0, 400),
+        mu_spur=e1_mean(5.0, 400),
         n_plus=32,
         n_minus=8,
         delta_plus=0.95,
@@ -125,6 +121,20 @@ class TestSpecValidation:
             doc[where] = value
         with pytest.raises(ValueError, match=r"must be a JSON object, got"):
             SweepSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("where", ["values", "outputs", "methods"])
+    @pytest.mark.parametrize("value", [5, "risk", {"method": "cmni"}, None])
+    def test_from_dict_refuses_non_arrays(self, where, value):
+        # a string would otherwise be split into its characters
+        doc = tiny_spec().to_dict()
+        (doc["axis"] if where == "values" else doc)[where] = value
+        with pytest.raises(ValueError, match=rf"^{where} must be a JSON array, got {type(value).__name__}$"):
+            SweepSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("bad", [None, True, np.bool_(False), "0.5", 0.5j])
+    def test_axis_rejects_non_real_values(self, bad):
+        with pytest.raises(ValueError, match="axis values must be real numbers"):
+            SweepAxis("delta_minus", (0.5, bad))
 
     def test_spec_rejects_unknown_method(self):
         with pytest.raises(ValueError):
@@ -245,9 +255,8 @@ class TestNoiseStats:
         via_noise = GramStats.from_noise(cfg, noise_stats(cfg))
         ds = sample_dataset(cfg)
         np.testing.assert_allclose(via_noise.gram, ds.X @ ds.X.T, rtol=1e-10)
-        np.testing.assert_allclose(
-            via_noise.x_mu_plus, ds.X @ group_mean(cfg, +1), rtol=1e-10
-        )
+        mu_bar_c, mu_bar_s = dense_means(cfg)
+        np.testing.assert_allclose(via_noise.x_mu_plus, ds.X @ (mu_bar_c + mu_bar_s), rtol=1e-10)
         np.testing.assert_allclose(
             via_noise.d_1, ds.Q[:, cfg.d_core :] @ cfg.mu_spur, rtol=1e-10, atol=1e-12
         )
@@ -260,9 +269,8 @@ class TestNoiseStats:
         via_noise = GramStats.from_noise(scaled, noise)
         ds = sample_dataset(scaled)
         np.testing.assert_allclose(via_noise.gram, ds.X @ ds.X.T, rtol=1e-10)
-        np.testing.assert_allclose(
-            via_noise.x_mu_minus, ds.X @ group_mean(scaled, -1), rtol=1e-9
-        )
+        mu_bar_c, mu_bar_s = dense_means(scaled)
+        np.testing.assert_allclose(via_noise.x_mu_minus, ds.X @ (mu_bar_c - mu_bar_s), rtol=1e-9)
 
 
 class TestRunSweep:
@@ -285,10 +293,10 @@ class TestRunSweep:
         stats = accumulate_gram(ds)
         sol = fit_cmni(stats, cfg.deltas)
         np.testing.assert_allclose(
-            rows[0].risk_plus_mean, group_risk(sol, cfg, +1).risk, rtol=1e-10
+            rows[0].risk_plus_mean, group_risk(sol, +1).risk, rtol=1e-10
         )
         np.testing.assert_allclose(
-            rows[0].risk_minus_mean, group_risk(sol, cfg, -1).risk, rtol=1e-10
+            rows[0].risk_minus_mean, group_risk(sol, -1).risk, rtol=1e-10
         )
 
     def test_ridge_row_matches_independent_fit(self):
@@ -301,7 +309,7 @@ class TestRunSweep:
         stats = accumulate_gram(ds)
         sol = fit_ridge(stats, cfg.deltas, tau=cfg.d / 10.0)
         np.testing.assert_allclose(
-            rows[0].risk_minus_mean, group_risk(sol, cfg, -1).risk, rtol=1e-10
+            rows[0].risk_minus_mean, group_risk(sol, -1).risk, rtol=1e-10
         )
         assert rows[0].tau == cfg.d / 10.0
 
@@ -324,7 +332,7 @@ class TestRunSweep:
             else:
                 sol = fit_ridge(stats, cfg.deltas, row.tau)
             for b, tag in ((+1, "plus"), (-1, "minus")):
-                ref = group_risk(sol, cfg, b)
+                ref = group_risk(sol, b)
                 got = getattr(row, f"exponent_{tag}_mean")
                 assert abs(got - ref.exponent) <= 1e-10 * abs(ref.exponent), row.run_id
                 got = getattr(row, f"risk_{tag}_mean")

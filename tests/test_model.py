@@ -26,8 +26,7 @@ from grouprisk.model import (
     ModelConfig,
     bartlett_factor,
     check_assumptions,
-    embed_means,
-    group_mean,
+    e1_mean,
     load_dataset,
     noise_blocks,
     noise_stats,
@@ -39,6 +38,8 @@ from grouprisk.model import (
     substream_seed,
 )
 from grouprisk.model import _noise_range, _one_blas_thread
+
+from conftest import dense_means
 
 
 def uniforms_at(seed, stream, offset, count):
@@ -58,18 +59,12 @@ def uniforms_at(seed, stream, offset, count):
     return gen.random(count)
 
 
-def e1(scale, length):
-    v = np.zeros(length)
-    v[0] = scale
-    return v
-
-
 def small_config(**overrides):
     base = dict(
         d_core=200,
         d_spur=200,
-        mu_core=e1(14.0, 200),
-        mu_spur=e1(7.0, 200),
+        mu_core=e1_mean(14.0, 200),
+        mu_spur=e1_mean(7.0, 200),
         n_plus=16,
         n_minus=4,
         seed=3,
@@ -86,7 +81,7 @@ class TestModelConfig:
         assert cfg.deltas == (1.0, 1.0)
 
     def test_arrays_are_frozen_copies(self):
-        mu = e1(14.0, 200)
+        mu = e1_mean(14.0, 200)
         cfg = small_config(mu_core=mu)
         mu[0] = 0.0
         assert cfg.mu_core[0] == 14.0
@@ -94,7 +89,7 @@ class TestModelConfig:
             cfg.mu_core[0] = 1.0
 
     def test_read_only_view_of_a_writable_array_is_copied(self):
-        mu = e1(14.0, 200)
+        mu = e1_mean(14.0, 200)
         view = mu[:]
         view.setflags(write=False)
         cfg = small_config(mu_core=view)
@@ -111,7 +106,7 @@ class TestModelConfig:
 
     def test_rejects_d_smaller_than_n(self):
         with pytest.raises(ValueError):
-            small_config(d_core=8, d_spur=8, mu_core=e1(1.0, 8), mu_spur=e1(1.0, 8))
+            small_config(d_core=8, d_spur=8, mu_core=e1_mean(1.0, 8), mu_spur=e1_mean(1.0, 8))
 
     def test_rejects_minority_larger_than_majority(self):
         with pytest.raises(ValueError):
@@ -123,7 +118,7 @@ class TestModelConfig:
 
     def test_rejects_spurious_stronger_than_core(self):
         with pytest.raises(ValueError):
-            small_config(mu_core=e1(7.0, 200), mu_spur=e1(14.0, 200))
+            small_config(mu_core=e1_mean(7.0, 200), mu_spur=e1_mean(14.0, 200))
 
     def test_rejects_delta_ordering_violations(self):
         # deltas must satisfy 1/n <= delta_minus <= delta_plus <= 1
@@ -179,9 +174,34 @@ class TestModelConfig:
             small_config(**{field: value})
 
     @pytest.mark.parametrize("field", ["mu_core", "mu_spur"])
+    @pytest.mark.parametrize("index", [1, 5, 199])
+    def test_rejects_a_mean_off_e1(self, field, index):
+        # a dense mean has the laws of the e_1 mean of its norm: only e_1 is taken
+        mu = e1_mean(14.0, 200)
+        mu[index] = 1e-300
+        message = f"^{field} must be a multiple of e_1: an entry past index 0 is nonzero$"
+        with pytest.raises(ValueError, match=message):
+            small_config(**{field: mu})
+        with pytest.raises(ValueError, match=f"{field} must be a multiple of e_1"):
+            small_config(**{field: np.linspace(1.0, 2.0, 200)})
+
+    @pytest.mark.parametrize("field", ["pi_plus", "delta_plus", "delta_minus"])
+    @pytest.mark.parametrize("bad", ["0.5", None, True, np.bool_(True), 0.5j, np.inf, -np.inf, [0.5]])
+    def test_rejects_non_real_weights(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            small_config(**{field: bad})
+
+    def test_real_fields_are_stored_as_floats(self):
+        cfg = small_config(pi_plus=np.float32(0.25), delta_plus=1, delta_minus=np.float64(0.5))
+        for name in ("pi_plus", "delta_plus", "delta_minus"):
+            assert type(getattr(cfg, name)) is float, name
+        assert cfg.deltas == (1.0, 0.5)
+        assert cfg.pi_plus == float(np.float32(0.25))
+
+    @pytest.mark.parametrize("field", ["mu_core", "mu_spur"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_means(self, field, bad):
-        mu = e1(7.0, 200)
+        mu = e1_mean(7.0, 200)
         mu[5] = bad
         with pytest.raises(ValueError, match=field):
             small_config(**{field: mu})
@@ -236,22 +256,13 @@ class TestModelConfig:
 
 
 class TestMeansAndStrengths:
-    def test_embed_means_block_layout(self):
-        cfg = small_config()
-        mu_bar_c, mu_bar_s = embed_means(cfg)
-        assert mu_bar_c.shape == (400,)
-        assert mu_bar_c[0] == 14.0
-        assert np.all(mu_bar_c[200:] == 0.0)
-        assert mu_bar_s[200] == 7.0
-        assert np.all(mu_bar_s[:200] == 0.0)
-
-    def test_group_mean_signs(self):
-        cfg = small_config()
-        mu_bar_c, mu_bar_s = embed_means(cfg)
-        np.testing.assert_allclose(group_mean(cfg, +1), mu_bar_c + mu_bar_s)
-        np.testing.assert_allclose(group_mean(cfg, -1), mu_bar_c - mu_bar_s)
-        with pytest.raises(ValueError):
-            group_mean(cfg, 0)
+    def test_design_matrix_adds_the_means_to_columns_0_and_d_core(self):
+        cfg = small_config(d_core=150, d_spur=250, mu_core=e1_mean(14.0, 150), mu_spur=e1_mean(-7.0, 250))
+        ds = sample_dataset(cfg)
+        signal = ds.X - ds.Q
+        np.testing.assert_allclose(signal[:, 0], 14.0 * ds.y)
+        np.testing.assert_allclose(signal[:, 150], -7.0 * ds.a)
+        assert not np.delete(signal, [0, 150], axis=1).any()
 
     def test_signal_strengths_are_sums_of_squared_norms(self):
         cfg = small_config()
@@ -312,8 +323,8 @@ class TestSampling:
         # statistics: a stream that held all of Q would not fit
         half, cols = 4096, 2048
         monkeypatch.setattr(model, "_BLOCK_COLS", cols // 4)
-        cfg = small_config(d_core=half, d_spur=half, mu_core=e1(14.0, half),
-                           mu_spur=e1(7.0, half), n_plus=60, n_minus=4)
+        cfg = small_config(d_core=half, d_spur=half, mu_core=e1_mean(14.0, half),
+                           mu_spur=e1_mean(7.0, half), n_plus=60, n_minus=4)
         n, d = cfg.n, cfg.d
         block_bytes = 8 * n * cols
         tracemalloc.start()
@@ -324,19 +335,44 @@ class TestSampling:
             tracemalloc.stop()
         assert peak < 1.5 * block_bytes + 4 * 8 * (n * n + d)
 
-    def test_sample_dataset_holds_three_n_by_d_arrays(self):
-        # Q, X and one outer-product temporary; the stream's buffer is
-        # released before X is built
+    def test_sample_dataset_holds_two_n_by_d_arrays(self):
+        # Q and X: X is a copy of Q with two columns shifted, so no outer
+        # product is made, and the stream's buffer is released before X is
+        # built
         half = 2000
-        cfg = small_config(d_core=half, d_spur=half, mu_core=e1(14.0, half),
-                           mu_spur=e1(7.0, half), n_plus=80, n_minus=20)
+        cfg = small_config(d_core=half, d_spur=half, mu_core=e1_mean(14.0, half),
+                           mu_spur=e1_mean(7.0, half), n_plus=80, n_minus=20)
         tracemalloc.start()
         try:
             sample_dataset(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * 8 * cfg.n * cfg.d
+        assert peak < 2.5 * 8 * cfg.n * cfg.d
+
+    @pytest.mark.parametrize(
+        "core, spur", [(14.0, 7.0), (-14.0, 7.0), (14.0, -7.0), (-3.0, 0.0), (0.0, 0.0)]
+    )
+    @pytest.mark.parametrize("d_core", [1, 150, 299, 300, 451])
+    def test_q_is_the_signed_mean_columns_of_the_dataset_noise(self, core, spur, d_core, monkeypatch):
+        # d = 600 in blocks of 150 from each half's start (0 and 300): column
+        # d_core mid-block, on a block's first column, last of the first
+        # half, first of the second, and mid-block in the second; a zero
+        # mean keeps q at +0.  Both routes at several widths give these bits.
+        cfg = small_config(d_core=d_core, d_spur=600 - d_core, mu_core=e1_mean(core, d_core),
+                           mu_spur=e1_mean(spur, 600 - d_core))
+        monkeypatch.setattr(model, "_BLOCK_COLS", 150)
+        ds = sample_dataset(cfg)
+
+        def signed(column, m):
+            return np.zeros(cfg.n) if m == 0.0 else np.sign(m) * column
+
+        q_core, q_spur = signed(ds.Q[:, 0], core), signed(ds.Q[:, d_core], spur)
+        for source, width in ((cfg, 150), (ds, 150), (cfg, 7), (ds, 1024)):
+            monkeypatch.setattr(model, "_BLOCK_COLS", width)
+            got = noise_stats(source)
+            assert got.q_core.tobytes() == q_core.tobytes()
+            assert got.q_spur.tobytes() == q_spur.tobytes()
 
     def test_noise_stats_read_only_and_dataset_labels_untouched(self):
         ds = sample_dataset(small_config())
@@ -356,7 +392,7 @@ class TestSampling:
     def test_dataset_reconstruction_is_bitwise(self):
         ds = sample_dataset(small_config())
         ds.validate()
-        mu_bar_c, mu_bar_s = embed_means(ds.config)
+        mu_bar_c, mu_bar_s = dense_means(ds.config)
         rebuilt = np.outer(ds.y, mu_bar_c) + np.outer(ds.a, mu_bar_s) + ds.Q
         np.testing.assert_array_equal(ds.X, rebuilt)
 
@@ -445,8 +481,8 @@ class TestTwoHalfStream:
         # more streams than cores, switching often: a lost update of the pin's
         # depth would leave the counts at 1 or restore them mid-stream
         monkeypatch.setattr(model, "_THREAD_MIN_VALUES", 0)  # each with its worker
-        cfg = small_config(d_core=1000, d_spur=1000, mu_core=e1(14.0, 1000),
-                           mu_spur=e1(7.0, 1000), n_plus=40, n_minus=10)
+        cfg = small_config(d_core=1000, d_spur=1000, mu_core=e1_mean(14.0, 1000),
+                           mu_spur=e1_mean(7.0, 1000), n_plus=40, n_minus=10)
         expected = noise_stats(cfg)
         results = [[] for _ in range(4)]
         start = threading.Barrier(len(results))
@@ -501,8 +537,8 @@ class TestTwoHalfStream:
 
     @pytest.mark.parametrize("route", ["config", "dataset"])
     def test_worker_and_caller_only_paths_give_the_same_bits(self, route, monkeypatch):
-        cfg = small_config(d_core=1501, d_spur=1500, mu_core=e1(14.0, 1501),
-                           mu_spur=e1(7.0, 1500), n_plus=41, n_minus=10)
+        cfg = small_config(d_core=1501, d_spur=1500, mu_core=e1_mean(14.0, 1501),
+                           mu_spur=e1_mean(7.0, 1500), n_plus=41, n_minus=10)
         source = cfg if route == "config" else sample_dataset(cfg)
         assert cfg.n * cfg.d < model._THREAD_MIN_VALUES
         monkeypatch.setattr(model, "_BLOCK_COLS", 150)
@@ -547,14 +583,31 @@ class TestTwoHalfStream:
         assert os.waitstatus_to_exitcode(status) == 0
 
 
-def coupled_config(n, seed=7):
-    """An n-coupled point (d = 2 n^2) with dense means, so every block
-    carries a different slice of both directions."""
+# Where column d_core (the spurious mean's) falls in the stream's blocks of
+# `model._BLOCK_COLS` columns, counted from each half's start: inside a
+# block of the first half, on the first column of a block (the first
+# half's last block, or the second half's first column where the first
+# half is one block), or inside a block of the second half.
+D_CORE_PLACES = ("lower_mid_block", "block_start", "upper_mid_block")
+
+
+def place_d_core(d, place):
+    width, mid = model._BLOCK_COLS, (d + 1) // 2
+    if place == "block_start":
+        return width * ((mid - 1) // width) or mid
+    lo = 0 if place == "lower_mid_block" else mid
+    j = lo + (min(mid, d - mid) // 2 or 1)
+    return j + 1 if (j - lo) % width == 0 else j
+
+
+def coupled_config(n, seed=7, place="lower_mid_block"):
+    """An n-coupled point (d = 2 n^2) with signed e_1 means and column
+    d_core at `place` for the current block width."""
     n_minus = max(1, round(0.2 * n))
     d = 2 * n * n
-    d_core = (d + 1) // 2
+    d_core = place_d_core(d, place)
     return ModelConfig(d_core=d_core, d_spur=d - d_core,
-                       mu_core=np.linspace(1.0, 2.0, d_core), mu_spur=np.linspace(-0.5, 0.5, d - d_core),
+                       mu_core=e1_mean(-2.0, d_core), mu_spur=e1_mean(0.5, d - d_core),
                        n_plus=n - n_minus, n_minus=n_minus, seed=seed)
 
 
@@ -574,18 +627,24 @@ class TestSharedStream:
         # narrow blocks straddle the window's slides
         monkeypatch.setattr(model, "_BLOCK_COLS", width)
         monkeypatch.setattr(model, "_THREAD_MIN_VALUES", threshold)
-        configs = [coupled_config(n) for n in ns]
-        many = model.noise_stats_many(configs)
-        assert len(many) == len(configs)
-        for cfg, got in zip(configs, many):
-            self.assert_same(got, noise_stats(cfg))
+        for place in D_CORE_PLACES:
+            configs = [coupled_config(n, place=place) for n in ns]
+            many = model.noise_stats_many(configs)
+            assert len(many) == len(configs)
+            for cfg, got in zip(configs, many):
+                self.assert_same(got, noise_stats(cfg))
+                # the signed columns, also on the dataset route
+                Q = sample_dataset(cfg).Q
+                np.testing.assert_array_equal(got.q_core, -Q[:, 0])
+                np.testing.assert_array_equal(got.q_spur, Q[:, cfg.d_core])
+                self.assert_same(got, noise_stats(sample_dataset(cfg)))
 
     @pytest.mark.parametrize("threshold", [0, 1 << 60], ids=["worker", "caller"])
     def test_single_config_equals_noise_stats(self, threshold, monkeypatch):
         monkeypatch.setattr(model, "_BLOCK_COLS", 150)
         monkeypatch.setattr(model, "_THREAD_MIN_VALUES", threshold)
-        cfg = small_config(d_core=1501, d_spur=1500, mu_core=e1(14.0, 1501),
-                           mu_spur=e1(7.0, 1500), n_plus=41, n_minus=10)
+        cfg = small_config(d_core=1501, d_spur=1500, mu_core=e1_mean(14.0, 1501),
+                           mu_spur=e1_mean(7.0, 1500), n_plus=41, n_minus=10)
         (got,) = model.noise_stats_many([cfg])
         self.assert_same(got, noise_stats(cfg))
         # e1 means: the dataset route's column views give the same bits
@@ -689,8 +748,8 @@ class TestAssumptions:
         cfg = ModelConfig(
             d_core=50_000,
             d_spur=50_000,
-            mu_core=e1(np.sqrt(125.0), 50_000),
-            mu_spur=e1(np.sqrt(125.0), 50_000),
+            mu_core=e1_mean(np.sqrt(125.0), 50_000),
+            mu_spur=e1_mean(np.sqrt(125.0), 50_000),
             n_plus=16,
             n_minus=4,
         )
@@ -729,6 +788,32 @@ class TestPersistence:
         back.X[0, 0] = np.nextafter(back.X[0, 0], -np.inf)
         with pytest.raises(ValueError, match="reconstruct"):
             back.validate()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.pop("config"), "missing sidecar fields: ['config']"),
+            (lambda doc: doc.pop("y"), "missing sidecar fields: ['y']"),
+            (lambda doc: doc.update(tau=0.0), "unknown sidecar fields: ['tau']"),
+            (lambda doc: doc["config"]["mu_core"].__setitem__(3, 0.5), "mu_core must be a multiple of e_1"),
+        ],
+        ids=["no-config", "no-y", "unknown", "dense-mean"],
+    )
+    def test_malformed_sidecar_names_the_field(self, edit, message, tmp_path):
+        path = str(tmp_path / "ds.bin")
+        save_dataset(sample_dataset(small_config()), path)
+        doc = json.loads(Path(path + ".json").read_text())
+        edit(doc)
+        Path(path + ".json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset(path)
+
+    def test_sidecar_that_is_not_an_object_is_refused(self, tmp_path):
+        path = str(tmp_path / "ds.bin")
+        save_dataset(sample_dataset(small_config()), path)
+        Path(path + ".json").write_text("[1, 2]")
+        with pytest.raises(ValueError, match="sidecar must be a JSON object, got list"):
+            load_dataset(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
         ds = sample_dataset(small_config())

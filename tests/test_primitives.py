@@ -15,7 +15,7 @@ from grouprisk.model import (
     ModelConfig,
     bartlett_factor,
     check_assumptions,
-    embed_means,
+    e1_mean,
     noise_stats,
     philox_generator,
     sample_dataset,
@@ -32,19 +32,15 @@ from grouprisk.primitives import (
     wishart_interval,
 )
 
-
-def e1(scale, length):
-    v = np.zeros(length)
-    v[0] = scale
-    return v
+from conftest import dense_means
 
 
 def make_config(**overrides):
     base = dict(
         d_core=200,
         d_spur=200,
-        mu_core=e1(12.0, 200),
-        mu_spur=e1(6.0, 200),
+        mu_core=e1_mean(12.0, 200),
+        mu_spur=e1_mean(6.0, 200),
         n_plus=16,
         n_minus=4,
         seed=3,
@@ -57,12 +53,12 @@ def dense_oracle(ds, tau):
     """Every primitive from scratch via explicit dense inverses, at u = e_1."""
     cfg = ds.config
     n = cfg.n
-    mu_bar_c, mu_bar_s = embed_means(cfg)
+    mu_bar_c, mu_bar_s = dense_means(cfg)
     x_stage = [ds.Q, ds.Q + np.outer(ds.a, mu_bar_s)]
     x_stage.append(x_stage[1] + np.outer(ds.y, mu_bar_c))
     grams = [x @ x.T for x in x_stage]
     invs = [np.linalg.inv(g + tau * np.eye(n)) for g in grams]
-    u = e1(1.0, n)
+    u = e1_mean(1.0, n)
     dvec = np.where(ds.b > 0, cfg.delta_plus, cfg.delta_minus)
     v = [ds.a, ds.y]
     d = [ds.Q @ mu_bar_s, ds.Q @ mu_bar_c]
@@ -140,7 +136,7 @@ class TestDecomposition:
         cfg = make_config(seed=5)
         ds = sample_dataset(cfg)
         stats = GramStats.from_noise(cfg, noise_stats(cfg))
-        mu_bar_c, mu_bar_s = embed_means(cfg)
+        mu_bar_c, mu_bar_s = dense_means(cfg)
         np.testing.assert_allclose(stats.gram_0, ds.Q @ ds.Q.T, rtol=1e-12)
         np.testing.assert_allclose(stats.d_1, ds.Q @ mu_bar_s, rtol=1e-12)
         np.testing.assert_allclose(stats.d_2, ds.Q @ mu_bar_c, rtol=1e-12)
@@ -354,7 +350,7 @@ class TestRiskIdentity:
         sol = fit_ridge(stats, cfg.deltas, tau)
         prims = compute_primitives(stats, tau=tau, delta=cfg.deltas, mode="direct")
         for b in (+1, -1):
-            assert risk_identity_check(prims, sol, cfg, b) <= 1e-10
+            assert risk_identity_check(prims, sol, b) <= 1e-10
 
     def test_identity_in_recursive_mode(self):
         cfg = make_config(seed=12, delta_plus=0.9, delta_minus=0.3)
@@ -363,7 +359,7 @@ class TestRiskIdentity:
         sol = fit_cmni(stats, cfg.deltas)
         prims = compute_primitives(stats, delta=cfg.deltas, mode="recursive")
         for b in (+1, -1):
-            assert risk_identity_check(prims, sol, cfg, b) <= 1e-8
+            assert risk_identity_check(prims, sol, b) <= 1e-8
 
     def test_degenerate_reduction(self):
         # mu_s = 0 and identity weights: both groups share one margin
@@ -372,8 +368,8 @@ class TestRiskIdentity:
         stats = accumulate_gram(ds)
         sol = fit_cmni(stats, cfg.deltas)
         prims = compute_primitives(stats, mode="direct")
-        assert risk_identity_check(prims, sol, cfg, +1) <= 1e-10
-        assert risk_identity_check(prims, sol, cfg, -1) <= 1e-10
+        assert risk_identity_check(prims, sol, +1) <= 1e-10
+        assert risk_identity_check(prims, sol, -1) <= 1e-10
         np.testing.assert_allclose(sol.w_dot_mu[0], sol.w_dot_mu[1], rtol=1e-9)
 
 
@@ -384,8 +380,8 @@ class TestNoiseMeanProjections:
         cfg = ModelConfig(
             d_core=2500,
             d_spur=2500,
-            mu_core=e1(10.0, 2500),
-            mu_spur=e1(5.0, 2500),
+            mu_core=e1_mean(10.0, 2500),
+            mu_spur=e1_mean(5.0, 2500),
             n_plus=40,
             n_minus=10,
         )
@@ -480,7 +476,7 @@ class TestWishart:
         from scipy.stats import chi2, kstest
 
         for d, n in ((30, 5), (80, 30)):
-            u = e1(1.0, n) if probe == "e1" else np.full(n, 1.0 / np.sqrt(n))
+            u = e1_mean(1.0, n) if probe == "e1" else np.full(n, 1.0 / np.sqrt(n))
             if route == "bartlett":
                 values = self.draws(d, n, u, 3, 500)
             else:
@@ -492,13 +488,13 @@ class TestWishart:
         from scipy.linalg import solve_triangular
 
         d, n, draws = 40, 12, 1000  # three chunks of at most 455
-        u = e1(1.0, n) if probe == "e1" else np.full(n, 1.0 / np.sqrt(n))
+        u = e1_mean(1.0, n) if probe == "e1" else np.full(n, 1.0 / np.sqrt(n))
         factors = np.concatenate(list(bartlett_factor(n, d, 4, draws)))
         ref = [1.0 / float(np.sum(solve_triangular(f, u, lower=True) ** 2)) for f in factors]
         np.testing.assert_allclose(self.draws(d, n, u, 4, draws), ref, rtol=1e-12, atol=0)
 
     def test_draw_i_does_not_depend_on_draws(self):
-        d, n, t, u = 40, 6, 1.0, e1(1.0, 6)
+        d, n, t, u = 40, 6, 1.0, e1_mean(1.0, 6)
         low, high = wishart_interval(d, n, t)
         values = self.draws(d, n, u, 4, 6)
         assert self.draws(d, n, u, 4, 3).tobytes() == values[:3].tobytes()
@@ -575,7 +571,7 @@ class TestBands:
     @pytest.mark.parametrize("spur_sq", [18.0, 0.0])
     @pytest.mark.parametrize("band, cross_band", [((0.5, 2.0), (-2.0, 2.0)), ((0.9, 1), (-1, 1))])
     def test_rows_equal_the_row_by_row_reference(self, spur_sq, band, cross_band):
-        cfg = make_config(mu_spur=e1(np.sqrt(spur_sq), 200), delta_plus=0.9, delta_minus=0.3)
+        cfg = make_config(mu_spur=e1_mean(np.sqrt(spur_sq), 200), delta_plus=0.9, delta_minus=0.3)
         stats = GramStats.from_noise(cfg, noise_stats(cfg))
         for tau in (0.0, 40.0):
             prims = compute_primitives(stats, tau=tau, delta=cfg.deltas, mode="recursive")
@@ -592,8 +588,8 @@ class TestBands:
         return ModelConfig(
             d_core=15_000,
             d_spur=15_000,
-            mu_core=e1(np.sqrt(72.0), 15_000),
-            mu_spur=e1(np.sqrt(18.0), 15_000),
+            mu_core=e1_mean(np.sqrt(72.0), 15_000),
+            mu_spur=e1_mean(np.sqrt(18.0), 15_000),
             n_plus=24,
             n_minus=6,
             seed=seed,
@@ -620,7 +616,7 @@ class TestBands:
         cfg = ModelConfig(
             d_core=half,
             d_spur=half,
-            mu_core=e1(np.sqrt(core_sq), half),
+            mu_core=e1_mean(np.sqrt(core_sq), half),
             mu_spur=np.zeros(half),
             n_plus=24,
             n_minus=6,
@@ -638,7 +634,7 @@ class TestBands:
         cfg = ModelConfig(
             d_core=15_000,
             d_spur=15_000,
-            mu_core=e1(np.sqrt(72.0), 15_000),
+            mu_core=e1_mean(np.sqrt(72.0), 15_000),
             mu_spur=np.zeros(15_000),
             n_plus=24,
             n_minus=6,
@@ -664,8 +660,8 @@ class TestAuxInequalities:
         cfg = ModelConfig(
             d_core=100,
             d_spur=100,
-            mu_core=e1(4.0, 100),
-            mu_spur=e1(2.0, 100),
+            mu_core=e1_mean(4.0, 100),
+            mu_spur=e1_mean(2.0, 100),
             n_plus=9,
             n_minus=1,
         )
@@ -680,8 +676,8 @@ class TestAuxInequalities:
         cfg = ModelConfig(
             d_core=200,
             d_spur=200,
-            mu_core=e1(8.0, 200),
-            mu_spur=e1(2.0, 200),
+            mu_core=e1_mean(8.0, 200),
+            mu_spur=e1_mean(2.0, 200),
             n_plus=10,
             n_minus=10,
         )

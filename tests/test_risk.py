@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from grouprisk.estimators import accumulate_gram, fit_cmni
-from grouprisk.model import ModelConfig, sample_dataset
+from grouprisk.model import ModelConfig, e1_mean, sample_dataset
 from grouprisk.risk import (
     GroupRiskEntry,
     RiskReport,
@@ -17,18 +17,12 @@ from grouprisk.risk import (
 )
 
 
-def e1(scale, length):
-    v = np.zeros(length)
-    v[0] = scale
-    return v
-
-
 def make_config(**overrides):
     base = dict(
         d_core=200,
         d_spur=200,
-        mu_core=e1(10.0, 200),
-        mu_spur=e1(5.0, 200),
+        mu_core=e1_mean(10.0, 200),
+        mu_spur=e1_mean(5.0, 200),
         n_plus=16,
         n_minus=4,
         seed=3,
@@ -59,26 +53,26 @@ class TestGroupRisk:
     def test_exponent_is_half_squared_margin(self):
         cfg = make_config()
         sol = fitted(cfg)
-        entry = group_risk(sol, cfg, +1)
+        entry = group_risk(sol, +1)
         np.testing.assert_allclose(entry.exponent, entry.margin**2 / 2.0, rtol=1e-12)
         np.testing.assert_allclose(entry.risk, q_function(entry.margin), rtol=1e-12)
 
     def test_majority_beats_minority_with_spurious_signal(self):
         cfg = make_config(seed=1)
         sol = fitted(cfg)
-        assert group_risk(sol, cfg, +1).risk < group_risk(sol, cfg, -1).risk
+        assert group_risk(sol, +1).risk < group_risk(sol, -1).risk
 
     def test_rejects_invalid_group(self):
         cfg = make_config()
         sol = fitted(cfg)
         with pytest.raises(ValueError):
-            group_risk(sol, cfg, 2)
+            group_risk(sol, 2)
 
 
 class TestAggregation:
     def test_average_uses_group_shares(self):
         cfg = make_config(n_plus=190, n_minus=10, d_core=500, d_spur=500,
-                          mu_core=e1(10.0, 500), mu_spur=e1(5.0, 500))
+                          mu_core=e1_mean(10.0, 500), mu_spur=e1_mean(5.0, 500))
         risks = [GroupRiskEntry(b=-1, margin=1.0, exponent=0.5, risk=0.2),
                  GroupRiskEntry(b=+1, margin=2.0, exponent=2.0, risk=0.02)]
         worst, average = worst_and_average(risks, cfg)
@@ -90,16 +84,16 @@ class TestMonteCarlo:
     def test_agrees_with_exact_risk(self):
         # pick a config whose risks are large enough to estimate
         cfg = make_config(
-            mu_core=e1(3.0, 200), mu_spur=e1(1.0, 200), seed=5
+            mu_core=e1_mean(3.0, 200), mu_spur=e1_mean(1.0, 200), seed=5
         )
         sol = fitted(cfg)
         for b in (+1, -1):
-            exact = group_risk(sol, cfg, b).risk
+            exact = group_risk(sol, b).risk
             est, se = monte_carlo_risk(sol, cfg, b, m=200_000)
             assert abs(est - exact) <= 4.0 * se + 1e-12
 
     def test_standard_error_scaling(self):
-        cfg = make_config(mu_core=e1(3.0, 200), mu_spur=e1(1.0, 200))
+        cfg = make_config(mu_core=e1_mean(3.0, 200), mu_spur=e1_mean(1.0, 200))
         sol = fitted(cfg)
         _, se_small = monte_carlo_risk(sol, cfg, +1, m=10_000)
         _, se_big = monte_carlo_risk(sol, cfg, +1, m=1_000_000)
@@ -107,7 +101,7 @@ class TestMonteCarlo:
 
     def test_deterministic_given_seed(self):
         # the draws follow the config's seed, the one the fit was sampled at
-        cfg = make_config(mu_core=e1(3.0, 200), mu_spur=e1(1.0, 200))
+        cfg = make_config(mu_core=e1_mean(3.0, 200), mu_spur=e1_mean(1.0, 200))
         sol = fitted(cfg)
         a = monte_carlo_risk(sol, cfg, -1, m=50_000)
         b = monte_carlo_risk(sol, cfg, -1, m=50_000)
@@ -128,7 +122,7 @@ class TestMonteCarlo:
             monte_carlo_risk(sol, cfg, +1, m=m)
 
     def test_accepts_numpy_integer_draw_count(self):
-        cfg = make_config(mu_core=e1(3.0, 200), mu_spur=e1(1.0, 200))
+        cfg = make_config(mu_core=e1_mean(3.0, 200), mu_spur=e1_mean(1.0, 200))
         sol = fitted(cfg)
         assert monte_carlo_risk(sol, cfg, +1, m=np.int64(5_000)) == (
             monte_carlo_risk(sol, cfg, +1, m=5_000)
@@ -148,7 +142,7 @@ class TestRiskReport:
         np.testing.assert_allclose(report.avg_risk, expected_avg, rtol=1e-12)
 
     def test_report_with_monte_carlo(self):
-        cfg = make_config(mu_core=e1(3.0, 200), mu_spur=e1(1.0, 200))
+        cfg = make_config(mu_core=e1_mean(3.0, 200), mu_spur=e1_mean(1.0, 200))
         sol = fitted(cfg)
         report = build_report(sol, cfg, mc_draws=20_000)
         assert report.mc_risk is not None
