@@ -47,8 +47,7 @@ def main():
     ds = sample_dataset(cfg)
     ds.validate()
     print("\nsampled dataset:")
-    print(f"  X shape {ds.X.shape}, minority rows {int((ds.b < 0).sum())}")
-    print(f"  group identity b = y * a holds: {bool(np.all(ds.b == ds.y * ds.a))}")
+    print(f"  X shape {ds.X.shape}, minority rows (b = y * a = -1) {int((ds.b < 0).sum())}")
 
     # the noise block is retained, so X - Q is exactly the rank-2 signal
     signal = ds.X - ds.Q
@@ -58,8 +57,8 @@ def main():
         path = os.path.join(tmp, "demo.bin")
         save_dataset(ds, path)
         back = load_dataset(path)
-        print(f"\nround trip through {os.path.basename(path)}: bitwise equal = "
-              f"{np.array_equal(back.X, ds.X)}")
+        print(f"\nround trip through {os.path.basename(path)} (Q only, labels in the sidecar): "
+              f"X bitwise equal = {np.array_equal(back.X, ds.X)}")
 
 
 if __name__ == "__main__":

@@ -24,11 +24,11 @@ ranges, therefore reproduces the one-shot matrix bit for bit.
 first word of one or more column ranges and draws each word once into one
 window of `_BLOCK_COLS`-column blocks (one reused buffer for one range),
 so a stream holds that window plus its O(n^2) statistics, whatever d is.
-`noise_blocks` is its one range over all d columns.  The config is the
-problem instance and nothing else: tau is
-an argument of the fits and primitives that use it.  Configs
-share their read-only mean vectors instead of copying them, and a loaded
-dataset's X and Q are views of the one buffer read from disk.
+The config is the problem instance and nothing else: tau is an argument
+of the fits and primitives that use it.  Configs share their read-only
+mean vectors instead of copying them.  A dataset stores what is drawn,
+(y, a, Q), and derives X and b = y * a from it; its file holds Q alone,
+and a loaded Q is a view of the buffer read from disk.
 
 Every downstream quantity depends on the noise only through the labels
 and the triple (Q Q', Q u_c, Q u_s), with u_c and u_s the unit core and
@@ -50,6 +50,7 @@ n * dof, from two streams that each serve the draws in order.
 from __future__ import annotations
 
 import ctypes
+import functools
 import json
 import numbers
 import threading
@@ -68,7 +69,6 @@ __all__ = [
     "e1_mean",
     "signal_strengths",
     "sample_labels",
-    "noise_blocks",
     "NoiseStats",
     "noise_stats",
     "noise_stats_many",
@@ -187,23 +187,33 @@ def _freeze_arrays(obj) -> None:
             value.setflags(write=False)
 
 
-def _frozen_mean(mu) -> np.ndarray:
+def _frozen_mean(name: str, block: str, length: int, mu) -> np.ndarray:
     """A read-only float64 copy of mu, or mu itself if a config froze it.
 
+    ValueError naming the field unless mu is length real numbers: a 1-d
+    array of an integer or float dtype (checked by its dtype alone), or a
+    list or tuple whose entries are each a real number and not a bool.
     An array that owns its data and is already read-only is one that
     `ModelConfig` made, so every config derived from it shares it; any
     other input (a list, a view, a writable array) is copied, so a caller
     mutating their own array never reaches a config.
     """
+    if isinstance(mu, np.ndarray):
+        real = mu.dtype.kind in "iuf" and mu.ndim == 1
+    else:
+        real = isinstance(mu, (list, tuple)) and all(
+            isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)) for v in mu
+        )
+    if not real or len(mu) != length:
+        raise ValueError(f"{name} must be a list of {block}={length} real numbers")
     if (
         isinstance(mu, np.ndarray)
-        and mu.ndim == 1
         and mu.dtype == np.float64
         and mu.base is None
         and not mu.flags.writeable
     ):
         return mu
-    mu = np.atleast_1d(np.asarray(mu, dtype=np.float64)).copy()
+    mu = np.array(mu, dtype=np.float64)
     mu.setflags(write=False)
     return mu
 
@@ -218,8 +228,10 @@ class ModelConfig:
         Dimensions of the core and spurious blocks; d = d_core + d_spur.
     mu_core, mu_spur : array_like
         Core class mean (length d_core) and spurious mean (length d_spur),
-        each a multiple of e_1 (`e1_mean`): a nonzero entry past index 0
-        is refused, since a mean's norm is all the model reads of it.
+        each a list or 1-d array of real numbers (bool and string entries
+        are refused) and a multiple of e_1 (`e1_mean`): a nonzero entry
+        past index 0 is refused, since a mean's norm is all the model
+        reads of it.
         Stored as read-only float64 arrays.  A config built from another's
         means (`with_updates`, the points of a minority-weight sweep)
         shares them rather than copying them, so such a sweep holds one
@@ -255,11 +267,9 @@ class ModelConfig:
         if self.d_core < 1 or self.d_spur < 1:
             raise ValueError("d_core and d_spur must be positive")
         for name, block in (("mu_core", "d_core"), ("mu_spur", "d_spur")):
-            mu = _frozen_mean(getattr(self, name))
+            mu = _frozen_mean(name, block, getattr(self, block), getattr(self, name))
             if not np.all(np.isfinite(mu)):
                 raise ValueError(f"{name} must be finite")
-            if mu.ndim != 1 or mu.size != getattr(self, block):
-                raise ValueError(f"{name} must have length {block}={getattr(self, block)}")
             if np.any(mu[1:]):
                 raise ValueError(f"{name} must be a multiple of e_1: an entry past index 0 is nonzero")
             object.__setattr__(self, name, mu)
@@ -321,13 +331,6 @@ class ModelConfig:
         _check_fields("ModelConfig", data, {f.name for f in fields(cls)}, _required_fields(cls))
         return cls(**data)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelConfig":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class SignalStrengths:
@@ -378,30 +381,39 @@ class AssumptionReport:
 
 @dataclass(eq=False)
 class Dataset:
-    """Sampled design matrix with labels, attributes, and retained noise."""
+    """One draw (y, a, Q) of a config: labels, attributes, and the noise.
 
-    X: np.ndarray
+    The design matrix X = y mu_bar_c' + a mu_bar_s' + Q is built from them
+    on first use and kept (`_design_matrix`), and the groups b = y * a are
+    computed on each read; neither is stored apart from the draw, so
+    nothing can disagree with it.
+    """
+
     y: np.ndarray
     a: np.ndarray
-    b: np.ndarray
     Q: np.ndarray
     config: ModelConfig
 
+    @functools.cached_property
+    def X(self) -> np.ndarray:
+        return _design_matrix(self.config, self.y, self.a, self.Q)
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.y * self.a
+
     def validate(self) -> None:
-        """Raise ValueError if any structural invariant fails, X bitwise included."""
+        """Raise ValueError if Q is not n x d, y or a is not an n-vector of
+        signs, or the minority count differs from the config's."""
         cfg = self.config
-        n, d = cfg.n, cfg.d
-        if self.X.shape != (n, d) or self.Q.shape != (n, d):
-            raise ValueError("X and Q must both be n x d")
-        for name, v in (("y", self.y), ("a", self.a), ("b", self.b)):
+        n = cfg.n
+        if self.Q.shape != (n, cfg.d):
+            raise ValueError("Q must be n x d")
+        for name, v in (("y", self.y), ("a", self.a)):
             if v.shape != (n,) or not np.all(np.abs(v) == 1.0):
                 raise ValueError(f"{name} must be an n-vector of signs")
-        if not np.array_equal(self.b, self.y * self.a):
-            raise ValueError("group labels must satisfy b = y * a")
         if int(np.sum(self.b < 0)) != cfg.n_minus:
             raise ValueError("minority count does not match config")
-        if not np.array_equal(_design_matrix(cfg, self.y, self.a, self.Q), self.X):
-            raise ValueError("X does not reconstruct from labels, means, and Q")
 
 
 def e1_mean(scale: float, length: int) -> np.ndarray:
@@ -427,20 +439,19 @@ def signal_strengths(config: ModelConfig) -> SignalStrengths:
     return SignalStrengths(r_plus=nc2 + ns2, r_minus=nc2 - ns2)
 
 
-def sample_labels(config: ModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw (y, a, b) for one dataset.
+def sample_labels(config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (y, a) for one dataset.
 
-    y_i are i.i.d. signs with P(+1) = pi_plus.  b starts as n_plus entries
-    of +1 followed by n_minus entries of -1 and is then shuffled by a
-    seed-driven permutation, so group counts are exact.  a = y * b.
+    y_i are i.i.d. signs with P(+1) = pi_plus.  The groups b start as
+    n_plus entries of +1 followed by n_minus entries of -1 and are then
+    shuffled by a seed-driven permutation, so group counts are exact;
+    a = y * b, so b = y * a.
     """
     rng = philox_generator(config.seed, STREAM_LABELS)
     n = config.n
     y = np.where(rng.random(n) < config.pi_plus, 1.0, -1.0)
     base = np.concatenate([np.ones(config.n_plus), -np.ones(config.n_minus)])
-    b = base[rng.permutation(n)]
-    a = y * b
-    return y, a, b
+    return y, y * base[rng.permutation(n)]
 
 
 def _noise_windows(seed: int, spans, width: int):
@@ -500,26 +511,6 @@ def _noise_windows(seed: int, spans, width: int):
             live = [span for span in live if nxt[span[0]] < span[3]]
 
     return blocks()
-
-
-def _noise_range(config: ModelConfig, j_start: int, j_stop: int, width: int):
-    """Iterator of (j0, block) column blocks of columns [j_start, j_stop) of Q:
-    `_noise_windows` with one span, so one reused buffer of
-    min(width, j_stop - j_start) * n values."""
-    windows = _noise_windows(config.seed, [(None, config.n, j_start, j_stop)], width)
-    return ((j0, blk) for _, j0, blk in windows)
-
-
-def noise_blocks(config: ModelConfig):
-    """Yield (j0, block) column blocks of the n x d noise matrix Q.
-
-    Column j is ndtri applied to words [j*n, (j+1)*n) of the noise stream,
-    so the assembled Q is the same bits at any block width.  This is
-    `_noise_range` over all d columns: one sequential generator and one
-    reused buffer of min(`_BLOCK_COLS`, d) * n values.  A block is valid
-    only until the next step; a caller that keeps one must copy it.
-    """
-    yield from _noise_range(config, 0, config.d, _BLOCK_COLS)
 
 
 # (getter, setter) thread-count symbols: the 64-bit-integer and the plain
@@ -730,7 +721,7 @@ def noise_stats_many(configs) -> tuple[NoiseStats, ...]:
     # the words drawn: the worker's half, and the walk from word 0, where
     # every first half starts
     values = n_top * (d_top - mid) + max(n * j_stop for _, n, _, j_stop in spans)
-    labels = [sample_labels(config)[:2] for config in configs]
+    labels = [sample_labels(config) for config in configs]
     return _assemble(
         configs,
         labels,
@@ -809,19 +800,19 @@ def bartlett_factor(n: int, dof: int, seed: int, draws: int):
 
 
 def sample_dataset(config: ModelConfig) -> Dataset:
-    """Sample a full dataset with X materialized.
+    """Sample a full dataset with its noise Q materialized.
 
-    X = y mu_bar_c' + a mu_bar_s' + Q is Q with y * mu_core[0] added to
-    column 0 and a * mu_spur[0] to column d_core (`_design_matrix`), so it
-    holds two n x d arrays, X and Q, and `Dataset.validate` rebuilds X
-    bit for bit.
+    Q is filled from the noise stream (`_noise_windows` over all d
+    columns, one reused buffer of min(`_BLOCK_COLS`, d) * n values), so
+    the call holds one n x d array.  Column j is ndtri of words [j*n,
+    (j+1)*n), so Q is the same bits at any block width.  X is built from
+    it only when read (`Dataset.X`).
     """
-    y, a, b = sample_labels(config)
+    y, a = sample_labels(config)
     Q = np.empty((config.n, config.d))
-    for j0, blk in noise_blocks(config):
+    for _, j0, blk in _noise_windows(config.seed, [(None, config.n, 0, config.d)], _BLOCK_COLS):
         Q[:, j0 : j0 + blk.shape[1]] = blk
-    del blk  # the last block keeps the stream's buffer alive
-    return Dataset(X=_design_matrix(config, y, a, Q), y=y, a=a, b=b, Q=Q, config=config)
+    return Dataset(y=y, a=a, Q=Q, config=config)
 
 
 def check_assumptions(
@@ -859,50 +850,50 @@ def check_assumptions(
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
-    """Persist X and Q as little-endian float64 with a JSON sidecar.
+    """Persist Q as little-endian float64 with a JSON sidecar.
 
-    The binary file holds X row-major followed by Q row-major; the sidecar
-    at path + '.json' records dimensions, seed, labels, and the config.
+    The binary file holds Q row-major and nothing else; the sidecar at
+    path + '.json' holds the labels y and a and the config, from which
+    `load_dataset` derives everything else.
     """
-    cfg = dataset.config
     with open(path, "wb") as fh:
-        np.ascontiguousarray(dataset.X, dtype="<f8").tofile(fh)
         np.ascontiguousarray(dataset.Q, dtype="<f8").tofile(fh)
     sidecar = {
-        "n": cfg.n,
-        "d": cfg.d,
-        "seed": cfg.seed,
-        "layout": "X then Q, row-major, little-endian float64",
         "y": [int(v) for v in dataset.y],
         "a": [int(v) for v in dataset.a],
-        "b": [int(v) for v in dataset.b],
-        "config": cfg.to_dict(),
+        "config": dataset.config.to_dict(),
     }
     with open(path + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
 
 
+def _sidecar_signs(name: str, value, n: int) -> np.ndarray:
+    """value as a float64 n-vector; ValueError naming the field unless it
+    is a JSON array of n entries, each the integer 1 or -1."""
+    if not (
+        isinstance(value, list)
+        and len(value) == n
+        and all(type(v) is int and v in (1, -1) for v in value)
+    ):
+        raise ValueError(f"sidecar {name} must be a JSON array of n={n} entries, each 1 or -1")
+    return np.array(value, dtype=np.float64)
+
+
 def load_dataset(path: str) -> Dataset:
-    """The dataset `save_dataset` wrote at path; ValueError naming any bad sidecar field."""
+    """The dataset `save_dataset` wrote at path; ValueError naming any bad
+    sidecar field, checked before the binary file is read."""
     with open(path + ".json") as fh:
         sidecar = json.load(fh)
-    names = ("n", "d", "seed", "layout", "y", "a", "b", "config")  # what save_dataset writes
-    _check_fields("sidecar", sidecar, names, ("y", "a", "b", "config"))
+    names = ("y", "a", "config")
+    _check_fields("sidecar", sidecar, names, names)
     config = ModelConfig.from_dict(sidecar["config"])
     n, d = config.n, config.d
-    # one native-order buffer (no copy on a little-endian host); X and Q
-    # are views of it
+    y, a = (_sidecar_signs(name, sidecar[name], n) for name in ("y", "a"))
+    # one native-order buffer (no copy on a little-endian host), Q a view of it
     raw = np.fromfile(path, dtype="<f8").astype(np.float64, copy=False)
-    if raw.size != 2 * n * d:
-        raise ValueError(
-            f"binary payload has {raw.size} floats, expected {2 * n * d}"
-        )
-    X = raw[: n * d].reshape(n, d)
-    Q = raw[n * d :].reshape(n, d)
-    y = np.asarray(sidecar["y"], dtype=np.float64)
-    a = np.asarray(sidecar["a"], dtype=np.float64)
-    b = np.asarray(sidecar["b"], dtype=np.float64)
-    ds = Dataset(X=X, y=y, a=a, b=b, Q=Q, config=config)
+    if raw.size != n * d:
+        raise ValueError(f"binary payload has {raw.size} floats, expected {n * d}")
+    ds = Dataset(y=y, a=a, Q=raw.reshape(n, d), config=config)
     ds.validate()
     return ds

@@ -1,5 +1,8 @@
 """Fixtures and dense oracles shared across the test modules."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,3 +30,16 @@ def dense_means(config):
     mu_bar_c = np.concatenate([config.mu_core, np.zeros(config.d_spur)])
     mu_bar_s = np.concatenate([np.zeros(config.d_core), config.mu_spur])
     return mu_bar_c, mu_bar_s
+
+
+def write_x_then_q_file(ds, path):
+    """Write ds as files were written while they held X: X then Q, and a
+    sidecar with n, d, seed, layout and b beside the labels and config."""
+    with open(path, "wb") as fh:
+        fh.write(ds.X.astype("<f8").tobytes() + ds.Q.astype("<f8").tobytes())
+    cfg = ds.config
+    sidecar = {"n": cfg.n, "d": cfg.d, "seed": cfg.seed,
+               "layout": "X then Q, row-major, little-endian float64",
+               "y": [int(v) for v in ds.y], "a": [int(v) for v in ds.a],
+               "b": [int(v) for v in ds.b], "config": cfg.to_dict()}
+    Path(path + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")

@@ -22,6 +22,8 @@ from grouprisk.primitives import (
     verify_primitives,
 )
 
+from conftest import write_x_then_q_file
+
 
 def never_stream(*args, **kwargs):
     raise AssertionError("noise streamed")
@@ -272,6 +274,60 @@ class TestSampleAndFit:
         assert stdout == ""
         assert message in err
 
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("mu_core", lambda mu: ["5", *mu[1:]]),
+            ("mu_core", lambda mu: [True, *mu[1:]]),
+            ("mu_spur", lambda mu: None),
+            ("mu_spur", lambda mu: 10.0),
+        ],
+        ids=["string-entry", "bool-entry", "null", "scalar"],
+    )
+    def test_mean_that_is_not_a_list_of_reals_exits_before_any_stream(
+        self, field, edit, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(model, "_noise_windows", never_stream)
+        doc = small_config().to_dict()
+        doc[field] = edit(doc[field])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        code, stdout, err = run(["risk", "--config", str(cfg_path)], capsys)
+        block = "d_core" if field == "mu_core" else "d_spur"
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {field} must be a list of {block}=200 real numbers\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(y={"a": 1}), "sidecar y must be a JSON array of n=20 entries, each 1 or -1"),
+            (lambda doc: doc.update(y=[str(v) for v in doc["y"]]), "sidecar y must be a JSON array"),
+            (lambda doc: doc["a"].__setitem__(3, 0), "sidecar a must be a JSON array"),
+            (lambda doc: doc.update(a=[v > 0 for v in doc["a"]]), "sidecar a must be a JSON array"),
+            (lambda doc: doc.update(a=doc["a"] + [1]), "sidecar a must be a JSON array of n=20 entries"),
+        ],
+        ids=["y-object", "y-strings", "a-zero", "a-bools", "a-long"],
+    )
+    def test_bad_sidecar_labels_exit_before_any_stream(self, edit, message, tmp_path, monkeypatch, capsys):
+        out = str(tmp_path / "ds.bin")
+        assert run(["sample", "-n", "20", "-d", "400", "--out", out], capsys)[0] == 0
+        doc = json.loads(Path(out + ".json").read_text())
+        edit(doc)
+        Path(out + ".json").write_text(json.dumps(doc))
+        monkeypatch.setattr(model, "_assemble", never_stream)
+        code, stdout, err = run(["fit", "--data", out], capsys)
+        assert (code, stdout) == (2, "")
+        assert message in err
+
+    def test_file_with_an_x_half_exits_before_any_stream(self, tmp_path, monkeypatch, capsys):
+        # X then Q with the n, d, seed, layout and b sidecar fields
+        out = str(tmp_path / "ds.bin")
+        write_x_then_q_file(sample_dataset(small_config()), out)
+        monkeypatch.setattr(model, "_assemble", never_stream)
+        code, stdout, err = run(["fit", "--data", out], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == "error: unknown sidecar fields: ['b', 'd', 'layout', 'n', 'seed']\n"
+
     def test_config_file_round_trip(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
 
@@ -284,7 +340,7 @@ class TestSampleAndFit:
             n_minus=4,
             seed=8,
         )
-        cfg_path.write_text(cfg.to_json())
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
         code, stdout, _ = run(["fit", "--config", str(cfg_path)], capsys)
         assert code == 0
         assert len(json.loads(stdout)["c"]) == 20
@@ -405,7 +461,7 @@ class TestIgnoredFlags:
     @pytest.mark.parametrize("command", CONFIG_COMMANDS)
     def test_inline_flag_with_config_file(self, command, flag, value, tmp_path, no_stream, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(small_config().to_json())
+        path.write_text(json.dumps(small_config().to_dict()))
         argv = [command, "--config", str(path), flag, value, "--out", str(tmp_path / "out")]
         self.refused(argv, flag, no_stream, capsys)
         assert not (tmp_path / "out").exists()
@@ -424,7 +480,7 @@ class TestIgnoredFlags:
 
     def test_config_file_takes_seed(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(small_config().to_json())
+        path.write_text(json.dumps(small_config().to_dict()))
         assert run(["risk", "--config", str(path), "--seed", "5"], capsys)[0] == 0
 
 

@@ -28,7 +28,6 @@ from grouprisk.model import (
     check_assumptions,
     e1_mean,
     load_dataset,
-    noise_blocks,
     noise_stats,
     philox_generator,
     sample_dataset,
@@ -37,9 +36,9 @@ from grouprisk.model import (
     signal_strengths,
     substream_seed,
 )
-from grouprisk.model import _noise_range, _one_blas_thread
+from grouprisk.model import _noise_windows, _one_blas_thread
 
-from conftest import dense_means
+from conftest import dense_means, write_x_then_q_file
 
 
 def uniforms_at(seed, stream, offset, count):
@@ -47,7 +46,7 @@ def uniforms_at(seed, stream, offset, count):
 
     Philox advances in 4-word counter blocks, so this jumps offset // 4
     blocks and discards offset % 4 draws to land inside a block.  It reads
-    no word before `offset`, unlike the sequential reads of `noise_blocks`,
+    no word before `offset`, unlike the sequential reads of `_noise_windows`,
     and is bit-identical to slicing one long draw.
     """
     gen = philox_generator(seed, stream)
@@ -57,6 +56,18 @@ def uniforms_at(seed, stream, offset, count):
     if r:
         gen.random(r)
     return gen.random(count)
+
+
+def noise_range(cfg, j_start, j_stop, width):
+    """(j0, block) column blocks of columns [j_start, j_stop) of cfg's Q:
+    `_noise_windows` with one span, as `sample_dataset` reads all d."""
+    windows = _noise_windows(cfg.seed, [(None, cfg.n, j_start, j_stop)], width)
+    return ((j0, blk) for _, j0, blk in windows)
+
+
+def json_roundtrip(cfg):
+    """cfg written to JSON text and read back."""
+    return ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
 
 
 def small_config(**overrides):
@@ -148,7 +159,7 @@ class TestModelConfig:
 
     def test_json_roundtrip(self):
         cfg = small_config(delta_plus=0.9, delta_minus=0.25, seed=77)
-        back = ModelConfig.from_json(cfg.to_json())
+        back = json_roundtrip(cfg)
         assert back.seed == 77
         assert back.deltas == (0.9, 0.25)
         np.testing.assert_array_equal(back.mu_core, cfg.mu_core)
@@ -199,6 +210,56 @@ class TestModelConfig:
         assert cfg.pi_plus == float(np.float32(0.25))
 
     @pytest.mark.parametrize("field", ["mu_core", "mu_spur"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda mu: ["5", *mu[1:]],
+            lambda mu: [True, *mu[1:]],
+            lambda mu: [np.bool_(True), *mu[1:]],
+            lambda mu: [[v] for v in mu],
+            lambda mu: [complex(v) for v in mu],
+            lambda mu: None,
+            lambda mu: 10.0,
+            lambda mu: "5",
+            lambda mu: {"0": 5.0},
+            lambda mu: mu[:-1],
+            lambda mu: [*mu, 0.0],
+            lambda mu: np.array(mu) > 0,
+            lambda mu: np.array(mu).astype(str),
+            lambda mu: np.array(mu, dtype=object),
+            lambda mu: np.array(mu, dtype=complex),
+            lambda mu: np.array(mu).reshape(20, 10),
+            lambda mu: np.float64(5.0),
+        ],
+        ids=["str-entry", "bool-entry", "numpy-bool-entry", "nested", "complex-entries", "null",
+             "scalar", "string", "object", "short", "long", "bool-array", "str-array",
+             "object-array", "complex-array", "2d-array", "numpy-scalar"],
+    )
+    def test_rejects_a_mean_that_is_not_a_list_of_reals(self, field, bad):
+        block = "d_core" if field == "mu_core" else "d_spur"
+        mu = bad(e1_mean(5.0, 200).tolist())
+        message = f"^{field} must be a list of {block}=200 real numbers$"
+        with pytest.raises(ValueError, match=message):
+            small_config(**{field: mu})
+
+    @pytest.mark.parametrize(
+        "mu",
+        [
+            [5, *[0] * 199],
+            (5.0, *[0.0] * 199),
+            [np.float32(5.0), *[np.int64(0)] * 199],
+            np.array([5, *[0] * 199], dtype=np.int32),
+            np.array([5, *[0] * 199], dtype=np.uint8),
+            np.array([5, *[0] * 199], dtype=np.float32),
+        ],
+        ids=["ints", "tuple", "numpy-scalars", "int32-array", "uint8-array", "float32-array"],
+    )
+    def test_real_means_of_any_real_type_are_stored_as_float64(self, mu):
+        cfg = small_config(mu_spur=mu)
+        assert cfg.mu_spur.dtype == np.float64 and not cfg.mu_spur.flags.writeable
+        assert cfg.mu_spur.tobytes() == e1_mean(5.0, 200).tobytes()
+
+    @pytest.mark.parametrize("field", ["mu_core", "mu_spur"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_means(self, field, bad):
         mu = e1_mean(7.0, 200)
@@ -215,7 +276,7 @@ class TestModelConfig:
         )
         for name in ("d_core", "n_plus", "n_minus", "seed"):
             assert type(getattr(cfg, name)) is int, name
-        back = ModelConfig.from_json(cfg.to_json())
+        back = json_roundtrip(cfg)
         assert back.seed == 2**64 - 1
         assert back.to_dict() == cfg.to_dict()
 
@@ -242,14 +303,14 @@ class TestModelConfig:
             ModelConfig.from_dict(doc)
 
     def test_from_dict_refuses_tau(self):
-        payload = json.loads(small_config().to_json())
+        payload = small_config().to_dict()
         assert "tau" not in payload
         payload["tau"] = 0.0
         with pytest.raises(ValueError, match=r"unknown ModelConfig fields: \['tau'\]"):
             ModelConfig.from_dict(payload)
 
     def test_from_dict_rejects_unknown_fields(self):
-        payload = json.loads(small_config().to_json())
+        payload = small_config().to_dict()
         payload["bogus"] = 1
         with pytest.raises(ValueError):
             ModelConfig.from_dict(payload)
@@ -275,11 +336,12 @@ class TestSampling:
     def test_label_counts_exact(self):
         for seed in range(5):
             cfg = small_config(seed=seed)
-            y, a, b = sample_labels(cfg)
+            y, a = sample_labels(cfg)
+            b = y * a
             assert int((b == 1).sum()) == 16
             assert int((b == -1).sum()) == 4
-            np.testing.assert_array_equal(a, y * b)
             assert set(np.unique(y)) <= {1.0, -1.0}
+            assert set(np.unique(a)) <= {1.0, -1.0}
 
     def test_labels_deterministic_in_seed(self):
         cfg = small_config(seed=9)
@@ -290,12 +352,10 @@ class TestSampling:
 
     def test_noise_blocks_bit_identical_across_block_sizes(self):
         cfg = small_config()
-        full = np.empty((cfg.n, cfg.d))
-        for j0, blk in noise_blocks(cfg):
-            full[:, j0 : j0 + blk.shape[1]] = blk
+        full = sample_dataset(cfg).Q
         for cols in (1, 7, 64, 4096):
             ragged = np.empty_like(full)
-            for j0, blk in _noise_range(cfg, 0, cfg.d, cols):
+            for j0, blk in noise_range(cfg, 0, cfg.d, cols):
                 ragged[:, j0 : j0 + blk.shape[1]] = blk
             np.testing.assert_array_equal(ragged, full)
 
@@ -305,7 +365,7 @@ class TestSampling:
         cfg = small_config()
         n = cfg.n
         for cols in (1, 7, 64, 4096):
-            for j0, blk in _noise_range(cfg, 0, cfg.d, cols):
+            for j0, blk in noise_range(cfg, 0, cfg.d, cols):
                 m = blk.shape[1]
                 u = uniforms_at(cfg.seed, STREAM_NOISE, j0 * n, m * n)
                 ref = ndtri(np.maximum(u, 2.0**-53)).reshape(m, n).T
@@ -313,7 +373,7 @@ class TestSampling:
 
     def test_successive_noise_blocks_reuse_one_buffer(self):
         cfg = small_config()
-        blocks = _noise_range(cfg, 0, cfg.d, 64)
+        blocks = noise_range(cfg, 0, cfg.d, 64)
         _, first = next(blocks)
         _, second = next(blocks)
         assert np.shares_memory(first, second)
@@ -335,10 +395,8 @@ class TestSampling:
             tracemalloc.stop()
         assert peak < 1.5 * block_bytes + 4 * 8 * (n * n + d)
 
-    def test_sample_dataset_holds_two_n_by_d_arrays(self):
-        # Q and X: X is a copy of Q with two columns shifted, so no outer
-        # product is made, and the stream's buffer is released before X is
-        # built
+    def test_sample_dataset_holds_one_n_by_d_array(self):
+        # Q and the stream's one n x 1024 buffer: X is not built until read
         half = 2000
         cfg = small_config(d_core=half, d_spur=half, mu_core=e1_mean(14.0, half),
                            mu_spur=e1_mean(7.0, half), n_plus=80, n_minus=20)
@@ -348,7 +406,7 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * 8 * cfg.n * cfg.d
+        assert peak < 1.5 * 8 * cfg.n * cfg.d
 
     @pytest.mark.parametrize(
         "core, spur", [(14.0, 7.0), (-14.0, 7.0), (14.0, -7.0), (-3.0, 0.0), (0.0, 0.0)]
@@ -421,16 +479,40 @@ class TestSampling:
 
     def test_validate_catches_tampering(self):
         ds = sample_dataset(small_config())
-        bad = Dataset(
-            X=ds.X.copy(),
-            y=ds.y,
-            a=ds.a,
-            b=-ds.b,
-            Q=ds.Q,
-            config=ds.config,
-        )
-        with pytest.raises(ValueError):
-            bad.validate()
+        fields = dict(y=ds.y, a=ds.a, Q=ds.Q, config=ds.config)
+        for edit, message in (
+            (dict(a=-ds.a), "minority count does not match config"),
+            (dict(y=np.where(ds.y > 0, 1.0, 0.0)), "y must be an n-vector of signs"),
+            (dict(a=ds.a[1:]), "a must be an n-vector of signs"),
+            (dict(Q=ds.Q[:, 1:]), "Q must be n x d"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                Dataset(**{**fields, **edit}).validate()
+
+    def test_b_is_y_times_a(self):
+        ds = sample_dataset(small_config(seed=5))
+        assert ds.b.tobytes() == (ds.y * ds.a).tobytes()
+        assert int((ds.b < 0).sum()) == ds.config.n_minus
+
+    def test_x_is_built_once_with_the_parents_bits(self, monkeypatch):
+        # X is Q with y * mu_core[0] added to column 0 and a * mu_spur[0]
+        # to column d_core, from a Q assembled off the word-offset oracle:
+        # the same additions on the same bits as when X was stored
+        cfg = small_config(d_core=150, d_spur=250, mu_core=e1_mean(14.0, 150),
+                           mu_spur=e1_mean(-7.0, 250))
+        ds = sample_dataset(cfg)
+        n, d = cfg.n, cfg.d
+        Q = ndtri(np.maximum(uniforms_at(cfg.seed, STREAM_NOISE, 0, n * d), 2.0**-53)).reshape(d, n).T
+        expected = Q.copy()
+        expected[:, 0] += ds.y * 14.0
+        expected[:, 150] += ds.a * -7.0
+        builds = []
+        design = model._design_matrix
+        monkeypatch.setattr(model, "_design_matrix", lambda *args: builds.append(1) or design(*args))
+        assert ds.Q.tobytes() == np.ascontiguousarray(Q).tobytes()
+        assert ds.X.tobytes() == expected.tobytes()
+        assert ds.X is ds.X
+        assert builds == [1]
 
 
 class TestTwoHalfStream:
@@ -438,18 +520,17 @@ class TestTwoHalfStream:
     def test_noise_range_halves_concatenate_to_noise_blocks(self, n_plus):
         cfg = small_config(n_plus=n_plus)
         n, d = cfg.n, cfg.d
-        (_, full), = noise_blocks(cfg)  # d < _BLOCK_COLS: one block
-        full = full.copy()
+        full = sample_dataset(cfg).Q
         for h in (0, 1, 2, 3, 5, 199, 201, d - 1, d):
             for cols in (1, 7, 64):
                 got = np.full((n, d), np.nan)
                 for lo, hi in ((0, h), (h, d)):
-                    for j0, blk in _noise_range(cfg, lo, hi, cols):
+                    for j0, blk in noise_range(cfg, lo, hi, cols):
                         got[:, j0 : j0 + blk.shape[1]] = blk
                 np.testing.assert_array_equal(got, full)
             if h < d:
                 # the upper range starts at word h*n, mid counter block when h*n % 4 != 0
-                j0, blk = next(_noise_range(cfg, h, d, 7))
+                j0, blk = next(noise_range(cfg, h, d, 7))
                 u = uniforms_at(cfg.seed, STREAM_NOISE, h * n, blk.shape[1] * n)
                 assert j0 == h
                 np.testing.assert_array_equal(blk, ndtri(np.maximum(u, 2.0**-53)).reshape(-1, n).T)
@@ -770,24 +851,30 @@ class TestPersistence:
         ds = sample_dataset(small_config(seed=21, delta_plus=0.9, delta_minus=0.3))
         path = str(tmp_path / "ds.bin")
         save_dataset(ds, path)
-        with open(path, "rb") as fh:
-            assert fh.read() == ds.X.astype("<f8").tobytes() + ds.Q.astype("<f8").tobytes()
+        # the file is Q's little-endian float64 bytes and nothing else
+        assert Path(path).read_bytes() == ds.Q.astype("<f8").tobytes()
+        sidecar = json.loads(Path(path + ".json").read_text())
+        assert sorted(sidecar) == ["a", "config", "y"]
         back = load_dataset(path)
-        np.testing.assert_array_equal(back.X, ds.X)
-        np.testing.assert_array_equal(back.Q, ds.Q)
-        np.testing.assert_array_equal(back.b, ds.b)
-        assert back.config.seed == 21
+        for name in ("y", "a", "Q", "X", "b"):
+            assert getattr(back, name).tobytes() == getattr(ds, name).tobytes(), name
+        assert back.config.to_dict() == ds.config.to_dict()
         assert back.config.deltas == (0.9, 0.3)
 
-    def test_load_returns_views_of_one_buffer(self, tmp_path):
+    def test_loaded_q_is_a_view_of_the_read_buffer(self, tmp_path):
         path = str(tmp_path / "ds.bin")
         save_dataset(sample_dataset(small_config()), path)
         back = load_dataset(path)
-        assert back.X.base is not None and back.X.base is back.Q.base
-        # a 1-ulp change to the loaded X still fails validation
-        back.X[0, 0] = np.nextafter(back.X[0, 0], -np.inf)
-        with pytest.raises(ValueError, match="reconstruct"):
-            back.validate()
+        assert back.Q.base is not None and back.Q.base.size == back.Q.size
+
+    def test_file_with_an_x_half_and_the_old_sidecar_is_refused(self, tmp_path):
+        # X then Q, with n, d, seed, layout and b in the sidecar
+        ds = sample_dataset(small_config())
+        path = str(tmp_path / "ds.bin")
+        write_x_then_q_file(ds, path)
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown sidecar fields: ['b', 'd', 'layout', 'n', 'seed']")):
+            load_dataset(path)
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -796,8 +883,17 @@ class TestPersistence:
             (lambda doc: doc.pop("y"), "missing sidecar fields: ['y']"),
             (lambda doc: doc.update(tau=0.0), "unknown sidecar fields: ['tau']"),
             (lambda doc: doc["config"]["mu_core"].__setitem__(3, 0.5), "mu_core must be a multiple of e_1"),
+            (lambda doc: doc.update(y={"a": 1}), "sidecar y must be a JSON array of n=20 entries, each 1 or -1"),
+            (lambda doc: doc.update(y=[str(v) for v in doc["y"]]), "sidecar y must be a JSON array"),
+            (lambda doc: doc.update(a=[float(v) for v in doc["a"]]), "sidecar a must be a JSON array"),
+            (lambda doc: doc.update(a=[v == 1 for v in doc["a"]]), "sidecar a must be a JSON array"),
+            (lambda doc: doc["a"].__setitem__(0, 0), "sidecar a must be a JSON array"),
+            (lambda doc: doc["y"].pop(), "sidecar y must be a JSON array of n=20 entries"),
+            (lambda doc: doc.update(a=None), "sidecar a must be a JSON array"),
+            (lambda doc: doc.update(a=[-v for v in doc["a"]]), "minority count does not match config"),
         ],
-        ids=["no-config", "no-y", "unknown", "dense-mean"],
+        ids=["no-config", "no-y", "unknown", "dense-mean", "y-object", "y-strings", "a-floats",
+             "a-bools", "a-zero", "y-short", "a-null", "a-flipped"],
     )
     def test_malformed_sidecar_names_the_field(self, edit, message, tmp_path):
         path = str(tmp_path / "ds.bin")

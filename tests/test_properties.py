@@ -151,10 +151,10 @@ def test_config_json_roundtrip(cfg, numpy_ints):
             n_minus=np.int32(cfg.n_minus),
             seed=np.uint64(cfg.seed),
         )
-    text = cfg.to_json()
-    back = ModelConfig.from_json(text)
+    text = json.dumps(cfg.to_dict())
+    back = ModelConfig.from_dict(json.loads(text))
     assert back.to_dict() == cfg.to_dict()
-    assert back.to_json() == text
+    assert json.dumps(back.to_dict()) == text
 
 
 @st.composite
