@@ -36,7 +36,7 @@ from .model import (
     Dataset,
     ModelConfig,
     NoiseStats,
-    _check_int,
+    _check_count,
     _check_positive,
     _freeze_arrays,
     noise_stats,
@@ -97,8 +97,8 @@ class GramStats:
         order n / (d + tau), which would leave the normal range and round
         differently in the two primitive modes.
         """
-        m_1 = _mean_norm(config.mu_spur)
-        m_2 = _mean_norm(config.mu_core)
+        m_1 = _mean_norm(config.mu_spur[0])
+        m_2 = _mean_norm(config.mu_core[0])
         return cls(
             y=noise.y,
             a=noise.a,
@@ -165,9 +165,9 @@ class GramStats:
 _MEAN_SQ_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
-def _mean_norm(mu) -> float:
-    """|mu|, or 0.0 when |mu|^2 < `_MEAN_SQ_FLOOR`."""
-    m = float(np.linalg.norm(mu))
+def _mean_norm(scale) -> float:
+    """|scale|, or 0.0 when scale^2 < `_MEAN_SQ_FLOOR`."""
+    m = abs(float(scale))
     return 0.0 if m * m < _MEAN_SQ_FLOOR else m
 
 
@@ -320,9 +320,7 @@ def fit_gd(
     positive and iters an integer >= 1, RuntimeError if the loss increases
     10 consecutive iterations.
     """
-    iters = _check_int("iters", iters)
-    if iters < 1:
-        raise ValueError("iters must be at least 1")
+    iters = _check_count("iters", iters)
     if step is not None:
         step = _check_positive("step", step)
     z, _ = _adjusted_targets(stats, delta)

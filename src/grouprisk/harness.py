@@ -54,8 +54,8 @@ from .bounds import bound_exponent
 from .estimators import GramStats, _check_tau
 from .model import (
     ModelConfig,
+    _check_count,
     _check_fields,
-    _check_int,
     _one_blas_thread,
     _required_fields,
     e1_mean,
@@ -112,10 +112,11 @@ class SweepSpec:
     name: str = "sweep"
 
     def __post_init__(self):
-        trials = _check_int("trials", self.trials)
-        if trials < 1:
-            raise ValueError("trials must be at least 1")
-        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "trials", _check_count("trials", self.trials))
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {type(self.name).__name__}")
+        if not isinstance(self.out_path, (str, type(None))):
+            raise ValueError(f"out_path must be a string or null, got {type(self.out_path).__name__}")
         methods = []
         for entry in self.methods:
             mname, tau = entry

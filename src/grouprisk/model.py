@@ -53,6 +53,7 @@ import ctypes
 import functools
 import json
 import numbers
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -187,33 +188,29 @@ def _freeze_arrays(obj) -> None:
             value.setflags(write=False)
 
 
+def _check_count(name: str, value) -> int:
+    """value as an int; ValueError unless it is an integer of at least 1."""
+    value = _check_int(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
+
+
 def _frozen_mean(name: str, block: str, length: int, mu) -> np.ndarray:
     """A read-only float64 copy of mu, or mu itself if a config froze it.
 
-    ValueError naming the field unless mu is length real numbers: a 1-d
-    array of an integer or float dtype (checked by its dtype alone), or a
-    list or tuple whose entries are each a real number and not a bool.
-    An array that owns its data and is already read-only is one that
-    `ModelConfig` made, so every config derived from it shares it; any
-    other input (a list, a view, a writable array) is copied, so a caller
-    mutating their own array never reaches a config.
+    ValueError naming the field unless mu is a 1-d array of length
+    entries and an integer or float dtype (checked by its dtype alone; a
+    list is refused).  An array that owns its data and is already
+    read-only is one that `ModelConfig` made, so every config derived
+    from it shares it; any other array (a view, a writable array) is
+    copied, so a caller mutating their own array never reaches a config.
     """
-    if isinstance(mu, np.ndarray):
-        real = mu.dtype.kind in "iuf" and mu.ndim == 1
-    else:
-        real = isinstance(mu, (list, tuple)) and all(
-            isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)) for v in mu
-        )
-    if not real or len(mu) != length:
-        raise ValueError(f"{name} must be a list of {block}={length} real numbers")
-    if (
-        isinstance(mu, np.ndarray)
-        and mu.dtype == np.float64
-        and mu.base is None
-        and not mu.flags.writeable
-    ):
+    if not (isinstance(mu, np.ndarray) and mu.dtype.kind in "iuf" and mu.shape == (length,)):
+        raise ValueError(f"{name} must be a 1-d integer or float array of {block}={length} entries")
+    if mu.dtype == np.float64 and mu.base is None and not mu.flags.writeable:
         return mu
-    mu = np.array(mu, dtype=np.float64)
+    mu = mu.astype(np.float64)
     mu.setflags(write=False)
     return mu
 
@@ -226,12 +223,12 @@ class ModelConfig:
     ----------
     d_core, d_spur : int
         Dimensions of the core and spurious blocks; d = d_core + d_spur.
-    mu_core, mu_spur : array_like
+    mu_core, mu_spur : np.ndarray
         Core class mean (length d_core) and spurious mean (length d_spur),
-        each a list or 1-d array of real numbers (bool and string entries
-        are refused) and a multiple of e_1 (`e1_mean`): a nonzero entry
-        past index 0 is refused, since a mean's norm is all the model
-        reads of it.
+        each a 1-d integer or float array (a list is refused) and a
+        multiple of e_1 (`e1_mean`): a nonzero entry past index 0 is
+        refused, since a mean's norm is all the model reads of it, and
+        only its scale, entry 0, is read or written to a file.
         Stored as read-only float64 arrays.  A config built from another's
         means (`with_updates`, the points of a minority-weight sweep)
         shares them rather than copying them, so such a sweep holds one
@@ -260,12 +257,10 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("d_core", "d_spur", "n_plus", "n_minus"):
-            object.__setattr__(self, name, _check_int(name, getattr(self, name)))
+            object.__setattr__(self, name, _check_count(name, getattr(self, name)))
         object.__setattr__(self, "seed", _check_seed(self.seed))
         for name in ("pi_plus", "delta_plus", "delta_minus"):
             object.__setattr__(self, name, _check_positive(name, getattr(self, name)))
-        if self.d_core < 1 or self.d_spur < 1:
-            raise ValueError("d_core and d_spur must be positive")
         for name, block in (("mu_core", "d_core"), ("mu_spur", "d_spur")):
             mu = _frozen_mean(name, block, getattr(self, block), getattr(self, name))
             if not np.all(np.isfinite(mu)):
@@ -273,14 +268,11 @@ class ModelConfig:
             if np.any(mu[1:]):
                 raise ValueError(f"{name} must be a multiple of e_1: an entry past index 0 is nonzero")
             object.__setattr__(self, name, mu)
-        if self.n_plus < 1 or self.n_minus < 1:
-            raise ValueError("group counts must be positive")
         if self.n_plus < self.n_minus:
             raise ValueError("n_plus must be at least n_minus")
         if self.d < self.n:
             raise ValueError(f"need d >= n, got d={self.d} < n={self.n}")
-        nc2 = float(self.mu_core @ self.mu_core)
-        ns2 = float(self.mu_spur @ self.mu_spur)
+        nc2, ns2 = (x * x for x in (float(self.mu_core[0]), float(self.mu_spur[0])))
         if nc2 < ns2:
             raise ValueError(
                 f"core signal must dominate: |mu_core|^2={nc2:g} < |mu_spur|^2={ns2:g}"
@@ -311,11 +303,12 @@ class ModelConfig:
         return replace(self, **changes)
 
     def to_dict(self) -> dict:
+        """The config as a JSON object; each mean is its scale, entry 0."""
         return {
             "d_core": self.d_core,
             "d_spur": self.d_spur,
-            "mu_core": [float(v) for v in self.mu_core],
-            "mu_spur": [float(v) for v in self.mu_spur],
+            "mu_core": float(self.mu_core[0]),
+            "mu_spur": float(self.mu_spur[0]),
             "n_plus": self.n_plus,
             "n_minus": self.n_minus,
             "pi_plus": self.pi_plus,
@@ -327,9 +320,18 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
         """The config of a `to_dict` document; ValueError naming any
-        unknown or missing key, or for a document that is not an object."""
+        unknown or missing key, for a document that is not an object, and
+        for a mean that is not a number (named by its type, not its value)."""
         _check_fields("ModelConfig", data, {f.name for f in fields(cls)}, _required_fields(cls))
-        return cls(**data)
+        means = {}
+        for name, block in (("mu_core", "d_core"), ("mu_spur", "d_spur")):
+            scale = data[name]
+            if isinstance(scale, (bool, np.bool_)) or not isinstance(scale, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {type(scale).__name__}")
+            if isinstance(scale, int) and abs(scale) > sys.float_info.max:  # a JSON integer
+                raise ValueError(f"{name} must be finite")
+            means[name] = e1_mean(scale, _check_count(block, data[block]))
+        return cls(**{**data, **means})
 
 
 @dataclass(frozen=True)
@@ -434,8 +436,7 @@ def _design_matrix(config: ModelConfig, y: np.ndarray, a: np.ndarray, Q: np.ndar
 
 
 def signal_strengths(config: ModelConfig) -> SignalStrengths:
-    nc2 = float(config.mu_core @ config.mu_core)
-    ns2 = float(config.mu_spur @ config.mu_spur)
+    nc2, ns2 = (x * x for x in (float(config.mu_core[0]), float(config.mu_spur[0])))
     return SignalStrengths(r_plus=nc2 + ns2, r_minus=nc2 - ns2)
 
 
@@ -828,11 +829,11 @@ def check_assumptions(
     c_const = _check_positive("c_const", c_const)
     n, d = config.n, config.d
     r_plus = signal_strengths(config).r_plus
-    core_sq = float(config.mu_core @ config.mu_core)
+    core = float(config.mu_core[0])
     log_inv = np.log(1.0 / delta)
     log_nd = np.log(n / delta)
     slack_a = np.inf if log_inv == 0.0 else n / (c_const * log_inv)
-    slack_b = core_sq / (c_const * n * log_nd)
+    slack_b = core * core / (c_const * n * log_nd)
     slack_c = np.inf if r_plus == 0.0 else d / (c_const * r_plus * n)
     slack_d = d / (c_const * n * n * log_nd)
     return AssumptionReport(
@@ -853,7 +854,8 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     """Persist Q as little-endian float64 with a JSON sidecar.
 
     The binary file holds Q row-major and nothing else; the sidecar at
-    path + '.json' holds the labels y and a and the config, from which
+    path + '.json' holds the labels y and a and the config (each mean as
+    its scale, so the sidecar does not grow with d), from which
     `load_dataset` derives everything else.
     """
     with open(path, "wb") as fh:

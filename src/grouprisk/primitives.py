@@ -68,7 +68,7 @@ from scipy.linalg import LinAlgError
 
 from .bounds import _adjusted_counts
 from .estimators import GramStats, _adjusted_targets, _check_tau, _spd_factor, _spd_solve, fit_ridge
-from .model import ModelConfig, _check_int, _check_seed, bartlett_factor, e1_mean
+from .model import ModelConfig, _check_count, _check_int, _check_seed, bartlett_factor, e1_mean
 
 __all__ = [
     "PrimitiveSet",
@@ -370,9 +370,7 @@ def risk_identity_check(prims: PrimitiveSet, sol, b: int) -> float:
 def _check_wishart_args(d, n, t) -> None:
     """ValueError unless d and n are integers with n >= 1 and t is finite and nonnegative."""
     _check_int("d", d)
-    _check_int("n", n)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_count("n", n)
     if not (np.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
 
@@ -439,9 +437,7 @@ def wishart_coverage(
     coverage 1 - 2 e^{-t}.  Raises ValueError for a seed that is not a
     64-bit unsigned integer.
     """
-    draws = _check_int("draws", draws)
-    if draws < 1:
-        raise ValueError("draws must be at least 1")
+    draws = _check_count("draws", draws)
     seed = _check_seed(seed)
     low, high = wishart_interval(d, n, t)
     inside = sum(
@@ -638,7 +634,7 @@ AUX_C_TILDE = 2.01
 def check_aux_inequalities(config: ModelConfig) -> AuxInequalityReport:
     """Evaluate both scalar inequalities at the config's weights."""
     n = config.n
-    mu_c_norm = float(np.linalg.norm(config.mu_core))
+    mu_c_norm = abs(float(config.mu_core[0]))
     n_delta, n_mixed = _adjusted_counts(config.n_plus, config.n_minus, config.deltas)
     realized = 0.5 * n_mixed * mu_c_norm / np.sqrt(n * n_delta)
     reference = np.sqrt(config.n_minus / n) * mu_c_norm / 2.0

@@ -34,12 +34,15 @@ def dense_means(config):
 
 def write_x_then_q_file(ds, path):
     """Write ds as files were written while they held X: X then Q, and a
-    sidecar with n, d, seed, layout and b beside the labels and config."""
+    sidecar with n, d, seed, layout and b beside the labels and a config
+    that holds each mean as its d-long list."""
     with open(path, "wb") as fh:
         fh.write(ds.X.astype("<f8").tobytes() + ds.Q.astype("<f8").tobytes())
     cfg = ds.config
     sidecar = {"n": cfg.n, "d": cfg.d, "seed": cfg.seed,
                "layout": "X then Q, row-major, little-endian float64",
                "y": [int(v) for v in ds.y], "a": [int(v) for v in ds.a],
-               "b": [int(v) for v in ds.b], "config": cfg.to_dict()}
+               "b": [int(v) for v in ds.b],
+               "config": {**cfg.to_dict(), "mu_core": cfg.mu_core.tolist(),
+                          "mu_spur": cfg.mu_spur.tolist()}}
     Path(path + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")

@@ -231,8 +231,8 @@ class TestSampleAndFit:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("mu_core", "dense", "mu_core must be a multiple of e_1: an entry past index 0 is nonzero"),
-            ("mu_spur", "dense", "mu_spur must be a multiple of e_1: an entry past index 0 is nonzero"),
+            ("mu_core", "dense", "mu_core must be a number, got list"),
+            ("mu_spur", "dense", "mu_spur must be a number, got list"),
             ("delta_minus", "0.5", "delta_minus must be finite and positive, got '0.5'"),
             ("delta_minus", None, "delta_minus must be finite and positive, got None"),
             ("delta_plus", True, "delta_plus must be finite and positive, got True"),
@@ -244,7 +244,8 @@ class TestSampleAndFit:
     ):
         monkeypatch.setattr(model, "_noise_windows", never_stream)
         doc = small_config().to_dict()
-        doc[field] = [1.0] * len(doc[field]) if value == "dense" else value
+        # "dense": a d-long list, as files held each mean before they held its scale
+        doc[field] = [1.0] * 200 if value == "dense" else value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         code, stdout, err = run(["risk", "--config", str(cfg_path)], capsys)
@@ -257,8 +258,8 @@ class TestSampleAndFit:
         [
             (lambda doc: {k: v for k, v in doc.items() if k != "config"},
              "missing sidecar fields: ['config']"),
-            (lambda doc: doc["config"]["mu_spur"].__setitem__(7, -0.25) or doc,
-             "mu_spur must be a multiple of e_1: an entry past index 0 is nonzero"),
+            (lambda doc: doc["config"].update(mu_spur=[doc["config"]["mu_spur"]] + [0.0] * 199) or doc,
+             "mu_spur must be a number, got list"),
             (lambda doc: [doc], "sidecar must be a JSON object, got list"),
         ],
         ids=["no-config", "dense-mean", "array"],
@@ -275,27 +276,30 @@ class TestSampleAndFit:
         assert message in err
 
     @pytest.mark.parametrize(
-        "field, edit",
+        "field, value, message",
         [
-            ("mu_core", lambda mu: ["5", *mu[1:]]),
-            ("mu_core", lambda mu: [True, *mu[1:]]),
-            ("mu_spur", lambda mu: None),
-            ("mu_spur", lambda mu: 10.0),
+            ("mu_core", "5", "mu_core must be a number, got str"),
+            ("mu_core", True, "mu_core must be a number, got bool"),
+            ("mu_spur", None, "mu_spur must be a number, got NoneType"),
+            ("mu_spur", 10**400, "mu_spur must be finite"),
+            ("mu_core", e1_mean(10.0, 200).tolist(), "mu_core must be a number, got list"),
+            ("mu_spur", {"0": 5.0}, "mu_spur must be a number, got dict"),
         ],
-        ids=["string-entry", "bool-entry", "null", "scalar"],
+        ids=["string-entry", "bool-entry", "null", "scalar", "list", "object"],
     )
     def test_mean_that_is_not_a_list_of_reals_exits_before_any_stream(
-        self, field, edit, tmp_path, monkeypatch, capsys
+        self, field, value, message, tmp_path, monkeypatch, capsys
     ):
+        # a file holds each mean as its scale, one JSON number ("scalar" is
+        # an integer past the float range, "list" the format written before)
         monkeypatch.setattr(model, "_noise_windows", never_stream)
         doc = small_config().to_dict()
-        doc[field] = edit(doc[field])
+        doc[field] = value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         code, stdout, err = run(["risk", "--config", str(cfg_path)], capsys)
-        block = "d_core" if field == "mu_core" else "d_spur"
         assert (code, stdout) == (2, "")
-        assert err == f"error: {field} must be a list of {block}=200 real numbers\n"
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -812,6 +816,31 @@ class TestSweepCommand:
         assert stdout == ""
         assert f"error: {message}\n" == err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("out_path", 1, "out_path must be a string or null, got int"),
+            ("out_path", ["a"], "out_path must be a string or null, got list"),
+            ("name", 7, "name must be a string, got int"),
+            ("name", None, "name must be a string, got NoneType"),
+        ],
+    )
+    def test_sweep_spec_non_string_name_or_out_path_exits_before_any_stream(
+        self, key, value, message, tmp_path, monkeypatch, capsys
+    ):
+        # an int out_path would be opened as a file descriptor and a bad name
+        # would go into every run_id; no --out, so the spec's out_path is the one read
+        monkeypatch.setattr(model, "_noise_windows", never_stream)
+        spec_path = self.spec_file(tmp_path)
+        doc = json.loads(Path(spec_path).read_text())
+        doc[key] = value
+        Path(spec_path).write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(["sweep", "--spec", spec_path], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
     def test_sweep_bool_tau_spec_is_usage_error(self, tmp_path, capsys):
         spec_path = self.spec_file(tmp_path)

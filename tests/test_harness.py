@@ -97,6 +97,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=rf"unknown \w+ fields: \['{key}'\]"):
             SweepSpec.from_dict(doc)
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_round_trips_through_json_at_a_size_free_of_d(self, name):
+        # each mean is written as its scale, so d = 100000 costs no bytes
+        spec = preset(name, seed=2**64 - 1, trials=3)
+        text = json.dumps(spec.to_dict())
+        assert len(text) < 2048
+        back = SweepSpec.from_dict(json.loads(text))
+        assert back.base.to_dict() == spec.base.to_dict()
+        for mean in ("mu_core", "mu_spur"):
+            assert getattr(back.base, mean).tobytes() == getattr(spec.base, mean).tobytes()
+        assert back.axis == spec.axis
+        assert back.methods == spec.methods
+        assert back.to_dict() == spec.to_dict()
+
     @pytest.mark.parametrize(
         "where, key",
         [("top", "base"), ("top", "axis"), ("axis", "name"), ("axis", "values"),

@@ -222,8 +222,8 @@ class TestModelConfig:
             lambda mu: 10.0,
             lambda mu: "5",
             lambda mu: {"0": 5.0},
-            lambda mu: mu[:-1],
-            lambda mu: [*mu, 0.0],
+            lambda mu: np.array(mu[:-1]),
+            lambda mu: np.array([*mu, 0.0]),
             lambda mu: np.array(mu) > 0,
             lambda mu: np.array(mu).astype(str),
             lambda mu: np.array(mu, dtype=object),
@@ -236,28 +236,88 @@ class TestModelConfig:
              "object-array", "complex-array", "2d-array", "numpy-scalar"],
     )
     def test_rejects_a_mean_that_is_not_a_list_of_reals(self, field, bad):
+        # the constructor takes a mean only as a 1-d integer or float array
+        # of the block's length: lists of bad entries are refused as lists
         block = "d_core" if field == "mu_core" else "d_spur"
         mu = bad(e1_mean(5.0, 200).tolist())
-        message = f"^{field} must be a list of {block}=200 real numbers$"
+        message = f"^{field} must be a 1-d integer or float array of {block}=200 entries$"
+        with pytest.raises(ValueError, match=message):
+            small_config(**{field: mu})
+
+    @pytest.mark.parametrize("field", ["mu_core", "mu_spur"])
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_constructor_refuses_a_list(self, field, container):
+        block = "d_core" if field == "mu_core" else "d_spur"
+        mu = container(e1_mean(5.0, 200).tolist())
+        message = f"^{field} must be a 1-d integer or float array of {block}=200 entries$"
         with pytest.raises(ValueError, match=message):
             small_config(**{field: mu})
 
     @pytest.mark.parametrize(
-        "mu",
+        "config",
         [
-            [5, *[0] * 199],
-            (5.0, *[0.0] * 199),
-            [np.float32(5.0), *[np.int64(0)] * 199],
-            np.array([5, *[0] * 199], dtype=np.int32),
-            np.array([5, *[0] * 199], dtype=np.uint8),
-            np.array([5, *[0] * 199], dtype=np.float32),
+            lambda: ModelConfig.from_dict({**small_config().to_dict(), "mu_spur": 5}),
+            lambda: ModelConfig.from_dict({**small_config().to_dict(), "mu_spur": np.float32(5.0)}),
+            lambda: small_config(mu_spur=np.array([5, *[0] * 199], dtype=np.int32)),
+            lambda: small_config(mu_spur=np.array([5, *[0] * 199], dtype=np.uint8)),
+            lambda: small_config(mu_spur=np.array([5, *[0] * 199], dtype=np.float32)),
         ],
-        ids=["ints", "tuple", "numpy-scalars", "int32-array", "uint8-array", "float32-array"],
+        ids=["ints", "numpy-scalars", "int32-array", "uint8-array", "float32-array"],
     )
-    def test_real_means_of_any_real_type_are_stored_as_float64(self, mu):
-        cfg = small_config(mu_spur=mu)
+    def test_real_means_of_any_real_type_are_stored_as_float64(self, config):
+        # a JSON integer or numpy scalar scale, or an integer or float array
+        cfg = config()
         assert cfg.mu_spur.dtype == np.float64 and not cfg.mu_spur.flags.writeable
         assert cfg.mu_spur.tobytes() == e1_mean(5.0, 200).tobytes()
+
+    @pytest.mark.parametrize("field", ["mu_core", "mu_spur"])
+    @pytest.mark.parametrize(
+        "bad, kind",
+        [
+            ("5", "str"),
+            (True, "bool"),
+            (np.bool_(True), "bool"),
+            (None, "NoneType"),
+            (e1_mean(5.0, 200).tolist(), "list"),
+            ({"0": 5.0}, "dict"),
+        ],
+        ids=["string", "true", "numpy-bool", "null", "list", "object"],
+    )
+    def test_from_dict_refuses_a_mean_that_is_not_a_number(self, field, bad, kind):
+        # the message names the type, so a file's d-long list is not echoed
+        doc = {**small_config().to_dict(), field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got {kind}$"):
+            ModelConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["mu_core", "mu_spur"])
+    @pytest.mark.parametrize(
+        "bad", [10**400, -(10**400), float("nan"), float("inf")],
+        ids=["huge-int", "huge-negative-int", "nan", "inf"],
+    )
+    def test_from_dict_refuses_a_scale_past_the_float_range(self, field, bad):
+        # a JSON integer past the float range is refused, not cast until it overflows
+        doc = {**small_config().to_dict(), field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            ModelConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("block", ["d_core", "d_spur"])
+    @pytest.mark.parametrize("bad", [0, -3, 200.0, "200", True, None])
+    def test_from_dict_checks_a_block_before_sizing_its_mean(self, block, bad):
+        doc = {**small_config().to_dict(), block: bad}
+        with pytest.raises(ValueError, match=f"^{block} must be "):
+            ModelConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("core, spur", [(14.0, 7.0), (-14.0, -7.0), (3.5, 0.0), (0.0, -0.0)])
+    def test_json_roundtrip_keeps_the_mean_bytes(self, core, spur):
+        cfg = small_config(mu_core=e1_mean(core, 200), mu_spur=e1_mean(spur, 200), seed=2**64 - 1)
+        text = json.dumps(cfg.to_dict())
+        doc = json.loads(text)
+        assert (doc["mu_core"], doc["mu_spur"]) == (core, spur)
+        back = ModelConfig.from_dict(doc)
+        assert back.seed == 2**64 - 1
+        for name in ("mu_core", "mu_spur"):
+            assert getattr(back, name).tobytes() == getattr(cfg, name).tobytes(), name
+        assert json.dumps(back.to_dict()) == text
 
     @pytest.mark.parametrize("field", ["mu_core", "mu_spur"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -861,6 +921,22 @@ class TestPersistence:
         assert back.config.to_dict() == ds.config.to_dict()
         assert back.config.deltas == (0.9, 0.3)
 
+    def test_sidecar_length_does_not_grow_with_d(self, tmp_path):
+        # the config holds each mean as its scale: d enters the sidecar only
+        # through the digits of d_core and d_spur
+        texts, docs = [], []
+        for d_half in (2000, 20000):
+            cfg = small_config(d_core=d_half, d_spur=d_half, mu_core=e1_mean(14.0, d_half),
+                               mu_spur=e1_mean(7.0, d_half))
+            path = str(tmp_path / f"ds{d_half}.bin")
+            save_dataset(sample_dataset(cfg), path)
+            texts.append(Path(path + ".json").read_text())
+            docs.append(json.loads(texts[-1]))
+        assert len(texts[1]) - len(texts[0]) == 2 * (len("20000") - len("2000"))
+        for doc in docs:
+            doc["config"].update(d_core=None, d_spur=None)
+        assert docs[0] == docs[1]
+
     def test_loaded_q_is_a_view_of_the_read_buffer(self, tmp_path):
         path = str(tmp_path / "ds.bin")
         save_dataset(sample_dataset(small_config()), path)
@@ -882,7 +958,9 @@ class TestPersistence:
             (lambda doc: doc.pop("config"), "missing sidecar fields: ['config']"),
             (lambda doc: doc.pop("y"), "missing sidecar fields: ['y']"),
             (lambda doc: doc.update(tau=0.0), "unknown sidecar fields: ['tau']"),
-            (lambda doc: doc["config"]["mu_core"].__setitem__(3, 0.5), "mu_core must be a multiple of e_1"),
+            # the d-long list that files held before each mean was its scale
+            (lambda doc: doc["config"].update(mu_core=e1_mean(14.0, 200).tolist()),
+             "mu_core must be a number, got list"),
             (lambda doc: doc.update(y={"a": 1}), "sidecar y must be a JSON array of n=20 entries, each 1 or -1"),
             (lambda doc: doc.update(y=[str(v) for v in doc["y"]]), "sidecar y must be a JSON array"),
             (lambda doc: doc.update(a=[float(v) for v in doc["a"]]), "sidecar a must be a JSON array"),
