@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelConfig, _check_positive, signal_strengths
+from .model import ModelConfig, _coerce, signal_strengths
 
 __all__ = [
     "BoundReport",
@@ -106,7 +106,7 @@ def evaluate_bounds(
     config: ModelConfig, constants: tuple[float, float, float] = (1.0, 1.0, 1.0)
 ) -> BoundReport:
     """upper_b = exp(-C_1 E_b), lower_b = C_2 exp(-C_3 E_b) for both groups."""
-    c1, c2, c3 = (_check_positive(f"c{k}", v) for k, v in enumerate(constants, 1))
+    c1, c2, c3 = (_coerce(f"c{k}", v) for k, v in enumerate(constants, 1))
     n_delta, alpha_plus, alpha_minus = adjusted_quantities(config)
     exponent = {b: bound_exponent(config, b) for b in (+1, -1)}
     return BoundReport(
@@ -124,7 +124,7 @@ def consistency_check(config: ModelConfig, b: int, c_const: float = 1.0) -> Cons
     """Check the vanishing condition R_plus^2 >= c_const d / (alpha_b n_b)."""
     if b not in (1, -1):
         raise ValueError("b must be +1 or -1")
-    c_const = _check_positive("c_const", c_const)
+    c_const = _coerce("c_const", c_const)
     sig = signal_strengths(config)
     if sig.r_minus != 0.0:
         return ConsistencyResult(b=b, applicable=False, holds=None, slack=None)

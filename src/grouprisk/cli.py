@@ -18,10 +18,10 @@ import sys
 import numpy as np
 
 from .bounds import consistency_check, evaluate_bounds
-from .estimators import _check_tau, accumulate_gram, fit_cmni, fit_gd, fit_ridge, interpolation_residual
+from .estimators import accumulate_gram, fit_cmni, fit_gd, fit_ridge, interpolation_residual
 from .harness import PRESET_NAMES, SweepSpec, emit, preset, run_sweep
 from .model import ModelConfig, e1_mean, load_dataset, sample_dataset, save_dataset
-from .model import _one_blas_thread
+from .model import _coerce, _one_blas_thread
 from .primitives import verify_primitives, wishart_coverage
 from .risk import build_report
 
@@ -218,35 +218,33 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _band_pair(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = (float(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError("expected LO,HI") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise argparse.ArgumentTypeError("band must be finite")
-    if not 0 < lo < hi:
-        raise argparse.ArgumentTypeError("band must satisfy 0 < LO < HI")
+def _lo_hi(text: str) -> tuple[float, float]:
+    """LO,HI as two floats; ValueError unless LO < HI (NaN fails it)."""
+    lo, hi = (float(part) for part in text.split(","))
+    if not lo < hi:
+        raise ValueError(text)
     return lo, hi
 
 
-def _draw_count(text: str) -> int:
-    """--mc-draws as an int of at least 1, refused at parse time otherwise."""
-    try:
-        draws = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
-    if draws < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {draws}")
-    return draws
+def _flag(field: str, parse=float):
+    """The argparse `type=` of a flag: its text read by parse (to a number
+    or a tuple of them), each number read as the kind of `field` in
+    `model._FIELDS`.  A refusal is an ArgumentTypeError, which argparse
+    prints after the flag's name and exits 2 on, before any command runs."""
 
+    def read(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r:.40}") from None
+        try:
+            if isinstance(value, tuple):
+                return tuple(_coerce(field, v) for v in value)
+            return _coerce(field, value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc).removeprefix(f"{field} ")) from None
 
-def _tau_value(text: str) -> float:
-    """--tau as a float, refused at parse time unless `_check_tau` takes it."""
-    try:
-        return _check_tau(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return read
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,24 +254,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     config_flags = argparse.ArgumentParser(add_help=False)
     config_flags.add_argument("--config", default=None, help="ModelConfig JSON file")
-    config_flags.add_argument("-n", "--n-total", type=int, default=None, help="total sample count (split 4:1 unless group counts given)")
-    config_flags.add_argument("--n-plus", type=int, default=None)
-    config_flags.add_argument("--n-minus", type=int, default=None)
-    config_flags.add_argument("-d", "--dim", type=int, default=None, help="total dimension")
-    config_flags.add_argument("--mu-core-sq", type=float, default=None, help="|mu_c|^2 (default d/10)")
-    config_flags.add_argument("--mu-spur-sq", type=float, default=None, help="|mu_s|^2 (default |mu_c|^2 / 4)")
-    config_flags.add_argument("--pi-plus", type=float, default=None)
-    config_flags.add_argument("--delta-plus", type=float, default=None)
-    config_flags.add_argument("--delta-minus", type=float, default=None)
+    config_flags.add_argument("-n", "--n-total", type=_flag("n_total", int), default=None, help="total sample count (split 4:1 unless group counts given)")
+    config_flags.add_argument("--n-plus", type=_flag("n_plus", int), default=None)
+    config_flags.add_argument("--n-minus", type=_flag("n_minus", int), default=None)
+    config_flags.add_argument("-d", "--dim", type=_flag("dim", int), default=None, help="total dimension")
+    config_flags.add_argument("--mu-core-sq", type=_flag("mu_core_sq"), default=None, help="|mu_c|^2 (default d/10)")
+    config_flags.add_argument("--mu-spur-sq", type=_flag("mu_spur_sq"), default=None, help="|mu_s|^2 (default |mu_c|^2 / 4)")
+    config_flags.add_argument("--pi-plus", type=_flag("pi_plus"), default=None)
+    config_flags.add_argument("--delta-plus", type=_flag("delta_plus"), default=None)
+    config_flags.add_argument("--delta-minus", type=_flag("delta_minus"), default=None)
 
     # only on the subcommands that fit or build primitives at a tau
     tau_flag = argparse.ArgumentParser(add_help=False)
-    tau_flag.add_argument("--tau", type=_tau_value, default=0.0)
+    tau_flag.add_argument("--tau", type=_flag("tau"), default=0.0)
 
     method_flags = argparse.ArgumentParser(add_help=False)
     method_flags.add_argument("--method", choices=("cmni", "ridge", "gd"), default="cmni")
-    method_flags.add_argument("--step", type=float, default=None, help="gd step size")
-    method_flags.add_argument("--iters", type=int, default=None, help="gd iteration cap")
+    method_flags.add_argument("--step", type=_flag("step"), default=None, help="gd step size")
+    method_flags.add_argument("--iters", type=_flag("iters", int), default=None, help="gd iteration cap")
 
     parser = argparse.ArgumentParser(
         prog="grouprisk",
@@ -289,14 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("risk", parents=[common, config_flags, tau_flag, method_flags], help="group risks for one fit")
-    p.add_argument("--mc-draws", type=_draw_count, default=None, help="optional Monte-Carlo cross-check draws")
+    p.add_argument("--mc-draws", type=_flag("m", int), default=None, help="optional Monte-Carlo cross-check draws")
     p.set_defaults(func=_cmd_risk)
 
     p = sub.add_parser("bounds", parents=[common, config_flags], help="bound exponents and consistency")
-    p.add_argument("--c1", type=float, default=1.0)
-    p.add_argument("--c2", type=float, default=1.0)
-    p.add_argument("--c3", type=float, default=1.0)
-    p.add_argument("--c-const", type=float, default=1.0, help="threshold constant for the vanishing condition")
+    p.add_argument("--c1", type=_flag("c1"), default=1.0)
+    p.add_argument("--c2", type=_flag("c2"), default=1.0)
+    p.add_argument("--c3", type=_flag("c3"), default=1.0)
+    p.add_argument("--c-const", type=_flag("c_const"), default=1.0, help="threshold constant for the vanishing condition")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser(
@@ -304,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, config_flags, tau_flag],
         help="mode equivalence, risk identity, bound bands, aux inequalities",
     )
-    p.add_argument("--band", type=_band_pair, default=(0.5, 2.0), help="positive band LO,HI (sign-indefinite band becomes -HI,HI)")
+    p.add_argument("--band", type=_flag("band", _lo_hi), default=(0.5, 2.0), help="positive band LO,HI (sign-indefinite band becomes -HI,HI)")
     p.set_defaults(func=_cmd_verify_primitives)
 
     p = sub.add_parser("wishart", parents=[common], help="coverage of the quadratic-form band")

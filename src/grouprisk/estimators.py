@@ -12,9 +12,9 @@ O(n^2) view of the `NoiseStats` that `model.noise_stats` streams once from
 a config or a dataset; it is the one input of the fitters here and of the
 primitives in `primitives`, which share the per-tau factors memoized on
 it.  tau is an argument of each call that uses it, never part of the
-config, and `_check_tau` is its one validator.  A sweep reads its fits
-off the primitives (`primitives.fit_moments`); the fitters here are the
-per-point reference and serve the CLI.
+config, and `model._coerce` reads it as a finite nonnegative float.  A
+sweep reads its fits off the primitives (`primitives.fit_moments`); the
+fitters here are the per-point reference and serve the CLI.
 
 tau = 0 is the cost-sensitive minimum-norm interpolator, whose defining
 constraint is Delta_{b_i} <w, x_i> = y_i.  Gradient descent on the adjusted
@@ -25,7 +25,6 @@ iteration c <- c + (2 step / n)(Delta^{-1} y - G c).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -36,8 +35,7 @@ from .model import (
     Dataset,
     ModelConfig,
     NoiseStats,
-    _check_count,
-    _check_positive,
+    _coerce,
     _freeze_arrays,
     noise_stats,
 )
@@ -153,7 +151,7 @@ class GramStats:
 
         tau must be finite and nonnegative; a failed build caches nothing.
         """
-        key = (build, _check_tau(tau))
+        key = (build, _coerce("tau", tau))
         hit = self._memo.get(key)
         if hit is None:
             hit = self._memo[key] = build(self, key[1])
@@ -169,18 +167,6 @@ def _mean_norm(scale) -> float:
     """|scale|, or 0.0 when scale^2 < `_MEAN_SQ_FLOOR`."""
     m = abs(float(scale))
     return 0.0 if m * m < _MEAN_SQ_FLOOR else m
-
-
-def _check_tau(tau) -> float:
-    """tau as a float; raises ValueError unless it is a finite, nonnegative
-    real number.  A bool is not one: True would otherwise run at tau 1."""
-    if (
-        isinstance(tau, (bool, np.bool_))
-        or not isinstance(tau, numbers.Real)
-        or not (np.isfinite(tau) and tau >= 0.0)
-    ):
-        raise ValueError(f"tau must be a finite nonnegative number, got {tau!r}")
-    return float(tau)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -298,7 +284,7 @@ def fit_ridge(stats: GramStats, delta, tau: float) -> DualSolution:
 
     tau = 0 runs the identical solve as fit_cmni and reproduces it exactly.
     """
-    tau = _check_tau(tau)
+    tau = _coerce("tau", tau)
     z, _ = _adjusted_targets(stats, delta)
     c, res = _solve_gram(stats, tau, z)
     return _finish(c, stats, tau, "ridge", {"solver_residual": float(res)})
@@ -320,9 +306,9 @@ def fit_gd(
     positive and iters an integer >= 1, RuntimeError if the loss increases
     10 consecutive iterations.
     """
-    iters = _check_count("iters", iters)
+    iters = _coerce("iters", iters)
     if step is not None:
-        step = _check_positive("step", step)
+        step = _coerce("step", step)
     z, _ = _adjusted_targets(stats, delta)
     gram = stats.gram
     n = gram.shape[0]

@@ -44,19 +44,21 @@ from __future__ import annotations
 import csv
 import io
 import json
-import numbers
+import math
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .bounds import bound_exponent
-from .estimators import GramStats, _check_tau
+from .estimators import GramStats
 from .model import (
     ModelConfig,
-    _check_count,
     _check_fields,
+    _POSITIVE,
+    _coerce,
     _one_blas_thread,
+    _shown,
     _required_fields,
     e1_mean,
     noise_stats_many,
@@ -90,11 +92,7 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
             raise ValueError(f"unknown axis {self.name!r}; choose from {AXIS_NAMES}")
-        values = tuple(self.values)
-        for v in values:
-            if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
-                raise ValueError(f"axis values must be real numbers, got {v!r}")
-        object.__setattr__(self, "values", tuple(float(v) for v in values))
+        object.__setattr__(self, "values", tuple(_coerce("axis values", v) for v in self.values))
         if not self.values:
             raise ValueError("axis needs at least one value")
 
@@ -112,7 +110,7 @@ class SweepSpec:
     name: str = "sweep"
 
     def __post_init__(self):
-        object.__setattr__(self, "trials", _check_count("trials", self.trials))
+        object.__setattr__(self, "trials", _coerce("trials", self.trials))
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {type(self.name).__name__}")
         if not isinstance(self.out_path, (str, type(None))):
@@ -128,7 +126,8 @@ class SweepSpec:
             methods.append((mname, tau))
         object.__setattr__(self, "methods", tuple(methods))
         outputs = tuple(self.outputs)
-        unknown = set(outputs) - set(OUTPUT_NAMES)
+        # a name that is not a string is shown by its type: it may be unhashable
+        unknown = {o if isinstance(o, str) else _shown(o) for o in outputs} - set(OUTPUT_NAMES)
         if unknown:
             raise ValueError(f"unknown outputs: {sorted(unknown)}")
         object.__setattr__(self, "outputs", outputs)
@@ -224,20 +223,15 @@ def derive_config(base: ModelConfig, axis_name: str, value) -> ModelConfig:
     if axis_name == "delta_minus":
         return base.with_updates(delta_minus=float(value))
     if axis_name == "r_plus_sq":
-        r_sq = float(value)
-        if r_sq <= 0:
-            raise ValueError("r_plus_sq must be positive")
-        scale = np.sqrt(np.sqrt(r_sq) / 2.0)
+        scale = np.sqrt(np.sqrt(_coerce("r_plus_sq", value, _POSITIVE)) / 2.0)
         return base.with_updates(
             mu_core=e1_mean(scale, base.d_core),
             mu_spur=e1_mean(scale, base.d_spur),
         )
     if axis_name == "n_coupled":
+        if not (2 <= value < math.inf and value == int(value)):
+            raise ValueError(f"n_coupled axis values must be integers of at least 2, got {_shown(value)}")
         n = int(value)
-        if n != value:
-            raise ValueError("n_coupled axis values must be integers")
-        if n < 2:
-            raise ValueError("n must be at least 2")
         n_minus = max(1, round(0.04 * n))
         n_plus = n - n_minus
         d = 2 * n * n
@@ -273,10 +267,10 @@ def resolve_tau(tau_spec, config: ModelConfig) -> float:
                 divisor = float(text[2:])
             except ValueError:
                 divisor = 0.0
-            if np.isfinite(divisor) and divisor > 0 and np.isfinite(config.d / divisor):
+            if 0.0 < divisor < math.inf and math.isfinite(config.d / divisor):
                 return config.d / divisor
         raise ValueError(f"cannot resolve tau spec {tau_spec!r}")
-    return _check_tau(tau_spec)
+    return _coerce("tau", tau_spec)
 
 
 def _stat_pair(values) -> tuple[float, float]:

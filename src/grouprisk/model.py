@@ -52,12 +52,14 @@ from __future__ import annotations
 import ctypes
 import functools
 import json
+import math
 import numbers
-import sys
 import threading
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -129,35 +131,85 @@ def philox_generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(_philox(seed, stream))
 
 
-def _check_int(name: str, value) -> int:
-    """value as an int; ValueError for a bool or any non-integer."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+class _Kind(NamedTuple):
+    """A kind of input value, as `_coerce` reads it."""
+
+    type: tuple  # the types a value must have; a bool has none of them
+    cast: Callable  # the value read (OverflowError: an int past the float range)
+    ok: Callable  # whether the read value is in range; NaN and inf fail all but one
+    requirement: str  # what a value must be
+    typed: str = ""  # what a value of the wrong type must be, where that differs
 
 
-def _check_seed(value) -> int:
-    """value as an int; ValueError unless it is an integer (not a bool) in
-    [0, 2^64), the key word of every Philox stream."""
-    if (
-        isinstance(value, (bool, np.bool_))
-        or not isinstance(value, (int, np.integer))
-        or not 0 <= int(value) < 2 ** 64
-    ):
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {value!r}")
-    return int(value)
+# concrete types first: they match before the slow check of the ABC
+_INTEGRAL = (int, np.integer, numbers.Integral)
+_REAL = (float, int, np.floating, np.integer, numbers.Real)
 
 
-def _check_positive(name: str, value) -> float:
-    """value as a float; ValueError unless it is a finite, positive real
-    number.  A bool is not one: True would otherwise read as 1.0."""
-    if (
-        isinstance(value, (bool, np.bool_))
-        or not isinstance(value, numbers.Real)
-        or not (np.isfinite(value) and value > 0.0)
-    ):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    return float(value)
+def _count(floor: int) -> _Kind:
+    """An integer of at least floor."""
+    return _Kind(_INTEGRAL, int, lambda v: v >= floor, f"at least {floor}", "an integer")
+
+
+def _signs(n: int) -> _Kind:
+    """n entries, each the integer 1 or -1: a sidecar's y and a."""
+    return _Kind((list,), list, lambda v: len(v) == n and all(type(e) is int and e in (1, -1) for e in v),
+                 f"a JSON array of n={n} entries, each 1 or -1")
+
+
+_POSITIVE = _Kind(_REAL, float, lambda v: 0.0 < v < math.inf, "finite and positive")
+_NONNEGATIVE = _Kind(_REAL, float, lambda v: 0.0 <= v < math.inf, "finite and nonnegative")
+_UNIT = _Kind(_REAL, float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+
+# The kind of each named input at every boundary it crosses: the fields of
+# a config file, a sweep spec and a dataset sidecar, the arguments of the
+# library's entry points, and the CLI flags (by argparse dest) that feed
+# them.  A sidecar's signs (`_signs`) and `bartlett_factor`'s draws (a
+# count from 0) take their kind where they are read.
+_FIELDS = {
+    **dict.fromkeys(("d_core", "d_spur", "n_plus", "n_minus", "trials", "iters", "m", "draws", "n", "d"),
+                    _count(1)),
+    "seed": _Kind(_INTEGRAL, int, lambda v: 0 <= v <= _MASK64, "a 64-bit unsigned integer"),
+    **dict.fromkeys(("pi_plus", "delta"), _UNIT),
+    **dict.fromkeys(("delta_plus", "delta_minus", "step", "c_const", "c1", "c2", "c3", "band"), _POSITIVE),
+    **dict.fromkeys(("tau", "t", "mu_core_sq", "mu_spur_sq"), _NONNEGATIVE),
+    # a file's mean: its scale along e_1
+    **dict.fromkeys(("mu_core", "mu_spur"), _Kind(_REAL, float, math.isfinite, "finite", "a number")),
+    # NaN and inf too: the sweep skips a value that names no valid config
+    "axis values": _Kind(_REAL, float, lambda v: True, "real numbers within the float range",
+                         "real numbers"),
+    # the CLI's -n and -d build a config: each group needs a row, each block a column
+    **dict.fromkeys(("n_total", "dim"), _count(2)),
+}
+
+
+def _shown(value) -> str:
+    """A number's repr cut to 40 characters; the type name of anything
+    else, a bool included."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Number):
+        return type(value).__name__
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _coerce(name: str, value, kind: _Kind | None = None):
+    """value read as its kind, by default `_FIELDS[name]`: an int, a float
+    or a list of signs.  numpy integer and float scalars are taken.
+
+    ValueError, of the one form "<name> must be <requirement>, got
+    <shown>" (`_shown`), for a bool, a value of another type, an int past
+    the float range where a float is read, and a value out of range.
+    """
+    kind = _FIELDS[name] if kind is None else kind
+    if type(value) is bool or not isinstance(value, kind.type):
+        raise ValueError(f"{name} must be {kind.typed or kind.requirement}, got {_shown(value)}")
+    try:
+        read = kind.cast(value)
+    except OverflowError:
+        read = None
+    if read is None or not kind.ok(read):
+        raise ValueError(f"{name} must be {kind.requirement}, got {_shown(value)}")
+    return read
 
 
 def _required_fields(cls) -> set:
@@ -188,14 +240,6 @@ def _freeze_arrays(obj) -> None:
             value.setflags(write=False)
 
 
-def _check_count(name: str, value) -> int:
-    """value as an int; ValueError unless it is an integer of at least 1."""
-    value = _check_int(name, value)
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-    return value
-
-
 def _frozen_mean(name: str, block: str, length: int, mu) -> np.ndarray:
     """A read-only float64 copy of mu, or mu itself if a config froze it.
 
@@ -207,7 +251,7 @@ def _frozen_mean(name: str, block: str, length: int, mu) -> np.ndarray:
     copied, so a caller mutating their own array never reaches a config.
     """
     if not (isinstance(mu, np.ndarray) and mu.dtype.kind in "iuf" and mu.shape == (length,)):
-        raise ValueError(f"{name} must be a 1-d integer or float array of {block}={length} entries")
+        raise ValueError(f"{name} must be a 1-d integer or float array of {block}={_shown(length)} entries")
     if mu.dtype == np.float64 and mu.base is None and not mu.flags.writeable:
         return mu
     mu = mu.astype(np.float64)
@@ -239,9 +283,12 @@ class ModelConfig:
         Label marginal P(y = +1), in (0, 1).
     delta_plus, delta_minus : float
         Cost-sensitive adjustment weights, 1/n <= delta_minus <= delta_plus <= 1.
-        pi_plus and the weights are stored as floats; a bool is refused.
     seed : int
         Master RNG seed, a 64-bit unsigned integer.
+
+    Every field but the means is read by its kind in the table `_FIELDS`
+    (`_coerce`, which refuses a bad value with a ValueError naming the
+    field), then the rules across fields are checked.
     """
 
     d_core: int
@@ -256,11 +303,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("d_core", "d_spur", "n_plus", "n_minus"):
-            object.__setattr__(self, name, _check_count(name, getattr(self, name)))
-        object.__setattr__(self, "seed", _check_seed(self.seed))
-        for name in ("pi_plus", "delta_plus", "delta_minus"):
-            object.__setattr__(self, name, _check_positive(name, getattr(self, name)))
+        for name in ("d_core", "d_spur", "n_plus", "n_minus", "seed", "pi_plus", "delta_plus", "delta_minus"):
+            object.__setattr__(self, name, _coerce(name, getattr(self, name)))
         for name, block in (("mu_core", "d_core"), ("mu_spur", "d_spur")):
             mu = _frozen_mean(name, block, getattr(self, block), getattr(self, name))
             if not np.all(np.isfinite(mu)):
@@ -271,14 +315,12 @@ class ModelConfig:
         if self.n_plus < self.n_minus:
             raise ValueError("n_plus must be at least n_minus")
         if self.d < self.n:
-            raise ValueError(f"need d >= n, got d={self.d} < n={self.n}")
+            raise ValueError(f"need d >= n, got d={_shown(self.d)} < n={_shown(self.n)}")
         nc2, ns2 = (x * x for x in (float(self.mu_core[0]), float(self.mu_spur[0])))
         if nc2 < ns2:
             raise ValueError(
                 f"core signal must dominate: |mu_core|^2={nc2:g} < |mu_spur|^2={ns2:g}"
             )
-        if not 0.0 < self.pi_plus < 1.0:
-            raise ValueError("pi_plus must lie in (0, 1)")
         lo = 1.0 / self.n - 1e-12  # slop for decimal literals like 0.005
         if not (lo <= self.delta_minus <= self.delta_plus <= 1.0):
             raise ValueError(
@@ -321,16 +363,12 @@ class ModelConfig:
     def from_dict(cls, data: dict) -> "ModelConfig":
         """The config of a `to_dict` document; ValueError naming any
         unknown or missing key, for a document that is not an object, and
-        for a mean that is not a number (named by its type, not its value)."""
+        for any value its field's kind (`_FIELDS`) refuses."""
         _check_fields("ModelConfig", data, {f.name for f in fields(cls)}, _required_fields(cls))
-        means = {}
-        for name, block in (("mu_core", "d_core"), ("mu_spur", "d_spur")):
-            scale = data[name]
-            if isinstance(scale, (bool, np.bool_)) or not isinstance(scale, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {type(scale).__name__}")
-            if isinstance(scale, int) and abs(scale) > sys.float_info.max:  # a JSON integer
-                raise ValueError(f"{name} must be finite")
-            means[name] = e1_mean(scale, _check_count(block, data[block]))
+        means = {
+            name: e1_mean(_coerce(name, data[name]), _coerce(block, data[block]))
+            for name, block in (("mu_core", "d_core"), ("mu_spur", "d_spur"))
+        }
         return cls(**{**data, **means})
 
 
@@ -780,9 +818,8 @@ def bartlett_factor(n: int, dof: int, seed: int, draws: int):
     """
     if not 1 <= n <= dof:
         raise ValueError(f"need 1 <= n <= dof, got n={n}, dof={dof}")
-    seed = _check_seed(seed)
-    if _check_int("draws", draws) < 0:
-        raise ValueError(f"draws must be nonnegative, got {draws}")
+    seed = _coerce("seed", seed)
+    draws = _coerce("draws", draws, _count(0))
     per_chunk = max(1, _BARTLETT_CHUNK_VALUES // (n * n))
     diagonal = np.arange(n)
     rows, cols = np.tril_indices(n, -1)  # row-major
@@ -824,9 +861,8 @@ def check_assumptions(
     (a) n >= C log(1/delta); (b) |mu_c|^2 >= C n log(n/delta);
     (c) d >= C R_plus n;     (d) d >= C n^2 log(n/delta).
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    c_const = _check_positive("c_const", c_const)
+    delta = _coerce("delta", delta)
+    c_const = _coerce("c_const", c_const)
     n, d = config.n, config.d
     r_plus = signal_strengths(config).r_plus
     core = float(config.mu_core[0])
@@ -870,28 +906,19 @@ def save_dataset(dataset: Dataset, path: str) -> None:
         fh.write("\n")
 
 
-def _sidecar_signs(name: str, value, n: int) -> np.ndarray:
-    """value as a float64 n-vector; ValueError naming the field unless it
-    is a JSON array of n entries, each the integer 1 or -1."""
-    if not (
-        isinstance(value, list)
-        and len(value) == n
-        and all(type(v) is int and v in (1, -1) for v in value)
-    ):
-        raise ValueError(f"sidecar {name} must be a JSON array of n={n} entries, each 1 or -1")
-    return np.array(value, dtype=np.float64)
-
-
 def load_dataset(path: str) -> Dataset:
     """The dataset `save_dataset` wrote at path; ValueError naming any bad
-    sidecar field, checked before the binary file is read."""
+    sidecar field, checked before the binary file is read: an unknown or
+    missing key, and any value its field's kind refuses (`_FIELDS`, and
+    y and a as sign vectors of n entries)."""
     with open(path + ".json") as fh:
         sidecar = json.load(fh)
     names = ("y", "a", "config")
     _check_fields("sidecar", sidecar, names, names)
     config = ModelConfig.from_dict(sidecar["config"])
     n, d = config.n, config.d
-    y, a = (_sidecar_signs(name, sidecar[name], n) for name in ("y", "a"))
+    y, a = (np.array(_coerce(f"sidecar {name}", sidecar[name], _signs(n)), dtype=np.float64)
+            for name in ("y", "a"))
     # one native-order buffer (no copy on a little-endian host), Q a view of it
     raw = np.fromfile(path, dtype="<f8").astype(np.float64, copy=False)
     if raw.size != n * d:

@@ -67,8 +67,8 @@ import numpy as np
 from scipy.linalg import LinAlgError
 
 from .bounds import _adjusted_counts
-from .estimators import GramStats, _adjusted_targets, _check_tau, _spd_factor, _spd_solve, fit_ridge
-from .model import ModelConfig, _check_count, _check_int, _check_seed, bartlett_factor, e1_mean
+from .estimators import GramStats, _adjusted_targets, _spd_factor, _spd_solve, fit_ridge
+from .model import ModelConfig, _coerce, bartlett_factor, e1_mean
 
 __all__ = [
     "PrimitiveSet",
@@ -266,7 +266,7 @@ def compute_primitives(
     warm call touches no n-sized array.  Recursive mode raises LinAlgError
     when |det(A_k)| < DET_SINGULAR_TOL.
     """
-    tau = _check_tau(tau)
+    tau = _coerce("tau", tau)
     if mode not in ("direct", "recursive"):
         raise ValueError("mode must be 'direct' or 'recursive'")
     n = stats.n
@@ -367,24 +367,16 @@ def risk_identity_check(prims: PrimitiveSet, sol, b: int) -> float:
     return float(abs(primitive_side - fitted_side) / scale)
 
 
-def _check_wishart_args(d, n, t) -> None:
-    """ValueError unless d and n are integers with n >= 1 and t is finite and nonnegative."""
-    _check_int("d", d)
-    _check_count("n", n)
-    if not (np.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
-
-
 def wishart_interval(d: int, n: int, t: float) -> tuple[float, float]:
     """Two-sided band for 1/(u' A^{-1} u), A ~ Wishart(d, I_n).
 
     1/(u' A^{-1} u) is chi-square with d' = d - n + 1 degrees of freedom, and
     the Laurent-Massart bounds (Ann. Statist. 2000, Lemma 1) give the band
     [d' - 2 sqrt(t d'), d' + 2 sqrt(t d') + 2 t] with each tail having
-    probability at most e^{-t}.  Requires integers d and n >= 1, a finite
+    probability at most e^{-t}.  Requires integers d, n >= 1, a finite
     t >= 0 and d' > 2 max(t, 1); anything else raises ValueError.
     """
-    _check_wishart_args(d, n, t)
+    d, n, t = (_coerce(name, v) for name, v in (("d", d), ("n", n), ("t", t)))
     d_prime = d - n + 1
     if not d_prime > 2.0 * max(t, 1.0):
         raise ValueError(
@@ -437,8 +429,9 @@ def wishart_coverage(
     coverage 1 - 2 e^{-t}.  Raises ValueError for a seed that is not a
     64-bit unsigned integer.
     """
-    draws = _check_count("draws", draws)
-    seed = _check_seed(seed)
+    draws, seed, d, n, t = (
+        _coerce(name, v) for name, v in (("draws", draws), ("seed", seed), ("d", d), ("n", n), ("t", t))
+    )
     low, high = wishart_interval(d, n, t)
     inside = sum(
         int(np.count_nonzero((low <= values) & (values <= high)))

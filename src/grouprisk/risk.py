@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .model import ModelConfig, _check_int, philox_generator, substream_seed, STREAM_MC
+from .model import ModelConfig, _coerce, philox_generator, substream_seed, STREAM_MC
 
 __all__ = [
     "GroupRiskEntry",
@@ -127,9 +127,7 @@ def monte_carlo_risk(sol, config: ModelConfig, b: int, m: int):
     """
     if b not in (1, -1):
         raise ValueError("b must be +1 or -1")
-    m = _check_int("m", m)
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    m = _coerce("m", m)
     if not sol.w_norm_sq > 0.0:
         raise ValueError("estimator has zero norm; margin undefined")
     dot = sol.w_dot_mu[0] if b == 1 else sol.w_dot_mu[1]

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from grouprisk import model
 from grouprisk.model import _blas_thread_controls
 
 
@@ -21,6 +22,27 @@ def blas_controls():
     yield controls
     for (_, setter), count in zip(controls, saved):
         setter(count)
+
+
+@pytest.fixture
+def no_stream(monkeypatch):
+    """The noise sources called in the test, by name; each call also fails
+    the test.  `model._noise_windows` is the one source of drawn noise and
+    `model._assemble` streams every noise source, a loaded dataset's too,
+    into statistics, so a refusal made under this fixture is made before
+    any noise is drawn or streamed."""
+    calls = []
+
+    def refuse(name):
+        def source(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"noise streamed: {name} called")
+
+        return source
+
+    for name in ("_noise_windows", "_assemble"):
+        monkeypatch.setattr(model, name, refuse(name))
+    return calls
 
 
 def dense_means(config):

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +26,6 @@ from grouprisk.primitives import (
 from conftest import write_x_then_q_file
 
 
-def never_stream(*args, **kwargs):
-    raise AssertionError("noise streamed")
-
-
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -36,12 +33,12 @@ def run(argv, capsys):
 
 
 class TestUsage:
-    def test_no_arguments_is_usage_error(self, capsys):
+    def test_no_arguments_is_usage_error(self, no_stream, capsys):
         code, _, err = run([], capsys)
         assert code == 2
         assert "usage" in err.lower()
 
-    def test_unknown_subcommand(self, capsys):
+    def test_unknown_subcommand(self, no_stream, capsys):
         code, _, _ = run(["frobnicate"], capsys)
         assert code == 2
 
@@ -50,7 +47,7 @@ class TestUsage:
         assert code == 0
         assert "verify-primitives" in out
 
-    def test_bad_flag_value(self, capsys):
+    def test_bad_flag_value(self, no_stream, capsys):
         code, _, _ = run(["wishart", "--draws", "many"], capsys)
         assert code == 2
 
@@ -85,6 +82,24 @@ def small_config(**overrides):
     return ModelConfig(**base)
 
 
+@pytest.fixture(scope="module")
+def dataset_files(tmp_path_factory):
+    """A saved dataset of `small_config` (n = 20, d = 400), sampled once per
+    module, before any test's function-scoped fixtures (`no_stream`) are set."""
+    path = str(tmp_path_factory.mktemp("saved") / "ds.bin")
+    save_dataset(sample_dataset(small_config()), path)
+    return path
+
+
+@pytest.fixture
+def saved(dataset_files, tmp_path):
+    """A copy of `dataset_files` in the test's own directory, free to edit."""
+    out = str(tmp_path / "ds.bin")
+    for suffix in ("", ".json"):
+        shutil.copyfile(dataset_files + suffix, out + suffix)
+    return out
+
+
 class TestTauFlag:
     """tau is an argument of the subcommands that fit or build primitives."""
 
@@ -98,7 +113,7 @@ class TestTauFlag:
         assert hashlib.sha256(rest.encode()).hexdigest()[:16] == HELP_DIGESTS[command]
 
     @pytest.mark.parametrize("command", ["sample", "bounds"])
-    def test_tau_refused_where_unused(self, command, tmp_path, capsys):
+    def test_tau_refused_where_unused(self, command, tmp_path, no_stream, capsys):
         argv = [command, "-n", "20", "-d", "400", "--tau", "1", "--out", str(tmp_path / "x")]
         code, stdout, err = run(argv, capsys)
         assert code == 2
@@ -107,18 +122,14 @@ class TestTauFlag:
 
     @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf", "ten"])
     @pytest.mark.parametrize("command", TAU_COMMANDS)
-    def test_bad_tau_exits_before_any_stream(self, command, value, monkeypatch, capsys):
-        from grouprisk import cli
-
-        calls = []
-        monkeypatch.setattr(cli, "accumulate_gram", lambda *a, **k: calls.append(a))
+    def test_bad_tau_exits_before_any_stream(self, command, value, no_stream, capsys):
         code, stdout, err = run([command, "-n", "20", "-d", "400", f"--tau={value}"], capsys)
         assert code == 2
         assert stdout == ""
         assert "--tau" in err
-        assert not calls
+        assert not no_stream
 
-    def test_config_file_with_tau_is_refused(self, tmp_path, capsys):
+    def test_config_file_with_tau_is_refused(self, tmp_path, no_stream, capsys):
         doc = small_config().to_dict()
         doc["tau"] = 0.0
         path = tmp_path / "cfg.json"
@@ -127,7 +138,7 @@ class TestTauFlag:
         assert code == 2
         assert "unknown ModelConfig fields: ['tau']" in err
 
-    def test_sweep_spec_with_tau_is_refused(self, tmp_path, capsys):
+    def test_sweep_spec_with_tau_is_refused(self, tmp_path, no_stream, capsys):
         base = small_config().to_dict()
         base["tau"] = 0.0
         spec = {"base": base, "axis": {"name": "delta_minus", "values": [0.5]}}
@@ -137,9 +148,8 @@ class TestTauFlag:
         assert code == 2
         assert "unknown ModelConfig fields: ['tau']" in err
 
-    def test_sidecar_with_tau_is_refused(self, tmp_path, capsys):
-        out = str(tmp_path / "ds.bin")
-        assert run(["sample", "-n", "20", "-d", "400", "--out", out], capsys)[0] == 0
+    def test_sidecar_with_tau_is_refused(self, saved, no_stream, capsys):
+        out = saved
         sidecar = json.loads(Path(out + ".json").read_text())
         assert "tau" not in sidecar["config"]
         sidecar["config"]["tau"] = 0.0
@@ -171,21 +181,16 @@ class TestSampleAndFit:
         ds = load_dataset(out)
         assert ds.config.seed == 3
 
-    def test_sample_requires_out(self, capsys):
+    def test_sample_requires_out(self, no_stream, capsys):
         code, _, err = run(["sample", "-n", "20", "-d", "400"], capsys)
         assert code == 2
         assert "--out" in err
 
-    def test_sample_rejects_missing_out_before_sampling(self, monkeypatch, capsys):
-        from grouprisk import cli
-
-        def never(*args, **kwargs):
-            raise AssertionError("sample_dataset called without --out")
-
-        monkeypatch.setattr(cli, "sample_dataset", never)
+    def test_sample_rejects_missing_out_before_sampling(self, no_stream, capsys):
         code, _, err = run(["sample", "-n", "200", "-d", "200000"], capsys)
         assert code == 2
         assert "--out" in err
+        assert not no_stream
 
     def test_fit_from_saved_dataset(self, tmp_path, capsys):
         out = str(tmp_path / "ds.bin")
@@ -205,21 +210,20 @@ class TestSampleAndFit:
         assert doc["tau"] == 50.0
 
     @pytest.mark.parametrize("step", ["nan", "inf", "0", "-1"])
-    def test_fit_gd_bad_step_is_usage_error(self, step, capsys):
+    def test_fit_gd_bad_step_is_usage_error(self, step, no_stream, capsys):
         code, stdout, err = run(
             ["fit", "-n", "20", "-d", "400", "--method", "gd", "--step", step], capsys
         )
         assert code == 2
         assert stdout == ""
-        assert "step must be finite and positive" in err
+        assert "--step: must be finite and positive" in err
 
-    def test_fit_missing_data_file(self, capsys):
+    def test_fit_missing_data_file(self, no_stream, capsys):
         code, _, err = run(["fit", "--data", "/nonexistent/ds.bin"], capsys)
         assert code == 2
 
     @pytest.mark.parametrize("doc", [{}, {"n_plus": 16}, [1, 2]])
-    def test_incomplete_config_file_exits_before_any_stream(self, doc, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(model, "_noise_windows", never_stream)
+    def test_incomplete_config_file_exits_before_any_stream(self, doc, tmp_path, no_stream, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         code, stdout, err = run(["risk", "--config", str(cfg_path)], capsys)
@@ -233,16 +237,15 @@ class TestSampleAndFit:
         [
             ("mu_core", "dense", "mu_core must be a number, got list"),
             ("mu_spur", "dense", "mu_spur must be a number, got list"),
-            ("delta_minus", "0.5", "delta_minus must be finite and positive, got '0.5'"),
-            ("delta_minus", None, "delta_minus must be finite and positive, got None"),
-            ("delta_plus", True, "delta_plus must be finite and positive, got True"),
-            ("pi_plus", [0.5], "pi_plus must be finite and positive, got [0.5]"),
+            ("delta_minus", "0.5", "delta_minus must be finite and positive, got str"),
+            ("delta_minus", None, "delta_minus must be finite and positive, got NoneType"),
+            ("delta_plus", True, "delta_plus must be finite and positive, got bool"),
+            ("pi_plus", [0.5], "pi_plus must be in (0, 1), got list"),
         ],
     )
     def test_bad_config_field_exits_before_any_stream(
-        self, field, value, message, tmp_path, monkeypatch, capsys
+        self, field, value, message, tmp_path, no_stream, capsys
     ):
-        monkeypatch.setattr(model, "_noise_windows", never_stream)
         doc = small_config().to_dict()
         # "dense": a d-long list, as files held each mean before they held its scale
         doc[field] = [1.0] * 200 if value == "dense" else value
@@ -264,12 +267,10 @@ class TestSampleAndFit:
         ],
         ids=["no-config", "dense-mean", "array"],
     )
-    def test_bad_sidecar_exits_before_any_stream(self, edit, message, tmp_path, monkeypatch, capsys):
-        out = str(tmp_path / "ds.bin")
-        assert run(["sample", "-n", "20", "-d", "400", "--out", out], capsys)[0] == 0
+    def test_bad_sidecar_exits_before_any_stream(self, edit, message, saved, no_stream, capsys):
+        out = saved
         doc = edit(json.loads(Path(out + ".json").read_text()))
         Path(out + ".json").write_text(json.dumps(doc))
-        monkeypatch.setattr(model, "_noise_windows", never_stream)
         code, stdout, err = run(["fit", "--data", out], capsys)
         assert code == 2
         assert stdout == ""
@@ -281,18 +282,17 @@ class TestSampleAndFit:
             ("mu_core", "5", "mu_core must be a number, got str"),
             ("mu_core", True, "mu_core must be a number, got bool"),
             ("mu_spur", None, "mu_spur must be a number, got NoneType"),
-            ("mu_spur", 10**400, "mu_spur must be finite"),
+            ("mu_spur", 10**400, "mu_spur must be finite, got " + str(10**400)[:37] + "..."),
             ("mu_core", e1_mean(10.0, 200).tolist(), "mu_core must be a number, got list"),
             ("mu_spur", {"0": 5.0}, "mu_spur must be a number, got dict"),
         ],
         ids=["string-entry", "bool-entry", "null", "scalar", "list", "object"],
     )
     def test_mean_that_is_not_a_list_of_reals_exits_before_any_stream(
-        self, field, value, message, tmp_path, monkeypatch, capsys
+        self, field, value, message, tmp_path, no_stream, capsys
     ):
         # a file holds each mean as its scale, one JSON number ("scalar" is
         # an integer past the float range, "list" the format written before)
-        monkeypatch.setattr(model, "_noise_windows", never_stream)
         doc = small_config().to_dict()
         doc[field] = value
         cfg_path = tmp_path / "cfg.json"
@@ -312,22 +312,19 @@ class TestSampleAndFit:
         ],
         ids=["y-object", "y-strings", "a-zero", "a-bools", "a-long"],
     )
-    def test_bad_sidecar_labels_exit_before_any_stream(self, edit, message, tmp_path, monkeypatch, capsys):
-        out = str(tmp_path / "ds.bin")
-        assert run(["sample", "-n", "20", "-d", "400", "--out", out], capsys)[0] == 0
+    def test_bad_sidecar_labels_exit_before_any_stream(self, edit, message, saved, no_stream, capsys):
+        out = saved
         doc = json.loads(Path(out + ".json").read_text())
         edit(doc)
         Path(out + ".json").write_text(json.dumps(doc))
-        monkeypatch.setattr(model, "_assemble", never_stream)
         code, stdout, err = run(["fit", "--data", out], capsys)
         assert (code, stdout) == (2, "")
         assert message in err
 
-    def test_file_with_an_x_half_exits_before_any_stream(self, tmp_path, monkeypatch, capsys):
+    def test_file_with_an_x_half_exits_before_any_stream(self, saved, no_stream, capsys):
         # X then Q with the n, d, seed, layout and b sidecar fields
-        out = str(tmp_path / "ds.bin")
-        write_x_then_q_file(sample_dataset(small_config()), out)
-        monkeypatch.setattr(model, "_assemble", never_stream)
+        out = saved
+        write_x_then_q_file(model.load_dataset(out), out)
         code, stdout, err = run(["fit", "--data", out], capsys)
         assert (code, stdout) == (2, "")
         assert err == "error: unknown sidecar fields: ['b', 'd', 'layout', 'n', 'seed']\n"
@@ -396,7 +393,7 @@ class TestRiskAndBounds:
         "flag, value",
         [("--c1", "nan"), ("--c2", "0"), ("--c3", "inf"), ("--c-const", "nan"), ("--c-const", "-1")],
     )
-    def test_bounds_bad_constant_is_usage_error(self, flag, value, capsys):
+    def test_bounds_bad_constant_is_usage_error(self, flag, value, no_stream, capsys):
         # equal mean norms, so the vanishing condition applies
         code, stdout, err = run(
             ["bounds", "-n", "20", "-d", "400", "--mu-core-sq", "40", "--mu-spur-sq", "40",
@@ -422,17 +419,6 @@ INLINE_FLAGS = [
     ("--delta-plus", "0.9"), ("--delta-minus", "0.5"),
 ]
 CONFIG_COMMANDS = ("sample", "fit", "risk", "bounds", "verify-primitives")
-
-
-@pytest.fixture
-def no_stream(monkeypatch):
-    """Record every call that would load or stream noise; none may happen."""
-    from grouprisk import cli
-
-    calls = []
-    for name in ("accumulate_gram", "sample_dataset", "load_dataset"):
-        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
-    return calls
 
 
 class TestIgnoredFlags:
@@ -471,10 +457,10 @@ class TestIgnoredFlags:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, value", [*INLINE_FLAGS, ("--seed", "5"), ("--config", "cfg.json")])
-    def test_config_flag_with_saved_dataset(self, flag, value, tmp_path, no_stream, capsys):
-        data = str(tmp_path / "ds.bin")
-        save_dataset(sample_dataset(small_config()), data)
-        self.refused(["fit", "--data", data, flag, value], flag, no_stream, capsys)
+    def test_config_flag_with_saved_dataset(self, flag, value, saved, no_stream, monkeypatch, capsys):
+        # refused before the dataset is read, too
+        monkeypatch.setattr(cli, "load_dataset", lambda path: no_stream.append("load_dataset"))
+        self.refused(["fit", "--data", saved, flag, value], flag, no_stream, capsys)
 
     @pytest.mark.parametrize("method", ["cmni", "gd"])
     def test_zero_tau_is_taken_by_every_method(self, method, capsys):
@@ -543,7 +529,7 @@ class TestVerification:
         assert code == 0
         assert json.loads(stdout)["bands_all_pass"]
 
-    def test_verify_primitives_bad_band(self, capsys):
+    def test_verify_primitives_bad_band(self, no_stream, capsys):
         code, _, _ = run(
             ["verify-primitives", "-n", "20", "-d", "400", "--band", "2,0.5"], capsys
         )
@@ -579,7 +565,7 @@ class TestWishartCommand:
         "argv, message",
         [(["-n", "0"], "n must be at least 1"), (["-t", "nan"], "t must be finite")],
     )
-    def test_bad_input_is_usage_error(self, argv, message, capsys):
+    def test_bad_input_is_usage_error(self, argv, message, no_stream, capsys):
         code, stdout, err = run(["wishart", "--draws", "10", *argv], capsys)
         assert code == 2
         assert not stdout
@@ -587,7 +573,7 @@ class TestWishartCommand:
 
     @pytest.mark.parametrize("command", [["wishart", "--draws", "10"], ["risk", "-n", "20", "-d", "400"]])
     @pytest.mark.parametrize("seed", ["-5", str(2**64), str(2**64 + 5)])
-    def test_bad_seed_is_usage_error(self, command, seed, capsys):
+    def test_bad_seed_is_usage_error(self, command, seed, no_stream, capsys):
         # wishart refuses the seeds every config-building command refuses
         code, stdout, err = run([*command, "--seed", seed], capsys)
         assert code == 2
@@ -724,7 +710,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "tau", [float("nan"), float("inf"), "d/nan", "d/inf", "half", [1.0]]
     )
-    def test_sweep_bad_tau_spec_is_usage_error(self, tau, tmp_path, capsys):
+    def test_sweep_bad_tau_spec_is_usage_error(self, tau, tmp_path, no_stream, capsys):
         spec_path = self.spec_file(tmp_path)
         with open(spec_path) as fh:
             doc = json.load(fh)
@@ -738,11 +724,7 @@ class TestSweepCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("where, key", [("top", "trails"), ("axis", "valeus"), ("method", "Tau")])
-    def test_sweep_spec_unknown_key_exits_before_any_stream(self, where, key, tmp_path, monkeypatch, capsys):
-        from grouprisk import harness
-
-        calls = []
-        monkeypatch.setattr(harness, "noise_stats_many", lambda *a, **k: calls.append(a))
+    def test_sweep_spec_unknown_key_exits_before_any_stream(self, where, key, tmp_path, no_stream, capsys):
         spec_path = self.spec_file(tmp_path)
         doc = json.loads(Path(spec_path).read_text())
         doc["methods"] = [{"method": "ridge", "tau": 3.0}]
@@ -753,7 +735,7 @@ class TestSweepCommand:
         assert code == 2
         assert stdout == ""
         assert f"['{key}']" in err
-        assert not calls
+        assert not no_stream
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -761,8 +743,7 @@ class TestSweepCommand:
         [("top", "base"), ("top", "axis"), ("axis", "values"), ("method", "method"),
          ("base", "n_plus")],
     )
-    def test_sweep_spec_missing_key_exits_before_any_stream(self, where, key, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(model, "_noise_windows", never_stream)
+    def test_sweep_spec_missing_key_exits_before_any_stream(self, where, key, tmp_path, no_stream, capsys):
         spec_path = self.spec_file(tmp_path)
         doc = json.loads(Path(spec_path).read_text())
         del {"top": doc, "axis": doc["axis"], "method": doc["methods"][0], "base": doc["base"]}[where][key]
@@ -775,8 +756,7 @@ class TestSweepCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("where", ["top", "axis", "method", "base"])
-    def test_sweep_spec_non_object_exits_before_any_stream(self, where, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(model, "_noise_windows", never_stream)
+    def test_sweep_spec_non_object_exits_before_any_stream(self, where, tmp_path, no_stream, capsys):
         spec_path = self.spec_file(tmp_path)
         doc = json.loads(Path(spec_path).read_text())
         if where == "top":
@@ -796,16 +776,15 @@ class TestSweepCommand:
         [
             ("axis", "values", 5, "values must be a JSON array, got int"),
             ("axis", "values", "0.5", "values must be a JSON array, got str"),
-            ("axis", "values", [0.5, None], "axis values must be real numbers, got None"),
-            ("axis", "values", [True], "axis values must be real numbers, got True"),
+            ("axis", "values", [0.5, None], "axis values must be real numbers, got NoneType"),
+            ("axis", "values", [True], "axis values must be real numbers, got bool"),
             ("top", "outputs", "risk", "outputs must be a JSON array, got str"),
             ("top", "methods", {"method": "cmni"}, "methods must be a JSON array, got dict"),
         ],
     )
     def test_sweep_spec_non_array_exits_before_any_stream(
-        self, where, key, value, message, tmp_path, monkeypatch, capsys
+        self, where, key, value, message, tmp_path, no_stream, capsys
     ):
-        monkeypatch.setattr(model, "_noise_windows", never_stream)
         spec_path = self.spec_file(tmp_path)
         doc = json.loads(Path(spec_path).read_text())
         {"top": doc, "axis": doc["axis"]}[where][key] = value
@@ -827,11 +806,10 @@ class TestSweepCommand:
         ],
     )
     def test_sweep_spec_non_string_name_or_out_path_exits_before_any_stream(
-        self, key, value, message, tmp_path, monkeypatch, capsys
+        self, key, value, message, tmp_path, no_stream, monkeypatch, capsys
     ):
         # an int out_path would be opened as a file descriptor and a bad name
         # would go into every run_id; no --out, so the spec's out_path is the one read
-        monkeypatch.setattr(model, "_noise_windows", never_stream)
         spec_path = self.spec_file(tmp_path)
         doc = json.loads(Path(spec_path).read_text())
         doc[key] = value
@@ -842,7 +820,7 @@ class TestSweepCommand:
         assert err == f"error: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
-    def test_sweep_bool_tau_spec_is_usage_error(self, tmp_path, capsys):
+    def test_sweep_bool_tau_spec_is_usage_error(self, tmp_path, no_stream, capsys):
         spec_path = self.spec_file(tmp_path)
         with open(spec_path) as fh:
             doc = json.load(fh)
@@ -856,7 +834,7 @@ class TestSweepCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("trials", [2.7, True])
-    def test_sweep_non_integer_trials_spec_is_usage_error(self, tmp_path, capsys, trials):
+    def test_sweep_non_integer_trials_spec_is_usage_error(self, tmp_path, no_stream, capsys, trials):
         spec_path = self.spec_file(tmp_path)
         with open(spec_path) as fh:
             doc = json.load(fh)
@@ -879,7 +857,7 @@ class TestSweepCommand:
         )
         assert code == 1
 
-    def test_sweep_requires_preset_or_spec(self, capsys):
+    def test_sweep_requires_preset_or_spec(self, no_stream, capsys):
         code, _, _ = run(["sweep"], capsys)
         assert code == 2
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +214,23 @@ class TestDeriveConfig:
     def test_n_coupled_rejects_fractional(self):
         with pytest.raises(ValueError):
             derive_config(base_config(), "n_coupled", 50.5)
+
+    @pytest.mark.parametrize(
+        "axis, value, message",
+        [
+            ("n_coupled", float("inf"), "n_coupled axis values must be integers of at least 2, got inf"),
+            ("n_coupled", float("nan"), "n_coupled axis values must be integers of at least 2, got nan"),
+            ("n_coupled", 1.0, "n_coupled axis values must be integers of at least 2, got 1.0"),
+            ("r_plus_sq", float("inf"), "r_plus_sq must be finite and positive, got inf"),
+            ("r_plus_sq", float("nan"), "r_plus_sq must be finite and positive, got nan"),
+        ],
+    )
+    def test_non_finite_axis_value_names_no_config(self, axis, value, message):
+        # a skip at the config stage, not an OverflowError out of the sweep
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            derive_config(base_config(), axis, value)
+        rows, skips = run_sweep(tiny_spec(axis=SweepAxis(axis, (value,))))
+        assert rows == [] and [(s["stage"], s["reason"]) for s in skips[:1]] == [("config", message)]
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError):

@@ -199,7 +199,8 @@ class TestModelConfig:
     @pytest.mark.parametrize("field", ["pi_plus", "delta_plus", "delta_minus"])
     @pytest.mark.parametrize("bad", ["0.5", None, True, np.bool_(True), 0.5j, np.inf, -np.inf, [0.5]])
     def test_rejects_non_real_weights(self, field, bad):
-        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        requirement = re.escape("in (0, 1)") if field == "pi_plus" else "finite and positive"
+        with pytest.raises(ValueError, match=f"^{field} must be {requirement}, got "):
             small_config(**{field: bad})
 
     def test_real_fields_are_stored_as_floats(self):
@@ -297,7 +298,7 @@ class TestModelConfig:
     def test_from_dict_refuses_a_scale_past_the_float_range(self, field, bad):
         # a JSON integer past the float range is refused, not cast until it overflows
         doc = {**small_config().to_dict(), field: bad}
-        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
             ModelConfig.from_dict(doc)
 
     @pytest.mark.parametrize("block", ["d_core", "d_spur"])

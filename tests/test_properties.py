@@ -5,20 +5,27 @@ Over small random valid configs and random block widths: the streamed
 routes agree (the mean columns bit for bit), and the two primitive modes built on the resulting
 `GramStats` meet the CLI's mode-equivalence gate and agree to 1e-10 over
 weights and ridge levels, a subnormal mean included.  Configs and sweep
-specs survive a JSON round trip unchanged, numpy integers included.
+specs survive a JSON round trip unchanged, numpy integers included.  Any
+JSON value in any field of a config file, a sweep spec or a dataset
+sidecar either builds or is refused with a ValueError.
 """
 
+import functools
 import json
+import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouprisk import model
 from grouprisk.estimators import GramStats
 from grouprisk.harness import AXIS_NAMES, OUTPUT_NAMES, SweepAxis, SweepSpec
-from grouprisk.model import ModelConfig, e1_mean, noise_stats, sample_dataset
+from grouprisk.model import ModelConfig, e1_mean, load_dataset, noise_stats, sample_dataset, save_dataset
 from grouprisk.primitives import compute_primitives, primitive_set_max_gap
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -187,3 +194,87 @@ def test_spec_json_roundtrip(spec):
     back = SweepSpec.from_dict(json.loads(text))
     assert back.to_dict() == spec.to_dict()
     assert json.dumps(back.to_dict()) == text
+
+
+# what `json.load` can give: NaN and Infinity too, and integers past the
+# float range; integers stay small elsewhere, since a count sizes arrays
+JSON_VALUES = st.one_of(
+    st.sampled_from([10**400, -(10**400), 2**64, math.nan, math.inf, -math.inf, True, False, None]),
+    st.integers(-5, 2000),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-2, 2), st.floats(-2.0, 2.0), st.none()), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+)
+
+
+@functools.cache
+def saved_dataset():
+    """(Q's bytes, sidecar) of a small saved dataset (n = 20, d = 400)."""
+    cfg = ModelConfig(d_core=200, d_spur=200, mu_core=e1_mean(10.0, 200), mu_spur=e1_mean(5.0, 200),
+                      n_plus=16, n_minus=4, seed=8)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "ds.bin")
+        save_dataset(sample_dataset(cfg), path)
+        return Path(path).read_bytes(), json.loads(Path(path + ".json").read_text())
+
+
+def spec_document():
+    base = saved_dataset()[1]["config"]
+    return {"name": "s", "base": base, "axis": {"name": "delta_minus", "values": [0.5, 0.25]},
+            "methods": [{"method": "ridge", "tau": 1.0}], "trials": 2, "outputs": ["risk"],
+            "out_path": None}
+
+
+def load_sidecar(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "ds.bin")
+        Path(path).write_bytes(saved_dataset()[0])
+        Path(path + ".json").write_text(json.dumps(doc))
+        return load_dataset(path)
+
+
+CONFIG_KEYS = list(saved_dataset()[1]["config"])
+# document -> (a valid document, the paths of its fields, the reader)
+DOCUMENTS = {
+    "config": (lambda: saved_dataset()[1]["config"], [(k,) for k in CONFIG_KEYS], ModelConfig.from_dict),
+    "spec": (
+        spec_document,
+        [(k,) for k in spec_document()] + [("base", k) for k in CONFIG_KEYS]
+        + [("axis", "name"), ("axis", "values"), ("axis", "values", 1), ("methods", 0),
+           ("methods", 0, "method"), ("methods", 0, "tau"), ("outputs", 0)],
+        SweepSpec.from_dict,
+    ),
+    "sidecar": (
+        lambda: saved_dataset()[1],
+        [("y",), ("a",), ("config",), ("y", 0), ("a", 19)] + [("config", k) for k in CONFIG_KEYS],
+        load_sidecar,
+    ),
+}
+
+
+def field_parent(doc, path):
+    """The container of the field at path, or None where an earlier edit
+    replaced a container on the way."""
+    for key in path[:-1]:
+        try:
+            doc = doc[key]
+        except (KeyError, IndexError, TypeError):
+            return None
+    return doc
+
+
+@pytest.mark.parametrize("document", sorted(DOCUMENTS))
+@PROPERTY
+@given(data=st.data())
+def test_any_json_value_in_any_field_builds_or_is_refused(document, data):
+    valid, paths, read = DOCUMENTS[document]
+    doc = json.loads(json.dumps(valid()))
+    for path in data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3, unique=True)):
+        parent = field_parent(doc, path)
+        if isinstance(parent, dict) or (isinstance(parent, list) and path[-1] < len(parent)):
+            parent[path[-1]] = data.draw(JSON_VALUES)
+    try:
+        read(json.loads(json.dumps(doc)))
+    except ValueError:
+        pass
