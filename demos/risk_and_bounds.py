@@ -49,36 +49,33 @@ def main():
 
     report = build_report(sol, cfg, mc_draws=MC_DRAWS)
     print("\nexact risks from the fitted margin:")
-    for b in (+1, -1):
-        tag = "majority" if b > 0 else "minority"
-        print(f"  {tag}: margin = {report.margin[b]:8.4f},  "
-              f"risk = {report.risk[b]:.3e}")
+    for tag, margin, risk in (("majority", report.margin_plus, report.risk_plus),
+                              ("minority", report.margin_minus, report.risk_minus)):
+        print(f"  {tag}: margin = {margin:8.4f},  risk = {risk:.3e}")
     print(f"  worst = {report.worst_risk:.3e}, "
           f"train-weighted average = {report.avg_risk:.3e}")
 
     print(f"\nMonte Carlo on {MC_DRAWS} fresh draws per group:")
-    for b in (+1, -1):
-        rate, se = report.mc_risk[b]
-        gap = abs(rate - report.risk[b])
+    for b, rate, se, exact in ((+1, report.mc_risk_plus, report.mc_stderr_plus, report.risk_plus),
+                               (-1, report.mc_risk_minus, report.mc_stderr_minus, report.risk_minus)):
         print(f"  b = {b:+d}: rate = {rate:.3e} (se {se:.1e}), "
-              f"|rate - exact| = {gap:.1e}")
+              f"|rate - exact| = {abs(rate - exact):.1e}")
 
     bound = evaluate_bounds(cfg)
     print("\nexponential envelope from the adjusted counts:")
     print(f"  n_delta = {bound.n_delta:.1f}, alpha_plus = {bound.alpha_plus:.4f}")
-    for b in (+1, -1):
-        print(f"  b = {b:+d}: E = {bound.exponent[b]:.4f}, "
-              f"upper = {bound.upper[b]:.3e}, lower = {bound.lower[b]:.3e}")
+    for b, e, upper, lower in ((+1, bound.exponent_plus, bound.upper_plus, bound.lower_plus),
+                               (-1, bound.exponent_minus, bound.upper_minus, bound.lower_minus)):
+        print(f"  b = {b:+d}: E = {e:.4f}, upper = {upper:.3e}, lower = {lower:.3e}")
 
     # the realized exponent sits a constant factor from E_b
     print("\nempirical exponent / bound exponent:")
-    for b in (+1, -1):
-        print(f"  b = {b:+d}: ratio = {tightness_ratio(sol, cfg, b):.3f}")
+    for b, ratio in zip((+1, -1), tightness_ratio(sol, cfg)):
+        print(f"  b = {b:+d}: ratio = {ratio:.3f}")
 
-    res = consistency_check(cfg, -1)
+    _, res = consistency_check(cfg)
     print(f"\nminority consistency condition: applicable = {res.applicable}, "
           f"holds = {res.holds}, slack = {res.slack:.3f}")
-
 
 if __name__ == "__main__":
     main()

@@ -33,35 +33,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Adjusted weights, per-group exponents, and the bound values.
+    """Adjusted weights, per-group exponents, the bound values, and the
+    constants (C_1, C_2, C_3) the bounds were evaluated with.
 
-    exponent/upper/lower are keyed by b in {+1, -1}; constants holds the
-    (C_1, C_2, C_3) the bounds were evaluated with.
+    The fields are the keys of the `bounds` command's JSON, in order.
     """
 
     n_delta: float
     alpha_plus: float
     alpha_minus: float
-    exponent: dict
-    upper: dict
-    lower: dict
-    constants: tuple[float, float, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "n_delta": self.n_delta,
-            "alpha_plus": self.alpha_plus,
-            "alpha_minus": self.alpha_minus,
-            "exponent_plus": self.exponent[+1],
-            "exponent_minus": self.exponent[-1],
-            "upper_plus": self.upper[+1],
-            "upper_minus": self.upper[-1],
-            "lower_plus": self.lower[+1],
-            "lower_minus": self.lower[-1],
-            "c1": self.constants[0],
-            "c2": self.constants[1],
-            "c3": self.constants[2],
-        }
+    exponent_plus: float
+    exponent_minus: float
+    upper_plus: float
+    upper_minus: float
+    lower_plus: float
+    lower_minus: float
+    c1: float
+    c2: float
+    c3: float
 
 
 @dataclass(frozen=True)
@@ -72,7 +61,6 @@ class ConsistencyResult:
     core signal); holds/slack are None in that case.
     """
 
-    b: int
     applicable: bool
     holds: bool | None
     slack: float | None
@@ -91,15 +79,14 @@ def adjusted_quantities(config: ModelConfig) -> tuple[float, float, float]:
     return n_delta, config.n_plus / config.delta_plus**2 / n_delta, config.n_minus / config.delta_minus**2 / n_delta
 
 
-def bound_exponent(config: ModelConfig, b: int) -> float:
-    """E_b = (alpha_plus R_b^2 n_plus + alpha_minus R_{-b}^2 n_minus) / d."""
-    if b not in (1, -1):
-        raise ValueError("b must be +1 or -1")
+def bound_exponent(config: ModelConfig) -> tuple[float, float]:
+    """(E_+, E_-), E_b = (alpha_plus R_b^2 n_plus + alpha_minus R_{-b}^2 n_minus) / d."""
     _, alpha_plus, alpha_minus = adjusted_quantities(config)
     sig = signal_strengths(config)
-    r_b = sig.r_plus if b == 1 else sig.r_minus
-    r_nb = sig.r_minus if b == 1 else sig.r_plus
-    return (alpha_plus * r_b**2 * config.n_plus + alpha_minus * r_nb**2 * config.n_minus) / config.d
+    return tuple(
+        (alpha_plus * r_b**2 * config.n_plus + alpha_minus * r_nb**2 * config.n_minus) / config.d
+        for r_b, r_nb in ((sig.r_plus, sig.r_minus), (sig.r_minus, sig.r_plus))
+    )
 
 
 def evaluate_bounds(
@@ -107,39 +94,42 @@ def evaluate_bounds(
 ) -> BoundReport:
     """upper_b = exp(-C_1 E_b), lower_b = C_2 exp(-C_3 E_b) for both groups."""
     c1, c2, c3 = (_coerce(f"c{k}", v) for k, v in enumerate(constants, 1))
-    n_delta, alpha_plus, alpha_minus = adjusted_quantities(config)
-    exponent = {b: bound_exponent(config, b) for b in (+1, -1)}
+    exponents = bound_exponent(config)
     return BoundReport(
-        n_delta=n_delta,
-        alpha_plus=alpha_plus,
-        alpha_minus=alpha_minus,
-        exponent=exponent,
-        upper={b: float(np.exp(-c1 * exponent[b])) for b in (+1, -1)},
-        lower={b: float(c2 * np.exp(-c3 * exponent[b])) for b in (+1, -1)},
-        constants=(c1, c2, c3),
+        *adjusted_quantities(config),
+        *exponents,
+        *(float(np.exp(-c1 * e)) for e in exponents),
+        *(float(c2 * np.exp(-c3 * e)) for e in exponents),
+        c1,
+        c2,
+        c3,
     )
 
 
-def consistency_check(config: ModelConfig, b: int, c_const: float = 1.0) -> ConsistencyResult:
-    """Check the vanishing condition R_plus^2 >= c_const d / (alpha_b n_b)."""
-    if b not in (1, -1):
-        raise ValueError("b must be +1 or -1")
+def consistency_check(
+    config: ModelConfig, c_const: float = 1.0
+) -> tuple[ConsistencyResult, ConsistencyResult]:
+    """The vanishing condition R_plus^2 >= c_const d / (alpha_b n_b) for
+    (b = +1, b = -1)."""
     c_const = _coerce("c_const", c_const)
     sig = signal_strengths(config)
     if sig.r_minus != 0.0:
-        return ConsistencyResult(b=b, applicable=False, holds=None, slack=None)
+        off = ConsistencyResult(applicable=False, holds=None, slack=None)
+        return off, off
     _, alpha_plus, alpha_minus = adjusted_quantities(config)
-    alpha_b = alpha_plus if b == 1 else alpha_minus
-    n_b = config.n_plus if b == 1 else config.n_minus
-    slack = sig.r_plus**2 * alpha_b * n_b / (c_const * config.d)
-    return ConsistencyResult(b=b, applicable=True, holds=bool(slack >= 1.0), slack=float(slack))
+    slacks = (
+        sig.r_plus**2 * alpha_b * n_b / (c_const * config.d)
+        for alpha_b, n_b in ((alpha_plus, config.n_plus), (alpha_minus, config.n_minus))
+    )
+    return tuple(ConsistencyResult(applicable=True, holds=bool(s >= 1.0), slack=float(s)) for s in slacks)
 
 
-def tightness_ratio(sol, config: ModelConfig, b: int) -> float:
-    """Empirical constant exponent_b(sol) / E_b; errors when E_b = 0."""
+def tightness_ratio(sol, config: ModelConfig) -> tuple[float | None, float | None]:
+    """Empirical constants exponent_b(sol) / E_b for (b = +1, b = -1);
+    None where E_b = 0."""
     from .risk import group_risk
 
-    e_b = bound_exponent(config, b)
-    if e_b == 0.0:
-        raise ZeroDivisionError("bound exponent is zero; ratio undefined")
-    return group_risk(sol, b).exponent / e_b
+    return tuple(
+        entry.exponent / e_b if e_b > 0.0 else None
+        for entry, e_b in zip(group_risk(sol), bound_exponent(config))
+    )

@@ -145,21 +145,18 @@ def _cmd_risk(args) -> int:
     cfg = config_from_args(args)
     sol = _fit_solution(args, cfg, accumulate_gram(cfg))
     report = build_report(sol, cfg, mc_draws=args.mc_draws)
-    _emit_json(report.to_dict(), args.out)
+    # the Monte-Carlo fields are None, and left out, unless --mc-draws ran
+    _emit_json({k: v for k, v in dataclasses.asdict(report).items() if v is not None}, args.out)
     return 0
 
 
 def _cmd_bounds(args) -> int:
     cfg = config_from_args(args)
     report = evaluate_bounds(cfg, constants=(args.c1, args.c2, args.c3))
-    doc = report.to_dict()
-    for b, tag in ((+1, "plus"), (-1, "minus")):
-        res = consistency_check(cfg, b, c_const=args.c_const)
-        doc[f"consistency_{tag}"] = {
-            "applicable": res.applicable,
-            "holds": res.holds,
-            "slack": res.slack,
-        }
+    doc = dataclasses.asdict(report)
+    doc["consistency_plus"], doc["consistency_minus"] = map(
+        dataclasses.asdict, consistency_check(cfg, c_const=args.c_const)
+    )
     _emit_json(doc, args.out)
     return 0
 

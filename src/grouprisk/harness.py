@@ -50,7 +50,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bounds import bound_exponent
+from .bounds import bound_exponent, tightness_ratio
 from .estimators import GramStats
 from .model import (
     ModelConfig,
@@ -317,7 +317,7 @@ def run_sweep(spec: SweepSpec):
     exponents_e = {}
     for idx, (value, cfg) in enumerate(derived):
         if cfg is not None and (want_bounds or want_tight):
-            exponents_e[idx] = (bound_exponent(cfg, +1), bound_exponent(cfg, -1))
+            exponents_e[idx] = bound_exponent(cfg)
 
     # results[(idx, mi)] -> list of per-trial output dicts
     results: dict[tuple[int, int], list[dict]] = {}
@@ -372,9 +372,8 @@ def run_sweep(spec: SweepSpec):
 
 def _trial_outputs(cfg, prims, e_pair, want_tight, want_prims):
     moments = fit_moments(prims)
-    plus = group_risk(moments, +1)
-    minus = group_risk(moments, -1)
-    worst, average = worst_and_average((plus, minus), config=cfg)
+    plus, minus = group_risk(moments)
+    worst, average = worst_and_average(plus, minus, cfg)
     entry = {
         "risk_plus": plus.risk,
         "risk_minus": minus.risk,
@@ -386,12 +385,7 @@ def _trial_outputs(cfg, prims, e_pair, want_tight, want_prims):
     if e_pair is not None:
         entry["e_plus"], entry["e_minus"] = e_pair
         if want_tight:
-            entry["tightness_plus"] = (
-                plus.exponent / e_pair[0] if e_pair[0] > 0 else None
-            )
-            entry["tightness_minus"] = (
-                minus.exponent / e_pair[1] if e_pair[1] > 0 else None
-            )
+            entry["tightness_plus"], entry["tightness_minus"] = tightness_ratio(moments, cfg)
     if want_prims:
         report = verify_primitive_bounds(prims, cfg)
         entry["primitive_pass_frac"] = sum(r.passed for r in report.rows) / len(
@@ -453,7 +447,6 @@ def preset(name: str, seed: int = 0, trials: int = 10) -> SweepSpec:
             methods=(("cmni", None),),
             trials=trials,
             outputs=("risk", "bounds", "tightness"),
-            out_path=f"{name}.csv",
             name=name,
         )
     if name == "fig1_right":
@@ -474,7 +467,6 @@ def preset(name: str, seed: int = 0, trials: int = 10) -> SweepSpec:
             methods=(("ridge", 0.0), ("ridge", "d/10"), ("ridge", "d")),
             trials=trials,
             outputs=("risk", "bounds", "tightness"),
-            out_path=f"{name}.csv",
             name=name,
         )
     if name in ("fig2_left", "fig2_right"):
@@ -491,7 +483,6 @@ def preset(name: str, seed: int = 0, trials: int = 10) -> SweepSpec:
             methods=(("cmni", None),),
             trials=trials,
             outputs=("risk", "bounds", "tightness"),
-            out_path=f"{name}.csv",
             name=name,
         )
     raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")

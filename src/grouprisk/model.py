@@ -404,20 +404,6 @@ class AssumptionReport:
     def all_pass(self) -> bool:
         return self.pass_a and self.pass_b and self.pass_c and self.pass_d
 
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "c_const": self.c_const,
-            "pass_a": self.pass_a,
-            "pass_b": self.pass_b,
-            "pass_c": self.pass_c,
-            "pass_d": self.pass_d,
-            "slack_a": self.slack_a,
-            "slack_b": self.slack_b,
-            "slack_c": self.slack_c,
-            "slack_d": self.slack_d,
-        }
-
 
 @dataclass(eq=False)
 class Dataset:

@@ -60,7 +60,7 @@ is memoized per tau on the instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -349,22 +349,22 @@ def fit_moments(prims: PrimitiveSet) -> FitMoments:
     return FitMoments(float(prims.o[1, 2]), (float(dot(+1)), float(dot(-1))))
 
 
-def risk_identity_check(prims: PrimitiveSet, sol, b: int) -> float:
-    """Relative gap between the margin exponent and its primitive form.
+def risk_identity_check(prims: PrimitiveSet, sol) -> tuple[float, float]:
+    """Relative gaps (b = +1, b = -1) between the margin exponent and its
+    primitive form.
 
     The exponent (w_hat' mu_b)^2 / (2 |w_hat|^2) of the fitted `sol` must
     equal the same ratio of the order-2 primitive moments of `fit_moments`.
     """
     from .risk import group_risk
 
-    if b not in (1, -1):
-        raise ValueError("b must be +1 or -1")
     moments = fit_moments(prims)
-    num = moments.w_dot_mu[0 if b == 1 else 1]
-    primitive_side = num * num / (2.0 * moments.w_norm_sq)
-    fitted_side = group_risk(sol, b).exponent
-    scale = max(abs(primitive_side), abs(fitted_side), 1e-300)
-    return float(abs(primitive_side - fitted_side) / scale)
+    gaps = []
+    for num, entry in zip(moments.w_dot_mu, group_risk(sol)):
+        primitive_side = num * num / (2.0 * moments.w_norm_sq)
+        scale = max(abs(primitive_side), abs(entry.exponent), 1e-300)
+        gaps.append(float(abs(primitive_side - entry.exponent) / scale))
+    return tuple(gaps)
 
 
 def wishart_interval(d: int, n: int, t: float) -> tuple[float, float]:
@@ -606,18 +606,6 @@ class AuxInequalityReport:
     def all_ok(self) -> bool:
         return self.margin_floor_ok and self.count_cap_ok
 
-    def to_dict(self) -> dict:
-        return {
-            "margin_floor_realized": self.margin_floor_realized,
-            "margin_floor_reference": self.margin_floor_reference,
-            "margin_floor_ok": self.margin_floor_ok,
-            "count_cap_lhs": self.count_cap_lhs,
-            "count_cap_rhs": self.count_cap_rhs,
-            "count_cap_ok": self.count_cap_ok,
-            "c_big": self.c_big,
-            "c_tilde": self.c_tilde,
-        }
-
 
 # The constants (c_big, c_tilde) of the count-cap inequality.
 AUX_C_BIG = 145.0
@@ -683,7 +671,7 @@ def verify_primitives(
     mode_gap = primitive_set_max_gap(direct, recursive)
 
     sol = fit_ridge(stats, config.deltas, tau)
-    identity_gaps = {str(b): risk_identity_check(direct, sol, b) for b in (+1, -1)}
+    identity_gaps = dict(zip(("1", "-1"), risk_identity_check(direct, sol)))
 
     adj_gap = 0.0
     for k in (1, 2):
@@ -702,6 +690,6 @@ def verify_primitives(
         "adjugate_identity_gap": adj_gap,
         "bands_all_pass": bands.all_pass,
         "band_failures": [r.to_dict() for r in bands.failures()],
-        "aux_inequalities": aux.to_dict(),
+        "aux_inequalities": asdict(aux),
         "passed": bool(passed),
     }

@@ -6,6 +6,7 @@ Shared heavy computations are cached at module scope so the band and
 determinant criteria reuse one 100-seed ensemble.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -175,8 +176,7 @@ class TestRecursionMachinery:
                         stats = accumulate_gram(ds)
                         sol = fit_ridge(stats, cfg.deltas, tau)
                         prims = compute_primitives(stats, tau=tau, delta=cfg.deltas, mode="direct")
-                        for b in (+1, -1):
-                            worst = max(worst, risk_identity_check(prims, sol, b))
+                        worst = max(worst, *risk_identity_check(prims, sol))
         elapsed = time.time() - start
         ok = worst <= 1e-8 and elapsed < 30.0
         assert report(
@@ -240,7 +240,7 @@ class TestConcentration:
 
     def test_criterion_07_primitive_rate_bands(self):
         data, elapsed, premises = band_regime_ensemble()
-        assert all(r.all_pass for r in premises), [r.to_dict() for r in premises if not r.all_pass][:1]
+        assert all(r.all_pass for r in premises), [dataclasses.asdict(r) for r in premises if not r.all_pass][:1]
         counts = {}
         for tau, entries in data.items():
             diag_pass = 0
@@ -259,7 +259,7 @@ class TestConcentration:
 
     def test_criterion_08_det_band(self):
         data, _, premises = band_regime_ensemble()
-        assert all(r.all_pass for r in premises), [r.to_dict() for r in premises if not r.all_pass][:1]
+        assert all(r.all_pass for r in premises), [dataclasses.asdict(r) for r in premises if not r.all_pass][:1]
         in_band = 0
         total = 0
         worst = (np.inf, -np.inf)
@@ -334,11 +334,14 @@ class TestFigureLevel:
                 )
             )
             cfg = derive_config(spec.base, "r_plus_sq", r_plus_sq)
-            for group, b, value, op, limit in (
-                ("majority", +1, rows[0].risk_plus_mean, "<=", 0.05),
-                ("minority", -1, rows[0].risk_minus_mean, minority_op, minority_limit),
+            for group, value, op, limit, cons in zip(
+                ("majority", "minority"),
+                (rows[0].risk_plus_mean, rows[0].risk_minus_mean),
+                ("<=", minority_op),
+                (0.05, minority_limit),
+                consistency_check(cfg),
             ):
-                outcomes.append((f"{probe}: {group}", value, op, limit, consistency_check(cfg, b)))
+                outcomes.append((f"{probe}: {group}", value, op, limit, cons))
 
         # premise: a clause asks for vanishing risk exactly where the
         # consistency condition holds

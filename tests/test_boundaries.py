@@ -194,7 +194,7 @@ CALL_CASES = [
     ("c_const", lambda cfg, stats: check_assumptions(cfg, c_const=HUGE)),
     ("delta", lambda cfg, stats: check_assumptions(cfg, delta=HUGE)),
     ("c1", lambda cfg, stats: evaluate_bounds(cfg, constants=(HUGE, 1.0, 1.0))),
-    ("c_const", lambda cfg, stats: consistency_check(cfg, 1, c_const=HUGE)),
+    ("c_const", lambda cfg, stats: consistency_check(cfg, c_const=HUGE)),
     ("seed", lambda cfg, stats: bartlett_factor(4, 9, HUGE, 1)),
     ("seed", lambda cfg, stats: cfg.with_updates(seed=HUGE)),
     ("pi_plus", lambda cfg, stats: cfg.with_updates(pi_plus=HUGE)),

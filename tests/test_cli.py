@@ -347,6 +347,11 @@ class TestSampleAndFit:
         assert len(json.loads(stdout)["c"]) == 20
 
 
+# the keys of the `risk` document without --mc-draws, in their printed order
+RISK_KEYS = ["margin_plus", "margin_minus", "exponent_plus", "exponent_minus",
+             "risk_plus", "risk_minus", "worst_risk", "avg_risk"]
+
+
 class TestRiskAndBounds:
     def test_risk_report(self, capsys):
         code, stdout, _ = run(["risk", "-n", "20", "-d", "400", "--seed", "4"], capsys)
@@ -403,6 +408,30 @@ class TestRiskAndBounds:
         assert code == 2
         assert stdout == ""
         assert "finite and positive" in err
+
+    @pytest.mark.parametrize(
+        "argv, nested, keys",
+        [
+            (["risk"], None, RISK_KEYS),
+            (["risk", "--mc-draws", "100"], None,
+             [*RISK_KEYS, "mc_risk_plus", "mc_stderr_plus", "mc_risk_minus", "mc_stderr_minus"]),
+            (["bounds"], None,
+             ["n_delta", "alpha_plus", "alpha_minus", "exponent_plus", "exponent_minus",
+              "upper_plus", "upper_minus", "lower_plus", "lower_minus", "c1", "c2", "c3",
+              "consistency_plus", "consistency_minus"]),
+            (["bounds"], "consistency_plus", ["applicable", "holds", "slack"]),
+            (["bounds"], "consistency_minus", ["applicable", "holds", "slack"]),
+            (["verify-primitives"], "aux_inequalities",
+             ["margin_floor_realized", "margin_floor_reference", "margin_floor_ok",
+              "count_cap_lhs", "count_cap_rhs", "count_cap_ok", "c_big", "c_tilde"]),
+        ],
+        ids=["risk", "risk-mc", "bounds", "consistency-plus", "consistency-minus", "aux-inequalities"],
+    )
+    def test_document_keys_in_order(self, argv, nested, keys, capsys):
+        code, stdout, _ = run([*argv, "-n", "20", "-d", "400"], capsys)
+        assert code == 0
+        doc = json.loads(stdout)
+        assert list(doc if nested is None else doc[nested]) == keys
 
     def test_out_flag_writes_file(self, tmp_path, capsys):
         out = str(tmp_path / "risk.json")
@@ -657,6 +686,16 @@ class TestSweepCommand:
             parsed = list(csv.reader(fh))
         assert parsed[0] == CSV_COLUMNS
         assert len(parsed) == 3
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_preset_without_out_writes_a_file_named_for_its_format(self, fmt, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, _ = run(["sweep", "--preset", "fig1_left", "--trials", "1", "--format", fmt], capsys)
+        assert code == 0
+        assert [p.name for p in tmp_path.iterdir()] == [f"fig1_left.{fmt}"]
+        text = (tmp_path / f"fig1_left.{fmt}").read_text()
+        rows = json.loads(text)["rows"] if fmt == "json" else list(csv.DictReader(text.splitlines()))
+        assert len(rows) == 23
 
     def test_sweep_skips_logged_as_json_lines(self, tmp_path, capsys):
         spec_path = self.spec_file(tmp_path)

@@ -324,12 +324,9 @@ class TestRunSweep:
         ds = sample_dataset(cfg)
         stats = accumulate_gram(ds)
         sol = fit_cmni(stats, cfg.deltas)
-        np.testing.assert_allclose(
-            rows[0].risk_plus_mean, group_risk(sol, +1).risk, rtol=1e-10
-        )
-        np.testing.assert_allclose(
-            rows[0].risk_minus_mean, group_risk(sol, -1).risk, rtol=1e-10
-        )
+        plus, minus = group_risk(sol)
+        np.testing.assert_allclose(rows[0].risk_plus_mean, plus.risk, rtol=1e-10)
+        np.testing.assert_allclose(rows[0].risk_minus_mean, minus.risk, rtol=1e-10)
 
     def test_ridge_row_matches_independent_fit(self):
         spec = tiny_spec(trials=1, methods=(("ridge", "d/10"),), outputs=("risk",))
@@ -340,9 +337,8 @@ class TestRunSweep:
         ds = sample_dataset(cfg)
         stats = accumulate_gram(ds)
         sol = fit_ridge(stats, cfg.deltas, tau=cfg.d / 10.0)
-        np.testing.assert_allclose(
-            rows[0].risk_minus_mean, group_risk(sol, -1).risk, rtol=1e-10
-        )
+        _, minus = group_risk(sol)
+        np.testing.assert_allclose(rows[0].risk_minus_mean, minus.risk, rtol=1e-10)
         assert rows[0].tau == cfg.d / 10.0
 
     def test_exponents_match_per_point_fits(self):
@@ -363,8 +359,7 @@ class TestRunSweep:
                 sol = fit_cmni(stats, cfg.deltas)
             else:
                 sol = fit_ridge(stats, cfg.deltas, row.tau)
-            for b, tag in ((+1, "plus"), (-1, "minus")):
-                ref = group_risk(sol, b)
+            for tag, ref in zip(("plus", "minus"), group_risk(sol)):
                 got = getattr(row, f"exponent_{tag}_mean")
                 assert abs(got - ref.exponent) <= 1e-10 * abs(ref.exponent), row.run_id
                 got = getattr(row, f"risk_{tag}_mean")
@@ -375,7 +370,7 @@ class TestRunSweep:
         rows, _ = run_sweep(spec)
         for row in rows:
             cfg = derive_config(spec.base, "delta_minus", row.axis_value)
-            np.testing.assert_allclose(row.e_plus_mean, bound_exponent(cfg, +1), rtol=1e-12)
+            np.testing.assert_allclose(row.e_plus_mean, bound_exponent(cfg)[0], rtol=1e-12)
             assert row.e_plus_std == 0.0
 
     def test_unrequested_outputs_are_none(self):

@@ -1,5 +1,6 @@
 """Tests for configuration, sampling, and dataset persistence."""
 
+import dataclasses
 import json
 import os
 import re
@@ -876,7 +877,7 @@ class TestAssumptions:
         rep = check_assumptions(cfg, delta=0.05)
         assert isinstance(rep, AssumptionReport)
         assert rep.all_pass == (rep.pass_a and rep.pass_b and rep.pass_c and rep.pass_d)
-        d = rep.to_dict()
+        d = dataclasses.asdict(rep)
         assert d["pass_a"] == rep.pass_a
         assert d["slack_d"] == rep.slack_d
 

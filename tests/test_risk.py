@@ -1,5 +1,7 @@
 """Tests for the Gaussian tail and group risk reports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -53,29 +55,24 @@ class TestGroupRisk:
     def test_exponent_is_half_squared_margin(self):
         cfg = make_config()
         sol = fitted(cfg)
-        entry = group_risk(sol, +1)
-        np.testing.assert_allclose(entry.exponent, entry.margin**2 / 2.0, rtol=1e-12)
-        np.testing.assert_allclose(entry.risk, q_function(entry.margin), rtol=1e-12)
+        for entry in group_risk(sol):
+            np.testing.assert_allclose(entry.exponent, entry.margin**2 / 2.0, rtol=1e-12)
+            np.testing.assert_allclose(entry.risk, q_function(entry.margin), rtol=1e-12)
 
     def test_majority_beats_minority_with_spurious_signal(self):
         cfg = make_config(seed=1)
         sol = fitted(cfg)
-        assert group_risk(sol, +1).risk < group_risk(sol, -1).risk
-
-    def test_rejects_invalid_group(self):
-        cfg = make_config()
-        sol = fitted(cfg)
-        with pytest.raises(ValueError):
-            group_risk(sol, 2)
+        plus, minus = group_risk(sol)
+        assert plus.risk < minus.risk
 
 
 class TestAggregation:
     def test_average_uses_group_shares(self):
         cfg = make_config(n_plus=190, n_minus=10, d_core=500, d_spur=500,
                           mu_core=e1_mean(10.0, 500), mu_spur=e1_mean(5.0, 500))
-        risks = [GroupRiskEntry(b=-1, margin=1.0, exponent=0.5, risk=0.2),
-                 GroupRiskEntry(b=+1, margin=2.0, exponent=2.0, risk=0.02)]
-        worst, average = worst_and_average(risks, cfg)
+        plus = GroupRiskEntry(margin=2.0, exponent=2.0, risk=0.02)
+        minus = GroupRiskEntry(margin=1.0, exponent=0.5, risk=0.2)
+        worst, average = worst_and_average(plus, minus, cfg)
         np.testing.assert_allclose(worst, 0.2)
         np.testing.assert_allclose(average, 0.95 * 0.02 + 0.05 * 0.2)
 
@@ -87,46 +84,42 @@ class TestMonteCarlo:
             mu_core=e1_mean(3.0, 200), mu_spur=e1_mean(1.0, 200), seed=5
         )
         sol = fitted(cfg)
-        for b in (+1, -1):
-            exact = group_risk(sol, b).risk
-            est, se = monte_carlo_risk(sol, cfg, b, m=200_000)
-            assert abs(est - exact) <= 4.0 * se + 1e-12
+        for entry, (est, se) in zip(group_risk(sol), monte_carlo_risk(sol, cfg, m=200_000)):
+            assert abs(est - entry.risk) <= 4.0 * se + 1e-12
 
     def test_standard_error_scaling(self):
         cfg = make_config(mu_core=e1_mean(3.0, 200), mu_spur=e1_mean(1.0, 200))
         sol = fitted(cfg)
-        _, se_small = monte_carlo_risk(sol, cfg, +1, m=10_000)
-        _, se_big = monte_carlo_risk(sol, cfg, +1, m=1_000_000)
+        (_, se_small), _ = monte_carlo_risk(sol, cfg, m=10_000)
+        (_, se_big), _ = monte_carlo_risk(sol, cfg, m=1_000_000)
         np.testing.assert_allclose(se_small / se_big, 10.0, rtol=0.3)
 
     def test_deterministic_given_seed(self):
         # the draws follow the config's seed, the one the fit was sampled at
         cfg = make_config(mu_core=e1_mean(3.0, 200), mu_spur=e1_mean(1.0, 200))
         sol = fitted(cfg)
-        a = monte_carlo_risk(sol, cfg, -1, m=50_000)
-        b = monte_carlo_risk(sol, cfg, -1, m=50_000)
+        a = monte_carlo_risk(sol, cfg, m=50_000)
+        b = monte_carlo_risk(sol, cfg, m=50_000)
         assert a == b
-        assert monte_carlo_risk(sol, cfg.with_updates(seed=9), -1, m=50_000) != a
+        assert monte_carlo_risk(sol, cfg.with_updates(seed=9), m=50_000) != a
 
     def test_rejects_bad_draw_count(self):
         cfg = make_config()
         sol = fitted(cfg)
         with pytest.raises(ValueError):
-            monte_carlo_risk(sol, cfg, +1, m=0)
+            monte_carlo_risk(sol, cfg, m=0)
 
     @pytest.mark.parametrize("m", [1.5, 100.0, True, np.bool_(True), "100"])
     def test_rejects_non_integer_draw_count(self, m):
         cfg = make_config()
         sol = fitted(cfg)
         with pytest.raises(ValueError, match="m must be an integer"):
-            monte_carlo_risk(sol, cfg, +1, m=m)
+            monte_carlo_risk(sol, cfg, m=m)
 
     def test_accepts_numpy_integer_draw_count(self):
         cfg = make_config(mu_core=e1_mean(3.0, 200), mu_spur=e1_mean(1.0, 200))
         sol = fitted(cfg)
-        assert monte_carlo_risk(sol, cfg, +1, m=np.int64(5_000)) == (
-            monte_carlo_risk(sol, cfg, +1, m=5_000)
-        )
+        assert monte_carlo_risk(sol, cfg, m=np.int64(5_000)) == monte_carlo_risk(sol, cfg, m=5_000)
 
 
 class TestRiskReport:
@@ -135,22 +128,22 @@ class TestRiskReport:
         sol = fitted(cfg)
         report = build_report(sol, cfg)
         assert isinstance(report, RiskReport)
-        np.testing.assert_allclose(
-            report.worst_risk, max(report.risk[+1], report.risk[-1])
-        )
-        expected_avg = 0.8 * report.risk[+1] + 0.2 * report.risk[-1]
+        np.testing.assert_allclose(report.worst_risk, max(report.risk_plus, report.risk_minus))
+        expected_avg = 0.8 * report.risk_plus + 0.2 * report.risk_minus
         np.testing.assert_allclose(report.avg_risk, expected_avg, rtol=1e-12)
 
     def test_report_with_monte_carlo(self):
         cfg = make_config(mu_core=e1_mean(3.0, 200), mu_spur=e1_mean(1.0, 200))
         sol = fitted(cfg)
         report = build_report(sol, cfg, mc_draws=20_000)
-        assert report.mc_risk is not None
-        assert set(report.mc_risk) == {+1, -1}
+        (rate_plus, se_plus), (rate_minus, se_minus) = monte_carlo_risk(sol, cfg, m=20_000)
+        assert (report.mc_risk_plus, report.mc_stderr_plus) == (rate_plus, se_plus)
+        assert (report.mc_risk_minus, report.mc_stderr_minus) == (rate_minus, se_minus)
+        assert build_report(sol, cfg).mc_risk_plus is None
 
     def test_to_dict_flattens_groups(self):
         cfg = make_config()
         sol = fitted(cfg)
-        doc = build_report(sol, cfg).to_dict()
+        doc = dataclasses.asdict(build_report(sol, cfg))
         for key in ("risk_plus", "risk_minus", "margin_plus", "exponent_minus", "worst_risk"):
             assert key in doc
