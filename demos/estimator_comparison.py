@@ -12,12 +12,12 @@ import numpy as np
 
 from grouprisk import (
     ModelConfig,
-    accumulate_gram,
     e1_mean,
     fit_cmni,
     fit_gd,
     fit_ridge,
     interpolation_residual,
+    noise_stats,
     sample_dataset,
 )
 
@@ -35,7 +35,7 @@ def main():
         seed=5,
     )
     ds = sample_dataset(cfg)
-    stats = accumulate_gram(ds)
+    stats = noise_stats(ds)
 
     sol = fit_cmni(stats, cfg.deltas)
     print("interpolator:")

@@ -14,7 +14,7 @@ Run:  python3 demos/primitive_recursion.py
 
 import numpy as np
 
-from grouprisk import ModelConfig, accumulate_gram, compute_primitives, e1_mean
+from grouprisk import ModelConfig, compute_primitives, e1_mean, noise_stats
 from grouprisk.primitives import verify_primitives
 
 SEED = 3
@@ -31,7 +31,7 @@ def main():
         n_minus=6,
         seed=SEED,
     )
-    stats = accumulate_gram(cfg)
+    stats = noise_stats(cfg)
     print(f"d = {cfg.d}, n = {cfg.n}, mean norms m_1 = {stats.mu_norms[0]:.3f}, "
           f"m_2 = {stats.mu_norms[1]:.3f}")
 

@@ -12,12 +12,12 @@ import numpy as np
 
 from grouprisk import (
     ModelConfig,
-    accumulate_gram,
     build_report,
     consistency_check,
     e1_mean,
     evaluate_bounds,
     fit_cmni,
+    noise_stats,
     signal_strengths,
     tightness_ratio,
 )
@@ -43,8 +43,9 @@ def main():
     print(f"d = {cfg.d}, n = {cfg.n} ({cfg.n_plus}/{cfg.n_minus}), "
           f"R_plus = {sig.r_plus:.1f}, R_minus = {sig.r_minus:.1f}")
 
-    # streamed gram accumulation; X is never materialized at this width
-    stats = accumulate_gram(cfg)
+    # the noise streamed once into its Gram statistics; X is never
+    # materialized at this width
+    stats = noise_stats(cfg)
     sol = fit_cmni(stats, cfg.deltas)
 
     report = build_report(sol, cfg, mc_draws=MC_DRAWS)

@@ -18,9 +18,9 @@ import sys
 import numpy as np
 
 from .bounds import consistency_check, evaluate_bounds
-from .estimators import accumulate_gram, fit_cmni, fit_gd, fit_ridge, interpolation_residual
+from .estimators import fit_cmni, fit_gd, fit_ridge, interpolation_residual
 from .harness import PRESET_NAMES, SweepSpec, emit, preset, run_sweep
-from .model import ModelConfig, e1_mean, load_dataset, sample_dataset, save_dataset
+from .model import ModelConfig, e1_mean, load_dataset, noise_stats, sample_dataset, save_dataset
 from .model import _coerce, _one_blas_thread
 from .primitives import verify_primitives, wishart_coverage
 from .risk import build_report
@@ -132,7 +132,7 @@ def _cmd_fit(args) -> int:
         cfg = source.config
     else:
         source = cfg = config_from_args(args)
-    stats = accumulate_gram(source)
+    stats = noise_stats(source)
     sol = _fit_solution(args, cfg, stats)
     doc = sol.to_dict()
     doc["interpolation_residual"] = interpolation_residual(sol, stats, cfg.deltas)
@@ -143,7 +143,7 @@ def _cmd_fit(args) -> int:
 def _cmd_risk(args) -> int:
     _refuse_unused_method_flags(args)
     cfg = config_from_args(args)
-    sol = _fit_solution(args, cfg, accumulate_gram(cfg))
+    sol = _fit_solution(args, cfg, noise_stats(cfg))
     report = build_report(sol, cfg, mc_draws=args.mc_draws)
     # the Monte-Carlo fields are None, and left out, unless --mc-draws ran
     _emit_json({k: v for k, v in dataclasses.asdict(report).items() if v is not None}, args.out)
@@ -163,7 +163,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_verify_primitives(args) -> int:
     cfg = config_from_args(args)
-    doc = verify_primitives(accumulate_gram(cfg), cfg, tau=args.tau, band=args.band)
+    doc = verify_primitives(noise_stats(cfg), cfg, tau=args.tau, band=args.band)
     _emit_json(doc, args.out)
     return 0 if doc["passed"] else 1
 

@@ -7,14 +7,16 @@ The estimator
 is represented by its dual coefficients c = (G + tau I)^{-1} Delta^{-1} y
 with G = X X', so no d-dimensional object is ever materialized.  Everything
 downstream needs only the labels, G, X mu_b, and the noise projections
-d_1 = Q mu_bar_s, d_2 = Q mu_bar_c.  `GramStats` holds them as one tau-free
-O(n^2) view of the `NoiseStats` that `model.noise_stats` streams once from
-a config or a dataset; it is the one input of the fitters here and of the
+d_1 = Q mu_bar_s, d_2 = Q mu_bar_c.  `model.GramStats` holds them: the one
+tau-free O(n^2) view that `model.noise_stats` streams once from a config
+or a dataset.  It is the one input of the fitters here and of the
 primitives in `primitives`, which share the per-tau factors memoized on
-it.  tau is an argument of each call that uses it, never part of the
-config, and `model._coerce` reads it as a finite nonnegative float.  A
-sweep reads its fits off the primitives (`primitives.fit_moments`); the
-fitters here are the per-point reference and serve the CLI.
+it.  The weights (delta_plus, delta_minus) and tau are arguments of each
+call that uses them (tau is never part of the config), and
+`model._coerce` reads each weight as a finite positive float and tau as
+a finite nonnegative one.  A sweep reads its fits off the primitives
+(`primitives.fit_moments`); the fitters here are the per-point reference
+and serve the CLI.
 
 tau = 0 is the cost-sensitive minimum-norm interpolator, whose defining
 constraint is Delta_{b_i} <w, x_i> = y_i.  Gradient descent on the adjusted
@@ -26,24 +28,14 @@ iteration c <- c + (2 step / n)(Delta^{-1} y - G c).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .model import (
-    Dataset,
-    ModelConfig,
-    NoiseStats,
-    _coerce,
-    _freeze_arrays,
-    noise_stats,
-)
+from .model import GramStats, _coerce
 
 __all__ = [
-    "GramStats",
     "DualSolution",
-    "accumulate_gram",
     "fit_cmni",
     "fit_ridge",
     "fit_gd",
@@ -52,126 +44,6 @@ __all__ = [
 
 _SOLVE_RTOL = 1e-10  # target residual, relative to |Delta^{-1} y|
 _GD_TOL = 1e-10  # fit_gd stops at this inf-norm residual, relative to |Delta^{-1} y|_inf
-
-
-@dataclass(frozen=True, eq=False)
-class GramStats:
-    """The Gram structure of one design matrix under one pair of mean norms.
-
-    y and a are the labels; the group of row i is b_i = y_i a_i.  With
-    v_1 = a, v_2 = y, (m_1, m_2) = mu_norms = (|mu_bar_s|, |mu_bar_c|) and
-    the noise-mean projections d_1 = Q mu_bar_s, d_2 = Q mu_bar_c, the
-    Gram matrix G = X X' is built stage by stage from G_0 = gram_0 = Q Q':
-
-        G_k = G_{k-1} + L_k R_k,
-        L_k = [m_k v_k, d_k, v_k],   R_k = [m_k v_k'; v_k'; d_k'].
-
-    `gram` (the symmetrized G_2), `x_mu_plus` and `x_mu_minus` (X mu_{+1}
-    and X mu_{-1}) are derived on first use.  Every array is read-only.
-    The instance holds no tau: what depends on it is memoized per tau
-    through `per_tau`, so every weight, fit and primitive call that shares
-    the instance and tau shares it.  The builds are the factor of
-    G + tau I (`fit_cmni`, `fit_ridge`) and the order-0 solve of recursive
-    primitives (two 7x7 tables, from one factor of gram_0 + tau I).
-    """
-
-    y: np.ndarray
-    a: np.ndarray
-    gram_0: np.ndarray
-    d_1: np.ndarray
-    d_2: np.ndarray
-    mu_norms: tuple[float, float]
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        _freeze_arrays(self)
-
-    @classmethod
-    def from_noise(cls, config: ModelConfig, noise: NoiseStats) -> "GramStats":
-        """The view of `noise` under `config`'s means, in O(n).
-
-        A mean with |mu|^2 below `_MEAN_SQ_FLOOR` takes the zero-mean path
-        (m = 0, d = 0): the primitives scale with m^2 times factors of
-        order n / (d + tau), which would leave the normal range and round
-        differently in the two primitive modes.
-        """
-        m_1 = _mean_norm(config.mu_spur[0])
-        m_2 = _mean_norm(config.mu_core[0])
-        return cls(
-            y=noise.y,
-            a=noise.a,
-            gram_0=noise.gram_0,
-            d_1=m_1 * noise.q_spur,
-            d_2=m_2 * noise.q_core,
-            mu_norms=(m_1, m_2),
-        )
-
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
-
-    def update_factors(self, k: int):
-        """(L_k, R_k) of stage k in {1, 2}."""
-        if k not in (1, 2):
-            raise ValueError("stage k must be 1 or 2")
-        m = self.mu_norms[k - 1]
-        v, d = (self.a, self.d_1) if k == 1 else (self.y, self.d_2)
-        return np.column_stack([m * v, d, v]), np.vstack([m * v, v, d])
-
-    def stage_gram(self, k: int) -> np.ndarray:
-        """G_k for k in {0, 1, 2}: gram_0 plus the first k rank-3 updates."""
-        if k not in (0, 1, 2):
-            raise ValueError("stage k must be 0, 1, or 2")
-        g = self.gram_0
-        for j in range(1, k + 1):
-            L, R = self.update_factors(j)
-            g = g + L @ R
-        return g
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        g = self.stage_gram(2)
-        return _read_only(0.5 * (g + g.T))
-
-    @cached_property
-    def x_mu_plus(self) -> np.ndarray:
-        return self._x_mu(+1)
-
-    @cached_property
-    def x_mu_minus(self) -> np.ndarray:
-        return self._x_mu(-1)
-
-    def _x_mu(self, b: int) -> np.ndarray:
-        """X mu_b = m_2^2 y + b m_1^2 a + d_2 + b d_1."""
-        m_1, m_2 = self.mu_norms
-        return _read_only(m_2 * m_2 * self.y + b * m_1 * m_1 * self.a + self.d_2 + b * self.d_1)
-
-    def per_tau(self, build, tau: float):
-        """build(self, tau), computed once per (build, tau) on this instance.
-
-        tau must be finite and nonnegative; a failed build caches nothing.
-        """
-        key = (build, _coerce("tau", tau))
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._memo[key] = build(self, key[1])
-        return hit
-
-
-# sqrt of the smallest normal double: m^2 times any factor down to this
-# stays normal, and a mean this small moves no O(1) quantity by an ulp
-_MEAN_SQ_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
-
-
-def _mean_norm(scale) -> float:
-    """|scale|, or 0.0 when scale^2 < `_MEAN_SQ_FLOOR`."""
-    m = abs(float(scale))
-    return 0.0 if m * m < _MEAN_SQ_FLOOR else m
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,22 +73,19 @@ class DualSolution:
         }
 
 
-def accumulate_gram(source) -> GramStats:
-    """G = X X', X mu_b, and d_k = Q mu_bar_k of a Dataset or a ModelConfig.
-
-    The noise is streamed once by `noise_stats`; from a config, X and Q are
-    never held in full.
-    """
-    noise = noise_stats(source)
-    config = source.config if isinstance(source, Dataset) else source
-    return GramStats.from_noise(config, noise)
+def _weights(delta) -> tuple[float, float]:
+    """The pair (delta_plus, delta_minus), each read by `model._coerce` as
+    finite and positive; ValueError naming the one that is not."""
+    delta_plus, delta_minus = delta
+    return _coerce("delta_plus", delta_plus), _coerce("delta_minus", delta_minus)
 
 
 def _adjusted_targets(stats: GramStats, delta):
     """(Delta^{-1} y, Delta_b) of `stats`: each row's weight Delta_{b_i} is
-    delta_plus in the majority group b_i = y_i a_i = +1, else delta_minus."""
-    delta_plus, delta_minus = delta
-    dvec = np.where(stats.y * stats.a > 0, float(delta_plus), float(delta_minus))
+    delta_plus in the majority group b_i = y_i a_i = +1, else delta_minus
+    (`_weights`)."""
+    delta_plus, delta_minus = _weights(delta)
+    dvec = np.where(stats.y * stats.a > 0, delta_plus, delta_minus)
     return stats.y / dvec, dvec
 
 

@@ -16,20 +16,20 @@ Axes:
 Trial i reseeds the config with seed XOR i, and streams its noise once,
 before its points, into (Q Q', Q u_c, Q u_s).  Along delta_minus and
 r_plus_sq the noise matrix and labels do not depend on the axis value, so
-that is one `model.noise_stats_many` call of one config, and every
-`GramStats` view is built from it in O(n^2).  Along n_coupled every value
-has its own n and d, but every point's Q reads a prefix of the trial's one
-noise stream, so one call streams all of them in a single pass and each
-word is drawn once.  Every point and method is one recursive
-`compute_primitives` call at its tau and weights, and the risks come from
-its order-2 table: the risk identity (`primitives.fit_moments`) gives
-|w_hat|^2 and w_hat' mu_b of the fit, so no fitter runs in a sweep.  The
-order-0 solve that call needs (one Cholesky of gram_0 + tau I and two 7x7
-tables) is memoized per tau on the `GramStats`.  Along delta_minus the
-means do not change either, so each trial builds one `GramStats`: a
-(trial, tau) costs one factorization, and every point and primitive call
-after it 7x7 arithmetic.  `fit_cmni` and `fit_ridge` remain the per-point
-reference.
+that is one `model.noise_stats_many` call of one config, and every point
+reads the `GramStats` it returns under its own means (`GramStats.under`).
+Along n_coupled every value has its own n and d, but every point's Q
+reads a prefix of the trial's one noise stream, so one call streams all
+of them in a single pass and each word is drawn once.  Every point and
+method is one recursive `compute_primitives` call at its tau and weights,
+and the risks come from its order-2 table: the risk identity
+(`primitives.fit_moments`) gives |w_hat|^2 and w_hat' mu_b of the fit, so
+no fitter runs in a sweep.  The order-0 solve that call needs (one
+Cholesky of gram_0 + tau I and two 7x7 tables) is memoized per tau on the
+`GramStats`.  Along delta_minus the means do not change either, so
+`under` returns the trial's one `GramStats` at every point: a (trial, tau)
+costs one factorization, and every point and primitive call after it 7x7
+arithmetic.  `fit_cmni` and `fit_ridge` remain the per-point reference.
 
 Rows are aggregated in trial order: every per-trial output becomes a
 `<name>_mean` and `<name>_std` pair of `SweepRow` fields (the primitive
@@ -51,7 +51,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .bounds import bound_exponent, tightness_ratio
-from .estimators import GramStats
 from .model import (
     ModelConfig,
     _check_fields,
@@ -309,7 +308,6 @@ def run_sweep(spec: SweepSpec):
     # each n_coupled value has its own n and d; on the other axes the labels
     # and noise do not depend on the value, so the first point's serve all
     per_point = spec.axis.name == "n_coupled"
-    means_fixed = spec.axis.name == "delta_minus"
     want_bounds = "bounds" in spec.outputs
     want_tight = "tightness" in spec.outputs
     want_prims = "primitives" in spec.outputs
@@ -330,15 +328,9 @@ def run_sweep(spec: SweepSpec):
             for idx in points:
                 skip("sample", str(exc), value=derived[idx][0], trial=trial)
             continue
-        stats: GramStats | None = None
         for k, idx in enumerate(points):
             value, tcfg = derived[idx][0], tcfgs[idx]
-            try:
-                if stats is None or not means_fixed:
-                    stats = GramStats.from_noise(tcfg, noises[k if per_point else 0])
-            except Exception as exc:
-                skip("sample", str(exc), value=value, trial=trial)
-                continue
+            stats = noises[k] if per_point else noises[0].under(tcfg)
             for mi, (mname, tau_spec) in enumerate(spec.methods):
                 try:
                     prims = compute_primitives(

@@ -33,11 +33,13 @@ and a loaded Q is a view of the buffer read from disk.
 Every downstream quantity depends on the noise only through the labels
 and the triple (Q Q', Q u_c, Q u_s), with u_c and u_s the unit core and
 spurious directions: columns 0 and d_core of Q, each times the sign of its
-mean.  `noise_stats` streams a noise source once into that
-`NoiseStats` triple, the two column halves of Q on two threads with the
-loaded OpenBLAS pinned to one thread for the length of the stream; the
-Gram statistics of the estimators and the staged decomposition of the
-primitives are O(n^2) views of it.  Configs that share a seed read
+mean.  `noise_stats` streams a noise source once into that triple,
+the two column halves of Q on two threads with the loaded OpenBLAS pinned
+to one thread for the length of the stream, and returns it as a
+`GramStats`: the tau-free O(n^2) view of the triple under the config's
+mean norms, the one input of the estimators' fits and the primitives'
+staged decomposition.  `GramStats.under` views the same draw under other
+mean norms without streaming it again.  Configs that share a seed read
 prefixes of one noise stream, so `noise_stats_many` streams all of them
 (the n-coupled points of a sweep trial) in one pass that draws each word
 once, with the same bits per config as `noise_stats`.
@@ -54,11 +56,12 @@ import functools
 import json
 import math
 import numbers
+import sys
 import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -72,7 +75,7 @@ __all__ = [
     "e1_mean",
     "signal_strengths",
     "sample_labels",
-    "NoiseStats",
+    "GramStats",
     "noise_stats",
     "noise_stats_many",
     "bartlett_factor",
@@ -97,7 +100,7 @@ _MASK64 = (1 << 64) - 1
 # probability 2^-53; flooring keeps ndtri finite without bias elsewhere.
 _U_FLOOR = 2.0 ** -53
 # Columns per noise block.  The sums of Q Q' run block by block, so the
-# bits of every `NoiseStats` depend on this width; Q itself does not.
+# bits of every `GramStats` depend on this width; Q itself does not.
 _BLOCK_COLS = 1024
 # A pass (`noise_stats_many`) starts its worker thread only from this many
 # noise values drawn (n * d for one config); below, the caller streams both.
@@ -139,6 +142,7 @@ class _Kind(NamedTuple):
     ok: Callable  # whether the read value is in range; NaN and inf fail all but one
     requirement: str  # what a value must be
     typed: str = ""  # what a value of the wrong type must be, where that differs
+    over: str = ""  # what a value cast refuses (OverflowError) must be, where that differs
 
 
 # concrete types first: they match before the slow check of the ABC
@@ -146,9 +150,18 @@ _INTEGRAL = (int, np.integer, numbers.Integral)
 _REAL = (float, int, np.floating, np.integer, numbers.Real)
 
 
+def _index(value) -> int:
+    """int(value); OverflowError above sys.maxsize, numpy's largest dimension."""
+    read = int(value)
+    if read > sys.maxsize:
+        raise OverflowError
+    return read
+
+
 def _count(floor: int) -> _Kind:
-    """An integer of at least floor."""
-    return _Kind(_INTEGRAL, int, lambda v: v >= floor, f"at least {floor}", "an integer")
+    """An integer of at least floor and at most sys.maxsize."""
+    return _Kind(_INTEGRAL, _index, lambda v: v >= floor, f"at least {floor}", "an integer",
+                 f"at most {sys.maxsize}")
 
 
 def _signs(n: int) -> _Kind:
@@ -198,7 +211,8 @@ def _coerce(name: str, value, kind: _Kind | None = None):
 
     ValueError, of the one form "<name> must be <requirement>, got
     <shown>" (`_shown`), for a bool, a value of another type, an int past
-    the float range where a float is read, and a value out of range.
+    the float range where a float is read, a count past sys.maxsize, and
+    a value out of range.
     """
     kind = _FIELDS[name] if kind is None else kind
     if type(value) is bool or not isinstance(value, kind.type):
@@ -206,8 +220,8 @@ def _coerce(name: str, value, kind: _Kind | None = None):
     try:
         read = kind.cast(value)
     except OverflowError:
-        read = None
-    if read is None or not kind.ok(read):
+        raise ValueError(f"{name} must be {kind.over or kind.requirement}, got {_shown(value)}") from None
+    if not kind.ok(read):
         raise ValueError(f"{name} must be {kind.requirement}, got {_shown(value)}")
     return read
 
@@ -611,17 +625,53 @@ def _one_blas_thread():
                     setter(count)
 
 
-@dataclass(frozen=True, eq=False)
-class NoiseStats:
-    """Sufficient statistics of one noise draw.
+# sqrt of the smallest normal double: m^2 times any factor down to this
+# stays normal, and a mean this small moves no O(1) quantity by an ulp
+_MEAN_SQ_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
 
-    y and a are the labels; gram_0 is Q Q'; q_core and q_spur are Q u_c and
-    Q u_s for the unit core and spurious directions, that is columns 0 and
-    d_core of Q times the sign of mu_core[0] and of mu_spur[0] (zero when
-    that mean is zero).  None of them depends on the mean norms, the
-    weights or tau, so one draw serves every config that shares its seed,
-    shape and mean signs.  The arrays are read-only, because the views
-    built on them are shared across configs.
+
+def _mean_norms(config: ModelConfig) -> tuple[float, float]:
+    """(m_1, m_2) = (|mu_bar_s|, |mu_bar_c|) of config.
+
+    A mean with |mu|^2 below `_MEAN_SQ_FLOOR` has norm 0.0 and takes the
+    zero-mean path (d_k = 0): the primitives scale with m^2 times factors
+    of order n / (d + tau), which would leave the normal range and round
+    differently in the two primitive modes.
+    """
+    norms = (abs(float(config.mu_spur[0])), abs(float(config.mu_core[0])))
+    return tuple(0.0 if m * m < _MEAN_SQ_FLOOR else m for m in norms)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class GramStats:
+    """The sufficient statistics of one noise draw, viewed under one pair
+    of mean norms: the Gram structure of its design matrix.
+
+    y and a are the labels; the group of row i is b_i = y_i a_i.  gram_0 is
+    Q Q'; q_core and q_spur are Q u_c and Q u_s for the unit core and
+    spurious directions, that is columns 0 and d_core of Q times the sign
+    of mu_core[0] and of mu_spur[0] (zero when that mean is zero).  With
+    v_1 = a, v_2 = y, (m_1, m_2) = mu_norms = (|mu_bar_s|, |mu_bar_c|)
+    (`_mean_norms`) and the noise-mean projections d_1 = Q mu_bar_s =
+    m_1 q_spur and d_2 = Q mu_bar_c = m_2 q_core, the Gram matrix G = X X'
+    is built stage by stage from G_0 = gram_0:
+
+        G_k = G_{k-1} + L_k R_k,
+        L_k = [m_k v_k, d_k, v_k],   R_k = [m_k v_k'; v_k'; d_k'].
+
+    d_1, d_2, `gram` (the symmetrized G_2), `x_mu_plus` and `x_mu_minus`
+    (X mu_{+1} and X mu_{-1}) are derived on first use.  Every array is
+    read-only, because views (`under`) share them.  The instance holds no
+    tau: what depends on it is memoized per tau through `per_tau`, so every
+    weight, fit and primitive call that shares the instance and tau shares
+    it.  The builds are the factor of G + tau I (`estimators.fit_cmni`,
+    `estimators.fit_ridge`) and the order-0 solve of recursive primitives
+    (two 7x7 tables, from one factor of gram_0 + tau I).
     """
 
     y: np.ndarray
@@ -629,9 +679,84 @@ class NoiseStats:
     gram_0: np.ndarray
     q_core: np.ndarray
     q_spur: np.ndarray
+    mu_norms: tuple[float, float]
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         _freeze_arrays(self)
+
+    def under(self, config: ModelConfig) -> "GramStats":
+        """This draw viewed under config's mean norms, in O(1).
+
+        config must name the same draw as the config this view was
+        streamed for: the same seed, group counts, blocks and mean signs,
+        which is all the arrays depend on; only the mean norms may differ,
+        and nothing here checks the rest.  Where the norms are this view's
+        own it is returned itself, so configs that differ only in their
+        weights share its memo: one factorization per tau.  Otherwise it is
+        a new view over the same arrays with an empty memo.
+        """
+        norms = _mean_norms(config)
+        return self if norms == self.mu_norms else replace(self, mu_norms=norms)
+
+    @property
+    def n(self) -> int:
+        return self.y.shape[0]
+
+    @functools.cached_property
+    def d_1(self) -> np.ndarray:
+        return _read_only(self.mu_norms[0] * self.q_spur)
+
+    @functools.cached_property
+    def d_2(self) -> np.ndarray:
+        return _read_only(self.mu_norms[1] * self.q_core)
+
+    def update_factors(self, k: int):
+        """(L_k, R_k) of stage k in {1, 2}."""
+        if k not in (1, 2):
+            raise ValueError("stage k must be 1 or 2")
+        m = self.mu_norms[k - 1]
+        v, d = (self.a, self.d_1) if k == 1 else (self.y, self.d_2)
+        return np.column_stack([m * v, d, v]), np.vstack([m * v, v, d])
+
+    def stage_gram(self, k: int) -> np.ndarray:
+        """G_k for k in {0, 1, 2}: gram_0 plus the first k rank-3 updates."""
+        if k not in (0, 1, 2):
+            raise ValueError("stage k must be 0, 1, or 2")
+        g = self.gram_0
+        for j in range(1, k + 1):
+            L, R = self.update_factors(j)
+            g = g + L @ R
+        return g
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        g = self.stage_gram(2)
+        return _read_only(0.5 * (g + g.T))
+
+    @functools.cached_property
+    def x_mu_plus(self) -> np.ndarray:
+        return self._x_mu(+1)
+
+    @functools.cached_property
+    def x_mu_minus(self) -> np.ndarray:
+        return self._x_mu(-1)
+
+    def _x_mu(self, b: int) -> np.ndarray:
+        """X mu_b = m_2^2 y + b m_1^2 a + d_2 + b d_1."""
+        m_1, m_2 = self.mu_norms
+        return _read_only(m_2 * m_2 * self.y + b * m_1 * m_1 * self.a + self.d_2 + b * self.d_1)
+
+    def per_tau(self, build, tau: float):
+        """build(self, tau), computed once per (build, tau) on this instance.
+
+        tau must be finite and nonnegative; a failed build caches nothing.
+        """
+        key = (build, _coerce("tau", tau))
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = build(self, key[1])
+        return hit
 
 
 def _stream_stats(blocks, halves, product: np.ndarray) -> None:
@@ -659,8 +784,9 @@ def _halves(d: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (0, mid), (mid, d)
 
 
-def _assemble(configs, labels, lower, upper, values: int) -> tuple[NoiseStats, ...]:
-    """The `NoiseStats` of every config from two streams of its halves' blocks.
+def _assemble(configs, labels, lower, upper, values: int) -> tuple[GramStats, ...]:
+    """The `GramStats` of every config, at its mean norms, from two streams
+    of its halves' blocks.
 
     Half 2k is the first column half of configs[k] and half 2k + 1 the
     second; labels[k] is its (y, a).  lower and upper are iterators of
@@ -698,18 +824,19 @@ def _assemble(configs, labels, lower, upper, values: int) -> tuple[NoiseStats, .
                 _stream_stats(lower, halves, product)
                 future.result()
     out = []
-    for (y, a), (_, first), (_, second) in zip(labels, halves[::2], halves[1::2]):
+    for config, (y, a), (_, first), (_, second) in zip(configs, labels, halves[::2], halves[1::2]):
         for total, part in zip(first, second):
             total += part
         gram_0, q_core, q_spur = first
         # exact symmetry for the SPD solvers (numpy buffers the overlapping .T)
         np.add(gram_0, gram_0.T, out=gram_0)
         gram_0 *= 0.5
-        out.append(NoiseStats(y=y, a=a, gram_0=gram_0, q_core=q_core, q_spur=q_spur))
+        out.append(GramStats(y=y, a=a, gram_0=gram_0, q_core=q_core, q_spur=q_spur,
+                             mu_norms=_mean_norms(config)))
     return tuple(out)
 
 
-def noise_stats_many(configs) -> tuple[NoiseStats, ...]:
+def noise_stats_many(configs) -> tuple[GramStats, ...]:
     """`noise_stats` of every config, from one pass over their noise stream.
 
     The configs must share one seed (the n-coupled points of one sweep
@@ -756,8 +883,9 @@ def noise_stats_many(configs) -> tuple[NoiseStats, ...]:
     )
 
 
-def noise_stats(source) -> NoiseStats:
-    """Stream a noise source once into its `NoiseStats`.
+def noise_stats(source) -> GramStats:
+    """Stream a noise source once into its `GramStats`, at its config's
+    mean norms.
 
     source is a ModelConfig, whose labels are drawn and whose noise comes
     from the noise stream without ever being held in full
@@ -779,7 +907,7 @@ def noise_stats(source) -> NoiseStats:
         return ((h, j0, Q[:, j0 : min(j0 + width, j_stop)]) for j0 in range(j_start, j_stop, width))
 
     lower, upper = (columns(h, *half) for h, half in enumerate(_halves(config.d)))
-    # copied: NoiseStats freezes its arrays, the dataset keeps its own
+    # copied: GramStats freezes its arrays, the dataset keeps its own
     labels = [(source.y.copy(), source.a.copy())]
     return _assemble((config,), labels, lower, upper, config.n * config.d)[0]
 

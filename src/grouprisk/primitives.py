@@ -52,10 +52,10 @@ from one Cholesky factor of M_0.  Through the risk identity
 the fit itself, which is where a sweep's risks come from.
 
 Q enters only through G_0 = Q Q' and d_k = m_k Q u_k, so the stages are
-read off `estimators.GramStats`, the one tau-free O(n^2) view of the
-`NoiseStats` that `model.noise_stats` streams, labels included.  tau is an
-argument of `compute_primitives`, and the order-0 solve of recursive mode
-is memoized per tau on the instance.
+read off `model.GramStats`, the one tau-free O(n^2) view that
+`model.noise_stats` streams, labels included.  tau and the weights are
+arguments of `compute_primitives`, and the order-0 solve of recursive
+mode is memoized per tau on the instance.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ import numpy as np
 from scipy.linalg import LinAlgError
 
 from .bounds import _adjusted_counts
-from .estimators import GramStats, _adjusted_targets, _spd_factor, _spd_solve, fit_ridge
-from .model import ModelConfig, _coerce, bartlett_factor, e1_mean
+from .estimators import _adjusted_targets, _spd_factor, _spd_solve, _weights, fit_ridge
+from .model import GramStats, ModelConfig, _coerce, _shown, bartlett_factor, e1_mean
 
 __all__ = [
     "PrimitiveSet",
@@ -130,7 +130,7 @@ def _order0_solve(stats: GramStats, tau: float) -> tuple[np.ndarray, np.ndarray]
 
 def _change_of_basis(delta) -> np.ndarray:
     """C with probes = B C: w_1 = y_+/delta_+ - y_-/delta_-, w_2 = y_+/delta_+ + y_-/delta_-."""
-    inv_plus, inv_minus = 1.0 / float(delta[0]), 1.0 / float(delta[1])
+    inv_plus, inv_minus = 1.0 / delta[0], 1.0 / delta[1]
     change = np.eye(7)
     change[_W1:, _W1:] = [[inv_plus, inv_plus], [-inv_minus, inv_minus]]
     return change
@@ -267,11 +267,10 @@ def compute_primitives(
     when |det(A_k)| < DET_SINGULAR_TOL.
     """
     tau = _coerce("tau", tau)
+    delta = _weights(delta)
     if mode not in ("direct", "recursive"):
         raise ValueError("mode must be 'direct' or 'recursive'")
     n = stats.n
-    if not (delta[0] > 0.0 and delta[1] > 0.0):
-        raise ValueError("delta weights must be positive")
 
     o_vals = np.empty((2, 3))
     det_a = np.empty(2)
@@ -316,7 +315,7 @@ def compute_primitives(
         det_a=det_a,
         mu_norms=stats.mu_norms,
         tau=tau,
-        delta=(float(delta[0]), float(delta[1])),
+        delta=delta,
     )
 
 
@@ -380,7 +379,7 @@ def wishart_interval(d: int, n: int, t: float) -> tuple[float, float]:
     d_prime = d - n + 1
     if not d_prime > 2.0 * max(t, 1.0):
         raise ValueError(
-            f"need d - n + 1 > 2 max(t, 1): got d' = {d_prime}, t = {t}"
+            f"need d - n + 1 > 2 max(t, 1): got d' = {_shown(d_prime)}, t = {t}"
         )
     half = 2.0 * np.sqrt(t * d_prime)
     return float(d_prime - half), float(d_prime + half + 2.0 * t)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from grouprisk.bounds import bound_exponent, consistency_check
-from grouprisk.estimators import GramStats, accumulate_gram, fit_cmni, fit_gd, fit_ridge, interpolation_residual
+from grouprisk.estimators import fit_cmni, fit_gd, fit_ridge, interpolation_residual
 from grouprisk.harness import SweepAxis, SweepSpec, derive_config, preset, run_sweep
 from grouprisk.model import ModelConfig, check_assumptions, e1_mean, noise_stats, sample_dataset
 from grouprisk.primitives import (
@@ -93,7 +93,7 @@ def band_regime_ensemble():
             seed=seed,
         )
         premises.append(check_assumptions(cfg, c_const=2.0))
-        stats = GramStats.from_noise(cfg, noise_stats(cfg))
+        stats = noise_stats(cfg)
         for tau in taus:
             prims = compute_primitives(stats, tau=tau, delta=cfg.deltas, mode="recursive")
             data[tau].append((verify_primitive_bounds(prims, cfg), prims.det_a.copy()))
@@ -125,7 +125,7 @@ class TestRecursionMachinery:
                 for seed in range(N_SEEDS):
                     ds = sample_dataset(grid_config(n, d, seed))
                     prims = compute_primitives(
-                        accumulate_gram(ds), tau=tau, delta=ds.config.deltas, mode="recursive"
+                        noise_stats(ds), tau=tau, delta=ds.config.deltas, mode="recursive"
                     )
                     dense = dense_probe_table(ds, tau)
                     # each entry against its Cauchy-Schwarz scale sqrt(x'M^{-1}x y'M^{-1}y)
@@ -145,7 +145,7 @@ class TestRecursionMachinery:
             for tau in TAUS:
                 for seed in range(N_SEEDS):
                     ds = sample_dataset(grid_config(n, d, seed))
-                    stats = accumulate_gram(ds)
+                    stats = noise_stats(ds)
                     direct = compute_primitives(stats, tau=tau, delta=ds.config.deltas, mode="direct")
                     recursive = compute_primitives(stats, tau=tau, delta=ds.config.deltas, mode="recursive")
                     worst = max(worst, primitive_set_max_gap(direct, recursive))
@@ -173,7 +173,7 @@ class TestRecursionMachinery:
                                 n, d, seed, delta_plus=deltas[0], delta_minus=deltas[1]
                             )
                         ds = sample_dataset(cfg)
-                        stats = accumulate_gram(ds)
+                        stats = noise_stats(ds)
                         sol = fit_ridge(stats, cfg.deltas, tau)
                         prims = compute_primitives(stats, tau=tau, delta=cfg.deltas, mode="direct")
                         worst = max(worst, *risk_identity_check(prims, sol))
@@ -192,7 +192,7 @@ class TestEstimatorContracts:
             for seed in range(N_SEEDS):
                 cfg = grid_config(n, d, seed)
                 ds = sample_dataset(cfg)
-                stats = accumulate_gram(ds)
+                stats = noise_stats(ds)
                 sol = fit_cmni(stats, cfg.deltas)
                 worst_resid = max(
                     worst_resid, interpolation_residual(sol, stats, cfg.deltas)
@@ -213,7 +213,7 @@ class TestEstimatorContracts:
         start = time.time()
         cfg = grid_config(20, 400, seed=0)
         ds = sample_dataset(cfg)
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         direct = fit_cmni(stats, cfg.deltas)
         gd = fit_gd(stats, cfg.deltas, iters=100_000)
         rel = float(np.linalg.norm(gd.c - direct.c) / np.linalg.norm(direct.c))

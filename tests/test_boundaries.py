@@ -9,14 +9,16 @@ any noise is drawn) of the one form "<name> must be <requirement>, got
 """
 
 import json
+import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 from grouprisk.bounds import consistency_check, evaluate_bounds
 from grouprisk.cli import main
-from grouprisk.estimators import accumulate_gram, fit_gd, fit_ridge
+from grouprisk.estimators import fit_cmni, fit_gd, fit_ridge, interpolation_residual
 from grouprisk.harness import SweepAxis, SweepSpec, resolve_tau
 from grouprisk.model import (
     ModelConfig,
@@ -24,6 +26,7 @@ from grouprisk.model import (
     check_assumptions,
     e1_mean,
     load_dataset,
+    noise_stats,
     sample_dataset,
     save_dataset,
 )
@@ -31,6 +34,7 @@ from grouprisk.primitives import compute_primitives, wishart_coverage, wishart_i
 
 HUGE = 10**400  # a JSON integer past the float range
 SHOWN = str(HUGE)[:37] + "..."  # as a refusal shows it
+CEILING = f"at most {sys.maxsize}"  # what a count must be, numpy's largest dimension
 
 
 def config():
@@ -119,6 +123,11 @@ FILE_CASES = [
     ("spec", ("base", "delta_minus"), "delta_minus", "finite and positive"),
     ("sidecar", ("config", "pi_plus"), "pi_plus", "in (0, 1)"),
     ("sidecar", ("config", "seed"), "seed", "a 64-bit unsigned integer"),
+    ("config", ("d_core",), "d_core", CEILING),
+    ("config", ("n_minus",), "n_minus", CEILING),
+    ("spec", ("trials",), "trials", CEILING),
+    ("spec", ("base", "n_plus"), "n_plus", CEILING),
+    ("sidecar", ("config", "d_spur"), "d_spur", CEILING),
 ]
 FILE_IDS = ["-".join(map(str, (kind, *path))) for kind, path, _, _ in FILE_CASES]
 
@@ -157,6 +166,11 @@ FLAG_CASES = [
     (["bounds", "-n", "20", "-d", "400", "--pi-plus", "1"], "--pi-plus", "in (0, 1)", "1.0"),
     (["fit", "-n", "20", "-d", "400", "--delta-minus", "-0.5"], "--delta-minus", "finite and positive", "-0.5"),
     (["fit", "-n", "20", "-d", "400", "--method", "gd", "--iters", "0"], "--iters", "at least 1", "0"),
+    (["risk", "-n", str(HUGE), "-d", "400"], "-n/--n-total", CEILING, SHOWN),
+    (["sample", "-n", "20", "-d", str(HUGE), "--out", "x"], "-d/--dim", CEILING, SHOWN),
+    (["fit", "-n", "20", "-d", "400", "--n-plus", str(sys.maxsize + 1)], "--n-plus", CEILING, str(sys.maxsize + 1)),
+    (["fit", "-n", "20", "-d", "400", "--method", "gd", "--iters", str(HUGE)], "--iters", CEILING, SHOWN),
+    (["risk", "-n", "20", "-d", "400", "--mc-draws", str(HUGE)], "--mc-draws", CEILING, SHOWN),
 ]
 
 
@@ -180,7 +194,7 @@ def test_huge_seed_is_refused_without_echoing_its_digits(command, no_stream, cap
 
 @pytest.fixture(scope="module")
 def stats():
-    return accumulate_gram(config())
+    return noise_stats(config())
 
 
 # (name in the refusal, call of the library at a value past the float range)
@@ -210,3 +224,76 @@ def test_library_argument_past_the_float_range_is_refused(name, call, stats):
         call(config(), stats)
     assert_refusal(str(info.value), name)
     assert str(info.value).endswith(f", got {SHOWN}")
+
+
+@pytest.mark.parametrize("flag, name", [("-d", "d"), ("-n", "n"), ("--draws", "draws")])
+def test_wishart_count_past_the_ceiling_exits_2_naming_it(flag, name, no_stream, capsys):
+    # -d once failed in the float band (exit 1), -n echoed every digit of d'
+    code = main(["wishart", flag, str(HUGE)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {name} must be {CEILING}, got {SHOWN}\n"
+
+
+def test_wishart_band_shows_a_short_d_prime(capsys):
+    n = sys.maxsize  # the largest count: d' has 20 characters
+    assert main(["wishart", "-d", "1000", "-n", str(n)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: need d - n + 1 > 2 max(t, 1): got d' = {1000 - n + 1}, t = 4.6\n"
+
+
+# (name in the refusal, library call of a count past the ceiling)
+COUNT_CASES = [
+    ("d", lambda cfg, stats: wishart_interval(HUGE, 10, 1.0)),
+    ("n", lambda cfg, stats: wishart_interval(1000, HUGE, 1.0)),
+    ("n", lambda cfg, stats: wishart_coverage(d=1000, n=sys.maxsize + 1, t=1.0, draws=10)),
+    ("draws", lambda cfg, stats: bartlett_factor(4, 9, 0, HUGE)),
+    ("iters", lambda cfg, stats: fit_gd(stats, cfg.deltas, iters=HUGE)),
+    ("d_core", lambda cfg, stats: cfg.with_updates(d_core=HUGE)),
+    ("n_minus", lambda cfg, stats: cfg.with_updates(n_minus=sys.maxsize + 1)),
+    ("trials", lambda cfg, stats: SweepSpec(base=cfg, axis=SweepAxis("delta_minus", (0.5,)), trials=HUGE)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, call", COUNT_CASES, ids=[f"{name}-{k}" for k, (name, _) in enumerate(COUNT_CASES)]
+)
+def test_library_count_past_the_ceiling_is_refused(name, call, stats):
+    with pytest.raises(ValueError) as info:
+        call(config(), stats)
+    assert_refusal(str(info.value), name, CEILING)
+
+
+# a weight pair each library entry point refuses, and the weight it names
+BAD_WEIGHTS = [
+    ((1.0, -0.5), "delta_minus"),
+    ((1.0, 0.0), "delta_minus"),
+    ((1.0, math.nan), "delta_minus"),
+    ((1.0, math.inf), "delta_minus"),
+    ((1.0, HUGE), "delta_minus"),
+    ((True, 0.5), "delta_plus"),
+    ((0.0, 0.5), "delta_plus"),
+]
+WEIGHT_CALLS = {
+    "fit_cmni": lambda stats, delta: fit_cmni(stats, delta),
+    "fit_ridge": lambda stats, delta: fit_ridge(stats, delta, 1.0),
+    "fit_gd": lambda stats, delta: fit_gd(stats, delta, iters=5),
+    "interpolation_residual": lambda stats, delta: interpolation_residual(
+        fit_cmni(stats, (1.0, 0.5)), stats, delta
+    ),
+    "compute_primitives-direct": lambda stats, delta: compute_primitives(stats, delta=delta, mode="direct"),
+    "compute_primitives-recursive": lambda stats, delta: compute_primitives(
+        stats, delta=delta, mode="recursive"
+    ),
+}
+
+
+@pytest.mark.parametrize("call", WEIGHT_CALLS.values(), ids=WEIGHT_CALLS.keys())
+@pytest.mark.parametrize(
+    "delta, name", BAD_WEIGHTS, ids=[f"{name}-{k}" for k, (_, name) in enumerate(BAD_WEIGHTS)]
+)
+def test_library_weight_pair_is_refused_naming_the_weight(delta, name, call, stats):
+    # these once fit silently, read w_norm_sq = nan, or raised OverflowError
+    with pytest.raises(ValueError) as info:
+        call(stats, delta)
+    assert_refusal(str(info.value), name, "finite and positive")

@@ -12,8 +12,8 @@ from grouprisk.bounds import (
     evaluate_bounds,
     tightness_ratio,
 )
-from grouprisk.estimators import accumulate_gram, fit_cmni
-from grouprisk.model import ModelConfig, e1_mean, sample_dataset
+from grouprisk.estimators import fit_cmni
+from grouprisk.model import ModelConfig, e1_mean, noise_stats, sample_dataset
 
 
 def imbalanced_config(**overrides):
@@ -176,7 +176,7 @@ class TestConsistency:
 class TestTightness:
     def small_fit(self, cfg):
         ds = sample_dataset(cfg)
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         return fit_cmni(stats, cfg.deltas)
 
     def small_config(self, **overrides):

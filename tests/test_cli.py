@@ -12,9 +12,8 @@ import pytest
 
 from grouprisk import cli, model
 from grouprisk.cli import build_parser, config_from_args, main
-from grouprisk.estimators import accumulate_gram
 from grouprisk.harness import CSV_COLUMNS
-from grouprisk.model import ModelConfig, e1_mean, sample_dataset, save_dataset
+from grouprisk.model import ModelConfig, e1_mean, noise_stats, sample_dataset, save_dataset
 from grouprisk.primitives import (
     _LAYOUT,
     PRIMITIVE_NAMES,
@@ -512,7 +511,7 @@ class TestVerification:
     def test_library_document_is_the_printed_one(self, argv, capsys):
         args = build_parser().parse_args(["verify-primitives", *argv])
         cfg = config_from_args(args)
-        doc = verify_primitives(accumulate_gram(cfg), cfg, tau=args.tau, band=args.band)
+        doc = verify_primitives(noise_stats(cfg), cfg, tau=args.tau, band=args.band)
         code, stdout, _ = run(["verify-primitives", *argv], capsys)
         assert code == 0
         assert doc["passed"]
@@ -923,7 +922,7 @@ class TestGapHelper:
             n_minus=4,
             seed=1,
         )
-        prims = compute_primitives(accumulate_gram(cfg), mode="direct")
+        prims = compute_primitives(noise_stats(cfg), mode="direct")
         assert primitive_set_max_gap(prims, prims) == 0.0
 
     @pytest.mark.parametrize("name", PRIMITIVE_NAMES)
@@ -937,7 +936,7 @@ class TestGapHelper:
             n_minus=4,
             seed=1,
         )
-        prims = compute_primitives(accumulate_gram(cfg), mode="direct")
+        prims = compute_primitives(noise_stats(cfg), mode="direct")
         if name in _LAYOUT:
             tables = prims.tables.copy()
             tables[_LAYOUT[name]] += 1e-6

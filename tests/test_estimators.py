@@ -5,14 +5,12 @@ import pytest
 
 from grouprisk import estimators, model
 from grouprisk.estimators import (
-    GramStats,
-    accumulate_gram,
     fit_cmni,
     fit_gd,
     fit_ridge,
     interpolation_residual,
 )
-from grouprisk.model import ModelConfig, e1_mean, sample_dataset
+from grouprisk.model import GramStats, ModelConfig, e1_mean, noise_stats, sample_dataset
 
 from conftest import dense_means
 
@@ -40,8 +38,8 @@ def stats_from_rows(X, y=None, a=None):
         y=np.ones(n) if y is None else np.asarray(y, dtype=np.float64),
         a=np.ones(n) if a is None else np.asarray(a, dtype=np.float64),
         gram_0=X @ X.T,
-        d_1=np.zeros(n),
-        d_2=np.zeros(n),
+        q_core=np.zeros(n),
+        q_spur=np.zeros(n),
         mu_norms=(0.0, 0.0),
     )
 
@@ -49,7 +47,7 @@ def stats_from_rows(X, y=None, a=None):
 class TestAccumulateGram:
     def test_matches_dense_products(self):
         ds = sample_dataset(make_config())
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         np.testing.assert_allclose(stats.gram, ds.X @ ds.X.T, rtol=1e-12)
         mu_bar_c, mu_bar_s = dense_means(ds.config)
         np.testing.assert_allclose(stats.x_mu_plus, ds.X @ (mu_bar_c + mu_bar_s), rtol=1e-12)
@@ -58,27 +56,27 @@ class TestAccumulateGram:
 
     def test_block_width_invariance(self, monkeypatch):
         cfg = make_config()
-        wide = accumulate_gram(cfg)
+        wide = noise_stats(cfg)
         monkeypatch.setattr(model, "_BLOCK_COLS", 3)
-        narrow = accumulate_gram(cfg)
+        narrow = noise_stats(cfg)
         np.testing.assert_allclose(narrow.gram, wide.gram, rtol=1e-13)
         np.testing.assert_allclose(narrow.d_2, wide.d_2, rtol=1e-12, atol=1e-13)
 
     def test_config_source_matches_dataset_source(self):
         cfg = make_config(seed=8)
-        from_cfg = accumulate_gram(cfg)
-        from_ds = accumulate_gram(sample_dataset(cfg))
+        from_cfg = noise_stats(cfg)
+        from_ds = noise_stats(sample_dataset(cfg))
         np.testing.assert_allclose(from_cfg.gram, from_ds.gram, rtol=1e-12)
 
     def test_gram_is_symmetric(self):
-        stats = accumulate_gram(make_config())
+        stats = noise_stats(make_config())
         np.testing.assert_array_equal(stats.gram, stats.gram.T)
 
     def test_x_mu_decomposition_identity(self):
         # X mu_b = |mu_c|^2 y + b |mu_s|^2 a + d_2 + b d_1, against dense X mu_b
         cfg = make_config(seed=5)
         ds = sample_dataset(cfg)
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         mu_bar_c, mu_bar_s = dense_means(cfg)
         d_1, d_2 = ds.Q @ mu_bar_s, ds.Q @ mu_bar_c
         nc2 = float(cfg.mu_core @ cfg.mu_core)
@@ -120,14 +118,14 @@ class TestInterpolation:
     def test_cmni_interpolates(self):
         cfg = make_config(delta_plus=0.9, delta_minus=0.2, seed=7)
         ds = sample_dataset(cfg)
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         sol = fit_cmni(stats, cfg.deltas)
         assert interpolation_residual(sol, stats, cfg.deltas) <= 1e-10
 
     def test_ridge_zero_equals_cmni_exactly(self):
         cfg = make_config(seed=11)
         ds = sample_dataset(cfg)
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         a = fit_cmni(stats, cfg.deltas)
         b = fit_ridge(stats, cfg.deltas, tau=0.0)
         np.testing.assert_array_equal(a.c, b.c)
@@ -135,7 +133,7 @@ class TestInterpolation:
     def test_ridge_shrinks_weight_norm(self):
         cfg = make_config(seed=2)
         ds = sample_dataset(cfg)
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         norms = [
             fit_ridge(stats, cfg.deltas, tau=t).w_norm_sq
             for t in (0.0, 10.0, 100.0, 1000.0)
@@ -146,7 +144,7 @@ class TestInterpolation:
         # (G + tau I) c = z at the reported solution
         cfg = make_config(seed=13, delta_plus=0.8, delta_minus=0.4)
         ds = sample_dataset(cfg)
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         tau = 37.0
         sol = fit_ridge(stats, cfg.deltas, tau)
         z = ds.y / np.where(ds.b > 0, 0.8, 0.4)
@@ -156,7 +154,7 @@ class TestInterpolation:
     def test_w_dot_mu_matches_dense_weight(self):
         cfg = make_config(seed=4)
         ds = sample_dataset(cfg)
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         sol = fit_cmni(stats, cfg.deltas)
         w = ds.X.T @ sol.c
         mu_bar_c, mu_bar_s = dense_means(cfg)
@@ -169,7 +167,7 @@ class TestGradientDescent:
     def test_converges_to_cmni(self):
         cfg = make_config(seed=6)
         ds = sample_dataset(cfg)
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         direct = fit_cmni(stats, cfg.deltas)
         gd = fit_gd(stats, cfg.deltas)
         rel = np.linalg.norm(gd.c - direct.c) / np.linalg.norm(direct.c)
@@ -179,14 +177,14 @@ class TestGradientDescent:
     def test_respects_iteration_cap(self):
         cfg = make_config(seed=6)
         ds = sample_dataset(cfg)
-        gd = fit_gd(accumulate_gram(ds), cfg.deltas, iters=3)
+        gd = fit_gd(noise_stats(ds), cfg.deltas, iters=3)
         assert gd.info["iters"] == 3
         assert gd.info["converged"] is False
 
     def test_reports_convergence_when_tolerance_met(self):
         cfg = make_config(seed=6)
         ds = sample_dataset(cfg)
-        gd = fit_gd(accumulate_gram(ds), cfg.deltas)
+        gd = fit_gd(noise_stats(ds), cfg.deltas)
         assert gd.info["converged"] is True
         assert gd.info["iters"] < 100_000
         z_inf = np.max(np.abs(ds.y / np.where(ds.b > 0, cfg.delta_plus, cfg.delta_minus)))
@@ -195,7 +193,7 @@ class TestGradientDescent:
     def test_adjusted_weights_change_solution(self):
         cfg = make_config(seed=6, delta_plus=1.0, delta_minus=0.2)
         ds = sample_dataset(cfg)
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         flat = fit_cmni(stats, (1.0, 1.0))
         tilted = fit_cmni(stats, (1.0, 0.2))
         assert np.linalg.norm(flat.c - tilted.c) > 1e-3
@@ -203,7 +201,7 @@ class TestGradientDescent:
     def test_divergence_raises(self):
         cfg = make_config(seed=6)
         ds = sample_dataset(cfg)
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         lam_max = float(np.linalg.eigvalsh(stats.gram)[-1])
         with pytest.raises(RuntimeError):
             fit_gd(stats, cfg.deltas, step=2.5 * cfg.n / lam_max, iters=5000)
@@ -213,11 +211,11 @@ class TestGradientDescent:
         cfg = make_config()
         ds = sample_dataset(cfg)
         with pytest.raises(ValueError, match="step must be finite and positive"):
-            fit_gd(accumulate_gram(ds), cfg.deltas, step=step)
+            fit_gd(noise_stats(ds), cfg.deltas, step=step)
 
     def test_rejects_bad_iters(self):
         cfg = make_config()
-        stats = accumulate_gram(sample_dataset(cfg))
+        stats = noise_stats(sample_dataset(cfg))
         # True would run one iteration, and 2.5 fail inside range()
         for iters in (0, True, 2.5):
             with pytest.raises(ValueError, match="iters"):
@@ -228,7 +226,7 @@ class TestSolutionContainer:
     def test_to_dict_roundtrips_core_fields(self):
         cfg = make_config()
         ds = sample_dataset(cfg)
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         sol = fit_ridge(stats, cfg.deltas, tau=3.0)
         doc = sol.to_dict()
         assert doc["method"] == "ridge"
@@ -279,7 +277,7 @@ class TestFactorMemo:
     def test_one_factor_per_tau_and_fits_match_fresh_stats(self, monkeypatch):
         cfg = make_config(seed=8)
         ds = sample_dataset(cfg)
-        shared = accumulate_gram(ds)
+        shared = noise_stats(ds)
         calls = self.count_factors(monkeypatch)
         fits = [
             fit_cmni(shared, (1.0, 0.5)),
@@ -290,11 +288,11 @@ class TestFactorMemo:
         ]
         assert len(calls) == 2  # tau = 0 and tau = 40
         fresh = [
-            fit_cmni(accumulate_gram(ds), (1.0, 0.5)),
-            fit_cmni(accumulate_gram(ds), (1.0, 0.1)),
-            fit_ridge(accumulate_gram(ds), (1.0, 0.5), 0.0),
-            fit_ridge(accumulate_gram(ds), (1.0, 0.5), 40.0),
-            fit_ridge(accumulate_gram(ds), (1.0, 0.1), 40.0),
+            fit_cmni(noise_stats(ds), (1.0, 0.5)),
+            fit_cmni(noise_stats(ds), (1.0, 0.1)),
+            fit_ridge(noise_stats(ds), (1.0, 0.5), 0.0),
+            fit_ridge(noise_stats(ds), (1.0, 0.5), 40.0),
+            fit_ridge(noise_stats(ds), (1.0, 0.1), 40.0),
         ]
         for got, ref in zip(fits, fresh):
             np.testing.assert_array_equal(got.c, ref.c)
@@ -305,20 +303,20 @@ class TestFactorMemo:
     )
     def test_ridge_rejects_bad_tau(self, tau):
         cfg = make_config()
-        stats = accumulate_gram(cfg)
+        stats = noise_stats(cfg)
         with pytest.raises(ValueError, match="tau"):
             fit_ridge(stats, cfg.deltas, tau)
         assert not stats._memo
 
     @pytest.mark.parametrize("tau", [True, np.bool_(False)])
     def test_per_tau_rejects_bad_tau_and_caches_nothing(self, tau):
-        stats = accumulate_gram(make_config())
+        stats = noise_stats(make_config())
         with pytest.raises(ValueError, match="tau"):
             stats.per_tau(estimators._gram_factor, tau)
         assert not stats._memo
 
     def test_arrays_are_read_only(self):
-        stats = accumulate_gram(make_config())
+        stats = noise_stats(make_config())
         for name in ("gram", "x_mu_plus", "x_mu_minus", "d_1", "d_2"):
             with pytest.raises(ValueError):
                 getattr(stats, name)[0] = 1.0

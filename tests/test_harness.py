@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from grouprisk.bounds import bound_exponent
-from grouprisk.estimators import GramStats, accumulate_gram, fit_cmni, fit_ridge
+from grouprisk.estimators import fit_cmni, fit_ridge
 from grouprisk.harness import (
     CSV_COLUMNS,
     PRESET_NAMES,
@@ -282,9 +282,9 @@ class TestResolveTau:
 
 
 class TestNoiseStats:
-    def test_gram_stats_from_noise_match_dense_products(self):
+    def test_noise_stats_match_dense_products(self):
         cfg = base_config(seed=23)
-        via_noise = GramStats.from_noise(cfg, noise_stats(cfg))
+        via_noise = noise_stats(cfg)
         ds = sample_dataset(cfg)
         np.testing.assert_allclose(via_noise.gram, ds.X @ ds.X.T, rtol=1e-10)
         mu_bar_c, mu_bar_s = dense_means(cfg)
@@ -298,11 +298,31 @@ class TestNoiseStats:
         cfg = base_config(seed=23)
         noise = noise_stats(cfg)
         scaled = derive_config(cfg, "r_plus_sq", 400.0)
-        via_noise = GramStats.from_noise(scaled, noise)
+        via_noise = noise.under(scaled)
         ds = sample_dataset(scaled)
         np.testing.assert_allclose(via_noise.gram, ds.X @ ds.X.T, rtol=1e-10)
         mu_bar_c, mu_bar_s = dense_means(scaled)
         np.testing.assert_allclose(via_noise.x_mu_minus, ds.X @ (mu_bar_c - mu_bar_s), rtol=1e-9)
+
+    def test_under_a_delta_minus_point_is_the_view_itself(self):
+        # the same norms: one memo, so one factorization per (trial, tau)
+        cfg = base_config(seed=23)
+        noise = noise_stats(cfg)
+        assert noise.under(derive_config(cfg, "delta_minus", 0.1)) is noise
+
+    def test_under_an_r_plus_sq_point_is_its_own_stream_bitwise(self):
+        cfg = base_config(seed=23)
+        noise = noise_stats(cfg)
+        noise.per_tau(lambda stats, tau: tau, 1.0)
+        scaled = derive_config(cfg, "r_plus_sq", 400.0)
+        view, ref = noise.under(scaled), noise_stats(scaled)
+        assert view.mu_norms == ref.mu_norms != noise.mu_norms
+        # a new view over the same arrays, with an empty memo
+        for name in ("y", "a", "gram_0", "q_core", "q_spur"):
+            assert getattr(view, name) is getattr(noise, name)
+        assert view._memo == {}
+        for name in ("gram", "d_1", "d_2", "x_mu_plus", "x_mu_minus"):
+            assert getattr(view, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 class TestRunSweep:
@@ -322,7 +342,7 @@ class TestRunSweep:
             seed=substream_seed(spec.base.seed, 0)
         )
         ds = sample_dataset(cfg)
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         sol = fit_cmni(stats, cfg.deltas)
         plus, minus = group_risk(sol)
         np.testing.assert_allclose(rows[0].risk_plus_mean, plus.risk, rtol=1e-10)
@@ -335,7 +355,7 @@ class TestRunSweep:
             seed=substream_seed(spec.base.seed, 0)
         )
         ds = sample_dataset(cfg)
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         sol = fit_ridge(stats, cfg.deltas, tau=cfg.d / 10.0)
         _, minus = group_risk(sol)
         np.testing.assert_allclose(rows[0].risk_minus_mean, minus.risk, rtol=1e-10)
@@ -354,7 +374,7 @@ class TestRunSweep:
         noise = noise_stats(cfg0)
         for row in rows:
             cfg = cfg0.with_updates(delta_minus=row.axis_value)
-            stats = GramStats.from_noise(cfg, noise)
+            stats = noise.under(cfg)
             if row.method == "cmni":
                 sol = fit_cmni(stats, cfg.deltas)
             else:

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from grouprisk import model, primitives
-from grouprisk.estimators import GramStats, accumulate_gram, fit_cmni, fit_ridge
+from grouprisk.estimators import fit_cmni, fit_ridge
 from grouprisk.model import (
     STREAM_WISHART,
+    GramStats,
     ModelConfig,
     bartlett_factor,
     check_assumptions,
@@ -105,7 +106,7 @@ class TestDecomposition:
 
     def test_factor_shapes_and_content(self):
         ds = sample_dataset(make_config())
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         L_1, R_1 = stats.update_factors(1)
         _, R_2 = stats.update_factors(2)
         assert L_1.shape == (20, 3)
@@ -121,7 +122,7 @@ class TestDecomposition:
     def test_staged_gram_reconstruction(self):
         # gram_0 + L_1 R_1 + L_2 R_2 must rebuild X X' to high accuracy
         ds = sample_dataset(make_config(seed=9))
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         g2 = stats.stage_gram(2)
         dense = ds.X @ ds.X.T
         rel = np.linalg.norm(g2 - dense) / np.linalg.norm(dense)
@@ -129,13 +130,13 @@ class TestDecomposition:
 
     def test_stage_zero_is_noise_gram(self):
         ds = sample_dataset(make_config())
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         np.testing.assert_allclose(stats.stage_gram(0), ds.Q @ ds.Q.T, rtol=1e-12)
 
     def test_config_route_matches_dense_noise(self):
         cfg = make_config(seed=5)
         ds = sample_dataset(cfg)
-        stats = GramStats.from_noise(cfg, noise_stats(cfg))
+        stats = noise_stats(cfg)
         mu_bar_c, mu_bar_s = dense_means(cfg)
         np.testing.assert_allclose(stats.gram_0, ds.Q @ ds.Q.T, rtol=1e-12)
         np.testing.assert_allclose(stats.d_1, ds.Q @ mu_bar_s, rtol=1e-12)
@@ -145,20 +146,20 @@ class TestDecomposition:
         assert stats.mu_norms == pytest.approx((6.0, 12.0), rel=1e-15)
 
     def test_rejects_negative_tau(self):
-        stats = accumulate_gram(sample_dataset(make_config()))
+        stats = noise_stats(sample_dataset(make_config()))
         with pytest.raises(ValueError):
             compute_primitives(stats, tau=-1.0)
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
     def test_rejects_non_finite_tau(self, tau):
-        stats = accumulate_gram(sample_dataset(make_config()))
+        stats = noise_stats(sample_dataset(make_config()))
         for mode in ("direct", "recursive"):
             with pytest.raises(ValueError, match="tau"):
                 compute_primitives(stats, tau=tau, mode=mode)
 
     @pytest.mark.parametrize("tau", [True, np.bool_(False)], ids=["True", "np_False"])
     def test_rejects_bool_tau(self, tau):
-        stats = accumulate_gram(sample_dataset(make_config()))
+        stats = noise_stats(sample_dataset(make_config()))
         for mode in ("direct", "recursive"):
             with pytest.raises(ValueError, match="tau"):
                 compute_primitives(stats, tau=tau, mode=mode)
@@ -167,13 +168,13 @@ class TestDecomposition:
 
 class TestInverseMemo:
     def test_arrays_read_only(self):
-        stats = accumulate_gram(sample_dataset(make_config(seed=2)))
+        stats = noise_stats(sample_dataset(make_config(seed=2)))
         for name in ("y", "a", "d_1", "d_2", "gram_0", "gram", "x_mu_plus", "x_mu_minus"):
             with pytest.raises(ValueError):
                 getattr(stats, name)[0] = 0.0
 
     def test_direct_mode_never_touches_memo(self):
-        stats = accumulate_gram(sample_dataset(make_config(seed=2)))
+        stats = noise_stats(sample_dataset(make_config(seed=2)))
         compute_primitives(stats, tau=1.0, mode="direct")
         assert not stats._memo
         compute_primitives(stats, tau=1.0, mode="recursive")
@@ -192,7 +193,7 @@ class TestOrder0Solve:
 
     def test_warm_call_makes_no_factor_or_solve(self, monkeypatch):
         ds = sample_dataset(make_config(seed=2))
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         compute_primitives(stats, tau=3.0, delta=(1.0, 1.0), mode="recursive")
         self.forbid_factor_and_solve(monkeypatch)
         prims = compute_primitives(stats, tau=3.0, delta=(0.9, 0.2), mode="recursive")
@@ -201,7 +202,7 @@ class TestOrder0Solve:
             np.testing.assert_allclose(getattr(prims, name), ref[name], rtol=1e-9, atol=1e-13)
 
     def test_memo_arrays_are_read_only(self):
-        stats = accumulate_gram(sample_dataset(make_config(seed=2)))
+        stats = noise_stats(sample_dataset(make_config(seed=2)))
         compute_primitives(stats, tau=1.0, mode="recursive")
         # the memo keeps the two 7x7 tables of the order-0 solve, not its factor
         (tables,) = stats._memo.values()
@@ -214,7 +215,7 @@ class TestOrder0Solve:
     @pytest.mark.parametrize("deltas", [(1.0, 1.0), (0.95, 0.05), (0.3, 0.7)])
     def test_fit_moments_match_the_fitters(self, tau, deltas):
         ds = sample_dataset(make_config(seed=10))
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         if tau == 0.0:
             sol = fit_cmni(stats, deltas)
         else:
@@ -227,7 +228,7 @@ class TestOrder0Solve:
 class TestAdjugateSolve:
     def test_det_and_adj_match_explicit_matrix(self):
         ds = sample_dataset(make_config(seed=6))
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         for tau in (0.0, 5.0):
             prims = compute_primitives(stats, tau=tau, mode="direct")
             _, dense = dense_oracle(ds, tau)
@@ -246,8 +247,8 @@ class TestAdjugateSolve:
             y=np.array([1.0, -1.0]),
             a=np.array([1.0, 0.0]),
             gram_0=np.eye(2),
-            d_1=np.array([0.0, np.sqrt(2.0)]),
-            d_2=np.zeros(2),
+            q_core=np.zeros(2),
+            q_spur=np.array([0.0, np.sqrt(2.0)]),  # d_1 = m_1 q_spur
             mu_norms=(1.0, 0.0),
         )
         with pytest.raises(np.linalg.LinAlgError, match=r"det\(A_1\)"):
@@ -256,7 +257,7 @@ class TestAdjugateSolve:
     def test_f_a_matches_bilinear_adjugate_product(self):
         # _f_a IS the row-adjugate-column product; the recursion divides by det
         ds = sample_dataset(make_config(seed=8))
-        prims = compute_primitives(accumulate_gram(ds), tau=2.0, mode="direct")
+        prims = compute_primitives(noise_stats(ds), tau=2.0, mode="direct")
         rng = np.random.default_rng(0)
         for k in (1, 2):
             _, adj = det_and_adj(prims, k)
@@ -276,7 +277,7 @@ class TestPrimitiveValues:
     def test_against_dense_oracle(self, tau, mode):
         cfg = make_config(seed=1, delta_plus=0.9, delta_minus=0.25)
         ds = sample_dataset(cfg)
-        prims = compute_primitives(accumulate_gram(ds), tau=tau, delta=cfg.deltas, mode=mode)
+        prims = compute_primitives(noise_stats(ds), tau=tau, delta=cfg.deltas, mode=mode)
         ref, _ = dense_oracle(ds, tau)
         for name, expected in ref.items():
             np.testing.assert_allclose(
@@ -285,7 +286,7 @@ class TestPrimitiveValues:
 
     def test_modes_agree_tightly(self):
         for seed in range(5):
-            stats = accumulate_gram(sample_dataset(make_config(seed=seed)))
+            stats = noise_stats(sample_dataset(make_config(seed=seed)))
             direct = compute_primitives(stats, mode="direct")
             recursive = compute_primitives(stats, mode="recursive")
             for name in ("s", "t", "h", "s_uu", "s_ui", "h_iu", "s_id_j", "s_id_jd", "h_i_jd", "o", "det_a"):
@@ -299,7 +300,7 @@ class TestPrimitiveValues:
 
     def test_symmetry_and_sign_invariants(self):
         ds = sample_dataset(make_config(seed=7, delta_plus=0.8, delta_minus=0.2))
-        prims = compute_primitives(accumulate_gram(ds), delta=ds.config.deltas, mode="direct")
+        prims = compute_primitives(noise_stats(ds), delta=ds.config.deltas, mode="direct")
         for k in range(3):
             np.testing.assert_allclose(prims.s[0, 1, k], prims.s[1, 0, k], rtol=1e-10)
             np.testing.assert_allclose(prims.t[0, 1, k], prims.t[1, 0, k], rtol=1e-10)
@@ -313,7 +314,7 @@ class TestPrimitiveValues:
 
     def test_zero_spurious_mean_zeroes_its_primitives(self):
         cfg = make_config(mu_spur=np.zeros(200))
-        stats = accumulate_gram(sample_dataset(cfg))
+        stats = noise_stats(sample_dataset(cfg))
         for mode in ("direct", "recursive"):
             prims = compute_primitives(stats, mode=mode)
             assert np.all(prims.t[0, :, :] == 0.0)
@@ -325,11 +326,11 @@ class TestPrimitiveValues:
     def test_rejects_unknown_mode(self):
         ds = sample_dataset(make_config())
         with pytest.raises(ValueError):
-            compute_primitives(accumulate_gram(ds), mode="magic")
+            compute_primitives(noise_stats(ds), mode="magic")
 
     @pytest.mark.parametrize("mode", ["direct", "recursive"])
     def test_named_primitives_are_read_only_table_views(self, mode):
-        prims = compute_primitives(accumulate_gram(sample_dataset(make_config(seed=4))), mode=mode)
+        prims = compute_primitives(noise_stats(sample_dataset(make_config(seed=4))), mode=mode)
         assert prims.tables.shape == (7, 7, 3)
         assert not prims.tables.flags.writeable
         for name in [n for n in primitives.PRIMITIVE_NAMES if n not in ("o", "det_a")]:
@@ -346,7 +347,7 @@ class TestRiskIdentity:
     def test_identity_both_groups(self, tau, deltas):
         cfg = make_config(seed=10, delta_plus=deltas[0], delta_minus=deltas[1])
         ds = sample_dataset(cfg)
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         sol = fit_ridge(stats, cfg.deltas, tau)
         prims = compute_primitives(stats, tau=tau, delta=cfg.deltas, mode="direct")
         assert max(risk_identity_check(prims, sol)) <= 1e-10
@@ -354,7 +355,7 @@ class TestRiskIdentity:
     def test_identity_in_recursive_mode(self):
         cfg = make_config(seed=12, delta_plus=0.9, delta_minus=0.3)
         ds = sample_dataset(cfg)
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         sol = fit_cmni(stats, cfg.deltas)
         prims = compute_primitives(stats, delta=cfg.deltas, mode="recursive")
         assert max(risk_identity_check(prims, sol)) <= 1e-8
@@ -363,7 +364,7 @@ class TestRiskIdentity:
         # mu_s = 0 and identity weights: both groups share one margin
         cfg = make_config(mu_spur=np.zeros(200), seed=4)
         ds = sample_dataset(cfg)
-        stats = accumulate_gram(ds)
+        stats = noise_stats(ds)
         sol = fit_cmni(stats, cfg.deltas)
         prims = compute_primitives(stats, mode="direct")
         assert max(risk_identity_check(prims, sol)) <= 1e-10
@@ -385,7 +386,7 @@ class TestNoiseMeanProjections:
         root_n = np.sqrt(n)
         for seed in range(100):
             ds = sample_dataset(cfg.with_updates(seed=seed))
-            stats = accumulate_gram(ds)
+            stats = noise_stats(ds)
             assert np.linalg.norm(stats.d_1) <= 3.0 * root_n * 5.0
             assert np.linalg.norm(stats.d_2) <= 3.0 * root_n * 10.0
 
@@ -569,7 +570,7 @@ class TestBands:
     @pytest.mark.parametrize("band, cross_band", [((0.5, 2.0), (-2.0, 2.0)), ((0.9, 1), (-1, 1))])
     def test_rows_equal_the_row_by_row_reference(self, spur_sq, band, cross_band):
         cfg = make_config(mu_spur=e1_mean(np.sqrt(spur_sq), 200), delta_plus=0.9, delta_minus=0.3)
-        stats = GramStats.from_noise(cfg, noise_stats(cfg))
+        stats = noise_stats(cfg)
         for tau in (0.0, 40.0):
             prims = compute_primitives(stats, tau=tau, delta=cfg.deltas, mode="recursive")
             report = verify_primitive_bounds(prims, cfg, band=band)
@@ -594,14 +595,14 @@ class TestBands:
 
     def test_all_bands_pass_in_regime(self):
         cfg = self.deep_config(seed=0)
-        prims = compute_primitives(accumulate_gram(sample_dataset(cfg)), mode="recursive")
+        prims = compute_primitives(noise_stats(sample_dataset(cfg)), mode="recursive")
         report = verify_primitive_bounds(prims, cfg)
         failing = [r.name for r in report.failures()]
         assert report.all_pass, failing
 
     def test_diagonals_near_one_in_regime(self):
         cfg = self.deep_config(seed=1)
-        prims = compute_primitives(accumulate_gram(sample_dataset(cfg)), mode="recursive")
+        prims = compute_primitives(noise_stats(sample_dataset(cfg)), mode="recursive")
         report = verify_primitive_bounds(prims, cfg, band=(0.8, 1.2))
         diag = [r for r in report.rows if r.name.startswith(("s_11", "s_22"))]
         assert diag and all(r.passed for r in diag)
@@ -622,7 +623,7 @@ class TestBands:
         n, d = cfg.n, cfg.d
         for seed in range(20):
             cfg_s = cfg.with_updates(seed=seed)
-            stats = GramStats.from_noise(cfg_s, noise_stats(cfg_s))
+            stats = noise_stats(cfg_s)
             for tau in (0.0, float(d)):
                 det_2 = compute_primitives(stats, tau=tau, mode="recursive").det_a[1]
                 np.testing.assert_allclose(det_2, 1.0 + core_sq * n / (d + tau), rtol=0.05)
@@ -636,14 +637,14 @@ class TestBands:
             n_plus=24,
             n_minus=6,
         )
-        prims = compute_primitives(accumulate_gram(sample_dataset(cfg)), mode="direct")
+        prims = compute_primitives(noise_stats(sample_dataset(cfg)), mode="direct")
         report = verify_primitive_bounds(prims, cfg)
         zero_rows = [r for r in report.rows if r.name.startswith(("t_1", "h_1"))]
         assert zero_rows and all(r.passed and r.value == 0.0 for r in zero_rows)
 
     def test_report_serializes(self):
         cfg = self.deep_config(seed=2)
-        prims = compute_primitives(accumulate_gram(sample_dataset(cfg)), mode="recursive")
+        prims = compute_primitives(noise_stats(sample_dataset(cfg)), mode="recursive")
         doc = verify_primitive_bounds(prims, cfg).to_dict()
         assert isinstance(doc["rows"], list)
         assert {"name", "k", "value", "normalized", "band_low", "band_high", "pass"} <= set(

@@ -1,9 +1,9 @@
 """Property tests of the single sufficient-statistics path.
 
 Over small random valid configs and random block widths: the streamed
-`NoiseStats` does not depend on the block width, the config and dataset
-routes agree (the mean columns bit for bit), and the two primitive modes built on the resulting
-`GramStats` meet the CLI's mode-equivalence gate and agree to 1e-10 over
+`GramStats` does not depend on the block width, the config and dataset
+routes agree (the mean columns bit for bit), and the two primitive modes
+built on it meet the CLI's mode-equivalence gate and agree to 1e-10 over
 weights and ridge levels, a subnormal mean included.  Configs and sweep
 specs survive a JSON round trip unchanged, numpy integers included.  Any
 JSON value in any field of a config file, a sweep spec or a dataset
@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouprisk import model
-from grouprisk.estimators import GramStats
 from grouprisk.harness import AXIS_NAMES, OUTPUT_NAMES, SweepAxis, SweepSpec
 from grouprisk.model import ModelConfig, e1_mean, load_dataset, noise_stats, sample_dataset, save_dataset
 from grouprisk.primitives import compute_primitives, primitive_set_max_gap
@@ -103,7 +102,7 @@ def test_config_and_dataset_routes_agree(cfg, data):
 @given(cfg=configs(min_d_over_n=2), data=st.data())
 def test_direct_and_recursive_primitives_meet_mode_gate(cfg, data):
     with block_width(data.draw(widths(cfg.d))):
-        stats = GramStats.from_noise(cfg, noise_stats(cfg))
+        stats = noise_stats(cfg)
     tau = data.draw(st.sampled_from([0.0, 1.0, float(cfg.d)]))
     direct = compute_primitives(stats, tau=tau, delta=cfg.deltas, mode="direct")
     recursive = compute_primitives(stats, tau=tau, delta=cfg.deltas, mode="recursive")
@@ -117,7 +116,7 @@ def test_recursive_matches_direct_over_weights_taus_and_probes(cfg, data):
     # dense stage inverses of direct mode
     delta = (1.0, data.draw(st.floats(1.0 / cfg.n, 1.0)))
     tau = data.draw(st.sampled_from([0.0, cfg.d / 10, float(cfg.d)]))
-    stats = GramStats.from_noise(cfg, noise_stats(cfg))
+    stats = noise_stats(cfg)
     direct = compute_primitives(stats, tau=tau, delta=delta, mode="direct")
     recursive = compute_primitives(stats, tau=tau, delta=delta, mode="recursive")
     assert primitive_set_max_gap(direct, recursive) <= 1e-10
@@ -138,7 +137,7 @@ def test_subnormal_spurious_mean_meets_both_mode_gates():
             n_minus=1,
             seed=seed,
         )
-        stats = GramStats.from_noise(cfg, noise_stats(cfg))
+        stats = noise_stats(cfg)
         direct = compute_primitives(stats, tau=0.0, delta=cfg.deltas, mode="direct")
         recursive = compute_primitives(stats, tau=0.0, delta=cfg.deltas, mode="recursive")
         assert primitive_set_max_gap(direct, recursive) <= 1e-8, seed

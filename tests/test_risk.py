@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from grouprisk.estimators import accumulate_gram, fit_cmni
-from grouprisk.model import ModelConfig, e1_mean, sample_dataset
+from grouprisk.estimators import fit_cmni
+from grouprisk.model import ModelConfig, e1_mean, noise_stats, sample_dataset
 from grouprisk.risk import (
     GroupRiskEntry,
     RiskReport,
@@ -34,7 +34,7 @@ def make_config(**overrides):
 
 
 def fitted(cfg):
-    return fit_cmni(accumulate_gram(sample_dataset(cfg)), cfg.deltas)
+    return fit_cmni(noise_stats(sample_dataset(cfg)), cfg.deltas)
 
 
 class TestQFunction:
