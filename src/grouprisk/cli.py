@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -87,6 +88,22 @@ def config_from_args(args) -> ModelConfig:
     )
 
 
+def _claim(args, *paths) -> None:
+    """Check that every output path given can be written, before the
+    command's work: a missing file is created and an existing one opened
+    for appending, which leaves it as it was.  So a path that cannot be
+    written raises the OSError that writing it would (exit 2) before any
+    noise is drawn.  The files made here go to args.made, which `main`
+    removes if the command fails."""
+    for path in filter(None, paths):
+        try:
+            open(path, "x").close()
+        except FileExistsError:
+            open(path, "a").close()
+        else:
+            args.made.append(path)
+
+
 def _emit_json(doc: dict, out: str | None) -> None:
     text = json.dumps(doc, indent=2) + "\n"
     if out:
@@ -109,6 +126,7 @@ def _cmd_sample(args) -> int:
         print("sample: --out PATH is required", file=sys.stderr)
         return 2
     cfg = config_from_args(args)
+    _claim(args, args.out, args.out + ".json")
     save_dataset(sample_dataset(cfg), args.out)
     _emit_json(
         {
@@ -132,6 +150,7 @@ def _cmd_fit(args) -> int:
         cfg = source.config
     else:
         source = cfg = config_from_args(args)
+    _claim(args, args.out)
     stats = noise_stats(source)
     sol = _fit_solution(args, cfg, stats)
     doc = sol.to_dict()
@@ -143,6 +162,7 @@ def _cmd_fit(args) -> int:
 def _cmd_risk(args) -> int:
     _refuse_unused_method_flags(args)
     cfg = config_from_args(args)
+    _claim(args, args.out)
     sol = _fit_solution(args, cfg, noise_stats(cfg))
     report = build_report(sol, cfg, mc_draws=args.mc_draws)
     # the Monte-Carlo fields are None, and left out, unless --mc-draws ran
@@ -152,6 +172,7 @@ def _cmd_risk(args) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg = config_from_args(args)
+    _claim(args, args.out)
     report = evaluate_bounds(cfg, constants=(args.c1, args.c2, args.c3))
     doc = dataclasses.asdict(report)
     doc["consistency_plus"], doc["consistency_minus"] = map(
@@ -163,12 +184,14 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_verify_primitives(args) -> int:
     cfg = config_from_args(args)
+    _claim(args, args.out)
     doc = verify_primitives(noise_stats(cfg), cfg, tau=args.tau, band=args.band)
     _emit_json(doc, args.out)
     return 0 if doc["passed"] else 1
 
 
 def _cmd_wishart(args) -> int:
+    _claim(args, args.out)
     report = wishart_coverage(
         d=args.dim,
         n=args.n_total,
@@ -192,6 +215,8 @@ def _cmd_sweep(args) -> int:
         if args.trials is not None:
             updates["trials"] = args.trials
         spec = dataclasses.replace(spec, **updates)
+    out = args.out or spec.out_path or f"{spec.name}.{args.format}"
+    _claim(args, out)
     rows, skips = run_sweep(spec)
     for skip in skips:
         # strict JSON: a non-finite axis value is logged as null
@@ -203,7 +228,6 @@ def _cmd_sweep(args) -> int:
     if not rows:
         print("sweep produced no rows", file=sys.stderr)
         return 1
-    out = args.out or spec.out_path or f"{spec.name}.{args.format}"
     meta = {
         "seed": spec.base.seed,
         "preset": args.preset,
@@ -335,17 +359,27 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.made = []  # output files `_claim` created
+    raised = True
     try:
         # one OpenBLAS thread for the whole command: the same bits at any
         # BLAS thread count, and no worker left spinning between calls
         with _one_blas_thread():
-            return args.func(args)
+            code = args.func(args)
+        raised = False
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except Exception as exc:  # verification-level failures
         print(f"failure: {exc}", file=sys.stderr)
-        return 1
+        code = 1
+    if code:
+        # a failed command leaves no file it created; a verdict it wrote
+        # (verify-primitives or wishart exiting 1) stays
+        for path in args.made:
+            if raised or not os.path.getsize(path):
+                os.remove(path)
+    return code
 
 
 if __name__ == "__main__":

@@ -24,17 +24,21 @@ ranges, therefore reproduces the one-shot matrix bit for bit.
 first word of one or more column ranges and draws each word once into one
 window of `_BLOCK_COLS`-column blocks (one reused buffer for one range),
 so a stream holds that window plus its O(n^2) statistics, whatever d is.
+Every stream runs on two threads: the caller draws the first column half,
+[0, ceil(d/2)), and one worker started for the call the second
+(`_on_two_threads`, the module's one thread-start site).
 The config is the problem instance and nothing else: tau is an argument
 of the fits and primitives that use it.  Configs share their read-only
 mean vectors instead of copying them.  A dataset stores what is drawn,
-(y, a, Q), and derives X and b = y * a from it; its file holds Q alone,
-and a loaded Q is a view of the buffer read from disk.
+(y, a, Q), and derives X and b = y * a from it; `sample_dataset` fills
+Q's two halves on the two threads, its file holds Q alone, and a loaded Q
+is a view of the buffer read from disk.
 
 Every downstream quantity depends on the noise only through the labels
 and the triple (Q Q', Q u_c, Q u_s), with u_c and u_s the unit core and
 spurious directions: columns 0 and d_core of Q, each times the sign of its
 mean.  `noise_stats` streams a noise source once into that triple,
-the two column halves of Q on two threads with the loaded OpenBLAS pinned
+its two column halves on the two threads with the loaded OpenBLAS pinned
 to one thread for the length of the stream, and returns it as a
 `GramStats`: the tau-free O(n^2) view of the triple under the config's
 mean norms, the one input of the estimators' fits and the primitives'
@@ -102,14 +106,6 @@ _U_FLOOR = 2.0 ** -53
 # Columns per noise block.  The sums of Q Q' run block by block, so the
 # bits of every `GramStats` depend on this width; Q itself does not.
 _BLOCK_COLS = 1024
-# A pass (`noise_stats_many`) starts its worker thread only from this many
-# noise values drawn (n * d for one config); below, the caller streams both.
-# Philox and ndtri take about 45 ns a value, so this is a stream of ~0.1 s.
-# A shorter stream gains only what share of the second core it gets, and
-# that share moves with the machine's other load: on a shared 2-vCPU VM,
-# `verify-primitives` at n = 30, d = 30000 took a median 27 to 35 ms from
-# run to run with the worker, and 42 to 43 ms without it.
-_THREAD_MIN_VALUES = 1 << 21
 # Values per chunk of Bartlett factors (k draws of order n hold k n^2):
 # `bartlett_factor` yields max(1, this // n^2) factors at a time, so its
 # memory does not grow with the draw count.  The bits of a draw do not
@@ -625,6 +621,23 @@ def _one_blas_thread():
                     setter(count)
 
 
+def _on_two_threads(work, lower: tuple, upper: tuple) -> None:
+    """Run work(*upper) on one worker thread and work(*lower) on the
+    caller, both under `_one_blas_thread`, and re-raise the worker's
+    exception.
+
+    Every noise stream splits its columns into two halves this way, one
+    per core.  The worker is started for this call and joined before it
+    returns, also when the caller's half raises: a thread pooled across
+    calls would hang in a forked child.  This is the module's one
+    thread-start site.
+    """
+    with _one_blas_thread(), ThreadPoolExecutor(1) as pool:
+        future = pool.submit(work, *upper)
+        work(*lower)
+        future.result()
+
+
 # sqrt of the smallest normal double: m^2 times any factor down to this
 # stays normal, and a mean this small moves no O(1) quantity by an ulp
 _MEAN_SQ_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
@@ -784,45 +797,34 @@ def _halves(d: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (0, mid), (mid, d)
 
 
-def _assemble(configs, labels, lower, upper, values: int) -> tuple[GramStats, ...]:
+def _assemble(configs, labels, lower, upper) -> tuple[GramStats, ...]:
     """The `GramStats` of every config, at its mean norms, from two streams
     of its halves' blocks.
 
     Half 2k is the first column half of configs[k] and half 2k + 1 the
     second; labels[k] is its (y, a).  lower and upper are iterators of
-    (h, j0, blk) blocks.  One worker thread, started for this call,
-    streams upper while the caller streams lower; below
-    `_THREAD_MIN_VALUES` noise values the caller streams lower, then
-    upper.  A config's statistics are its first half's sums plus its
-    second's, symmetrized, so they are the same bits on either path (q_core
-    and q_spur, read off one column, at any width too).
-    Both run under `_one_blas_thread`, which sweeps and CLI commands
-    already hold and a direct call takes here: a threaded GEMM would take
-    the core the other stream runs on, and one thread per GEMM makes the
-    sums the same bits at any BLAS thread count.
+    (h, j0, blk) blocks: the caller streams lower and one worker upper
+    (`_on_two_threads`).  A config's statistics are its first half's sums
+    plus its second's, symmetrized, so they are the same bits whichever
+    thread streams which half (q_core and q_spur, read off one column, at
+    any width too).  Both threads run under `_one_blas_thread`, which
+    sweeps and CLI commands already hold and `_on_two_threads` takes for a
+    direct call: a threaded GEMM would take the core the other stream runs
+    on, and one thread per GEMM makes the sums the same bits at any BLAS
+    thread count.
     """
-    with _one_blas_thread():
-        # every array of the sums is made here, on the caller's thread: what
-        # a worker allocates and frees stays resident in its own malloc
-        # arena after it exits, on top of what the caller allocates next
-        halves = []
-        for config in configs:
-            columns = ((0, float(np.sign(config.mu_core[0]))),
-                       (config.d_core, float(np.sign(config.mu_spur[0]))))
-            n = config.n
-            halves += [(columns, (np.zeros((n, n)), np.zeros(n), np.zeros(n))) for _ in range(2)]
-        rows = max(config.n for config in configs)
-        product = np.empty(rows * rows)
-        if values < _THREAD_MIN_VALUES:
-            _stream_stats(lower, halves, product)
-            _stream_stats(upper, halves, product)
-        else:
-            worker_product = np.empty(rows * rows)
-            # one worker per call: a module-level pool would hang in a forked child
-            with ThreadPoolExecutor(1) as pool:
-                future = pool.submit(_stream_stats, upper, halves, worker_product)
-                _stream_stats(lower, halves, product)
-                future.result()
+    # every array of the sums is made here, on the caller's thread: what
+    # a worker allocates and frees stays resident in its own malloc arena
+    # after it exits, on top of what the caller allocates next
+    halves = []
+    for config in configs:
+        columns = ((0, float(np.sign(config.mu_core[0]))),
+                   (config.d_core, float(np.sign(config.mu_spur[0]))))
+        n = config.n
+        halves += [(columns, (np.zeros((n, n)), np.zeros(n), np.zeros(n))) for _ in range(2)]
+    rows = max(config.n for config in configs)
+    product, worker_product = np.empty((2, rows * rows))
+    _on_two_threads(_stream_stats, (lower, halves, product), (upper, halves, worker_product))
     out = []
     for config, (y, a), (_, first), (_, second) in zip(configs, labels, halves[::2], halves[1::2]):
         for total, part in zip(first, second):
@@ -848,9 +850,8 @@ def noise_stats_many(configs) -> tuple[GramStats, ...]:
     values (n * d) from its own generator; the caller walks the stream
     once from word 0 to the end of every other half (`_noise_windows`),
     handing each half its blocks in order as views of one sliding window.
-    Below `_THREAD_MIN_VALUES` values drawn by the two together, the
-    caller streams both.  One config is one buffer of n x `_BLOCK_COLS`
-    values per half, drawn in place: the work of one stream.
+    One config is one buffer of n x `_BLOCK_COLS` values per half, drawn
+    in place: the work of one stream.
     """
     configs = tuple(configs)
     if not configs:
@@ -869,17 +870,12 @@ def noise_stats_many(configs) -> tuple[GramStats, ...]:
     ]
     top = max(range(len(configs)), key=lambda k: configs[k].n * configs[k].d)
     upper = spans.pop(2 * top + 1)
-    _, n_top, mid, d_top = upper
-    # the words drawn: the worker's half, and the walk from word 0, where
-    # every first half starts
-    values = n_top * (d_top - mid) + max(n * j_stop for _, n, _, j_stop in spans)
     labels = [sample_labels(config) for config in configs]
     return _assemble(
         configs,
         labels,
         _noise_windows(seed, spans, width),
         _noise_windows(seed, [upper], width),
-        values,
     )
 
 
@@ -909,7 +905,7 @@ def noise_stats(source) -> GramStats:
     lower, upper = (columns(h, *half) for h, half in enumerate(_halves(config.d)))
     # copied: GramStats freezes its arrays, the dataset keeps its own
     labels = [(source.y.copy(), source.a.copy())]
-    return _assemble((config,), labels, lower, upper, config.n * config.d)[0]
+    return _assemble((config,), labels, lower, upper)[0]
 
 
 def bartlett_factor(n: int, dof: int, seed: int, draws: int):
@@ -954,16 +950,29 @@ def bartlett_factor(n: int, dof: int, seed: int, draws: int):
 def sample_dataset(config: ModelConfig) -> Dataset:
     """Sample a full dataset with its noise Q materialized.
 
-    Q is filled from the noise stream (`_noise_windows` over all d
-    columns, one reused buffer of min(`_BLOCK_COLS`, d) * n values), so
-    the call holds one n x d array.  Column j is ndtri of words [j*n,
-    (j+1)*n), so Q is the same bits at any block width.  X is built from
-    it only when read (`Dataset.X`).
+    Q is filled from the noise stream in its two column halves, [0,
+    ceil(d/2)) and [ceil(d/2), d): the caller draws the first and one
+    worker thread the second (`_on_two_threads`), each from its own
+    generator (`_noise_windows`) through one reused buffer of n x
+    ceil(`_BLOCK_COLS` / 2) values, so the call holds one n x d array and
+    one n x `_BLOCK_COLS` buffer between the two.  Column j is ndtri of
+    words [j*n, (j+1)*n), so Q is the same bits at any block width and
+    split.  X is built from it only when read (`Dataset.X`).
     """
     y, a = sample_labels(config)
-    Q = np.empty((config.n, config.d))
-    for _, j0, blk in _noise_windows(config.seed, [(None, config.n, 0, config.d)], _BLOCK_COLS):
-        Q[:, j0 : j0 + blk.shape[1]] = blk
+    n = config.n
+    # Q and both windows are made here, on the caller's thread (see `_assemble`)
+    Q = np.empty((n, config.d))
+    lower, upper = (
+        (_noise_windows(config.seed, [(None, n, *half)], (_BLOCK_COLS + 1) // 2),)
+        for half in _halves(config.d)
+    )
+
+    def fill(blocks):
+        for _, j0, blk in blocks:
+            Q[:, j0 : j0 + blk.shape[1]] = blk
+
+    _on_two_threads(fill, lower, upper)
     return Dataset(y=y, a=a, Q=Q, config=config)
 
 

@@ -26,6 +26,11 @@ __all__ = [
 ]
 
 _SQRT2 = np.sqrt(2.0)
+# Normals per chunk of `monte_carlo_risk`: one buffer of this many values
+# (and its boolean mask) is reused for every chunk, so its memory does not
+# grow with the draw count.  The rates do not depend on it: the normals
+# are drawn in order however they are chunked.
+_MC_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -100,16 +105,17 @@ def monte_carlo_risk(sol, config: ModelConfig, m: int):
     STREAM_MC substream 0 (b = +1) or 1 (b = -1) of config.seed.
     """
     m = _coerce("m", m)
+    g = np.empty(min(m, _MC_CHUNK))
+    wrong = np.empty(g.size, dtype=bool)
     out = []
     for substream, entry in enumerate(group_risk(sol)):
         rng = philox_generator(substream_seed(config.seed, substream), STREAM_MC)
         errors = 0
-        left = m
-        while left > 0:
-            k = min(left, 10_000_000)
-            g = rng.standard_normal(k)
-            errors += int(np.count_nonzero(entry.margin + g < 0.0))
-            left -= k
+        for start in range(0, m, g.size):
+            k = min(g.size, m - start)
+            chunk = rng.standard_normal(out=g[:k])
+            chunk += entry.margin
+            errors += int(np.count_nonzero(np.less(chunk, 0.0, out=wrong[:k])))
         rate = errors / m
         out.append((rate, float(np.sqrt(rate * (1.0 - rate) / m))))
     return tuple(out)

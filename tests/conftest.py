@@ -1,6 +1,7 @@
 """Fixtures and dense oracles shared across the test modules."""
 
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,17 @@ import pytest
 
 from grouprisk import model
 from grouprisk.model import _blas_thread_controls
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail any test that leaves a thread alive that was not alive before
+    it.  Every noise stream starts a worker thread for its second half,
+    which the stream must join before it returns, also when it raises."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread.name for thread in threading.enumerate() if thread not in before]
+    assert not left, f"threads left alive: {left}"
 
 
 @pytest.fixture

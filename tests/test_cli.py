@@ -894,6 +894,7 @@ class TestSweepCommand:
             ["sweep", "--spec", spec_path, "--out", str(tmp_path / "r.csv")], capsys
         )
         assert code == 1
+        assert not (tmp_path / "r.csv").exists()
 
     def test_sweep_requires_preset_or_spec(self, no_stream, capsys):
         code, _, _ = run(["sweep"], capsys)
@@ -909,6 +910,64 @@ class TestSweepCommand:
         doc = json.loads(Path(out).read_text())
         assert doc["meta"]["axis"] == "delta_minus"
         assert len(doc["rows"]) == 2
+
+
+class TestOutPath:
+    """An --out that cannot be written exits 2 before any noise is drawn,
+    and a command that fails leaves no file it created."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "-n", "200", "-d", "200000"],
+        ["fit", "-n", "20", "-d", "400"],
+        ["risk", "-n", "20", "-d", "400", "--mc-draws", "1000"],
+        ["verify-primitives", "-n", "20", "-d", "400"],
+        ["sweep", "--preset", "fig1_left", "--trials", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_out_exits_before_any_stream(self, argv, tmp_path, no_stream, capsys):
+        out = tmp_path / "missing" / "x.out"
+        code, stdout, err = run([*argv, "--out", str(out)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert not no_stream
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sample_sidecar_that_cannot_be_written_leaves_no_data_file(self, tmp_path, no_stream, capsys):
+        out = tmp_path / "x.bin"
+        Path(f"{out}.json").mkdir()
+        code, _, err = run(["sample", "-n", "20", "-d", "400", "--out", str(out)], capsys)
+        assert code == 2
+        assert "Is a directory" in err
+        assert not no_stream
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error, exit_code", [(ValueError, 2), (RuntimeError, 1)])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_command_leaves_no_new_file(self, error, exit_code, existing, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "fit.json"
+        if existing:
+            out.write_text("kept\n")
+
+        def failing(source):
+            raise error("stream failed")
+
+        monkeypatch.setattr(cli, "noise_stats", failing)
+        code, _, err = run(["fit", "-n", "20", "-d", "400", "--out", str(out)], capsys)
+        assert code == exit_code
+        assert "stream failed" in err
+        assert out.read_text() == "kept\n" if existing else not out.exists()
+
+    def test_failed_gate_keeps_its_report(self, tmp_path, monkeypatch, capsys):
+        # exit 1 with the verdict written: the report is the command's output
+        from grouprisk import primitives
+
+        fit_ridge = primitives.fit_ridge
+        monkeypatch.setattr(primitives, "fit_ridge", lambda stats, delta, tau: fit_ridge(stats, delta, tau + 50.0))
+        out = tmp_path / "verdict.json"
+        code, stdout, _ = run(["verify-primitives", *BENCH_VERIFY, "--out", str(out)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert not json.loads(out.read_text())["passed"]
 
 
 class TestGapHelper:

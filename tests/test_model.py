@@ -59,6 +59,13 @@ def uniforms_at(seed, stream, offset, count):
     return gen.random(count)
 
 
+def dense_noise(cfg):
+    """cfg's whole n x d noise matrix off the word-offset oracle: column j
+    is ndtri(max(u, 2^-53)) of words [j n, (j+1) n)."""
+    n, d = cfg.n, cfg.d
+    return ndtri(np.maximum(uniforms_at(cfg.seed, STREAM_NOISE, 0, n * d), 2.0**-53)).reshape(d, n).T
+
+
 def noise_range(cfg, j_start, j_stop, width):
     """(j0, block) column blocks of columns [j_start, j_stop) of cfg's Q:
     `_noise_windows` with one span, as `sample_dataset` reads all d."""
@@ -458,7 +465,7 @@ class TestSampling:
         assert peak < 1.5 * block_bytes + 4 * 8 * (n * n + d)
 
     def test_sample_dataset_holds_one_n_by_d_array(self):
-        # Q and the stream's one n x 1024 buffer: X is not built until read
+        # Q and the two halves' n x 512 buffers: X is not built until read
         half = 2000
         cfg = small_config(d_core=half, d_spur=half, mu_core=e1_mean(14.0, half),
                            mu_spur=e1_mean(7.0, half), n_plus=80, n_minus=20)
@@ -563,8 +570,7 @@ class TestSampling:
         cfg = small_config(d_core=150, d_spur=250, mu_core=e1_mean(14.0, 150),
                            mu_spur=e1_mean(-7.0, 250))
         ds = sample_dataset(cfg)
-        n, d = cfg.n, cfg.d
-        Q = ndtri(np.maximum(uniforms_at(cfg.seed, STREAM_NOISE, 0, n * d), 2.0**-53)).reshape(d, n).T
+        Q = dense_noise(cfg)
         expected = Q.copy()
         expected[:, 0] += ds.y * 14.0
         expected[:, 150] += ds.a * -7.0
@@ -620,10 +626,9 @@ class TestTwoHalfStream:
             assert self.counts(blas_controls) == [1] * len(blas_controls)
         assert self.counts(blas_controls) == [2] * len(blas_controls)
 
-    def test_concurrent_streams_restore_counts(self, blas_controls, monkeypatch):
+    def test_concurrent_streams_restore_counts(self, blas_controls):
         # more streams than cores, switching often: a lost update of the pin's
         # depth would leave the counts at 1 or restore them mid-stream
-        monkeypatch.setattr(model, "_THREAD_MIN_VALUES", 0)  # each with its worker
         cfg = small_config(d_core=1000, d_spur=1000, mu_core=e1_mean(14.0, 1000),
                            mu_spur=e1_mean(7.0, 1000), n_plus=40, n_minus=10)
         expected = noise_stats(cfg)
@@ -678,31 +683,33 @@ class TestTwoHalfStream:
             digests.append(proc.stdout.strip())
         assert digests[0] == digests[1]
 
-    @pytest.mark.parametrize("route", ["config", "dataset"])
-    def test_worker_and_caller_only_paths_give_the_same_bits(self, route, monkeypatch):
-        cfg = small_config(d_core=1501, d_spur=1500, mu_core=e1_mean(14.0, 1501),
-                           mu_spur=e1_mean(7.0, 1500), n_plus=41, n_minus=10)
-        source = cfg if route == "config" else sample_dataset(cfg)
-        assert cfg.n * cfg.d < model._THREAD_MIN_VALUES
-        monkeypatch.setattr(model, "_BLOCK_COLS", 150)
-        alone = noise_stats(source)
-        monkeypatch.setattr(model, "_THREAD_MIN_VALUES", 0)
-        threaded = noise_stats(source)
-        for name in ("gram_0", "q_core", "q_spur"):
-            np.testing.assert_array_equal(getattr(threaded, name), getattr(alone, name))
+    @pytest.mark.parametrize("fails", ["worker", "caller"])
+    @pytest.mark.parametrize("stream", ["noise_stats", "sample_dataset"])
+    def test_a_failing_half_raises_in_the_caller(self, stream, fails, monkeypatch):
+        # the worker streams the half that starts at ceil(d/2), the caller
+        # the one at 0; either one's error reaches the caller, after the
+        # worker is joined (the thread-leak guard checks that)
+        windows = model._noise_windows
 
-    def test_short_stream_starts_no_worker(self, monkeypatch):
-        def no_pool(*args):
-            raise AssertionError("worker thread started for a short stream")
+        def failing(seed, spans, width):
+            blocks = windows(seed, spans, width)
+            if (spans[0][2] > 0) == (fails == "worker"):
+                def broken():
+                    yield next(blocks)
+                    raise RuntimeError(f"{fails} half failed")
+                return broken()
+            return blocks
 
-        monkeypatch.setattr(model, "ThreadPoolExecutor", no_pool)
-        noise_stats(small_config())
+        monkeypatch.setattr(model, "_noise_windows", failing)
+        monkeypatch.setattr(model, "_BLOCK_COLS", 64)
+        with pytest.raises(RuntimeError, match=f"{fails} half failed"):
+            getattr(model, stream)(small_config())
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_noise_stats_runs_in_a_forked_child(self, monkeypatch):
-        monkeypatch.setattr(model, "_THREAD_MIN_VALUES", 0)  # parent and child start workers
+    def test_noise_stats_runs_in_a_forked_child(self):
+        # parent and child each start a worker per stream
         cfg = small_config()
-        before = noise_stats(cfg)
+        before, before_q = noise_stats(cfg), sample_dataset(cfg).Q
         pid = os.fork()
         if pid == 0:  # the child exits 0 only on the parent's bits
             code = 1
@@ -710,6 +717,7 @@ class TestTwoHalfStream:
                 after = noise_stats(cfg)
                 same = all(np.array_equal(getattr(after, k), getattr(before, k))
                            for k in ("gram_0", "q_core", "q_spur"))
+                same = same and np.array_equal(sample_dataset(cfg).Q, before_q)
                 code = 0 if same else 1
             finally:
                 os._exit(code)
@@ -763,13 +771,11 @@ class TestSharedStream:
         for name in ("y", "a", "gram_0", "q_core", "q_spur"):
             np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
 
-    @pytest.mark.parametrize("threshold", [0, 1 << 60], ids=["worker", "caller"])
     @pytest.mark.parametrize("width", [3, 7, 1024])
     @pytest.mark.parametrize("ns", [(4, 6, 9, 12), (12, 5, 12, 8)], ids=["rising", "mixed"])
-    def test_equals_noise_stats_bitwise(self, ns, width, threshold, monkeypatch):
+    def test_equals_noise_stats_bitwise(self, ns, width, monkeypatch):
         # narrow blocks straddle the window's slides
         monkeypatch.setattr(model, "_BLOCK_COLS", width)
-        monkeypatch.setattr(model, "_THREAD_MIN_VALUES", threshold)
         for place in D_CORE_PLACES:
             configs = [coupled_config(n, place=place) for n in ns]
             many = model.noise_stats_many(configs)
@@ -782,16 +788,54 @@ class TestSharedStream:
                 np.testing.assert_array_equal(got.q_spur, Q[:, cfg.d_core])
                 self.assert_same(got, noise_stats(sample_dataset(cfg)))
 
-    @pytest.mark.parametrize("threshold", [0, 1 << 60], ids=["worker", "caller"])
-    def test_single_config_equals_noise_stats(self, threshold, monkeypatch):
+    def test_single_config_equals_noise_stats(self, monkeypatch):
         monkeypatch.setattr(model, "_BLOCK_COLS", 150)
-        monkeypatch.setattr(model, "_THREAD_MIN_VALUES", threshold)
         cfg = small_config(d_core=1501, d_spur=1500, mu_core=e1_mean(14.0, 1501),
                            mu_spur=e1_mean(7.0, 1500), n_plus=41, n_minus=10)
         (got,) = model.noise_stats_many([cfg])
         self.assert_same(got, noise_stats(cfg))
         # e1 means: the dataset route's column views give the same bits
         self.assert_same(got, noise_stats(sample_dataset(cfg)))
+
+    @staticmethod
+    def blocked_gram(Q, width):
+        """Q Q' summed in the stream's order: each column half block by
+        block from its start, then the halves added and symmetrized."""
+        n = Q.shape[0]
+        halves = []
+        for lo, hi in model._halves(Q.shape[1]):
+            gram = np.zeros((n, n))
+            for j0 in range(lo, hi, width):
+                blk = Q[:, j0 : min(j0 + width, hi)]
+                gram += blk @ blk.T
+            halves.append(gram)
+        gram = halves[0] + halves[1]
+        return (gram + gram.T) * 0.5
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_every_stream_matches_the_dense_oracle(self, side, monkeypatch):
+        # odd n and odd d; column d_core is the last of the first half (the
+        # caller's) or the first of the second (the worker's, for the
+        # config with the most values, and the caller's for the others)
+        width = 64
+        monkeypatch.setattr(model, "_BLOCK_COLS", width)
+        configs = []
+        for n_plus, n_minus, d in ((15, 4, 401), (9, 2, 255), (20, 3, 333)):
+            d_core = (d + 1) // 2 - (side == "lower")
+            configs.append(ModelConfig(d_core=d_core, d_spur=d - d_core,
+                                       mu_core=e1_mean(-2.0, d_core), mu_spur=e1_mean(0.5, d - d_core),
+                                       n_plus=n_plus, n_minus=n_minus, seed=7))
+        many = model.noise_stats_many(configs)
+        for cfg, from_many in zip(configs, many):
+            Q = dense_noise(cfg)
+            ds = sample_dataset(cfg)
+            assert ds.Q.tobytes() == Q.tobytes()
+            with _one_blas_thread():
+                gram = self.blocked_gram(Q, width)
+            for got in (from_many, noise_stats(cfg), noise_stats(ds)):
+                assert got.gram_0.tobytes() == gram.tobytes()
+                assert got.q_core.tobytes() == (-Q[:, 0]).tobytes()
+                assert got.q_spur.tobytes() == Q[:, cfg.d_core].tobytes()
 
     def test_refuses_mixed_seeds_and_no_configs(self):
         with pytest.raises(ValueError, match="one seed"):
@@ -801,13 +845,11 @@ class TestSharedStream:
         with pytest.raises(TypeError, match="ModelConfig"):
             model.noise_stats_many([sample_dataset(coupled_config(4))])
 
-    @pytest.mark.parametrize("threshold", [0, 1 << 60], ids=["worker", "caller"])
-    def test_each_word_is_drawn_once(self, threshold, monkeypatch):
+    def test_each_word_is_drawn_once(self, monkeypatch):
         # the caller walks to the end of the last half it streams, the
         # worker draws the largest config's second half: 2 * 12^3 + 14^3
         # words for the 2 * (6^3 + 9^3 + 12^3 + 14^3) of four streams
         monkeypatch.setattr(model, "_BLOCK_COLS", 5)
-        monkeypatch.setattr(model, "_THREAD_MIN_VALUES", threshold)
         drawn = []
         real = model.philox_generator
 

@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from grouprisk import risk
 from grouprisk.estimators import fit_cmni
-from grouprisk.model import ModelConfig, e1_mean, noise_stats, sample_dataset
+from grouprisk.model import (
+    STREAM_MC,
+    ModelConfig,
+    e1_mean,
+    noise_stats,
+    philox_generator,
+    sample_dataset,
+    substream_seed,
+)
 from grouprisk.risk import (
     GroupRiskEntry,
     RiskReport,
@@ -102,6 +111,22 @@ class TestMonteCarlo:
         b = monte_carlo_risk(sol, cfg, m=50_000)
         assert a == b
         assert monte_carlo_risk(sol, cfg.with_updates(seed=9), m=50_000) != a
+
+    @pytest.mark.parametrize("chunk", [4096, None], ids=["4096", "default"])
+    def test_rates_do_not_depend_on_the_chunk(self, chunk, monkeypatch):
+        # m = 2^20 + 3 is a multiple of neither chunk: the rates are the
+        # bits of one unchunked draw of m normals per group
+        if chunk is not None:
+            monkeypatch.setattr(risk, "_MC_CHUNK", chunk)
+        cfg = make_config(mu_core=e1_mean(3.0, 200), mu_spur=e1_mean(1.0, 200))
+        sol = fitted(cfg)
+        m = (1 << 20) + 3
+        expected = []
+        for substream, entry in enumerate(group_risk(sol)):
+            g = philox_generator(substream_seed(cfg.seed, substream), STREAM_MC).standard_normal(m)
+            rate = int(np.count_nonzero(entry.margin + g < 0.0)) / m
+            expected.append((rate, float(np.sqrt(rate * (1.0 - rate) / m))))
+        assert monte_carlo_risk(sol, cfg, m=m) == tuple(expected)
 
     def test_rejects_bad_draw_count(self):
         cfg = make_config()
