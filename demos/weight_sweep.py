@@ -57,11 +57,12 @@ def main():
     for val, worst in ends.items():
         print(f"  endpoint delta_minus = {val:.4f}: worst = {worst:.4f}")
 
-    path = os.path.join(tempfile.mkdtemp(prefix="sweep-demo-"), "rows.csv")
-    emit(rows, path, fmt="csv", meta=None)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    print(f"\nwrote {path} ({len(lines) - 1} data rows)")
+    with tempfile.TemporaryDirectory(prefix="sweep-demo-") as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        emit(rows, path, fmt="csv", meta=None)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    print(f"\nwrote {os.path.basename(path)} ({len(lines) - 1} data rows)")
     print(f"  header starts: {','.join(lines[0].split(',')[:6])},...")
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import consistency_check, evaluate_bounds
 from .estimators import fit_cmni, fit_gd, fit_ridge, interpolation_residual
 from .harness import PRESET_NAMES, SweepSpec, emit, preset, run_sweep
-from .model import ModelConfig, e1_mean, load_dataset, noise_stats, sample_dataset, save_dataset
+from .model import ModelConfig, load_dataset, noise_stats, sample_dataset, save_dataset
 from .model import _coerce, _one_blas_thread
 from .primitives import verify_primitives, wishart_coverage
 from .risk import build_report
@@ -80,8 +80,8 @@ def config_from_args(args) -> ModelConfig:
     return ModelConfig(
         d_core=d_core,
         d_spur=d - d_core,
-        mu_core=e1_mean(float(np.sqrt(mu_core_sq)), d_core),
-        mu_spur=e1_mean(float(np.sqrt(mu_spur_sq)), d - d_core),
+        mu_core=float(np.sqrt(mu_core_sq)),
+        mu_spur=float(np.sqrt(mu_spur_sq)),
         n_plus=n_plus,
         n_minus=n_minus,
         **_given(args, "pi_plus", "delta_plus", "delta_minus", "seed"),
@@ -90,12 +90,21 @@ def config_from_args(args) -> ModelConfig:
 
 def _claim(args, *paths) -> None:
     """Check that every output path given can be written, before the
-    command's work: a missing file is created and an existing one opened
-    for appending, which leaves it as it was.  So a path that cannot be
-    written raises the OSError that writing it would (exit 2) before any
-    noise is drawn.  The files made here go to args.made, which `main`
-    removes if the command fails."""
-    for path in filter(None, paths):
+    command's work.  An output that is one of the command's input files
+    (--data and its sidecar, --config, --spec) is a ValueError (exit 2),
+    raised before any file is touched.  Then a missing file is created
+    and an existing one opened for appending, which leaves it as it was,
+    so a path that cannot be written raises the OSError that writing it
+    would (exit 2) before any noise is drawn.  The files made here go to
+    args.made, which `main` removes if the command fails."""
+    paths = list(filter(None, paths))
+    data = getattr(args, "data", None)
+    inputs = (data, data and data + ".json", getattr(args, "config", None), getattr(args, "spec", None))
+    for path in paths:
+        for source in filter(None, inputs):  # each one read already, so it exists
+            if os.path.exists(path) and os.path.samefile(path, source):
+                raise ValueError(f"output {path} is the input file {source}")
+    for path in paths:
         try:
             open(path, "x").close()
         except FileExistsError:

@@ -59,7 +59,6 @@ from .model import (
     _one_blas_thread,
     _shown,
     _required_fields,
-    e1_mean,
     noise_stats_many,
     substream_seed,
 )
@@ -223,10 +222,7 @@ def derive_config(base: ModelConfig, axis_name: str, value) -> ModelConfig:
         return base.with_updates(delta_minus=float(value))
     if axis_name == "r_plus_sq":
         scale = np.sqrt(np.sqrt(_coerce("r_plus_sq", value, _POSITIVE)) / 2.0)
-        return base.with_updates(
-            mu_core=e1_mean(scale, base.d_core),
-            mu_spur=e1_mean(scale, base.d_spur),
-        )
+        return base.with_updates(mu_core=scale, mu_spur=scale)
     if axis_name == "n_coupled":
         if not (2 <= value < math.inf and value == int(value)):
             raise ValueError(f"n_coupled axis values must be integers of at least 2, got {_shown(value)}")
@@ -239,8 +235,8 @@ def derive_config(base: ModelConfig, axis_name: str, value) -> ModelConfig:
         return base.with_updates(
             d_core=d_core,
             d_spur=d - d_core,
-            mu_core=e1_mean(scale, d_core),
-            mu_spur=e1_mean(scale, d - d_core),
+            mu_core=scale,
+            mu_spur=scale,
             n_plus=n_plus,
             n_minus=n_minus,
             delta_plus=n_plus / n,
@@ -417,8 +413,8 @@ def _fig_base(seed: int, delta_plus: float, delta_minus: float, r_plus: float = 
     return ModelConfig(
         d_core=d_core,
         d_spur=d - d_core,
-        mu_core=e1_mean(scale, d_core),
-        mu_spur=e1_mean(scale, d - d_core),
+        mu_core=scale,
+        mu_spur=scale,
         n_plus=190,
         n_minus=10,
         delta_plus=delta_plus,
@@ -445,8 +441,8 @@ def preset(name: str, seed: int = 0, trials: int = 10) -> SweepSpec:
         base = ModelConfig(
             d_core=2500,
             d_spur=2500,
-            mu_core=e1_mean(np.sqrt(5000.0**0.6 / 8.0), 2500),
-            mu_spur=e1_mean(np.sqrt(5000.0**0.6 / 8.0), 2500),
+            mu_core=np.sqrt(5000.0**0.6 / 8.0),
+            mu_spur=np.sqrt(5000.0**0.6 / 8.0),
             n_plus=48,
             n_minus=2,
             delta_plus=0.96,

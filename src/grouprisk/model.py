@@ -28,11 +28,11 @@ Every stream runs on two threads: the caller draws the first column half,
 [0, ceil(d/2)), and one worker started for the call the second
 (`_on_two_threads`, the module's one thread-start site).
 The config is the problem instance and nothing else: tau is an argument
-of the fits and primitives that use it.  Configs share their read-only
-mean vectors instead of copying them.  A dataset stores what is drawn,
-(y, a, Q), and derives X and b = y * a from it; `sample_dataset` fills
-Q's two halves on the two threads, its file holds Q alone, and a loaded Q
-is a view of the buffer read from disk.
+of the fits and primitives that use it.  It holds each mean as one float,
+its signed scale along e_1, so a config costs O(1) at any d.  A dataset
+stores what is drawn, (y, a, Q), and derives X and b = y * a from it;
+`sample_dataset` fills Q's two halves on the two threads, its file holds
+Q alone, and a loaded Q is a view of the buffer read from disk.
 
 Every downstream quantity depends on the noise only through the labels
 and the triple (Q Q', Q u_c, Q u_s), with u_c and u_s the unit core and
@@ -182,7 +182,7 @@ _FIELDS = {
     **dict.fromkeys(("pi_plus", "delta"), _UNIT),
     **dict.fromkeys(("delta_plus", "delta_minus", "step", "c_const", "c1", "c2", "c3", "band"), _POSITIVE),
     **dict.fromkeys(("tau", "t", "mu_core_sq", "mu_spur_sq"), _NONNEGATIVE),
-    # a file's mean: its scale along e_1
+    # a mean's scale along e_1: what a file holds, and one form the constructor takes
     **dict.fromkeys(("mu_core", "mu_spur"), _Kind(_REAL, float, math.isfinite, "finite", "a number")),
     # NaN and inf too: the sweep skips a value that names no valid config
     "axis values": _Kind(_REAL, float, lambda v: True, "real numbers within the float range",
@@ -250,26 +250,26 @@ def _freeze_arrays(obj) -> None:
             value.setflags(write=False)
 
 
-def _frozen_mean(name: str, block: str, length: int, mu) -> np.ndarray:
-    """A read-only float64 copy of mu, or mu itself if a config froze it.
-
-    ValueError naming the field unless mu is a 1-d array of length
-    entries and an integer or float dtype (checked by its dtype alone; a
-    list is refused).  An array that owns its data and is already
-    read-only is one that `ModelConfig` made, so every config derived
-    from it shares it; any other array (a view, a writable array) is
-    copied, so a caller mutating their own array never reaches a config.
-    """
-    if not (isinstance(mu, np.ndarray) and mu.dtype.kind in "iuf" and mu.shape == (length,)):
-        raise ValueError(f"{name} must be a 1-d integer or float array of {block}={_shown(length)} entries")
-    if mu.dtype == np.float64 and mu.base is None and not mu.flags.writeable:
-        return mu
-    mu = mu.astype(np.float64)
-    mu.setflags(write=False)
-    return mu
+def _scale(name: str, block: str, length: int, mu) -> float:
+    """The scale of a mean given as a finite real, or as its e_1 array: a
+    1-d integer or float array of length entries (a list is refused) that
+    is zero past index 0.  ValueError naming the field otherwise."""
+    if isinstance(mu, np.ndarray) and mu.dtype.kind in "iuf" and mu.shape == (length,):
+        if np.any(mu[1:]):
+            raise ValueError(f"{name} must be a multiple of e_1: an entry past index 0 is nonzero")
+        mu = float(mu[0])
+    elif isinstance(mu, np.ndarray) or type(mu) is bool or not isinstance(mu, _REAL):
+        raise ValueError(f"{name} must be a finite real or a 1-d integer or float array of "
+                         f"{block}={_shown(length)} entries")
+    return _coerce(name, mu)
 
 
-@dataclass(frozen=True, eq=False)
+# the keys of a config file, the constructor's parameters, one per field in order
+_CONFIG_KEYS = ("d_core", "d_spur", "mu_core", "mu_spur", "n_plus", "n_minus",
+                "pi_plus", "delta_plus", "delta_minus", "seed")
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class ModelConfig:
     """Full specification of one synthetic problem instance.
 
@@ -277,16 +277,15 @@ class ModelConfig:
     ----------
     d_core, d_spur : int
         Dimensions of the core and spurious blocks; d = d_core + d_spur.
-    mu_core, mu_spur : np.ndarray
+    mu_core, mu_spur : float or np.ndarray
         Core class mean (length d_core) and spurious mean (length d_spur),
-        each a 1-d integer or float array (a list is refused) and a
-        multiple of e_1 (`e1_mean`): a nonzero entry past index 0 is
-        refused, since a mean's norm is all the model reads of it, and
-        only its scale, entry 0, is read or written to a file.
-        Stored as read-only float64 arrays.  A config built from another's
-        means (`with_updates`, the points of a minority-weight sweep)
-        shares them rather than copying them, so such a sweep holds one
-        copy of each mean however many points it has.
+        each a multiple of e_1 (`e1_mean`), since a mean's norm is all the
+        model reads of it: its signed scale, a finite real, or the e_1
+        array itself, a 1-d integer or float array (a list is refused)
+        with no nonzero entry past index 0.  Only the scales are stored,
+        as the floats `core_scale` and `spur_scale`, so a config is O(1)
+        at any d; `mu_core` and `mu_spur` read as read-only float64 e_1
+        vectors, built on each read.
     n_plus, n_minus : int
         Majority and minority group counts; n = n_plus + n_minus.
     pi_plus : float
@@ -296,37 +295,34 @@ class ModelConfig:
     seed : int
         Master RNG seed, a 64-bit unsigned integer.
 
-    Every field but the means is read by its kind in the table `_FIELDS`
-    (`_coerce`, which refuses a bad value with a ValueError naming the
-    field), then the rules across fields are checked.
+    Every field is read by its kind in the table `_FIELDS` (`_coerce`,
+    which refuses a bad value with a ValueError naming the field), then
+    the rules across fields are checked.
     """
 
     d_core: int
     d_spur: int
-    mu_core: np.ndarray
-    mu_spur: np.ndarray
+    core_scale: float
+    spur_scale: float
     n_plus: int
     n_minus: int
-    pi_plus: float = 0.5
-    delta_plus: float = 1.0
-    delta_minus: float = 1.0
-    seed: int = 0
+    pi_plus: float
+    delta_plus: float
+    delta_minus: float
+    seed: int
 
-    def __post_init__(self):
+    def __init__(self, d_core, d_spur, mu_core, mu_spur, n_plus, n_minus,
+                 pi_plus=0.5, delta_plus=1.0, delta_minus=1.0, seed=0):
+        given = locals()
         for name in ("d_core", "d_spur", "n_plus", "n_minus", "seed", "pi_plus", "delta_plus", "delta_minus"):
-            object.__setattr__(self, name, _coerce(name, getattr(self, name)))
-        for name, block in (("mu_core", "d_core"), ("mu_spur", "d_spur")):
-            mu = _frozen_mean(name, block, getattr(self, block), getattr(self, name))
-            if not np.all(np.isfinite(mu)):
-                raise ValueError(f"{name} must be finite")
-            if np.any(mu[1:]):
-                raise ValueError(f"{name} must be a multiple of e_1: an entry past index 0 is nonzero")
-            object.__setattr__(self, name, mu)
+            object.__setattr__(self, name, _coerce(name, given[name]))
+        object.__setattr__(self, "core_scale", _scale("mu_core", "d_core", self.d_core, mu_core))
+        object.__setattr__(self, "spur_scale", _scale("mu_spur", "d_spur", self.d_spur, mu_spur))
         if self.n_plus < self.n_minus:
             raise ValueError("n_plus must be at least n_minus")
         if self.d < self.n:
             raise ValueError(f"need d >= n, got d={_shown(self.d)} < n={_shown(self.n)}")
-        nc2, ns2 = (x * x for x in (float(self.mu_core[0]), float(self.mu_spur[0])))
+        nc2, ns2 = self.core_scale * self.core_scale, self.spur_scale * self.spur_scale
         if nc2 < ns2:
             raise ValueError(
                 f"core signal must dominate: |mu_core|^2={nc2:g} < |mu_spur|^2={ns2:g}"
@@ -336,6 +332,10 @@ class ModelConfig:
             raise ValueError(
                 "adjustment weights must satisfy 1/n <= delta_minus <= delta_plus <= 1"
             )
+
+    # read-only float64 e_1 vectors, built on each read; the package reads only the scales
+    mu_core = property(lambda self: _read_only(e1_mean(self.core_scale, self.d_core)))
+    mu_spur = property(lambda self: _read_only(e1_mean(self.spur_scale, self.d_spur)))
 
     @property
     def d(self) -> int:
@@ -352,34 +352,20 @@ class ModelConfig:
 
     def with_updates(self, **changes) -> "ModelConfig":
         """Copy with fields replaced; revalidates."""
-        return replace(self, **changes)
+        return ModelConfig(**{**self.to_dict(), **changes})
 
     def to_dict(self) -> dict:
-        """The config as a JSON object; each mean is its scale, entry 0."""
-        return {
-            "d_core": self.d_core,
-            "d_spur": self.d_spur,
-            "mu_core": float(self.mu_core[0]),
-            "mu_spur": float(self.mu_spur[0]),
-            "n_plus": self.n_plus,
-            "n_minus": self.n_minus,
-            "pi_plus": self.pi_plus,
-            "delta_plus": self.delta_plus,
-            "delta_minus": self.delta_minus,
-            "seed": self.seed,
-        }
+        """The config as a JSON object; each mean is its scale."""
+        return dict(zip(_CONFIG_KEYS, (getattr(self, f.name) for f in fields(self))))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
         """The config of a `to_dict` document; ValueError naming any
         unknown or missing key, for a document that is not an object, and
-        for any value its field's kind (`_FIELDS`) refuses."""
-        _check_fields("ModelConfig", data, {f.name for f in fields(cls)}, _required_fields(cls))
-        means = {
-            name: e1_mean(_coerce(name, data[name]), _coerce(block, data[block]))
-            for name, block in (("mu_core", "d_core"), ("mu_spur", "d_spur"))
-        }
-        return cls(**{**data, **means})
+        for any value its field's kind (`_FIELDS`) refuses: a mean is a
+        number here, never an array."""
+        _check_fields("ModelConfig", data, _CONFIG_KEYS, _CONFIG_KEYS[:6])
+        return cls(**{**data, **{name: _coerce(name, data[name]) for name in ("mu_core", "mu_spur")}})
 
 
 @dataclass(frozen=True)
@@ -460,17 +446,17 @@ def e1_mean(scale: float, length: int) -> np.ndarray:
 
 
 def _design_matrix(config: ModelConfig, y: np.ndarray, a: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """X = y mu_bar_c' + a mu_bar_s' + Q: a copy of Q with y * mu_core[0]
-    added to column 0 and a * mu_spur[0] to column d_core, the only
-    columns the e_1 means reach."""
+    """X = y mu_bar_c' + a mu_bar_s' + Q: a copy of Q with y times the core
+    scale added to column 0 and a times the spurious scale to column
+    d_core, the only columns the e_1 means reach."""
     X = Q.copy()
-    X[:, 0] += y * config.mu_core[0]
-    X[:, config.d_core] += a * config.mu_spur[0]
+    X[:, 0] += y * config.core_scale
+    X[:, config.d_core] += a * config.spur_scale
     return X
 
 
 def signal_strengths(config: ModelConfig) -> SignalStrengths:
-    nc2, ns2 = (x * x for x in (float(config.mu_core[0]), float(config.mu_spur[0])))
+    nc2, ns2 = config.core_scale * config.core_scale, config.spur_scale * config.spur_scale
     return SignalStrengths(r_plus=nc2 + ns2, r_minus=nc2 - ns2)
 
 
@@ -651,7 +637,7 @@ def _mean_norms(config: ModelConfig) -> tuple[float, float]:
     of order n / (d + tau), which would leave the normal range and round
     differently in the two primitive modes.
     """
-    norms = (abs(float(config.mu_spur[0])), abs(float(config.mu_core[0])))
+    norms = (abs(config.spur_scale), abs(config.core_scale))
     return tuple(0.0 if m * m < _MEAN_SQ_FLOOR else m for m in norms)
 
 
@@ -668,7 +654,7 @@ class GramStats:
     y and a are the labels; the group of row i is b_i = y_i a_i.  gram_0 is
     Q Q'; q_core and q_spur are Q u_c and Q u_s for the unit core and
     spurious directions, that is columns 0 and d_core of Q times the sign
-    of mu_core[0] and of mu_spur[0] (zero when that mean is zero).  With
+    of the config's core and spurious scale (zero for a zero mean).  With
     v_1 = a, v_2 = y, (m_1, m_2) = mu_norms = (|mu_bar_s|, |mu_bar_c|)
     (`_mean_norms`) and the noise-mean projections d_1 = Q mu_bar_s =
     m_1 q_spur and d_2 = Q mu_bar_c = m_2 q_core, the Gram matrix G = X X'
@@ -777,7 +763,7 @@ def _stream_stats(blocks, halves, product: np.ndarray) -> None:
     half h, and set q_core and q_spur from the block that holds their column.
 
     halves[h] is (columns, (gram, q_core, q_spur)), where columns is
-    ((0, sign of mu_core[0]), (d_core, sign of mu_spur[0])) of the config:
+    ((0, sign of core_scale), (d_core, sign of spur_scale)) of the config:
     q is its column of Q times its sign, and a zero sign (a zero mean)
     leaves q at zero.  product is flat scratch of at least n^2 values for
     every half's n, which each blk blk' is written to.
@@ -818,8 +804,8 @@ def _assemble(configs, labels, lower, upper) -> tuple[GramStats, ...]:
     # after it exits, on top of what the caller allocates next
     halves = []
     for config in configs:
-        columns = ((0, float(np.sign(config.mu_core[0]))),
-                   (config.d_core, float(np.sign(config.mu_spur[0]))))
+        columns = ((0, float(np.sign(config.core_scale))),
+                   (config.d_core, float(np.sign(config.spur_scale))))
         n = config.n
         halves += [(columns, (np.zeros((n, n)), np.zeros(n), np.zeros(n))) for _ in range(2)]
     rows = max(config.n for config in configs)
@@ -957,12 +943,18 @@ def sample_dataset(config: ModelConfig) -> Dataset:
     ceil(`_BLOCK_COLS` / 2) values, so the call holds one n x d array and
     one n x `_BLOCK_COLS` buffer between the two.  Column j is ndtri of
     words [j*n, (j+1)*n), so Q is the same bits at any block width and
-    split.  X is built from it only when read (`Dataset.X`).
+    split.  X is built from it only when read (`Dataset.X`).  A Q that
+    numpy or the allocator refuses is a ValueError naming n, d and the
+    bytes asked for.
     """
     y, a = sample_labels(config)
-    n = config.n
+    n, d = config.n, config.d
     # Q and both windows are made here, on the caller's thread (see `_assemble`)
-    Q = np.empty((n, config.d))
+    try:
+        Q = np.empty((n, d))
+    except (ValueError, MemoryError):  # numpy's "array is too big", or the allocator
+        raise ValueError(f"cannot allocate the noise matrix Q of n={n} x d={d} floats "
+                         f"({8 * n * d} bytes)") from None
     lower, upper = (
         (_noise_windows(config.seed, [(None, n, *half)], (_BLOCK_COLS + 1) // 2),)
         for half in _halves(config.d)
@@ -988,7 +980,7 @@ def check_assumptions(
     c_const = _coerce("c_const", c_const)
     n, d = config.n, config.d
     r_plus = signal_strengths(config).r_plus
-    core = float(config.mu_core[0])
+    core = config.core_scale
     log_inv = np.log(1.0 / delta)
     log_nd = np.log(n / delta)
     slack_a = np.inf if log_inv == 0.0 else n / (c_const * log_inv)

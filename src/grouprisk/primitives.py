@@ -614,7 +614,7 @@ AUX_C_TILDE = 2.01
 def check_aux_inequalities(config: ModelConfig) -> AuxInequalityReport:
     """Evaluate both scalar inequalities at the config's weights."""
     n = config.n
-    mu_c_norm = abs(float(config.mu_core[0]))
+    mu_c_norm = abs(config.core_scale)
     n_delta, n_mixed = _adjusted_counts(config.n_plus, config.n_minus, config.deltas)
     realized = 0.5 * n_mixed * mu_c_norm / np.sqrt(n * n_delta)
     reference = np.sqrt(config.n_minus / n) * mu_c_norm / 2.0

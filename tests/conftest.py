@@ -57,6 +57,19 @@ def no_stream(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def no_mean_vector(monkeypatch):
+    """`ModelConfig.mu_core` and `mu_spur`, the d-long e_1 vectors built on
+    each read, raise for the length of the test: code run under it reads
+    each mean's scale alone, so its config path costs O(1) at any d."""
+
+    def refuse(config):
+        raise AssertionError("a d-long mean vector was built")
+
+    for name in ("mu_core", "mu_spur"):
+        monkeypatch.setattr(model.ModelConfig, name, property(refuse))
+
+
 def dense_means(config):
     """(mu_bar_c, mu_bar_s): the config's means embedded in R^d as
     [mu_core; 0] and [0; mu_spur], for dense oracles; group b's class-(+1)

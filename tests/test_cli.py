@@ -970,6 +970,78 @@ class TestOutPath:
         assert not json.loads(out.read_text())["passed"]
 
 
+class TestOutputIsAnInput:
+    """An output that is one of the command's input files exits 2 before
+    any noise is drawn, and the input keeps its bytes."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(small_config().to_dict()))
+        data = tmp_path / "d.bin"
+        save_dataset(sample_dataset(small_config()), str(data))
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({"base": small_config().to_dict(),
+                                    "axis": {"name": "delta_minus", "values": [0.5]}}))
+        return {"config": config, "data": data, "sidecar": Path(f"{data}.json"), "spec": spec}
+
+    @pytest.mark.parametrize("argv, out, source", [
+        (["sample", "--config", "{config}"], "{config}", "config"),
+        (["sample", "--config", "{config}"], "{config_stem}", "config"),
+        (["fit", "--data", "{data}"], "{data}", "data"),
+        (["fit", "--data", "{data}"], "{data}.json", "sidecar"),
+        (["fit", "--config", "{config}"], "{config}", "config"),
+        (["risk", "--config", "{config}"], "{config}", "config"),
+        (["bounds", "--config", "{config}"], "{config}", "config"),
+        (["verify-primitives", "--config", "{config}"], "{config}", "config"),
+        (["sweep", "--spec", "{spec}"], "{spec}", "spec"),
+    ], ids=["sample-config", "sample-sidecar-config", "fit-data", "fit-sidecar", "fit-config",
+            "risk-config", "bounds-config", "verify-primitives-config", "sweep-spec"])
+    def test_output_naming_an_input_exits_2(self, argv, out, source, inputs, no_stream, capsys):
+        names = {name: str(path) for name, path in inputs.items()}
+        names["config_stem"] = names["config"].removesuffix(".json")
+        before = {name: path.read_bytes() for name, path in inputs.items()}
+        out = out.format(**names)
+        code, stdout, err = run([*(arg.format(**names) for arg in argv), "--out", out], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: output ") and f"is the input file {inputs[source]}" in err
+        assert not no_stream
+        assert {name: path.read_bytes() for name, path in inputs.items()} == before
+        assert sorted(p.name for p in inputs["config"].parent.iterdir()) == [
+            "c.json", "d.bin", "d.bin.json", "s.json"]
+
+    def test_a_link_to_an_input_is_the_input(self, inputs, no_stream, capsys):
+        link = inputs["config"].parent / "link.json"
+        link.symlink_to(inputs["config"])
+        before = inputs["config"].read_bytes()
+        code, _, err = run(["risk", "--config", str(inputs["config"]), "--out", str(link)], capsys)
+        assert code == 2 and "is the input file" in err
+        assert inputs["config"].read_bytes() == before
+
+    def test_spec_out_path_naming_the_spec_exits_2(self, inputs, no_stream, capsys):
+        spec = inputs["spec"]
+        spec.write_text(json.dumps({**json.loads(spec.read_text()), "out_path": str(spec)}))
+        before = spec.read_bytes()
+        code, _, err = run(["sweep", "--spec", str(spec)], capsys)
+        assert code == 2 and f"is the input file {spec}" in err
+        assert spec.read_bytes() == before
+
+
+def test_commands_build_no_mean_vector(tmp_path, no_mean_vector, capsys):
+    data = str(tmp_path / "d.bin")
+    for argv in (
+        ["sample", "-n", "20", "-d", "400", "--out", data],
+        ["fit", "-n", "20", "-d", "400"],
+        ["fit", "-n", "20", "-d", "400", "--method", "gd"],
+        ["fit", "--data", data, "--method", "ridge", "--tau", "50"],
+        ["risk", "-n", "20", "-d", "400", "--mc-draws", "1000"],
+        ["bounds", "-n", "20", "-d", "400"],
+        ["verify-primitives", *BENCH_VERIFY],
+    ):
+        code, _, err = run(argv, capsys)
+        assert code == 0, (argv, err)
+
+
 class TestGapHelper:
     def test_zero_for_identical_sets(self):
         cfg = ModelConfig(

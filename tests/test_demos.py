@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,7 @@ def test_all_five_demos_found():
     assert len(DEMOS) == 5
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(script):
+def run_demo(script):
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
@@ -29,3 +29,19 @@ def test_demo_runs(script):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(script):
+    run_demo(script)
+
+
+def test_weight_sweep_is_repeatable_and_leaves_no_temp_dir():
+    def left():
+        return set(Path(tempfile.gettempdir()).glob("sweep-demo-*"))
+
+    before = left()
+    script = ROOT / "demos" / "weight_sweep.py"
+    assert run_demo(script) == run_demo(script)
+    assert left() <= before

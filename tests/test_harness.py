@@ -175,19 +175,24 @@ class TestSpecValidation:
         assert back.base.seed == spec.base.seed
 
 
+@pytest.mark.parametrize("axis, values", [
+    ("delta_minus", (0.5, 0.25)),
+    ("r_plus_sq", (400.0, 900.0)),
+    ("n_coupled", (10, 12)),
+], ids=["delta_minus", "r_plus_sq", "n_coupled"])
+def test_a_sweep_builds_no_mean_vector(axis, values, no_mean_vector):
+    spec = SweepSpec(base=base_config(), axis=SweepAxis(axis, values),
+                     methods=(("cmni", None), ("ridge", "d/10")), trials=1,
+                     outputs=("risk", "bounds", "primitives", "tightness"))
+    rows, skips = run_sweep(spec)
+    assert len(rows) == 4 and not skips
+
+
 class TestDeriveConfig:
     def test_delta_minus_axis(self):
         cfg = derive_config(base_config(), "delta_minus", 0.125)
         assert cfg.delta_minus == 0.125
         assert cfg.delta_plus == 0.95
-
-    def test_delta_minus_axis_shares_the_base_means(self):
-        # a sweep's points hold one copy of each mean, not one per point
-        base = base_config()
-        for value in (0.125, 0.5, 0.95):
-            cfg = derive_config(base, "delta_minus", value)
-            assert cfg.mu_core is base.mu_core
-            assert cfg.mu_spur is base.mu_spur
 
     def test_r_plus_sq_axis_hits_target(self):
         from grouprisk.model import signal_strengths

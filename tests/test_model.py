@@ -116,13 +116,6 @@ class TestModelConfig:
         mu[0] = 0.0
         assert cfg.mu_core[0] == 14.0
 
-    def test_derived_configs_share_frozen_means(self):
-        cfg = small_config()
-        for other in (cfg.with_updates(seed=1), cfg.with_updates(delta_minus=0.5),
-                      small_config(mu_core=cfg.mu_core, mu_spur=cfg.mu_spur)):
-            assert other.mu_core is cfg.mu_core
-            assert other.mu_spur is cfg.mu_spur
-
     def test_rejects_d_smaller_than_n(self):
         with pytest.raises(ValueError):
             small_config(d_core=8, d_spur=8, mu_core=e1_mean(1.0, 8), mu_spur=e1_mean(1.0, 8))
@@ -228,7 +221,6 @@ class TestModelConfig:
             lambda mu: [[v] for v in mu],
             lambda mu: [complex(v) for v in mu],
             lambda mu: None,
-            lambda mu: 10.0,
             lambda mu: "5",
             lambda mu: {"0": 5.0},
             lambda mu: np.array(mu[:-1]),
@@ -238,28 +230,44 @@ class TestModelConfig:
             lambda mu: np.array(mu, dtype=object),
             lambda mu: np.array(mu, dtype=complex),
             lambda mu: np.array(mu).reshape(20, 10),
-            lambda mu: np.float64(5.0),
+            lambda mu: np.array(5.0),
         ],
         ids=["str-entry", "bool-entry", "numpy-bool-entry", "nested", "complex-entries", "null",
-             "scalar", "string", "object", "short", "long", "bool-array", "str-array",
-             "object-array", "complex-array", "2d-array", "numpy-scalar"],
+             "string", "object", "short", "long", "bool-array", "str-array",
+             "object-array", "complex-array", "2d-array", "0d-array"],
     )
     def test_rejects_a_mean_that_is_not_a_list_of_reals(self, field, bad):
-        # the constructor takes a mean only as a 1-d integer or float array
-        # of the block's length: lists of bad entries are refused as lists
+        # the constructor takes a mean as a real or as a 1-d integer or
+        # float array of the block's length: lists of bad entries are
+        # refused as lists
         block = "d_core" if field == "mu_core" else "d_spur"
         mu = bad(e1_mean(5.0, 200).tolist())
-        message = f"^{field} must be a 1-d integer or float array of {block}=200 entries$"
-        with pytest.raises(ValueError, match=message):
+        message = f"{field} must be a finite real or a 1-d integer or float array of {block}=200 entries"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             small_config(**{field: mu})
+
+    @pytest.mark.parametrize("field", ["mu_core", "mu_spur"])
+    @pytest.mark.parametrize("scale", [7, 7.0, np.float64(7.0), np.float32(7.0), np.int64(7)],
+                             ids=["int", "scalar", "numpy-scalar", "float32-scalar", "int64-scalar"])
+    def test_constructor_takes_a_mean_as_its_scale(self, field, scale):
+        cfg = small_config(**{field: scale})
+        assert getattr(cfg, field).tobytes() == e1_mean(7.0, 200).tobytes()
+        assert type(cfg.core_scale if field == "mu_core" else cfg.spur_scale) is float
+
+    @pytest.mark.parametrize("field", ["mu_core", "mu_spur"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 10**400],
+                             ids=["inf", "-inf", "nan", "huge-int"])
+    def test_constructor_refuses_a_scale_that_is_not_finite(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+            small_config(**{field: bad})
 
     @pytest.mark.parametrize("field", ["mu_core", "mu_spur"])
     @pytest.mark.parametrize("container", [list, tuple])
     def test_constructor_refuses_a_list(self, field, container):
         block = "d_core" if field == "mu_core" else "d_spur"
         mu = container(e1_mean(5.0, 200).tolist())
-        message = f"^{field} must be a 1-d integer or float array of {block}=200 entries$"
-        with pytest.raises(ValueError, match=message):
+        message = f"{field} must be a finite real or a 1-d integer or float array of {block}=200 entries"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             small_config(**{field: mu})
 
     @pytest.mark.parametrize(
@@ -385,6 +393,58 @@ class TestModelConfig:
             ModelConfig.from_dict(payload)
 
 
+class TestScaleStorage:
+    """A config holds each mean as its scale, two floats in all, and builds
+    the e_1 vectors only when `mu_core` or `mu_spur` is read."""
+
+    def test_config_and_with_updates_are_o1_at_any_d(self):
+        # the e_1 vectors of this config would hold 32 MB
+        tracemalloc.start()
+        try:
+            cfg = ModelConfig(d_core=2_000_000, d_spur=2_000_000, mu_core=14.0, mu_spur=-7.0,
+                              n_plus=16, n_minus=4, seed=3)
+            for k in range(100):
+                cfg = cfg.with_updates(seed=k, delta_minus=0.5 + k / 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert cfg.to_dict()["mu_spur"] == -7.0
+
+    def test_one_config_whatever_form_its_means_take(self):
+        core, spur = 14.0, -7.0
+        real = small_config(mu_core=core, mu_spur=spur)
+        builds = {
+            "real": real,
+            **{
+                f"{dtype.__name__}-array": small_config(mu_core=e1_mean(core, 200).astype(dtype),
+                                                        mu_spur=e1_mean(spur, 200).astype(dtype))
+                for dtype in (np.float64, np.float32, np.int32)
+            },
+            "from_dict": ModelConfig.from_dict(real.to_dict()),
+            "json": json_roundtrip(real),
+            "with_updates": small_config(mu_core=20.0, mu_spur=1.0, seed=4).with_updates(
+                mu_core=core, mu_spur=spur, seed=3),
+        }
+        text = json.dumps(real.to_dict())
+        ref = noise_stats(real)
+        names = ("gram_0", "q_core", "q_spur", "d_1", "d_2")
+        for form, cfg in builds.items():
+            assert json.dumps(cfg.to_dict()) == text, form
+            got = noise_stats(cfg)
+            for name in names:
+                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), (form, name)
+            for name, scale, block in (("mu_core", core, cfg.d_core), ("mu_spur", spur, cfg.d_spur)):
+                mu = getattr(cfg, name)
+                assert mu.dtype == np.float64 and not mu.flags.writeable, (form, name)
+                assert mu.tobytes() == e1_mean(scale, block).tobytes(), (form, name)
+
+    def test_each_read_builds_a_fresh_vector(self):
+        cfg = small_config(mu_core=14.0)
+        assert cfg.mu_core is not cfg.mu_core
+        assert (cfg.core_scale, cfg.spur_scale) == (14.0, 7.0)
+
+
 class TestMeansAndStrengths:
     def test_design_matrix_adds_the_means_to_columns_0_and_d_core(self):
         cfg = small_config(d_core=150, d_spur=250, mu_core=e1_mean(14.0, 150), mu_spur=e1_mean(-7.0, 250))
@@ -476,6 +536,29 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * cfg.n * cfg.d
+
+    def test_q_past_numpys_size_limit_names_n_and_d(self, no_stream):
+        # the config is two floats at any d; Q itself cannot be made
+        cfg = small_config(d_core=2**62, mu_core=14.0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot allocate the noise matrix Q of n=20 x d={2**62 + 200} floats "
+                f"({8 * 20 * (2**62 + 200)} bytes)")):
+            sample_dataset(cfg)
+        assert not no_stream
+
+    def test_q_the_allocator_refuses_names_n_and_d(self, monkeypatch, no_stream):
+        cfg = small_config()
+        empty = np.empty
+
+        def refusing(shape, *args, **kwargs):
+            if shape == (cfg.n, cfg.d):
+                raise MemoryError
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refusing)
+        with pytest.raises(ValueError, match=re.escape("Q of n=20 x d=400 floats (64000 bytes)")):
+            sample_dataset(cfg)
+        assert not no_stream
 
     @pytest.mark.parametrize(
         "core, spur", [(14.0, 7.0), (-14.0, 7.0), (14.0, -7.0), (-3.0, 0.0), (0.0, 0.0)]
