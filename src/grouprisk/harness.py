@@ -20,16 +20,24 @@ that is one `model.noise_stats_many` call of one config, and every point
 reads the `GramStats` it returns under its own means (`GramStats.under`).
 Along n_coupled every value has its own n and d, but every point's Q
 reads a prefix of the trial's one noise stream, so one call streams all
-of them in a single pass and each word is drawn once.  Every point and
-method is one recursive `compute_primitives` call at its tau and weights,
-and the risks come from its order-2 table: the risk identity
-(`primitives.fit_moments`) gives |w_hat|^2 and w_hat' mu_b of the fit, so
-no fitter runs in a sweep.  The order-0 solve that call needs (one
-Cholesky of gram_0 + tau I and two 7x7 tables) is memoized per tau on the
-`GramStats`.  Along delta_minus the means do not change either, so
-`under` returns the trial's one `GramStats` at every point: a (trial, tau)
-costs one factorization, and every point and primitive call after it 7x7
-arithmetic.  `fit_cmni` and `fit_ridge` remain the per-point reference.
+of them in a single pass and each word is drawn once.
+
+The points that read one `GramStats` at one tau form a batch: along
+delta_minus every point of a trial shares the view (`under` returns it
+unchanged, since the means do not change), so each method's tau is one
+batch of all the points; along r_plus_sq and n_coupled each point has
+its own view, so a batch is one point.  A batch is one recursion
+(`primitives._recursive_primitives`) on the order-0 solve of its tau,
+memoized on the view (one Cholesky of gram_0 + tau I and two 7x7
+tables), over the stack of its points' weight pairs; row i is the same
+bits as `compute_primitives(mode="recursive")` at point i.  The risks,
+margin exponents, tightness ratios (against the bound exponents computed
+once per point) and band pass fractions are then read as arrays over the
+batch: the risk identity (`primitives.fit_moments`) gives |w_hat|^2 and
+w_hat' mu_b of each fit, so no fitter runs in a sweep, and `fit_cmni`
+and `fit_ridge` remain the per-point reference.  A point whose recursion
+or fit fails (a singular det(A_k), a fit of zero norm) is skipped alone,
+with the reason and in the order a per-point run would give.
 
 Rows are aggregated in trial order: every per-trial output becomes a
 `<name>_mean` and `<name>_std` pair of `SweepRow` fields (the primitive
@@ -50,7 +58,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bounds import bound_exponent, tightness_ratio
+from .bounds import _ratios, bound_exponent
 from .model import (
     ModelConfig,
     _check_fields,
@@ -62,8 +70,8 @@ from .model import (
     noise_stats_many,
     substream_seed,
 )
-from .primitives import compute_primitives, fit_moments, verify_primitive_bounds
-from .risk import group_risk, worst_and_average
+from .primitives import _band_check, _fit_moments, _order0_solve, _recursive_primitives, _singular
+from .risk import ZERO_NORM, _group_risks, _worst_and_average
 
 __all__ = [
     "SweepAxis",
@@ -324,24 +332,34 @@ def run_sweep(spec: SweepSpec):
             for idx in points:
                 skip("sample", str(exc), value=derived[idx][0], trial=trial)
             continue
+        # one batch per (view, tau): the (point, method) pairs it serves
+        outcomes: dict[tuple[int, int], dict | str] = {}
+        batches: dict[tuple[int, float], tuple] = {}
         for k, idx in enumerate(points):
-            value, tcfg = derived[idx][0], tcfgs[idx]
-            stats = noises[k] if per_point else noises[0].under(tcfg)
-            for mi, (mname, tau_spec) in enumerate(spec.methods):
+            stats = noises[k] if per_point else noises[0].under(tcfgs[idx])
+            for mi, (_, tau_spec) in enumerate(spec.methods):
                 try:
-                    prims = compute_primitives(
-                        stats,
-                        tau=resolve_tau(tau_spec, tcfg),
-                        delta=tcfg.deltas,
-                        mode="recursive",
-                    )
-                    entry = _trial_outputs(
-                        tcfg, prims, exponents_e.get(idx), want_tight, want_prims
-                    )
+                    tau = resolve_tau(tau_spec, tcfgs[idx])
                 except Exception as exc:
-                    skip("fit", str(exc), value=value, trial=trial, method=mname)
+                    outcomes[idx, mi] = str(exc)
                     continue
-                results.setdefault((idx, mi), []).append(entry)
+                batches.setdefault((id(stats), tau), (stats, tau, []))[2].append((idx, mi))
+        for stats, tau, members in batches.values():
+            cfgs = [tcfgs[idx] for idx, _ in members]
+            try:
+                entries = _batch_outputs(
+                    stats, tau, cfgs, [exponents_e.get(idx) for idx, _ in members], want_tight, want_prims
+                )
+            except Exception as exc:
+                entries = [str(exc)] * len(members)
+            outcomes.update(zip(members, entries))
+        for idx in points:
+            for mi, (mname, _) in enumerate(spec.methods):
+                entry = outcomes[idx, mi]
+                if isinstance(entry, str):
+                    skip("fit", entry, value=derived[idx][0], trial=trial, method=mname)
+                else:
+                    results.setdefault((idx, mi), []).append(entry)
 
     rows: list[SweepRow] = []
     for idx, (value, cfg) in enumerate(derived):
@@ -358,28 +376,40 @@ def run_sweep(spec: SweepSpec):
     return rows, skips
 
 
-def _trial_outputs(cfg, prims, e_pair, want_tight, want_prims):
-    moments = fit_moments(prims)
-    plus, minus = group_risk(moments)
-    worst, average = worst_and_average(plus, minus, cfg)
-    entry = {
-        "risk_plus": plus.risk,
-        "risk_minus": minus.risk,
+def _batch_outputs(stats, tau, cfgs, e_pairs, want_tight, want_prims) -> list:
+    """The per-trial outputs of the points that share the view `stats` and
+    `tau`, one recursion over the stack of their weight pairs: for each
+    config of `cfgs`, its dict of outputs, or the reason it failed (a
+    singular det(A_k) or a fit of zero norm).  e_pairs holds each point's
+    (E_+, E_-), or None when neither bounds nor tightness is wanted.  The
+    points share one draw, so cfgs[0] gives the counts, n and d of all."""
+    table, squared = stats.per_tau(_order0_solve, tau)
+    prims = _recursive_primitives(table, squared, stats.mu_norms, tau, np.array([c.deltas for c in cfgs]))
+    w_norm_sq, w_dot_mu = _fit_moments(prims)
+    fits = w_norm_sq > 0.0
+    failures = [_singular(det_a) or (None if fit else ZERO_NORM) for det_a, fit in zip(prims.det_a, fits)]
+    _, exponent, risk = _group_risks(np.where(fits, w_norm_sq, 1.0), w_dot_mu)
+    worst, average = _worst_and_average(risk[:, 0], risk[:, 1], cfgs[0])
+    columns = {
+        "risk_plus": risk[:, 0],
+        "risk_minus": risk[:, 1],
         "worst": worst,
         "average": average,
-        "exponent_plus": plus.exponent,
-        "exponent_minus": minus.exponent,
+        "exponent_plus": exponent[:, 0],
+        "exponent_minus": exponent[:, 1],
     }
-    if e_pair is not None:
-        entry["e_plus"], entry["e_minus"] = e_pair
+    if e_pairs[0] is not None:
+        e_b = np.array(e_pairs)
+        columns["e_plus"], columns["e_minus"] = e_b.T
         if want_tight:
-            entry["tightness_plus"], entry["tightness_minus"] = tightness_ratio(moments, cfg)
+            columns["tightness_plus"], columns["tightness_minus"] = _ratios(exponent, e_b).T
     if want_prims:
-        report = verify_primitive_bounds(prims, cfg)
-        entry["primitive_pass_frac"] = sum(r.passed for r in report.rows) / len(
-            report.rows
-        )
-    return entry
+        passed = _band_check(prims, cfgs[0])[-1]
+        columns["primitive_pass_frac"] = passed.sum(axis=-1) / passed.shape[-1]
+    return [
+        failure or {key: column[i] for key, column in columns.items()}
+        for i, failure in enumerate(failures)
+    ]
 
 
 def _aggregate_row(spec, idx, value, cfg, mname, tau_spec, data) -> SweepRow:

@@ -96,7 +96,7 @@ _V1, _V2, _D1, _D2, _U, _W1, _W2 = range(7)
 
 
 def _symmetric(p: np.ndarray) -> np.ndarray:
-    return 0.5 * (p + p.T)
+    return 0.5 * (p + p.swapaxes(-1, -2))
 
 
 def _stage_factor(mat: np.ndarray):
@@ -128,11 +128,23 @@ def _order0_solve(stats: GramStats, tau: float) -> tuple[np.ndarray, np.ndarray]
     return table, squared
 
 
+def _identities(batch: tuple) -> np.ndarray:
+    """A new batch + (7, 7) array of 7x7 identities."""
+    eye = np.zeros(batch + (7, 7))
+    eye.reshape(-1, 49)[:, ::8] = 1.0
+    return eye
+
+
 def _change_of_basis(delta) -> np.ndarray:
-    """C with probes = B C: w_1 = y_+/delta_+ - y_-/delta_-, w_2 = y_+/delta_+ + y_-/delta_-."""
-    inv_plus, inv_minus = 1.0 / delta[0], 1.0 / delta[1]
-    change = np.eye(7)
-    change[_W1:, _W1:] = [[inv_plus, inv_plus], [-inv_minus, inv_minus]]
+    """C with probes = B C: w_1 = y_+/delta_+ - y_-/delta_-, w_2 = y_+/delta_+ + y_-/delta_-.
+
+    delta is one pair (shape (2,)) or a stack of them (shape (k, 2)), and
+    C is 7x7 or (k, 7, 7) to match."""
+    inv = 1.0 / np.asarray(delta, dtype=np.float64)
+    inv_plus, inv_minus = inv[..., 0], inv[..., 1]
+    change = _identities(inv.shape[:-1])
+    change[..., _W1, _W1] = change[..., _W1, _W2] = inv_plus
+    change[..., _W2, _W1], change[..., _W2, _W2] = -inv_minus, inv_minus
     return change
 
 
@@ -150,28 +162,33 @@ def det_and_adj(prims: "PrimitiveSet", k: int):
     return float(_det_a(m_sq, s, t, h)), _adj_a(prims.mu_norms[k - 1], s, t, h)
 
 
+# (1 + h)^2 is np.float_power, libm's pow: the value numpy's scalar ** gave
+# when the recursion ran on scalars, so the sweep outputs keep their bits.
+# An array ** 2 multiplies instead, and can differ in the last bit.
 def _det_a(m_sq, s, t, h):
-    return s * (m_sq - t) + (1.0 + h) ** 2
+    return s * (m_sq - t) + np.float_power(1.0 + h, 2)
 
 
-def _checked_det(k, m_sq, s, t, h):
-    det = _det_a(m_sq, s, t, h)
-    if abs(det) < DET_SINGULAR_TOL:
-        raise LinAlgError(f"rank-3 update singular: det(A_{k}) = {det:.3e}")
-    return det
+def _singular(det_a) -> str | None:
+    """Why one point's recursion fails: the first k with |det(A_k)| below
+    DET_SINGULAR_TOL, as the LinAlgError text, or None."""
+    for k, det in enumerate(det_a, 1):
+        if abs(det) < DET_SINGULAR_TOL:
+            return f"rank-3 update singular: det(A_{k}) = {det:.3e}"
+    return None
 
 
 def _adj_a(m, s, t, h) -> np.ndarray:
-    """adj(A_k) for A_k = I_3 + [[m^2 s, m h, m s], [m s, h, s], [m h, t, h]]."""
+    """adj(A_k) for A_k = I_3 + [[m^2 s, m h, m s], [m s, h, s], [m h, t, h]],
+    3x3 for scalar s, t, h and (k, 3, 3) for stacks of k."""
     m_sq = m * m
     st_h = s * t - h - h * h
-    return np.array(
-        [
-            [(1.0 + h) ** 2 - s * t, m * st_h, -m * s],
-            [-m * s, 1.0 + h + m_sq * s, -s],
-            [m * st_h, m_sq * h * h - t * (1.0 + m_sq * s), 1.0 + h + m_sq * s],
-        ]
+    entries = (
+        np.float_power(1.0 + h, 2) - s * t, m * st_h, -m * s,
+        -m * s, 1.0 + h + m_sq * s, -s,
+        m * st_h, m_sq * h * h - t * (1.0 + m_sq * s), 1.0 + h + m_sq * s,
     )
+    return np.stack(entries, axis=-1).reshape(np.shape(s) + (3, 3))
 
 
 def _f_a(m_sq, s, t, h, x_a, x_b, x_c, x_d):
@@ -212,6 +229,10 @@ class PrimitiveSet:
 
         o[i, k]    = w_{i+1}' M_k^{-1} G_k M_k^{-1} w_{i+1}
         det_a[k-1] = det(A_k) for k in {1, 2}.
+
+    The set of a stack of k weight pairs (`_recursive_primitives`) has a
+    leading axis of length k on tables, o, det_a and every view, and its
+    delta is the (k, 2) array of the pairs.
     """
 
     tables: np.ndarray
@@ -224,7 +245,7 @@ class PrimitiveSet:
     def __post_init__(self):
         self.tables.setflags(write=False)
         for name, (rows, cols) in _LAYOUT.items():
-            object.__setattr__(self, name, self.tables[rows, cols])
+            object.__setattr__(self, name, self.tables[..., rows, cols, :])
 
 
 def _pack(stats: GramStats, delta):
@@ -240,7 +261,7 @@ def _table_self_primitives(p: np.ndarray, mu_norms, k: int):
         raise ValueError("stage k must be 1 or 2")
     v_slot, d_slot = (_V1, _D1) if k == 1 else (_V2, _D2)
     m = mu_norms[k - 1]
-    return m * m, p[v_slot, v_slot], p[d_slot, d_slot], p[d_slot, v_slot]
+    return m * m, p[..., v_slot, v_slot], p[..., d_slot, d_slot], p[..., d_slot, v_slot]
 
 
 def compute_primitives(
@@ -253,67 +274,101 @@ def compute_primitives(
 
     The probe u is e_1.  direct mode forms each G_k and M_k^{-1} densely
     and evaluates quadratic forms, o included as c' G_k c; it never reads
-    or fills the memo on `stats`.  recursive mode is 7x7 algebra on the
-    order-0 solve memoized per tau on `stats` (the tables
-    T_0 = B' M_0^{-1} B and S_0 = B' M_0^{-2} B over the delta-free basis
-    B of `_basis`, from one Cholesky of M_0 = gram_0 + tau I).  The probes
-    are B C(delta), so order 0 is C' T_0 C and C' S_0 C; each stage
-    advances the table by f_A / det(A_k) and the squared table by the
-    stage map E_k = I - J_k adj(A_k) K_k' P / det(A_k) as E_k' S E_k, where
-    L_k = X J_k and R_k' = X K_k for the probe matrix X and P is the
-    order-(k-1) table (M_k^{-1} X = M_{k-1}^{-1} X E_k).  o is read as
-    o = s_id_jd - tau diag(squared table), since G_k = M_k - tau I.  A
-    warm call touches no n-sized array.  Recursive mode raises LinAlgError
-    when |det(A_k)| < DET_SINGULAR_TOL.
+    or fills the memo on `stats`.  recursive mode is `_recursive_primitives`,
+    the one recursion, at the one weight pair `delta`, on the order-0
+    solve memoized per tau on `stats`: the tables T_0 = B' M_0^{-1} B and
+    S_0 = B' M_0^{-2} B over the delta-free basis B of `_basis`, from one
+    Cholesky of M_0 = gram_0 + tau I.  A sweep runs the same recursion
+    once per (trial, tau) on the stack of its points' weight pairs.  A
+    warm call touches no n-sized array.  Recursive mode raises
+    LinAlgError when |det(A_k)| < DET_SINGULAR_TOL.
     """
     tau = _coerce("tau", tau)
     delta = _weights(delta)
     if mode not in ("direct", "recursive"):
         raise ValueError("mode must be 'direct' or 'recursive'")
-    n = stats.n
+    if mode == "recursive":
+        table, squared = stats.per_tau(_order0_solve, tau)
+        prims = _recursive_primitives(table, squared, stats.mu_norms, tau, delta)
+        failure = _singular(prims.det_a)
+        if failure is not None:
+            raise LinAlgError(failure)
+        return prims
 
+    n = stats.n
     o_vals = np.empty((2, 3))
     det_a = np.empty(2)
-    if mode == "direct":
-        probes = _pack(stats, delta)
-        w_cols = probes[:, [_W1, _W2]]
-        p_orders = []
-        for k in range(3):
-            gram = stats.stage_gram(k)
-            m_inv = _dense_inverse(gram + tau * np.eye(n))
-            p_orders.append(_symmetric(probes.T @ (m_inv @ probes)))
-            c = m_inv @ w_cols
-            for i in range(2):
-                o_vals[i, k] = c[:, i] @ gram @ c[:, i]
-        for k in (1, 2):
-            det_a[k - 1] = _det_a(*_table_self_primitives(p_orders[k - 1], stats.mu_norms, k))
-    else:
-        table, squared = stats.per_tau(_order0_solve, tau)
-        change = _change_of_basis(delta)
-        p_orders = [_symmetric(change.T @ table @ change)]
-        squares = [_symmetric(change.T @ squared @ change)]
-        for k in (1, 2):
-            p = p_orders[-1]
-            m_sq, s, t, h = _table_self_primitives(p, stats.mu_norms, k)
-            det_a[k - 1] = det = _checked_det(k, m_sq, s, t, h)
-            v_slot, d_slot = (_V1, _D1) if k == 1 else (_V2, _D2)
-            pa, pb = p[:, v_slot], p[:, d_slot]
-            update = _f_a(m_sq, s, t, h, pa[:, None], pb[:, None], pa, pb)
-            p_orders.append(p - update / det)
-            # E_k = I - J_k A_k^{-1} R_k M_{k-1}^{-1} X, with J_k = [m e_v, e_d, e_v]
-            m = stats.mu_norms[k - 1]
-            gain = _adj_a(m, s, t, h) @ np.stack([m * pa, pa, pb]) / det
-            stage = np.eye(7)
-            stage[v_slot] -= m * gain[0] + gain[2]
-            stage[d_slot] -= gain[1]
-            squares.append(_symmetric(stage.T @ squares[-1] @ stage))
-        for k in range(3):
-            o_vals[:, k] = np.diagonal(p_orders[k])[_W1:] - tau * np.diagonal(squares[k])[_W1:]
+    probes = _pack(stats, delta)
+    w_cols = probes[:, [_W1, _W2]]
+    p_orders = []
+    for k in range(3):
+        gram = stats.stage_gram(k)
+        m_inv = _dense_inverse(gram + tau * np.eye(n))
+        p_orders.append(_symmetric(probes.T @ (m_inv @ probes)))
+        c = m_inv @ w_cols
+        for i in range(2):
+            o_vals[i, k] = c[:, i] @ gram @ c[:, i]
+    for k in (1, 2):
+        det_a[k - 1] = _det_a(*_table_self_primitives(p_orders[k - 1], stats.mu_norms, k))
     return PrimitiveSet(
         tables=np.stack(p_orders, axis=-1),
         o=o_vals,
         det_a=det_a,
         mu_norms=stats.mu_norms,
+        tau=tau,
+        delta=delta,
+    )
+
+
+def _recursive_primitives(table, squared, mu_norms, tau: float, delta) -> PrimitiveSet:
+    """The primitives at the weight pairs `delta`, by recursion from the
+    order-0 tables `table` = B' M_0^{-1} B and `squared` = B' M_0^{-2} B of
+    one tau (`_order0_solve`, or any other source of the same two tables).
+
+    delta is one pair, or a (k, 2) stack of them: then the set's tables,
+    o and det_a carry a leading axis of length k, and row i is the same
+    bits as the call at delta[i] alone.  The probes are B C(delta), so
+    order 0 is C' T_0 C and C' S_0 C; each stage advances the table by
+    f_A / det(A_k) and the squared table by the stage map
+    E_k = I - J_k adj(A_k) K_k' P / det(A_k) as E_k' S E_k, where
+    L_k = X J_k and R_k' = X K_k for the probe matrix X and P is the
+    order-(k-1) table (M_k^{-1} X = M_{k-1}^{-1} X E_k).  o is read as
+    o = s_id_jd - tau diag(squared table), since G_k = M_k - tau I.  A
+    point with |det(A_k)| < DET_SINGULAR_TOL divides that stage by 1
+    instead, so its later entries are meaningless; `_singular` of its
+    det_a says so, and the caller drops it.
+    """
+    change = _change_of_basis(delta)
+    change_t = change.swapaxes(-1, -2)
+    p_orders = [_symmetric(change_t @ table @ change)]
+    squares = [_symmetric(change_t @ squared @ change)]
+    dets = []
+    for k in (1, 2):
+        p = p_orders[-1]
+        m_sq, s, t, h = _table_self_primitives(p, mu_norms, k)
+        dets.append(_det_a(m_sq, s, t, h))
+        det = np.where(abs(dets[-1]) < DET_SINGULAR_TOL, 1.0, dets[-1])[..., None, None]
+        s_, t_, h_ = (x[..., None, None] for x in (s, t, h))
+        v_slot, d_slot = (_V1, _D1) if k == 1 else (_V2, _D2)
+        pa, pb = p[..., :, v_slot], p[..., :, d_slot]
+        update = _f_a(m_sq, s_, t_, h_, pa[..., :, None], pb[..., :, None], pa[..., None, :], pb[..., None, :])
+        p_orders.append(p - update / det)
+        # E_k = I - J_k A_k^{-1} R_k M_{k-1}^{-1} X, with J_k = [m e_v, e_d, e_v]
+        m = mu_norms[k - 1]
+        gain = _adj_a(m, s, t, h) @ np.stack([m * pa, pa, pb], axis=-2) / det
+        stage = _identities(p.shape[:-2])
+        stage[..., v_slot, :] -= m * gain[..., 0, :] + gain[..., 2, :]
+        stage[..., d_slot, :] -= gain[..., 1, :]
+        squares.append(_symmetric(stage.swapaxes(-1, -2) @ squares[-1] @ stage))
+    o = [
+        p.diagonal(0, -2, -1)[..., _W1:] - tau * sq.diagonal(0, -2, -1)[..., _W1:]
+        for p, sq in zip(p_orders, squares)
+    ]
+    return PrimitiveSet(
+        tables=np.stack(p_orders, axis=-1),
+        o=np.stack(o, axis=-1),
+        det_a=np.stack(dets, axis=-1),
+        mu_norms=mu_norms,
         tau=tau,
         delta=delta,
     )
@@ -335,17 +390,24 @@ def fit_moments(prims: PrimitiveSet) -> FitMoments:
         |w_hat|^2   = o_{2D,2D},
         w_hat' mu_b = m_2^2 s_{2D,2} + b m_1^2 s_{2D,1} + h_{2,2D} + b h_{1,2D}.
     """
+    w_norm_sq, w_dot_mu = _fit_moments(prims)
+    return FitMoments(float(w_norm_sq), tuple(float(v) for v in w_dot_mu))
+
+
+def _fit_moments(prims: PrimitiveSet):
+    """`fit_moments` as arrays over a stack: |w_hat|^2 of shape (...) and
+    the (..., 2) array of (w_hat' mu_{+1}, w_hat' mu_{-1})."""
     m_1, m_2 = prims.mu_norms
 
     def dot(b):
         return (
-            m_2 * m_2 * prims.s_id_j[1, 1, 2]
-            + b * m_1 * m_1 * prims.s_id_j[1, 0, 2]
-            + prims.h_i_jd[1, 1, 2]
-            + b * prims.h_i_jd[0, 1, 2]
+            m_2 * m_2 * prims.s_id_j[..., 1, 1, 2]
+            + b * m_1 * m_1 * prims.s_id_j[..., 1, 0, 2]
+            + prims.h_i_jd[..., 1, 1, 2]
+            + b * prims.h_i_jd[..., 0, 1, 2]
         )
 
-    return FitMoments(float(prims.o[1, 2]), (float(dot(+1)), float(dot(-1))))
+    return prims.o[..., 1, 2], np.stack([dot(+1), dot(-1)], axis=-1)
 
 
 def risk_identity_check(prims: PrimitiveSet, sol) -> tuple[float, float]:
@@ -529,49 +591,11 @@ def verify_primitive_bounds(
     diagonals (s_22, s_2d_2, s_2d_2d, o_2d) scale by 1/det(A_2), which
     stays order 1 only while inequality (c) holds (see `det_and_adj`).
     The rates use `prims.delta`, the weights the primitives were computed
-    at.
+    at.  The report is of one point; `_band_check` checks a stack.
     """
     lo, hi = band
-    cross_lo, cross_hi = -hi, hi
-    n, d = config.n, config.d
-    tau = prims.tau
-    dt = d + tau
-    m = np.asarray(prims.mu_norms, dtype=np.float64)
-    m_i, m_j = m[:, None], m[None, :]
-    n_delta, n_mixed = _adjusted_counts(config.n_plus, config.n_minus, prims.delta)
-
-    # rates (the same at every order) and values of each order's rows
-    pair_rates = np.empty((2, 2, len(_PAIR_BANDS)))
-    pair_rates[..., 0] = n / dt
-    pair_rates[..., 1] = n * m_i * m_j / dt
-    pair_rates[..., 2] = n * m_i / dt
-    pair_rates[..., 3] = n_mixed / dt
-    pair_rates[..., 4] = n_delta / dt
-    pair_rates[..., 5] = np.sqrt(n * n_delta) * m_i / dt
-    u_rates = np.empty((2, len(_U_BANDS)))
-    u_rates[:, 0] = np.sqrt(n) / dt
-    u_rates[:, 1] = np.sqrt(n) * m / dt
-    u_rates[:, 2] = n_delta * d / dt**2
-    rates = np.concatenate([pair_rates.ravel(), [1.0 / dt], u_rates.ravel()])
-    pair_values = np.empty((2, 2, len(_PAIR_BANDS), 3))
-    for slot, prim in enumerate((prims.s, prims.t, prims.h, prims.s_id_j, prims.s_id_jd, prims.h_i_jd)):
-        pair_values[:, :, slot] = prim
-    u_values = np.empty((2, len(_U_BANDS), 3))
-    for slot, prim in enumerate((prims.s_ui, prims.h_iu, prims.o)):
-        u_values[:, slot] = prim
-    values = np.concatenate([pair_values.reshape(-1, 3), prims.s_uu[None], u_values.reshape(-1, 3)])
-    # in `_BAND_ROWS` order
-    values = np.concatenate([values.T.ravel(), prims.det_a])
-    rates = np.concatenate([np.tile(rates, 3), [1.0, 1.0]])
-
-    # a zero rate means a zero mean direction: the primitive must vanish
-    zero = rates == 0.0
-    normalized = np.divide(values, rates, out=np.zeros_like(values), where=~zero)
-    inside = (np.where(_BAND_TWO_SIDED, lo, cross_lo) <= normalized) & (
-        normalized <= np.where(_BAND_TWO_SIDED, hi, cross_hi)
-    )
-    passed = np.where(zero, values == 0.0, inside)
-    limits = ((cross_lo, cross_hi), (lo, hi))
+    values, normalized, zero, passed = _band_check(prims, config, band)
+    limits = ((-hi, hi), (lo, hi))
     rows = tuple(
         BandRow(name, k, value, norm, *((0.0, 0.0) if z else limits[two_sided]), ok)
         for (name, k, two_sided), value, norm, z, ok in zip(
@@ -579,6 +603,59 @@ def verify_primitive_bounds(
         )
     )
     return BandReport(rows=rows, all_pass=bool(passed.all()))
+
+
+def _band_check(prims: PrimitiveSet, config: ModelConfig, band: tuple[float, float] = (0.5, 2.0)):
+    """The band check of `verify_primitive_bounds` over a stack of points that
+    share config's counts, n and d: the values, normalized values, zero-rate
+    mask and pass flags, each (..., 95) in `_BAND_ROWS` order."""
+    lo, hi = band
+    n, d = config.n, config.d
+    dt = d + prims.tau
+    m = np.asarray(prims.mu_norms, dtype=np.float64)
+    m_i, m_j = m[:, None], m[None, :]
+    batch = prims.det_a.shape[:-1]
+
+    def flat(arr):
+        return np.reshape(arr, batch + (-1,))
+
+    # the counts of each weight pair, in the scalar arithmetic of `bounds`
+    counts = [_adjusted_counts(config.n_plus, config.n_minus, pair) for pair in np.reshape(prims.delta, (-1, 2))]
+    n_delta, n_mixed = (np.reshape(c, batch + (1, 1)) for c in zip(*counts))
+
+    # rates (the same at every order) and values of each order's rows
+    pair_rates = np.empty(batch + (2, 2, len(_PAIR_BANDS)))
+    pair_rates[..., 0] = n / dt
+    pair_rates[..., 1] = n * m_i * m_j / dt
+    pair_rates[..., 2] = n * m_i / dt
+    pair_rates[..., 3] = n_mixed / dt
+    pair_rates[..., 4] = n_delta / dt
+    pair_rates[..., 5] = np.sqrt(n * n_delta) * m_i / dt
+    u_rates = np.empty(batch + (2, len(_U_BANDS)))
+    u_rates[..., 0] = np.sqrt(n) / dt
+    u_rates[..., 1] = np.sqrt(n) * m / dt
+    u_rates[..., 2] = n_delta[..., 0] * d / dt**2
+    rates = np.concatenate([flat(pair_rates), np.full(batch + (1,), 1.0 / dt), flat(u_rates)], axis=-1)
+    pair_values = np.empty(batch + (2, 2, len(_PAIR_BANDS), 3))
+    for slot, prim in enumerate((prims.s, prims.t, prims.h, prims.s_id_j, prims.s_id_jd, prims.h_i_jd)):
+        pair_values[..., slot, :] = prim
+    u_values = np.empty(batch + (2, len(_U_BANDS), 3))
+    for slot, prim in enumerate((prims.s_ui, prims.h_iu, prims.o)):
+        u_values[..., slot, :] = prim
+    values = np.concatenate(
+        [np.reshape(pair_values, batch + (-1, 3)), prims.s_uu[..., None, :], np.reshape(u_values, batch + (-1, 3))],
+        axis=-2,
+    )
+    # in `_BAND_ROWS` order
+    values = np.concatenate([flat(np.swapaxes(values, -1, -2)), prims.det_a], axis=-1)
+    rates = np.concatenate([np.tile(rates, 3), np.ones(batch + (2,))], axis=-1)
+
+    # a zero rate means a zero mean direction: the primitive must vanish
+    zero = rates == 0.0
+    normalized = np.divide(values, rates, out=np.zeros_like(values), where=~zero)
+    inside = (np.where(_BAND_TWO_SIDED, lo, -hi) <= normalized) & (normalized <= hi)
+    passed = np.where(zero, values == 0.0, inside)
+    return values, normalized, zero, passed
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _SQRT2 = np.sqrt(2.0)
+ZERO_NORM = "estimator has zero norm; margin undefined"
 # Normals per chunk of `monte_carlo_risk`: one buffer of this many values
 # (and its boolean mask) is reused for every chunk, so its memory does not
 # grow with the draw count.  The rates do not depend on it: the normals
@@ -73,24 +74,35 @@ def group_risk(sol) -> tuple[GroupRiskEntry, GroupRiskEntry]:
     """Exact risks (b = +1, b = -1): Q(w_hat' mu_b / |w_hat|) from dual statistics.
 
     sol is anything carrying w_norm_sq and w_dot_mu: a DualSolution, or the
-    `primitives.FitMoments` a sweep reads off its primitives.
+    `primitives.FitMoments` of one point's primitives.
     """
     if not sol.w_norm_sq > 0.0:
-        raise ValueError("estimator has zero norm; margin undefined")
-    norm = np.sqrt(sol.w_norm_sq)
-    return tuple(
-        GroupRiskEntry(margin=float(m), exponent=float(0.5 * m * m), risk=float(q_function(m)))
-        for m in (dot / norm for dot in sol.w_dot_mu)
-    )
+        raise ValueError(ZERO_NORM)
+    margin, exponent, risk = _group_risks(np.float64(sol.w_norm_sq), np.asarray(sol.w_dot_mu, dtype=np.float64))
+    return tuple(GroupRiskEntry(*map(float, entry)) for entry in zip(margin, exponent, risk))
+
+
+def _group_risks(w_norm_sq, w_dot_mu):
+    """`group_risk` as arrays over a stack of fits: w_norm_sq of shape (...),
+    all positive, and w_dot_mu of shape (..., 2) give the (..., 2) margins,
+    exponents and risks."""
+    margin = w_dot_mu / np.sqrt(w_norm_sq)[..., None]
+    return margin, 0.5 * margin * margin, q_function(margin)
 
 
 def worst_and_average(plus: GroupRiskEntry, minus: GroupRiskEntry, config: ModelConfig):
     """(max risk, average risk) over the two groups, the average weighted
     by the training shares (n_plus/n, n_minus/n)."""
+    return tuple(map(float, _worst_and_average(plus.risk, minus.risk, config)))
+
+
+def _worst_and_average(risk_plus, risk_minus, config: ModelConfig):
+    """`worst_and_average` elementwise over stacks of the two risks."""
     w_plus, w_minus = config.n_plus / config.n, config.n_minus / config.n
-    worst = max(plus.risk, minus.risk)
+    # max(risk_plus, risk_minus), a NaN first included
+    worst = np.where(risk_minus > risk_plus, risk_minus, risk_plus)
     # the shares sum to 1 only up to rounding: normalize as written
-    average = (w_plus * plus.risk + w_minus * minus.risk) / (w_plus + w_minus)
+    average = (w_plus * risk_plus + w_minus * risk_minus) / (w_plus + w_minus)
     return worst, average
 
 

@@ -108,7 +108,7 @@ def _spy(monkeypatch, module, name, controls, seen, fail=False):
 class TestPinRestore:
     def test_sweep_runs_pinned_and_restores(self, blas_controls, monkeypatch):
         seen = []
-        _spy(monkeypatch, harness, "compute_primitives", blas_controls, seen)
+        _spy(monkeypatch, harness, "_recursive_primitives", blas_controls, seen)
         rows, skips = run_sweep(_tiny_spec())
         assert rows and not skips
         assert seen and all(c == [1] * len(blas_controls) for c in seen)
@@ -116,7 +116,7 @@ class TestPinRestore:
 
     def test_sweep_with_a_fit_skip_restores(self, blas_controls, monkeypatch):
         seen = []
-        _spy(monkeypatch, harness, "compute_primitives", blas_controls, seen, fail=True)
+        _spy(monkeypatch, harness, "_recursive_primitives", blas_controls, seen, fail=True)
         rows, skips = run_sweep(_tiny_spec())
         assert not rows
         assert {s["stage"] for s in skips} == {"fit", "aggregate"}

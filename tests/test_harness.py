@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from grouprisk import cli, harness, primitives
 from grouprisk.bounds import bound_exponent
 from grouprisk.estimators import fit_cmni, fit_ridge
 from grouprisk.harness import (
@@ -23,6 +24,7 @@ from grouprisk.harness import (
     run_sweep,
 )
 from grouprisk.model import ModelConfig, e1_mean, noise_stats, sample_dataset, substream_seed
+from grouprisk.primitives import compute_primitives, fit_moments
 from grouprisk.risk import group_risk
 
 from conftest import dense_means
@@ -514,6 +516,22 @@ class TestTrialReuse:
         # and the primitives of every point and method
         assert len(calls) == spec.trials * len(taus)
 
+    def test_one_recursion_per_trial_and_tau(self, monkeypatch):
+        calls = []
+        real = harness._recursive_primitives
+
+        def spy(table, squared, mu_norms, tau, delta):
+            calls.append((tau, np.shape(delta)))
+            return real(table, squared, mu_norms, tau, delta)
+
+        monkeypatch.setattr(harness, "_recursive_primitives", spy)
+        spec = self.spec()
+        rows, skips = run_sweep(spec)
+        assert len(rows) == 9 and not skips
+        # cmni and ("ridge", 0.0) share tau = 0: one stack of both methods'
+        # 3 points each, then one stack of 3 at d/10
+        assert calls == [(0.0, (6, 2)), (spec.base.d / 10, (3, 2))] * spec.trials
+
     def test_other_axes_rebuild_per_point(self, monkeypatch):
         spec = tiny_spec(
             axis=SweepAxis("r_plus_sq", (50.0, 100.0)),
@@ -525,6 +543,110 @@ class TestTrialReuse:
         rows, _ = run_sweep(spec)
         assert len(rows) == 6
         assert len(calls) == 4
+
+
+def per_point_skips(spec):
+    """The skips of a per-point run, the reference for a batched sweep's: at
+    each (trial, point, method) in that order, one recursive
+    `compute_primitives` call on the point's own stream, then `fit_moments`
+    and `group_risk`; last, one aggregate skip per row with no successful
+    trial."""
+    skips, succeeded = [], set()
+    for trial in range(spec.trials):
+        for value in spec.axis.values:
+            cfg = derive_config(spec.base, spec.axis.name, value)
+            cfg = cfg.with_updates(seed=substream_seed(spec.base.seed, trial))
+            stats = noise_stats(cfg)
+            for mi, (mname, tau_spec) in enumerate(spec.methods):
+                try:
+                    tau = resolve_tau(tau_spec, cfg)
+                    group_risk(fit_moments(compute_primitives(stats, tau, cfg.deltas, mode="recursive")))
+                except Exception as exc:
+                    where = {"value": value, "trial": trial, "method": mname}
+                    skips.append({"axis": spec.axis.name, **where, "stage": "fit", "reason": str(exc)})
+                else:
+                    succeeded.add((value, mi))
+    for value in spec.axis.values:
+        for mi, (mname, _) in enumerate(spec.methods):
+            if (value, mi) not in succeeded:
+                skips.append({"axis": spec.axis.name, "value": value, "method": mname,
+                              "stage": "aggregate", "reason": "no successful trials"})
+    return skips
+
+
+class TestSkipFidelity:
+    """A failing (point, method) of a batch is skipped alone, with the reason
+    and in the place a per-point run gives it."""
+
+    methods = (("cmni", None), ("ridge", "d/10"), ("ridge", "d"))
+
+    def spec(self, axis):
+        return tiny_spec(axis=axis, methods=self.methods, trials=3,
+                         outputs=("risk", "bounds", "tightness", "primitives"))
+
+    @staticmethod
+    def check(spec, tmp_path, capsys):
+        expected = per_point_skips(spec)
+        rows, skips = run_sweep(spec)
+        assert skips == expected
+        assert any(s["stage"] == "fit" for s in skips) and rows
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec.to_dict()))
+        capsys.readouterr()
+        assert cli.main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "out.csv")]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [json.dumps(s, sort_keys=True) for s in expected]
+
+    def test_singular_det_along_r_plus_sq(self, monkeypatch, tmp_path, capsys):
+        # the dets move with the means: a tolerance at their median fails
+        # some (trial, point, method) and keeps the rest
+        spec = self.spec(SweepAxis("r_plus_sq", (20.0, 60.0, 150.0, 400.0)))
+        dets = []
+        for trial in range(spec.trials):
+            for value in spec.axis.values:
+                cfg = derive_config(spec.base, "r_plus_sq", value)
+                cfg = cfg.with_updates(seed=substream_seed(spec.base.seed, trial))
+                stats = noise_stats(cfg)
+                for _, tau_spec in self.methods:
+                    prims = compute_primitives(stats, resolve_tau(tau_spec, cfg), cfg.deltas, mode="recursive")
+                    dets.append(min(prims.det_a))
+        monkeypatch.setattr(primitives, "DET_SINGULAR_TOL", float(np.median(dets)))
+        self.check(spec, tmp_path, capsys)
+
+    def test_singular_det_and_zero_norm_inside_a_delta_minus_batch(self, monkeypatch, tmp_path, capsys):
+        # det(A_k) does not depend on the weights: a tolerance between the
+        # taus' dets fails one method at every point; a zero-norm fit is
+        # forced at one weight of the batch, which a per-point run reads too
+        spec = self.spec(SweepAxis("delta_minus", (0.5, 0.25, 0.1, 0.05)))
+        cfg = spec.base.with_updates(seed=substream_seed(spec.base.seed, 0))
+        stats = noise_stats(cfg)
+        dets = sorted(min(compute_primitives(stats, resolve_tau(t, cfg), mode="recursive").det_a)
+                      for _, t in self.methods)
+        monkeypatch.setattr(primitives, "DET_SINGULAR_TOL", (dets[0] + dets[1]) / 2)
+        real = primitives._fit_moments
+
+        def zero_at_quarter(prims):
+            w_norm_sq, w_dot_mu = real(prims)
+            minus = np.reshape(prims.delta, (-1, 2))[:, 1].reshape(np.shape(w_norm_sq))
+            return np.where(minus == 0.25, 0.0, w_norm_sq), w_dot_mu
+
+        for module in (primitives, harness):
+            monkeypatch.setattr(module, "_fit_moments", zero_at_quarter)
+        self.check(spec, tmp_path, capsys)
+        assert {s["reason"] for s in per_point_skips(spec)} >= {"estimator has zero norm; margin undefined"}
+
+    def test_failed_order0_solve_skips_its_tau(self, monkeypatch, tmp_path, capsys):
+        spec = self.spec(SweepAxis("delta_minus", (0.5, 0.25, 0.1)))
+        real = primitives._order0_solve
+
+        def refuse_d_over_10(stats, tau):
+            if tau == spec.base.d / 10:
+                raise np.linalg.LinAlgError("stage matrix not positive definite (forced)")
+            return real(stats, tau)
+
+        for module in (primitives, harness):
+            monkeypatch.setattr(module, "_order0_solve", refuse_d_over_10)
+        self.check(spec, tmp_path, capsys)
 
 
 class TestOnePassPerTrial:

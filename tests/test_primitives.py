@@ -225,6 +225,87 @@ class TestOrder0Solve:
         np.testing.assert_allclose(moments.w_dot_mu, sol.w_dot_mu, rtol=1e-10)
 
 
+def stack_of(stats, tau, deltas):
+    """The recursion over a stack of weight pairs, as a sweep runs it."""
+    table, squared = stats.per_tau(primitives._order0_solve, tau)
+    return primitives._recursive_primitives(table, squared, stats.mu_norms, tau, np.asarray(deltas))
+
+
+class TestRecursionStack:
+    """Row i of a stacked recursion is the one-pair call at delta[i], bit for bit."""
+
+    @staticmethod
+    def weight_stacks(n):
+        rng = np.random.default_rng(4)
+        random = np.column_stack([rng.uniform(0.05, 1.0, 9), rng.uniform(1.0 / n, 1.0, 9)])
+        return {
+            "random": random,
+            "delta_minus_one_over_n": [(1.0, 1.0 / n), (0.95, 1.0 / n), (1.0, 0.5)],
+            "repeated": [(0.9, 0.2), (1.0, 1.0), (0.9, 0.2), (0.9, 0.2)],
+            "one": [(0.95, 0.05)],
+        }
+
+    @pytest.mark.parametrize("case", ["random", "delta_minus_one_over_n", "repeated", "one"])
+    @pytest.mark.parametrize("tau", [0.0, 40.0, 400.0])
+    def test_rows_equal_one_pair_calls_bitwise(self, case, tau):
+        cfg = make_config(seed=12)
+        stats = noise_stats(cfg)
+        deltas = self.weight_stacks(cfg.n)[case]
+        stack = stack_of(stats, tau, deltas)
+        assert stack.tables.shape == (len(deltas), 7, 7, 3)
+        assert stack.o.shape == (len(deltas), 2, 3) and stack.det_a.shape == (len(deltas), 2)
+        for i, delta in enumerate(deltas):
+            one = compute_primitives(stats, tau=tau, delta=tuple(delta), mode="recursive")
+            for name in ("tables", "o", "det_a", *primitives._LAYOUT):
+                assert getattr(stack, name)[i].tobytes() == getattr(one, name).tobytes(), (name, i)
+            w_norm_sq, w_dot_mu = primitives._fit_moments(stack)
+            assert fit_moments(one) == (w_norm_sq[i], tuple(w_dot_mu[i]))
+
+    @pytest.mark.parametrize("tau", [0.0, 40.0])
+    def test_band_check_rows_equal_one_point_reports(self, tau):
+        cfg = make_config(seed=12)
+        stats = noise_stats(cfg)
+        deltas = self.weight_stacks(cfg.n)["random"]
+        values, normalized, zero, passed = primitives._band_check(stack_of(stats, tau, deltas), cfg)
+        for i, delta in enumerate(deltas):
+            one = compute_primitives(stats, tau=tau, delta=tuple(delta), mode="recursive")
+            rows = verify_primitive_bounds(one, cfg).rows
+            assert [(r.value, r.normalized, r.passed) for r in rows] == list(
+                zip(values[i].tolist(), normalized[i].tolist(), passed[i].tolist())
+            )
+            assert zero[i].tolist() == [r.band_low == r.band_high == 0.0 for r in rows]
+
+    def test_det_and_adj_of_a_stack_round_as_scalars(self):
+        # squaring 1 + h with array ** 2 differs from scalar ** 2 in the last
+        # bit on ~0.1% of inputs; the stack must give each scalar's bits
+        rng = np.random.default_rng(5)
+        s, t, h = (rng.standard_normal(4000) * 10.0 ** rng.integers(-3, 4, 4000) for _ in range(3))
+        m = 1.7
+        det, adj = primitives._det_a(m * m, s, t, h), primitives._adj_a(m, s, t, h)
+        for i in range(len(s)):
+            one = (np.float64(s[i]), np.float64(t[i]), np.float64(h[i]))
+            assert det[i].tobytes() == np.float64(primitives._det_a(m * m, *one)).tobytes()
+            assert adj[i].tobytes() == primitives._adj_a(m, *one).tobytes()
+
+    def test_a_singular_stage_reads_as_the_one_pair_error(self, monkeypatch):
+        # det(A_k) does not depend on the weights, so a tolerance between the
+        # two dets fails the same stage at every pair, and each row's reason
+        # is the error of its one-pair call
+        cfg = make_config(seed=12)
+        stats = noise_stats(cfg)
+        deltas = self.weight_stacks(cfg.n)["repeated"]
+        det_1, det_2 = compute_primitives(stats, mode="recursive").det_a
+        monkeypatch.setattr(primitives, "DET_SINGULAR_TOL", max(det_1, det_2))
+        stack = stack_of(stats, 0.0, deltas)
+        failing = 2 if det_2 < det_1 else 1
+        for i, delta in enumerate(deltas):
+            reason = primitives._singular(stack.det_a[i])
+            assert reason is not None and reason.startswith(f"rank-3 update singular: det(A_{failing})")
+            with pytest.raises(np.linalg.LinAlgError) as caught:
+                compute_primitives(stats, delta=tuple(delta), mode="recursive")
+            assert str(caught.value) == reason
+
+
 class TestAdjugateSolve:
     def test_det_and_adj_match_explicit_matrix(self):
         ds = sample_dataset(make_config(seed=6))

@@ -4,7 +4,8 @@ Over small random valid configs and random block widths: the streamed
 `GramStats` does not depend on the block width, the config and dataset
 routes agree (the mean columns bit for bit), and the two primitive modes
 built on it meet the CLI's mode-equivalence gate and agree to 1e-10 over
-weights and ridge levels, a subnormal mean included.  Configs and sweep
+weights and ridge levels, a subnormal mean included; a stacked recursion
+gives each weight pair's one-pair call bit for bit.  Configs and sweep
 specs survive a JSON round trip unchanged, numpy integers included.  Any
 JSON value in any field of a config file, a sweep spec or a dataset
 sidecar either builds or is refused with a ValueError.
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouprisk import model
+from grouprisk import model, primitives
 from grouprisk.harness import AXIS_NAMES, OUTPUT_NAMES, SweepAxis, SweepSpec
 from grouprisk.model import ModelConfig, e1_mean, load_dataset, noise_stats, sample_dataset, save_dataset
 from grouprisk.primitives import compute_primitives, primitive_set_max_gap
@@ -113,13 +114,20 @@ def test_direct_and_recursive_primitives_meet_mode_gate(cfg, data):
 @given(cfg=configs(min_d_over_n=2), data=st.data())
 def test_recursive_matches_direct_over_weights_taus_and_probes(cfg, data):
     # the recursive route's 7x7 change of basis of the probes, held to the
-    # dense stage inverses of direct mode
-    delta = (1.0, data.draw(st.floats(1.0 / cfg.n, 1.0)))
+    # dense stage inverses of direct mode, over a stack of weight pairs as a
+    # sweep runs it: each row is the one-pair call bit for bit
+    pairs = st.tuples(st.floats(0.05, 1.0), st.floats(1.0 / cfg.n, 1.0))
+    deltas = data.draw(st.lists(pairs, min_size=1, max_size=4))
     tau = data.draw(st.sampled_from([0.0, cfg.d / 10, float(cfg.d)]))
     stats = noise_stats(cfg)
-    direct = compute_primitives(stats, tau=tau, delta=delta, mode="direct")
-    recursive = compute_primitives(stats, tau=tau, delta=delta, mode="recursive")
-    assert primitive_set_max_gap(direct, recursive) <= 1e-10
+    table, squared = stats.per_tau(primitives._order0_solve, tau)
+    stack = primitives._recursive_primitives(table, squared, stats.mu_norms, tau, np.array(deltas))
+    for i, delta in enumerate(deltas):
+        direct = compute_primitives(stats, tau=tau, delta=delta, mode="direct")
+        recursive = compute_primitives(stats, tau=tau, delta=delta, mode="recursive")
+        assert primitive_set_max_gap(direct, recursive) <= 1e-10
+        for name in ("tables", "o", "det_a"):
+            assert getattr(stack, name)[i].tobytes() == getattr(recursive, name).tobytes(), name
 
 
 def test_subnormal_spurious_mean_meets_both_mode_gates():
