@@ -1,32 +1,49 @@
-"""The golden sweep outputs and the script that writes them.
+"""The golden outputs and the script that writes them.
 
     PYTHONPATH=src python tests/golden/generate.py
 
-writes `<name>.csv` for every spec in `SPECS`, next to this file, with
-`harness.emit`, and `machine.json` with the facts of the machine that
-wrote them.  `tests/test_golden.py` runs the same specs and compares: the
-header and column order exactly, the text columns exactly and every value
-to 1e-10 relative, which leaves room for another CPU's BLAS kernels.  A
-change that moves a golden file on purpose regenerates it with this
-script and names the file and the reason in CHANGES.md; the tolerance is
-never loosened.
+writes, next to this file, `<name>.csv` for every sweep in `SPECS` (with
+`harness.emit`), `<name>.json` for the stdout of every command in
+`COMMANDS`, `sample` outputs of README's `sample` command (the sidecar as
+`sample_sidecar.json` and the sha256 of its `data.bin`, which is 3.2 MB and
+not kept, as `sample_data.sha256`), and `machine.json` with the facts of
+the machine that wrote them.  `outputs()` names every file, and
+`tests/test_golden.py` holds the files under this folder to it one to one.
 
-The specs: the four presets at one trial and seed 7; `primitives`, the
+`tests/test_golden.py` runs the same sweeps and commands and compares.
+BLAS-free outputs (`wishart`, the sidecar and the digest) must be the same
+bytes.  A CSV must have the same header and text columns, and every value
+must agree to 1e-10 relative, which leaves room for another CPU's BLAS
+kernels; a JSON document must have the same keys in the same order, the
+same strings, bools and nulls, and every number to 1e-10 relative.  The
+fields in a command's `residuals` are rounding residuals: each is held to
+its documented bound, not to its golden value.  A change that moves a
+golden file on purpose regenerates it with this script and names the
+file and the reason in CHANGES.md; the tolerance is never loosened.
+
+The sweeps: the four presets at one trial and seed 7; `primitives`, the
 shape of the benchmark's primitives workload (n = 400, d = 8000, twelve
-weights, cmni and ridge at d/10, every output) at one trial; and
+weights, cmni and ridge at d/10, every output) at one trial;
 `pairwise_mean`, a small sweep at ten trials, past the eight at which
-numpy's mean switches to pairwise summation.
+numpy's mean switches to pairwise summation; and one-trial sweeps with
+every output along `r_plus_sq` and `n_coupled`, whose band pass
+fractions differ from row to row.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import platform
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import scipy
 
+from grouprisk import cli
 from grouprisk.harness import SweepAxis, SweepSpec, emit, preset, run_sweep
 from grouprisk.model import ModelConfig
 
@@ -52,12 +69,97 @@ def _pairwise_mean() -> SweepSpec:
                      name="pairwise_mean")
 
 
+_SMALL = ModelConfig(d_core=1000, d_spur=1000, mu_core=6.0, mu_spur=3.0, n_plus=32, n_minus=8,
+                     delta_plus=0.9, delta_minus=0.1, seed=SEED)
+
+
+def _r_plus_sq() -> SweepSpec:
+    # past R_+^2 ~ 1e4 det(A_2) leaves the bands, so the pass fractions fall
+    return SweepSpec(base=_SMALL, axis=SweepAxis("r_plus_sq", tuple(np.geomspace(10.0, 1e6, 6))),
+                     methods=(("cmni", None), ("ridge", "d/10"), ("ridge", "d")), trials=1,
+                     outputs=ALL_OUTPUTS, name="r_plus_sq")
+
+
+def _n_coupled() -> SweepSpec:
+    return SweepSpec(base=_SMALL, axis=SweepAxis("n_coupled", (4, 6, 8, 12, 16)),
+                     methods=(("ridge", 0.0), ("ridge", "d/10"), ("ridge", "d")), trials=1,
+                     outputs=ALL_OUTPUTS, name="n_coupled")
+
+
 SPECS = {
     **{name: preset(name, seed=SEED, trials=1)
        for name in ("fig1_left", "fig1_right", "fig2_left", "fig2_right")},
     "primitives": _primitives(),
     "pairwise_mean": _pairwise_mean(),
+    "r_plus_sq": _r_plus_sq(),
+    "n_coupled": _n_coupled(),
 }
+
+# README's `sample` command; "{data}" in a command's argv is its data.bin
+DATA = "{data}"
+SAMPLE = ["sample", "-n", "100", "-d", "4000", "--delta-plus", "0.8", "--delta-minus", "0.2",
+          "--seed", "1", "--out", DATA]
+_README_CONFIG = ["-n", "100", "-d", "4000"]
+
+# README's commands: (argv, residuals), residuals mapping each rounding
+# residual the stdout holds to its documented bound.  |Delta^{-1} y| is 10
+# (2-norm) and 1 (inf-norm) at n = 100 and unit weights, and 25 (2-norm)
+# at the sampled (0.8, 0.2); the residuals of `estimators` are relative to
+# it (`_SOLVE_RTOL`, `_GD_TOL`, both 1e-10), and `interpolation_residual`
+# is Delta times the residual of the system, Delta <= 1.  The three gaps
+# are the gates of `primitives.verify_primitives`.
+COMMANDS = {
+    "risk": (["risk", *_README_CONFIG, "--delta-plus", "0.8", "--delta-minus", "0.2", "--seed", "1",
+              "--mc-draws", "100000"], {}),
+    "bounds": (["bounds", "--n-plus", "190", "--n-minus", "10", "-d", "100000", "--mu-core-sq", "125",
+                "--mu-spur-sq", "125", "--delta-plus", "0.95", "--delta-minus", "0.05"], {}),
+    "fit_cmni": (["fit", *_README_CONFIG, "--method", "cmni"],
+                 {"solver_residual": 1e-9, "interpolation_residual": 1e-9}),
+    "fit_gd": (["fit", *_README_CONFIG, "--method", "gd", "--iters", "2000"],
+               {"residual_inf": 1e-10, "interpolation_residual": 1e-10}),
+    # ridge does not interpolate: its interpolation_residual is tau |Delta c|_inf, a value
+    "fit_ridge_data": (["fit", "--data", DATA, "--method", "ridge", "--tau", "50.0"],
+                       {"solver_residual": 2.5e-9}),
+    "verify_primitives": (["verify-primitives", "--n-plus", "24", "--n-minus", "6", "-d", "30000",
+                           "--mu-core-sq", "72", "--mu-spur-sq", "18", "--seed", "3", "--band", "0.5,2.0"],
+                          {"mode_equivalence_max_gap": 1e-8, "risk_identity_gap": 1e-8,
+                           "adjugate_identity_gap": 1e-10}),
+    "wishart": (["wishart", "-d", "1000", "-n", "10", "-t", "4.6", "--draws", "1000"], {}),
+}
+# outputs that read no BLAS: the same bytes on any machine
+EXACT = {"wishart.json", "sample_sidecar.json", "sample_data.sha256"}
+
+
+def outputs() -> set[str]:
+    """The name of every file `main` writes."""
+    return {
+        *(f"{name}.csv" for name in SPECS),
+        *(f"{name}.json" for name in COMMANDS),
+        "sample_sidecar.json",
+        "sample_data.sha256",
+        "machine.json",
+    }
+
+
+def run_cli(argv, data: str) -> str:
+    """The stdout of `grouprisk <argv>`, with "{data}" read as `data`; the
+    command must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([data if arg == DATA else arg for arg in argv])
+    if code != 0:
+        raise SystemExit(f"{argv}: exit {code}")
+    return out.getvalue()
+
+
+def sample_outputs(data: str) -> dict[str, bytes]:
+    """Run `SAMPLE` into `data`: the sidecar's bytes and data.bin's digest."""
+    run_cli(SAMPLE, data)
+    digest = hashlib.sha256(Path(data).read_bytes()).hexdigest()
+    return {
+        "sample_sidecar.json": Path(data + ".json").read_bytes(),
+        "sample_data.sha256": f"{digest}\n".encode(),
+    }
 
 
 def machine() -> dict:
@@ -84,6 +186,12 @@ def main() -> None:
         if skips:
             raise SystemExit(f"{name}: {skips}")
         emit(rows, str(HERE / f"{name}.csv"))
+    with tempfile.TemporaryDirectory() as tmp:
+        data = str(Path(tmp) / "data.bin")
+        for name, blob in sample_outputs(data).items():
+            (HERE / name).write_bytes(blob)
+        for name, (argv, _) in COMMANDS.items():
+            (HERE / f"{name}.json").write_text(run_cli(argv, data))
     (HERE / "machine.json").write_text(json.dumps(machine(), indent=1) + "\n")
 
 

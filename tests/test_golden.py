@@ -1,12 +1,17 @@
-"""The sweep CSVs against the golden files of `tests/golden/generate.py`.
+"""The sweep CSVs and command outputs against the golden files of
+`tests/golden/generate.py`.
 
-The header and column order must be the same text, and so must the text
-columns; every number must agree to 1e-10 relative, which allows for
-another CPU's BLAS kernels.  See the generator for the regenerate rule.
+A CSV's header and column order must be the same text, and so must its
+text columns; every number must agree to 1e-10 relative, which allows for
+another CPU's BLAS kernels.  A command's JSON must have the same keys in
+the same order and every number to 1e-10 relative, but its rounding
+residuals are held to their documented bounds.  The BLAS-free outputs
+must be the same bytes.  See the generator for the regenerate rule.
 """
 
 import csv
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -27,6 +32,15 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def close(got, want) -> bool:
+    return abs(got - want) <= RTOL * max(abs(got), abs(want))
+
+
+def test_every_golden_file_has_a_generator_entry_and_back():
+    on_disk = {p.name for p in GOLDEN.iterdir() if p.is_file()} - {"generate.py"}
+    assert on_disk == generate.outputs()
+
+
 @pytest.mark.parametrize("name", list(generate.SPECS))
 def test_sweep_matches_its_golden_csv(name, tmp_path):
     rows, skips = run_sweep(generate.SPECS[name])
@@ -41,5 +55,49 @@ def test_sweep_matches_its_golden_csv(name, tmp_path):
             if column in TEXT_COLUMNS or "" in (g, w):
                 assert g == w, where
             else:
-                g, w = float(g), float(w)
-                assert abs(g - w) <= RTOL * max(abs(g), abs(w)), where
+                assert close(float(g), float(w)), where
+
+
+@pytest.fixture(scope="module")
+def data(tmp_path_factory):
+    """README's `sample` run once: the path of its data.bin and its outputs."""
+    path = str(tmp_path_factory.mktemp("sample") / "data.bin")
+    return path, generate.sample_outputs(path)
+
+
+@pytest.mark.parametrize("name", ["sample_sidecar.json", "sample_data.sha256"])
+def test_sample_matches_its_golden_bytes(name, data):
+    assert data[1][name] == (GOLDEN / name).read_bytes()
+
+
+def assert_matches(got, want, residuals, where):
+    """got against the golden JSON value want (see the module docstring)."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key in want:
+            if key in residuals:
+                values = got[key].values() if isinstance(got[key], dict) else [got[key]]
+                assert all(0.0 <= v <= residuals[key] for v in values), (f"{where}.{key}", got[key])
+            else:
+                assert_matches(got[key], want[key], residuals, f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, residuals, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want), (where, got, want)
+        if isinstance(want, float):
+            assert close(got, want), (where, got, want)
+        else:
+            assert got == want, (where, got, want)
+
+
+@pytest.mark.parametrize("name", list(generate.COMMANDS))
+def test_command_matches_its_golden_stdout(name, data):
+    argv, residuals = generate.COMMANDS[name]
+    got = generate.run_cli(argv, data[0])
+    golden = GOLDEN / f"{name}.json"
+    if golden.name in generate.EXACT:
+        assert got == golden.read_text()
+    else:
+        assert_matches(json.loads(got), json.loads(golden.read_text()), residuals, name)
