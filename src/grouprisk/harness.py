@@ -276,13 +276,6 @@ def resolve_tau(tau_spec, config: ModelConfig) -> float:
     return _coerce("tau", tau_spec)
 
 
-def _stat_pair(values) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return mean, std
-
-
 @_one_blas_thread()
 def run_sweep(spec: SweepSpec):
     """Execute the sweep; returns (rows, skips).
@@ -413,15 +406,20 @@ def _batch_outputs(stats, tau, cfgs, e_pairs, want_tight, want_prims) -> list:
 
 
 def _aggregate_row(spec, idx, value, cfg, mname, tau_spec, data) -> SweepRow:
-    """Mean and std of every per-trial output; None tightness values are dropped."""
+    """Mean and std over the trials of every per-trial output, in one pass.
+
+    A tightness is None where E_b is zero, which is per point, so it is
+    None in every trial or in none, and a None output stays None.  Each
+    output's trials are one contiguous row, reduced as numpy reduces a
+    1-d array (pairwise past eight trials)."""
     tau = resolve_tau(tau_spec, cfg)
     run_id = f"{spec.name}:{spec.axis.name}[{idx}]:{mname}:tau={tau:g}"
+    keys = [key for key, v in data[0].items() if v is not None]
+    table = np.array([[entry[key] for entry in data] for key in keys], dtype=np.float64)
+    means = table.mean(axis=-1).tolist()
+    stds = table.std(axis=-1, ddof=1).tolist() if len(data) > 1 else [0.0] * len(keys)
     summary = {}
-    for key in data[0]:
-        vals = [e[key] for e in data if e[key] is not None]
-        if not vals:
-            continue
-        mean, std = _stat_pair(vals)
+    for key, mean, std in zip(keys, means, stds):
         if key == "primitive_pass_frac":
             summary[key] = mean
         else:
