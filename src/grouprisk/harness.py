@@ -16,28 +16,27 @@ Axes:
 Trial i reseeds the config with seed XOR i, and streams its noise once,
 before its points, into (Q Q', Q u_c, Q u_s).  Along delta_minus and
 r_plus_sq the noise matrix and labels do not depend on the axis value, so
-that is one `model.noise_stats_many` call of one config, and every point
-reads the `GramStats` it returns under its own means (`GramStats.under`).
-Along n_coupled every value has its own n and d, but every point's Q
-reads a prefix of the trial's one noise stream, so one call streams all
-of them in a single pass and each word is drawn once.
+that is one `model.noise_stats_many` call of one config, whose draw every
+point reads.  Along n_coupled every value has its own n and d, but every
+point's Q reads a prefix of the trial's one noise stream, so one call
+streams all of them in a single pass and each word is drawn once.
 
-The points that read one `GramStats` at one tau form a batch: along
-delta_minus every point of a trial shares the view (`under` returns it
-unchanged, since the means do not change), so each method's tau is one
-batch of all the points; along r_plus_sq and n_coupled each point has
-its own view, so a batch is one point.  A batch is one recursion
-(`primitives._recursive_primitives`) on the order-0 solve of its tau,
-memoized on the view (one Cholesky of gram_0 + tau I and two 7x7
-tables), over the stack of its points' weight pairs; row i is the same
-bits as `compute_primitives(mode="recursive")` at point i.  The risks,
+A point reads its draw only through the norm-free order-0 tables of each
+tau (`primitives._order0_solve`: one Cholesky of gram_0 + tau I and two
+7x7 tables), solved once per (draw, tau) and memoized on the draw; its
+mean norms, counts and weights are its own row's arguments.  So a trial
+is one recursion (`primitives._recursive_primitives`) over the stack of
+its (point, method) rows, on every axis, and row i is the same bits as
+`compute_primitives(mode="recursive")` at that point and tau.  The risks,
 margin exponents, tightness ratios (against the bound exponents computed
 once per point) and band pass fractions are then read as arrays over the
-batch: the risk identity (`primitives.fit_moments`) gives |w_hat|^2 and
+stack: the risk identity (`primitives.fit_moments`) gives |w_hat|^2 and
 w_hat' mu_b of each fit, so no fitter runs in a sweep, and `fit_cmni`
-and `fit_ridge` remain the per-point reference.  A point whose recursion
-or fit fails (a singular det(A_k), a fit of zero norm) is skipped alone,
-with the reason and in the order a per-point run would give.
+and `fit_ridge` remain the per-point reference.  A row whose solve,
+recursion or fit fails (a refused Cholesky, a singular det(A_k), a fit
+of zero norm) is skipped alone, with the reason and in the order a
+per-point run would give; a failure of the trial's recursion itself
+skips each of its rows with that reason.
 
 Rows are aggregated in trial order: every per-trial output becomes a
 `<name>_mean` and `<name>_std` pair of `SweepRow` fields (the primitive
@@ -64,6 +63,7 @@ from .model import (
     _check_fields,
     _POSITIVE,
     _coerce,
+    _mean_norms,
     _one_blas_thread,
     _shown,
     _required_fields,
@@ -325,23 +325,24 @@ def run_sweep(spec: SweepSpec):
             for idx in points:
                 skip("sample", str(exc), value=derived[idx][0], trial=trial)
             continue
-        # one batch per (view, tau): the (point, method) pairs it serves
+        # each (point, method) row: its draw's order-0 tables at its tau
         outcomes: dict[tuple[int, int], dict | str] = {}
-        batches: dict[tuple[int, float], tuple] = {}
+        members, solved = [], []
         for k, idx in enumerate(points):
-            stats = noises[k] if per_point else noises[0].under(tcfgs[idx])
+            stats = noises[k if per_point else 0]
             for mi, (_, tau_spec) in enumerate(spec.methods):
                 try:
                     tau = resolve_tau(tau_spec, tcfgs[idx])
+                    solved.append((*stats.per_tau(_order0_solve, tau), tau))
                 except Exception as exc:
                     outcomes[idx, mi] = str(exc)
-                    continue
-                batches.setdefault((id(stats), tau), (stats, tau, []))[2].append((idx, mi))
-        for stats, tau, members in batches.values():
+                else:
+                    members.append((idx, mi))
+        if members:
             cfgs = [tcfgs[idx] for idx, _ in members]
             try:
-                entries = _batch_outputs(
-                    stats, tau, cfgs, [exponents_e.get(idx) for idx, _ in members], want_tight, want_prims
+                entries = _trial_outputs(
+                    solved, cfgs, [exponents_e.get(idx) for idx, _ in members], want_tight, want_prims
                 )
             except Exception as exc:
                 entries = [str(exc)] * len(members)
@@ -369,20 +370,21 @@ def run_sweep(spec: SweepSpec):
     return rows, skips
 
 
-def _batch_outputs(stats, tau, cfgs, e_pairs, want_tight, want_prims) -> list:
-    """The per-trial outputs of the points that share the view `stats` and
-    `tau`, one recursion over the stack of their weight pairs: for each
-    config of `cfgs`, its dict of outputs, or the reason it failed (a
-    singular det(A_k) or a fit of zero norm).  e_pairs holds each point's
-    (E_+, E_-), or None when neither bounds nor tightness is wanted.  The
-    points share one draw, so cfgs[0] gives the counts, n and d of all."""
-    table, squared = stats.per_tau(_order0_solve, tau)
-    prims = _recursive_primitives(table, squared, stats.mu_norms, tau, np.array([c.deltas for c in cfgs]))
+def _trial_outputs(solved, cfgs, e_pairs, want_tight, want_prims) -> list:
+    """The outputs of the rows of one trial, one recursion over their stack:
+    row i is solved[i] = (table, squared, tau) at the mean norms, sizes and
+    weights of cfgs[i], and e_pairs[i] its (E_+, E_-), or None when neither
+    bounds nor tightness is wanted.  For each row, its dict of outputs, or
+    the reason it failed (a singular det(A_k) or a fit of zero norm)."""
+    tables, squares, taus = (np.array(column) for column in zip(*solved))
+    norms = np.array([_mean_norms(c) for c in cfgs])
+    prims = _recursive_primitives(tables, squares, norms, taus, np.array([c.deltas for c in cfgs]))
     w_norm_sq, w_dot_mu = _fit_moments(prims)
     fits = w_norm_sq > 0.0
     failures = [_singular(det_a) or (None if fit else ZERO_NORM) for det_a, fit in zip(prims.det_a, fits)]
     _, exponent, risk = _group_risks(np.where(fits, w_norm_sq, 1.0), w_dot_mu)
-    worst, average = _worst_and_average(risk[:, 0], risk[:, 1], cfgs[0])
+    sizes = np.array([(c.n_plus, c.n_minus, c.d) for c in cfgs])
+    worst, average = _worst_and_average(risk[:, 0], risk[:, 1], sizes[:, 0], sizes[:, 1])
     columns = {
         "risk_plus": risk[:, 0],
         "risk_minus": risk[:, 1],
@@ -397,7 +399,7 @@ def _batch_outputs(stats, tau, cfgs, e_pairs, want_tight, want_prims) -> list:
         if want_tight:
             columns["tightness_plus"], columns["tightness_minus"] = _ratios(exponent, e_b).T
     if want_prims:
-        passed = _band_check(prims, cfgs[0])[-1]
+        passed = _band_check(prims, sizes)[-1]
         columns["primitive_pass_frac"] = passed.sum(axis=-1) / passed.shape[-1]
     return [
         failure or {key: column[i] for key, column in columns.items()}
@@ -406,12 +408,9 @@ def _batch_outputs(stats, tau, cfgs, e_pairs, want_tight, want_prims) -> list:
 
 
 def _aggregate_row(spec, idx, value, cfg, mname, tau_spec, data) -> SweepRow:
-    """Mean and std over the trials of every per-trial output, in one pass.
-
-    A tightness is None where E_b is zero, which is per point, so it is
-    None in every trial or in none, and a None output stays None.  Each
-    output's trials are one contiguous row, reduced as numpy reduces a
-    1-d array (pairwise past eight trials)."""
+    """Mean and std over the trials of every per-trial output, one row of
+    trials per output, reduced as a 1-d array.  A tightness is None where
+    E_b = 0, which is per point, so in every trial or in none; it stays None."""
     tau = resolve_tau(tau_spec, cfg)
     run_id = f"{spec.name}:{spec.axis.name}[{idx}]:{mname}:tau={tau:g}"
     keys = [key for key, v in data[0].items() if v is not None]

@@ -42,11 +42,12 @@ its two column halves on the two threads with the loaded OpenBLAS pinned
 to one thread for the length of the stream, and returns it as a
 `GramStats`: the tau-free O(n^2) view of the triple under the config's
 mean norms, the one input of the estimators' fits and the primitives'
-staged decomposition.  `GramStats.under` views the same draw under other
-mean norms without streaming it again.  Configs that share a seed read
-prefixes of one noise stream, so `noise_stats_many` streams all of them
-(the n-coupled points of a sweep trial) in one pass that draws each word
-once, with the same bits per config as `noise_stats`.
+staged decomposition.  The recursive primitives read the draw through
+norm-free tables and take the norms as an argument, so a sweep point
+under other means needs no view of its own.  Configs that share a seed
+read prefixes of one noise stream, so `noise_stats_many` streams all of
+them (the n-coupled points of a sweep trial) in one pass that draws each
+word once, with the same bits per config as `noise_stats`.
 
 `bartlett_factor` draws Wishart_n(dof, I) matrices L L' by the Bartlett
 decomposition, in chunks of draws: O(n^2) values a draw where Q Q' takes
@@ -65,7 +66,7 @@ import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -648,7 +649,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GramStats:
-    """The sufficient statistics of one noise draw, viewed under one pair
+    """The sufficient statistics of one noise draw under its config's pair
     of mean norms: the Gram structure of its design matrix.
 
     y and a are the labels; the group of row i is b_i = y_i a_i.  gram_0 is
@@ -665,12 +666,14 @@ class GramStats:
 
     d_1, d_2, `gram` (the symmetrized G_2), `x_mu_plus` and `x_mu_minus`
     (X mu_{+1} and X mu_{-1}) are derived on first use.  Every array is
-    read-only, because views (`under`) share them.  The instance holds no
+    read-only, since memoized builds read them.  The instance holds no
     tau: what depends on it is memoized per tau through `per_tau`, so every
     weight, fit and primitive call that shares the instance and tau shares
     it.  The builds are the factor of G + tau I (`estimators.fit_cmni`,
     `estimators.fit_ridge`) and the order-0 solve of recursive primitives
-    (two 7x7 tables, from one factor of gram_0 + tau I).
+    (two 7x7 tables over gram_0, q_spur and q_core, from one factor of
+    gram_0 + tau I; they do not read the norms, so the recursion serves
+    any other means of the same draw).
     """
 
     y: np.ndarray
@@ -683,20 +686,6 @@ class GramStats:
 
     def __post_init__(self):
         _freeze_arrays(self)
-
-    def under(self, config: ModelConfig) -> "GramStats":
-        """This draw viewed under config's mean norms, in O(1).
-
-        config must name the same draw as the config this view was
-        streamed for: the same seed, group counts, blocks and mean signs,
-        which is all the arrays depend on; only the mean norms may differ,
-        and nothing here checks the rest.  Where the norms are this view's
-        own it is returned itself, so configs that differ only in their
-        weights share its memo: one factorization per tau.  Otherwise it is
-        a new view over the same arrays with an empty memo.
-        """
-        norms = _mean_norms(config)
-        return self if norms == self.mu_norms else replace(self, mu_norms=norms)
 
     @property
     def n(self) -> int:

@@ -42,20 +42,22 @@ one 7x7 table per order.  `PrimitiveSet` stores the three tables as one
 read-only array, and each named primitive (s, t, h, ...) is a view of a
 block of it, declared once in `_LAYOUT`.
 
-The weights enter only through w_i = D^{-1} v_i, which are fixed linear
-combinations of y_+ and y_- (y masked to each group), so every probe is
-B C(delta) for the delta-free basis B = [a, y, d_1, d_2, e_1, y_+, y_-] and
-a 7x7 change of basis C.  The recursive mode therefore needs, per tau,
-only the order-0 solve: the 7x7 tables B' M_0^{-1} B and B' M_0^{-2} B,
-from one Cholesky factor of M_0.  Through the risk identity
-(`fit_moments`) the order-2 table also yields |w_hat|^2 and w_hat' mu_b of
-the fit itself, which is where a sweep's risks come from.
+The weights enter only through w_i = D^{-1} v_i, fixed linear
+combinations of y_+ and y_- (y masked to each group), and the mean norms
+only through d_k = m_k q_k (q_s = Q u_s, q_c = Q u_c), so every probe is
+B C for the basis B = [a, y, q_s, q_c, e_1, y_+, y_-], free of both, and
+a 7x7 change of basis C that holds both.  The recursive mode therefore
+needs, per draw and tau, only the order-0 solve: the norm-free 7x7
+tables B' M_0^{-1} B and B' M_0^{-2} B, from one Cholesky factor of M_0.
+Through the risk identity (`fit_moments`) the order-2 table also yields
+|w_hat|^2 and w_hat' mu_b of the fit itself, which is where a sweep's
+risks come from.
 
-Q enters only through G_0 = Q Q' and d_k = m_k Q u_k, so the stages are
-read off `model.GramStats`, the one tau-free O(n^2) view that
-`model.noise_stats` streams, labels included.  tau and the weights are
-arguments of `compute_primitives`, and the order-0 solve of recursive
-mode is memoized per tau on the instance.
+Q enters only through G_0 = Q Q', q_s and q_c, so the stages are read off
+`model.GramStats`, the one tau-free O(n^2) view that `model.noise_stats`
+streams, labels included.  tau and the weights are arguments of
+`compute_primitives`, and the order-0 solve of recursive mode is
+memoized per tau on the instance.
 """
 
 from __future__ import annotations
@@ -108,18 +110,18 @@ def _dense_inverse(mat: np.ndarray) -> np.ndarray:
 
 
 def _basis(stats: GramStats) -> np.ndarray:
-    """B = [a, y, d_1, d_2, e_1, y_+, y_-] (y_pm is y masked to group pm);
-    the probes are B @ _change_of_basis(delta)."""
+    """B = [a, y, q_s, q_c, e_1, y_+, y_-] (y_pm is y masked to group pm),
+    free of the mean norms; the probes are B @ _change_of_basis(delta, mu_norms)."""
     plus = stats.y * stats.a > 0
     y_plus = np.where(plus, stats.y, 0.0)
     y_minus = np.where(plus, 0.0, stats.y)
     u = e1_mean(1.0, stats.n)
-    return np.column_stack([stats.a, stats.y, stats.d_1, stats.d_2, u, y_plus, y_minus])
+    return np.column_stack([stats.a, stats.y, stats.q_spur, stats.q_core, u, y_plus, y_minus])
 
 
 def _order0_solve(stats: GramStats, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """The read-only 7x7 tables B' M_0^{-1} B and B' M_0^{-2} B of one tau,
-    over the basis B of `_basis`."""
+    over the norm-free basis B of `_basis`."""
     basis = _basis(stats)
     solved = _spd_solve(_stage_factor(stats.gram_0 + tau * np.eye(stats.n)), basis)
     table, squared = _symmetric(basis.T @ solved), _symmetric(solved.T @ solved)
@@ -135,14 +137,17 @@ def _identities(batch: tuple) -> np.ndarray:
     return eye
 
 
-def _change_of_basis(delta) -> np.ndarray:
-    """C with probes = B C: w_1 = y_+/delta_+ - y_-/delta_-, w_2 = y_+/delta_+ + y_-/delta_-.
+def _change_of_basis(delta, mu_norms) -> np.ndarray:
+    """C = diag(1, 1, m_1, m_2, 1, 1, 1) C(delta) with probes = B C: d_k = m_k q_k,
+    w_1 = y_+/delta_+ - y_-/delta_-, w_2 = y_+/delta_+ + y_-/delta_-.
 
-    delta is one pair (shape (2,)) or a stack of them (shape (k, 2)), and
-    C is 7x7 or (k, 7, 7) to match."""
+    delta and mu_norms are pairs (shape (2,)) or stacks of them (shape
+    (k, 2)), and C is 7x7 or (k, 7, 7) to match."""
     inv = 1.0 / np.asarray(delta, dtype=np.float64)
+    norms = np.asarray(mu_norms, dtype=np.float64)
     inv_plus, inv_minus = inv[..., 0], inv[..., 1]
-    change = _identities(inv.shape[:-1])
+    change = _identities(np.broadcast_shapes(inv.shape[:-1], norms.shape[:-1]))
+    change[..., _D1, _D1], change[..., _D2, _D2] = norms[..., 0], norms[..., 1]
     change[..., _W1, _W1] = change[..., _W1, _W2] = inv_plus
     change[..., _W2, _W1], change[..., _W2, _W2] = -inv_minus, inv_minus
     return change
@@ -230,9 +235,9 @@ class PrimitiveSet:
         o[i, k]    = w_{i+1}' M_k^{-1} G_k M_k^{-1} w_{i+1}
         det_a[k-1] = det(A_k) for k in {1, 2}.
 
-    The set of a stack of k weight pairs (`_recursive_primitives`) has a
-    leading axis of length k on tables, o, det_a and every view, and its
-    delta is the (k, 2) array of the pairs.
+    The set of a stack of k rows (`_recursive_primitives`) has a leading
+    axis of length k on tables, o, det_a and every view, and its mu_norms,
+    tau and delta are the (k, 2), (k,) and (k, 2) arrays of the rows.
     """
 
     tables: np.ndarray
@@ -260,7 +265,7 @@ def _table_self_primitives(p: np.ndarray, mu_norms, k: int):
     if k not in (1, 2):
         raise ValueError("stage k must be 1 or 2")
     v_slot, d_slot = (_V1, _D1) if k == 1 else (_V2, _D2)
-    m = mu_norms[k - 1]
+    m = np.asarray(mu_norms, dtype=np.float64)[..., k - 1]
     return m * m, p[..., v_slot, v_slot], p[..., d_slot, d_slot], p[..., d_slot, v_slot]
 
 
@@ -277,10 +282,10 @@ def compute_primitives(
     or fills the memo on `stats`.  recursive mode is `_recursive_primitives`,
     the one recursion, at the one weight pair `delta`, on the order-0
     solve memoized per tau on `stats`: the tables T_0 = B' M_0^{-1} B and
-    S_0 = B' M_0^{-2} B over the delta-free basis B of `_basis`, from one
+    S_0 = B' M_0^{-2} B over the norm-free basis B of `_basis`, from one
     Cholesky of M_0 = gram_0 + tau I.  A sweep runs the same recursion
-    once per (trial, tau) on the stack of its points' weight pairs.  A
-    warm call touches no n-sized array.  Recursive mode raises
+    once per trial on the stack of its (point, method) rows.  A warm call
+    touches no n-sized array.  Recursive mode raises
     LinAlgError when |det(A_k)| < DET_SINGULAR_TOL.
     """
     tau = _coerce("tau", tau)
@@ -320,15 +325,17 @@ def compute_primitives(
     )
 
 
-def _recursive_primitives(table, squared, mu_norms, tau: float, delta) -> PrimitiveSet:
-    """The primitives at the weight pairs `delta`, by recursion from the
-    order-0 tables `table` = B' M_0^{-1} B and `squared` = B' M_0^{-2} B of
-    one tau (`_order0_solve`, or any other source of the same two tables).
+def _recursive_primitives(table, squared, mu_norms, tau, delta) -> PrimitiveSet:
+    """The primitives at the mean norms `mu_norms` and weights `delta`, by
+    recursion from the norm-free order-0 tables `table` = B' M_0^{-1} B and
+    `squared` = B' M_0^{-2} B of `tau` (`_order0_solve`, or any source of them).
 
-    delta is one pair, or a (k, 2) stack of them: then the set's tables,
-    o and det_a carry a leading axis of length k, and row i is the same
-    bits as the call at delta[i] alone.  The probes are B C(delta), so
-    order 0 is C' T_0 C and C' S_0 C; each stage advances the table by
+    Each argument is one row (7x7 tables, a pair, a scalar, a pair) or a
+    stack of k rows ((k, 7, 7), (k, 2), (k,), (k, 2)), one row broadcasting
+    against a stack: then the set's tables, o and det_a carry a leading
+    axis of length k, and row i is the same bits as its one-row call.  The
+    probes are B C for C = `_change_of_basis`, so order 0
+    is C' T_0 C and C' S_0 C; each stage advances the table by
     f_A / det(A_k) and the squared table by the stage map
     E_k = I - J_k adj(A_k) K_k' P / det(A_k) as E_k' S E_k, where
     L_k = X J_k and R_k' = X K_k for the probe matrix X and P is the
@@ -338,30 +345,32 @@ def _recursive_primitives(table, squared, mu_norms, tau: float, delta) -> Primit
     instead, so its later entries are meaningless; `_singular` of its
     det_a says so, and the caller drops it.
     """
-    change = _change_of_basis(delta)
+    norms = np.asarray(mu_norms, dtype=np.float64)
+    change = _change_of_basis(delta, norms)
     change_t = change.swapaxes(-1, -2)
     p_orders = [_symmetric(change_t @ table @ change)]
     squares = [_symmetric(change_t @ squared @ change)]
     dets = []
     for k in (1, 2):
         p = p_orders[-1]
-        m_sq, s, t, h = _table_self_primitives(p, mu_norms, k)
+        m_sq, s, t, h = _table_self_primitives(p, norms, k)
         dets.append(_det_a(m_sq, s, t, h))
         det = np.where(abs(dets[-1]) < DET_SINGULAR_TOL, 1.0, dets[-1])[..., None, None]
-        s_, t_, h_ = (x[..., None, None] for x in (s, t, h))
+        m_sq_, s_, t_, h_ = (x[..., None, None] for x in (m_sq, s, t, h))
         v_slot, d_slot = (_V1, _D1) if k == 1 else (_V2, _D2)
         pa, pb = p[..., :, v_slot], p[..., :, d_slot]
-        update = _f_a(m_sq, s_, t_, h_, pa[..., :, None], pb[..., :, None], pa[..., None, :], pb[..., None, :])
+        update = _f_a(m_sq_, s_, t_, h_, pa[..., :, None], pb[..., :, None], pa[..., None, :], pb[..., None, :])
         p_orders.append(p - update / det)
         # E_k = I - J_k A_k^{-1} R_k M_{k-1}^{-1} X, with J_k = [m e_v, e_d, e_v]
-        m = mu_norms[k - 1]
-        gain = _adj_a(m, s, t, h) @ np.stack([m * pa, pa, pb], axis=-2) / det
+        m, m_ = norms[..., k - 1], norms[..., k - 1, None]
+        gain = _adj_a(m, s, t, h) @ np.stack([m_ * pa, pa, pb], axis=-2) / det
         stage = _identities(p.shape[:-2])
-        stage[..., v_slot, :] -= m * gain[..., 0, :] + gain[..., 2, :]
+        stage[..., v_slot, :] -= m_ * gain[..., 0, :] + gain[..., 2, :]
         stage[..., d_slot, :] -= gain[..., 1, :]
         squares.append(_symmetric(stage.swapaxes(-1, -2) @ squares[-1] @ stage))
+    tau_ = np.asarray(tau, dtype=np.float64)[..., None]
     o = [
-        p.diagonal(0, -2, -1)[..., _W1:] - tau * sq.diagonal(0, -2, -1)[..., _W1:]
+        p.diagonal(0, -2, -1)[..., _W1:] - tau_ * sq.diagonal(0, -2, -1)[..., _W1:]
         for p, sq in zip(p_orders, squares)
     ]
     return PrimitiveSet(
@@ -395,9 +404,9 @@ def fit_moments(prims: PrimitiveSet) -> FitMoments:
 
 
 def _fit_moments(prims: PrimitiveSet):
-    """`fit_moments` as arrays over a stack: |w_hat|^2 of shape (...) and
-    the (..., 2) array of (w_hat' mu_{+1}, w_hat' mu_{-1})."""
-    m_1, m_2 = prims.mu_norms
+    """`fit_moments` as arrays over a stack, at each row's norms: |w_hat|^2
+    of shape (...) and the (..., 2) array of (w_hat' mu_{+1}, w_hat' mu_{-1})."""
+    m_1, m_2 = np.moveaxis(np.asarray(prims.mu_norms, dtype=np.float64), -1, 0)
 
     def dot(b):
         return (
@@ -594,7 +603,7 @@ def verify_primitive_bounds(
     at.  The report is of one point; `_band_check` checks a stack.
     """
     lo, hi = band
-    values, normalized, zero, passed = _band_check(prims, config, band)
+    values, normalized, zero, passed = _band_check(prims, (config.n_plus, config.n_minus, config.d), band)
     limits = ((-hi, hi), (lo, hi))
     rows = tuple(
         BandRow(name, k, value, norm, *((0.0, 0.0) if z else limits[two_sided]), ok)
@@ -605,22 +614,24 @@ def verify_primitive_bounds(
     return BandReport(rows=rows, all_pass=bool(passed.all()))
 
 
-def _band_check(prims: PrimitiveSet, config: ModelConfig, band: tuple[float, float] = (0.5, 2.0)):
-    """The band check of `verify_primitive_bounds` over a stack of points that
-    share config's counts, n and d: the values, normalized values, zero-rate
-    mask and pass flags, each (..., 95) in `_BAND_ROWS` order."""
+def _band_check(prims: PrimitiveSet, sizes, band: tuple[float, float] = (0.5, 2.0)):
+    """The band check of `verify_primitive_bounds` over a stack of points,
+    each at its own mean norms, tau, weights and sizes (n_plus, n_minus, d),
+    given as (..., 3) or one shared triple: the values, normalized values,
+    zero-rate mask and pass flags, each (..., 95) in `_BAND_ROWS` order."""
     lo, hi = band
-    n, d = config.n, config.d
-    dt = d + prims.tau
-    m = np.asarray(prims.mu_norms, dtype=np.float64)
-    m_i, m_j = m[:, None], m[None, :]
     batch = prims.det_a.shape[:-1]
+    sizes = np.reshape(np.broadcast_to(sizes, batch + (3,)), (-1, 3))
+    n, d = (np.reshape(v, batch + (1, 1)) for v in (sizes[:, 0] + sizes[:, 1], sizes[:, 2]))
+    dt = d + np.asarray(prims.tau, dtype=np.float64)[..., None, None]
+    m = np.asarray(prims.mu_norms, dtype=np.float64)
+    m_i, m_j = m[..., :, None], m[..., None, :]
 
     def flat(arr):
         return np.reshape(arr, batch + (-1,))
 
-    # the counts of each weight pair, in the scalar arithmetic of `bounds`
-    counts = [_adjusted_counts(config.n_plus, config.n_minus, pair) for pair in np.reshape(prims.delta, (-1, 2))]
+    # the counts of each row, in the scalar arithmetic of `bounds`
+    counts = [_adjusted_counts(p, q, pair) for (p, q, _), pair in zip(sizes.tolist(), np.reshape(prims.delta, (-1, 2)))]
     n_delta, n_mixed = (np.reshape(c, batch + (1, 1)) for c in zip(*counts))
 
     # rates (the same at every order) and values of each order's rows
@@ -632,10 +643,11 @@ def _band_check(prims: PrimitiveSet, config: ModelConfig, band: tuple[float, flo
     pair_rates[..., 4] = n_delta / dt
     pair_rates[..., 5] = np.sqrt(n * n_delta) * m_i / dt
     u_rates = np.empty(batch + (2, len(_U_BANDS)))
+    n, d, dt = n[..., 0], d[..., 0], dt[..., 0]
     u_rates[..., 0] = np.sqrt(n) / dt
     u_rates[..., 1] = np.sqrt(n) * m / dt
     u_rates[..., 2] = n_delta[..., 0] * d / dt**2
-    rates = np.concatenate([flat(pair_rates), np.full(batch + (1,), 1.0 / dt), flat(u_rates)], axis=-1)
+    rates = np.concatenate([flat(pair_rates), 1.0 / dt, flat(u_rates)], axis=-1)
     pair_values = np.empty(batch + (2, 2, len(_PAIR_BANDS), 3))
     for slot, prim in enumerate((prims.s, prims.t, prims.h, prims.s_id_j, prims.s_id_jd, prims.h_i_jd)):
         pair_values[..., slot, :] = prim

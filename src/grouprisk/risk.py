@@ -93,12 +93,13 @@ def _group_risks(w_norm_sq, w_dot_mu):
 def worst_and_average(plus: GroupRiskEntry, minus: GroupRiskEntry, config: ModelConfig):
     """(max risk, average risk) over the two groups, the average weighted
     by the training shares (n_plus/n, n_minus/n)."""
-    return tuple(map(float, _worst_and_average(plus.risk, minus.risk, config)))
+    return tuple(map(float, _worst_and_average(plus.risk, minus.risk, config.n_plus, config.n_minus)))
 
 
-def _worst_and_average(risk_plus, risk_minus, config: ModelConfig):
-    """`worst_and_average` elementwise over stacks of the two risks."""
-    w_plus, w_minus = config.n_plus / config.n, config.n_minus / config.n
+def _worst_and_average(risk_plus, risk_minus, n_plus, n_minus):
+    """`worst_and_average` elementwise over stacks of the two risks and the group counts."""
+    n = n_plus + n_minus
+    w_plus, w_minus = n_plus / n, n_minus / n
     # max(risk_plus, risk_minus), a NaN first included
     worst = np.where(risk_minus > risk_plus, risk_minus, risk_plus)
     # the shares sum to 1 only up to rounding: normalize as written

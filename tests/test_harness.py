@@ -300,36 +300,35 @@ class TestNoiseStats:
             via_noise.d_1, ds.Q[:, cfg.d_core :] @ cfg.mu_spur, rtol=1e-10, atol=1e-12
         )
 
-    def test_noise_stats_reusable_across_mean_rescalings(self):
-        # the streamed gram_0 and unit projections are mean-independent
-        cfg = base_config(seed=23)
-        noise = noise_stats(cfg)
-        scaled = derive_config(cfg, "r_plus_sq", 400.0)
-        via_noise = noise.under(scaled)
-        ds = sample_dataset(scaled)
-        np.testing.assert_allclose(via_noise.gram, ds.X @ ds.X.T, rtol=1e-10)
-        mu_bar_c, mu_bar_s = dense_means(scaled)
-        np.testing.assert_allclose(via_noise.x_mu_minus, ds.X @ (mu_bar_c - mu_bar_s), rtol=1e-9)
+    @pytest.mark.parametrize("tau", [0.0, 80.0])
+    @pytest.mark.parametrize(
+        "core, spur",
+        [(40.0, 3.0), (10.0, 0.0), (0.0, 0.0), (10.0, -1e-160), (1e-160, 1e-161)],
+        ids=["scaled", "zero_spur", "zero_means", "spur_below_floor", "means_below_floor"],
+    )
+    def test_norm_folded_tables_match_each_points_own_stream(self, core, spur, tau):
+        # a sweep point reads the trial's one draw through its norm-free
+        # order-0 tables, with its own norms and weights folded into the
+        # change of basis C: C' T_0 C must be the order-0 table of the
+        # point's own stream over direct mode's probes v_1 v_2 d_1 d_2 u w_1
+        # w_2, whose d_k = m_k q_k carry the norms
+        from grouprisk.model import _MEAN_SQ_FLOOR
 
-    def test_under_a_delta_minus_point_is_the_view_itself(self):
-        # the same norms: one memo, so one factorization per (trial, tau)
         cfg = base_config(seed=23)
-        noise = noise_stats(cfg)
-        assert noise.under(derive_config(cfg, "delta_minus", 0.1)) is noise
-
-    def test_under_an_r_plus_sq_point_is_its_own_stream_bitwise(self):
-        cfg = base_config(seed=23)
-        noise = noise_stats(cfg)
-        noise.per_tau(lambda stats, tau: tau, 1.0)
-        scaled = derive_config(cfg, "r_plus_sq", 400.0)
-        view, ref = noise.under(scaled), noise_stats(scaled)
-        assert view.mu_norms == ref.mu_norms != noise.mu_norms
-        # a new view over the same arrays, with an empty memo
-        for name in ("y", "a", "gram_0", "q_core", "q_spur"):
-            assert getattr(view, name) is getattr(noise, name)
-        assert view._memo == {}
-        for name in ("gram", "d_1", "d_2", "x_mu_plus", "x_mu_minus"):
-            assert getattr(view, name).tobytes() == getattr(ref, name).tobytes(), name
+        point = cfg.with_updates(mu_core=core, mu_spur=spur, delta_minus=0.25)
+        own = noise_stats(point)
+        norms = own.mu_norms
+        assert norms == tuple(0.0 if m * m < _MEAN_SQ_FLOOR else abs(m) for m in (spur, core))
+        change = primitives._change_of_basis(point.deltas, norms)
+        probes = primitives._pack(own, point.deltas)
+        solved = np.linalg.solve(own.gram_0 + tau * np.eye(own.n), probes)
+        wants = (probes.T @ solved, solved.T @ solved)
+        for got, want in zip(primitives._order0_solve(noise_stats(cfg), tau), wants):
+            got = change.T @ got @ change
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            for k, m in enumerate(norms):
+                if m == 0.0:  # the zero-mean path: that direction's rows are exact zeros
+                    assert not got[2 + k].any() and not got[:, 2 + k].any()
 
 
 class TestRunSweep:
@@ -380,12 +379,12 @@ class TestRunSweep:
         cfg0 = spec.base.with_updates(seed=substream_seed(spec.base.seed, 0))
         noise = noise_stats(cfg0)
         for row in rows:
+            # the points differ only in their weights, so they share noise's norms
             cfg = cfg0.with_updates(delta_minus=row.axis_value)
-            stats = noise.under(cfg)
             if row.method == "cmni":
-                sol = fit_cmni(stats, cfg.deltas)
+                sol = fit_cmni(noise, cfg.deltas)
             else:
-                sol = fit_ridge(stats, cfg.deltas, row.tau)
+                sol = fit_ridge(noise, cfg.deltas, row.tau)
             for tag, ref in zip(("plus", "minus"), group_risk(sol)):
                 got = getattr(row, f"exponent_{tag}_mean")
                 assert abs(got - ref.exponent) <= 1e-10 * abs(ref.exponent), row.run_id
@@ -516,33 +515,39 @@ class TestTrialReuse:
         # and the primitives of every point and method
         assert len(calls) == spec.trials * len(taus)
 
-    def test_one_recursion_per_trial_and_tau(self, monkeypatch):
+    axes = {
+        "delta_minus": SweepAxis("delta_minus", values),
+        "r_plus_sq": SweepAxis("r_plus_sq", (50.0, 100.0, 400.0)),
+        "n_coupled": SweepAxis("n_coupled", (10, 14, 20)),
+    }
+
+    @pytest.mark.parametrize("axis", list(axes))
+    def test_one_recursion_per_trial_on_every_axis(self, axis, monkeypatch):
         calls = []
         real = harness._recursive_primitives
 
         def spy(table, squared, mu_norms, tau, delta):
-            calls.append((tau, np.shape(delta)))
+            calls.append((np.shape(table), np.shape(squared), np.shape(mu_norms), np.shape(tau), np.shape(delta)))
             return real(table, squared, mu_norms, tau, delta)
 
         monkeypatch.setattr(harness, "_recursive_primitives", spy)
-        spec = self.spec()
+        spec = tiny_spec(axis=self.axes[axis], methods=self.methods, trials=2,
+                         outputs=("risk", "bounds", "tightness", "primitives"))
         rows, skips = run_sweep(spec)
         assert len(rows) == 9 and not skips
-        # cmni and ("ridge", 0.0) share tau = 0: one stack of both methods'
-        # 3 points each, then one stack of 3 at d/10
-        assert calls == [(0.0, (6, 2)), (spec.base.d / 10, (3, 2))] * spec.trials
+        # one stack of every (point, method) row: 3 points times 3 methods
+        assert calls == [((9, 7, 7), (9, 7, 7), (9, 2), (9,), (9, 2))] * spec.trials
 
-    def test_other_axes_rebuild_per_point(self, monkeypatch):
-        spec = tiny_spec(
-            axis=SweepAxis("r_plus_sq", (50.0, 100.0)),
-            methods=self.methods,
-            trials=1,
-            outputs=("risk", "primitives"),
-        )
+    @pytest.mark.parametrize("axis, per_trial", [("r_plus_sq", 2), ("n_coupled", 6)])
+    def test_other_axes_factor_once_per_draw_and_distinct_tau(self, axis, per_trial, monkeypatch):
+        # cmni and ("ridge", 0.0) share tau = 0: two distinct taus per draw.
+        # The r_plus_sq points share the trial's one draw, whatever their
+        # means; each n_coupled point is its own draw
+        spec = tiny_spec(axis=self.axes[axis], methods=self.methods, trials=2, outputs=("risk", "primitives"))
         calls = self.count_factors(monkeypatch)
-        rows, _ = run_sweep(spec)
-        assert len(rows) == 6
-        assert len(calls) == 4
+        rows, skips = run_sweep(spec)
+        assert len(rows) == 9 and not skips
+        assert len(calls) == per_trial * spec.trials
 
 
 def per_point_skips(spec):

@@ -266,7 +266,8 @@ class TestRecursionStack:
         cfg = make_config(seed=12)
         stats = noise_stats(cfg)
         deltas = self.weight_stacks(cfg.n)["random"]
-        values, normalized, zero, passed = primitives._band_check(stack_of(stats, tau, deltas), cfg)
+        sizes = (cfg.n_plus, cfg.n_minus, cfg.d)
+        values, normalized, zero, passed = primitives._band_check(stack_of(stats, tau, deltas), sizes)
         for i, delta in enumerate(deltas):
             one = compute_primitives(stats, tau=tau, delta=tuple(delta), mode="recursive")
             rows = verify_primitive_bounds(one, cfg).rows

@@ -5,12 +5,14 @@ Over small random valid configs and random block widths: the streamed
 routes agree (the mean columns bit for bit), and the two primitive modes
 built on it meet the CLI's mode-equivalence gate and agree to 1e-10 over
 weights and ridge levels, a subnormal mean included; a stacked recursion
-gives each weight pair's one-pair call bit for bit.  Configs and sweep
+gives each row's one-row call bit for bit, at any mean norms, tau and
+weights per row.  Configs and sweep
 specs survive a JSON round trip unchanged, numpy integers included.  Any
 JSON value in any field of a config file, a sweep spec or a dataset
 sidecar either builds or is refused with a ValueError.
 """
 
+import dataclasses
 import functools
 import json
 import math
@@ -114,17 +116,25 @@ def test_direct_and_recursive_primitives_meet_mode_gate(cfg, data):
 @given(cfg=configs(min_d_over_n=2), data=st.data())
 def test_recursive_matches_direct_over_weights_taus_and_probes(cfg, data):
     # the recursive route's 7x7 change of basis of the probes, held to the
-    # dense stage inverses of direct mode, over a stack of weight pairs as a
-    # sweep runs it: each row is the one-pair call bit for bit
+    # dense stage inverses of direct mode, over a stack of rows as a sweep
+    # runs it, each with its own mean norms (0 included), tau and weight
+    # pair: each row is its one-row call bit for bit
+    def norm(fraction):  # zero below the floor, as `model._mean_norms` reads a mean
+        m = math.sqrt(fraction * cfg.d)
+        return 0.0 if m * m < model._MEAN_SQ_FLOOR else m
+
+    norms = st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 1.0).map(norm))] * 2)
     pairs = st.tuples(st.floats(0.05, 1.0), st.floats(1.0 / cfg.n, 1.0))
-    deltas = data.draw(st.lists(pairs, min_size=1, max_size=4))
-    tau = data.draw(st.sampled_from([0.0, cfg.d / 10, float(cfg.d)]))
+    taus = st.sampled_from([0.0, cfg.d / 10, float(cfg.d)])
+    rows = data.draw(st.lists(st.tuples(norms, taus, pairs), min_size=1, max_size=4))
     stats = noise_stats(cfg)
-    table, squared = stats.per_tau(primitives._order0_solve, tau)
-    stack = primitives._recursive_primitives(table, squared, stats.mu_norms, tau, np.array(deltas))
-    for i, delta in enumerate(deltas):
-        direct = compute_primitives(stats, tau=tau, delta=delta, mode="direct")
-        recursive = compute_primitives(stats, tau=tau, delta=delta, mode="recursive")
+    tables, squares = zip(*(stats.per_tau(primitives._order0_solve, tau) for _, tau, _ in rows))
+    row_norms, row_taus, deltas = (np.array(column) for column in zip(*rows))
+    stack = primitives._recursive_primitives(np.array(tables), np.array(squares), row_norms, row_taus, deltas)
+    for i, (mu_norms, tau, delta) in enumerate(rows):
+        view = dataclasses.replace(stats, mu_norms=mu_norms)
+        direct = compute_primitives(view, tau=tau, delta=delta, mode="direct")
+        recursive = compute_primitives(view, tau=tau, delta=delta, mode="recursive")
         assert primitive_set_max_gap(direct, recursive) <= 1e-10
         for name in ("tables", "o", "det_a"):
             assert getattr(stack, name)[i].tobytes() == getattr(recursive, name).tobytes(), name
