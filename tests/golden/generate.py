@@ -124,6 +124,11 @@ COMMANDS = {
                            "--mu-core-sq", "72", "--mu-spur-sq", "18", "--seed", "3", "--band", "0.5,2.0"],
                           {"mode_equivalence_max_gap": 1e-8, "risk_identity_gap": 1e-8,
                            "adjugate_identity_gap": 1e-10}),
+    # README's out-of-regime example: exit 0 with 10 failing band rows, the
+    # nearest 5.8% from its band edge, so the failures do not hang on BLAS
+    "verify_primitives_out_of_regime": (["verify-primitives", "-n", "40", "-d", "300", "--seed", "3"],
+                                        {"mode_equivalence_max_gap": 1e-8, "risk_identity_gap": 1e-8,
+                                         "adjugate_identity_gap": 1e-10}),
     "wishart": (["wishart", "-d", "1000", "-n", "10", "-t", "4.6", "--draws", "1000"], {}),
 }
 # outputs that read no BLAS: the same bytes on any machine
