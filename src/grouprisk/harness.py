@@ -13,7 +13,7 @@ Axes:
                   n_minus = round(0.04 n), Delta_pm = n_pm / n,
                   R_plus = d^0.6 / 4, means split evenly on e_1
 
-Trial i reseeds the config with seed XOR i, and streams its noise once,
+Trial i reads the seed XOR i only where it streams its noise, once and
 before its points, into (Q Q', Q u_c, Q u_s).  Along delta_minus and
 r_plus_sq the noise matrix and labels do not depend on the axis value, so
 that is one `model.noise_stats_many` call of one config, whose draw every
@@ -281,9 +281,9 @@ def run_sweep(spec: SweepSpec):
     """Execute the sweep; returns (rows, skips).
 
     Failures at any stage are appended to `skips` as JSON-ready dicts and
-    the sweep continues.  Trial i runs at seed base.seed XOR i; its noise
-    is streamed once for all of its points, and a failed stream skips
-    every point of the trial at the "sample" stage.
+    the sweep continues.  Trial i streams its noise once for all of its
+    points, at seed base.seed XOR i, and a failed stream skips every point
+    of the trial at the "sample" stage.
     The whole sweep runs at one OpenBLAS thread (`model._one_blas_thread`),
     so its rows are the same bits at any BLAS thread count; the caller's
     counts are restored on return.
@@ -305,6 +305,7 @@ def run_sweep(spec: SweepSpec):
     # each n_coupled value has its own n and d; on the other axes the labels
     # and noise do not depend on the value, so the first point's serve all
     per_point = spec.axis.name == "n_coupled"
+    streamed = points if per_point else points[:1]
     want_bounds = "bounds" in spec.outputs
     want_tight = "tightness" in spec.outputs
     want_prims = "primitives" in spec.outputs
@@ -318,9 +319,8 @@ def run_sweep(spec: SweepSpec):
     results: dict[tuple[int, int], list[dict]] = {}
     for trial in range(spec.trials):
         seed = substream_seed(spec.base.seed, trial)
-        tcfgs = {idx: derived[idx][1].with_updates(seed=seed) for idx in points}
         try:
-            noises = noise_stats_many([tcfgs[idx] for idx in (points if per_point else points[:1])])
+            noises = noise_stats_many([derived[idx][1].with_updates(seed=seed) for idx in streamed])
         except Exception as exc:
             for idx in points:
                 skip("sample", str(exc), value=derived[idx][0], trial=trial)
@@ -332,14 +332,14 @@ def run_sweep(spec: SweepSpec):
             stats = noises[k if per_point else 0]
             for mi, (_, tau_spec) in enumerate(spec.methods):
                 try:
-                    tau = resolve_tau(tau_spec, tcfgs[idx])
+                    tau = resolve_tau(tau_spec, derived[idx][1])
                     solved.append((*stats.per_tau(_order0_solve, tau), tau))
                 except Exception as exc:
                     outcomes[idx, mi] = str(exc)
                 else:
                     members.append((idx, mi))
         if members:
-            cfgs = [tcfgs[idx] for idx, _ in members]
+            cfgs = [derived[idx][1] for idx, _ in members]
             try:
                 entries = _trial_outputs(
                     solved, cfgs, [exponents_e.get(idx) for idx, _ in members], want_tight, want_prims

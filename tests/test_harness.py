@@ -723,6 +723,32 @@ class TestOnePassPerTrial:
         assert len(skips) == len(sample) + 6  # and one aggregate skip per row
 
 
+class TestTrialSeeds:
+    """Each point is derived once; a trial reseeds only the configs it streams."""
+
+    @pytest.mark.parametrize(
+        "axis, per_trial",
+        [(SweepAxis("n_coupled", (10, 14, 20)), 3),
+         (SweepAxis("delta_minus", (0.5, 0.25, 0.1)), 1),
+         (SweepAxis("r_plus_sq", (50.0, 100.0)), 1)],
+    )
+    def test_only_streamed_configs_are_reseeded(self, axis, per_trial, monkeypatch):
+        calls = []
+        real = ModelConfig.with_updates
+
+        def spy(self, **changes):
+            calls.append(sorted(changes))
+            return real(self, **changes)
+
+        monkeypatch.setattr(ModelConfig, "with_updates", spy)
+        spec = tiny_spec(axis=axis, methods=(("ridge", 0.0), ("ridge", "d/10")))
+        rows, skips = run_sweep(spec)
+        assert rows and not skips
+        derived, reseeds = calls[: len(axis.values)], calls[len(axis.values):]
+        assert all(c != ["seed"] for c in derived)
+        assert reseeds == [["seed"]] * (per_trial * spec.trials)
+
+
 class TestEmit:
     def make_rows(self):
         return run_sweep(tiny_spec())[0]
