@@ -167,11 +167,8 @@ def det_and_adj(prims: "PrimitiveSet", k: int):
     return float(_det_a(m_sq, s, t, h)), _adj_a(prims.mu_norms[k - 1], s, t, h)
 
 
-# (1 + h)^2 is np.float_power, libm's pow: the value numpy's scalar ** gave
-# when the recursion ran on scalars, so the sweep outputs keep their bits.
-# An array ** 2 multiplies instead, and can differ in the last bit.
 def _det_a(m_sq, s, t, h):
-    return s * (m_sq - t) + np.float_power(1.0 + h, 2)
+    return s * (m_sq - t) + (1.0 + h) * (1.0 + h)
 
 
 def _singular(det_a) -> str | None:
@@ -189,7 +186,7 @@ def _adj_a(m, s, t, h) -> np.ndarray:
     m_sq = m * m
     st_h = s * t - h - h * h
     entries = (
-        np.float_power(1.0 + h, 2) - s * t, m * st_h, -m * s,
+        (1.0 + h) * (1.0 + h) - s * t, m * st_h, -m * s,
         -m * s, 1.0 + h + m_sq * s, -s,
         m * st_h, m_sq * h * h - t * (1.0 + m_sq * s), 1.0 + h + m_sq * s,
     )
@@ -630,9 +627,8 @@ def _band_check(prims: PrimitiveSet, sizes, band: tuple[float, float] = (0.5, 2.
     def flat(arr):
         return np.reshape(arr, batch + (-1,))
 
-    # the counts of each row, in the scalar arithmetic of `bounds`
-    counts = [_adjusted_counts(p, q, pair) for (p, q, _), pair in zip(sizes.tolist(), np.reshape(prims.delta, (-1, 2)))]
-    n_delta, n_mixed = (np.reshape(c, batch + (1, 1)) for c in zip(*counts))
+    counts = _adjusted_counts(sizes[:, 0], sizes[:, 1], np.reshape(prims.delta, (-1, 2)).T)
+    n_delta, n_mixed = (np.reshape(c, batch + (1, 1)) for c in counts)
 
     # rates (the same at every order) and values of each order's rows
     pair_rates = np.empty(batch + (2, 2, len(_PAIR_BANDS)))

@@ -98,13 +98,8 @@ def worst_and_average(plus: GroupRiskEntry, minus: GroupRiskEntry, config: Model
 
 def _worst_and_average(risk_plus, risk_minus, n_plus, n_minus):
     """`worst_and_average` elementwise over stacks of the two risks and the group counts."""
-    n = n_plus + n_minus
-    w_plus, w_minus = n_plus / n, n_minus / n
-    # max(risk_plus, risk_minus), a NaN first included
-    worst = np.where(risk_minus > risk_plus, risk_minus, risk_plus)
-    # the shares sum to 1 only up to rounding: normalize as written
-    average = (w_plus * risk_plus + w_minus * risk_minus) / (w_plus + w_minus)
-    return worst, average
+    average = (n_plus * risk_plus + n_minus * risk_minus) / (n_plus + n_minus)
+    return np.maximum(risk_plus, risk_minus), average
 
 
 def monte_carlo_risk(sol, config: ModelConfig, m: int):
