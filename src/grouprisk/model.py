@@ -328,6 +328,12 @@ class ModelConfig:
             raise ValueError(
                 f"core signal must dominate: |mu_core|^2={nc2:g} < |mu_spur|^2={ns2:g}"
             )
+        # the bounds square R_+^2 = |mu_core|^2 + |mu_spur|^2
+        if not (nc2 + ns2) * (nc2 + ns2) < math.inf:
+            raise ValueError(
+                f"|mu_core|^2 + |mu_spur|^2 must be at most {math.sqrt(sys.float_info.max):.4g} "
+                f"(its square finite), got {nc2:.4g} + {ns2:.4g}"
+            )
         lo = 1.0 / self.n - 1e-12  # slop for decimal literals like 0.005
         if not (lo <= self.delta_minus <= self.delta_plus <= 1.0):
             raise ValueError(
@@ -1014,7 +1020,9 @@ def load_dataset(path: str) -> Dataset:
     """The dataset `save_dataset` wrote at path; ValueError naming any bad
     sidecar field, checked before the binary file is read: an unknown or
     missing key, and any value its field's kind refuses (`_FIELDS`, and
-    y and a as sign vectors of n entries)."""
+    y and a as sign vectors of n entries).  A payload of the wrong size,
+    or with a value of Q that is not finite (named by its first row and
+    column), is refused too."""
     with open(path + ".json") as fh:
         sidecar = json.load(fh)
     names = ("y", "a", "config")
@@ -1027,6 +1035,9 @@ def load_dataset(path: str) -> Dataset:
     raw = np.fromfile(path, dtype="<f8").astype(np.float64, copy=False)
     if raw.size != n * d:
         raise ValueError(f"binary payload has {raw.size} floats, expected {n * d}")
+    if not np.isfinite(raw).all():
+        row, col = divmod(int(np.argmin(np.isfinite(raw))), d)
+        raise ValueError(f"Q in {path} must be finite, got {raw[row * d + col]} at row {row}, column {col}")
     ds = Dataset(y=y, a=a, Q=raw.reshape(n, d), config=config)
     ds.validate()
     return ds

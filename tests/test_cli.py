@@ -180,6 +180,20 @@ class TestSampleAndFit:
         ds = load_dataset(out)
         assert ds.config.seed == 3
 
+    @pytest.mark.parametrize("bad, method", [("nan", "cmni"), ("inf", "gd"), ("-inf", "ridge")])
+    def test_fit_refuses_non_finite_noise_before_streaming(self, bad, method, tmp_path, monkeypatch, capsys):
+        # NaN printed NaN for every number, and inf under gd failed as
+        # "Eigenvalues did not converge"
+        out = str(tmp_path / "d.bin")
+        assert run(["sample", "-n", "20", "-d", "100", "--out", out], capsys)[0] == 0
+        q = np.fromfile(out, dtype="<f8")
+        q[[7, 1000]] = float(bad)
+        q.tofile(out)
+        monkeypatch.setattr(model, "_assemble", lambda *args: pytest.fail("noise streamed"))
+        code, stdout, err = run(["fit", "--data", out, "--method", method], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: Q in {out} must be finite, got {bad} at row 0, column 7\n"
+
     def test_sample_requires_out(self, no_stream, capsys):
         code, _, err = run(["sample", "-n", "20", "-d", "400"], capsys)
         assert code == 2
@@ -392,6 +406,19 @@ class TestRiskAndBounds:
         np.testing.assert_allclose(doc["exponent_plus"], 5.9375, rtol=1e-9)
         np.testing.assert_allclose(doc["upper_plus"], np.exp(-5.9375), rtol=1e-9)
         assert doc["consistency_plus"]["applicable"]
+
+    def test_bounds_refuses_a_mean_whose_r_plus_sq_cannot_be_squared(self, no_stream, capsys):
+        code, stdout, err = run(["bounds", "-n", "40", "-d", "300", "--mu-core-sq", "1e200"], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: |mu_core|^2 + |mu_spur|^2 must be at most 1.341e+154 ")
+        assert "got 1e+200 + 2.5e+199" in err
+
+    def test_bounds_at_the_overflow_edge_prints_its_bounds(self, capsys):
+        code, stdout, _ = run(
+            ["bounds", "-n", "40", "-d", "300", "--mu-core-sq", "1e154", "--mu-spur-sq", "1e153"], capsys
+        )
+        assert code == 0
+        assert json.loads(stdout)["n_delta"] == 40.0
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -673,6 +700,17 @@ class TestSweepCommand:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         return str(path)
+
+    def test_spec_whose_r_plus_sq_cannot_be_squared_exits_2(self, tmp_path, no_stream, capsys):
+        # it died in run_sweep's bound exponents, outside any skip
+        path = Path(self.spec_file(tmp_path))
+        spec = json.loads(path.read_text())
+        spec["base"]["mu_core"] = 1e100
+        path.write_text(json.dumps(spec))
+        code, stdout, err = run(["sweep", "--spec", str(path), "--out", str(tmp_path / "rows.csv")], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: |mu_core|^2 + |mu_spur|^2 must be at most 1.341e+154 ")
+        assert not (tmp_path / "rows.csv").exists()
 
     def test_sweep_from_spec_file(self, tmp_path, capsys):
         out = str(tmp_path / "rows.csv")

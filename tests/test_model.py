@@ -18,6 +18,7 @@ from scipy.special import ndtri
 from scipy.stats import chi2, kstest
 
 from grouprisk import model
+from grouprisk.bounds import consistency_check, evaluate_bounds
 from grouprisk.model import (
     STREAM_NOISE,
     STREAM_WISHART,
@@ -131,6 +132,22 @@ class TestModelConfig:
     def test_rejects_spurious_stronger_than_core(self):
         with pytest.raises(ValueError):
             small_config(mu_core=e1_mean(7.0, 200), mu_spur=e1_mean(14.0, 200))
+
+    @pytest.mark.parametrize(
+        "core, spur",
+        [(1e100, 0.0), (np.sqrt(1.2e154), np.sqrt(1.5e153)), (1e154, 1e154), (1e200, 1e200)],
+        ids=["core-alone", "sum-past-the-edge", "sum-overflows", "squares-overflow"],
+    )
+    def test_rejects_means_whose_r_plus_sq_cannot_be_squared(self, core, spur):
+        # the bounds square R_+^2 = |mu_core|^2 + |mu_spur|^2, a float past
+        # sqrt(float max) ~ 1.341e154 raised OverflowError there
+        with pytest.raises(ValueError, match=r"^\|mu_core\|\^2 \+ \|mu_spur\|\^2 must be at most 1\.341e\+154 "):
+            small_config(mu_core=core, mu_spur=spur)
+
+    def test_means_just_inside_the_overflow_edge_get_their_bounds(self):
+        cfg = small_config(mu_core=np.sqrt(1e154), mu_spur=np.sqrt(1e153))
+        assert evaluate_bounds(cfg).n_delta == 20.0
+        assert consistency_check(cfg)[0].applicable is False
 
     def test_rejects_delta_ordering_violations(self):
         # deltas must satisfy 1/n <= delta_minus <= delta_plus <= 1
@@ -1114,6 +1131,16 @@ class TestPersistence:
         save_dataset(sample_dataset(small_config()), path)
         Path(path + ".json").write_text("[1, 2]")
         with pytest.raises(ValueError, match="sidecar must be a JSON object, got list"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_noise_is_refused_at_its_first_entry(self, bad, tmp_path):
+        path = str(tmp_path / "ds.bin")
+        save_dataset(sample_dataset(small_config()), path)
+        q = np.fromfile(path, dtype="<f8")
+        q[[3 * 400 + 17, 5 * 400 + 2]] = bad
+        q.tofile(path)
+        with pytest.raises(ValueError, match=rf"^Q in {re.escape(path)} must be finite, got {bad} at row 3, column 17$"):
             load_dataset(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
