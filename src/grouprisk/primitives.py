@@ -697,7 +697,19 @@ AUX_C_TILDE = 2.01
 
 
 def check_aux_inequalities(config: ModelConfig) -> AuxInequalityReport:
-    """Evaluate both scalar inequalities at the config's weights."""
+    """Evaluate both scalar inequalities at the config's weights.
+
+    Both hold at every valid config.  With x = 1/Delta_plus and
+    z = 1/Delta_minus, `ModelConfig` gives 1 <= x <= z <= n and
+    n_minus <= n_plus, and n_delta = n_plus x^2 + n_minus z^2,
+    n_mixed = n_plus x + n_minus z.  The margin floor is
+    n_mixed^2 >= n_minus n_delta (any |mu_c|), and
+    n_mixed^2 - n_minus n_delta = n_plus x^2 (n_plus - n_minus)
+    + 2 n_plus n_minus x z >= 0.  For the count cap, x, z <= n give
+    n_delta / n <= n_mixed, and 1 <= n_mixed, so
+    lhs = (c_tilde / sqrt(c_big)) (1 + n_delta / n)
+    <= 2 (2.01 / sqrt(145)) n_mixed ~ 0.334 n_mixed < rhs = 0.5 n_mixed.
+    """
     n = config.n
     mu_c_norm = abs(config.core_scale)
     n_delta, n_mixed = _adjusted_counts(config.n_plus, config.n_minus, config.deltas)

@@ -6,12 +6,16 @@ text columns; every number must agree to 1e-10 relative, which allows for
 another CPU's BLAS kernels.  A command's JSON must have the same keys in
 the same order and every number to 1e-10 relative, but its rounding
 residuals are held to their documented bounds.  The BLAS-free outputs
-must be the same bytes.  See the generator for the regenerate rule.
+must be the same bytes.  Every `grouprisk` command in README's sh blocks
+but `sweep` is one of the generator's commands, so README shows no output
+that no golden file holds.  See the generator for the regenerate rule.
 """
 
 import csv
 import importlib.util
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -39,6 +43,29 @@ def close(got, want) -> bool:
 def test_every_golden_file_has_a_generator_entry_and_back():
     on_disk = {p.name for p in GOLDEN.iterdir() if p.is_file()} - {"generate.py"}
     assert on_disk == generate.outputs()
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every `grouprisk` command in README's sh blocks, with
+    lines continued by a backslash joined."""
+    readme = (GOLDEN.parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["grouprisk"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_every_readme_command_but_sweep_is_a_golden_command():
+    # so README shows no command whose output no golden file holds
+    golden = [generate.SAMPLE, *(argv for argv, _ in generate.COMMANDS.values())]
+    checked = [[generate.DATA if arg == "data.bin" else arg for arg in argv]
+               for argv in readme_commands() if argv[0] != "sweep"]
+    assert checked
+    for argv in checked:
+        assert argv in golden, argv
 
 
 @pytest.mark.parametrize("name", list(generate.SPECS))

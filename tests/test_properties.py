@@ -6,7 +6,8 @@ routes agree (the mean columns bit for bit), and the two primitive modes
 built on it meet the CLI's mode-equivalence gate and agree to 1e-10 over
 weights and ridge levels, a subnormal mean included; a stacked recursion
 gives each row's one-row call bit for bit, at any mean norms, tau and
-weights per row.  Configs and sweep
+weights per row.  The two auxiliary inequalities hold on the whole
+domain of a config, as `check_aux_inequalities` proves.  Configs and sweep
 specs survive a JSON round trip unchanged, numpy integers included.  Any
 JSON value in any field of a config file, a sweep spec or a dataset
 sidecar either builds or is refused with a ValueError.
@@ -164,6 +165,29 @@ def test_subnormal_spurious_mean_meets_both_mode_gates():
                 direct = compute_primitives(stats, tau=tau, delta=delta, mode="direct")
                 recursive = compute_primitives(stats, tau=tau, delta=delta, mode="recursive")
                 assert primitive_set_max_gap(direct, recursive) <= 1e-10, (seed, tau, delta)
+
+
+# counts up to 1e12 per group: the margin floor's slack shrinks like 1/n_-
+# (about 5e-13 at n_+ = n_- = 1e12, Delta_+ = 1, Delta_- = 1/n), and past
+# that it reaches the rounding of the two sides' floats
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_aux_inequalities_hold_on_the_whole_config_domain(data):
+    # `check_aux_inequalities` proves both from n_- <= n_+ and
+    # 1/n <= Delta_- <= Delta_+ <= 1; the count cap with rhs/lhs >= 1.497
+    n_minus = data.draw(st.integers(1, 10**12))
+    n_plus = data.draw(st.integers(n_minus, 10**12))
+    n = n_plus + n_minus
+    delta_minus = data.draw(st.floats(1.0 / n, 1.0))
+    cfg = ModelConfig(
+        d_core=n, d_spur=1, mu_core=data.draw(st.floats(0.0, 1e77)), mu_spur=0.0,
+        n_plus=n_plus, n_minus=n_minus,
+        delta_plus=data.draw(st.floats(delta_minus, 1.0)), delta_minus=delta_minus,
+    )
+    rep = primitives.check_aux_inequalities(cfg)
+    assert rep.all_ok
+    assert rep.margin_floor_realized >= rep.margin_floor_reference
+    assert rep.count_cap_rhs >= 1.49 * rep.count_cap_lhs
 
 
 @PROPERTY
