@@ -67,7 +67,8 @@ class ConsistencyResult:
 
 
 def _adjusted_counts(n_plus, n_minus, delta) -> tuple[float, float]:
-    """(n_delta, n_mixed) = (n_+/Delta_+^2 + n_-/Delta_-^2, n_+/Delta_+ + n_-/Delta_-)."""
+    """(n_delta, n_mixed) = (n_+/Delta_+^2 + n_-/Delta_-^2, n_+/Delta_+ + n_-/Delta_-),
+    elementwise where the counts and the two entries of delta are arrays."""
     delta_plus, delta_minus = delta
     n_delta = n_plus / delta_plus**2 + n_minus / delta_minus**2
     return n_delta, n_plus / delta_plus + n_minus / delta_minus

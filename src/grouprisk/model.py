@@ -328,7 +328,7 @@ class ModelConfig:
             raise ValueError(
                 f"core signal must dominate: |mu_core|^2={nc2:g} < |mu_spur|^2={ns2:g}"
             )
-        # the bounds square R_+^2 = |mu_core|^2 + |mu_spur|^2
+        # the bounds square R_+ = |mu_core|^2 + |mu_spur|^2
         if not (nc2 + ns2) * (nc2 + ns2) < math.inf:
             raise ValueError(
                 f"|mu_core|^2 + |mu_spur|^2 must be at most {math.sqrt(sys.float_info.max):.4g} "
@@ -1035,8 +1035,9 @@ def load_dataset(path: str) -> Dataset:
     raw = np.fromfile(path, dtype="<f8").astype(np.float64, copy=False)
     if raw.size != n * d:
         raise ValueError(f"binary payload has {raw.size} floats, expected {n * d}")
-    if not np.isfinite(raw).all():
-        row, col = divmod(int(np.argmin(np.isfinite(raw))), d)
+    finite = np.isfinite(raw)
+    if not finite.all():
+        row, col = divmod(int(np.argmin(finite)), d)
         raise ValueError(f"Q in {path} must be finite, got {raw[row * d + col]} at row {row}, column {col}")
     ds = Dataset(y=y, a=a, Q=raw.reshape(n, d), config=config)
     ds.validate()

@@ -407,7 +407,7 @@ class TestRiskAndBounds:
         np.testing.assert_allclose(doc["upper_plus"], np.exp(-5.9375), rtol=1e-9)
         assert doc["consistency_plus"]["applicable"]
 
-    def test_bounds_refuses_a_mean_whose_r_plus_sq_cannot_be_squared(self, no_stream, capsys):
+    def test_bounds_refuses_a_mean_whose_r_plus_sq_overflows(self, no_stream, capsys):
         code, stdout, err = run(["bounds", "-n", "40", "-d", "300", "--mu-core-sq", "1e200"], capsys)
         assert (code, stdout) == (2, "")
         assert err.startswith("error: |mu_core|^2 + |mu_spur|^2 must be at most 1.341e+154 ")
@@ -701,7 +701,7 @@ class TestSweepCommand:
         path.write_text(json.dumps(spec))
         return str(path)
 
-    def test_spec_whose_r_plus_sq_cannot_be_squared_exits_2(self, tmp_path, no_stream, capsys):
+    def test_spec_whose_r_plus_sq_overflows_exits_2(self, tmp_path, no_stream, capsys):
         # it died in run_sweep's bound exponents, outside any skip
         path = Path(self.spec_file(tmp_path))
         spec = json.loads(path.read_text())

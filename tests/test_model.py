@@ -138,8 +138,8 @@ class TestModelConfig:
         [(1e100, 0.0), (np.sqrt(1.2e154), np.sqrt(1.5e153)), (1e154, 1e154), (1e200, 1e200)],
         ids=["core-alone", "sum-past-the-edge", "sum-overflows", "squares-overflow"],
     )
-    def test_rejects_means_whose_r_plus_sq_cannot_be_squared(self, core, spur):
-        # the bounds square R_+^2 = |mu_core|^2 + |mu_spur|^2, a float past
+    def test_rejects_means_whose_r_plus_sq_overflows(self, core, spur):
+        # the bounds square R_+ = |mu_core|^2 + |mu_spur|^2, a float past
         # sqrt(float max) ~ 1.341e154 raised OverflowError there
         with pytest.raises(ValueError, match=r"^\|mu_core\|\^2 \+ \|mu_spur\|\^2 must be at most 1\.341e\+154 "):
             small_config(mu_core=core, mu_spur=spur)
