@@ -1,6 +1,6 @@
 """The golden outputs and the script that writes them.
 
-    PYTHONPATH=src python tests/golden/generate.py
+    PYTHONPATH=src python tests/golden/generate.py [NAME...]
 
 writes, next to this file, `<name>.csv` for every sweep in `SPECS` (with
 `harness.emit`), `<name>.json` for the stdout of every command in
@@ -9,6 +9,10 @@ writes, next to this file, `<name>.csv` for every sweep in `SPECS` (with
 not kept, as `sample_data.sha256`), and `machine.json` with the facts of
 the machine that wrote them.  `outputs()` names every file, and
 `tests/test_golden.py` holds the files under this folder to it one to one.
+Each NAME is a file name of `outputs()` or that name without its suffix
+(a key of `SPECS` or `COMMANDS`, say), and only the named files are
+written; with no NAME every file is.  An unknown name is refused before
+anything is written.
 
 `tests/test_golden.py` runs the same sweeps and commands and compares.
 BLAS-free outputs (`wishart`, the sidecar and the digest) must be the same
@@ -37,6 +41,7 @@ import hashlib
 import io
 import json
 import platform
+import sys
 import tempfile
 from pathlib import Path
 
@@ -185,20 +190,35 @@ def machine() -> dict:
     }
 
 
-def main() -> None:
-    for name, spec in SPECS.items():
-        rows, skips = run_sweep(spec)
-        if skips:
-            raise SystemExit(f"{name}: {skips}")
-        emit(rows, str(HERE / f"{name}.csv"))
+def main(names=()) -> None:
+    """Write the outputs `names` selects (see the module docstring), or
+    every output when `names` is empty."""
+    files = sorted(outputs())
+    by_name = {**{Path(file).stem: file for file in files}, **{file: file for file in files}}
+    unknown = [name for name in names if name not in by_name]
+    if unknown:
+        raise SystemExit(f"unknown golden outputs {unknown}; choose from {sorted(by_name)}")
+    chosen = sorted({by_name[name] for name in names}) or files
     with tempfile.TemporaryDirectory() as tmp:
         data = str(Path(tmp) / "data.bin")
-        for name, blob in sample_outputs(data).items():
-            (HERE / name).write_bytes(blob)
-        for name, (argv, _) in COMMANDS.items():
-            (HERE / f"{name}.json").write_text(run_cli(argv, data))
-    (HERE / "machine.json").write_text(json.dumps(machine(), indent=1) + "\n")
+        sampled = {}
+        for file in chosen:
+            name, path = Path(file).stem, HERE / file
+            if name in SPECS:
+                rows, skips = run_sweep(SPECS[name])
+                if skips:
+                    raise SystemExit(f"{name}: {skips}")
+                emit(rows, str(path))
+                continue
+            # the sample's data.bin is an input of the commands that name it
+            sampled = sampled or sample_outputs(data)
+            if name in COMMANDS:
+                path.write_text(run_cli(COMMANDS[name][0], data))
+            elif file in sampled:
+                path.write_bytes(sampled[file])
+            else:
+                path.write_text(json.dumps(machine(), indent=1) + "\n")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

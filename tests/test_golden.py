@@ -45,6 +45,23 @@ def test_every_golden_file_has_a_generator_entry_and_back():
     assert on_disk == generate.outputs()
 
 
+@pytest.mark.parametrize("names", [["bounds"], ["wishart.json", "wishart"], ["pairwise_mean"]])
+def test_generate_writes_only_the_named_output(names, tmp_path, monkeypatch):
+    monkeypatch.setattr(generate, "HERE", tmp_path)
+    generate.main(names)
+    (written,) = tmp_path.iterdir()
+    assert written.name in generate.outputs() and written.stem == names[0].split(".")[0]
+    if written.name in generate.EXACT:
+        assert written.read_bytes() == (GOLDEN / written.name).read_bytes()
+
+
+def test_generate_refuses_an_unknown_name_before_writing(tmp_path, monkeypatch):
+    monkeypatch.setattr(generate, "HERE", tmp_path)
+    with pytest.raises(SystemExit, match="unknown golden outputs \\['fig3'\\]"):
+        generate.main(["bounds", "fig3"])
+    assert not list(tmp_path.iterdir())
+
+
 def readme_commands() -> list[list[str]]:
     """The argv of every `grouprisk` command in README's sh blocks, with
     lines continued by a backslash joined."""
