@@ -9,7 +9,11 @@ writes, next to this file, `<name>.csv` for every sweep in `SPECS` (with
 not kept, as `sample_data.sha256`), and `machine.json` with the facts of
 the machine that wrote them.  `outputs()` names every file, and
 `tests/test_golden.py` holds the files under this folder to it one to one.
-Each NAME is a file name of `outputs()` or that name without its suffix
+It also writes `demo_<stem>.txt`, the stdout of each script in `demos/`,
+which `tests/test_demos.py` compares with the run it makes: every
+character must match, except numbers in `e` notation below 1e-8, which are
+rounding residuals (`4.44e-16`, a gap of `2.11e-15`) and must only stay
+below 1e-8.  Each NAME is a file name of `outputs()` or that name without its suffix
 (a key of `SPECS` or `COMMANDS`, say), and only the named files are
 written; with no NAME every file is.  An unknown name is refused before
 anything is written.
@@ -40,7 +44,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -139,12 +145,16 @@ COMMANDS = {
 # outputs that read no BLAS: the same bytes on any machine
 EXACT = {"wishart.json", "sample_sidecar.json", "sample_data.sha256"}
 
+ROOT = HERE.parents[1]
+DEMOS = {f"demo_{script.stem}": script for script in sorted((ROOT / "demos").glob("*.py"))}
+
 
 def outputs() -> set[str]:
     """The name of every file `main` writes."""
     return {
         *(f"{name}.csv" for name in SPECS),
         *(f"{name}.json" for name in COMMANDS),
+        *(f"{name}.txt" for name in DEMOS),
         "sample_sidecar.json",
         "sample_data.sha256",
         "machine.json",
@@ -160,6 +170,19 @@ def run_cli(argv, data: str) -> str:
     if code != 0:
         raise SystemExit(f"{argv}: exit {code}")
     return out.getvalue()
+
+
+def run_demo(script: Path) -> str:
+    """The stdout of `python <script>` run from the repo root with `src` on
+    its path; the script must exit 0."""
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=300)
+    if proc.returncode != 0:
+        raise AssertionError(f"{script.name}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
+    return proc.stdout
 
 
 def sample_outputs(data: str) -> dict[str, bytes]:
@@ -209,6 +232,9 @@ def main(names=()) -> None:
                 if skips:
                     raise SystemExit(f"{name}: {skips}")
                 emit(rows, str(path))
+                continue
+            if name in DEMOS:
+                path.write_text(run_demo(DEMOS[name]))
                 continue
             # the sample's data.bin is an input of the commands that name it
             sampled = sampled or sample_outputs(data)

@@ -1,40 +1,51 @@
-"""Smoke tests: every script in demos/ runs to completion."""
+"""Every script in demos/ runs to completion and prints its golden stdout,
+`tests/golden/demo_<stem>.txt` of `tests/golden/generate.py`.
 
-import os
-import subprocess
-import sys
+Every character must match, except numbers in `e` notation below 1e-8:
+those are rounding residuals (a constraint residual of 4.44e-16, a relative
+gap of 2.11e-15), and each must only stay below 1e-8.  Any other number,
+`6.43e-03` or `4.331e-02` say, is held as text.
+"""
+
+import importlib.util
+import re
 import tempfile
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
+_spec = importlib.util.spec_from_file_location("golden_generate", GOLDEN / "generate.py")
+generate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(generate)
+
+RESIDUAL = 1e-8
+_E_NOTATION = re.compile(r"[-+]?\d+(?:\.\d*)?[eE][-+]?\d+")
+
+
+def without_residuals(text: str) -> str:
+    """text with every number in e notation below RESIDUAL in magnitude
+    replaced by one placeholder."""
+    def mask(match):
+        return "<residual>" if abs(float(match.group())) < RESIDUAL else match.group()
+
+    return _E_NOTATION.sub(mask, text)
 
 
 def test_all_five_demos_found():
-    assert len(DEMOS) == 5
+    assert len(generate.DEMOS) == 5
 
 
-def run_demo(script):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    proc = subprocess.run(
-        [sys.executable, str(script)],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    return proc.stdout
+@pytest.mark.parametrize("name", list(generate.DEMOS), ids=lambda name: name.removeprefix("demo_"))
+def test_demo_runs(name):
+    got = generate.run_demo(generate.DEMOS[name])
+    want = (GOLDEN / f"{name}.txt").read_text()
+    assert without_residuals(got) == without_residuals(want)
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(script):
-    run_demo(script)
+def test_residual_rule_holds_values_at_or_above_the_cut_as_text():
+    assert without_residuals("gap = 6.06e-11, 4.44e-16") == "gap = <residual>, <residual>"
+    assert without_residuals("r = 6.43e-03, c = 1e-8") == "r = 6.43e-03, c = 1e-8"
 
 
 def test_weight_sweep_is_repeatable_and_leaves_no_temp_dir():
@@ -42,6 +53,6 @@ def test_weight_sweep_is_repeatable_and_leaves_no_temp_dir():
         return set(Path(tempfile.gettempdir()).glob("sweep-demo-*"))
 
     before = left()
-    script = ROOT / "demos" / "weight_sweep.py"
-    assert run_demo(script) == run_demo(script)
+    script = generate.DEMOS["demo_weight_sweep"]
+    assert generate.run_demo(script) == generate.run_demo(script)
     assert left() <= before
