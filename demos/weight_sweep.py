@@ -37,7 +37,6 @@ def main():
         axis=SweepAxis("delta_minus", tuple(np.geomspace(0.9, 0.02, 8))),
         methods=(("cmni", None),),
         trials=TRIALS,
-        outputs=("risk", "bounds"),
         name="delta-minus-demo",
     )
     rows, skips = run_sweep(spec)

@@ -2,7 +2,9 @@
 
 A sweep walks one named axis, derives a full config at each value, runs
 `trials` seeded repetitions of every method, and aggregates per-group
-risks, margin exponents, bound exponents, and tightness ratios into rows.
+risks, margin exponents, bound exponents, tightness ratios and the band
+pass fraction into rows.  Every row carries every output; a spec's
+`outputs` is validated and selects nothing.
 
 Axes:
 
@@ -41,7 +43,9 @@ skips each of its rows with that reason.
 Rows are aggregated in trial order: every per-trial output becomes a
 `<name>_mean` and `<name>_std` pair of `SweepRow` fields (the primitive
 pass fraction only a mean), and the `SweepRow` fields, in order, are the
-CSV columns.  CSV output is byte-deterministic for a fixed seed; the JSON
+CSV columns.  E_b depends on the point alone, so it is computed once per
+point and written as it is: `e_<b>_mean` is `bound_exponent`'s value and
+`e_<b>_std` is 0.  CSV output is byte-deterministic for a fixed seed; the JSON
 format carries run metadata including a timestamp, so only its `rows`
 payload is stable.
 """
@@ -105,7 +109,8 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: base config, axis, methods, trial count, outputs."""
+    """One sweep: base config, axis, methods, trial count.  `outputs` is
+    validated and selects nothing: every row carries every output."""
 
     base: ModelConfig
     axis: SweepAxis
@@ -306,14 +311,8 @@ def run_sweep(spec: SweepSpec):
     # and noise do not depend on the value, so the first point's serve all
     per_point = spec.axis.name == "n_coupled"
     streamed = points if per_point else points[:1]
-    want_bounds = "bounds" in spec.outputs
-    want_tight = "tightness" in spec.outputs
-    want_prims = "primitives" in spec.outputs
-
-    exponents_e = {}
-    for idx, (value, cfg) in enumerate(derived):
-        if cfg is not None and (want_bounds or want_tight):
-            exponents_e[idx] = bound_exponent(cfg)
+    # E_b depends on the point alone
+    exponents_e = {idx: bound_exponent(derived[idx][1]) for idx in points}
 
     # results[(idx, mi)] -> list of per-trial output dicts
     results: dict[tuple[int, int], list[dict]] = {}
@@ -341,9 +340,7 @@ def run_sweep(spec: SweepSpec):
         if members:
             cfgs = [derived[idx][1] for idx, _ in members]
             try:
-                entries = _trial_outputs(
-                    solved, cfgs, [exponents_e.get(idx) for idx, _ in members], want_tight, want_prims
-                )
+                entries = _trial_outputs(solved, cfgs, [exponents_e[idx] for idx, _ in members])
             except Exception as exc:
                 entries = [str(exc)] * len(members)
             outcomes.update(zip(members, entries))
@@ -364,18 +361,16 @@ def run_sweep(spec: SweepSpec):
             if not data:
                 skip("aggregate", "no successful trials", value=value, method=mname)
                 continue
-            rows.append(
-                _aggregate_row(spec, idx, value, cfg, mname, tau_spec, data)
-            )
+            rows.append(_aggregate_row(spec, idx, value, cfg, mname, tau_spec, exponents_e[idx], data))
     return rows, skips
 
 
-def _trial_outputs(solved, cfgs, e_pairs, want_tight, want_prims) -> list:
-    """The outputs of the rows of one trial, one recursion over their stack:
-    row i is solved[i] = (table, squared, tau) at the mean norms, sizes and
-    weights of cfgs[i], and e_pairs[i] its (E_+, E_-), or None when neither
-    bounds nor tightness is wanted.  For each row, its dict of outputs, or
-    the reason it failed (a singular det(A_k) or a fit of zero norm)."""
+def _trial_outputs(solved, cfgs, e_pairs) -> list:
+    """The per-trial outputs of the rows of one trial, one recursion over
+    their stack: row i is solved[i] = (table, squared, tau) at the mean
+    norms, sizes and weights of cfgs[i], and e_pairs[i] its (E_+, E_-).
+    For each row, its dict of outputs, or the reason it failed (a singular
+    det(A_k) or a fit of zero norm)."""
     tables, squares, taus = (np.array(column) for column in zip(*solved))
     norms = np.array([_mean_norms(c) for c in cfgs])
     prims = _recursive_primitives(tables, squares, norms, taus, np.array([c.deltas for c in cfgs]))
@@ -385,6 +380,8 @@ def _trial_outputs(solved, cfgs, e_pairs, want_tight, want_prims) -> list:
     _, exponent, risk = _group_risks(np.where(fits, w_norm_sq, 1.0), w_dot_mu)
     sizes = np.array([(c.n_plus, c.n_minus, c.d) for c in cfgs])
     worst, average = _worst_and_average(risk[:, 0], risk[:, 1], sizes[:, 0], sizes[:, 1])
+    tightness = _ratios(exponent, np.array(e_pairs))
+    passed = _band_check(prims, sizes)[-1]
     columns = {
         "risk_plus": risk[:, 0],
         "risk_minus": risk[:, 1],
@@ -392,32 +389,28 @@ def _trial_outputs(solved, cfgs, e_pairs, want_tight, want_prims) -> list:
         "average": average,
         "exponent_plus": exponent[:, 0],
         "exponent_minus": exponent[:, 1],
+        "tightness_plus": tightness[:, 0],
+        "tightness_minus": tightness[:, 1],
+        "primitive_pass_frac": passed.sum(axis=-1) / passed.shape[-1],
     }
-    if e_pairs[0] is not None:
-        e_b = np.array(e_pairs)
-        columns["e_plus"], columns["e_minus"] = e_b.T
-        if want_tight:
-            columns["tightness_plus"], columns["tightness_minus"] = _ratios(exponent, e_b).T
-    if want_prims:
-        passed = _band_check(prims, sizes)[-1]
-        columns["primitive_pass_frac"] = passed.sum(axis=-1) / passed.shape[-1]
     return [
         failure or {key: column[i] for key, column in columns.items()}
         for i, failure in enumerate(failures)
     ]
 
 
-def _aggregate_row(spec, idx, value, cfg, mname, tau_spec, data) -> SweepRow:
-    """Mean and std over the trials of every per-trial output, one row of
-    trials per output, reduced as a 1-d array.  A tightness is None where
-    E_b = 0, which is per point, so in every trial or in none; it stays None."""
+def _aggregate_row(spec, idx, value, cfg, mname, tau_spec, e_pair, data) -> SweepRow:
+    """The point's (E_+, E_-) as they are, with std 0, and the mean and std
+    over the trials of every per-trial output, one row of trials per
+    output, reduced as a 1-d array.  A tightness is None where E_b = 0,
+    which is per point, so in every trial or in none; it stays None."""
     tau = resolve_tau(tau_spec, cfg)
     run_id = f"{spec.name}:{spec.axis.name}[{idx}]:{mname}:tau={tau:g}"
     keys = [key for key, v in data[0].items() if v is not None]
     table = np.array([[entry[key] for entry in data] for key in keys], dtype=np.float64)
     means = table.mean(axis=-1).tolist()
     stds = table.std(axis=-1, ddof=1).tolist() if len(data) > 1 else [0.0] * len(keys)
-    summary = {}
+    summary = {"e_plus_mean": e_pair[0], "e_plus_std": 0.0, "e_minus_mean": e_pair[1], "e_minus_std": 0.0}
     for key, mean, std in zip(keys, means, stds):
         if key == "primitive_pass_frac":
             summary[key] = mean
@@ -461,7 +454,6 @@ def preset(name: str, seed: int = 0, trials: int = 10) -> SweepSpec:
             axis=SweepAxis("delta_minus", tuple(grid)),
             methods=(("cmni", None),),
             trials=trials,
-            outputs=("risk", "bounds", "tightness"),
             name=name,
         )
     if name == "fig1_right":
@@ -481,7 +473,6 @@ def preset(name: str, seed: int = 0, trials: int = 10) -> SweepSpec:
             axis=SweepAxis("n_coupled", (50, 100, 150, 200, 250)),
             methods=(("ridge", 0.0), ("ridge", "d/10"), ("ridge", "d")),
             trials=trials,
-            outputs=("risk", "bounds", "tightness"),
             name=name,
         )
     if name in ("fig2_left", "fig2_right"):
@@ -497,7 +488,6 @@ def preset(name: str, seed: int = 0, trials: int = 10) -> SweepSpec:
             axis=SweepAxis("r_plus_sq", tuple(grid)),
             methods=(("cmni", None),),
             trials=trials,
-            outputs=("risk", "bounds", "tightness"),
             name=name,
         )
     raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")

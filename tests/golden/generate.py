@@ -31,11 +31,11 @@ file and the reason in CHANGES.md; the tolerance is never loosened.
 
 The sweeps: the four presets at one trial and seed 7; `primitives`, the
 shape of the benchmark's primitives workload (n = 400, d = 8000, twelve
-weights, cmni and ridge at d/10, every output) at one trial;
+weights, cmni and ridge at d/10) at one trial;
 `pairwise_mean`, a small sweep at ten trials, past the eight at which
-numpy's mean switches to pairwise summation; and one-trial sweeps with
-every output along `r_plus_sq` and `n_coupled`, whose band pass
-fractions differ from row to row.
+numpy's mean switches to pairwise summation; and one-trial sweeps
+along `r_plus_sq` and `n_coupled`, whose band pass fractions differ from
+row to row.  Every sweep row carries every output.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from grouprisk.model import ModelConfig
 
 HERE = Path(__file__).resolve().parent
 SEED = 7
-ALL_OUTPUTS = ("risk", "bounds", "tightness", "primitives")
 
 
 def _primitives() -> SweepSpec:
@@ -68,16 +67,14 @@ def _primitives() -> SweepSpec:
     base = ModelConfig(d_core=d // 2, d_spur=d // 2, mu_core=np.sqrt(d / 10), mu_spur=np.sqrt(d / 40),
                        n_plus=320, n_minus=80, seed=SEED)
     return SweepSpec(base=base, axis=SweepAxis("delta_minus", tuple(np.geomspace(1.0, 0.02, 12))),
-                     methods=(("cmni", None), ("ridge", "d/10")), trials=1, outputs=ALL_OUTPUTS,
-                     name="primitives")
+                     methods=(("cmni", None), ("ridge", "d/10")), trials=1, name="primitives")
 
 
 def _pairwise_mean() -> SweepSpec:
     base = ModelConfig(d_core=400, d_spur=400, mu_core=5.0, mu_spur=3.0, n_plus=32, n_minus=8,
                        seed=SEED)
     return SweepSpec(base=base, axis=SweepAxis("delta_minus", (0.5, 0.1)),
-                     methods=(("cmni", None), ("ridge", "d/10")), trials=10, outputs=ALL_OUTPUTS,
-                     name="pairwise_mean")
+                     methods=(("cmni", None), ("ridge", "d/10")), trials=10, name="pairwise_mean")
 
 
 _SMALL = ModelConfig(d_core=1000, d_spur=1000, mu_core=6.0, mu_spur=3.0, n_plus=32, n_minus=8,
@@ -88,13 +85,13 @@ def _r_plus_sq() -> SweepSpec:
     # past R_+^2 ~ 1e4 det(A_2) leaves the bands, so the pass fractions fall
     return SweepSpec(base=_SMALL, axis=SweepAxis("r_plus_sq", tuple(np.geomspace(10.0, 1e6, 6))),
                      methods=(("cmni", None), ("ridge", "d/10"), ("ridge", "d")), trials=1,
-                     outputs=ALL_OUTPUTS, name="r_plus_sq")
+                     name="r_plus_sq")
 
 
 def _n_coupled() -> SweepSpec:
     return SweepSpec(base=_SMALL, axis=SweepAxis("n_coupled", (4, 6, 8, 12, 16)),
                      methods=(("ridge", 0.0), ("ridge", "d/10"), ("ridge", "d")), trials=1,
-                     outputs=ALL_OUTPUTS, name="n_coupled")
+                     name="n_coupled")
 
 
 SPECS = {

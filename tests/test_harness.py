@@ -399,12 +399,22 @@ class TestRunSweep:
             np.testing.assert_allclose(row.e_plus_mean, bound_exponent(cfg)[0], rtol=1e-12)
             assert row.e_plus_std == 0.0
 
-    def test_unrequested_outputs_are_none(self):
-        spec = tiny_spec(outputs=("risk",))
-        rows, _ = run_sweep(spec)
-        assert rows[0].e_plus_mean is None
-        assert rows[0].tightness_plus_mean is None
-        assert rows[0].primitive_pass_frac is None
+    @pytest.mark.parametrize("axis", [SweepAxis("delta_minus", (0.5, 0.25)),
+                                      SweepAxis("r_plus_sq", (50.0, 400.0)),
+                                      SweepAxis("n_coupled", (10, 14))], ids=lambda axis: axis.name)
+    def test_every_row_carries_every_output_and_e_b_once_per_point(self, axis):
+        # ten trials: numpy's mean and std of ten copies of E_b are not E_b and 0
+        methods = (("cmni", None), ("ridge", "d/10"))
+        rows, skips = run_sweep(tiny_spec(axis=axis, methods=methods, trials=10, outputs=("risk",)))
+        every, _ = run_sweep(tiny_spec(axis=axis, methods=methods, trials=10,
+                                       outputs=("risk", "bounds", "tightness", "primitives")))
+        assert not skips and len(rows) == len(every) == 4
+        for row, other in zip(rows, every):
+            assert row.to_csv_values() == other.to_csv_values()
+            assert None not in (row.e_plus_mean, row.tightness_plus_mean, row.primitive_pass_frac)
+            e_b = bound_exponent(derive_config(base_config(), axis.name, row.axis_value))
+            assert (row.e_plus_mean, row.e_minus_mean) == e_b
+            assert row.e_plus_std == row.e_minus_std == 0.0
 
     def test_rows_are_trial_means_and_stds(self):
         # trial i of a sweep is trial 0 of a one-trial sweep at seed XOR i
@@ -420,6 +430,10 @@ class TestRunSweep:
         for r, row in enumerate(rows):
             assert row.trials == 3
             for col in CSV_COLUMNS[5:]:
+                if col.startswith("e_"):
+                    # E_b is the point's: every trial's is the same value, written as it is
+                    assert {getattr(single[r], col) for single in singles} == {getattr(row, col)}, col
+                    continue
                 if col.endswith("_std"):
                     per_trial = [getattr(single[r], col[: -len("_std")] + "_mean") for single in singles]
                     expected = np.std(per_trial, ddof=1)
@@ -823,7 +837,6 @@ class TestPresets:
         assert spec.base.delta_plus == 0.95
         assert spec.base.n == 200
         assert spec.base.d == 100_000
-        assert "tightness" in spec.outputs
 
     def test_fig1_right_methods(self):
         spec = preset("fig1_right")
