@@ -80,12 +80,19 @@ def adjusted_quantities(config: ModelConfig) -> tuple[float, float, float]:
     return n_delta, config.n_plus / config.delta_plus**2 / n_delta, config.n_minus / config.delta_minus**2 / n_delta
 
 
+def _count_weights(config: ModelConfig) -> tuple[float, float]:
+    """(alpha_plus n_plus / d, alpha_minus n_minus / d), each at most n / d <= 1,
+    so a product with R_+^2, finite in every config, stays finite."""
+    _, alpha_plus, alpha_minus = adjusted_quantities(config)
+    return alpha_plus * config.n_plus / config.d, alpha_minus * config.n_minus / config.d
+
+
 def bound_exponent(config: ModelConfig) -> tuple[float, float]:
     """(E_+, E_-), E_b = (alpha_plus R_b^2 n_plus + alpha_minus R_{-b}^2 n_minus) / d."""
-    _, alpha_plus, alpha_minus = adjusted_quantities(config)
+    w_plus, w_minus = _count_weights(config)
     sig = signal_strengths(config)
     return tuple(
-        (alpha_plus * r_b**2 * config.n_plus + alpha_minus * r_nb**2 * config.n_minus) / config.d
+        w_plus * r_b**2 + w_minus * r_nb**2
         for r_b, r_nb in ((sig.r_plus, sig.r_minus), (sig.r_minus, sig.r_plus))
     )
 
@@ -117,11 +124,7 @@ def consistency_check(
     if sig.r_minus != 0.0:
         off = ConsistencyResult(applicable=False, holds=None, slack=None)
         return off, off
-    _, alpha_plus, alpha_minus = adjusted_quantities(config)
-    slacks = (
-        sig.r_plus**2 * alpha_b * n_b / (c_const * config.d)
-        for alpha_b, n_b in ((alpha_plus, config.n_plus), (alpha_minus, config.n_minus))
-    )
+    slacks = (w_b * sig.r_plus**2 / c_const for w_b in _count_weights(config))
     return tuple(ConsistencyResult(applicable=True, holds=bool(s >= 1.0), slack=float(s)) for s in slacks)
 
 

@@ -2,9 +2,11 @@
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import shutil
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +421,32 @@ class TestRiskAndBounds:
         )
         assert code == 0
         assert json.loads(stdout)["n_delta"] == 40.0
+
+    @pytest.mark.parametrize("d, core_sq, spur_sq", [("300", "1e154", "1e153"), ("40", "5e153", "5e153")])
+    def test_bounds_near_the_overflow_edge_print_finite_strict_json(self, d, core_sq, spur_sq, capsys):
+        # alpha_+ R_+^2 n_+ alone overflows here; the true E_b and slacks are finite
+        code, stdout, _ = run(
+            ["bounds", "-n", "40", "-d", d, "--mu-core-sq", core_sq, "--mu-spur-sq", spur_sq], capsys
+        )
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        doc = json.loads(stdout, parse_constant=refuse)
+        assert code == 0 and (doc["alpha_plus"], doc["alpha_minus"]) == (0.8, 0.2)
+        # -n 40 at unit weights: n_+ = 32, n_- = 8
+        w_plus, w_minus = Fraction(4, 5) * 32 / int(d), Fraction(1, 5) * 8 / int(d)
+        r_plus, r_minus = Fraction(core_sq) + Fraction(spur_sq), Fraction(core_sq) - Fraction(spur_sq)
+        want = {
+            ("exponent_plus",): w_plus * r_plus**2 + w_minus * r_minus**2,
+            ("exponent_minus",): w_plus * r_minus**2 + w_minus * r_plus**2,
+        }
+        if r_minus == 0:
+            want[("consistency_plus", "slack")] = w_plus * r_plus**2
+            want[("consistency_minus", "slack")] = w_minus * r_plus**2
+        for keys, value in want.items():
+            got = functools.reduce(dict.__getitem__, keys, doc)
+            assert abs(got - value) <= 1e-12 * value, (keys, got, float(value))
 
     @pytest.mark.parametrize(
         "flag, value",

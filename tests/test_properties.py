@@ -7,7 +7,9 @@ built on it meet the CLI's mode-equivalence gate and agree to 1e-10 over
 weights and ridge levels, a subnormal mean included; a stacked recursion
 gives each row's one-row call bit for bit, at any mean norms, tau and
 weights per row.  The two auxiliary inequalities hold on the whole
-domain of a config, as `check_aux_inequalities` proves.  Configs and sweep
+domain of a config, as `check_aux_inequalities` proves, and there the
+bound exponents E_b and the consistency slacks are finite and agree with
+exact rational arithmetic to 1e-12.  Configs and sweep
 specs survive a JSON round trip unchanged, numpy integers included.  Any
 JSON value in any field of a config file, a sweep spec or a dataset
 sidecar either builds or is refused with a ValueError.
@@ -17,7 +19,9 @@ import dataclasses
 import functools
 import json
 import math
+import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -27,8 +31,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouprisk import model, primitives
+from grouprisk.bounds import bound_exponent, consistency_check
 from grouprisk.harness import AXIS_NAMES, OUTPUT_NAMES, SweepAxis, SweepSpec
-from grouprisk.model import ModelConfig, e1_mean, load_dataset, noise_stats, sample_dataset, save_dataset
+from grouprisk.model import (
+    ModelConfig,
+    e1_mean,
+    load_dataset,
+    noise_stats,
+    sample_dataset,
+    save_dataset,
+    signal_strengths,
+)
 from grouprisk.primitives import compute_primitives, primitive_set_max_gap
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -188,6 +201,38 @@ def test_aux_inequalities_hold_on_the_whole_config_domain(data):
     assert rep.all_ok
     assert rep.margin_floor_realized >= rep.margin_floor_reference
     assert rep.count_cap_rhs >= 1.49 * rep.count_cap_lhs
+
+
+# means up to ModelConfig's limit on R_+ = |mu_c|^2 + |mu_s|^2 (its square
+# finite); an equal spurious mean makes R_- = 0, where the slacks apply
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_bound_exponents_and_slacks_are_finite_on_the_whole_config_domain(data):
+    n_minus = data.draw(st.integers(1, 10**12))
+    n_plus = data.draw(st.integers(n_minus, 10**12))
+    n = n_plus + n_minus
+    d = data.draw(st.integers(n, 10**13))
+    delta_minus = data.draw(st.floats(1.0 / n, 1.0))
+    ratio = data.draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    r_plus_max = math.sqrt(sys.float_info.max) * (1.0 - 1e-15)
+    mu_core = data.draw(st.floats(0.0, math.sqrt(r_plus_max / (1.0 + ratio * ratio))))
+    cfg = ModelConfig(
+        d_core=d - 1, d_spur=1, mu_core=mu_core, mu_spur=mu_core * ratio, n_plus=n_plus, n_minus=n_minus,
+        delta_plus=data.draw(st.floats(delta_minus, 1.0)), delta_minus=delta_minus,
+    )
+    # the reference: exact arithmetic on the config's own counts, weights and R_pm
+    sig = signal_strengths(cfg)
+    r_plus, r_minus = Fraction(sig.r_plus), Fraction(sig.r_minus)
+    scaled = (n_plus / Fraction(cfg.delta_plus) ** 2, n_minus / Fraction(cfg.delta_minus) ** 2)
+    w_plus, w_minus = (s * count / sum(scaled) / d for s, count in zip(scaled, (n_plus, n_minus)))
+    want = [w_plus * r_plus**2 + w_minus * r_minus**2, w_plus * r_minus**2 + w_minus * r_plus**2]
+    got = list(bound_exponent(cfg))
+    if r_minus == 0:
+        want += [w_plus * r_plus**2, w_minus * r_plus**2]
+        got += [result.slack for result in consistency_check(cfg, c_const=1.0)]
+    for g, w in zip(got, want):
+        # a subnormal result holds its rounding to below the smallest normal float
+        assert math.isfinite(g) and abs(g - w) <= 1e-12 * w + sys.float_info.min, (g, float(w))
 
 
 @PROPERTY
