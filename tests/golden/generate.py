@@ -11,9 +11,11 @@ the machine that wrote them.  `outputs()` names every file, and
 `tests/test_golden.py` holds the files under this folder to it one to one.
 It also writes `demo_<stem>.txt`, the stdout of each script in `demos/`,
 which `tests/test_demos.py` compares with the run it makes: every
-character must match, except numbers in `e` notation below 1e-8, which are
-rounding residuals (`4.44e-16`, a gap of `2.11e-15`) and must only stay
-below 1e-8.  Each NAME is a file name of `outputs()` or that name without its suffix
+character must match, except numbers in `e` notation below 1e-8, which
+are rounding residuals (`4.44e-16`, a gap of `2.11e-15`) and must only
+stay below 1e-8.
+
+Each NAME is a file name of `outputs()` or that name without its suffix
 (a key of `SPECS` or `COMMANDS`, say), and only the named files are
 written; with no NAME every file is.  An unknown name is refused before
 anything is written.
@@ -178,7 +180,7 @@ def run_demo(script: Path) -> str:
     proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True,
                           text=True, timeout=300)
     if proc.returncode != 0:
-        raise AssertionError(f"{script.name}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
+        raise SystemExit(f"{script.name}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
     return proc.stdout
 
 
