@@ -133,14 +133,7 @@ def tightness_ratio(sol, config: ModelConfig) -> tuple[float | None, float | Non
     None where E_b = 0."""
     from .risk import group_risk
 
-    exponents = [entry.exponent for entry in group_risk(sol)]
-    return tuple(_ratios(exponents, bound_exponent(config)).tolist())
-
-
-def _ratios(exponents, e_b) -> np.ndarray:
-    """`tightness_ratio` elementwise: exponent / E_b over same-shaped stacks,
-    as an object array holding None where E_b = 0."""
-    e_b = np.asarray(e_b, dtype=np.float64)
-    positive = e_b > 0.0
-    ratio = np.divide(exponents, e_b, out=np.zeros_like(e_b), where=positive)
-    return np.where(positive, ratio, None)
+    return tuple(
+        entry.exponent / e_b if e_b > 0.0 else None
+        for entry, e_b in zip(group_risk(sol), bound_exponent(config))
+    )

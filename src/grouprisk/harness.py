@@ -40,14 +40,18 @@ of zero norm) is skipped alone, with the reason and in the order a
 per-point run would give; a failure of the trial's recursion itself
 skips each of its rows with that reason.
 
-Rows are aggregated in trial order: every per-trial output becomes a
-`<name>_mean` and `<name>_std` pair of `SweepRow` fields (the primitive
-pass fraction only a mean), and the `SweepRow` fields, in order, are the
-CSV columns.  E_b depends on the point alone, so it is computed once per
-point and written as it is: `e_<b>_mean` is `bound_exponent`'s value and
-`e_<b>_std` is 0.  CSV output is byte-deterministic for a fixed seed; the JSON
-format carries run metadata including a timestamp, so only its `rows`
-payload is stable.
+A trial's outputs are one float array over its rows, its columns the
+per-trial outputs in `SweepRow` column order, with a tightness NaN where
+its E_b = 0.  A row keeps the output vector of each of its successful
+trials, in trial order, and its fields are the mean and std of every
+output over them (the primitive pass fraction only a mean), reduced along
+the trial axis.  E_b depends on the point alone, so it is computed once
+per point and written as it is: `e_<b>_mean` is `bound_exponent`'s value
+and `e_<b>_std` is 0; where E_b = 0 the point has no tightness ratio, and
+both `tightness_<b>` fields are None.  The `SweepRow` fields, in order,
+are the CSV columns.  CSV output is byte-deterministic for a fixed seed;
+the JSON format carries run metadata including a timestamp, so only its
+`rows` payload is stable.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bounds import _ratios, bound_exponent
+from .bounds import bound_exponent
 from .model import (
     ModelConfig,
     _check_fields,
@@ -181,6 +185,10 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One (point, method) of a sweep; its fields, in order, are the CSV
+    columns.  Every field is filled but the tightness pair of a group,
+    which is None (an empty CSV cell) where that group's E_b = 0."""
+
     run_id: str
     axis_value: float
     method: str
@@ -198,15 +206,15 @@ class SweepRow:
     exponent_plus_std: float
     exponent_minus_mean: float
     exponent_minus_std: float
-    e_plus_mean: float | None = None
-    e_plus_std: float | None = None
-    e_minus_mean: float | None = None
-    e_minus_std: float | None = None
-    tightness_plus_mean: float | None = None
-    tightness_plus_std: float | None = None
-    tightness_minus_mean: float | None = None
-    tightness_minus_std: float | None = None
-    primitive_pass_frac: float | None = None
+    e_plus_mean: float
+    e_plus_std: float
+    e_minus_mean: float
+    e_minus_std: float
+    tightness_plus_mean: float | None
+    tightness_plus_std: float | None
+    tightness_minus_mean: float | None
+    tightness_minus_std: float | None
+    primitive_pass_frac: float
 
     def to_dict(self) -> dict:
         return {col: getattr(self, col) for col in CSV_COLUMNS}
@@ -293,84 +301,80 @@ def run_sweep(spec: SweepSpec):
     so its rows are the same bits at any BLAS thread count; the caller's
     counts are restored on return.
     """
-    derived: list[tuple[float, ModelConfig | None]] = []
+    points: list[tuple[int, float, ModelConfig]] = []
     skips: list[dict] = []
 
     def skip(stage, reason, **where):
         skips.append({"axis": spec.axis.name, **where, "stage": stage, "reason": reason})
 
-    for value in spec.axis.values:
+    for idx, value in enumerate(spec.axis.values):
         try:
-            derived.append((value, derive_config(spec.base, spec.axis.name, value)))
+            points.append((idx, value, derive_config(spec.base, spec.axis.name, value)))
         except (ValueError, TypeError) as exc:
             skip("config", str(exc), value=value)
-            derived.append((value, None))
 
-    points = [idx for idx, (_, cfg) in enumerate(derived) if cfg is not None]
     # each n_coupled value has its own n and d; on the other axes the labels
     # and noise do not depend on the value, so the first point's serve all
     per_point = spec.axis.name == "n_coupled"
     streamed = points if per_point else points[:1]
     # E_b depends on the point alone
-    exponents_e = {idx: bound_exponent(derived[idx][1]) for idx in points}
-
-    # results[(idx, mi)] -> list of per-trial output dicts
-    results: dict[tuple[int, int], list[dict]] = {}
+    exponents_e = [bound_exponent(cfg) for _, _, cfg in points]
+    # every (point, method) row, and the output vector of each of its successful trials
+    rows = [(k, mi) for k in range(len(points)) for mi in range(len(spec.methods))]
+    vectors: list[list[np.ndarray]] = [[] for _ in rows]
     for trial in range(spec.trials):
         seed = substream_seed(spec.base.seed, trial)
         try:
-            noises = noise_stats_many([derived[idx][1].with_updates(seed=seed) for idx in streamed])
+            noises = noise_stats_many([cfg.with_updates(seed=seed) for _, _, cfg in streamed])
         except Exception as exc:
-            for idx in points:
-                skip("sample", str(exc), value=derived[idx][0], trial=trial)
+            for _, value, _ in points:
+                skip("sample", str(exc), value=value, trial=trial)
             continue
-        # each (point, method) row: its draw's order-0 tables at its tau
-        outcomes: dict[tuple[int, int], dict | str] = {}
-        members, solved = [], []
-        for k, idx in enumerate(points):
-            stats = noises[k if per_point else 0]
-            for mi, (_, tau_spec) in enumerate(spec.methods):
-                try:
-                    tau = resolve_tau(tau_spec, derived[idx][1])
-                    solved.append((*stats.per_tau(_order0_solve, tau), tau))
-                except Exception as exc:
-                    outcomes[idx, mi] = str(exc)
-                else:
-                    members.append((idx, mi))
-        if members:
-            cfgs = [derived[idx][1] for idx, _ in members]
+        # each row's draw read through its order-0 tables at its tau
+        reasons, solved = [], []
+        for k, mi in rows:
             try:
-                entries = _trial_outputs(solved, cfgs, [exponents_e[idx] for idx, _ in members])
+                tau = resolve_tau(spec.methods[mi][1], points[k][2])
+                solved.append((*noises[k if per_point else 0].per_tau(_order0_solve, tau), tau))
             except Exception as exc:
-                entries = [str(exc)] * len(members)
-            outcomes.update(zip(members, entries))
-        for idx in points:
-            for mi, (mname, _) in enumerate(spec.methods):
-                entry = outcomes[idx, mi]
-                if isinstance(entry, str):
-                    skip("fit", entry, value=derived[idx][0], trial=trial, method=mname)
-                else:
-                    results.setdefault((idx, mi), []).append(entry)
+                reasons.append(str(exc))
+            else:
+                reasons.append(None)
+        live = [r for r, reason in enumerate(reasons) if reason is None]
+        if live:
+            try:
+                outputs, failures = _trial_outputs(
+                    solved, [points[rows[r][0]][2] for r in live], [exponents_e[rows[r][0]] for r in live]
+                )
+            except Exception as exc:
+                outputs, failures = [None] * len(live), [str(exc)] * len(live)
+            for r, vector, failure in zip(live, outputs, failures):
+                reasons[r] = failure
+                if failure is None:
+                    vectors[r].append(vector)
+        for (k, mi), reason in zip(rows, reasons):
+            if reason is not None:
+                skip("fit", reason, value=points[k][1], trial=trial, method=spec.methods[mi][0])
 
-    rows: list[SweepRow] = []
-    for idx, (value, cfg) in enumerate(derived):
-        if cfg is None:
+    out: list[SweepRow] = []
+    for (k, mi), done in zip(rows, vectors):
+        (idx, value, cfg), (mname, tau_spec) = points[k], spec.methods[mi]
+        if not done:
+            skip("aggregate", "no successful trials", value=value, method=mname)
             continue
-        for mi, (mname, tau_spec) in enumerate(spec.methods):
-            data = results.get((idx, mi), [])
-            if not data:
-                skip("aggregate", "no successful trials", value=value, method=mname)
-                continue
-            rows.append(_aggregate_row(spec, idx, value, cfg, mname, tau_spec, exponents_e[idx], data))
-    return rows, skips
+        tau = resolve_tau(tau_spec, cfg)
+        run_id = f"{spec.name}:{spec.axis.name}[{idx}]:{mname}:tau={tau:g}"
+        out.append(SweepRow(run_id, float(value), mname, float(tau), len(done), *_summary(done, exponents_e[k])))
+    return out, skips
 
 
-def _trial_outputs(solved, cfgs, e_pairs) -> list:
-    """The per-trial outputs of the rows of one trial, one recursion over
-    their stack: row i is solved[i] = (table, squared, tau) at the mean
-    norms, sizes and weights of cfgs[i], and e_pairs[i] its (E_+, E_-).
-    For each row, its dict of outputs, or the reason it failed (a singular
-    det(A_k) or a fit of zero norm)."""
+def _trial_outputs(solved, cfgs, e_pairs):
+    """The outputs of the rows of one trial, one recursion over their
+    stack: row i is solved[i] = (table, squared, tau) at the mean norms,
+    sizes and weights of cfgs[i], and e_pairs[i] its (E_+, E_-).  Returns
+    a (rows, outputs) array, the per-trial outputs in `SweepRow` column
+    order with a tightness NaN where its E_b = 0, and per row None or the
+    reason it failed (a singular det(A_k) or a fit of zero norm)."""
     tables, squares, taus = (np.array(column) for column in zip(*solved))
     norms = np.array([_mean_norms(c) for c in cfgs])
     prims = _recursive_primitives(tables, squares, norms, taus, np.array([c.deltas for c in cfgs]))
@@ -380,50 +384,28 @@ def _trial_outputs(solved, cfgs, e_pairs) -> list:
     _, exponent, risk = _group_risks(np.where(fits, w_norm_sq, 1.0), w_dot_mu)
     sizes = np.array([(c.n_plus, c.n_minus, c.d) for c in cfgs])
     worst, average = _worst_and_average(risk[:, 0], risk[:, 1], sizes[:, 0], sizes[:, 1])
-    tightness = _ratios(exponent, np.array(e_pairs))
+    e_b = np.array(e_pairs)
+    tightness = np.divide(exponent, e_b, out=np.full_like(e_b, np.nan), where=e_b > 0.0)
     passed = _band_check(prims, sizes)[-1]
-    columns = {
-        "risk_plus": risk[:, 0],
-        "risk_minus": risk[:, 1],
-        "worst": worst,
-        "average": average,
-        "exponent_plus": exponent[:, 0],
-        "exponent_minus": exponent[:, 1],
-        "tightness_plus": tightness[:, 0],
-        "tightness_minus": tightness[:, 1],
-        "primitive_pass_frac": passed.sum(axis=-1) / passed.shape[-1],
-    }
-    return [
-        failure or {key: column[i] for key, column in columns.items()}
-        for i, failure in enumerate(failures)
-    ]
+    pass_frac = passed.sum(axis=-1) / passed.shape[-1]
+    return np.column_stack([risk, worst, average, exponent, tightness, pass_frac]), failures
 
 
-def _aggregate_row(spec, idx, value, cfg, mname, tau_spec, e_pair, data) -> SweepRow:
-    """The point's (E_+, E_-) as they are, with std 0, and the mean and std
-    over the trials of every per-trial output, one row of trials per
-    output, reduced as a 1-d array.  A tightness is None where E_b = 0,
-    which is per point, so in every trial or in none; it stays None."""
-    tau = resolve_tau(tau_spec, cfg)
-    run_id = f"{spec.name}:{spec.axis.name}[{idx}]:{mname}:tau={tau:g}"
-    keys = [key for key, v in data[0].items() if v is not None]
-    table = np.array([[entry[key] for entry in data] for key in keys], dtype=np.float64)
+def _summary(vectors, e_pair) -> list:
+    """The `SweepRow` fields after `trials` of a row, from the output
+    vectors of its successful trials: the mean and std over the trials of
+    every output (the pass fraction a mean alone), and the point's
+    (E_+, E_-) as they are with std 0.  A tightness pair is None where its
+    E_b = 0, which is a fact about the point, not about a trial."""
+    # the trial axis contiguous: past 8 trials numpy's mean sums it pairwise
+    table = np.array(vectors).T.copy()
     means = table.mean(axis=-1).tolist()
-    stds = table.std(axis=-1, ddof=1).tolist() if len(data) > 1 else [0.0] * len(keys)
-    summary = {"e_plus_mean": e_pair[0], "e_plus_std": 0.0, "e_minus_mean": e_pair[1], "e_minus_std": 0.0}
-    for key, mean, std in zip(keys, means, stds):
-        if key == "primitive_pass_frac":
-            summary[key] = mean
-        else:
-            summary[f"{key}_mean"], summary[f"{key}_std"] = mean, std
-    return SweepRow(
-        run_id=run_id,
-        axis_value=float(value),
-        method=mname,
-        tau=float(tau),
-        trials=len(data),
-        **summary,
-    )
+    stds = table.std(axis=-1, ddof=1).tolist() if len(vectors) > 1 else [0.0] * len(means)
+    pairs = list(zip(means, stds))
+    # six (mean, std) pairs from the risks to the exponents, then E_b's and the tightness pairs
+    tightness = [pair if e_b > 0.0 else (None, None) for pair, e_b in zip(pairs[6:8], e_pair)]
+    pairs = [*pairs[:6], *((e_b, 0.0) for e_b in e_pair), *tightness]
+    return [field for pair in pairs for field in pair] + [means[8]]
 
 
 def _fig_base(seed: int, delta_plus: float, delta_minus: float, r_plus: float = 250.0) -> ModelConfig:

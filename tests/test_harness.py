@@ -25,7 +25,7 @@ from grouprisk.harness import (
 )
 from grouprisk.model import ModelConfig, e1_mean, noise_stats, sample_dataset, substream_seed
 from grouprisk.primitives import compute_primitives, fit_moments
-from grouprisk.risk import group_risk
+from grouprisk.risk import group_risk, worst_and_average
 
 from conftest import dense_means
 
@@ -467,12 +467,22 @@ class TestRunSweep:
         for row in rows:
             assert 0.0 <= row.primitive_pass_frac <= 1.0
 
-    def test_tightness_none_when_exponent_zero(self):
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_tightness_none_when_exponent_zero(self, trials):
+        # E_b = 0 at the point: the trials' NaN ratios are written as None
         base = base_config(mu_core=np.zeros(400), mu_spur=np.zeros(400))
-        spec = tiny_spec(base=base, trials=1, outputs=("risk", "bounds", "tightness"))
-        rows, _ = run_sweep(spec)
-        assert rows[0].e_plus_mean == 0.0
-        assert rows[0].tightness_plus_mean is None
+        spec = tiny_spec(base=base, trials=trials, outputs=("risk", "bounds", "tightness"))
+        rows, skips = run_sweep(spec)
+        assert len(rows) == 2 and not skips
+        tightness = [col for col in CSV_COLUMNS if col.startswith("tightness_")]
+        assert len(tightness) == 4
+        for row in rows:
+            assert row.trials == trials
+            assert (row.e_plus_mean, row.e_minus_mean) == (0.0, 0.0)
+            assert [getattr(row, col) for col in tightness] == [None] * 4
+            cells = dict(zip(CSV_COLUMNS, row.to_csv_values()))
+            assert [col for col, cell in cells.items() if cell == ""] == tightness
+            assert "nan" not in cells.values()
 
 
 class TestTrialReuse:
@@ -564,38 +574,47 @@ class TestTrialReuse:
         assert len(calls) == per_trial * spec.trials
 
 
-def per_point_skips(spec):
-    """The skips of a per-point run, the reference for a batched sweep's: at
-    each (trial, point, method) in that order, one recursive
-    `compute_primitives` call on the point's own stream, then `fit_moments`
-    and `group_risk`; last, one aggregate skip per row with no successful
-    trial."""
-    skips, succeeded = [], set()
+# the per-trial outputs `per_point_run` gives, in its order
+REFERENCE_OUTPUTS = ("risk_plus", "risk_minus", "worst", "average", "exponent_plus", "exponent_minus")
+
+
+def per_point_run(spec):
+    """The skips of a per-point run, the reference for a batched sweep's,
+    and the per-trial outputs of each (value, method, tau) row over its
+    successful trials: at each (trial, point, method) in that order, one
+    recursive `compute_primitives` call on the point's own stream, then
+    `fit_moments` and `group_risk`; last, one aggregate skip per row with
+    no successful trial."""
+    skips, outputs = [], {}
     for trial in range(spec.trials):
         for value in spec.axis.values:
             cfg = derive_config(spec.base, spec.axis.name, value)
             cfg = cfg.with_updates(seed=substream_seed(spec.base.seed, trial))
             stats = noise_stats(cfg)
-            for mi, (mname, tau_spec) in enumerate(spec.methods):
+            for mname, tau_spec in spec.methods:
                 try:
                     tau = resolve_tau(tau_spec, cfg)
-                    group_risk(fit_moments(compute_primitives(stats, tau, cfg.deltas, mode="recursive")))
+                    plus, minus = group_risk(fit_moments(compute_primitives(stats, tau, cfg.deltas, mode="recursive")))
                 except Exception as exc:
                     where = {"value": value, "trial": trial, "method": mname}
                     skips.append({"axis": spec.axis.name, **where, "stage": "fit", "reason": str(exc)})
                 else:
-                    succeeded.add((value, mi))
+                    outputs.setdefault((value, mname, tau), []).append(
+                        (plus.risk, minus.risk, *worst_and_average(plus, minus, cfg), plus.exponent, minus.exponent)
+                    )
     for value in spec.axis.values:
-        for mi, (mname, _) in enumerate(spec.methods):
-            if (value, mi) not in succeeded:
+        cfg = derive_config(spec.base, spec.axis.name, value)
+        for mname, tau_spec in spec.methods:
+            if (value, mname, resolve_tau(tau_spec, cfg)) not in outputs:
                 skips.append({"axis": spec.axis.name, "value": value, "method": mname,
                               "stage": "aggregate", "reason": "no successful trials"})
-    return skips
+    return skips, outputs
 
 
 class TestSkipFidelity:
     """A failing (point, method) of a batch is skipped alone, with the reason
-    and in the place a per-point run gives it."""
+    and in the place a per-point run gives it, and each row is the mean over
+    its successful trials alone."""
 
     methods = (("cmni", None), ("ridge", "d/10"), ("ridge", "d"))
 
@@ -605,16 +624,23 @@ class TestSkipFidelity:
 
     @staticmethod
     def check(spec, tmp_path, capsys):
-        expected = per_point_skips(spec)
+        expected, outputs = per_point_run(spec)
         rows, skips = run_sweep(spec)
         assert skips == expected
         assert any(s["stage"] == "fit" for s in skips) and rows
+        assert len(rows) == len(outputs)
+        for row in rows:
+            trials = outputs[row.axis_value, row.method, row.tau]
+            assert row.trials == len(trials), row.run_id
+            means = [getattr(row, f"{name}_mean") for name in REFERENCE_OUTPUTS]
+            np.testing.assert_allclose(means, np.mean(trials, axis=0), rtol=1e-12, err_msg=row.run_id)
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec.to_dict()))
         capsys.readouterr()
         assert cli.main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "out.csv")]) == 0
         lines = capsys.readouterr().err.splitlines()
         assert lines == [json.dumps(s, sort_keys=True) for s in expected]
+        return [len(trials) for trials in outputs.values()]
 
     def test_singular_det_along_r_plus_sq(self, monkeypatch, tmp_path, capsys):
         # the dets move with the means: a tolerance at their median fails
@@ -630,7 +656,9 @@ class TestSkipFidelity:
                     prims = compute_primitives(stats, resolve_tau(tau_spec, cfg), cfg.deltas, mode="recursive")
                     dets.append(min(prims.det_a))
         monkeypatch.setattr(primitives, "DET_SINGULAR_TOL", float(np.median(dets)))
-        self.check(spec, tmp_path, capsys)
+        kept = self.check(spec, tmp_path, capsys)
+        # some row keeps only part of its trials
+        assert 0 < min(kept) < spec.trials
 
     def test_singular_det_and_zero_norm_inside_a_delta_minus_batch(self, monkeypatch, tmp_path, capsys):
         # det(A_k) does not depend on the weights: a tolerance between the
@@ -652,7 +680,7 @@ class TestSkipFidelity:
         for module in (primitives, harness):
             monkeypatch.setattr(module, "_fit_moments", zero_at_quarter)
         self.check(spec, tmp_path, capsys)
-        assert {s["reason"] for s in per_point_skips(spec)} >= {"estimator has zero norm; margin undefined"}
+        assert {s["reason"] for s in per_point_run(spec)[0]} >= {"estimator has zero norm; margin undefined"}
 
     def test_failed_order0_solve_skips_its_tau(self, monkeypatch, tmp_path, capsys):
         spec = self.spec(SweepAxis("delta_minus", (0.5, 0.25, 0.1)))
