@@ -137,8 +137,11 @@ class SweepSpec:
                 raise ValueError(f"unknown method {mname!r}")
             if mname == "cmni" and tau not in (None, 0, 0.0):
                 raise ValueError("cmni takes no tau")
-            resolve_tau(tau, self.base)
-            methods.append((mname, tau))
+            resolved = resolve_tau(tau, self.base)
+            # a number is stored as the float it reads as, so to_dict writes JSON
+            methods.append((mname, tau if tau is None or isinstance(tau, str) else resolved))
+        if not methods:
+            raise ValueError("methods needs at least one entry")
         object.__setattr__(self, "methods", tuple(methods))
         outputs = tuple(self.outputs)
         # a name that is not a string is shown by its type: it may be unhashable
@@ -174,13 +177,11 @@ class SweepSpec:
                 raise ValueError(f"{name} must be a JSON array, got {type(doc[name]).__name__}")
         for entry in data.get("methods", ()):
             _check_fields("method", entry, {"method", "tau"}, {"method"})
-        methods = tuple((entry["method"], entry.get("tau")) for entry in data.get("methods", ()))
-        return cls(**{
-            **data,
-            "base": ModelConfig.from_dict(data["base"]),
-            "axis": SweepAxis(**data["axis"]),
-            "methods": methods or (("cmni", None),),
-        })
+        parsed = {"base": ModelConfig.from_dict(data["base"]), "axis": SweepAxis(**data["axis"])}
+        # a missing "methods" key is the default, cmni; an empty array is refused
+        if "methods" in data:
+            parsed["methods"] = tuple((entry["method"], entry.get("tau")) for entry in data["methods"])
+        return cls(**{**data, **parsed})
 
 
 @dataclass(frozen=True)

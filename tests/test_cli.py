@@ -900,6 +900,17 @@ class TestSweepCommand:
         assert f"error: {message}\n" == err
         assert not out.exists()
 
+    def test_sweep_spec_with_no_methods_exits_before_any_stream(self, tmp_path, no_stream, capsys):
+        spec_path = self.spec_file(tmp_path)
+        doc = json.loads(Path(spec_path).read_text())
+        doc["methods"] = []
+        Path(spec_path).write_text(json.dumps(doc))
+        out = tmp_path / "rows.csv"
+        code, stdout, err = run(["sweep", "--spec", spec_path, "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == "error: methods needs at least one entry\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, value, message",
         [

@@ -161,6 +161,25 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             tiny_spec(methods=(("cmni", 5.0),))
 
+    def test_spec_rejects_empty_methods(self):
+        with pytest.raises(ValueError, match="^methods needs at least one entry$"):
+            tiny_spec(methods=())
+        doc = tiny_spec().to_dict()
+        doc["methods"] = []
+        with pytest.raises(ValueError, match="^methods needs at least one entry$"):
+            SweepSpec.from_dict(doc)
+        # only a missing key reads as the default
+        del doc["methods"]
+        assert SweepSpec.from_dict(doc).methods == (("cmni", None),)
+
+    @pytest.mark.parametrize("tau", [np.int64(5), np.float32(0.1)], ids=["int64", "float32"])
+    def test_numpy_tau_is_stored_as_its_float_and_round_trips(self, tau):
+        spec = tiny_spec(methods=(("ridge", tau), ("ridge", "d/10"), ("ridge", None)))
+        assert spec.methods == (("ridge", float(tau)), ("ridge", "d/10"), ("ridge", None))
+        assert type(spec.methods[0][1]) is float
+        back = SweepSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert back.methods == spec.methods
+
     def test_spec_rejects_unknown_output(self):
         with pytest.raises(ValueError):
             tiny_spec(outputs=("risk", "calibration"))
