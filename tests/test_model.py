@@ -1143,13 +1143,20 @@ class TestPersistence:
         with pytest.raises(ValueError, match=rf"^Q in {re.escape(path)} must be finite, got {bad} at row 3, column 17$"):
             load_dataset(path)
 
-    def test_truncated_payload_rejected(self, tmp_path):
+    @pytest.mark.parametrize("change", [-16, 8 * 1000], ids=["truncated", "appended"])
+    def test_wrong_size_payload_rejected_before_it_is_read(self, change, tmp_path, monkeypatch):
         ds = sample_dataset(small_config())
         path = str(tmp_path / "ds.bin")
         save_dataset(ds, path)
         raw = Path(path).read_bytes()
-        Path(path).write_bytes(raw[:-16])
-        with pytest.raises(ValueError):
+        Path(path).write_bytes(raw[:change] if change < 0 else raw + bytes(change))
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("the payload was read")
+
+        monkeypatch.setattr(np, "fromfile", no_read)
+        expected = ds.Q.size + change // 8
+        with pytest.raises(ValueError, match=rf"^binary payload has {expected} floats, expected {ds.Q.size}$"):
             load_dataset(path)
 
 
