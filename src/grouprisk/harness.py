@@ -343,10 +343,9 @@ def run_sweep(spec: SweepSpec):
                 reasons.append(None)
         live = [r for r, reason in enumerate(reasons) if reason is None]
         if live:
+            at = [rows[r][0] for r in live]
             try:
-                outputs, failures = _trial_outputs(
-                    solved, [points[rows[r][0]][2] for r in live], [exponents_e[rows[r][0]] for r in live]
-                )
+                outputs, failures = _trial_outputs(solved, [points[k][2] for k in at], [exponents_e[k] for k in at])
             except Exception as exc:
                 outputs, failures = [None] * len(live), [str(exc)] * len(live)
             for r, vector, failure in zip(live, outputs, failures):
