@@ -10,8 +10,9 @@ downstream needs only the labels, G, X mu_b, and the noise projections
 d_1 = Q mu_bar_s, d_2 = Q mu_bar_c.  `model.GramStats` holds them: the one
 tau-free O(n^2) view that `model.noise_stats` streams once from a config
 or a dataset.  It is the one input of the fitters here and of the
-primitives in `primitives`, which share the per-tau factors memoized on
-it.  The weights (delta_plus, delta_minus) and tau are arguments of each
+primitives in `primitives`, each memoizing its per-tau build on it.
+Every dense SPD system is one `_spd_factor` and one `_spd_solve` for the
+columns its caller reads, with no inverse formed.  The weights (delta_plus, delta_minus) and tau are arguments of each
 call that uses them (tau is never part of the config), and
 `model._coerce` reads each weight as a finite positive float and tau as
 a finite nonnegative one.  A sweep reads its fits off the primitives
@@ -19,7 +20,7 @@ a finite nonnegative one.  A sweep reads its fits off the primitives
 and serve the CLI.
 
 tau = 0 is the cost-sensitive minimum-norm interpolator, whose defining
-constraint is Delta_{b_i} <w, x_i> = y_i.  Gradient descent on the adjusted
+constraint is Delta_{b_i} <w, x_i> = y_i; `fit_cmni` is `fit_ridge` there.  Gradient descent on the adjusted
 squared loss (1/n) sum_i (Delta^{-1} y_i - <w, x_i>)^2 from zero
 initialization stays in the row span of X and is run as the equivalent dual
 iteration c <- c + (2 step / n)(Delta^{-1} y - G c).
@@ -27,7 +28,7 @@ iteration c <- c + (2 step / n)(Delta^{-1} y - G c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -110,22 +111,19 @@ def _spd_solve(factor, rhs: np.ndarray) -> np.ndarray:
 
 
 def _gram_factor(stats: GramStats, tau: float):
-    """(G + tau I, its `_spd_factor`), the per-tau build of the fitters."""
-    gram = stats.gram
-    mat = gram if tau == 0.0 else gram + tau * np.eye(gram.shape[0])
-    return mat, _spd_factor(mat, "Gram system numerically singular")
+    """The `_spd_factor` of G + tau I, the per-tau build of the fitters."""
+    return _spd_factor(stats.gram + tau * np.eye(stats.n), "Gram system numerically singular")
 
 
 def _solve_gram(stats: GramStats, tau: float, z: np.ndarray):
     """Solve (G + tau I) c = z through the memoized factor, refined once."""
-    mat, factor = stats.per_tau(_gram_factor, tau)
+    factor = stats.per_tau(_gram_factor, tau)
     c = _spd_solve(factor, z)
-    tol = _SOLVE_RTOL * np.linalg.norm(z)
-    res = np.linalg.norm(z - mat @ c)
-    if res > 0.5 * tol:
-        c = c + _spd_solve(factor, z - mat @ c)
-        res = np.linalg.norm(z - mat @ c)
-    return c, res
+    resid = z - stats.gram @ c - tau * c
+    if np.linalg.norm(resid) > 0.5 * _SOLVE_RTOL * np.linalg.norm(z):
+        c = c + _spd_solve(factor, resid)
+        resid = z - stats.gram @ c - tau * c
+    return c, np.linalg.norm(resid)
 
 
 def _finish(c, stats, tau, method, info=None) -> DualSolution:
@@ -142,16 +140,14 @@ def _finish(c, stats, tau, method, info=None) -> DualSolution:
 
 
 def fit_cmni(stats: GramStats, delta) -> DualSolution:
-    """Cost-sensitive minimum-norm interpolator: c = G^{-1} Delta^{-1} y."""
-    z, _ = _adjusted_targets(stats, delta)
-    c, res = _solve_gram(stats, 0.0, z)
-    return _finish(c, stats, 0.0, "cmni", {"solver_residual": float(res)})
+    """Cost-sensitive minimum-norm interpolator c = G^{-1} Delta^{-1} y: `fit_ridge` at tau = 0."""
+    return replace(fit_ridge(stats, delta, 0.0), method="cmni")
 
 
 def fit_ridge(stats: GramStats, delta, tau: float) -> DualSolution:
     """Cost-sensitive ridge: c = (G + tau I)^{-1} Delta^{-1} y.
 
-    tau = 0 runs the identical solve as fit_cmni and reproduces it exactly.
+    tau = 0 is fit_cmni, which runs this very solve.
     """
     tau = _coerce("tau", tau)
     z, _ = _adjusted_targets(stats, delta)

@@ -33,8 +33,8 @@ quadratic form p = x' M_k^{-1} y updates through the bilinear map
                  / det(A_k),
 
 which is how the recursive mode advances all primitives without touching
-M_1 or M_2.  The direct mode forms each stage inverse densely instead;
-the two routes share no solve and must agree.
+M_1 or M_2.  The direct mode factors each M_k and solves for the probes
+instead, forming no inverse; the two routes share no solve and must agree.
 
 Every primitive is such a form over the same seven probe vectors
 (v_1, v_2, d_1, d_2, u = e_1, D^{-1} v_1, D^{-1} v_2), so both routes produce
@@ -103,10 +103,6 @@ def _symmetric(p: np.ndarray) -> np.ndarray:
 
 def _stage_factor(mat: np.ndarray):
     return _spd_factor(mat, "stage matrix not positive definite")
-
-
-def _dense_inverse(mat: np.ndarray) -> np.ndarray:
-    return _symmetric(_spd_solve(_stage_factor(mat), np.eye(mat.shape[0])))
 
 
 def _basis(stats: GramStats) -> np.ndarray:
@@ -274,9 +270,10 @@ def compute_primitives(
 ) -> PrimitiveSet:
     """All primitives of `stats` at orders 0..2, by dense stages or by recursion.
 
-    The probe u is e_1.  direct mode forms each G_k and M_k^{-1} densely
-    and evaluates quadratic forms, o included as c' G_k c; it never reads
-    or fills the memo on `stats`.  recursive mode is `_recursive_primitives`,
+    The probe u is e_1.  direct mode forms each G_k, solves M_k for the
+    seven probes through one Cholesky factor and reads the table as
+    probes' M_k^{-1} probes and o as c' G_k c for the solved w columns c;
+    it forms no inverse and never reads or fills the memo on `stats`.  recursive mode is `_recursive_primitives`,
     the one recursion, at the one weight pair `delta`, on the order-0
     solve memoized per tau on `stats`: the tables T_0 = B' M_0^{-1} B and
     S_0 = B' M_0^{-2} B over the norm-free basis B of `_basis`, from one
@@ -297,19 +294,16 @@ def compute_primitives(
             raise LinAlgError(failure)
         return prims
 
-    n = stats.n
     o_vals = np.empty((2, 3))
     det_a = np.empty(2)
     probes = _pack(stats, delta)
-    w_cols = probes[:, [_W1, _W2]]
     p_orders = []
     for k in range(3):
         gram = stats.stage_gram(k)
-        m_inv = _dense_inverse(gram + tau * np.eye(n))
-        p_orders.append(_symmetric(probes.T @ (m_inv @ probes)))
-        c = m_inv @ w_cols
-        for i in range(2):
-            o_vals[i, k] = c[:, i] @ gram @ c[:, i]
+        solved = _spd_solve(_stage_factor(gram + tau * np.eye(stats.n)), probes)
+        p_orders.append(_symmetric(probes.T @ solved))
+        c = solved[:, _W1:]
+        o_vals[:, k] = np.sum(c * (gram @ c), axis=0)
     for k in (1, 2):
         det_a[k - 1] = _det_a(*_table_self_primitives(p_orders[k - 1], stats.mu_norms, k))
     return PrimitiveSet(
@@ -755,8 +749,8 @@ def verify_primitives(
 
     Checks in order: the direct-vs-recursive gap (at most 1e-8), the risk
     identity of the ridge fit (at most 1e-8), the closed-form adjugate of
-    each A_k against the dense capacitance I + R_k M_{k-1}^{-1} L_k (at most
-    1e-10), the bands of `verify_primitive_bounds` and the aux inequalities.
+    each A_k against the capacitance I + R_k M_{k-1}^{-1} L_k, with
+    M_{k-1}^{-1} L_k solved through a Cholesky factor (at most 1e-10), the bands of `verify_primitive_bounds` and the aux inequalities.
     `passed`, the exit code of `verify-primitives`, covers the mode gap,
     the identities, the adjugate and the aux inequalities; the bands are
     reported in `bands_all_pass` and do not enter it, because they hold
@@ -771,10 +765,10 @@ def verify_primitives(
 
     adj_gap = 0.0
     for k in (1, 2):
-        prev_inv = np.linalg.inv(stats.stage_gram(k - 1) + tau * np.eye(stats.n))
         L, R = stats.update_factors(k)
+        solved = _spd_solve(_stage_factor(stats.stage_gram(k - 1) + tau * np.eye(stats.n)), L)
         det, adj = det_and_adj(direct, k)
-        residual = (np.eye(3) + R @ prev_inv @ L) @ adj - det * np.eye(3)
+        residual = (np.eye(3) + R @ solved) @ adj - det * np.eye(3)
         adj_gap = max(adj_gap, float(np.abs(residual).max()))
 
     bands = verify_primitive_bounds(direct, config, band=band)
