@@ -1021,10 +1021,10 @@ def load_dataset(path: str) -> Dataset:
     """The dataset `save_dataset` wrote at path; ValueError naming any bad
     sidecar field, checked before the binary file is read: an unknown or
     missing key, and any value its field's kind refuses (`_FIELDS`, and
-    y and a as sign vectors of n entries).  A payload of the wrong size
-    (refused from the file's size, before it is read), or with a value of
-    Q that is not finite (named by its first row and column), is refused
-    too."""
+    y and a as sign vectors of n entries).  A payload of the wrong size,
+    or of a size that is not whole 8-byte floats (both refused from the
+    file's size, before it is read), or with a value of Q that is not
+    finite (named by its first row and column), is refused too."""
     with open(path + ".json") as fh:
         sidecar = json.load(fh)
     names = ("y", "a", "config")
@@ -1034,9 +1034,11 @@ def load_dataset(path: str) -> Dataset:
     y, a = (np.array(_coerce(f"sidecar {name}", sidecar[name], _signs(n)), dtype=np.float64)
             for name in ("y", "a"))
     # sized before it is read, so a wrong payload costs no memory
-    floats = os.path.getsize(path) // 8
-    if floats != n * d:
-        raise ValueError(f"binary payload has {floats} floats, expected {n * d}")
+    size = os.path.getsize(path)
+    if size % 8:
+        raise ValueError(f"binary payload has {size} bytes, not a whole number of 8-byte floats")
+    if size // 8 != n * d:
+        raise ValueError(f"binary payload has {size // 8} floats, expected {n * d}")
     # one native-order buffer (no copy on a little-endian host), Q a view of it
     raw = np.fromfile(path, dtype="<f8").astype(np.float64, copy=False)
     finite = np.isfinite(raw)

@@ -1159,6 +1159,22 @@ class TestPersistence:
         with pytest.raises(ValueError, match=rf"^binary payload has {expected} floats, expected {ds.Q.size}$"):
             load_dataset(path)
 
+    def test_partial_float_payload_rejected_before_it_is_read(self, tmp_path, monkeypatch):
+        # 3 stray bytes past the n d floats: no whole number of floats, so no
+        # float count can match, and none of the bytes may be dropped silently
+        ds = sample_dataset(small_config())
+        path = str(tmp_path / "ds.bin")
+        save_dataset(ds, path)
+        Path(path).write_bytes(Path(path).read_bytes() + bytes(3))
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("the payload was read")
+
+        monkeypatch.setattr(np, "fromfile", no_read)
+        size = 8 * ds.Q.size + 3
+        with pytest.raises(ValueError, match=rf"^binary payload has {size} bytes, not a whole number of 8-byte floats$"):
+            load_dataset(path)
+
 
 KS_LEVEL = 0.01  # fixed seeds: each KS test is one deterministic draw of its p-value
 
