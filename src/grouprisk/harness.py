@@ -439,19 +439,9 @@ def preset(name: str, seed: int = 0, trials: int = 10) -> SweepSpec:
             name=name,
         )
     if name == "fig1_right":
-        base = ModelConfig(
-            d_core=2500,
-            d_spur=2500,
-            mu_core=np.sqrt(5000.0**0.6 / 8.0),
-            mu_spur=np.sqrt(5000.0**0.6 / 8.0),
-            n_plus=48,
-            n_minus=2,
-            delta_plus=0.96,
-            delta_minus=0.04,
-            seed=seed,
-        )
         return SweepSpec(
-            base=base,
+            # the coupled rule at its first value, n = 50
+            base=derive_config(_fig_base(seed, delta_plus=1.0, delta_minus=1.0), "n_coupled", 50),
             axis=SweepAxis("n_coupled", (50, 100, 150, 200, 250)),
             methods=(("ridge", 0.0), ("ridge", "d/10"), ("ridge", "d")),
             trials=trials,
@@ -463,8 +453,7 @@ def preset(name: str, seed: int = 0, trials: int = 10) -> SweepSpec:
         else:
             dp, dm = 0.95, 0.05
         base = _fig_base(seed, delta_plus=dp, delta_minus=dm)
-        d, n, n_minus = 100_000, 200, 10
-        grid = np.geomspace(d / n, d * n / n_minus**2, 12)
+        grid = np.geomspace(base.d / base.n, base.d * base.n / base.n_minus**2, 12)
         return SweepSpec(
             base=base,
             axis=SweepAxis("r_plus_sq", tuple(grid)),
