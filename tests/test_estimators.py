@@ -123,12 +123,24 @@ class TestInterpolation:
         assert interpolation_residual(sol, stats, cfg.deltas) <= 1e-10
 
     def test_ridge_zero_equals_cmni_exactly(self):
-        cfg = make_config(seed=11)
+        # the whole solution, bit for bit, on a cold memo and on one that
+        # already holds a ridge factor at another tau
+        cfg = make_config(seed=11, delta_plus=0.9, delta_minus=0.3)
         ds = sample_dataset(cfg)
-        stats = noise_stats(ds)
-        a = fit_cmni(stats, cfg.deltas)
-        b = fit_ridge(stats, cfg.deltas, tau=0.0)
-        np.testing.assert_array_equal(a.c, b.c)
+        cold = fit_cmni(noise_stats(ds), cfg.deltas)
+        for warm_tau in (None, 40.0):
+            stats = noise_stats(ds)
+            if warm_tau is not None:
+                fit_ridge(stats, cfg.deltas, tau=warm_tau)
+            a = fit_cmni(stats, cfg.deltas)
+            b = fit_ridge(stats, cfg.deltas, tau=0.0)
+            assert (a.method, b.method) == ("cmni", "ridge")
+            for sol in (a, b):
+                np.testing.assert_array_equal(sol.c, cold.c)
+                assert sol.tau == 0.0
+                assert sol.w_norm_sq == cold.w_norm_sq
+                assert sol.w_dot_mu == cold.w_dot_mu
+                assert sol.info == cold.info
 
     def test_ridge_shrinks_weight_norm(self):
         cfg = make_config(seed=2)

@@ -181,6 +181,30 @@ class TestInverseMemo:
         assert list(stats._memo) == [(primitives._order0_solve, 1.0)]
 
 
+class TestDenseReference:
+    """The dense reference solves for the columns it reads; it forms no inverse."""
+
+    @pytest.mark.parametrize("tau", [0.0, 7.0])
+    def test_verify_primitives_solves_at_most_seven_columns(self, tau, monkeypatch):
+        widths = []
+        real = primitives._spd_solve
+
+        def spy(factor, rhs):
+            widths.append(rhs.shape[1] if rhs.ndim == 2 else 1)
+            return real(factor, rhs)
+
+        def no_inverse(*args, **kwargs):
+            raise AssertionError("an explicit inverse was formed")
+
+        monkeypatch.setattr(primitives, "_spd_solve", spy)
+        monkeypatch.setattr(np.linalg, "inv", no_inverse)
+        cfg = make_config(seed=4, delta_plus=0.9, delta_minus=0.3)
+        doc = primitives.verify_primitives(noise_stats(sample_dataset(cfg)), cfg, tau=tau)
+        assert doc["passed"]
+        # three direct stages and the order-0 solve (7 probes), two capacitances (L_k)
+        assert sorted(widths) == [3, 3, 7, 7, 7, 7]
+
+
 class TestOrder0Solve:
     """Recursive mode is 7x7 algebra on one memoized order-0 solve per tau."""
 
