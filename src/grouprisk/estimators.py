@@ -12,18 +12,19 @@ tau-free O(n^2) view that `model.noise_stats` streams once from a config
 or a dataset.  It is the one input of the fitters here and of the
 primitives in `primitives`, each memoizing its per-tau build on it.
 Every dense SPD system is one `_spd_factor` and one `_spd_solve` for the
-columns its caller reads, with no inverse formed.  The weights (delta_plus, delta_minus) and tau are arguments of each
-call that uses them (tau is never part of the config), and
-`model._coerce` reads each weight as a finite positive float and tau as
-a finite nonnegative one.  A sweep reads its fits off the primitives
-(`primitives.fit_moments`); the fitters here are the per-point reference
-and serve the CLI.
+columns its caller reads, with no inverse formed.  The weights
+(delta_plus, delta_minus) and tau are arguments of each call that uses
+them (tau is never part of the config), and `model._coerce` reads each
+weight as a finite positive float and tau as a finite nonnegative one.
+A sweep reads its fits off the primitives (`primitives.fit_moments`); the
+fitters here are the per-point reference and serve the CLI.
 
 tau = 0 is the cost-sensitive minimum-norm interpolator, whose defining
-constraint is Delta_{b_i} <w, x_i> = y_i; `fit_cmni` is `fit_ridge` there.  Gradient descent on the adjusted
-squared loss (1/n) sum_i (Delta^{-1} y_i - <w, x_i>)^2 from zero
-initialization stays in the row span of X and is run as the equivalent dual
-iteration c <- c + (2 step / n)(Delta^{-1} y - G c).
+constraint is Delta_{b_i} <w, x_i> = y_i; `fit_cmni` is `fit_ridge` there.
+Gradient descent on the adjusted squared loss
+(1/n) sum_i (Delta^{-1} y_i - <w, x_i>)^2 from zero initialization stays
+in the row span of X and is run as the equivalent dual iteration
+c <- c + (2 step / n)(Delta^{-1} y - G c).
 """
 
 from __future__ import annotations

@@ -273,11 +273,12 @@ def compute_primitives(
     The probe u is e_1.  direct mode forms each G_k, solves M_k for the
     seven probes through one Cholesky factor and reads the table as
     probes' M_k^{-1} probes and o as c' G_k c for the solved w columns c;
-    it forms no inverse and never reads or fills the memo on `stats`.  recursive mode is `_recursive_primitives`,
-    the one recursion, at the one weight pair `delta`, on the order-0
-    solve memoized per tau on `stats`: the tables T_0 = B' M_0^{-1} B and
-    S_0 = B' M_0^{-2} B over the norm-free basis B of `_basis`, from one
-    Cholesky of M_0 = gram_0 + tau I.  A sweep runs the same recursion
+    it forms no inverse and never reads or fills the memo on `stats`.
+    recursive mode is `_recursive_primitives`, the one recursion, at the
+    one weight pair `delta`, on the order-0 solve memoized per tau on
+    `stats`: the tables T_0 = B' M_0^{-1} B and S_0 = B' M_0^{-2} B over
+    the norm-free basis B of `_basis`, from one Cholesky of
+    M_0 = gram_0 + tau I.  A sweep runs the same recursion
     once per trial on the stack of its (point, method) rows.  A warm call
     touches no n-sized array.  Recursive mode raises
     LinAlgError when |det(A_k)| < DET_SINGULAR_TOL.
@@ -750,7 +751,8 @@ def verify_primitives(
     Checks in order: the direct-vs-recursive gap (at most 1e-8), the risk
     identity of the ridge fit (at most 1e-8), the closed-form adjugate of
     each A_k against the capacitance I + R_k M_{k-1}^{-1} L_k, with
-    M_{k-1}^{-1} L_k solved through a Cholesky factor (at most 1e-10), the bands of `verify_primitive_bounds` and the aux inequalities.
+    M_{k-1}^{-1} L_k solved through a Cholesky factor (at most 1e-10),
+    the bands of `verify_primitive_bounds` and the aux inequalities.
     `passed`, the exit code of `verify-primitives`, covers the mode gap,
     the identities, the adjugate and the aux inequalities; the bands are
     reported in `bands_all_pass` and do not enter it, because they hold
