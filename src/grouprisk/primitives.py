@@ -23,20 +23,19 @@ previous order: with s = v'M^{-1}v, t = d'M^{-1}d, h = d'M^{-1}v,
 
     det(A_k) = s (m_k^2 - t) + (1 + h)^2,
 
-with the adjugate in closed form below.  Consequently every scalar
-quadratic form p = x' M_k^{-1} y updates through the bilinear map
+with the adjugate in closed form below.  With L_k = X J_k for the probes
+X (J_k = [m_k e_v, e_d, e_v]), M_k^{-1} X = M_{k-1}^{-1} X E_k for the
+rank-2 stage map
 
-    f_A(x_a, x_b, x_c, x_d) = (m_k^2 - t) x_a x_c
-                              + (1 + h)(x_a x_d + x_b x_c)
-                              - s x_b x_d,
-    p_next = p - f_A(x'M^{-1}v_k, x'M^{-1}d_k, v_k'M^{-1}y, d_k'M^{-1}y)
-                 / det(A_k),
+    E_k = I - e_v r_v' - e_d r_d',
+    [r_v; r_d] = [[m_k^2 - t, 1 + h], [1 + h, -s]] [pa; pb] / det(A_k),
 
-which is how the recursive mode advances all primitives without touching
+pa and pb the v_k and d_k columns of the previous table.  It advances the
+table T to T E_k and the squared table S to E_k' S E_k without touching
 M_1 or M_2.  The direct mode factors each M_k and solves for the probes
 instead, forming no inverse; the two routes share no solve and must agree.
 
-Every primitive is such a form over the same seven probe vectors
+Every primitive is a quadratic form x'M_k^{-1}y over the same seven probes
 (v_1, v_2, d_1, d_2, u = e_1, D^{-1} v_1, D^{-1} v_2), so both routes produce
 one 7x7 table per order.  `PrimitiveSet` stores the three tables as one
 read-only array, and each named primitive (s, t, h, ...) is a view of a
@@ -158,6 +157,10 @@ def det_and_adj(prims: "PrimitiveSet", k: int):
     limit lies in [1, 1 + 1/C], so a tiny value means degenerate inputs,
     not a rounding accident.  Past (c) the determinant grows with the
     signal energy (about 10 at |mu_c|^2 n / d = 9).
+
+    The recursion reads only det(A_k) (`_stage_map`); adj(A_k) is the
+    paper's closed form, which `verify_primitives` checks against the
+    capacitance I + R_k M_{k-1}^{-1} L_k.
     """
     m_sq, s, t, h = _table_self_primitives(prims.tables[..., k - 1], prims.mu_norms, k)
     return float(_det_a(m_sq, s, t, h)), _adj_a(prims.mu_norms[k - 1], s, t, h)
@@ -189,10 +192,21 @@ def _adj_a(m, s, t, h) -> np.ndarray:
     return np.stack(entries, axis=-1).reshape(np.shape(s) + (3, 3))
 
 
-def _f_a(m_sq, s, t, h, x_a, x_b, x_c, x_d):
-    """f_A = [m x_a, x_b, x_a] adj(A_k) [m x_c; x_c; x_d] elementwise;
-    symmetric under (x_a, x_b) <-> (x_c, x_d) bit for bit."""
-    return (m_sq - t) * (x_a * x_c) + (1.0 + h) * (x_a * x_d + x_b * x_c) - s * (x_b * x_d)
+def _stage_map(p: np.ndarray, mu_norms, k: int):
+    """det(A_k) and the stage map E_k of the module docstring, from the
+    order-(k-1) table p (7x7, or a stack of them).  Its rows r_v, r_d are
+    the v and d rows of J_k adj(A_k) [m_k pa; pa; pb]' / det(A_k), read
+    off the 2x2 core K without the adjugate.  A point with
+    |det(A_k)| < DET_SINGULAR_TOL divides by 1 instead.
+    """
+    m_sq, s, t, h = _table_self_primitives(p, mu_norms, k)
+    det = _det_a(m_sq, s, t, h)
+    safe = np.where(abs(det) < DET_SINGULAR_TOL, 1.0, det)[..., None, None]
+    slots = [_V1, _D1] if k == 1 else [_V2, _D2]
+    core = np.stack([m_sq - t, 1.0 + h, 1.0 + h, -s], axis=-1).reshape(np.shape(s) + (2, 2))
+    stage = _identities(np.shape(s))
+    stage[..., slots, :] -= core @ p[..., slots, :] / safe
+    return det, stage
 
 
 # Where each named primitive sits in the 7x7 probe tables: (rows, cols) as
@@ -326,12 +340,9 @@ def _recursive_primitives(table, squared, mu_norms, tau, delta) -> PrimitiveSet:
     stack of k rows ((k, 7, 7), (k, 2), (k,), (k, 2)), one row broadcasting
     against a stack: then the set's tables, o and det_a carry a leading
     axis of length k, and row i is the same bits as its one-row call.  The
-    probes are B C for C = `_change_of_basis`, so order 0
-    is C' T_0 C and C' S_0 C; each stage advances the table by
-    f_A / det(A_k) and the squared table by the stage map
-    E_k = I - J_k adj(A_k) K_k' P / det(A_k) as E_k' S E_k, where
-    L_k = X J_k and R_k' = X K_k for the probe matrix X and P is the
-    order-(k-1) table (M_k^{-1} X = M_{k-1}^{-1} X E_k).  o is read as
+    probes are B C for C = `_change_of_basis`, so order 0 is C' T_0 C and
+    C' S_0 C; each stage advances the table T to T E_k and the squared
+    table S to E_k' S E_k by the stage map of `_stage_map`.  o is read as
     o = s_id_jd - tau diag(squared table), since G_k = M_k - tau I.  A
     point with |det(A_k)| < DET_SINGULAR_TOL divides that stage by 1
     instead, so its later entries are meaningless; `_singular` of its
@@ -344,21 +355,9 @@ def _recursive_primitives(table, squared, mu_norms, tau, delta) -> PrimitiveSet:
     squares = [_symmetric(change_t @ squared @ change)]
     dets = []
     for k in (1, 2):
-        p = p_orders[-1]
-        m_sq, s, t, h = _table_self_primitives(p, norms, k)
-        dets.append(_det_a(m_sq, s, t, h))
-        det = np.where(abs(dets[-1]) < DET_SINGULAR_TOL, 1.0, dets[-1])[..., None, None]
-        m_sq_, s_, t_, h_ = (x[..., None, None] for x in (m_sq, s, t, h))
-        v_slot, d_slot = (_V1, _D1) if k == 1 else (_V2, _D2)
-        pa, pb = p[..., :, v_slot], p[..., :, d_slot]
-        update = _f_a(m_sq_, s_, t_, h_, pa[..., :, None], pb[..., :, None], pa[..., None, :], pb[..., None, :])
-        p_orders.append(p - update / det)
-        # E_k = I - J_k A_k^{-1} R_k M_{k-1}^{-1} X, with J_k = [m e_v, e_d, e_v]
-        m, m_ = norms[..., k - 1], norms[..., k - 1, None]
-        gain = _adj_a(m, s, t, h) @ np.stack([m_ * pa, pa, pb], axis=-2) / det
-        stage = _identities(p.shape[:-2])
-        stage[..., v_slot, :] -= m_ * gain[..., 0, :] + gain[..., 2, :]
-        stage[..., d_slot, :] -= gain[..., 1, :]
+        det, stage = _stage_map(p_orders[-1], norms, k)
+        dets.append(det)
+        p_orders.append(_symmetric(p_orders[-1] @ stage))
         squares.append(_symmetric(stage.swapaxes(-1, -2) @ squares[-1] @ stage))
     tau_ = np.asarray(tau, dtype=np.float64)[..., None]
     o = [

@@ -360,21 +360,23 @@ class TestAdjugateSolve:
         with pytest.raises(np.linalg.LinAlgError, match=r"det\(A_1\)"):
             compute_primitives(singular, mode="recursive")
 
-    def test_f_a_matches_bilinear_adjugate_product(self):
-        # _f_a IS the row-adjugate-column product; the recursion divides by det
-        ds = sample_dataset(make_config(seed=8))
-        prims = compute_primitives(noise_stats(ds), tau=2.0, mode="direct")
-        rng = np.random.default_rng(0)
-        for k in (1, 2):
-            _, adj = det_and_adj(prims, k)
-            m = prims.mu_norms[k - 1]
-            self_prims = primitives._table_self_primitives(prims.tables[..., k - 1], prims.mu_norms, k)
-            for _ in range(5):
-                xa, xb, xc, xd = rng.standard_normal(4)
-                expected = np.array([m * xa, xb, xa]) @ adj @ np.array([m * xc, xc, xd])
-                np.testing.assert_allclose(
-                    primitives._f_a(*self_prims, xa, xb, xc, xd), expected, rtol=1e-10
-                )
+    def test_stage_map_rows_match_adjugate_product(self):
+        # the K rows of E_k are the v and d rows of J_k adj(A_k) [m pa; pa; pb]' / det,
+        # J_k = [m e_v, e_d, e_v], so the closed-form adjugate stays tied to the recursion
+        stats = noise_stats(sample_dataset(make_config(seed=8)))
+        for tau in (0.0, 2.0):
+            prims = compute_primitives(stats, tau=tau, mode="direct")
+            for k in (1, 2):
+                p = prims.tables[..., k - 1]
+                det, adj = det_and_adj(prims, k)
+                m = prims.mu_norms[k - 1]
+                v, d = (0, 2) if k == 1 else (1, 3)
+                gain = adj @ np.stack([m * p[v], p[v], p[d]]) / det
+                expected = np.eye(7)
+                expected[[v, d]] -= np.stack([m * gain[0] + gain[2], gain[1]])
+                det_map, stage = primitives._stage_map(p, prims.mu_norms, k)
+                assert det_map == det
+                assert np.abs(stage - expected).max() <= 1e-12 * np.abs(expected[[v, d]]).max(), (tau, k)
 
 
 class TestPrimitiveValues:
