@@ -724,18 +724,29 @@ def check_aux_inequalities(config: ModelConfig) -> AuxInequalityReport:
 
 
 def primitive_set_max_gap(a: PrimitiveSet, b: PrimitiveSet) -> float:
-    """Largest relative discrepancy between two PrimitiveSets."""
+    """Largest relative discrepancy between two PrimitiveSets.
+
+    Each table entry x'M_k^{-1}y is measured against its Cauchy-Schwarz
+    bound sqrt(x'M_k^{-1}x y'M_k^{-1}y), the larger of the two sets', so an
+    entry that is zero in exact arithmetic is held to the rounding of its
+    row and column; o and det_a are compared entry by entry.  A difference
+    where the scale is 0, or any NaN, gives inf.
+    """
+
+    def bound(tables):
+        root = np.sqrt(np.abs(np.einsum("...iik->...ik", tables)))
+        return root[..., :, None, :] * root[..., None, :, :]
+
+    pairs = (
+        (a.tables, b.tables, np.maximum(bound(a.tables), bound(b.tables))),
+        *((x, y, np.maximum(np.abs(x), np.abs(y))) for x, y in ((a.o, b.o), (a.det_a, b.det_a))),
+    )
     gap = 0.0
-    for name in PRIMITIVE_NAMES:
-        x = getattr(a, name).ravel()
-        y = getattr(b, name).ravel()
-        scale = np.maximum(np.abs(x), np.abs(y))
+    for x, y, scale in pairs:
         diff = np.abs(x - y)
-        mask = scale > 0
-        if mask.any():
-            gap = max(gap, float((diff[mask] / scale[mask]).max()))
-        if (diff[~mask] != 0).any():
-            gap = max(gap, np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.divide(diff, scale, out=np.zeros_like(diff), where=diff != 0)
+        gap = max(gap, float(np.nan_to_num(ratio, nan=np.inf, posinf=np.inf).max()))
     return gap
 
 
@@ -747,11 +758,15 @@ def verify_primitives(
 ) -> dict:
     """The document `grouprisk verify-primitives` prints, for `stats` at tau.
 
-    Checks in order: the direct-vs-recursive gap (at most 1e-8), the risk
-    identity of the ridge fit (at most 1e-8), the closed-form adjugate of
-    each A_k against the capacitance I + R_k M_{k-1}^{-1} L_k, with
-    M_{k-1}^{-1} L_k solved through a Cholesky factor (at most 1e-10),
-    the bands of `verify_primitive_bounds` and the aux inequalities.
+    Checks in order: the direct-vs-recursive gap of `primitive_set_max_gap`
+    (at most 1e-8), the risk identity of the ridge fit (at most 1e-8), the
+    closed-form adjugate of each A_k against the capacitance
+    C = I + R_k M_{k-1}^{-1} L_k, with M_{k-1}^{-1} L_k solved through a
+    Cholesky factor (the residual C adj - det I over max|C| max|adj|, at
+    most 1e-10), the bands of `verify_primitive_bounds` and the aux
+    inequalities.  Both gaps are scaled so that rounding passes at d = n,
+    where entries that vanish in exact arithmetic sit beside ones of
+    order n / tau.
     `passed`, the exit code of `verify-primitives`, covers the mode gap,
     the identities, the adjugate and the aux inequalities; the bands are
     reported in `bands_all_pass` and do not enter it, because they hold
@@ -769,8 +784,10 @@ def verify_primitives(
         L, R = stats.update_factors(k)
         solved = _spd_solve(_stage_factor(stats.stage_gram(k - 1) + tau * np.eye(stats.n)), L)
         det, adj = det_and_adj(direct, k)
-        residual = (np.eye(3) + R @ solved) @ adj - det * np.eye(3)
-        adj_gap = max(adj_gap, float(np.abs(residual).max()))
+        capacitance = np.eye(3) + R @ solved
+        residual = capacitance @ adj - det * np.eye(3)
+        scale = np.abs(capacitance).max() * np.abs(adj).max()
+        adj_gap = max(adj_gap, float(np.abs(residual).max() / scale))
 
     bands = verify_primitive_bounds(direct, config, band=band)
     aux = check_aux_inequalities(config)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grouprisk import cli, model
+from grouprisk import cli, model, primitives
 from grouprisk.cli import build_parser, config_from_args, main
 from grouprisk.harness import CSV_COLUMNS
 from grouprisk.model import ModelConfig, e1_mean, noise_stats, sample_dataset, save_dataset
@@ -25,6 +25,10 @@ from grouprisk.primitives import (
 )
 
 from conftest import write_x_then_q_file
+
+
+# a d = n config: entries that vanish in exact arithmetic beside ones near 500
+D_EQUALS_N = ["-n", "3", "-d", "3"]
 
 
 def run(argv, capsys):
@@ -574,8 +578,6 @@ class TestVerification:
 
     def test_failed_gate_exits_one(self, monkeypatch, capsys):
         # the risk identity against a ridge fit at another tau
-        from grouprisk import primitives
-
         fit_ridge = primitives.fit_ridge
         monkeypatch.setattr(primitives, "fit_ridge", lambda stats, delta, tau: fit_ridge(stats, delta, tau + 50.0))
         code, stdout, _ = run(["verify-primitives", *BENCH_VERIFY], capsys)
@@ -592,6 +594,30 @@ class TestVerification:
         assert code == 0
         assert doc["passed"]
         assert not doc["bands_all_pass"] and doc["band_failures"]
+
+    def test_rounding_passes_at_d_equal_n(self, capsys):
+        # at d = n, t_12 vanishes in exact arithmetic beside entries near 500,
+        # and the capacitance of the adjugate check is as badly scaled
+        for seed in range(20):
+            code, stdout, _ = run(["verify-primitives", *D_EQUALS_N, "--seed", str(seed)], capsys)
+            doc = json.loads(stdout)
+            assert code == 0, (seed, doc["mode_equivalence_max_gap"], doc["adjugate_identity_gap"])
+
+    def test_a_flipped_adjugate_entry_fails_at_d_equal_n(self, monkeypatch):
+        cfg = config_from_args(build_parser().parse_args(["verify-primitives", *D_EQUALS_N, "--seed", "1"]))
+        stats = noise_stats(cfg)
+        assert verify_primitives(stats, cfg)["adjugate_identity_gap"] <= 1e-10
+        det_and_adj = primitives.det_and_adj
+
+        def flipped(prims, k):
+            det, adj = det_and_adj(prims, k)
+            adj = adj.copy()
+            adj[0, 1] = -adj[0, 1]
+            return det, adj
+
+        monkeypatch.setattr(primitives, "det_and_adj", flipped)
+        doc = verify_primitives(stats, cfg)
+        assert doc["adjugate_identity_gap"] > 1e-10 and not doc["passed"]
 
     def test_verify_primitives_passes(self, capsys):
         code, stdout, _ = run(
@@ -1120,6 +1146,45 @@ def test_commands_build_no_mean_vector(tmp_path, no_mean_vector, capsys):
 
 
 class TestGapHelper:
+    def test_an_exact_zero_entry_is_held_to_its_bound(self):
+        # t_12 = m_1 m_2 u_s' u_c = 0 at d = n and tau = 0: rounding passes,
+        # a move of 1e-6 of its Cauchy-Schwarz bound fails the mode gate
+        cfg = config_from_args(build_parser().parse_args(["verify-primitives", *D_EQUALS_N, "--seed", "1"]))
+        stats = noise_stats(cfg)
+        direct = compute_primitives(stats, delta=cfg.deltas, mode="direct")
+        recursive = compute_primitives(stats, delta=cfg.deltas, mode="recursive")
+        assert primitive_set_max_gap(direct, recursive) <= 1e-8
+        t = direct.t[..., 0]
+        bound = np.sqrt(t[0, 0] * t[1, 1])
+        assert abs(t[0, 1]) <= 1e-12 * bound
+        tables = direct.tables.copy()
+        tables[_LAYOUT["t"]][0, 1, 0] += 1e-6 * bound
+        tables[_LAYOUT["t"]][1, 0, 0] += 1e-6 * bound
+        moved = dataclasses.replace(direct, tables=tables)
+        assert primitive_set_max_gap(moved, recursive) > 1e-8
+
+    def test_nan_or_a_difference_at_zero_scale_is_inf(self):
+        # a zero spurious mean makes d_1 = 0, so its row's bound is 0
+        cfg = ModelConfig(
+            d_core=200,
+            d_spur=200,
+            mu_core=e1_mean(10.0, 200),
+            mu_spur=e1_mean(0.0, 200),
+            n_plus=16,
+            n_minus=4,
+            seed=1,
+        )
+        prims = compute_primitives(noise_stats(cfg), mode="direct")
+        t = prims.t
+        assert not t[0].any() and primitive_set_max_gap(prims, prims) == 0.0
+        tables = prims.tables.copy()
+        tables[_LAYOUT["t"]][0, 1, 2] = tables[_LAYOUT["t"]][1, 0, 2] = 1e-300
+        assert primitive_set_max_gap(prims, dataclasses.replace(prims, tables=tables)) == np.inf
+        for name in ("tables", "o", "det_a"):
+            nan = getattr(prims, name).copy()
+            nan.flat[-1] = np.nan
+            assert primitive_set_max_gap(prims, dataclasses.replace(prims, **{name: nan})) == np.inf, name
+
     def test_zero_for_identical_sets(self):
         cfg = ModelConfig(
             d_core=200,
