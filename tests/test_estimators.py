@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from grouprisk import estimators, model
 from grouprisk.estimators import (
@@ -272,6 +273,32 @@ class TestSpdSolve:
         mat = np.diag([1.0, -1.0])
         with pytest.raises(np.linalg.LinAlgError, match=r"^stage matrix \(cond ~"):
             estimators._spd_factor(mat, "stage matrix")
+
+
+    def test_an_ill_conditioned_solve_is_refined_once(self, monkeypatch):
+        # cond(hilbert(8)) ~ 1.5e10: the first solve misses the 1e-10
+        # residual target and one refinement step runs
+        n = 8
+        stats = GramStats(
+            y=np.array([1.0, -1.0] * (n // 2)),
+            a=np.ones(n),
+            gram_0=scipy.linalg.hilbert(n),
+            q_core=np.zeros(n),
+            q_spur=np.zeros(n),
+            mu_norms=(0.0, 0.0),
+        )
+        solves = []
+        real = estimators._spd_solve
+
+        def recording(factor, rhs):
+            solves.append(real(factor, rhs))
+            return solves[-1]
+
+        monkeypatch.setattr(estimators, "_spd_solve", recording)
+        sol = fit_ridge(stats, (1.0, 1.0), 0.0)
+        assert len(solves) == 2
+        first = np.linalg.norm(stats.y - stats.gram @ solves[0])
+        assert sol.info["solver_residual"] < first
 
 
 class TestFactorMemo:

@@ -281,7 +281,7 @@ class TestResolveTau:
             resolve_tau("d/0", cfg)
 
     @pytest.mark.parametrize(
-        "spec", [float("nan"), float("inf"), "d/nan", "d/inf", "half", "d/1e-320", [1.0]]
+        "spec", [float("nan"), float("inf"), "d/nan", "d/inf", "half", "d/1e-320", [1.0], "d/abc"]
     )
     def test_rejects_non_finite_and_non_numeric(self, spec):
         with pytest.raises(ValueError, match="tau"):

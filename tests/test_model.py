@@ -945,6 +945,13 @@ class TestSharedStream:
         with pytest.raises(TypeError, match="ModelConfig"):
             model.noise_stats_many([sample_dataset(coupled_config(4))])
 
+    def test_noise_stats_refuses_other_sources_and_a_wrong_q(self):
+        with pytest.raises(TypeError, match="expected Dataset or ModelConfig, got str"):
+            noise_stats("x")
+        ds = sample_dataset(coupled_config(4))
+        with pytest.raises(ValueError, match="must retain its n x d noise matrix Q"):
+            noise_stats(Dataset(y=ds.y, a=ds.a, Q=ds.Q[:, 1:], config=ds.config))
+
     def test_each_word_is_drawn_once(self, monkeypatch):
         # the caller walks to the end of the last half it streams, the
         # worker draws the largest config's second half: 2 * 12^3 + 14^3

@@ -166,6 +166,20 @@ class TestDecomposition:
         assert not stats._memo
 
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda stats: stats.update_factors(3),
+            lambda stats: stats.stage_gram(3),
+            lambda stats: det_and_adj(compute_primitives(stats), 3),
+        ],
+        ids=["update_factors", "stage_gram", "det_and_adj"],
+    )
+    def test_rejects_a_stage_out_of_range(self, call):
+        with pytest.raises(ValueError, match="stage k must be"):
+            call(noise_stats(make_config()))
+
+
 class TestInverseMemo:
     def test_arrays_read_only(self):
         stats = noise_stats(sample_dataset(make_config(seed=2)))
