@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelConfig, _coerce, signal_strengths
+from .risk import group_risk
 
 __all__ = [
     "BoundReport",
@@ -131,8 +132,6 @@ def consistency_check(
 def tightness_ratio(sol, config: ModelConfig) -> tuple[float | None, float | None]:
     """Empirical constants exponent_b(sol) / E_b for (b = +1, b = -1);
     None where E_b = 0."""
-    from .risk import group_risk
-
     return tuple(
         entry.exponent / e_b if e_b > 0.0 else None
         for entry, e_b in zip(group_risk(sol), bound_exponent(config))

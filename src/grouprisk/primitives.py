@@ -70,6 +70,7 @@ from scipy.linalg import LinAlgError
 from .bounds import _adjusted_counts
 from .estimators import _adjusted_targets, _spd_factor, _spd_solve, _weights, fit_ridge
 from .model import GramStats, ModelConfig, _coerce, _shown, bartlett_factor, e1_mean
+from .risk import group_risk
 
 __all__ = [
     "PrimitiveSet",
@@ -417,8 +418,6 @@ def risk_identity_check(prims: PrimitiveSet, sol) -> tuple[float, float]:
     The exponent (w_hat' mu_b)^2 / (2 |w_hat|^2) of the fitted `sol` must
     equal the same ratio of the order-2 primitive moments of `fit_moments`.
     """
-    from .risk import group_risk
-
     moments = fit_moments(prims)
     gaps = []
     for num, entry in zip(moments.w_dot_mu, group_risk(sol)):
