@@ -194,12 +194,10 @@ def _adj_a(m, s, t, h) -> np.ndarray:
 
 
 def _stage_map(p: np.ndarray, mu_norms, k: int):
-    """det(A_k) and the stage map E_k of the module docstring, from the
-    order-(k-1) table p (7x7, or a stack of them).  Its rows r_v, r_d are
-    the v and d rows of J_k adj(A_k) [m_k pa; pa; pb]' / det(A_k), read
-    off the 2x2 core K without the adjugate.  A point with
-    |det(A_k)| < DET_SINGULAR_TOL divides by 1 instead.
-    """
+    """det(A_k) and the stage map E_k of the module docstring from the
+    order-(k-1) table p, 7x7 or a stack; its rows are those of
+    J_k adj(A_k) [m_k pa; pa; pb]' / det(A_k), without the adjugate.  A
+    |det(A_k)| below DET_SINGULAR_TOL divides by 1 instead."""
     m_sq, s, t, h = _table_self_primitives(p, mu_norms, k)
     det = _det_a(m_sq, s, t, h)
     safe = np.where(abs(det) < DET_SINGULAR_TOL, 1.0, det)[..., None, None]
@@ -738,7 +736,8 @@ def primitive_set_max_gap(a: PrimitiveSet, b: PrimitiveSet) -> float:
 
     pairs = (
         (a.tables, b.tables, np.maximum(bound(a.tables), bound(b.tables))),
-        *((x, y, np.maximum(np.abs(x), np.abs(y))) for x, y in ((a.o, b.o), (a.det_a, b.det_a))),
+        (a.o, b.o, np.maximum(np.abs(a.o), np.abs(b.o))),
+        (a.det_a, b.det_a, np.maximum(np.abs(a.det_a), np.abs(b.det_a))),
     )
     gap = 0.0
     for x, y, scale in pairs:
@@ -763,9 +762,7 @@ def verify_primitives(
     C = I + R_k M_{k-1}^{-1} L_k, with M_{k-1}^{-1} L_k solved through a
     Cholesky factor (the residual C adj - det I over max|C| max|adj|, at
     most 1e-10), the bands of `verify_primitive_bounds` and the aux
-    inequalities.  Both gaps are scaled so that rounding passes at d = n,
-    where entries that vanish in exact arithmetic sit beside ones of
-    order n / tau.
+    inequalities.  Both scales let rounding pass at d = n.
     `passed`, the exit code of `verify-primitives`, covers the mode gap,
     the identities, the adjugate and the aux inequalities; the bands are
     reported in `bands_all_pass` and do not enter it, because they hold
