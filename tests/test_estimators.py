@@ -274,7 +274,6 @@ class TestSpdSolve:
         with pytest.raises(np.linalg.LinAlgError, match=r"^stage matrix \(cond ~"):
             estimators._spd_factor(mat, "stage matrix")
 
-
     def test_an_ill_conditioned_solve_is_refined_once(self, monkeypatch):
         # cond(hilbert(8)) ~ 1.5e10: the first solve misses the 1e-10
         # residual target and one refinement step runs

@@ -165,7 +165,6 @@ class TestDecomposition:
                 compute_primitives(stats, tau=tau, mode=mode)
         assert not stats._memo
 
-
     @pytest.mark.parametrize(
         "call",
         [
