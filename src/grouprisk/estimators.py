@@ -128,8 +128,11 @@ def _solve_gram(stats: GramStats, tau: float, z: np.ndarray):
 
 
 def _finish(c, stats, tau, method, info=None) -> DualSolution:
+    m_1, m_2 = stats.mu_norms
     w_norm_sq = float(c @ stats.gram @ c)
-    w_dot_mu = (float(c @ stats.x_mu_plus), float(c @ stats.x_mu_minus))
+    # w_hat' mu_b = c' X mu_b, with X mu_b = m_2^2 y + b m_1^2 a + d_2 + b d_1
+    w_dot_mu = tuple(float(c @ (m_2 * m_2 * stats.y + b * m_1 * m_1 * stats.a + stats.d_2 + b * stats.d_1))
+                     for b in (1, -1))
     return DualSolution(
         c=c,
         tau=float(tau),

@@ -671,16 +671,16 @@ class GramStats:
         G_k = G_{k-1} + L_k R_k,
         L_k = [m_k v_k, d_k, v_k],   R_k = [m_k v_k'; v_k'; d_k'].
 
-    d_1, d_2, `gram` (the symmetrized G_2), `x_mu_plus` and `x_mu_minus`
-    (X mu_{+1} and X mu_{-1}) are derived on first use.  Every array is
-    read-only, since memoized builds read them.  The instance holds no
-    tau: what depends on it is memoized per tau through `per_tau`, so every
-    weight, fit and primitive call that shares the instance and tau shares
-    it.  The builds are the factor of G + tau I (`estimators.fit_cmni`,
-    `estimators.fit_ridge`) and the order-0 solve of recursive primitives
-    (two 7x7 tables over gram_0, q_spur and q_core, from one factor of
-    gram_0 + tau I; they do not read the norms, so the recursion serves
-    any other means of the same draw).
+    d_1, d_2 and `gram` (the symmetrized G_2) are derived on first use;
+    the fitters form X mu_b from the labels and d_k (`estimators._finish`).
+    Every array is read-only, since memoized builds read them.  The
+    instance holds no tau: what depends on it is memoized per tau through
+    `per_tau`, so every weight, fit and primitive call that shares the
+    instance and tau shares it.  The builds are the factor of G + tau I
+    (`estimators.fit_cmni`, `estimators.fit_ridge`) and the order-0 solve
+    of recursive primitives (two 7x7 tables over gram_0, q_spur and
+    q_core, from one factor of gram_0 + tau I; they do not read the norms,
+    so the recursion serves any other means of the same draw).
     """
 
     y: np.ndarray
@@ -728,19 +728,6 @@ class GramStats:
     def gram(self) -> np.ndarray:
         g = self.stage_gram(2)
         return _read_only(0.5 * (g + g.T))
-
-    @functools.cached_property
-    def x_mu_plus(self) -> np.ndarray:
-        return self._x_mu(+1)
-
-    @functools.cached_property
-    def x_mu_minus(self) -> np.ndarray:
-        return self._x_mu(-1)
-
-    def _x_mu(self, b: int) -> np.ndarray:
-        """X mu_b = m_2^2 y + b m_1^2 a + d_2 + b d_1."""
-        m_1, m_2 = self.mu_norms
-        return _read_only(m_2 * m_2 * self.y + b * m_1 * m_1 * self.a + self.d_2 + b * self.d_1)
 
     def per_tau(self, build, tau: float):
         """build(self, tau), computed once per (build, tau) on this instance.

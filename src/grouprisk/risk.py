@@ -28,9 +28,9 @@ __all__ = [
 _SQRT2 = np.sqrt(2.0)
 ZERO_NORM = "estimator has zero norm; margin undefined"
 # Normals per chunk of `monte_carlo_risk`: one buffer of this many values
-# (and its boolean mask) is reused for every chunk, so its memory does not
-# grow with the draw count.  The rates do not depend on it: the normals
-# are drawn in order however they are chunked.
+# is reused for every chunk, so its memory does not grow with the draw
+# count.  The rates do not depend on it: the normals are drawn in order
+# however they are chunked.
 _MC_CHUNK = 1 << 20
 
 
@@ -109,21 +109,21 @@ def monte_carlo_risk(sol, config: ModelConfig, m: int):
     For x drawn from group b with label y, the classification margin is
     y w_hat' x = w_hat' mu_b + y w_hat' z, and y w_hat' z / |w_hat| is a
     standard normal whatever y is, so the label marginalizes out exactly
-    and one scalar Gaussian per sample suffices.  Group b draws on the
+    and one scalar Gaussian per sample suffices: a draw z errs when
+    z < -margin, which for finite doubles is exactly when fl(z + margin)
+    < 0 (their exact sum, a multiple of 2^-1074, rounds to zero only when
+    it is zero, and rounding keeps its sign).  Group b draws on the
     STREAM_MC substream 0 (b = +1) or 1 (b = -1) of config.seed.
     """
     m = _coerce("m", m)
     g = np.empty(min(m, _MC_CHUNK))
-    wrong = np.empty(g.size, dtype=bool)
     out = []
     for substream, entry in enumerate(group_risk(sol)):
         rng = philox_generator(substream_seed(config.seed, substream), STREAM_MC)
         errors = 0
         for start in range(0, m, g.size):
-            k = min(g.size, m - start)
-            chunk = rng.standard_normal(out=g[:k])
-            chunk += entry.margin
-            errors += int(np.count_nonzero(np.less(chunk, 0.0, out=wrong[:k])))
+            draws = rng.standard_normal(out=g[: min(g.size, m - start)])
+            errors += int(np.count_nonzero(draws < -entry.margin))
         rate = errors / m
         out.append((rate, float(np.sqrt(rate * (1.0 - rate) / m))))
     return tuple(out)

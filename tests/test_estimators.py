@@ -51,7 +51,8 @@ class TestAccumulateGram:
         stats = noise_stats(ds)
         np.testing.assert_allclose(stats.gram, ds.X @ ds.X.T, rtol=1e-12)
         mu_bar_c, mu_bar_s = dense_means(ds.config)
-        np.testing.assert_allclose(stats.x_mu_plus, ds.X @ (mu_bar_c + mu_bar_s), rtol=1e-12)
+        sol = fit_cmni(stats, ds.config.deltas)
+        np.testing.assert_allclose(sol.w_dot_mu[0], (ds.X.T @ sol.c) @ (mu_bar_c + mu_bar_s), rtol=1e-12)
         np.testing.assert_allclose(stats.d_1, ds.Q @ mu_bar_s, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(stats.d_2, ds.Q @ mu_bar_c, rtol=1e-12, atol=1e-12)
 
@@ -74,19 +75,20 @@ class TestAccumulateGram:
         np.testing.assert_array_equal(stats.gram, stats.gram.T)
 
     def test_x_mu_decomposition_identity(self):
-        # X mu_b = |mu_c|^2 y + b |mu_s|^2 a + d_2 + b d_1, against dense X mu_b
+        # w_hat' mu_b = c' X mu_b with X mu_b = |mu_c|^2 y + b |mu_s|^2 a + d_2 + b d_1,
+        # against the dense c' (X mu_b) and (X' c) . mu_b
         cfg = make_config(seed=5)
         ds = sample_dataset(cfg)
-        stats = noise_stats(ds)
+        sol = fit_cmni(noise_stats(ds), cfg.deltas)
         mu_bar_c, mu_bar_s = dense_means(cfg)
         d_1, d_2 = ds.Q @ mu_bar_s, ds.Q @ mu_bar_c
         nc2 = float(cfg.mu_core @ cfg.mu_core)
         ns2 = float(cfg.mu_spur @ cfg.mu_spur)
-        for b in (+1, -1):
+        w = ds.X.T @ sol.c
+        for b, direct in zip((+1, -1), sol.w_dot_mu):
             via_parts = nc2 * ds.y + b * ns2 * ds.a + d_2 + b * d_1
-            direct = stats.x_mu_plus if b == 1 else stats.x_mu_minus
-            np.testing.assert_allclose(via_parts, direct, rtol=1e-10)
-            np.testing.assert_allclose(ds.X @ (mu_bar_c + b * mu_bar_s), direct, rtol=1e-10)
+            np.testing.assert_allclose(sol.c @ via_parts, direct, rtol=1e-10)
+            np.testing.assert_allclose(w @ (mu_bar_c + b * mu_bar_s), direct, rtol=1e-10)
 
 
 class TestClosedFormSolutions:
@@ -355,6 +357,6 @@ class TestFactorMemo:
 
     def test_arrays_are_read_only(self):
         stats = noise_stats(make_config())
-        for name in ("gram", "x_mu_plus", "x_mu_minus", "d_1", "d_2"):
+        for name in ("gram", "d_1", "d_2"):
             with pytest.raises(ValueError):
                 getattr(stats, name)[0] = 1.0

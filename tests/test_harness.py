@@ -314,7 +314,8 @@ class TestNoiseStats:
         ds = sample_dataset(cfg)
         np.testing.assert_allclose(via_noise.gram, ds.X @ ds.X.T, rtol=1e-10)
         mu_bar_c, mu_bar_s = dense_means(cfg)
-        np.testing.assert_allclose(via_noise.x_mu_plus, ds.X @ (mu_bar_c + mu_bar_s), rtol=1e-10)
+        sol = fit_cmni(via_noise, cfg.deltas)
+        np.testing.assert_allclose(sol.w_dot_mu[0], (ds.X.T @ sol.c) @ (mu_bar_c + mu_bar_s), rtol=1e-10)
         np.testing.assert_allclose(
             via_noise.d_1, ds.Q[:, cfg.d_core :] @ cfg.mu_spur, rtol=1e-10, atol=1e-12
         )

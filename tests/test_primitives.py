@@ -182,7 +182,7 @@ class TestDecomposition:
 class TestInverseMemo:
     def test_arrays_read_only(self):
         stats = noise_stats(sample_dataset(make_config(seed=2)))
-        for name in ("y", "a", "d_1", "d_2", "gram_0", "gram", "x_mu_plus", "x_mu_minus"):
+        for name in ("y", "a", "d_1", "d_2", "gram_0", "gram"):
             with pytest.raises(ValueError):
                 getattr(stats, name)[0] = 0.0
 
