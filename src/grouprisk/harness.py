@@ -36,9 +36,9 @@ stack: the risk identity (`primitives.fit_moments`) gives |w_hat|^2 and
 w_hat' mu_b of each fit, so no fitter runs in a sweep, and `fit_cmni`
 and `fit_ridge` remain the per-point reference.  A row whose solve,
 recursion or fit fails (a refused Cholesky, a singular det(A_k), a fit
-of zero norm) is skipped alone, with the reason and in the order a
-per-point run would give; a failure of the trial's recursion itself
-skips each of its rows with that reason.
+whose |w_hat|^2 is below the smallest normal float) is skipped alone,
+with the reason and in the order a per-point run would give; a failure
+of the trial's recursion itself skips each of its rows with that reason.
 
 A trial's outputs are one float array over its rows, its columns the
 per-trial outputs in `SweepRow` column order, with a tightness NaN where
@@ -79,7 +79,7 @@ from .model import (
     substream_seed,
 )
 from .primitives import _band_check, _fit_moments, _order0_solve, _recursive_primitives, _singular
-from .risk import ZERO_NORM, _group_risks, _worst_and_average
+from .risk import _NORM_SQ_FLOOR, _group_risks, _unresolved, _worst_and_average
 
 __all__ = [
     "SweepAxis",
@@ -374,13 +374,15 @@ def _trial_outputs(solved, cfgs, e_pairs):
     sizes and weights of cfgs[i], and e_pairs[i] its (E_+, E_-).  Returns
     a (rows, outputs) array, the per-trial outputs in `SweepRow` column
     order with a tightness NaN where its E_b = 0, and per row None or the
-    reason it failed (a singular det(A_k) or a fit of zero norm)."""
+    reason it failed (a singular det(A_k) or a fit whose |w_hat|^2 is not
+    a normal float, `risk.group_risk`'s refusal)."""
     tables, squares, taus = (np.array(column) for column in zip(*solved))
     norms = np.array([_mean_norms(c) for c in cfgs])
     prims = _recursive_primitives(tables, squares, norms, taus, np.array([c.deltas for c in cfgs]))
     w_norm_sq, w_dot_mu = _fit_moments(prims)
-    fits = w_norm_sq > 0.0
-    failures = [_singular(det_a) or (None if fit else ZERO_NORM) for det_a, fit in zip(prims.det_a, fits)]
+    fits = w_norm_sq >= _NORM_SQ_FLOOR
+    failures = [_singular(det_a) or (None if fit else _unresolved(norm_sq))
+                for det_a, fit, norm_sq in zip(prims.det_a, fits, w_norm_sq)]
     _, exponent, risk = _group_risks(np.where(fits, w_norm_sq, 1.0), w_dot_mu)
     sizes = np.array([(c.n_plus, c.n_minus, c.d) for c in cfgs])
     worst, average = _worst_and_average(risk[:, 0], risk[:, 1], sizes[:, 0], sizes[:, 1])

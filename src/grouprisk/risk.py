@@ -26,7 +26,9 @@ __all__ = [
 ]
 
 _SQRT2 = np.sqrt(2.0)
-ZERO_NORM = "estimator has zero norm; margin undefined"
+# |w_hat|^2 below the smallest normal float has lost digits to underflow
+# (or is 0.0 while w_hat' mu_b is not), so its margins are refused
+_NORM_SQ_FLOOR = np.finfo(np.float64).tiny
 # Normals per chunk of `monte_carlo_risk`: one buffer of this many values
 # is reused for every chunk, so its memory does not grow with the draw
 # count.  The rates do not depend on it: the normals are drawn in order
@@ -74,18 +76,25 @@ def group_risk(sol) -> tuple[GroupRiskEntry, GroupRiskEntry]:
     """Exact risks (b = +1, b = -1): Q(w_hat' mu_b / |w_hat|) from dual statistics.
 
     sol is anything carrying w_norm_sq and w_dot_mu: a DualSolution, or the
-    `primitives.FitMoments` of one point's primitives.
+    `primitives.FitMoments` of one point's primitives.  ValueError
+    (`_unresolved`) unless w_norm_sq is at least `_NORM_SQ_FLOOR`.
     """
-    if not sol.w_norm_sq > 0.0:
-        raise ValueError(ZERO_NORM)
+    if not sol.w_norm_sq >= _NORM_SQ_FLOOR:
+        raise ValueError(_unresolved(sol.w_norm_sq))
     margin, exponent, risk = _group_risks(np.float64(sol.w_norm_sq), np.asarray(sol.w_dot_mu, dtype=np.float64))
     return tuple(GroupRiskEntry(*map(float, entry)) for entry in zip(margin, exponent, risk))
 
 
+def _unresolved(w_norm_sq) -> str:
+    """Why a fit of this |w_hat|^2 has no margins."""
+    return (f"estimator |w_hat|^2 = {w_norm_sq:.3e} is below the smallest normal float "
+            f"{_NORM_SQ_FLOOR:.3e}: its margins are not resolved in floating point")
+
+
 def _group_risks(w_norm_sq, w_dot_mu):
     """`group_risk` as arrays over a stack of fits: w_norm_sq of shape (...),
-    all positive, and w_dot_mu of shape (..., 2) give the (..., 2) margins,
-    exponents and risks."""
+    all positive and normal, and w_dot_mu of shape (..., 2) give the
+    (..., 2) margins, exponents and risks."""
     margin = w_dot_mu / np.sqrt(w_norm_sq)[..., None]
     return margin, 0.5 * margin * margin, q_function(margin)
 

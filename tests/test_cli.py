@@ -388,6 +388,23 @@ class TestRiskAndBounds:
         doc = json.loads(stdout)
         assert "mc_risk_plus" in doc
 
+    def test_a_normal_norm_at_a_huge_ridge_keeps_its_margin(self, capsys):
+        # |w_hat|^2 = 2.28e-307 at tau = 1e155 is still a normal float
+        margins = []
+        for tau in ("1e140", "1e155"):
+            code, stdout, _ = run(["risk", "-n", "10", "-d", "100", "--method", "ridge", "--tau", tau], capsys)
+            assert code == 0
+            margins.append(json.loads(stdout)["margin_plus"])
+        np.testing.assert_allclose(margins[1], margins[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("tau", ["1e160", "1e200"])
+    def test_an_unresolved_norm_exits_2(self, tau, capsys):
+        # |w_hat|^2 is subnormal at 1e160 (7 digits lost) and 0.0 at 1e200
+        code, stdout, err = run(["risk", "-n", "10", "-d", "100", "--method", "ridge", "--tau", tau], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert "below the smallest normal float 2.225e-308: its margins are not resolved in floating point" in err
+
     @pytest.mark.parametrize("draws", ["0", "-5"])
     def test_mc_draws_below_one_exits_before_any_stream(self, draws, no_stream, capsys):
         code, stdout, err = run(["risk", "-n", "20", "-d", "400", "--mc-draws", draws], capsys)

@@ -682,8 +682,8 @@ class TestSkipFidelity:
 
     def test_singular_det_and_zero_norm_inside_a_delta_minus_batch(self, monkeypatch, tmp_path, capsys):
         # det(A_k) does not depend on the weights: a tolerance between the
-        # taus' dets fails one method at every point; a zero-norm fit is
-        # forced at one weight of the batch, which a per-point run reads too
+        # taus' dets fails one method at every point; a subnormal |w_hat|^2
+        # is forced at one weight of the batch, which a per-point run reads too
         spec = self.spec(SweepAxis("delta_minus", (0.5, 0.25, 0.1, 0.05)))
         cfg = spec.base.with_updates(seed=substream_seed(spec.base.seed, 0))
         stats = noise_stats(cfg)
@@ -692,15 +692,17 @@ class TestSkipFidelity:
         monkeypatch.setattr(primitives, "DET_SINGULAR_TOL", (dets[0] + dets[1]) / 2)
         real = primitives._fit_moments
 
-        def zero_at_quarter(prims):
+        def subnormal_at_quarter(prims):
             w_norm_sq, w_dot_mu = real(prims)
             minus = np.reshape(prims.delta, (-1, 2))[:, 1].reshape(np.shape(w_norm_sq))
-            return np.where(minus == 0.25, 0.0, w_norm_sq), w_dot_mu
+            return np.where(minus == 0.25, 1e-310, w_norm_sq), w_dot_mu
 
         for module in (primitives, harness):
-            monkeypatch.setattr(module, "_fit_moments", zero_at_quarter)
+            monkeypatch.setattr(module, "_fit_moments", subnormal_at_quarter)
         self.check(spec, tmp_path, capsys)
-        assert {s["reason"] for s in per_point_run(spec)[0]} >= {"estimator has zero norm; margin undefined"}
+        assert {s["reason"] for s in per_point_run(spec)[0]} >= {
+            "estimator |w_hat|^2 = 1.000e-310 is below the smallest normal float 2.225e-308: "
+            "its margins are not resolved in floating point"}
 
     def test_failed_order0_solve_skips_its_tau(self, monkeypatch, tmp_path, capsys):
         spec = self.spec(SweepAxis("delta_minus", (0.5, 0.25, 0.1)))
