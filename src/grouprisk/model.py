@@ -120,16 +120,12 @@ def substream_seed(seed: int, trial: int) -> int:
     return (int(seed) ^ int(trial)) & _MASK64
 
 
-def _philox(seed: int, stream: int) -> np.random.Philox:
+def philox_generator(seed: int, stream: int) -> np.random.Generator:
+    """Generator on the independent Philox stream keyed by (seed, stream)."""
     # an explicit uint64 key: a plain list above 2^63 is cast through a
     # float and collapses distinct seeds onto one key
     key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
-    return np.random.Philox(key=key)
-
-
-def philox_generator(seed: int, stream: int) -> np.random.Generator:
-    """Generator on the independent Philox stream keyed by (seed, stream)."""
-    return np.random.Generator(_philox(seed, stream))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 class _Kind(NamedTuple):
@@ -249,7 +245,7 @@ def _freeze_arrays(obj) -> None:
     for f in fields(obj):
         value = getattr(obj, f.name)
         if isinstance(value, np.ndarray):
-            value.setflags(write=False)
+            _read_only(value)
 
 
 def _scale(name: str, block: str, length: int, mu) -> float:

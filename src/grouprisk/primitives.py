@@ -69,7 +69,7 @@ from scipy.linalg import LinAlgError
 
 from .bounds import _adjusted_counts
 from .estimators import _adjusted_targets, _spd_factor, _spd_solve, _weights, fit_ridge
-from .model import GramStats, ModelConfig, _coerce, _shown, bartlett_factor, e1_mean
+from .model import GramStats, ModelConfig, _coerce, _freeze_arrays, _read_only, _shown, bartlett_factor, e1_mean
 from .risk import group_risk
 
 __all__ = [
@@ -120,10 +120,7 @@ def _order0_solve(stats: GramStats, tau: float) -> tuple[np.ndarray, np.ndarray]
     over the norm-free basis B of `_basis`."""
     basis = _basis(stats)
     solved = _spd_solve(_stage_factor(stats.gram_0 + tau * np.eye(stats.n)), basis)
-    table, squared = _symmetric(basis.T @ solved), _symmetric(solved.T @ solved)
-    for arr in (table, squared):
-        arr.setflags(write=False)
-    return table, squared
+    return _read_only(_symmetric(basis.T @ solved)), _read_only(_symmetric(solved.T @ solved))
 
 
 def _identities(batch: tuple) -> np.ndarray:
@@ -233,10 +230,10 @@ class PrimitiveSet:
     tables[:, :, k] holds x' M_k^{-1} y for every pair of the seven probe
     vectors, in slot order v_1 v_2 d_1 d_2 u w_1 w_2 (u = e_1, and
     w_i = D^{-1} v_i with D the diagonal adjustment matrix,
-    D_jj = Delta_{b_j}).  It is the one stored form and is read-only; each
-    name in `_LAYOUT` is a view of it, indexed [i, j, k] (or [i, k], [k]
-    where a probe is u), with i, j the 0-based directions 1, 2 and k the
-    order.  Besides the tables:
+    D_jj = Delta_{b_j}).  It is the one stored form, and each name in
+    `_LAYOUT` is a view of it, indexed [i, j, k] (or [i, k], [k] where a
+    probe is u), with i, j the 0-based directions 1, 2 and k the order.
+    Besides the tables:
 
         o[i, k]    = w_{i+1}' M_k^{-1} G_k M_k^{-1} w_{i+1}
         det_a[k-1] = det(A_k) for k in {1, 2}.
@@ -244,6 +241,7 @@ class PrimitiveSet:
     The set of a stack of k rows (`_recursive_primitives`) has a leading
     axis of length k on tables, o, det_a and every view, and its mu_norms,
     tau and delta are the (k, 2), (k,) and (k, 2) arrays of the rows.
+    Every array field is read-only.
     """
 
     tables: np.ndarray
@@ -254,7 +252,7 @@ class PrimitiveSet:
     delta: tuple[float, float]
 
     def __post_init__(self):
-        self.tables.setflags(write=False)
+        _freeze_arrays(self)
         for name, (rows, cols) in _LAYOUT.items():
             object.__setattr__(self, name, self.tables[..., rows, cols, :])
 

@@ -460,6 +460,9 @@ class TestPrimitiveValues:
             assert not view.flags.writeable, name
             with pytest.raises(ValueError):
                 view.flat[0] = 0.0
+        for arr in (prims.o, prims.det_a):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0.0
 
 
 class TestRiskIdentity:
