@@ -128,6 +128,49 @@ class TestMonteCarlo:
             expected.append((rate, float(np.sqrt(rate * (1.0 - rate) / m))))
         assert monte_carlo_risk(sol, cfg, m=m) == tuple(expected)
 
+    def test_comparing_with_minus_margin_is_the_sign_of_the_sum(self):
+        # z < -m counts the draws fl(z + m) < 0 does, pair by pair
+        tiny = 5e-324
+        sub = np.array([tiny, -tiny, 3 * tiny, -2.5e-310, 1e-310])
+        grid = np.linspace(-40.0, 40.0, 161)
+        margins = np.concatenate([[0.0, 1e-300, 1.0, 2.5, 40.0, 1e16, 1e77], -np.logspace(-300, 77, 12)])
+        z, m = (np.concatenate(parts) for parts in zip(
+            (grid, -grid),  # z = -m exactly
+            (np.array([0.0, 0.0, -0.0, -0.0]), np.array([0.0, -0.0, 0.0, -0.0])),
+            (sub, np.nextafter(-sub, np.inf)),
+            (sub, np.nextafter(-sub, -np.inf)),
+            (np.repeat(grid, margins.size), np.tile(margins, grid.size)),
+            (np.repeat(grid, margins.size), np.tile(-margins, grid.size)),
+            (grid, np.nextafter(-grid, np.inf)),
+            (grid, np.nextafter(-grid, -np.inf)),
+        ))
+        np.testing.assert_array_equal(z < -m, (z + m) < 0.0)
+        assert 0 < np.count_nonzero(z < -m) < z.size
+
+    @pytest.mark.parametrize("chunk", [4096, None], ids=["4096", "default"])
+    def test_rates_match_the_add_and_mask_loop(self, chunk, monkeypatch):
+        # the loop that added the margin into each chunk in place and
+        # counted a boolean mask of the sums below zero
+        if chunk is not None:
+            monkeypatch.setattr(risk, "_MC_CHUNK", chunk)
+        cfg = make_config(mu_core=e1_mean(3.0, 200), mu_spur=e1_mean(1.0, 200), seed=7)
+        sol = fitted(cfg)
+        m = 3 * risk._MC_CHUNK // 2 + 1
+        g = np.empty(min(m, risk._MC_CHUNK))
+        wrong = np.empty(g.size, dtype=bool)
+        expected = []
+        for substream, entry in enumerate(group_risk(sol)):
+            rng = philox_generator(substream_seed(cfg.seed, substream), STREAM_MC)
+            errors = 0
+            for start in range(0, m, g.size):
+                k = min(g.size, m - start)
+                sums = rng.standard_normal(out=g[:k])
+                sums += entry.margin
+                errors += int(np.count_nonzero(np.less(sums, 0.0, out=wrong[:k])))
+            rate = errors / m
+            expected.append((rate, float(np.sqrt(rate * (1.0 - rate) / m))))
+        assert monte_carlo_risk(sol, cfg, m=m) == tuple(expected)
+
     def test_rejects_bad_draw_count(self):
         cfg = make_config()
         sol = fitted(cfg)
