@@ -514,8 +514,8 @@ def wishart_coverage(
 class BandRow(NamedTuple):
     """One normalized primitive against its acceptance band.
 
-    A named tuple: a report builds about a hundred rows per sweep point,
-    and a tuple costs a fraction of a frozen dataclass to construct."""
+    A named tuple: `verify_primitive_bounds` builds one per row of its one
+    point, and a sweep builds none (it reads `_band_check`'s arrays)."""
 
     name: str
     k: int
@@ -545,27 +545,31 @@ class BandReport:
     def failures(self):
         return [r for r in self.rows if not r.passed]
 
-    def to_dict(self) -> dict:
-        return {"all_pass": self.all_pass, "rows": [r.to_dict() for r in self.rows]}
 
-
-# The report's rows, as (name, k, two-sided): at each order k the (i, j)
-# pair rows, s_uu, then the per-i u rows; last det(A_1) and det(A_2).
-# Diagonal pairs and sign-definite primitives are two-sided.
-_PAIR_BANDS = (("s_{i}{j}", True), ("t_{i}{j}", True), ("h_{i}{j}", False),
-               ("s_{i}d_{j}", True), ("s_{i}d_{j}d", True), ("h_{i}_{j}d", False))
-_U_BANDS = (("s_u{i}", False), ("h_{i}u", False), ("o_{i}d", True))
-_ORDER_BANDS = (
-    *((f.format(i=i, j=j), diag and i == j) for i in (1, 2) for j in (1, 2) for f, diag in _PAIR_BANDS),
-    ("s_uu", True),
-    *((f.format(i=i), diag) for i in (1, 2) for f, diag in _U_BANDS),
+# Each primitive's positions in an order's 7x7 table flattened to 49
+# values, indexed as its view is; o_i sits past the table, at 49 + i.
+_SLOTS = {**_LAYOUT, "o": (7, _V)}
+_POSITIONS = {name: np.arange(56).reshape(8, 7)[slots].tolist() for name, slots in _SLOTS.items()}
+# The report's rows, as (name, k, two-sided, entry): at each order k the
+# (i, j) pair rows, s_uu, then the per-i u rows, each at its position;
+# last det(A_1) and det(A_2).  Diagonal pairs and sign-definite
+# primitives are two-sided.
+_PAIR_ROWS = (("s_{i}{j}", "s", True), ("t_{i}{j}", "t", True), ("h_{i}{j}", "h", False),
+              ("s_{i}d_{j}", "s_id_j", True), ("s_{i}d_{j}d", "s_id_jd", True), ("h_{i}_{j}d", "h_i_jd", False))
+_ORDER_ROWS = (
+    *((f.format(i=i + 1, j=j + 1), diag and i == j, _POSITIONS[p][i][j])
+      for i in (0, 1) for j in (0, 1) for f, p, diag in _PAIR_ROWS),
+    ("s_uu", True, _POSITIONS["s_uu"]),
+    *((f.format(i=i + 1), two_sided, _POSITIONS[p][i]) for i in (0, 1)
+      for f, p, two_sided in (("s_u{i}", "s_ui", False), ("h_{i}u", "h_iu", False), ("o_{i}d", "o", True))),
 )
 _BAND_ROWS = (
-    *((name, k, two_sided) for k in range(3) for name, two_sided in _ORDER_BANDS),
-    ("det_a_1", 1, True),
-    ("det_a_2", 2, True),
+    *((name, k, two_sided, entry) for k in range(3) for name, two_sided, entry in _ORDER_ROWS),
+    ("det_a_1", 1, True, None),
+    ("det_a_2", 2, True, None),
 )
-_BAND_TWO_SIDED = np.array([two_sided for _, _, two_sided in _BAND_ROWS])
+_BAND_TWO_SIDED = np.array([two_sided for _, _, two_sided, _ in _BAND_ROWS])
+_BAND_K, _BAND_ENTRY = np.array([(k, entry) for _, k, _, entry in _BAND_ROWS[:-2]]).T
 
 
 def verify_primitive_bounds(
@@ -593,7 +597,7 @@ def verify_primitive_bounds(
     limits = ((-hi, hi), (lo, hi))
     rows = tuple(
         BandRow(name, k, value, norm, *((0.0, 0.0) if z else limits[two_sided]), ok)
-        for (name, k, two_sided), value, norm, z, ok in zip(
+        for (name, k, two_sided, _), value, norm, z, ok in zip(
             _BAND_ROWS, values.tolist(), normalized.tolist(), zero.tolist(), passed.tolist()
         )
     )
@@ -612,40 +616,24 @@ def _band_check(prims: PrimitiveSet, sizes, band: tuple[float, float] = (0.5, 2.
     dt = d + np.asarray(prims.tau, dtype=np.float64)[..., None, None]
     m = np.asarray(prims.mu_norms, dtype=np.float64)
     m_i, m_j = m[..., :, None], m[..., None, :]
-
-    def flat(arr):
-        return np.reshape(arr, batch + (-1,))
-
     counts = _adjusted_counts(sizes[:, 0], sizes[:, 1], np.reshape(prims.delta, (-1, 2)).T)
     n_delta, n_mixed = (np.reshape(c, batch + (1, 1)) for c in counts)
 
-    # rates (the same at every order) and values of each order's rows
-    pair_rates = np.empty(batch + (2, 2, len(_PAIR_BANDS)))
-    pair_rates[..., 0] = n / dt
-    pair_rates[..., 1] = n * m_i * m_j / dt
-    pair_rates[..., 2] = n * m_i / dt
-    pair_rates[..., 3] = n_mixed / dt
-    pair_rates[..., 4] = n_delta / dt
-    pair_rates[..., 5] = np.sqrt(n * n_delta) * m_i / dt
-    u_rates = np.empty(batch + (2, len(_U_BANDS)))
-    n, d, dt = n[..., 0], d[..., 0], dt[..., 0]
-    u_rates[..., 0] = np.sqrt(n) / dt
-    u_rates[..., 1] = np.sqrt(n) * m / dt
-    u_rates[..., 2] = n_delta[..., 0] * d / dt**2
-    rates = np.concatenate([flat(pair_rates), 1.0 / dt, flat(u_rates)], axis=-1)
-    pair_values = np.empty(batch + (2, 2, len(_PAIR_BANDS), 3))
-    for slot, prim in enumerate((prims.s, prims.t, prims.h, prims.s_id_j, prims.s_id_jd, prims.h_i_jd)):
-        pair_values[..., slot, :] = prim
-    u_values = np.empty(batch + (2, len(_U_BANDS), 3))
-    for slot, prim in enumerate((prims.s_ui, prims.h_iu, prims.o)):
-        u_values[..., slot, :] = prim
-    values = np.concatenate(
-        [np.reshape(pair_values, batch + (-1, 3)), prims.s_uu[..., None, :], np.reshape(u_values, batch + (-1, 3))],
-        axis=-2,
+    # each rate, the same at every order, at its primitive's `_SLOTS` block
+    by_name = {
+        "s": n / dt, "t": n * m_i * m_j / dt, "h": n * m_i / dt,
+        "s_uu": 1.0 / dt, "s_ui": np.sqrt(n) / dt, "h_iu": np.sqrt(n) * m_i / dt,
+        "s_id_j": n_mixed / dt, "s_id_jd": n_delta / dt, "h_i_jd": np.sqrt(n * n_delta) * m_i / dt,
+        "o": n_delta * d / dt**2,
+    }
+    rates = np.empty(batch + (8, 7))
+    for name, slots in _SLOTS.items():
+        rates[(..., *(slice(s, s + 1) if isinstance(s, int) else s for s in slots))] = by_name[name]
+    table = np.concatenate(
+        [np.reshape(np.moveaxis(prims.tables, -1, -3), batch + (3, 49)), np.swapaxes(prims.o, -1, -2)], axis=-1
     )
-    # in `_BAND_ROWS` order
-    values = np.concatenate([flat(np.swapaxes(values, -1, -2)), prims.det_a], axis=-1)
-    rates = np.concatenate([np.tile(rates, 3), np.ones(batch + (2,))], axis=-1)
+    values = np.concatenate([table[..., _BAND_K, _BAND_ENTRY], prims.det_a], axis=-1)
+    rates = np.concatenate([np.reshape(rates, batch + (56,))[..., _BAND_ENTRY], np.ones(batch + (2,))], axis=-1)
 
     # a zero rate means a zero mean direction: the primitive must vanish
     zero = rates == 0.0
