@@ -624,7 +624,7 @@ def _band_check(prims: PrimitiveSet, sizes, band: tuple[float, float] = (0.5, 2.
         "s": n / dt, "t": n * m_i * m_j / dt, "h": n * m_i / dt,
         "s_uu": 1.0 / dt, "s_ui": np.sqrt(n) / dt, "h_iu": np.sqrt(n) * m_i / dt,
         "s_id_j": n_mixed / dt, "s_id_jd": n_delta / dt, "h_i_jd": np.sqrt(n * n_delta) * m_i / dt,
-        "o": n_delta * d / dt**2,
+        "o": n_delta * d / dt / dt,
     }
     rates = np.empty(batch + (8, 7))
     for name, slots in _SLOTS.items():

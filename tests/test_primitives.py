@@ -5,6 +5,8 @@ inverted stage matrices with plain numpy, independently of the library's
 solve and update paths.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -683,7 +685,7 @@ def reference_band_rows(prims, config, band, cross_band):
         for i in range(2):
             add(f"s_u{i + 1}", k, prims.s_ui[i, k], np.sqrt(n) / dt, False)
             add(f"h_{i + 1}u", k, prims.h_iu[i, k], np.sqrt(n) * m[i] / dt, False)
-            add(f"o_{i + 1}d", k, prims.o[i, k], n_delta * d / dt**2, True)
+            add(f"o_{i + 1}d", k, prims.o[i, k], n_delta * d / dt / dt, True)
     for k in (1, 2):
         add(f"det_a_{k}", k, prims.det_a[k - 1], 1.0, True)
     return rows
@@ -765,6 +767,21 @@ class TestBands:
         report = verify_primitive_bounds(prims, cfg)
         zero_rows = [r for r in report.rows if r.name.startswith(("t_1", "h_1"))]
         assert zero_rows and all(r.passed and r.value == 0.0 for r in zero_rows)
+
+    @pytest.mark.parametrize("tau", [1e160, 1e200])
+    def test_the_rate_of_o_does_not_overflow_at_a_huge_tau(self, tau):
+        # (d + tau)^2 overflows past d + tau = 1.34e154; the rate, read as
+        # n_delta d / (d + tau) / (d + tau), stays positive at 1e160 and
+        # underflows to 0 at 1e200, with no warning at either
+        cfg = make_config(delta_plus=0.9, delta_minus=0.3)
+        prims = compute_primitives(noise_stats(cfg), tau=tau, delta=cfg.deltas, mode="direct")
+        o_rows = [r for r, (name, *_) in enumerate(primitives._BAND_ROWS) if name.startswith("o_")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, normalized, zero, _ = primitives._band_check(prims, (cfg.n_plus, cfg.n_minus, cfg.d))
+        assert len(o_rows) == 6
+        assert zero[o_rows].tolist() == [tau > 1e180] * 6
+        assert np.isfinite(normalized).all()
 
     def test_report_serializes(self):
         cfg = self.deep_config(seed=2)
