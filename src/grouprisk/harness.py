@@ -78,7 +78,7 @@ from .model import (
     noise_stats_many,
     substream_seed,
 )
-from .primitives import _band_check, _fit_moments, _order0_solve, _recursive_primitives, _singular
+from .primitives import _band_check, _cancelled, _fit_moments, _order0_solve, _recursive_primitives, _singular
 from .risk import _NORM_SQ_FLOOR, _group_risks, _unresolved, _worst_and_average
 
 __all__ = [
@@ -381,8 +381,9 @@ def _trial_outputs(solved, cfgs, e_pairs):
     prims = _recursive_primitives(tables, squares, norms, taus, np.array([c.deltas for c in cfgs]))
     w_norm_sq, w_dot_mu = _fit_moments(prims)
     fits = w_norm_sq >= _NORM_SQ_FLOOR
-    failures = [_singular(det_a) or (None if fit else _unresolved(norm_sq))
-                for det_a, fit, norm_sq in zip(prims.det_a, fits, w_norm_sq)]
+    failures = [_singular(det_a) or _cancelled(o, s_id_jd, tau) or (None if fit else _unresolved(norm_sq))
+                for det_a, o, s_id_jd, tau, fit, norm_sq
+                in zip(prims.det_a, prims.o, prims.s_id_jd, taus, fits, w_norm_sq)]
     _, exponent, risk = _group_risks(np.where(fits, w_norm_sq, 1.0), w_dot_mu)
     sizes = np.array([(c.n_plus, c.n_minus, c.d) for c in cfgs])
     worst, average = _worst_and_average(risk[:, 0], risk[:, 1], sizes[:, 0], sizes[:, 1])

@@ -92,6 +92,12 @@ __all__ = [
 ]
 
 DET_SINGULAR_TOL = 1e-12
+# The recursion reads o = s_id_jd - tau diag(S), with a relative error of
+# about c eps s_id_jd / o (c <= 4, measured for n = 10 to 200 and tau up
+# to 1e14), and tau diag(S) is known to no better than tau 2^-1074 once
+# diag(S) underflows.  Past this ratio of either term to o, half of a
+# double's 53 bits have cancelled and `_cancelled` refuses the point.
+_O_CANCEL_RATIO = 2.0**26
 
 # Vector slots shared by both primitive modes.
 _V1, _V2, _D1, _D2, _U, _W1, _W2 = range(7)
@@ -174,6 +180,21 @@ def _singular(det_a) -> str | None:
     for k, det in enumerate(det_a, 1):
         if abs(det) < DET_SINGULAR_TOL:
             return f"rank-3 update singular: det(A_{k}) = {det:.3e}"
+    return None
+
+
+def _cancelled(o, s_id_jd, tau) -> str | None:
+    """Why one point's recursive o fails: the first (k, i) whose o_{i}d at
+    order k is not positive or is below max(s_{i}d_{i}d, tau tiny) /
+    _O_CANCEL_RATIO, as the LinAlgError text, or None.  tau tiny / 2^26 is
+    2^26 times tau 2^-1074, the error of an underflowed tau diag(S)."""
+    floor = np.finfo(np.float64).tiny * tau
+    for k in range(3):
+        for i in range(2):
+            o_ik, s_ik = o[i, k], s_id_jd[i, i, k]
+            if not (o_ik > 0.0 and o_ik >= max(s_ik, floor) / _O_CANCEL_RATIO):
+                return (f"recursive o_{i + 1}d at order {k} = {o_ik:.3e} has cancelled: s_{i + 1}d_{i + 1}d = "
+                        f"{s_ik:.3e} minus tau diag(S) at tau = {tau:.3e} keeps under half its digits")
     return None
 
 
@@ -301,7 +322,7 @@ def compute_primitives(
     if mode == "recursive":
         table, squared = stats.per_tau(_order0_solve, tau)
         prims = _recursive_primitives(table, squared, stats.mu_norms, tau, delta)
-        failure = _singular(prims.det_a)
+        failure = _singular(prims.det_a) or _cancelled(prims.o, prims.s_id_jd, tau)
         if failure is not None:
             raise LinAlgError(failure)
         return prims

@@ -718,6 +718,52 @@ class TestSkipFidelity:
         self.check(spec, tmp_path, capsys)
 
 
+class TestCancelledRecursion:
+    """A row whose recursive o = s_id_jd - tau diag(S) has cancelled is
+    skipped with the recursion's own refusal; below that it keeps the
+    fitter's risks."""
+
+    base = ModelConfig(d_core=50, d_spur=50, mu_core=np.sqrt(10.0), mu_spur=np.sqrt(2.5),
+                       n_plus=8, n_minus=2, seed=0)
+
+    def run(self, tau):
+        spec = SweepSpec(base=self.base, axis=SweepAxis("delta_minus", (1.0,)), methods=(("ridge", tau),), trials=1)
+        point = derive_config(self.base, "delta_minus", 1.0).with_updates(seed=substream_seed(self.base.seed, 0))
+        return run_sweep(spec), point, noise_stats(point)
+
+    @pytest.mark.parametrize("tau", [1e12, 1e20, 1e100, 1e200])
+    def test_a_cancelled_o_skips_its_row_with_the_recursions_refusal(self, tau):
+        # the parent wrote |w_hat|^2 1.7e-6 off at 1e12, a risk of 0.5 at
+        # 1e100 and 1e200, and at 1e20 called the norm an underflow
+        (rows, skips), point, stats = self.run(tau)
+        with pytest.raises(np.linalg.LinAlgError) as caught:
+            compute_primitives(stats, tau, point.deltas, mode="recursive")
+        reason = str(caught.value)
+        assert reason.startswith("recursive o_") and "has cancelled" in reason
+        assert rows == []
+        assert [(s["stage"], s["reason"]) for s in skips] == [("fit", reason), ("aggregate", "no successful trials")]
+
+    @pytest.mark.parametrize("tau", [0.0, 1e3, 1e8])
+    def test_a_resolved_o_keeps_the_fitters_norm_and_risks(self, tau):
+        (rows, skips), point, stats = self.run(tau)
+        sol = fit_ridge(stats, point.deltas, tau)
+        plus, minus = group_risk(sol)
+        moments = fit_moments(compute_primitives(stats, tau, point.deltas, mode="recursive"))
+        assert skips == [] and len(rows) == 1
+        np.testing.assert_allclose(moments.w_norm_sq, sol.w_norm_sq, rtol=1e-7)
+        np.testing.assert_allclose([rows[0].risk_plus_mean, rows[0].risk_minus_mean], [plus.risk, minus.risk],
+                                   rtol=1e-7)
+
+    def test_verify_primitives_refuses_a_tau_where_its_recursive_set_cancels(self, capsys):
+        # at tau = 1e10 o_1d keeps s_1d_1d / o_1d = 2.35e7 < 2^26, and passes;
+        # the refusal is a LinAlgError, a ValueError, so the exit code is 2
+        assert cli.main(["verify-primitives", "-n", "20", "-d", "400", "--tau", "1e10"]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify-primitives", "-n", "20", "-d", "400", "--tau", "1e11"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: recursive o_1d at order 0 = ")
+
+
 class TestOnePassPerTrial:
     """Each trial streams its noise once, for all of its points."""
 
