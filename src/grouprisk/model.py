@@ -887,10 +887,11 @@ def bartlett_factor(n: int, dof: int, seed: int, draws: int):
     streams serve the draws in order, so draw i is the same bits whatever
     `draws` is and however the draws are chunked: the factors of
     `draws=k` are a prefix of those of `draws=k+m`.  A chunk holds
-    max(1, `_BARTLETT_CHUNK_VALUES` // n^2) factors.  Requires
-    1 <= n <= dof, a 64-bit unsigned seed and draws >= 0; ValueError
-    otherwise, raised at the call.
+    max(1, `_BARTLETT_CHUNK_VALUES` // n^2) factors.  Requires integers
+    1 <= n <= dof (each at most sys.maxsize), a 64-bit unsigned seed and
+    draws >= 0; ValueError otherwise, raised at the call.
     """
+    n, dof = _coerce("n", n, _count(0)), _coerce("dof", dof, _count(0))
     if not 1 <= n <= dof:
         raise ValueError(f"need 1 <= n <= dof, got n={n}, dof={dof}")
     seed = _coerce("seed", seed)

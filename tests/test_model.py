@@ -1214,6 +1214,21 @@ class TestBartlettFactor:
             bartlett_factor(n, dof, 0, 1)
 
     @pytest.mark.parametrize(
+        "n, dof, match",
+        [(2.5, 10, "n must be an integer, got 2.5"), (True, 10, "n must be an integer, got bool"),
+         (3, 10.5, "dof must be an integer, got 10.5"), (3, 2**70, "dof must be at most")],
+        ids=["n_float", "n_bool", "dof_float", "dof_past_maxsize"],
+    )
+    def test_factor_rejects_non_count_n_and_dof_at_the_call(self, n, dof, match):
+        # these once raised TypeError or OverflowError at the first next(), or were taken
+        with pytest.raises(ValueError, match=match):
+            bartlett_factor(n, dof, 0, 1)
+
+    def test_factor_takes_numpy_counts(self):
+        got = np.concatenate(list(bartlett_factor(np.int64(4), np.uint16(9), 3, 2)))
+        np.testing.assert_array_equal(got, np.concatenate(list(bartlett_factor(4, 9, 3, 2))))
+
+    @pytest.mark.parametrize(
         "seed, draws, match",
         [(-1, 1, "seed"), (2**64, 1, "seed"), (1.0, 1, "seed"), (0, -1, "draws"), (0, 2.0, "draws")],
     )
