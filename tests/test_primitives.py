@@ -5,6 +5,7 @@ inverted stage matrices with plain numpy, independently of the library's
 solve and update paths.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -695,10 +696,11 @@ class TestBands:
     @pytest.mark.parametrize("spur_sq", [18.0, 0.0])
     @pytest.mark.parametrize("band, cross_band", [((0.5, 2.0), (-2.0, 2.0)), ((0.9, 1), (-1, 1))])
     def test_rows_equal_the_row_by_row_reference(self, spur_sq, band, cross_band):
+        # the positional read against the named views, on the sets of both routes
         cfg = make_config(mu_spur=e1_mean(np.sqrt(spur_sq), 200), delta_plus=0.9, delta_minus=0.3)
         stats = noise_stats(cfg)
-        for tau in (0.0, 40.0):
-            prims = compute_primitives(stats, tau=tau, delta=cfg.deltas, mode="recursive")
+        for tau, mode in itertools.product((0.0, 40.0), ("direct", "recursive")):
+            prims = compute_primitives(stats, tau=tau, delta=cfg.deltas, mode=mode)
             report = verify_primitive_bounds(prims, cfg, band=band)
             ref = reference_band_rows(prims, cfg, band, cross_band)
             got = [tuple(row) for row in report.rows]
