@@ -35,8 +35,9 @@ once per point) and band pass fractions are then read as arrays over the
 stack: the risk identity (`primitives.fit_moments`) gives |w_hat|^2 and
 w_hat' mu_b of each fit, so no fitter runs in a sweep, and `fit_cmni`
 and `fit_ridge` remain the per-point reference.  A row whose solve,
-recursion or fit fails (a refused Cholesky, a singular det(A_k), a fit
-whose |w_hat|^2 is below the smallest normal float) is skipped alone,
+recursion or fit fails (a refused Cholesky, a singular det(A_k), an o
+that has cancelled in the recursion, a fit whose |w_hat|^2 is below the
+smallest normal float) is skipped alone,
 with the reason and in the order a per-point run would give; a failure
 of the trial's recursion itself skips each of its rows with that reason.
 
@@ -374,8 +375,10 @@ def _trial_outputs(solved, cfgs, e_pairs):
     sizes and weights of cfgs[i], and e_pairs[i] its (E_+, E_-).  Returns
     a (rows, outputs) array, the per-trial outputs in `SweepRow` column
     order with a tightness NaN where its E_b = 0, and per row None or the
-    reason it failed (a singular det(A_k) or a fit whose |w_hat|^2 is not
-    a normal float, `risk.group_risk`'s refusal)."""
+    reason it failed, checked in this order: a singular det(A_k)
+    (`primitives._singular`), an o that has cancelled
+    (`primitives._cancelled`), or a fit whose |w_hat|^2 is not a normal
+    float (`risk.group_risk`'s refusal)."""
     tables, squares, taus = (np.array(column) for column in zip(*solved))
     norms = np.array([_mean_norms(c) for c in cfgs])
     prims = _recursive_primitives(tables, squares, norms, taus, np.array([c.deltas for c in cfgs]))

@@ -313,7 +313,9 @@ def compute_primitives(
     M_0 = gram_0 + tau I.  A sweep runs the same recursion
     once per trial on the stack of its (point, method) rows.  A warm call
     touches no n-sized array.  Recursive mode raises
-    LinAlgError when |det(A_k)| < DET_SINGULAR_TOL.
+    LinAlgError when |det(A_k)| < DET_SINGULAR_TOL (`_singular`), or when
+    its o = s_id_jd - tau diag(S) has cancelled past _O_CANCEL_RATIO
+    (`_cancelled`), as it does at a huge ridge tau.
     """
     tau = _coerce("tau", tau)
     delta = _weights(delta)
@@ -364,7 +366,8 @@ def _recursive_primitives(table, squared, mu_norms, tau, delta) -> PrimitiveSet:
     o = s_id_jd - tau diag(squared table), since G_k = M_k - tau I.  A
     point with |det(A_k)| < DET_SINGULAR_TOL divides that stage by 1
     instead, so its later entries are meaningless; `_singular` of its
-    det_a says so, and the caller drops it.
+    det_a says so, and the caller drops it.  A point whose o has
+    cancelled is dropped too, by `_cancelled`.
     """
     norms = np.asarray(mu_norms, dtype=np.float64)
     change = _change_of_basis(delta, norms)
@@ -629,7 +632,9 @@ def _band_check(prims: PrimitiveSet, sizes, band: tuple[float, float] = (0.5, 2.
     """The band check of `verify_primitive_bounds` over a stack of points,
     each at its own mean norms, tau, weights and sizes (n_plus, n_minus, d),
     given as (..., 3) or one shared triple: the values, normalized values,
-    zero-rate mask and pass flags, each (..., 95) in `_BAND_ROWS` order."""
+    zero-rate mask and pass flags, each (..., 95) in `_BAND_ROWS` order.
+    The 93 table and o rows are read at their entries, off the tables and
+    o and off one table of rates by `_SLOTS` block, the same at every order."""
     lo, hi = band
     batch = prims.det_a.shape[:-1]
     sizes = np.reshape(np.broadcast_to(sizes, batch + (3,)), (-1, 3))
