@@ -186,8 +186,9 @@ def _singular(det_a) -> str | None:
 def _cancelled(o, s_id_jd, tau) -> str | None:
     """Why one point's recursive o fails: the first (k, i) whose o_{i}d at
     order k is not positive or is below max(s_{i}d_{i}d, tau tiny) /
-    _O_CANCEL_RATIO, as the LinAlgError text, or None.  tau tiny / 2^26 is
-    2^26 times tau 2^-1074, the error of an underflowed tau diag(S)."""
+    _O_CANCEL_RATIO, as the LinAlgError text, or None.  Each term of the
+    max is an error over eps: s_id_jd eps is the rounding of s_id_jd, and
+    tau tiny eps = tau 2^-1074 that of tau diag(S) once diag(S) underflows."""
     floor = np.finfo(np.float64).tiny * tau
     for k in range(3):
         for i in range(2):
