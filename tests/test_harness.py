@@ -733,8 +733,8 @@ class TestCancelledRecursion:
 
     @pytest.mark.parametrize("tau", [1e12, 1e20, 1e100, 1e200])
     def test_a_cancelled_o_skips_its_row_with_the_recursions_refusal(self, tau):
-        # the parent wrote |w_hat|^2 1.7e-6 off at 1e12, a risk of 0.5 at
-        # 1e100 and 1e200, and at 1e20 called the norm an underflow
+        # unrefused, these rows read |w_hat|^2 1.7e-6 off at 1e12, a risk of
+        # 0.5 at 1e100 and 1e200, and at 1e20 a norm of 0.0, an underflow
         (rows, skips), point, stats = self.run(tau)
         with pytest.raises(np.linalg.LinAlgError) as caught:
             compute_primitives(stats, tau, point.deltas, mode="recursive")
