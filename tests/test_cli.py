@@ -237,6 +237,18 @@ class TestSampleAndFit:
         assert stdout == ""
         assert "--step: must be finite and positive" in err
 
+    @pytest.mark.parametrize("command", ["fit", "risk"])
+    @pytest.mark.parametrize("step", ["1e300", "5"])
+    def test_an_unstable_gd_step_exits_2_naming_the_limit(self, command, step, capsys):
+        # the limit n / lambda_max(G) belongs to the draw, so the refusal
+        # comes after the stream, before any iteration: 1e300 once ran
+        # every iteration on NaN and printed it, 5 once exited 1; a
+        # RuntimeWarning would be an error here
+        argv = [command, "-n", "20", "-d", "100", "--method", "gd", "--step", step]
+        code, stdout, err = run(argv, capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: step must be below n / lambda_max(G) = 5.529352e-02, got {float(step):g}\n"
+
     def test_fit_missing_data_file(self, no_stream, capsys):
         code, _, err = run(["fit", "--data", "/nonexistent/ds.bin"], capsys)
         assert code == 2

@@ -1,5 +1,7 @@
 """Tests for Gram accumulation and the dual-space fitters."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -214,12 +216,33 @@ class TestGradientDescent:
         assert np.linalg.norm(flat.c - tilted.c) > 1e-3
 
     def test_divergence_raises(self):
+        # a step past n / lambda_max(G) would diverge, so it is refused at
+        # the call, naming the limit, before any iteration
         cfg = make_config(seed=6)
         ds = sample_dataset(cfg)
         stats = noise_stats(ds)
-        lam_max = float(np.linalg.eigvalsh(stats.gram)[-1])
-        with pytest.raises(RuntimeError):
-            fit_gd(stats, cfg.deltas, step=2.5 * cfg.n / lam_max, iters=5000)
+        limit = cfg.n / float(np.linalg.eigvalsh(stats.gram)[-1])
+        message = f"step must be below n / lambda_max(G) = {limit:.6e}, got "
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_gd(stats, cfg.deltas, step=2.5 * limit, iters=5000)
+
+    @pytest.mark.parametrize("scale", [1.0, 1.5])
+    def test_a_step_at_or_past_the_limit_is_refused(self, scale):
+        cfg = make_config(seed=6)
+        stats = noise_stats(sample_dataset(cfg))
+        limit = cfg.n / float(np.linalg.eigvalsh(stats.gram)[-1])
+        with pytest.raises(ValueError, match="step must be below n / lambda_max"):
+            fit_gd(stats, cfg.deltas, step=scale * limit)
+
+    def test_a_step_just_below_the_limit_converges(self):
+        cfg = make_config(seed=6)
+        stats = noise_stats(sample_dataset(cfg))
+        step = 0.99 * cfg.n / float(np.linalg.eigvalsh(stats.gram)[-1])
+        gd = fit_gd(stats, cfg.deltas, step=step)
+        assert gd.info["step"] == step
+        assert gd.info["converged"] is True
+        direct = fit_cmni(stats, cfg.deltas)
+        assert np.linalg.norm(gd.c - direct.c) <= 1e-4 * np.linalg.norm(direct.c)
 
     @pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1.0, True, np.bool_(True)])
     def test_rejects_bad_step(self, step):
