@@ -508,17 +508,20 @@ def wishart_coverage(
     is the same chi-square for every unit u.  Returns the count,
     fraction, and the binomial three-sigma acceptance threshold for
     coverage 1 - 2 e^{-t}.  Raises ValueError for a seed that is not a
-    64-bit unsigned integer.
+    64-bit unsigned integer, and for a t whose coverage target is not
+    positive (t <= ln 2), before any draw.
     """
     draws, seed, d, n, t = (
         _coerce(name, v) for name, v in (("draws", draws), ("seed", seed), ("d", d), ("n", n), ("t", t))
     )
     low, high = wishart_interval(d, n, t)
+    coverage_target = 1.0 - 2.0 * np.exp(-t)
+    if not coverage_target > 0.0:
+        raise ValueError(f"t must be above ln 2 = 0.693147 (coverage 1 - 2 e^-t > 0), got {_shown(t)}")
     inside = sum(
         int(np.count_nonzero((low <= values) & (values <= high)))
         for values in _wishart_draws(d, n, e1_mean(1.0, n), seed, draws)
     )
-    coverage_target = 1.0 - 2.0 * np.exp(-t)
     sigma = np.sqrt(coverage_target * (1.0 - coverage_target) / draws)
     return {
         "d": d,

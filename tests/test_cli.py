@@ -709,6 +709,21 @@ class TestWishartCommand:
         assert not stdout
         assert message in err
 
+    @pytest.mark.parametrize("t", ["0", "0.5"])
+    def test_a_t_with_no_coverage_is_usage_error(self, t, monkeypatch, capsys):
+        # 1 - 2 e^-t is not positive for t <= ln 2: such a t once printed a
+        # negative target and a NaN threshold and exited 1
+        monkeypatch.setattr(primitives, "_wishart_draws", None)  # no draw is made
+        code, stdout, err = run(["wishart", "-d", "1000", "-n", "10", "-t", t, "--draws", "100"], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: t must be above ln 2 = 0.693147 (coverage 1 - 2 e^-t > 0), got {float(t)}\n"
+
+    def test_a_t_just_above_ln_2_runs(self, capsys):
+        code, stdout, _ = run(["wishart", "-d", "1000", "-n", "10", "-t", "0.7", "--draws", "100"], capsys)
+        doc = json.loads(stdout)
+        assert code == (0 if doc["passed"] else 1)
+        assert 0.0 < doc["coverage_target"] and np.isfinite(doc["threshold"])
+
     @pytest.mark.parametrize("command", [["wishart", "--draws", "10"], ["risk", "-n", "20", "-d", "400"]])
     @pytest.mark.parametrize("seed", ["-5", str(2**64), str(2**64 + 5)])
     def test_bad_seed_is_usage_error(self, command, seed, no_stream, capsys):

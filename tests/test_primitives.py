@@ -571,6 +571,13 @@ class TestWishart:
         with pytest.raises(ValueError, match=match):
             wishart_coverage(d=d, n=n, t=t, draws=10)
 
+    @pytest.mark.parametrize("t", [0.0, 0.5, np.log(2.0)])
+    def test_coverage_refuses_a_t_with_no_coverage(self, t, monkeypatch):
+        # the target 1 - 2 e^-t is not positive at t <= ln 2
+        monkeypatch.setattr(primitives, "_wishart_draws", None)  # no draw is made
+        with pytest.raises(ValueError, match=r"t must be above ln 2 = 0\.693147"):
+            wishart_coverage(d=1000, n=10, t=t, draws=10)
+
     @pytest.mark.parametrize("draws", [True, 2.5, np.bool_(True), "10"])
     def test_coverage_rejects_non_integer_draws(self, draws):
         with pytest.raises(ValueError, match="draws must be an integer"):
