@@ -609,9 +609,10 @@ def verify_primitive_bounds(
 
     Sign-definite primitives (diagonal s, t, s_uu, the adjusted diagonals,
     o, det_A) go against `band` = (LO, HI); fluctuating ones (cross terms
-    and the u-projections) against (-HI, HI).  A primitive whose rate
-    vanishes because its mean direction is zero must itself be exactly
-    zero.
+    and the u-projections) against (-HI, HI).  A primitive whose mean
+    direction is zero (its factor m_i or m_i m_j of `prims.mu_norms` is
+    0.0) must itself be exactly zero; any other whose rate is below the
+    smallest normal float fails, its digits lost.
 
     The rates are order-0 rates.  They hold at every order only in the
     `model.check_assumptions` regime: at order 2 the label-direction
@@ -636,7 +637,7 @@ def _band_check(prims: PrimitiveSet, sizes, band: tuple[float, float] = (0.5, 2.
     """The band check of `verify_primitive_bounds` over a stack of points,
     each at its own mean norms, tau, weights and sizes (n_plus, n_minus, d),
     given as (..., 3) or one shared triple: the values, normalized values,
-    zero-rate mask and pass flags, each (..., 95) in `_BAND_ROWS` order.
+    zero-mean mask and pass flags, each (..., 95) in `_BAND_ROWS` order.
     The 93 table and o rows are read at their entries, off the tables and
     o and off one table of rates by `_SLOTS` block, the same at every order."""
     lo, hi = band
@@ -649,27 +650,37 @@ def _band_check(prims: PrimitiveSet, sizes, band: tuple[float, float] = (0.5, 2.
     counts = _adjusted_counts(sizes[:, 0], sizes[:, 1], np.reshape(prims.delta, (-1, 2)).T)
     n_delta, n_mixed = (np.reshape(c, batch + (1, 1)) for c in counts)
 
-    # each rate, the same at every order, at its primitive's `_SLOTS` block
+    # each rate, the same at every order, and the mean factor it carries
+    # (m_i m_j, m_i or 1), at its primitive's `_SLOTS` block
     by_name = {
         "s": n / dt, "t": n * m_i * m_j / dt, "h": n * m_i / dt,
         "s_uu": 1.0 / dt, "s_ui": np.sqrt(n) / dt, "h_iu": np.sqrt(n) * m_i / dt,
         "s_id_j": n_mixed / dt, "s_id_jd": n_delta / dt, "h_i_jd": np.sqrt(n * n_delta) * m_i / dt,
         "o": n_delta * d / dt / dt,
     }
-    rates = np.empty(batch + (8, 7))
+    factor_by_name = {"t": m_i * m_j, "h": m_i, "h_iu": m_i, "h_i_jd": m_i}
+    rates, factors = np.empty(batch + (8, 7)), np.ones(batch + (8, 7))
     for name, slots in _SLOTS.items():
-        rates[(..., *(slice(s, s + 1) if isinstance(s, int) else s for s in slots))] = by_name[name]
+        block = (..., *(slice(s, s + 1) if isinstance(s, int) else s for s in slots))
+        rates[block] = by_name[name]
+        factors[block] = factor_by_name.get(name, 1.0)
     table = np.concatenate(
         [np.reshape(np.moveaxis(prims.tables, -1, -3), batch + (3, 49)), np.swapaxes(prims.o, -1, -2)], axis=-1
     )
     values = np.concatenate([table[..., _BAND_K, _BAND_ENTRY], prims.det_a], axis=-1)
-    rates = np.concatenate([np.reshape(rates, batch + (56,))[..., _BAND_ENTRY], np.ones(batch + (2,))], axis=-1)
+    rates, factors = (
+        np.concatenate([np.reshape(a, batch + (56,))[..., _BAND_ENTRY], np.ones(batch + (2,))], axis=-1)
+        for a in (rates, factors)
+    )
 
-    # a zero rate means a zero mean direction: the primitive must vanish
-    zero = rates == 0.0
-    normalized = np.divide(values, rates, out=np.zeros_like(values), where=~zero)
+    # a zero mean factor (exact, and normal when not zero: `model._mean_norms`)
+    # means a zero mean direction, so the primitive must vanish; a rate
+    # below the smallest normal float has lost its digits, so its row fails
+    zero = factors == 0.0
+    resolved = rates >= np.finfo(np.float64).tiny
+    normalized = np.divide(values, rates, out=np.zeros_like(values), where=resolved)
     inside = (np.where(_BAND_TWO_SIDED, lo, -hi) <= normalized) & (normalized <= hi)
-    passed = np.where(zero, values == 0.0, inside)
+    passed = np.where(zero, values == 0.0, resolved & inside)
     return values, normalized, zero, passed
 
 
