@@ -2,119 +2,13 @@
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    BoundReport,
-    ConsistencyResult,
-    adjusted_quantities,
-    bound_exponent,
-    consistency_check,
-    evaluate_bounds,
-    tightness_ratio,
-)
-from .estimators import (
-    DualSolution,
-    fit_cmni,
-    fit_gd,
-    fit_ridge,
-    interpolation_residual,
-)
-from .harness import (
-    SweepAxis,
-    SweepRow,
-    SweepSpec,
-    derive_config,
-    emit,
-    preset,
-    resolve_tau,
-    run_sweep,
-)
-from .model import (
-    AssumptionReport,
-    Dataset,
-    GramStats,
-    ModelConfig,
-    SignalStrengths,
-    bartlett_factor,
-    check_assumptions,
-    e1_mean,
-    load_dataset,
-    noise_stats,
-    noise_stats_many,
-    sample_dataset,
-    sample_labels,
-    save_dataset,
-    signal_strengths,
-)
-from .primitives import (
-    PrimitiveSet,
-    check_aux_inequalities,
-    compute_primitives,
-    fit_moments,
-    risk_identity_check,
-    verify_primitive_bounds,
-    wishart_coverage,
-    wishart_interval,
-)
-from .risk import (
-    GroupRiskEntry,
-    RiskReport,
-    build_report,
-    group_risk,
-    monte_carlo_risk,
-    q_function,
-    worst_and_average,
-)
+from . import bounds, estimators, harness, model, primitives, risk
+from .bounds import *
+from .estimators import *
+from .harness import *
+from .model import *
+from .primitives import *
+from .risk import *
 
-__all__ = [
-    "__version__",
-    "AssumptionReport",
-    "BoundReport",
-    "ConsistencyResult",
-    "Dataset",
-    "DualSolution",
-    "GramStats",
-    "GroupRiskEntry",
-    "ModelConfig",
-    "PrimitiveSet",
-    "RiskReport",
-    "SignalStrengths",
-    "SweepAxis",
-    "SweepRow",
-    "SweepSpec",
-    "adjusted_quantities",
-    "bartlett_factor",
-    "bound_exponent",
-    "build_report",
-    "check_assumptions",
-    "check_aux_inequalities",
-    "compute_primitives",
-    "consistency_check",
-    "derive_config",
-    "e1_mean",
-    "emit",
-    "evaluate_bounds",
-    "fit_cmni",
-    "fit_gd",
-    "fit_moments",
-    "fit_ridge",
-    "group_risk",
-    "interpolation_residual",
-    "load_dataset",
-    "monte_carlo_risk",
-    "noise_stats",
-    "noise_stats_many",
-    "preset",
-    "q_function",
-    "resolve_tau",
-    "risk_identity_check",
-    "run_sweep",
-    "sample_dataset",
-    "sample_labels",
-    "save_dataset",
-    "signal_strengths",
-    "tightness_ratio",
-    "verify_primitive_bounds",
-    "wishart_coverage",
-    "wishart_interval",
-    "worst_and_average",
-]
+__all__ = ["__version__", *bounds.__all__, *estimators.__all__, *harness.__all__, *model.__all__,
+           *primitives.__all__, *risk.__all__]
