@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .model import GramStats, _coerce
+from .model import GramStats, _coerce, _shown
 
 __all__ = [
     "DualSolution",
@@ -188,7 +188,7 @@ def fit_gd(
     if step is None:
         step = 0.9 * n / lam_max
     elif not step < n / lam_max:
-        raise ValueError(f"step must be below n / lambda_max(G) = {n / lam_max:.6e}, got {step:g}")
+        raise ValueError(f"step must be below n / lambda_max(G) = {n / lam_max:.6e}, got {_shown(step)}")
     rate = 2.0 * step / n
     c = np.zeros(n)
     target = _GD_TOL * np.max(np.abs(z))

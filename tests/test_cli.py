@@ -247,7 +247,7 @@ class TestSampleAndFit:
         argv = [command, "-n", "20", "-d", "100", "--method", "gd", "--step", step]
         code, stdout, err = run(argv, capsys)
         assert (code, stdout) == (2, "")
-        assert err == f"error: step must be below n / lambda_max(G) = 5.529352e-02, got {float(step):g}\n"
+        assert err == f"error: step must be below n / lambda_max(G) = 5.529352e-02, got {float(step)!r}\n"
 
     def test_fit_missing_data_file(self, no_stream, capsys):
         code, _, err = run(["fit", "--data", "/nonexistent/ds.bin"], capsys)

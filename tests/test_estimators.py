@@ -226,13 +226,13 @@ class TestGradientDescent:
         with pytest.raises(ValueError, match=re.escape(message)):
             fit_gd(stats, cfg.deltas, step=2.5 * limit, iters=5000)
 
-    @pytest.mark.parametrize("scale", [1.0, 1.5])
-    def test_a_step_at_or_past_the_limit_is_refused(self, scale):
+    def test_a_step_at_the_limit_is_refused(self):
+        # there the top direction of the error flips sign each step
         cfg = make_config(seed=6)
         stats = noise_stats(sample_dataset(cfg))
         limit = cfg.n / float(np.linalg.eigvalsh(stats.gram)[-1])
         with pytest.raises(ValueError, match="step must be below n / lambda_max"):
-            fit_gd(stats, cfg.deltas, step=scale * limit)
+            fit_gd(stats, cfg.deltas, step=limit)
 
     def test_a_step_just_below_the_limit_converges(self):
         cfg = make_config(seed=6)
