@@ -323,6 +323,7 @@ def run_sweep(spec: SweepSpec):
     exponents_e = [bound_exponent(cfg) for _, _, cfg in points]
     # every (point, method) row, and the output vector of each of its successful trials
     rows = [(k, mi) for k in range(len(points)) for mi in range(len(spec.methods))]
+    sources = [(k if per_point else 0, spec.methods[mi][1], points[k][2]) for k, mi in rows]
     vectors: list[list[np.ndarray]] = [[] for _ in rows]
     for trial in range(spec.trials):
         seed = substream_seed(spec.base.seed, trial)
@@ -332,21 +333,14 @@ def run_sweep(spec: SweepSpec):
             for _, value, _ in points:
                 skip("sample", str(exc), value=value, trial=trial)
             continue
-        # each row's draw read through its order-0 tables at its tau
-        reasons, solved = [], []
-        for k, mi in rows:
-            try:
-                tau = resolve_tau(spec.methods[mi][1], points[k][2])
-                solved.append((*noises[k if per_point else 0].per_tau(_order0_solve, tau), tau))
-            except Exception as exc:
-                reasons.append(str(exc))
-            else:
-                reasons.append(None)
+        tables = _row_tables(noises, sources)
+        reasons = [table if isinstance(table, str) else None for table in tables]
         live = [r for r, reason in enumerate(reasons) if reason is None]
         if live:
             at = [rows[r][0] for r in live]
             try:
-                outputs, failures = _trial_outputs(solved, [points[k][2] for k in at], [exponents_e[k] for k in at])
+                outputs, failures = _trial_outputs([tables[r] for r in live], [points[k][2] for k in at],
+                                                   [exponents_e[k] for k in at])
             except Exception as exc:
                 outputs, failures = [None] * len(live), [str(exc)] * len(live)
             for r, vector, failure in zip(live, outputs, failures):
@@ -367,6 +361,19 @@ def run_sweep(spec: SweepSpec):
         run_id = f"{spec.name}:{spec.axis.name}[{idx}]:{mname}:tau={tau:g}"
         out.append(SweepRow(run_id, float(value), mname, float(tau), len(done), *_summary(done, exponents_e[k])))
     return out, skips
+
+
+def _row_tables(draws, rows) -> list:
+    """Per row of (index into draws, tau spec, config): its draw's order-0
+    tables at its tau as (table, squared, tau), or the reason they failed."""
+    out = []
+    for index, tau_spec, cfg in rows:
+        try:
+            tau = resolve_tau(tau_spec, cfg)
+            out.append((*draws[index].per_tau(_order0_solve, tau), tau))
+        except Exception as exc:
+            out.append(str(exc))
+    return out
 
 
 def _trial_outputs(solved, cfgs, e_pairs):
@@ -415,12 +422,10 @@ def _summary(vectors, e_pair) -> list:
 
 
 def _fig_base(seed: int, delta_plus: float, delta_minus: float, r_plus: float = 250.0) -> ModelConfig:
-    d = 100_000
-    d_core = d // 2
     scale = np.sqrt(r_plus / 2.0)
     return ModelConfig(
-        d_core=d_core,
-        d_spur=d - d_core,
+        d_core=50_000,
+        d_spur=50_000,
         mu_core=scale,
         mu_spur=scale,
         n_plus=190,
@@ -434,9 +439,7 @@ def _fig_base(seed: int, delta_plus: float, delta_minus: float, r_plus: float = 
 def preset(name: str, seed: int = 0, trials: int = 10) -> SweepSpec:
     """Built-in sweeps mirroring the simulation setups."""
     if name == "fig1_left":
-        grid = np.concatenate(
-            [np.geomspace(0.95, 0.05, 20), [0.05 / 2, 0.05 / 4, 0.05 / 8]]
-        )
+        grid = np.concatenate([np.geomspace(0.95, 0.05, 20), [0.05 / 2, 0.05 / 4, 0.05 / 8]])
         return SweepSpec(
             base=_fig_base(seed, delta_plus=0.95, delta_minus=0.95),
             axis=SweepAxis("delta_minus", tuple(grid)),
@@ -454,10 +457,7 @@ def preset(name: str, seed: int = 0, trials: int = 10) -> SweepSpec:
             name=name,
         )
     if name in ("fig2_left", "fig2_right"):
-        if name == "fig2_left":
-            dp, dm = 1.0, 1.0
-        else:
-            dp, dm = 0.95, 0.05
+        dp, dm = (1.0, 1.0) if name == "fig2_left" else (0.95, 0.05)
         base = _fig_base(seed, delta_plus=dp, delta_minus=dm)
         grid = np.geomspace(base.d / base.n, base.d * base.n / base.n_minus**2, 12)
         return SweepSpec(
