@@ -39,6 +39,7 @@ from grouprisk.model import (
     substream_seed,
 )
 from grouprisk.model import _noise_windows, _one_blas_thread
+from grouprisk.primitives import _order0_solve
 
 from conftest import dense_means, write_x_then_q_file
 
@@ -999,6 +1000,39 @@ class TestSharedStream:
         finally:
             tracemalloc.stop()
         assert peak < window_bytes + 4 * 8 * (sum_sq + d)
+
+
+# the seeds and the level of the stream's law tests, fixed before their first run
+LAW_SEEDS = range(2000)
+LAW_LEVEL = 1e-3
+
+
+@pytest.fixture(scope="module")
+def order0_tables():
+    """The tau = 0 order-0 table of `primitives._order0_solve` on the
+    streamed noise of `small_config` (n = 20 as 16/4, d = 400) at each
+    seed of LAW_SEEDS, stacked; its basis is [a, y, q_s, q_c, e_1, y_+, y_-]."""
+    return np.array([_order0_solve(noise_stats(small_config(seed=seed)), 0.0)[0] for seed in LAW_SEEDS])
+
+
+class TestStreamLaws:
+    """The streamed Q Q' held to the Wishart laws.  At tau = 0 the table is
+    B' W^{-1} B with W = Q Q' ~ Wishart_n(d, I) and the label columns of B
+    drawn apart from Q, so 1 / (e_1' W^{-1} e_1) ~ chi2_{d-n+1} (Muirhead
+    1982, Thm 3.2.12) and E[v' W^{-1} v] = |v|^2 / (d - n - 1), since
+    E[W^{-1}] = I / (d - n - 1)."""
+
+    N, D = 20, 400
+
+    def test_inverse_e1_diagonal_is_chi2(self, order0_tables):
+        values = 1.0 / order0_tables[:, 4, 4]
+        assert kstest(values, chi2(self.D - self.N + 1).cdf).pvalue > LAW_LEVEL
+
+    @pytest.mark.parametrize("slot, norm_sq", [(0, 20), (5, 16), (6, 4)], ids=["a", "y_plus", "y_minus"])
+    def test_label_diagonal_averages_to_its_inverse_wishart_mean(self, order0_tables, slot, norm_sq):
+        ratios = order0_tables[:, slot, slot] * (self.D - self.N - 1) / norm_sq
+        stderr = ratios.std(ddof=1) / np.sqrt(len(ratios))
+        assert abs(ratios.mean() - 1.0) <= 4.0 * stderr, (ratios.mean(), stderr)
 
 
 class TestSubstreams:
