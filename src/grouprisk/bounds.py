@@ -8,15 +8,14 @@ with R_{+1} = r_plus, R_{-1} = r_minus, weights
 alpha_pm = (n_pm / Delta_pm^2) / n_delta and
 n_delta = n_plus / Delta_plus^2 + n_minus / Delta_minus^2.  The risk is
 then sandwiched: C_2 exp(-C_3 E_b) <= risk_b <= exp(-C_1 E_b) for
-universal constants, so exponent_b(solution) / E_b is the empirical
-constant the sweep harness tracks.
+universal constants the theory does not give, so no bound value is
+computed here; exponent_b(solution) / E_b is the empirical constant the
+sweep harness tracks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import ModelConfig, _coerce, signal_strengths
 from .risk import group_risk
@@ -34,8 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Adjusted weights, per-group exponents, the bound values, and the
-    constants (C_1, C_2, C_3) the bounds were evaluated with.
+    """Adjusted weights and per-group bound exponents.
 
     The fields are the keys of the `bounds` command's JSON, in order.
     """
@@ -45,13 +43,6 @@ class BoundReport:
     alpha_minus: float
     exponent_plus: float
     exponent_minus: float
-    upper_plus: float
-    upper_minus: float
-    lower_plus: float
-    lower_minus: float
-    c1: float
-    c2: float
-    c3: float
 
 
 @dataclass(frozen=True)
@@ -98,21 +89,9 @@ def bound_exponent(config: ModelConfig) -> tuple[float, float]:
     )
 
 
-def evaluate_bounds(
-    config: ModelConfig, constants: tuple[float, float, float] = (1.0, 1.0, 1.0)
-) -> BoundReport:
-    """upper_b = exp(-C_1 E_b), lower_b = C_2 exp(-C_3 E_b) for both groups."""
-    c1, c2, c3 = (_coerce(f"c{k}", v) for k, v in enumerate(constants, 1))
-    exponents = bound_exponent(config)
-    return BoundReport(
-        *adjusted_quantities(config),
-        *exponents,
-        *(float(np.exp(-c1 * e)) for e in exponents),
-        *(float(c2 * np.exp(-c3 * e)) for e in exponents),
-        c1,
-        c2,
-        c3,
-    )
+def evaluate_bounds(config: ModelConfig) -> BoundReport:
+    """(n_delta, alpha_plus, alpha_minus) and (E_+, E_-) of one config."""
+    return BoundReport(*adjusted_quantities(config), *bound_exponent(config))
 
 
 def consistency_check(

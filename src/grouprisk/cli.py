@@ -182,7 +182,7 @@ def _cmd_risk(args) -> int:
 def _cmd_bounds(args) -> int:
     cfg = config_from_args(args)
     _claim(args, args.out)
-    report = evaluate_bounds(cfg, constants=(args.c1, args.c2, args.c3))
+    report = evaluate_bounds(cfg)
     doc = dataclasses.asdict(report)
     doc["consistency_plus"], doc["consistency_minus"] = map(
         dataclasses.asdict, consistency_check(cfg, c_const=args.c_const)
@@ -321,9 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_risk)
 
     p = sub.add_parser("bounds", parents=[common, config_flags], help="bound exponents and consistency")
-    p.add_argument("--c1", type=_flag("c1"), default=1.0)
-    p.add_argument("--c2", type=_flag("c2"), default=1.0)
-    p.add_argument("--c3", type=_flag("c3"), default=1.0)
     p.add_argument("--c-const", type=_flag("c_const"), default=1.0, help="threshold constant for the vanishing condition")
     p.set_defaults(func=_cmd_bounds)
 

@@ -178,7 +178,7 @@ _FIELDS = {
                     _count(1)),
     "seed": _Kind(_INTEGRAL, int, lambda v: 0 <= v <= _MASK64, "a 64-bit unsigned integer"),
     **dict.fromkeys(("pi_plus", "delta"), _UNIT),
-    **dict.fromkeys(("delta_plus", "delta_minus", "step", "c_const", "c1", "c2", "c3", "band"), _POSITIVE),
+    **dict.fromkeys(("delta_plus", "delta_minus", "step", "c_const", "band"), _POSITIVE),
     **dict.fromkeys(("tau", "t", "mu_core_sq", "mu_spur_sq"), _NONNEGATIVE),
     # a mean's scale along e_1: what a file holds, and one form the constructor takes
     **dict.fromkeys(("mu_core", "mu_spur"), _Kind(_REAL, float, math.isfinite, "finite", "a number")),

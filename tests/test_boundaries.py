@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from grouprisk.bounds import consistency_check, evaluate_bounds
+from grouprisk.bounds import consistency_check
 from grouprisk.cli import main
 from grouprisk.estimators import fit_cmni, fit_gd, fit_ridge, interpolation_residual
 from grouprisk.harness import SweepAxis, SweepSpec, resolve_tau
@@ -207,12 +207,11 @@ CALL_CASES = [
     ("t", lambda cfg, stats: wishart_coverage(d=1000, n=10, t=HUGE, draws=10)),
     ("c_const", lambda cfg, stats: check_assumptions(cfg, c_const=HUGE)),
     ("delta", lambda cfg, stats: check_assumptions(cfg, delta=HUGE)),
-    ("c1", lambda cfg, stats: evaluate_bounds(cfg, constants=(HUGE, 1.0, 1.0))),
+    ("axis values", lambda cfg, stats: SweepAxis("delta_minus", (0.5, HUGE))),
     ("c_const", lambda cfg, stats: consistency_check(cfg, c_const=HUGE)),
     ("seed", lambda cfg, stats: bartlett_factor(4, 9, HUGE, 1)),
     ("seed", lambda cfg, stats: cfg.with_updates(seed=HUGE)),
     ("pi_plus", lambda cfg, stats: cfg.with_updates(pi_plus=HUGE)),
-    ("axis values", lambda cfg, stats: SweepAxis("delta_minus", (0.5, HUGE))),
 ]
 
 

@@ -66,7 +66,7 @@ HELP_DIGESTS = {
     "sample": "13e417262bbc1bda",
     "fit": "33c4645cdaf8fb22",
     "risk": "839081d1eaead466",
-    "bounds": "71d2dc808c7e25a2",
+    "bounds": "4be8fefa60324306",
     "verify-primitives": "d11c500368cfdc8a",
     "wishart": "3b9c4ab312eb58f2",
     "sweep": "055d03efb2c0737a",
@@ -439,7 +439,6 @@ class TestRiskAndBounds:
         assert code == 0
         doc = json.loads(stdout)
         np.testing.assert_allclose(doc["exponent_plus"], 5.9375, rtol=1e-9)
-        np.testing.assert_allclose(doc["upper_plus"], np.exp(-5.9375), rtol=1e-9)
         assert doc["consistency_plus"]["applicable"]
 
     def test_bounds_refuses_a_mean_whose_r_plus_sq_overflows(self, no_stream, capsys):
@@ -483,7 +482,7 @@ class TestRiskAndBounds:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--c1", "nan"), ("--c2", "0"), ("--c3", "inf"), ("--c-const", "nan"), ("--c-const", "-1")],
+        [("--c-const", "nan"), ("--c-const", "-1")],
     )
     def test_bounds_bad_constant_is_usage_error(self, flag, value, no_stream, capsys):
         # equal mean norms, so the vanishing condition applies
@@ -496,6 +495,13 @@ class TestRiskAndBounds:
         assert stdout == ""
         assert "finite and positive" in err
 
+    @pytest.mark.parametrize("flag", ["--c1", "--c2", "--c3"])
+    def test_bounds_has_no_envelope_constants(self, flag, no_stream, capsys):
+        # the sandwich's constants are unknown, so bounds prints no envelope to scale
+        code, stdout, err = run(["bounds", "-n", "20", "-d", "400", flag, "2"], capsys)
+        assert (code, stdout) == (2, "")
+        assert f"unrecognized arguments: {flag} 2" in err
+
     @pytest.mark.parametrize(
         "argv, nested, keys",
         [
@@ -504,7 +510,6 @@ class TestRiskAndBounds:
              [*RISK_KEYS, "mc_risk_plus", "mc_stderr_plus", "mc_risk_minus", "mc_stderr_minus"]),
             (["bounds"], None,
              ["n_delta", "alpha_plus", "alpha_minus", "exponent_plus", "exponent_minus",
-              "upper_plus", "upper_minus", "lower_plus", "lower_minus", "c1", "c2", "c3",
               "consistency_plus", "consistency_minus"]),
             (["bounds"], "consistency_plus", ["applicable", "holds", "slack"]),
             (["bounds"], "consistency_minus", ["applicable", "holds", "slack"]),
