@@ -182,8 +182,7 @@ def _cmd_risk(args) -> int:
 def _cmd_bounds(args) -> int:
     cfg = config_from_args(args)
     _claim(args, args.out)
-    report = evaluate_bounds(cfg)
-    doc = dataclasses.asdict(report)
+    doc = dataclasses.asdict(evaluate_bounds(cfg))
     doc["consistency_plus"], doc["consistency_minus"] = map(
         dataclasses.asdict, consistency_check(cfg, c_const=args.c_const)
     )
